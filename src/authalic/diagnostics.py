@@ -28,8 +28,12 @@ class AreaRatioStats:
 
 def area_ratio_stats(surface, f: np.ndarray) -> AreaRatioStats:
     """Population statistics of the per-face image/reference area ratios."""
-    geom = en.face_geometry(surface, f, check=False)
-    ratios = geom.image_areas / surface.face_areas
+    return geometry_ratio_stats(en.face_geometry(surface, f, check=False))
+
+
+def geometry_ratio_stats(geom: en.FaceGeometry) -> AreaRatioStats:
+    """:func:`area_ratio_stats` from a face geometry already computed."""
+    ratios = geom.image_areas / geom.ref_areas
     mean = float(ratios.mean())
     sd = float(np.sqrt(np.mean((ratios - mean) ** 2)))
     return AreaRatioStats(ratios=ratios, mean=mean, sd=sd, sd_over_mean=sd / mean)

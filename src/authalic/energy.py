@@ -9,15 +9,23 @@ which, writing the cotangent as dot/||cross|| of image edge vectors,
 collapses exactly to (f_i - f_k).(f_j - f_k) / (4 |tau|) -- the image area
 cancels, so no trigonometric calls are needed.  The stretch energy is the
 Laplacian quadratic form (1/2) sum_s (f^s)^T L f^s, which per face equals
-(image area)^2 / (reference area); both routes are implemented and tested
-against each other.
+(image area)^2 / (reference area).
 
 The minimized objective is the normalized energy (|M| / A(f)) * E_stretch,
-whose Euclidean gradient combines 2 L f with the gradient of the image
-area A(f).  The area gradient is assembled from the nine closed-form
-partial derivatives per face (validated against finite differences and an
-independent per-face Laplacian route), and the per-face 9x9 Hessian of the
-stretch energy is available in closed form for diagnostics.
+whose Euclidean gradient is (2 |M| / A) L f - (|M| E_stretch / A^2) grad A.
+Per face, L_tau f_tau = (|f(tau)| / |tau|) grad |f(tau)|, so the whole
+gradient is sum_tau c_tau grad |f(tau)| with
+
+    c_tau = (|M| / A) (2 |f(tau)| / |tau| - E_stretch / A):
+
+one gather of the nine closed-form area partials per face and one
+scatter onto the vertices, all from one :class:`FaceGeometry` that also
+gives the energies.  That per-face route is the one the library runs;
+the Laplacian routes (the quadratic form in :func:`stretch_energy`,
+:func:`image_area_gradient_via_laplacian`, and ``L f`` from
+:func:`assemble_laplacian`) are kept as independent cross-checks.  The
+per-face 9x9 Hessian of the stretch energy is available in closed form
+for diagnostics.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DegenerateFaceError
+from .mesh import scatter_corners
 
 IMAGE_AREA_TOL = 1e-14
 
@@ -54,25 +63,36 @@ class FaceGeometry:
 
 
 def face_geometry(surface, f: np.ndarray, check: bool = True) -> FaceGeometry:
-    f = np.asarray(f, dtype=np.float64)
-    p = f[surface.faces]
+    # coordinate-major gather, p[s, c] = coordinate s of corner c of every
+    # face, so each product below runs on contiguous (m,) rows; the edge
+    # fields are (m, 3) views of these rows
+    p = np.ascontiguousarray(np.asarray(f, dtype=np.float64).T)[:, surface.faces.T]
     e_ij = p[:, 0] - p[:, 1]
     e_ik = p[:, 0] - p[:, 2]
     e_jk = p[:, 1] - p[:, 2]
-    a12 = e_ij[:, 0] * e_ik[:, 1] - e_ij[:, 1] * e_ik[:, 0]
-    a13 = e_ij[:, 0] * e_ik[:, 2] - e_ij[:, 2] * e_ik[:, 0]
-    a23 = e_ij[:, 1] * e_ik[:, 2] - e_ij[:, 2] * e_ik[:, 1]
+    a12 = e_ij[0] * e_ik[1] - e_ij[1] * e_ik[0]
+    a13 = e_ij[0] * e_ik[2] - e_ij[2] * e_ik[0]
+    a23 = e_ij[1] * e_ik[2] - e_ij[2] * e_ik[1]
     areas = 0.5 * np.sqrt(a12 * a12 + a13 * a13 + a23 * a23)
-    if check and (areas <= IMAGE_AREA_TOL).any():
+    geom = FaceGeometry(
+        e_ij=e_ij.T, e_ik=e_ik.T, e_jk=e_jk.T,
+        a12=a12, a13=a13, a23=a23,
+        image_areas=areas, ref_areas=surface.face_areas,
+    )
+    if check:
+        check_geometry(geom)
+    return geom
+
+
+def check_geometry(geom: FaceGeometry) -> None:
+    """Raise :class:`DegenerateFaceError` naming the first face whose image
+    area is at most :data:`IMAGE_AREA_TOL`."""
+    areas = geom.image_areas
+    if (areas <= IMAGE_AREA_TOL).any():
         bad = int(np.flatnonzero(areas <= IMAGE_AREA_TOL)[0])
         raise DegenerateFaceError(
             f"image of face {bad} is degenerate (area {areas[bad]:.3e})", face_index=bad
         )
-    return FaceGeometry(
-        e_ij=e_ij, e_ik=e_ik, e_jk=e_jk,
-        a12=a12, a13=a13, a23=a23,
-        image_areas=areas, ref_areas=surface.face_areas,
-    )
 
 
 def image_area(surface, f: np.ndarray) -> float:
@@ -152,27 +172,26 @@ def stretch_energy(surface, f: np.ndarray, laplacian: sp.csr_matrix | None = Non
     )
 
 
-def normalized_energy(surface, f: np.ndarray) -> float:
-    """Fast path for the objective: uses the per-face identity
-    stretch = sum (image area)^2 / (reference area), no sparse assembly."""
-    geom = face_geometry(surface, f, check=False)
-    e_s = float(np.sum(geom.image_areas**2 / surface.face_areas))
-    area = float(geom.image_areas.sum())
-    if area <= 0:
-        raise DegenerateFaceError("image area is zero")
-    return surface.total_area / area * e_s
-
-
-def energy_report_per_face(surface, f: np.ndarray) -> EnergyReport:
-    """EnergyReport via the per-face route (same values as
-    :func:`stretch_energy` to roundoff, cheaper)."""
-    geom = face_geometry(surface, f, check=False)
-    e_s = float(np.sum(geom.image_areas**2 / surface.face_areas))
+def geometry_report(surface, geom: FaceGeometry) -> EnergyReport:
+    """EnergyReport from one face-geometry pass, through the per-face
+    identity stretch = sum (image area)^2 / (reference area)."""
+    e_s = float(np.sum(geom.image_areas**2 / geom.ref_areas))
     area = float(geom.image_areas.sum())
     if area <= 0:
         raise DegenerateFaceError("image area is zero")
     return EnergyReport(stretch=e_s, image_area=area, authalic=e_s - area,
                         normalized=surface.total_area / area * e_s)
+
+
+def normalized_energy(surface, f: np.ndarray) -> float:
+    """The objective (|M| / A(f)) * E_stretch, per face, no sparse assembly."""
+    return geometry_report(surface, face_geometry(surface, f, check=False)).normalized
+
+
+def energy_report_per_face(surface, f: np.ndarray) -> EnergyReport:
+    """EnergyReport via the per-face route (same values as
+    :func:`stretch_energy` to roundoff, cheaper)."""
+    return geometry_report(surface, face_geometry(surface, f, check=False))
 
 
 def area_matched_authalic(report: EnergyReport) -> float:
@@ -191,39 +210,40 @@ def area_matched_authalic(report: EnergyReport) -> float:
 # Image-area gradient
 # ---------------------------------------------------------------------------
 
-def _area_partials(geom: FaceGeometry):
+def _area_partials(geom: FaceGeometry, weights: np.ndarray | None = None):
     """Nine closed-form partials of the image area per face.
 
     Returns (m, 3) arrays g_i, g_j, g_k: the gradient of |f(tau)| with
-    respect to each corner position.  Derived by differentiating
+    respect to each corner position, times `weights` (per face) when
+    given.  Derived by differentiating
     2|f(tau)| = sqrt(a12^2 + a13^2 + a23^2) through the projected areas.
     """
     inv4a = 1.0 / (4.0 * geom.image_areas)
+    if weights is not None:
+        inv4a = weights * inv4a
     a12, a13, a23 = geom.a12, geom.a13, geom.a23
 
     def partials(e):
-        # columns: d/df^1, d/df^2, d/df^3 for opposite-edge vector e
-        return np.stack([
+        # rows d/df^1, d/df^2, d/df^3 for opposite-edge vector e, returned
+        # as an (m, 3) view so each coordinate stays one contiguous row
+        return (np.stack([
             a12 * e[:, 1] + a13 * e[:, 2],
             -a12 * e[:, 0] + a23 * e[:, 2],
             -a13 * e[:, 0] - a23 * e[:, 1],
-        ], axis=1)
+        ]) * inv4a).T
 
-    g_i = partials(geom.e_jk) * inv4a[:, None]
-    g_j = -partials(geom.e_ik) * inv4a[:, None]
-    g_k = partials(geom.e_ij) * inv4a[:, None]
-    return g_i, g_j, g_k
+    return partials(geom.e_jk), -partials(geom.e_ik), partials(geom.e_ij)
+
+
+def area_gradient(surface, geom: FaceGeometry, weights: np.ndarray | None = None) -> np.ndarray:
+    """sum_tau weights_tau * grad |f(tau)| (unit weights when None): one
+    gather of the area partials and one scatter onto the vertices."""
+    return scatter_corners(surface, *_area_partials(geom, weights))
 
 
 def image_area_gradient(surface, f: np.ndarray) -> np.ndarray:
     """Gradient of the total image area, accumulated per face."""
-    geom = face_geometry(surface, f, check=True)
-    g_i, g_j, g_k = _area_partials(geom)
-    grad = np.zeros((surface.n_vertices, 3))
-    np.add.at(grad, surface.faces[:, 0], g_i)
-    np.add.at(grad, surface.faces[:, 1], g_j)
-    np.add.at(grad, surface.faces[:, 2], g_k)
-    return grad
+    return area_gradient(surface, face_geometry(surface, f, check=True))
 
 
 def image_area_gradient_via_laplacian(surface, f: np.ndarray) -> np.ndarray:
@@ -236,26 +256,33 @@ def image_area_gradient_via_laplacian(surface, f: np.ndarray) -> np.ndarray:
     lj = -w_k[:, None] * p[:, 0] + (w_i + w_k)[:, None] * p[:, 1] - w_i[:, None] * p[:, 2]
     lk = -w_j[:, None] * p[:, 0] - w_i[:, None] * p[:, 1] + (w_i + w_j)[:, None] * p[:, 2]
     scale = (surface.face_areas / geom.image_areas)[:, None]
-    grad = np.zeros((surface.n_vertices, 3))
-    np.add.at(grad, surface.faces[:, 0], scale * li)
-    np.add.at(grad, surface.faces[:, 1], scale * lj)
-    np.add.at(grad, surface.faces[:, 2], scale * lk)
-    return grad
+    return scatter_corners(surface, scale * li, scale * lj, scale * lk)
 
 
-def euclidean_gradient(surface, f: np.ndarray,
-                       laplacian: sp.csr_matrix | None = None,
-                       report: EnergyReport | None = None) -> np.ndarray:
-    """Ambient gradient of the normalized energy.
+def stretch_gradient(surface, geom: FaceGeometry) -> np.ndarray:
+    """Gradient of the stretch energy, 2 L(f) f, as
+    sum_tau (2 |f(tau)| / |tau|) grad |f(tau)|."""
+    return area_gradient(surface, geom, 2.0 * geom.image_areas / geom.ref_areas)
 
-    grad = (2 |M| / A) L f  -  (|M| E_stretch / A^2) grad A.
+
+def normalized_energy_and_gradient(surface, geom: FaceGeometry):
+    """EnergyReport and ambient gradient of the normalized energy from one
+    face-geometry pass.
+
+    grad = (2 |M| / A) L f - (|M| E_stretch / A^2) grad A
+         = sum_tau (|M| / A) (2 |f(tau)| / |tau| - E_stretch / A) grad |f(tau)|.
     """
-    f = np.asarray(f, dtype=np.float64)
-    lap = assemble_laplacian(surface, f) if laplacian is None else laplacian
-    rep = stretch_energy(surface, f, laplacian=lap) if report is None else report
-    total = surface.total_area
-    return (2.0 * total / rep.image_area) * (lap @ f) \
-        - (total * rep.stretch / rep.image_area**2) * image_area_gradient(surface, f)
+    report = geometry_report(surface, geom)
+    area = report.image_area
+    weights = (surface.total_area / area) * (2.0 * geom.image_areas / geom.ref_areas
+                                             - report.stretch / area)
+    return report, area_gradient(surface, geom, weights)
+
+
+def euclidean_gradient(surface, f: np.ndarray) -> np.ndarray:
+    """Ambient gradient of the normalized energy (per-face route); raises
+    :class:`DegenerateFaceError` when an image triangle has collapsed."""
+    return normalized_energy_and_gradient(surface, face_geometry(surface, f))[1]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 from . import energy as en
 from .errors import SolveError
 from .linsolve import solve
-from .rgd import IterationRecord, area_ratio_cv
+from .rgd import IterationRecord, make_record
 from .sphere import (PlanarPoints, count_folds, inverse_stereographic,
                      invert_plane, stereographic)
 
@@ -145,18 +145,10 @@ def fpi_minimize(surface, f0: np.ndarray, epsilon: float = 1e-6,
             mags = np.where(h.at_infinity, np.inf, np.abs(h.values))
         h = PlanarPoints(values=h.values / np.median(mags), at_infinity=h.at_infinity)
         f_new = inverse_stereographic(invert_plane(h) if flipped else h)
-        report_new = en.energy_report_per_face(surface, f_new)
-        records.append(IterationRecord(
-            iteration=k,
-            stretch=report_new.stretch,
-            authalic=report_new.authalic,
-            normalized=report_new.normalized,
-            sd_over_mean=area_ratio_cv(surface, f_new),
-            grad_norm=None,
-            alpha=None,
-            folds=count_folds(surface, f_new),
-            elapsed_s=time.perf_counter() - start,
-        ))
+        geom = en.face_geometry(surface, f_new, check=False)
+        report_new = en.geometry_report(surface, geom)
+        records.append(make_record(surface, f_new, geom, k, None, None,
+                                   time.perf_counter() - start))
         if stop_on_increase and report_new.authalic > report.authalic:
             return FPIResult(current, records, k, "authalic_increased", boundary_fixed)
         delta = report.stretch - report_new.stretch

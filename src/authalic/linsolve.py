@@ -72,14 +72,12 @@ def solve(system: SparseSystem | sp.spmatrix, rhs=None, method: str = "auto",
     if method == "auto":
         method = "direct" if n <= ITERATIVE_THRESHOLD else "bicgstab"
 
-    # a real matrix with a complex right-hand side: solve the real and
-    # imaginary parts as separate real columns and recombine
-    if np.iscomplexobj(rhs) and not np.iscomplexobj(matrix.data):
-        real = solve(matrix, rhs.real, method=method, rtol=rtol)
-        imag = solve(matrix, rhs.imag, method=method, rtol=rtol)
-        return real + 1j * imag
-
     b2 = rhs.reshape(n, -1)
+    # a real matrix with a complex right-hand side: the real and imaginary
+    # parts become extra real columns of the one factorization
+    split = np.iscomplexobj(rhs) and not np.iscomplexobj(matrix.data)
+    if split:
+        b2 = np.concatenate([b2.real, b2.imag], axis=1)
     a_norm = float(abs(matrix).sum(axis=1).max()) if matrix.nnz else 0.0
 
     if method == "direct":
@@ -116,4 +114,7 @@ def solve(system: SparseSystem | sp.spmatrix, rhs=None, method: str = "auto",
             f"(residual {residual.max():.3e}, bound {bound.max():.3e}, "
             f"condition estimate {checker():.3e}); matrix singular or ill-conditioned"
         )
+    if split:
+        half = b2.shape[1] // 2
+        x2 = x2[:, :half] + 1j * x2[:, half:]
     return x2.reshape(rhs.shape)

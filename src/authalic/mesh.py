@@ -323,14 +323,26 @@ def make_icosphere(subdivisions: int, radii=(1.0, 1.0, 1.0)) -> SimplicialSurfac
     return build_surface(vertices, faces)
 
 
+def scatter_corners(surface: SimplicialSurface, g_i: np.ndarray, g_j: np.ndarray,
+                    g_k: np.ndarray) -> np.ndarray:
+    """Sum per-corner face values onto the vertices.
+
+    g_i, g_j, g_k are (m, 3) values at the first, second and third corner
+    of every face; row v of the (n, 3) result adds them over every corner
+    that is vertex v.  The sums run corner by corner, in face order.
+    """
+    index = surface.faces.T.ravel()
+    n = surface.n_vertices
+    return np.stack([np.bincount(index, np.concatenate([g_i[:, s], g_j[:, s], g_k[:, s]]),
+                                 minlength=n) for s in range(3)], axis=1)
+
+
 def vertex_normals(surface: SimplicialSurface) -> np.ndarray:
     """Unit vertex normals: unweighted mean of incident face unit normals."""
     p = surface.vertices[surface.faces]
     fn = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
     fn /= np.linalg.norm(fn, axis=1, keepdims=True)
-    acc = np.zeros_like(surface.vertices)
-    for c in range(3):
-        np.add.at(acc, surface.faces[:, c], fn)
+    acc = scatter_corners(surface, fn, fn, fn)
     norms = np.linalg.norm(acc, axis=1, keepdims=True)
     if (norms < 1e-14).any():
         raise MeshTopologyError("vertex with vanishing normal")

@@ -15,9 +15,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import energy as en
+from .diagnostics import geometry_ratio_stats
 from .fpi import conformal_initial_map, fpi_minimize
 from .mesh import SPHERE_AREA, SimplicialSurface, normalize_area
-from .rgd import IterationRecord, MinimizeResult, SolverConfig, area_ratio_cv, minimize
+from .rgd import IterationRecord, MinimizeResult, SolverConfig, minimize
 from .sphere import count_folds
 from .unfold import CorrectionResult, correct_bijectivity
 
@@ -54,9 +55,10 @@ class ParameterizeResult:
         # the reported distortion energy is the area-matched one (scale
         # free and nonnegative); the raw stretch-minus-area value is in
         # the records
-        report = en.energy_report_per_face(self.surface, self.mapping)
+        geom = en.face_geometry(self.surface, self.mapping, check=False)
+        report = en.geometry_report(self.surface, geom)
         return {
-            "sd_over_mean": area_ratio_cv(self.surface, self.mapping),
+            "sd_over_mean": geometry_ratio_stats(geom).sd_over_mean,
             "authalic": en.area_matched_authalic(report),
             "seconds": self.seconds,
             "folds": count_folds(self.surface, self.mapping),

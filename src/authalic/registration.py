@@ -16,7 +16,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import energy as en
-from .rgd import SolverConfig, minimize
+from .rgd import GeometryMemo, SolverConfig, minimize
 from .sphere import project_to_manifold
 
 DEFAULT_LAMBDA = 10.0
@@ -36,35 +36,44 @@ def midpoint_targets(f0: np.ndarray, f1: np.ndarray, pairs: np.ndarray,
     return c
 
 
+def _mismatch(h: np.ndarray, landmark_rows, targets, lambdas) -> float:
+    resid = h[landmark_rows] - targets
+    return float(np.sum(lambdas * np.sum(resid**2, axis=1)))
+
+
 def registration_energy(surface_sphere, h: np.ndarray, landmark_rows: np.ndarray,
                         targets: np.ndarray, lambdas: np.ndarray) -> float:
     """Stretch energy of the warp plus weighted squared landmark mismatch."""
     e_s = float(np.sum(en.stretch_energy_per_face(surface_sphere, h)))
-    resid = h[landmark_rows] - targets
-    return e_s + float(np.sum(lambdas * np.sum(resid**2, axis=1)))
+    return e_s + _mismatch(h, landmark_rows, targets, lambdas)
 
 
-def registration_energy_gradient(surface_sphere, h: np.ndarray,
-                                 landmark_rows: np.ndarray, targets: np.ndarray,
-                                 lambdas: np.ndarray,
-                                 laplacian=None) -> np.ndarray:
-    """Ambient gradient: 2 L(h) h plus 2 lambda (h - target) on landmark rows."""
-    landmark_rows = np.asarray(landmark_rows)
-    if landmark_rows.size and (landmark_rows.min() < 0 or landmark_rows.max() >= h.shape[0]):
-        raise IndexError("landmark row out of range")
-    lap = en.assemble_laplacian(surface_sphere, h) if laplacian is None else laplacian
-    grad = 2.0 * (lap @ h)
+def _registration_gradient(surface_sphere, geom: en.FaceGeometry, h: np.ndarray,
+                           landmark_rows: np.ndarray, targets, lambdas) -> np.ndarray:
+    """2 L(h) h through the per-face identity, plus the landmark pull."""
+    grad = en.stretch_gradient(surface_sphere, geom)
     if landmark_rows.size:
         lam = np.broadcast_to(np.asarray(lambdas, dtype=np.float64), (landmark_rows.size,))
         grad[landmark_rows] += 2.0 * lam[:, None] * (h[landmark_rows] - targets)
     return grad
 
 
-class RegistrationObjective:
+def registration_energy_gradient(surface_sphere, h: np.ndarray,
+                                 landmark_rows: np.ndarray, targets: np.ndarray,
+                                 lambdas: np.ndarray) -> np.ndarray:
+    """Ambient gradient: 2 L(h) h plus 2 lambda (h - target) on landmark rows."""
+    landmark_rows = np.asarray(landmark_rows)
+    if landmark_rows.size and (landmark_rows.min() < 0 or landmark_rows.max() >= h.shape[0]):
+        raise IndexError("landmark row out of range")
+    geom = en.face_geometry(surface_sphere, h)
+    return _registration_gradient(surface_sphere, geom, h, landmark_rows, targets, lambdas)
+
+
+class RegistrationObjective(GeometryMemo):
     """Objective adapter for the shared descent driver."""
 
     def __init__(self, surface_sphere, landmark_rows, targets, lambdas):
-        self.surface = surface_sphere
+        super().__init__(surface_sphere)
         self.rows = np.asarray(landmark_rows)
         self.targets = np.asarray(targets, dtype=np.float64)
         self.lambdas = np.broadcast_to(
@@ -72,15 +81,16 @@ class RegistrationObjective:
         )
 
     def value(self, h: np.ndarray) -> float:
-        return registration_energy(self.surface, h, self.rows, self.targets, self.lambdas)
+        report = en.geometry_report(self.surface, self.geometry(h))
+        return report.stretch + _mismatch(h, self.rows, self.targets, self.lambdas)
 
     def value_and_gradient(self, h: np.ndarray):
-        lap = en.assemble_laplacian(self.surface, h)
-        report = en.stretch_energy(self.surface, h, laplacian=lap)
-        resid = h[self.rows] - self.targets
-        value = report.stretch + float(np.sum(self.lambdas * np.sum(resid**2, axis=1)))
-        egrad = registration_energy_gradient(self.surface, h, self.rows,
-                                             self.targets, self.lambdas, laplacian=lap)
+        geom = self.geometry(h)
+        en.check_geometry(geom)
+        report = en.geometry_report(self.surface, geom)
+        value = report.stretch + _mismatch(h, self.rows, self.targets, self.lambdas)
+        egrad = _registration_gradient(self.surface, geom, h, self.rows,
+                                       self.targets, self.lambdas)
         return value, egrad, report
 
 

@@ -5,18 +5,27 @@ tangent space, takes the anti-gradient direction, picks a step size by
 line search, and retracts.  The default objective is the normalized
 stretch energy; alternative objectives (e.g. the landmark registration
 energy) plug in through the same interface.
+
+Each accepted iterate gets one per-face geometry pass: the objectives
+keep the :class:`~authalic.energy.FaceGeometry` of the last mapping they
+evaluated, so the geometry computed for the accepted line-search trial
+also gives the iteration record and the next value and gradient.
 """
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import energy as en
+from .diagnostics import area_ratio_stats, geometry_ratio_stats
 from .linesearch import phi_derivative_at_zero, search
 from .sphere import count_folds, project_tangent
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -60,19 +69,38 @@ class MinimizeResult:
     message: str = ""
 
 
-class NormalizedStretchObjective:
-    """Objective wrapper: normalized stretch energy and its gradient."""
+class GeometryMemo:
+    """The face geometry of the last mapping an objective evaluated.
+
+    One entry, keyed by the array object: a mapping must not be changed
+    in place between evaluations (the descent driver and the line search
+    only ever make new arrays).  The geometry is stored unchecked;
+    callers that need a nondegenerate image run
+    :func:`~authalic.energy.check_geometry` on it.
+    """
 
     def __init__(self, surface):
         self.surface = surface
+        self._mapping = None
+        self._geometry = None
+
+    def geometry(self, f: np.ndarray) -> en.FaceGeometry:
+        if f is not self._mapping:
+            self._geometry = en.face_geometry(self.surface, f, check=False)
+            self._mapping = f
+        return self._geometry
+
+
+class NormalizedStretchObjective(GeometryMemo):
+    """Objective wrapper: normalized stretch energy and its gradient."""
 
     def value(self, f: np.ndarray) -> float:
-        return en.normalized_energy(self.surface, f)
+        return en.geometry_report(self.surface, self.geometry(f)).normalized
 
     def value_and_gradient(self, f: np.ndarray):
-        lap = en.assemble_laplacian(self.surface, f)
-        report = en.stretch_energy(self.surface, f, laplacian=lap)
-        egrad = en.euclidean_gradient(self.surface, f, laplacian=lap, report=report)
+        geom = self.geometry(f)
+        en.check_geometry(geom)
+        report, egrad = en.normalized_energy_and_gradient(self.surface, geom)
         return report.normalized, egrad, report
 
 
@@ -83,9 +111,26 @@ def riemannian_gradient(surface, f: np.ndarray) -> np.ndarray:
 
 def area_ratio_cv(surface, f: np.ndarray) -> float:
     """Population SD over mean of the per-face image/reference area ratios."""
-    ratios = en.face_geometry(surface, f, check=False).image_areas / surface.face_areas
-    mean = ratios.mean()
-    return float(np.sqrt(np.mean((ratios - mean) ** 2)) / mean)
+    return area_ratio_stats(surface, f).sd_over_mean
+
+
+def make_record(surface, f: np.ndarray, geom: en.FaceGeometry, iteration: int,
+                grad_norm: float | None, alpha: float | None,
+                elapsed_s: float) -> IterationRecord:
+    """Iteration record of mapping `f`: the energies and SD/Mean come from
+    its face geometry `geom`, the fold count from the orientations."""
+    report = en.geometry_report(surface, geom)
+    return IterationRecord(
+        iteration=iteration,
+        stretch=report.stretch,
+        authalic=report.authalic,
+        normalized=report.normalized,
+        sd_over_mean=geometry_ratio_stats(geom).sd_over_mean,
+        grad_norm=grad_norm,
+        alpha=alpha,
+        folds=count_folds(surface, f),
+        elapsed_s=elapsed_s,
+    )
 
 
 def minimize(surface, f0: np.ndarray, config: SolverConfig | None = None,
@@ -96,7 +141,9 @@ def minimize(surface, f0: np.ndarray, config: SolverConfig | None = None,
     ----------
     objective : optional
         Object with `value(f)` and `value_and_gradient(f)`; defaults to
-        the normalized stretch energy on `surface`.
+        the normalized stretch energy on `surface`.  When it also has a
+        `geometry(f)` method (see :class:`GeometryMemo`), the records
+        reuse the geometry it computed for the accepted trial.
     extra_stop : callable, optional
         Called as `extra_stop(f, records)` after each accepted iteration;
         a non-None return value becomes the final status string.
@@ -111,6 +158,8 @@ def minimize(surface, f0: np.ndarray, config: SolverConfig | None = None,
     """
     config = config or SolverConfig()
     objective = objective or NormalizedStretchObjective(surface)
+    geometry = getattr(objective, "geometry", None) \
+        or (lambda g: en.face_geometry(surface, g, check=False))
     f = np.asarray(f0, dtype=np.float64).copy()
     n = f.shape[0]
     grad_tol = config.grad_tol if config.grad_tol is not None else 1e-6 * np.sqrt(n)
@@ -144,24 +193,14 @@ def minimize(surface, f0: np.ndarray, config: SolverConfig | None = None,
 
         f = ls.mapping
         prev_value = value
-        report_new = en.energy_report_per_face(surface, f)
-        records.append(IterationRecord(
-            iteration=k,
-            stretch=report_new.stretch,
-            authalic=report_new.authalic,
-            normalized=report_new.normalized,
-            sd_over_mean=area_ratio_cv(surface, f),
-            grad_norm=grad_norm,
-            alpha=ls.alpha,
-            folds=count_folds(surface, f),
-            elapsed_s=time.perf_counter() - start,
-        ))
+        record = make_record(surface, f, geometry(f), k, grad_norm, ls.alpha,
+                             time.perf_counter() - start)
+        records.append(record)
         if config.log_every and k % config.log_every == 0:
-            r = records[-1]
-            print(f"iter {k:5d}  E = {ls.energy:.9e}  E_A = {r.authalic:.3e}  "
-                  f"|grad| = {grad_norm:.3e}  alpha = {ls.alpha:.3e}")
+            logger.info("iter %5d  E = %.9e  E_A = %.3e  |grad| = %.3e  alpha = %.3e",
+                        k, ls.energy, record.authalic, grad_norm, ls.alpha)
 
-        if prev_authalic is not None and prev_authalic - report_new.authalic < config.energy_tol:
+        if prev_authalic is not None and prev_authalic - record.authalic < config.energy_tol:
             stall_count += 1
             if stall_count >= config.stall_iters:
                 return MinimizeResult(f, records, "energy_stalled",
@@ -169,7 +208,7 @@ def minimize(surface, f0: np.ndarray, config: SolverConfig | None = None,
                                       f"for {config.stall_iters} iterations")
         else:
             stall_count = 0
-        prev_authalic = report_new.authalic
+        prev_authalic = record.authalic
 
         if extra_stop is not None:
             status = extra_stop(f, records)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from authalic.energy import assemble_laplacian
 from authalic.errors import SolveError
@@ -53,6 +54,23 @@ def test_multiple_columns_and_complex():
     z = np.array([1.0 + 2.0j, -3.0j])
     xz = solve(a, z)
     assert np.abs(a @ xz - z).max() <= 1e-12
+
+
+def test_complex_rhs_factorizes_once(monkeypatch):
+    calls = []
+    splu = spla.splu
+
+    def counted(matrix, *args, **kwargs):
+        calls.append(matrix.shape)
+        return splu(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counted)
+    a = sp.csc_matrix(np.array([[4.0, 1.0, 0.0], [1.0, 3.0, -1.0], [0.0, 2.0, 5.0]]))
+    z = np.array([[1.0 + 2.0j, 0.5], [-3.0j, 1.0j], [2.0, -1.0 - 1.0j]])
+    x = solve(a, z)
+    assert len(calls) == 1
+    assert x.shape == z.shape and np.iscomplexobj(x)
+    assert np.abs(a @ x - z).max() <= 1e-12
 
 
 def test_bicgstab_backend():

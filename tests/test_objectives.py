@@ -1,0 +1,149 @@
+"""The descent objectives: per-face gradient route, degenerate-face checks,
+and one face-geometry pass per accepted iterate."""
+
+import logging
+
+import numpy as np
+import pytest
+
+import authalic.energy as en
+import authalic.rgd as rgd
+from authalic.energy import (assemble_laplacian, image_area_gradient_via_laplacian,
+                             normalized_energy)
+from authalic.errors import DegenerateFaceError
+from authalic.mesh import normalize_area
+from authalic.registration import RegistrationObjective
+from authalic.rgd import NormalizedStretchObjective, SolverConfig, minimize
+from authalic.sphere import project_to_manifold
+
+from helpers import bumpy_sphere
+
+LANDMARK_ROWS = np.array([3, 40, 77, 120])
+
+
+@pytest.fixture(scope="module")
+def bumpy():
+    return normalize_area(bumpy_sphere())
+
+
+def spherical_start(surface):
+    return project_to_manifold(surface.vertices - surface.vertices.mean(axis=0))
+
+
+def landmark_targets(f):
+    return project_to_manifold(f[LANDMARK_ROWS] + np.array([0.1, -0.05, 0.02]))
+
+
+def laplacian_stretch_terms(surface, f):
+    """2 L f, E_stretch and A(f) through the sparse Laplacian, with the
+    area gradient from the per-face Laplacian route."""
+    lap = assemble_laplacian(surface, f)
+    lap_f = lap @ f
+    e_s = 0.5 * float(np.sum(f * lap_f))
+    area = en.image_area(surface, f)
+    return 2.0 * lap_f, e_s, area, image_area_gradient_via_laplacian(surface, f)
+
+
+def assert_close(got, expected, rel=1e-12):
+    scale = np.abs(expected).max()
+    assert np.abs(got - expected).max() <= rel * scale
+
+
+@pytest.mark.parametrize("mesh", ["ellipsoid3", "bumpy"])
+def test_normalized_gradient_matches_laplacian_route(mesh, request):
+    surface = request.getfixturevalue(mesh)
+    f = spherical_start(surface)
+    two_lap_f, e_s, area, grad_area = laplacian_stretch_terms(surface, f)
+    total = surface.total_area
+    expected = (total / area) * two_lap_f - (total * e_s / area**2) * grad_area
+    value, egrad, report = NormalizedStretchObjective(surface).value_and_gradient(f)
+    assert_close(egrad, expected)
+    assert_close(en.euclidean_gradient(surface, f), expected)
+    assert value == pytest.approx(total * e_s / area, rel=1e-12)
+    assert report.stretch == pytest.approx(e_s, rel=1e-12)
+
+
+@pytest.mark.parametrize("mesh", ["ellipsoid3", "bumpy"])
+def test_registration_gradient_matches_laplacian_route(mesh, request):
+    surface = request.getfixturevalue(mesh)
+    f = spherical_start(surface)
+    targets = landmark_targets(f)
+    lambdas = np.array([10.0, 1.0, 0.5, 2.0])
+    two_lap_f, e_s, _, _ = laplacian_stretch_terms(surface, f)
+    expected = two_lap_f.copy()
+    expected[LANDMARK_ROWS] += 2.0 * lambdas[:, None] * (f[LANDMARK_ROWS] - targets)
+    objective = RegistrationObjective(surface, LANDMARK_ROWS, targets, lambdas)
+    value, egrad, report = objective.value_and_gradient(f)
+    assert_close(egrad, expected)
+    mismatch = float(np.sum(lambdas * np.sum((f[LANDMARK_ROWS] - targets) ** 2, axis=1)))
+    assert value == pytest.approx(e_s + mismatch, rel=1e-12)
+    assert objective.value(f) == value
+
+
+def collapsed_mapping(surface, face=4):
+    f = spherical_start(surface)
+    _, j, k = surface.faces[face]
+    f[k] = f[j]
+    return f
+
+
+def objectives(surface):
+    f = spherical_start(surface)
+    return [NormalizedStretchObjective(surface),
+            RegistrationObjective(surface, LANDMARK_ROWS, landmark_targets(f), 10.0)]
+
+
+@pytest.mark.parametrize("which", [0, 1])
+@pytest.mark.parametrize("value_first", [False, True])
+def test_value_and_gradient_rejects_collapsed_face(ellipsoid3, which, value_first):
+    # the value alone does not check, so a trial geometry stored by value()
+    # must still be checked when it is reused for the gradient
+    objective = objectives(ellipsoid3)[which]
+    f = collapsed_mapping(ellipsoid3)
+    if value_first:
+        assert np.isfinite(objective.value(f))
+    with pytest.raises(DegenerateFaceError) as err:
+        objective.value_and_gradient(f)
+    assert err.value.face_index is not None
+    assert en.face_geometry(ellipsoid3, f, check=False).image_areas[
+        err.value.face_index] <= en.IMAGE_AREA_TOL
+
+
+def test_geometry_memo_recomputes_for_a_new_array(ellipsoid3):
+    objective = NormalizedStretchObjective(ellipsoid3)
+    f = spherical_start(ellipsoid3)
+    g = project_to_manifold(f + 0.01)
+    assert objective.value(f) == normalized_energy(ellipsoid3, f)
+    assert objective.value(g) == normalized_energy(ellipsoid3, g)
+    assert objective.value(f) == normalized_energy(ellipsoid3, f)
+
+
+def test_one_face_geometry_pass_per_accepted_iterate(ellipsoid3, monkeypatch):
+    calls = [0]
+    evals = []
+    face_geometry, search = en.face_geometry, rgd.search
+
+    def counted_geometry(*args, **kwargs):
+        calls[0] += 1
+        return face_geometry(*args, **kwargs)
+
+    def counted_search(*args, **kwargs):
+        result = search(*args, **kwargs)
+        evals.append(result.evals)
+        return result
+
+    monkeypatch.setattr(en, "face_geometry", counted_geometry)
+    monkeypatch.setattr(rgd, "search", counted_search)
+    result = minimize(ellipsoid3, spherical_start(ellipsoid3),
+                      SolverConfig(max_iters=10, grad_tol=0.0, energy_tol=-np.inf))
+    assert len(result.records) == 10
+    assert calls[0] <= sum(evals) + 1
+
+
+def test_log_every_goes_through_logging(ellipsoid3, caplog, capsys):
+    with caplog.at_level(logging.INFO, logger="authalic.rgd"):
+        minimize(ellipsoid3, spherical_start(ellipsoid3),
+                 SolverConfig(max_iters=4, log_every=2, energy_tol=-np.inf))
+    lines = [r.getMessage() for r in caplog.records if r.name == "authalic.rgd"]
+    assert len(lines) == 2 and lines[0].startswith("iter     2")
+    assert capsys.readouterr().out == ""
