@@ -55,7 +55,8 @@ def conformal_initial_map(surface, face_index: int | None = None, rng=None) -> n
     h = np.zeros(n, dtype=np.complex128)
     h[pinned] = _PIN
     rhs = -lap[interior][:, pinned] @ h[pinned]
-    h[interior] = solve(lap[interior][:, interior].tocsc(), rhs)
+    h[interior] = solve(lap[interior][:, interior], rhs,
+                        order=surface.subsystem_order(interior))
 
     h -= h.mean()
     mags = np.abs(h)
@@ -87,7 +88,7 @@ def _interior_mask(h: PlanarPoints, radius: float) -> np.ndarray:
     return mask
 
 
-def _hemisphere_solve(lap, h: PlanarPoints, radius: float):
+def _hemisphere_solve(surface, lap, h: PlanarPoints, radius: float):
     """Solve the restricted system for the interior of the current plane,
     keeping boundary values bitwise intact.  Returns (new points, interior
     mask, boundary-fixed flag)."""
@@ -102,7 +103,8 @@ def _hemisphere_solve(lap, h: PlanarPoints, radius: float):
     rhs = -lap[interior][:, boundary] @ np.where(h.at_infinity[boundary], 0.0, h.values[boundary])
     values = h.values.copy()
     before = values[boundary].copy()
-    values[interior] = solve(lap[interior][:, interior].tocsc(), rhs)
+    values[interior] = solve(lap[interior][:, interior], rhs,
+                             order=surface.subsystem_order(interior))
     fixed = bool(np.array_equal(values[boundary], before))
     return PlanarPoints(values=values, at_infinity=h.at_infinity.copy()), interior, fixed
 
@@ -139,7 +141,7 @@ def fpi_minimize(surface, f0: np.ndarray, epsilon: float = 1e-6,
         lap = en.assemble_laplacian(surface, current).tocsr()
         h = invert_plane(h)
         flipped = not flipped
-        h, _, fixed = _hemisphere_solve(lap, h, r)
+        h, _, fixed = _hemisphere_solve(surface, lap, h, r)
         boundary_fixed.append(fixed)
         with np.errstate(over="ignore"):
             mags = np.where(h.at_infinity, np.inf, np.abs(h.values))

@@ -111,7 +111,8 @@ def _solve_pass(surface, h: PlanarPoints, r: float, label: str):
     rhs = -lap[interior][:, boundary] @ np.where(h.at_infinity[boundary], 0.0, h.values[boundary])
     values = h.values.copy()
     before = values[boundary].copy()
-    values[interior] = solve(lap[interior][:, interior].tocsc(), rhs)
+    values[interior] = solve(lap[interior][:, interior], rhs,
+                             order=surface.subsystem_order(interior))
     info = UnfoldPass(hemisphere=label, n_interior=int(interior.sum()),
                       boundary_fixed=bool(np.array_equal(values[boundary], before)))
     return PlanarPoints(values=values, at_infinity=h.at_infinity.copy()), info
@@ -121,12 +122,11 @@ def correct_bijectivity(surface, f: np.ndarray, r: float = DEFAULT_RADIUS,
                         max_sweeps: int = MAX_SWEEPS) -> CorrectionResult:
     """Unfold inverted faces of a spherical mapping.
 
-    Runs up to `max_sweeps` southern+northern pass pairs; the first sweep
-    always runs (embedded configurations are fixed points of the
-    mean-value solve, so a fold-free mapping passes through unchanged up
-    to solver roundoff), later sweeps only while folds remain.  Folds may
-    survive on hard inputs; the counts are reported rather than asserted
-    away.
+    Runs southern+northern pass pairs while folds remain, at most
+    `max_sweeps` of them.  A fold-free mapping is returned as given, with
+    no sweep: embedded configurations are fixed points of the mean-value
+    solve, so a sweep could only add solver roundoff.  Folds may survive
+    on hard inputs; the counts are reported rather than asserted away.
     """
     if r <= 1.0:
         raise ValueError("radius must exceed 1")
@@ -135,9 +135,7 @@ def correct_bijectivity(surface, f: np.ndarray, r: float = DEFAULT_RADIUS,
     passes: list[UnfoldPass] = []
     sweeps = 0
     folds_after = folds_before
-    for sweep in range(max_sweeps):
-        if sweep > 0 and folds_after == 0:
-            break
+    while folds_after > 0 and sweeps < max_sweeps:
         h = stereographic(mapping)
         h, info_s = _solve_pass(surface, h, r, "south")
         passes.append(info_s)

@@ -3,8 +3,9 @@ import pytest
 
 from authalic.energy import energy_report_per_face
 from authalic.errors import DegenerateFaceError
-from authalic.sphere import PlanarPoints, count_folds, project_to_manifold, stereographic
-from authalic.unfold import assemble_mean_value, correct_bijectivity
+from authalic.sphere import (PlanarPoints, count_folds, inverse_stereographic, invert_plane,
+                             project_to_manifold, stereographic)
+from authalic.unfold import DEFAULT_RADIUS, _solve_pass, assemble_mean_value, correct_bijectivity
 
 from helpers import dense_mean_value_laplacian, regular_tetrahedron
 
@@ -63,13 +64,19 @@ def test_mean_value_straight_angle_rejected():
 
 def test_fold_free_mapping_is_fixed_point(icosphere2):
     f = icosphere2.vertices.copy()
+    # embedded configurations are reproduced by the mean-value solve on
+    # both hemispheres
+    h = stereographic(f)
+    h, south = _solve_pass(icosphere2, h, DEFAULT_RADIUS, "south")
+    h, north = _solve_pass(icosphere2, invert_plane(h), DEFAULT_RADIUS, "north")
+    assert south.boundary_fixed and north.boundary_fixed
+    assert np.abs(inverse_stereographic(invert_plane(h)) - f).max() <= 1e-9
+    # so a fold-free mapping is returned as given, with no sweep
     result = correct_bijectivity(icosphere2, f)
     assert result.folds_before == 0
     assert result.folds_after == 0
-    assert result.sweeps == 1
-    assert all(p.boundary_fixed for p in result.passes)
-    # embedded configurations are reproduced by the mean-value solve
-    assert np.abs(result.mapping - f).max() <= 1e-9
+    assert result.sweeps == 0 and result.passes == []
+    assert np.array_equal(result.mapping, f)
 
 
 def test_constructed_fold_removed(icosphere2):

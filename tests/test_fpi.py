@@ -105,7 +105,7 @@ def test_empty_interior_raises():
     lap = None
     h = PlanarPoints.finite(np.array([2.0, 3.0, 4.0]))
     with pytest.raises(SolveError, match="empty interior"):
-        _hemisphere_solve(lap, h, 1.2)
+        _hemisphere_solve(None, lap, h, 1.2)
 
 
 def test_parameter_validation(ellipsoid3):

@@ -5,7 +5,9 @@ import scipy.sparse.linalg as spla
 
 from authalic.energy import assemble_laplacian
 from authalic.errors import SolveError
-from authalic.linsolve import SparseSystem, solve
+from authalic.fpi import _interior_mask, conformal_initial_map
+from authalic.linsolve import solve
+from authalic.mesh import make_icosphere, normalize_area
 from authalic.sphere import invert_plane, stereographic
 
 
@@ -16,7 +18,7 @@ def test_identity_system():
 
 def test_two_by_two_hand_check():
     a = sp.csc_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    x = solve(SparseSystem(matrix=a, rhs=np.array([3.0, 3.0])))
+    x = solve(a, np.array([3.0, 3.0]))
     assert np.allclose(x, [1.0, 1.0], atol=1e-12)
 
 
@@ -56,15 +58,22 @@ def test_multiple_columns_and_complex():
     assert np.abs(a @ xz - z).max() <= 1e-12
 
 
-def test_complex_rhs_factorizes_once(monkeypatch):
+def count_factorizations(monkeypatch):
+    """Record the size of L + U of every `splu` call that `solve` makes."""
     calls = []
     splu = spla.splu
 
     def counted(matrix, *args, **kwargs):
-        calls.append(matrix.shape)
-        return splu(matrix, *args, **kwargs)
+        lu = splu(matrix, *args, **kwargs)
+        calls.append(lu.L.nnz + lu.U.nnz)
+        return lu
 
     monkeypatch.setattr(spla, "splu", counted)
+    return calls
+
+
+def test_complex_rhs_factorizes_once(monkeypatch):
+    calls = count_factorizations(monkeypatch)
     a = sp.csc_matrix(np.array([[4.0, 1.0, 0.0], [1.0, 3.0, -1.0], [0.0, 2.0, 5.0]]))
     z = np.array([[1.0 + 2.0j, 0.5], [-3.0j, 1.0j], [2.0, -1.0 - 1.0j]])
     x = solve(a, z)
@@ -73,13 +82,42 @@ def test_complex_rhs_factorizes_once(monkeypatch):
     assert np.abs(a @ x - z).max() <= 1e-12
 
 
-def test_bicgstab_backend():
-    rng = np.random.default_rng(1)
-    n = 60
-    a = sp.random(n, n, density=0.1, random_state=rng) + sp.eye(n) * 8.0
-    b = rng.normal(size=n)
-    x = solve(a.tocsc(), b, method="bicgstab")
-    assert np.abs(a @ x - b).max() <= 1e-8 * max(1.0, np.abs(b).max())
+def restricted_fpi_system(surface):
+    f = conformal_initial_map(surface)
+    lap = assemble_laplacian(surface, f).tocsr()
+    h = invert_plane(stereographic(f))
+    interior = _interior_mask(h, 1.2)
+    rhs = -lap[interior][:, ~interior] @ h.values[~interior]
+    return lap[interior][:, interior], rhs, interior
+
+
+def test_ordered_solve_matches_default_order(monkeypatch, ellipsoid3):
+    a, rhs, interior = restricted_fpi_system(ellipsoid3)
+    assert np.iscomplexobj(rhs)
+    plain = solve(a, rhs)
+    calls = count_factorizations(monkeypatch)
+    ordered = solve(a, rhs, order=ellipsoid3.subsystem_order(interior))
+    assert len(calls) == 1
+    assert np.abs(ordered - plain).max() <= 1e-12 * np.abs(plain).max()
+
+
+def test_dissection_order_fills_less_than_colamd(monkeypatch):
+    surface = normalize_area(make_icosphere(4, (1.0, 0.8, 0.6)))
+    lap = assemble_laplacian(surface, surface.vertices).tocsr()
+    interior = np.ones(surface.n_vertices, dtype=bool)
+    interior[surface.faces[np.argmax(surface.face_areas)]] = False  # the conformal start's pins
+    a = lap[interior][:, interior]
+    rhs = -lap[interior][:, ~interior] @ np.ones(3)
+    calls = count_factorizations(monkeypatch)
+    solve(a, rhs)
+    solve(a, rhs, order=surface.subsystem_order(interior))
+    colamd, dissection = calls
+    assert dissection < colamd
+
+
+def test_order_validation():
+    with pytest.raises(ValueError, match="order"):
+        solve(sp.eye(3, format="csc"), np.ones(3), order=np.arange(2))
 
 
 def test_singular_matrix_reported():

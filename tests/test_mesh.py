@@ -193,3 +193,15 @@ def test_parse_landmarks_errors(tmp_path):
     path.write_text("1 2 3\n")
     with pytest.raises(MeshFormatError, match="two indices"):
         parse_landmarks(path)
+
+
+def test_dissection_order_is_a_cached_permutation():
+    surface = make_icosphere(3)
+    order = surface.dissection_order
+    assert np.array_equal(np.sort(order), np.arange(surface.n_vertices))
+    assert surface.dissection_order is order
+    # the restriction ranks the kept vertices as the full order does
+    keep = surface.vertices[:, 2] > 0.1
+    sub = surface.subsystem_order(keep)
+    assert np.array_equal(np.sort(sub), np.arange(keep.sum()))
+    assert np.array_equal(np.flatnonzero(keep)[sub], order[keep[order]])
