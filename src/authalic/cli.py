@@ -281,9 +281,13 @@ def _check_lines(surface, probe_eigen: bool):
     flipped = surface.faces.copy()
     flipped[0] = flipped[0, [0, 2, 1]]
     flipped_surface = build_surface(surface.vertices, flipped)
+    # both fold routes: the determinant (fold correction, the conformal
+    # start) and the face-geometry orientation (descent and FPI records)
     base = count_folds(surface, f)
     got = count_folds(flipped_surface, f)
-    yield "fold detector counts a flipped face", got == base + 1, f"{base} -> {got}"
+    got_geom = en.face_geometry(flipped_surface, f, check=False).folds
+    yield ("fold detector counts a flipped face", got == got_geom == base + 1,
+           f"{base} -> {got} (face geometry {got_geom})")
 
     if probe_eigen:
         try:

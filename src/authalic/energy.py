@@ -18,10 +18,11 @@ gradient is sum_tau c_tau grad |f(tau)| with
 
     c_tau = (|M| / A) (2 |f(tau)| / |tau| - E_stretch / A):
 
-one gather of the nine closed-form area partials per face and one
-scatter onto the vertices, all from one :class:`FaceGeometry` that also
-gives the energies.  That per-face route is the one the library runs;
-the Laplacian routes (the quadratic form in :func:`stretch_energy`,
+one gather of the corner positions and one scatter of the nine
+closed-form area partials per face onto the vertices, all from one
+:class:`FaceGeometry` that also gives the energies and the fold count.
+That per-face route is the one the library runs; the Laplacian routes
+(the quadratic form in :func:`stretch_energy`,
 :func:`image_area_gradient_via_laplacian`, and ``L f`` from
 :func:`assemble_laplacian`) are kept as independent cross-checks.  The
 per-face 9x9 Hessian of the stretch energy is available in closed form
@@ -47,9 +48,11 @@ class FaceGeometry:
 
     e_ij, e_ik, e_jk : (m, 3) image edge vectors f_i - f_j etc.
     a12, a13, a23 : (m,) doubled signed areas of the coordinate-plane
-        projections of each image triangle.
+        projections of each image triangle; e_ij x e_ik = (a23, -a13, a12).
     image_areas : (m,) unsigned image areas, 0.5 * sqrt(a12^2 + a13^2 + a23^2).
     ref_areas : (m,) reference (mesh) face areas.
+    orientation : (m,) f_i . (e_ij x e_ik) = det [f_i; f_j; f_k], negative
+        where the spherical image of the face is inverted.
     """
 
     e_ij: np.ndarray
@@ -60,13 +63,21 @@ class FaceGeometry:
     a23: np.ndarray
     image_areas: np.ndarray
     ref_areas: np.ndarray
+    orientation: np.ndarray
+
+    @property
+    def folds(self) -> int:
+        """Number of inverted faces (orientation < 0), the count of
+        :func:`~authalic.sphere.count_folds` without a second gather."""
+        return int(np.count_nonzero(self.orientation < 0.0))
 
 
 def face_geometry(surface, f: np.ndarray, check: bool = True) -> FaceGeometry:
-    # coordinate-major gather, p[s, c] = coordinate s of corner c of every
-    # face, so each product below runs on contiguous (m,) rows; the edge
-    # fields are (m, 3) views of these rows
-    p = np.ascontiguousarray(np.asarray(f, dtype=np.float64).T)[:, surface.faces.T]
+    # one flat, coordinate-major gather, p[s, c] = coordinate s of corner c
+    # of every face, so each product below runs on contiguous (m,) rows;
+    # the edge fields are (m, 3) views of these rows
+    ft = np.ascontiguousarray(np.asarray(f, dtype=np.float64).T)
+    p = np.take(ft, surface.corner_index, axis=1).reshape(3, 3, -1)
     e_ij = p[:, 0] - p[:, 1]
     e_ik = p[:, 0] - p[:, 2]
     e_jk = p[:, 1] - p[:, 2]
@@ -78,6 +89,7 @@ def face_geometry(surface, f: np.ndarray, check: bool = True) -> FaceGeometry:
         e_ij=e_ij.T, e_ik=e_ik.T, e_jk=e_jk.T,
         a12=a12, a13=a13, a23=a23,
         image_areas=areas, ref_areas=surface.face_areas,
+        orientation=p[0, 0] * a23 - p[1, 0] * a13 + p[2, 0] * a12,
     )
     if check:
         check_geometry(geom)
@@ -105,12 +117,15 @@ def _corner_weights(surface, f: np.ndarray):
     weighted edge): w = dot of the two image edges at the corner / (4 |tau|)."""
     geom = face_geometry(surface, f, check=True)
     inv4a = 1.0 / (4.0 * surface.face_areas)
+    # einsum sums a row in a different order when the rows are strided, so
+    # the dots run on face-major copies, whatever the geometry's layout
+    e_ij, e_ik, e_jk = (np.ascontiguousarray(e) for e in (geom.e_ij, geom.e_ik, geom.e_jk))
     # corner i sees edges to j and k: (f_j - f_i).(f_k - f_i) = e_ij . e_ik
-    w_i = np.einsum("ij,ij->i", geom.e_ij, geom.e_ik) * inv4a
+    w_i = np.einsum("ij,ij->i", e_ij, e_ik) * inv4a
     # corner j: (f_i - f_j).(f_k - f_j) = e_ij . (-e_jk) -> use direct dots
-    w_j = np.einsum("ij,ij->i", geom.e_ij, -geom.e_jk) * inv4a
+    w_j = np.einsum("ij,ij->i", e_ij, -e_jk) * inv4a
     # corner k: (f_i - f_k).(f_j - f_k) = e_ik . e_jk
-    w_k = np.einsum("ij,ij->i", geom.e_ik, geom.e_jk) * inv4a
+    w_k = np.einsum("ij,ij->i", e_ik, e_jk) * inv4a
     return w_i, w_j, w_k, geom
 
 
@@ -210,35 +225,37 @@ def area_matched_authalic(report: EnergyReport) -> float:
 # Image-area gradient
 # ---------------------------------------------------------------------------
 
-def _area_partials(geom: FaceGeometry, weights: np.ndarray | None = None):
-    """Nine closed-form partials of the image area per face.
-
-    Returns (m, 3) arrays g_i, g_j, g_k: the gradient of |f(tau)| with
-    respect to each corner position, times `weights` (per face) when
-    given.  Derived by differentiating
-    2|f(tau)| = sqrt(a12^2 + a13^2 + a23^2) through the projected areas.
-    """
-    inv4a = 1.0 / (4.0 * geom.image_areas)
-    if weights is not None:
-        inv4a = weights * inv4a
-    a12, a13, a23 = geom.a12, geom.a13, geom.a23
-
-    def partials(e):
-        # rows d/df^1, d/df^2, d/df^3 for opposite-edge vector e, returned
-        # as an (m, 3) view so each coordinate stays one contiguous row
-        return (np.stack([
-            a12 * e[:, 1] + a13 * e[:, 2],
-            -a12 * e[:, 0] + a23 * e[:, 2],
-            -a13 * e[:, 0] - a23 * e[:, 1],
-        ]) * inv4a).T
-
-    return partials(geom.e_jk), -partials(geom.e_ik), partials(geom.e_ij)
+def _cross(a, b, out: np.ndarray, scratch: np.ndarray) -> None:
+    """out[s] = (a x b)[s] for vectors stored as three coordinate rows."""
+    for s in range(3):
+        u, v = (s + 1) % 3, (s + 2) % 3
+        np.multiply(a[u], b[v], out=out[s])
+        np.multiply(a[v], b[u], out=scratch)
+        out[s] -= scratch
 
 
 def area_gradient(surface, geom: FaceGeometry, weights: np.ndarray | None = None) -> np.ndarray:
-    """sum_tau weights_tau * grad |f(tau)| (unit weights when None): one
-    gather of the area partials and one scatter onto the vertices."""
-    return scatter_corners(surface, *_area_partials(geom, weights))
+    """sum_tau weights_tau * grad |f(tau)| (unit weights when None).
+
+    Differentiating 2|f(tau)| = sqrt(a12^2 + a13^2 + a23^2) through the
+    projected areas gives, per face, the opposite image edge crossed with
+    the scaled normal n = (a23, -a13, a12) weights / (4 |f(tau)|):
+    e_jk x n at f_i, n x e_ik at f_j and e_ij x n at f_k.  The crosses
+    go straight into one coordinate-major (3, 3m) buffer, which one
+    scatter sums onto the vertices.
+    """
+    scale = 1.0 / (4.0 * geom.image_areas)
+    if weights is not None:
+        scale = weights * scale
+    normal = (geom.a23 * scale, -geom.a13 * scale, geom.a12 * scale)
+    m = scale.size
+    buf = np.empty((3, 3 * m))
+    corners = buf.reshape(3, 3, m)
+    scratch = np.empty(m)
+    _cross(geom.e_jk.T, normal, corners[:, 0], scratch)
+    _cross(normal, geom.e_ik.T, corners[:, 1], scratch)
+    _cross(geom.e_ij.T, normal, corners[:, 2], scratch)
+    return scatter_corners(surface, buf)
 
 
 def image_area_gradient(surface, f: np.ndarray) -> np.ndarray:
@@ -256,7 +273,7 @@ def image_area_gradient_via_laplacian(surface, f: np.ndarray) -> np.ndarray:
     lj = -w_k[:, None] * p[:, 0] + (w_i + w_k)[:, None] * p[:, 1] - w_i[:, None] * p[:, 2]
     lk = -w_j[:, None] * p[:, 0] - w_i[:, None] * p[:, 1] + (w_i + w_j)[:, None] * p[:, 2]
     scale = (surface.face_areas / geom.image_areas)[:, None]
-    return scatter_corners(surface, scale * li, scale * lj, scale * lk)
+    return scatter_corners(surface, np.concatenate([scale * li, scale * lj, scale * lk]).T)
 
 
 def stretch_gradient(surface, geom: FaceGeometry) -> np.ndarray:

@@ -149,7 +149,7 @@ def fpi_minimize(surface, f0: np.ndarray, epsilon: float = 1e-6,
         f_new = inverse_stereographic(invert_plane(h) if flipped else h)
         geom = en.face_geometry(surface, f_new, check=False)
         report_new = en.geometry_report(surface, geom)
-        records.append(make_record(surface, f_new, geom, k, None, None,
+        records.append(make_record(surface, geom, k, None, None,
                                    time.perf_counter() - start))
         if stop_on_increase and report_new.authalic > report.authalic:
             return FPIResult(current, records, k, "authalic_increased", boundary_fixed)

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .errors import LineSearchError
-from .sphere import retract
+from .sphere import retract, row_dots
 
 DEFAULT_C1 = 1e-4
 DEFAULT_ALPHA_MAX = 1.0
@@ -65,12 +65,14 @@ def phi_derivative_at_zero(f: np.ndarray, d: np.ndarray, egrad: np.ndarray,
     """
     f = np.asarray(f, dtype=np.float64)
     d = np.asarray(d, dtype=np.float64)
-    radial = np.abs(np.sum(f * d, axis=1)).max() if d.size else 0.0
+    fd = row_dots(f, d)
+    radial = np.abs(fd).max() if d.size else 0.0
     if radial > tangent_tol:
         raise LineSearchError(f"direction is not tangent (max |f.d| = {radial:.3e})")
-    norms = np.linalg.norm(f, axis=1, keepdims=True)
-    psi_prime = d / norms - (np.sum(f * d, axis=1, keepdims=True) / norms**3) * f
-    return float(np.sum(egrad * psi_prime))
+    inv_norms = 1.0 / np.sqrt(row_dots(f, f))
+    # sum_l egrad_l . psi'_l, one row dot per term
+    return float(np.sum(inv_norms * (row_dots(egrad, d)
+                                     - (inv_norms * inv_norms * fd) * row_dots(egrad, f))))
 
 
 def quadratic_backtrack_step(state: LineSearchState, phi_alpha0: float) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -42,6 +42,9 @@ class SimplicialSurface:
     edges: np.ndarray
     face_areas: np.ndarray
     total_area: float
+    # data computed on first use that does not change under uniform
+    # scaling, shared with the rescaled copies :func:`normalize_area` makes
+    _scale_free: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n_vertices(self) -> int:
@@ -60,13 +63,26 @@ class SimplicialSurface:
         return build_surface(vertices, self.faces, genus_check=genus_check)
 
     @cached_property
+    def corner_index(self) -> np.ndarray:
+        """Vertex of every face corner, corner-major: entry c m + t is
+        corner c of face t (``faces.T.ravel()``).  The flat index of the
+        per-face gather and of :func:`scatter_corners`."""
+        return _freeze(self.faces.T.ravel())
+
+    @property
     def dissection_order(self) -> np.ndarray:
         """Geometric nested-dissection order of the vertices.
 
         A fill-reducing elimination order for every sparse system on the
         mesh graph; computed on first use and kept for the surface's life.
+        The split points scale with the mesh, so the order is shared with
+        every rescaled copy made by :func:`normalize_area`.
         """
-        return _freeze(nested_dissection(self.vertices, self.edges))
+        order = self._scale_free.get("dissection_order")
+        if order is None:
+            order = _freeze(nested_dissection(self.vertices, self.edges))
+            self._scale_free["dissection_order"] = order
+        return order
 
     def subsystem_order(self, keep: np.ndarray) -> np.ndarray:
         """:attr:`dissection_order` restricted to the vertices where the
@@ -131,19 +147,8 @@ def build_surface(vertices, faces, genus_check: str = "error") -> SimplicialSurf
         e = edges[np.flatnonzero(counts == 1)[0]]
         raise MeshTopologyError(f"open surface: boundary edge {tuple(int(v) for v in e)}")
 
-    euler = n - edges.shape[0] + faces.shape[0]
-    if euler != 2:
-        genus = (2 - euler) / 2
-        msg = f"surface is not genus zero (V-E+F = {euler}, genus {genus:g})"
-        if genus_check == "warn":
-            warnings.warn(msg, stacklevel=2)
-        else:
-            raise MeshTopologyError(msg)
-
-    areas = triangle_areas(vertices, faces)
-    if (areas <= 0.0).any() or not np.isfinite(areas).all():
-        raise MeshTopologyError(f"zero-area face at index {int(np.flatnonzero(~(areas > 0))[0])}")
-
+    _check_genus(n - edges.shape[0] + faces.shape[0], genus_check)
+    areas = _checked_areas(vertices, faces)
     return SimplicialSurface(
         vertices=_freeze(vertices),
         faces=_freeze(faces),
@@ -151,6 +156,25 @@ def build_surface(vertices, faces, genus_check: str = "error") -> SimplicialSurf
         face_areas=_freeze(areas),
         total_area=float(areas.sum()),
     )
+
+
+def _check_genus(euler: int, genus_check: str) -> None:
+    """Reject (or, with "warn", warn about) an Euler characteristic other
+    than 2; a warning points at the caller of :func:`build_surface`."""
+    if euler != 2:
+        genus = (2 - euler) / 2
+        msg = f"surface is not genus zero (V-E+F = {euler}, genus {genus:g})"
+        if genus_check == "warn":
+            warnings.warn(msg, stacklevel=3)
+        else:
+            raise MeshTopologyError(msg)
+
+
+def _checked_areas(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
+    areas = triangle_areas(vertices, faces)
+    if (areas <= 0.0).any() or not np.isfinite(areas).all():
+        raise MeshTopologyError(f"zero-area face at index {int(np.flatnonzero(~(areas > 0))[0])}")
+    return areas
 
 
 DISSECTION_LEAF = 64
@@ -381,18 +405,17 @@ def make_icosphere(subdivisions: int, radii=(1.0, 1.0, 1.0)) -> SimplicialSurfac
     return build_surface(vertices, faces)
 
 
-def scatter_corners(surface: SimplicialSurface, g_i: np.ndarray, g_j: np.ndarray,
-                    g_k: np.ndarray) -> np.ndarray:
+def scatter_corners(surface: SimplicialSurface, values: np.ndarray) -> np.ndarray:
     """Sum per-corner face values onto the vertices.
 
-    g_i, g_j, g_k are (m, 3) values at the first, second and third corner
-    of every face; row v of the (n, 3) result adds them over every corner
-    that is vertex v.  The sums run corner by corner, in face order.
+    `values` is (3, 3m), one row per coordinate, its columns laid out as
+    :attr:`SimplicialSurface.corner_index`: column c m + t holds the value
+    at corner c of face t.  Row v of the (n, 3) result adds them over
+    every corner that is vertex v.  The sums run corner by corner, in
+    face order.
     """
-    index = surface.faces.T.ravel()
-    n = surface.n_vertices
-    return np.stack([np.bincount(index, np.concatenate([g_i[:, s], g_j[:, s], g_k[:, s]]),
-                                 minlength=n) for s in range(3)], axis=1)
+    index, n = surface.corner_index, surface.n_vertices
+    return np.stack([np.bincount(index, row, minlength=n) for row in values], axis=1)
 
 
 def vertex_normals(surface: SimplicialSurface) -> np.ndarray:
@@ -400,7 +423,7 @@ def vertex_normals(surface: SimplicialSurface) -> np.ndarray:
     p = surface.vertices[surface.faces]
     fn = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
     fn /= np.linalg.norm(fn, axis=1, keepdims=True)
-    acc = scatter_corners(surface, fn, fn, fn)
+    acc = scatter_corners(surface, np.tile(fn.T, 3))
     norms = np.linalg.norm(acc, axis=1, keepdims=True)
     if (norms < 1e-14).any():
         raise MeshTopologyError("vertex with vanishing normal")
@@ -418,9 +441,21 @@ def perturb_vertices(surface: SimplicialSurface, sigma_noise: float, seed: int) 
 
 
 def normalize_area(surface: SimplicialSurface, target: float = SPHERE_AREA) -> SimplicialSurface:
-    """Uniformly rescale so the total surface area equals `target`."""
+    """Uniformly rescale so the total surface area equals `target`.
+
+    The result equals ``build_surface(surface.vertices * scale,
+    surface.faces)`` field by field, without rebuilding: the faces and
+    edges carry over, only the face areas are recomputed.  The genus and
+    face-area checks of :func:`build_surface` still run (a surface built
+    with ``genus_check="warn"`` is rejected here), and the result shares
+    the source's :attr:`~SimplicialSurface.dissection_order`.
+    """
     scale = np.sqrt(target / surface.total_area)
-    return surface.with_vertices(surface.vertices * scale)
+    vertices = surface.vertices * scale
+    _check_genus(surface.n_vertices - surface.n_edges + surface.n_faces, "error")
+    areas = _checked_areas(vertices, surface.faces)
+    return replace(surface, vertices=_freeze(vertices), face_areas=_freeze(areas),
+                   total_area=float(areas.sum()))
 
 
 # ---------------------------------------------------------------------------

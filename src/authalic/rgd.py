@@ -9,7 +9,8 @@ energy) plug in through the same interface.
 Each accepted iterate gets one per-face geometry pass: the objectives
 keep the :class:`~authalic.energy.FaceGeometry` of the last mapping they
 evaluated, so the geometry computed for the accepted line-search trial
-also gives the iteration record and the next value and gradient.
+also gives the iteration record (energies, SD/Mean and fold count) and
+the next value and gradient.
 """
 
 from __future__ import annotations
@@ -21,9 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import energy as en
-from .diagnostics import area_ratio_stats, geometry_ratio_stats
+from .diagnostics import geometry_ratio_stats
 from .linesearch import phi_derivative_at_zero, search
-from .sphere import count_folds, project_tangent
+# the records read the fold count from the face geometry; count_folds stays
+# importable here because perfbench/spans.py wraps it under this name
+from .sphere import count_folds, project_tangent  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -109,16 +112,11 @@ def riemannian_gradient(surface, f: np.ndarray) -> np.ndarray:
     return project_tangent(f, en.euclidean_gradient(surface, f))
 
 
-def area_ratio_cv(surface, f: np.ndarray) -> float:
-    """Population SD over mean of the per-face image/reference area ratios."""
-    return area_ratio_stats(surface, f).sd_over_mean
-
-
-def make_record(surface, f: np.ndarray, geom: en.FaceGeometry, iteration: int,
+def make_record(surface, geom: en.FaceGeometry, iteration: int,
                 grad_norm: float | None, alpha: float | None,
                 elapsed_s: float) -> IterationRecord:
-    """Iteration record of mapping `f`: the energies and SD/Mean come from
-    its face geometry `geom`, the fold count from the orientations."""
+    """Iteration record of the mapping whose face geometry is `geom`: the
+    energies, SD/Mean and fold count all come from that one pass."""
     report = en.geometry_report(surface, geom)
     return IterationRecord(
         iteration=iteration,
@@ -128,7 +126,7 @@ def make_record(surface, f: np.ndarray, geom: en.FaceGeometry, iteration: int,
         sd_over_mean=geometry_ratio_stats(geom).sd_over_mean,
         grad_norm=grad_norm,
         alpha=alpha,
-        folds=count_folds(surface, f),
+        folds=geom.folds,
         elapsed_s=elapsed_s,
     )
 
@@ -173,7 +171,9 @@ def minimize(surface, f0: np.ndarray, config: SolverConfig | None = None,
     for k in range(1, config.max_iters + 1):
         value, egrad, report = objective.value_and_gradient(f)
         rgrad = project_tangent(f, egrad)
-        grad_norm = float(np.linalg.norm(rgrad))
+        # einsum, not np.linalg.norm: a BLAS dot can wait milliseconds for
+        # its worker threads, more than the rest of the record costs
+        grad_norm = float(np.sqrt(np.einsum("ij,ij->", rgrad, rgrad)))
         if grad_norm <= grad_tol:
             return MinimizeResult(f, records, "grad_converged",
                                   f"|grad| = {grad_norm:.3e} <= {grad_tol:.3e}")
@@ -193,7 +193,7 @@ def minimize(surface, f0: np.ndarray, config: SolverConfig | None = None,
 
         f = ls.mapping
         prev_value = value
-        record = make_record(surface, f, geometry(f), k, grad_norm, ls.alpha,
+        record = make_record(surface, geometry(f), k, grad_norm, ls.alpha,
                              time.perf_counter() - start)
         records.append(record)
         if config.log_every and k % config.log_every == 0:

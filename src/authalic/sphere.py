@@ -52,7 +52,12 @@ def project_tangent(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     g = np.asarray(g, dtype=np.float64)
     if f.shape != g.shape:
         raise ValueError(f"shape mismatch: {f.shape} vs {g.shape}")
-    return g - np.sum(f * g, axis=1, keepdims=True) * f
+    return g - row_dots(f, g)[:, None] * f
+
+
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(n,) dot products of matching rows, without an (n, 3) temporary."""
+    return np.einsum("ij,ij->i", a, b)
 
 
 def retract(f: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -60,11 +65,12 @@ def retract(f: np.ndarray, xi: np.ndarray) -> np.ndarray:
     if f.shape != xi.shape:
         raise ValueError(f"shape mismatch: {f.shape} vs {xi.shape}")
     s = f + xi
-    norms = np.linalg.norm(s, axis=1, keepdims=True)
+    norms = np.sqrt(row_dots(s, s))
     if (norms < _MIN_NORM).any():
-        bad = int(np.flatnonzero(norms.ravel() < _MIN_NORM)[0])
+        bad = int(np.flatnonzero(norms < _MIN_NORM)[0])
         raise ValueError(f"retraction undefined: row {bad} of f + xi is numerically zero")
-    return s / norms
+    s /= norms[:, None]
+    return s
 
 
 def project_to_manifold(g: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ so that agreement is meaningful.
 import numpy as np
 
 from authalic.mesh import build_surface, make_icosphere
+from authalic.sphere import project_to_manifold
 
 
 def dense_stretch_laplacian(surface, f):
@@ -101,3 +102,16 @@ def random_tetrahedron(rng):
                  for a, b, c in faces]
         if min(areas) > 1e-3:
             return build_surface(verts, faces)
+
+
+def inverted_vertex_map(surface, vertex=17):
+    """The mesh's own vertices on the sphere with one vertex pushed through
+    and past a neighbor, so the faces between its old and new position
+    invert (reflecting through the neighbors' centroid would keep the
+    vertex radially centered over its ring and produce no fold on a
+    sphere mesh)."""
+    f = surface.vertices.copy()
+    star = np.unique(surface.faces[(surface.faces == vertex).any(axis=1)])
+    neighbors = star[star != vertex]
+    f[vertex] = 2.0 * surface.vertices[neighbors[0]] - f[vertex]
+    return project_to_manifold(f)

@@ -7,7 +7,7 @@ from authalic.sphere import (PlanarPoints, count_folds, inverse_stereographic, i
                              project_to_manifold, stereographic)
 from authalic.unfold import DEFAULT_RADIUS, _solve_pass, assemble_mean_value, correct_bijectivity
 
-from helpers import dense_mean_value_laplacian, regular_tetrahedron
+from helpers import dense_mean_value_laplacian, inverted_vertex_map, regular_tetrahedron
 
 
 def planar_layout(surface, seed=0):
@@ -80,16 +80,7 @@ def test_fold_free_mapping_is_fixed_point(icosphere2):
 
 
 def test_constructed_fold_removed(icosphere2):
-    # push one vertex through and past a neighbor: the faces between the
-    # old and new position invert (reflecting through the neighbors'
-    # centroid would keep the vertex radially centered over its ring and
-    # produce no fold on a sphere mesh)
-    f = icosphere2.vertices.copy()
-    vertex = 17
-    star = np.unique(icosphere2.faces[(icosphere2.faces == vertex).any(axis=1)])
-    neighbors = star[star != vertex]
-    f[vertex] = 2.0 * icosphere2.vertices[neighbors[0]] - f[vertex]
-    f = project_to_manifold(f)
+    f = inverted_vertex_map(icosphere2)
     before = count_folds(icosphere2, f)
     assert before >= 1
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import authalic.energy as en
 from authalic.cli import main
 from authalic.mesh import load_mesh, make_icosphere, save_mesh
 
@@ -164,6 +165,16 @@ def test_check_passes_on_icosphere(sphere_file):
     assert result.exit_code == 0, result.output
     assert "FAIL" not in result.output
     assert "all checks passed" in result.output
+
+
+def test_check_certifies_both_fold_routes(sphere_file, monkeypatch):
+    result = run("check", sphere_file)
+    assert "fold detector counts a flipped face: 0 -> 1 (face geometry 1)" in result.output
+    # a geometry fold count that misses the flipped face fails the check
+    monkeypatch.setattr(en.FaceGeometry, "folds", property(lambda self: 0))
+    result = CliRunner().invoke(main, ["check", sphere_file])
+    assert result.exit_code == 1
+    assert "[FAIL] fold detector counts a flipped face" in result.output
 
 
 def test_check_probe_eigen(sphere_file):

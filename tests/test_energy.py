@@ -1,18 +1,19 @@
 import numpy as np
 import pytest
 
-from authalic.energy import (assemble_global_hessian, assemble_laplacian,
+from authalic.energy import (area_gradient, assemble_global_hessian, assemble_laplacian,
                              energy_report_per_face, euclidean_gradient,
                              face_geometry, face_hessian, image_area,
                              image_area_gradient, image_area_gradient_via_laplacian,
                              normalized_energy, stretch_energy,
-                             stretch_energy_per_face, _area_partials)
+                             stretch_energy_per_face, _corner_weights)
 from authalic.errors import DegenerateFaceError
 from authalic.mesh import build_surface
-from authalic.sphere import project_tangent, project_to_manifold, retract
+from authalic.sphere import (face_orientations, project_tangent, project_to_manifold,
+                             retract)
 
 from helpers import (central_difference_gradient, dense_stretch_laplacian,
-                     random_tetrahedron, regular_tetrahedron)
+                     inverted_vertex_map, random_tetrahedron, regular_tetrahedron)
 
 
 def perturbed_mapping(surface, seed, amplitude=0.05):
@@ -65,6 +66,51 @@ def test_laplacian_invariant_under_face_relabeling(icosphere1):
     assert np.array_equal(a.indptr, b.indptr)
     assert np.array_equal(a.indices, b.indices)
     assert np.array_equal(a.data, b.data)
+
+
+def test_face_geometry_bitwise_matches_row_gather(icosphere2):
+    # the flat corner gather returns the same bits as gathering f[faces]
+    f = perturbed_mapping(icosphere2, seed=5, amplitude=0.3)
+    geom = face_geometry(icosphere2, f, check=False)
+    p = f[icosphere2.faces]
+    e_ij, e_ik, e_jk = p[:, 0] - p[:, 1], p[:, 0] - p[:, 2], p[:, 1] - p[:, 2]
+    a12 = e_ij[:, 0] * e_ik[:, 1] - e_ij[:, 1] * e_ik[:, 0]
+    a13 = e_ij[:, 0] * e_ik[:, 2] - e_ij[:, 2] * e_ik[:, 0]
+    a23 = e_ij[:, 1] * e_ik[:, 2] - e_ij[:, 2] * e_ik[:, 1]
+    reference = {
+        "e_ij": e_ij, "e_ik": e_ik, "e_jk": e_jk, "a12": a12, "a13": a13, "a23": a23,
+        "image_areas": 0.5 * np.sqrt(a12 * a12 + a13 * a13 + a23 * a23),
+        "ref_areas": icosphere2.face_areas,
+        "orientation": p[:, 0, 0] * a23 - p[:, 0, 1] * a13 + p[:, 0, 2] * a12,
+    }
+    for name, want in reference.items():
+        assert np.array_equal(getattr(geom, name), want), name
+
+
+def test_corner_weights_bitwise_match_row_gather(icosphere2):
+    # einsum sums a strided row in another order; the Laplacian weights
+    # must not depend on the geometry's memory layout
+    f = perturbed_mapping(icosphere2, seed=6, amplitude=0.3)
+    p = f[icosphere2.faces]
+    e_ij, e_ik, e_jk = p[:, 0] - p[:, 1], p[:, 0] - p[:, 2], p[:, 1] - p[:, 2]
+    inv4a = 1.0 / (4.0 * icosphere2.face_areas)
+    reference = (np.einsum("ij,ij->i", e_ij, e_ik) * inv4a,
+                 np.einsum("ij,ij->i", e_ij, -e_jk) * inv4a,
+                 np.einsum("ij,ij->i", e_ik, e_jk) * inv4a)
+    for got, want in zip(_corner_weights(icosphere2, f), reference):
+        assert np.array_equal(got, want)
+
+
+def test_orientation_sign_matches_determinant(icosphere2):
+    rng = np.random.default_rng(3)
+    maps = [project_to_manifold(rng.normal(size=(icosphere2.n_vertices, 3)))
+            for _ in range(5)]
+    maps.append(inverted_vertex_map(icosphere2))
+    for f in maps:
+        geom = face_geometry(icosphere2, f, check=False)
+        det = face_orientations(icosphere2, f)
+        assert np.array_equal(np.sign(geom.orientation), np.sign(det))
+        assert geom.folds == int((det < 0).sum()) > 0
 
 
 def test_degenerate_image_face_rejected(icosphere1):
@@ -138,8 +184,14 @@ def test_single_face_partial_hand_value():
     assert geom.a13[0] == pytest.approx(-1.0)
     assert geom.a23[0] == pytest.approx(1.0)
     assert geom.image_areas[0] == pytest.approx(np.sqrt(3.0) / 2.0)
-    g_i, _, _ = _area_partials(geom)
-    assert g_i[0, 0] == pytest.approx(1.0 / np.sqrt(3.0), rel=1e-14)
+    # image_area_gradient sums every face at f_i; weighting face 0 alone
+    # leaves its own partial, and unit weights give image_area_gradient
+    face0 = np.eye(tetra.n_faces)[0]
+    assert area_gradient(tetra, geom, face0)[i, 0] == pytest.approx(1.0 / np.sqrt(3.0),
+                                                                    rel=1e-14)
+    per_face = sum(area_gradient(tetra, geom, w) for w in np.eye(tetra.n_faces))
+    np.testing.assert_allclose(image_area_gradient(tetra, f), per_face, rtol=1e-14,
+                               atol=1e-15)
 
 
 def test_area_gradient_dual_routes_on_random_faces():

@@ -1,11 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 
+import authalic.mesh as mesh
 from authalic.energy import face_geometry
 from authalic.errors import MeshFormatError, MeshTopologyError
 from authalic.mesh import (build_surface, load_mesh, make_icosphere, normalize_area,
                            parse_landmarks, perturb_vertices, save_mesh,
                            vertex_normals)
+from authalic.pipeline import ParameterizeConfig, parameterize
 
 from helpers import regular_tetrahedron
 
@@ -122,6 +126,50 @@ def test_vertex_normals_point_outward(icosphere1):
 def test_normalize_area():
     surf = normalize_area(make_icosphere(1, (2.0, 3.0, 1.0)))
     assert surf.total_area == pytest.approx(4 * np.pi, rel=1e-12)
+
+
+def test_normalize_area_equals_a_rebuild():
+    # rescaling without a rebuild gives build_surface's fields, bit for bit
+    source = make_icosphere(2, (2.0, 3.0, 1.0))
+    scaled = normalize_area(source)
+    rebuilt = build_surface(source.vertices * np.sqrt(4 * np.pi / source.total_area),
+                            source.faces)
+    for name in ("vertices", "faces", "edges", "face_areas"):
+        assert np.array_equal(getattr(scaled, name), getattr(rebuilt, name)), name
+        assert not getattr(scaled, name).flags.writeable
+    assert scaled.total_area == rebuilt.total_area
+
+
+def test_normalize_area_keeps_the_genus_check():
+    t = regular_tetrahedron()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        two = build_surface(np.vstack([t.vertices, t.vertices + 10.0]),
+                            np.vstack([t.faces, t.faces + 4]), genus_check="warn")
+    with pytest.raises(MeshTopologyError, match="genus"):
+        normalize_area(two)
+
+
+def test_repeated_parameterize_neither_rebuilds_nor_redissects(monkeypatch):
+    calls = {"nested_dissection": 0, "build_surface": 0}
+
+    def counted(name):
+        original = getattr(mesh, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    surface = make_icosphere(2, (1.0, 0.8, 0.6))
+    for name in calls:
+        monkeypatch.setattr(mesh, name, counted(name))
+    config = ParameterizeConfig(fpi_iters=2, max_iters=3)
+    first = parameterize(surface, config)
+    second = parameterize(surface, config)
+    assert calls == {"nested_dissection": 1, "build_surface": 0}
+    assert second.surface.dissection_order is first.surface.dissection_order
+    assert np.array_equal(first.mapping, second.mapping)
 
 
 def test_open_surface_rejected():

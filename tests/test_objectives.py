@@ -1,5 +1,6 @@
 """The descent objectives: per-face gradient route, degenerate-face checks,
-and one face-geometry pass per accepted iterate."""
+and one face-geometry pass per accepted iterate, which also gives the
+records' fold counts."""
 
 import logging
 
@@ -7,16 +8,18 @@ import numpy as np
 import pytest
 
 import authalic.energy as en
+import authalic.fpi as fpi
 import authalic.rgd as rgd
+import authalic.sphere as sphere
 from authalic.energy import (assemble_laplacian, image_area_gradient_via_laplacian,
                              normalized_energy)
 from authalic.errors import DegenerateFaceError
 from authalic.mesh import normalize_area
 from authalic.registration import RegistrationObjective
 from authalic.rgd import NormalizedStretchObjective, SolverConfig, minimize
-from authalic.sphere import project_to_manifold
+from authalic.sphere import count_folds, project_to_manifold
 
-from helpers import bumpy_sphere
+from helpers import bumpy_sphere, inverted_vertex_map
 
 LANDMARK_ROWS = np.array([3, 40, 77, 120])
 
@@ -138,6 +141,39 @@ def test_one_face_geometry_pass_per_accepted_iterate(ellipsoid3, monkeypatch):
                       SolverConfig(max_iters=10, grad_tol=0.0, energy_tol=-np.inf))
     assert len(result.records) == 10
     assert calls[0] <= sum(evals) + 1
+
+
+def test_records_count_folds_without_a_second_gather(ellipsoid3, monkeypatch):
+    calls = [0]
+
+    def counted_folds(*args, **kwargs):
+        calls[0] += 1
+        return count_folds(*args, **kwargs)
+
+    for module in (sphere, rgd, fpi):
+        monkeypatch.setattr(module, "count_folds", counted_folds)
+    f0 = fpi.conformal_initial_map(ellipsoid3)
+    calls[0] = 0
+    result = minimize(ellipsoid3, f0, SolverConfig(max_iters=5, energy_tol=-np.inf))
+    warm = fpi.fpi_minimize(ellipsoid3, f0, max_iters=3)
+    assert len(result.records) == 5 and len(warm.records) >= 1
+    assert calls[0] == 0
+
+
+def test_record_folds_match_count_folds(icosphere2):
+    # from a map with inverted faces, every record's fold count (read off
+    # the face geometry) equals the determinant count of its mapping
+    f0 = inverted_vertex_map(icosphere2)
+    seen = []
+
+    def compare(f, records):
+        seen.append((records[-1].folds, count_folds(icosphere2, f)))
+
+    minimize(icosphere2, f0, SolverConfig(max_iters=15, grad_tol=0.0, energy_tol=-np.inf),
+             extra_stop=compare)
+    assert len(seen) == 15
+    assert all(got == want for got, want in seen), seen
+    assert seen[0][1] >= 1
 
 
 def test_log_every_goes_through_logging(ellipsoid3, caplog, capsys):
