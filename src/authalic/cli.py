@@ -20,6 +20,7 @@ import numpy as np
 from . import diagnostics as diag
 from . import energy as en
 from .errors import AuthalicError
+from .fpi import DEFAULT_RADIUS
 from .mesh import (build_surface, load_mesh, normalize_area, parse_landmarks,
                    perturb_vertices, save_mesh)
 from .pipeline import ParameterizeConfig, parameterize, write_records_csv
@@ -79,7 +80,7 @@ def main():
               help="Gradient-descent iterations.")
 @click.option("--ls", "ls", type=click.Choice(sorted(_STRATEGIES)), default="interp",
               show_default=True, help="Line-search strategy.")
-@click.option("--r", "radius", default=1.2, show_default=True,
+@click.option("--r", "radius", default=DEFAULT_RADIUS, show_default=True,
               help="Interior radius for hemisphere solves.")
 @click.option("--c1", default=1e-4, show_default=True,
               help="Sufficient-decrease constant.")

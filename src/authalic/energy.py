@@ -282,24 +282,24 @@ def stretch_gradient(surface, geom: FaceGeometry) -> np.ndarray:
     return area_gradient(surface, geom, 2.0 * geom.image_areas / geom.ref_areas)
 
 
-def normalized_energy_and_gradient(surface, geom: FaceGeometry):
-    """EnergyReport and ambient gradient of the normalized energy from one
-    face-geometry pass.
+def normalized_gradient(surface, geom: FaceGeometry, report: EnergyReport) -> np.ndarray:
+    """Ambient gradient of the normalized energy from one face-geometry
+    pass and its :func:`geometry_report`.
 
     grad = (2 |M| / A) L f - (|M| E_stretch / A^2) grad A
          = sum_tau (|M| / A) (2 |f(tau)| / |tau| - E_stretch / A) grad |f(tau)|.
     """
-    report = geometry_report(surface, geom)
     area = report.image_area
     weights = (surface.total_area / area) * (2.0 * geom.image_areas / geom.ref_areas
                                              - report.stretch / area)
-    return report, area_gradient(surface, geom, weights)
+    return area_gradient(surface, geom, weights)
 
 
 def euclidean_gradient(surface, f: np.ndarray) -> np.ndarray:
     """Ambient gradient of the normalized energy (per-face route); raises
     :class:`DegenerateFaceError` when an image triangle has collapsed."""
-    return normalized_energy_and_gradient(surface, face_geometry(surface, f))[1]
+    geom = face_geometry(surface, f)
+    return normalized_gradient(surface, geom, geometry_report(surface, geom))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ starting map (harmonic flattening of the once-punctured mesh, lifted to
 the sphere), then alternating hemisphere solves of the image-weighted
 Laplacian in the stereographic plane with median rescaling.  The
 iteration is cheap but not monotone; the driver can stop as soon as the
-authalic energy first increases and roll back one step.
+authalic energy first increases and roll back one step.  The conformal
+start, these solves and fold correction (:mod:`authalic.unfold`) share
+one restricted planar solve, :func:`dirichlet_solve`.
 """
 
 from __future__ import annotations
@@ -54,9 +56,7 @@ def conformal_initial_map(surface, face_index: int | None = None, rng=None) -> n
     interior[pinned] = False
     h = np.zeros(n, dtype=np.complex128)
     h[pinned] = _PIN
-    rhs = -lap[interior][:, pinned] @ h[pinned]
-    h[interior] = solve(lap[interior][:, interior], rhs,
-                        order=surface.subsystem_order(interior))
+    h = dirichlet_solve(surface, lap, PlanarPoints.finite(h), interior)[0].values
 
     h -= h.mean()
     mags = np.abs(h)
@@ -82,31 +82,36 @@ class FPIResult:
 
 
 def _interior_mask(h: PlanarPoints, radius: float) -> np.ndarray:
+    """The vertices a hemisphere solve re-solves: the finite points of the
+    disk |h| < radius (FPI and fold correction alike)."""
     with np.errstate(over="ignore"):
         mags = np.abs(h.values)
     mask = (mags < radius) & ~h.at_infinity
     return mask
 
 
-def _hemisphere_solve(surface, lap, h: PlanarPoints, radius: float):
-    """Solve the restricted system for the interior of the current plane,
-    keeping boundary values bitwise intact.  Returns (new points, interior
-    mask, boundary-fixed flag)."""
-    interior = _interior_mask(h, radius)
+def dirichlet_solve(surface, lap, h: PlanarPoints, interior: np.ndarray):
+    """Re-solve the `interior` vertices of the plane from `lap`, holding
+    every other vertex at its current value.
+
+    The system is `lap[interior]` restricted to the interior columns,
+    factored in the surface's dissection order; the boundary columns move
+    to the right-hand side.  A vertex at infinity may only be boundary,
+    and only where no interior row couples to it.  Returns the new points
+    and whether the boundary values came back bitwise unchanged.
+    """
     if not interior.any():
-        raise SolveError("empty interior vertex set (radius too small?)")
+        raise SolveError("empty interior vertex set")
     boundary = ~interior
-    if (h.at_infinity & boundary).any():
-        inf_cols = np.flatnonzero(h.at_infinity)
-        if lap[interior][:, inf_cols].nnz:
-            raise SolveError("vertex at infinity is coupled to the interior system")
-    rhs = -lap[interior][:, boundary] @ np.where(h.at_infinity[boundary], 0.0, h.values[boundary])
+    rows = lap[interior]
+    if h.at_infinity.any() and rows[:, h.at_infinity].nnz:
+        raise SolveError("vertex at infinity is coupled to the interior system")
+    rhs = -rows[:, boundary] @ np.where(h.at_infinity[boundary], 0.0, h.values[boundary])
     values = h.values.copy()
     before = values[boundary].copy()
-    values[interior] = solve(lap[interior][:, interior], rhs,
-                             order=surface.subsystem_order(interior))
+    values[interior] = solve(rows[:, interior], rhs, order=surface.subsystem_order(interior))
     fixed = bool(np.array_equal(values[boundary], before))
-    return PlanarPoints(values=values, at_infinity=h.at_infinity.copy()), interior, fixed
+    return PlanarPoints(values=values, at_infinity=h.at_infinity.copy()), fixed
 
 
 def fpi_minimize(surface, f0: np.ndarray, epsilon: float = 1e-6,
@@ -141,7 +146,7 @@ def fpi_minimize(surface, f0: np.ndarray, epsilon: float = 1e-6,
         lap = en.assemble_laplacian(surface, current).tocsr()
         h = invert_plane(h)
         flipped = not flipped
-        h, _, fixed = _hemisphere_solve(surface, lap, h, r)
+        h, fixed = dirichlet_solve(surface, lap, h, _interior_mask(h, r))
         boundary_fixed.append(fixed)
         with np.errstate(over="ignore"):
             mags = np.where(h.at_infinity, np.inf, np.abs(h.values))
@@ -149,7 +154,7 @@ def fpi_minimize(surface, f0: np.ndarray, epsilon: float = 1e-6,
         f_new = inverse_stereographic(invert_plane(h) if flipped else h)
         geom = en.face_geometry(surface, f_new, check=False)
         report_new = en.geometry_report(surface, geom)
-        records.append(make_record(surface, geom, k, None, None,
+        records.append(make_record(geom, report_new, k, None, None,
                                    time.perf_counter() - start))
         if stop_on_increase and report_new.authalic > report.authalic:
             return FPIResult(current, records, k, "authalic_increased", boundary_fixed)

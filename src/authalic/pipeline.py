@@ -16,7 +16,7 @@ import numpy as np
 
 from . import energy as en
 from .diagnostics import geometry_ratio_stats
-from .fpi import conformal_initial_map, fpi_minimize
+from .fpi import DEFAULT_RADIUS, conformal_initial_map, fpi_minimize
 from .mesh import SPHERE_AREA, SimplicialSurface, normalize_area
 from .rgd import IterationRecord, MinimizeResult, SolverConfig, minimize
 # the summary reads the fold count from the face geometry; count_folds stays
@@ -32,7 +32,7 @@ class ParameterizeConfig:
     fpi_iters: int = 10
     max_iters: int = 100
     strategy: str = "interpolant"
-    radius: float = 1.2
+    radius: float = DEFAULT_RADIUS
     c1: float = 1e-4
     alpha_max: float = 1.0
     epsilon: float = 1e-6

@@ -36,62 +36,43 @@ def midpoint_targets(f0: np.ndarray, f1: np.ndarray, pairs: np.ndarray,
     return c
 
 
-def _mismatch(h: np.ndarray, landmark_rows, targets, lambdas) -> float:
-    resid = h[landmark_rows] - targets
-    return float(np.sum(lambdas * np.sum(resid**2, axis=1)))
-
-
-def registration_energy(surface_sphere, h: np.ndarray, landmark_rows: np.ndarray,
-                        targets: np.ndarray, lambdas: np.ndarray) -> float:
-    """Stretch energy of the warp plus weighted squared landmark mismatch."""
-    e_s = float(np.sum(en.stretch_energy_per_face(surface_sphere, h)))
-    return e_s + _mismatch(h, landmark_rows, targets, lambdas)
-
-
-def _registration_gradient(surface_sphere, geom: en.FaceGeometry, h: np.ndarray,
-                           landmark_rows: np.ndarray, targets, lambdas) -> np.ndarray:
-    """2 L(h) h through the per-face identity, plus the landmark pull."""
-    grad = en.stretch_gradient(surface_sphere, geom)
-    if landmark_rows.size:
-        lam = np.broadcast_to(np.asarray(lambdas, dtype=np.float64), (landmark_rows.size,))
-        grad[landmark_rows] += 2.0 * lam[:, None] * (h[landmark_rows] - targets)
-    return grad
-
-
-def registration_energy_gradient(surface_sphere, h: np.ndarray,
-                                 landmark_rows: np.ndarray, targets: np.ndarray,
-                                 lambdas: np.ndarray) -> np.ndarray:
-    """Ambient gradient: 2 L(h) h plus 2 lambda (h - target) on landmark rows."""
-    landmark_rows = np.asarray(landmark_rows)
-    if landmark_rows.size and (landmark_rows.min() < 0 or landmark_rows.max() >= h.shape[0]):
-        raise IndexError("landmark row out of range")
-    geom = en.face_geometry(surface_sphere, h)
-    return _registration_gradient(surface_sphere, geom, h, landmark_rows, targets, lambdas)
-
-
 class RegistrationObjective(GeometryMemo):
-    """Objective adapter for the shared descent driver."""
+    """Stretch energy of the warp plus weighted squared landmark mismatch,
+    as an objective for the shared descent driver.
+
+    A vertex may carry several landmarks; each adds its own term.
+    """
 
     def __init__(self, surface_sphere, landmark_rows, targets, lambdas):
         super().__init__(surface_sphere)
         self.rows = np.asarray(landmark_rows)
+        if self.rows.size and (self.rows.min() < 0
+                               or self.rows.max() >= surface_sphere.n_vertices):
+            raise IndexError("landmark row out of range")
         self.targets = np.asarray(targets, dtype=np.float64)
         self.lambdas = np.broadcast_to(
             np.asarray(lambdas, dtype=np.float64), (self.rows.size,)
         )
 
+    def _mismatch(self, h: np.ndarray) -> float:
+        resid = h[self.rows] - self.targets
+        return float(np.sum(self.lambdas * np.sum(resid**2, axis=1)))
+
     def value(self, h: np.ndarray) -> float:
-        report = en.geometry_report(self.surface, self.geometry(h))
-        return report.stretch + _mismatch(h, self.rows, self.targets, self.lambdas)
+        return self.report(h).stretch + self._mismatch(h)
 
     def value_and_gradient(self, h: np.ndarray):
+        """Value, ambient gradient and stretch report.  The gradient is
+        2 L(h) h through the per-face identity plus the landmark pull
+        2 lambda (h - target), summed per row."""
         geom = self.geometry(h)
         en.check_geometry(geom)
-        report = en.geometry_report(self.surface, geom)
-        value = report.stretch + _mismatch(h, self.rows, self.targets, self.lambdas)
-        egrad = _registration_gradient(self.surface, geom, h, self.rows,
-                                       self.targets, self.lambdas)
-        return value, egrad, report
+        report = self.report(h)
+        grad = en.stretch_gradient(self.surface, geom)
+        if self.rows.size:
+            np.add.at(grad, self.rows,
+                      2.0 * self.lambdas[:, None] * (h[self.rows] - self.targets))
+        return report.stretch + self._mismatch(h), grad, report
 
 
 def geodesic_mismatch(points_a: np.ndarray, points_b: np.ndarray) -> float:

@@ -6,11 +6,11 @@ line search, and retracts.  The default objective is the normalized
 stretch energy; alternative objectives (e.g. the landmark registration
 energy) plug in through the same interface.
 
-Each accepted iterate gets one per-face geometry pass: the objectives
-keep the :class:`~authalic.energy.FaceGeometry` of the last mapping they
-evaluated, so the geometry computed for the accepted line-search trial
-also gives the iteration record (energies, SD/Mean and fold count) and
-the next value and gradient.
+Each accepted iterate gets one per-face geometry pass and one energy
+report: the objectives keep the :class:`~authalic.energy.FaceGeometry`
+of the last mapping they evaluated and its report, so those computed for
+the accepted line-search trial also give the iteration record (energies,
+SD/Mean and fold count) and the next value and gradient.
 """
 
 from __future__ import annotations
@@ -73,38 +73,48 @@ class MinimizeResult:
 
 
 class GeometryMemo:
-    """The face geometry of the last mapping an objective evaluated.
+    """The face geometry of the last mapping an objective evaluated, and
+    its energy report.
 
     One entry, keyed by the array object: a mapping must not be changed
     in place between evaluations (the descent driver and the line search
     only ever make new arrays).  The geometry is stored unchecked;
     callers that need a nondegenerate image run
-    :func:`~authalic.energy.check_geometry` on it.
+    :func:`~authalic.energy.check_geometry` on it.  The report is made
+    on first use.
     """
 
     def __init__(self, surface):
         self.surface = surface
         self._mapping = None
         self._geometry = None
+        self._report = None
 
     def geometry(self, f: np.ndarray) -> en.FaceGeometry:
         if f is not self._mapping:
             self._geometry = en.face_geometry(self.surface, f, check=False)
+            self._report = None
             self._mapping = f
         return self._geometry
+
+    def report(self, f: np.ndarray) -> en.EnergyReport:
+        geom = self.geometry(f)
+        if self._report is None:
+            self._report = en.geometry_report(self.surface, geom)
+        return self._report
 
 
 class NormalizedStretchObjective(GeometryMemo):
     """Objective wrapper: normalized stretch energy and its gradient."""
 
     def value(self, f: np.ndarray) -> float:
-        return en.geometry_report(self.surface, self.geometry(f)).normalized
+        return self.report(f).normalized
 
     def value_and_gradient(self, f: np.ndarray):
         geom = self.geometry(f)
         en.check_geometry(geom)
-        report, egrad = en.normalized_energy_and_gradient(self.surface, geom)
-        return report.normalized, egrad, report
+        report = self.report(f)
+        return report.normalized, en.normalized_gradient(self.surface, geom, report), report
 
 
 def riemannian_gradient(surface, f: np.ndarray) -> np.ndarray:
@@ -112,12 +122,12 @@ def riemannian_gradient(surface, f: np.ndarray) -> np.ndarray:
     return project_tangent(f, en.euclidean_gradient(surface, f))
 
 
-def make_record(surface, geom: en.FaceGeometry, iteration: int,
+def make_record(geom: en.FaceGeometry, report: en.EnergyReport, iteration: int,
                 grad_norm: float | None, alpha: float | None,
                 elapsed_s: float) -> IterationRecord:
-    """Iteration record of the mapping whose face geometry is `geom`: the
-    energies, SD/Mean and fold count all come from that one pass."""
-    report = en.geometry_report(surface, geom)
+    """Iteration record of the mapping whose face geometry is `geom` and
+    whose energy report is `report`: the energies, SD/Mean and fold count
+    all come from that one pass."""
     return IterationRecord(
         iteration=iteration,
         stretch=report.stretch,
@@ -139,9 +149,9 @@ def minimize(surface, f0: np.ndarray, config: SolverConfig | None = None,
     ----------
     objective : optional
         Object with `value(f)` and `value_and_gradient(f)`; defaults to
-        the normalized stretch energy on `surface`.  When it also has a
-        `geometry(f)` method (see :class:`GeometryMemo`), the records
-        reuse the geometry it computed for the accepted trial.
+        the normalized stretch energy on `surface`.  When it is a
+        :class:`GeometryMemo`, the records reuse the geometry and report
+        it computed for the accepted trial.
     extra_stop : callable, optional
         Called as `extra_stop(f, records)` after each accepted iteration;
         a non-None return value becomes the final status string.
@@ -156,8 +166,7 @@ def minimize(surface, f0: np.ndarray, config: SolverConfig | None = None,
     """
     config = config or SolverConfig()
     objective = objective or NormalizedStretchObjective(surface)
-    geometry = getattr(objective, "geometry", None) \
-        or (lambda g: en.face_geometry(surface, g, check=False))
+    memo = objective if isinstance(objective, GeometryMemo) else GeometryMemo(surface)
     f = np.asarray(f0, dtype=np.float64).copy()
     n = f.shape[0]
     grad_tol = config.grad_tol if config.grad_tol is not None else 1e-6 * np.sqrt(n)
@@ -193,7 +202,7 @@ def minimize(surface, f0: np.ndarray, config: SolverConfig | None = None,
 
         f = ls.mapping
         prev_value = value
-        record = make_record(surface, geometry(f), k, grad_norm, ls.alpha,
+        record = make_record(memo.geometry(f), memo.report(f), k, grad_norm, ls.alpha,
                              time.perf_counter() - start)
         records.append(record)
         if config.log_every and k % config.log_every == 0:

@@ -15,12 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DegenerateFaceError, SolveError
-from .linsolve import solve
+from .errors import DegenerateFaceError
+from .fpi import DEFAULT_RADIUS, _interior_mask, dirichlet_solve
+# the passes solve through fpi.dirichlet_solve; solve stays importable here
+# because perfbench/spans.py wraps it under this name
+from .linsolve import solve  # noqa: F401
 from .sphere import (PlanarPoints, count_folds, inverse_stereographic,
                      invert_plane, stereographic)
 
-DEFAULT_RADIUS = 1.2
 MAX_SWEEPS = 3
 
 
@@ -99,23 +101,10 @@ class CorrectionResult:
 
 
 def _solve_pass(surface, h: PlanarPoints, r: float, label: str):
-    interior = (np.abs(np.where(h.at_infinity, np.inf, h.values)) < r) & ~h.at_infinity
-    if not interior.any():
-        raise SolveError("empty interior vertex set in unfolding pass")
-    boundary = ~interior
-    lap = assemble_mean_value(surface, h)
-    if (h.at_infinity & boundary).any():
-        inf_cols = np.flatnonzero(h.at_infinity)
-        if lap[interior][:, inf_cols].nnz:
-            raise SolveError("vertex at infinity coupled to the interior system")
-    rhs = -lap[interior][:, boundary] @ np.where(h.at_infinity[boundary], 0.0, h.values[boundary])
-    values = h.values.copy()
-    before = values[boundary].copy()
-    values[interior] = solve(lap[interior][:, interior], rhs,
-                             order=surface.subsystem_order(interior))
-    info = UnfoldPass(hemisphere=label, n_interior=int(interior.sum()),
-                      boundary_fixed=bool(np.array_equal(values[boundary], before)))
-    return PlanarPoints(values=values, at_infinity=h.at_infinity.copy()), info
+    interior = _interior_mask(h, r)
+    h, fixed = dirichlet_solve(surface, assemble_mean_value(surface, h), h, interior)
+    return h, UnfoldPass(hemisphere=label, n_interior=int(interior.sum()),
+                         boundary_fixed=fixed)
 
 
 def correct_bijectivity(surface, f: np.ndarray, r: float = DEFAULT_RADIUS,

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from authalic.energy import energy_report_per_face
+from authalic.energy import assemble_laplacian, energy_report_per_face
 from authalic.errors import SolveError
-from authalic.fpi import _hemisphere_solve, conformal_initial_map, fpi_minimize
+from authalic.fpi import (DEFAULT_RADIUS, _interior_mask, conformal_initial_map,
+                          dirichlet_solve, fpi_minimize)
 from authalic.mesh import normalize_area
 from authalic.rgd import SolverConfig, minimize
-from authalic.sphere import PlanarPoints, count_folds
+from authalic.sphere import PlanarPoints, count_folds, stereographic
 
 from helpers import bumpy_sphere
 
@@ -105,7 +106,38 @@ def test_empty_interior_raises():
     lap = None
     h = PlanarPoints.finite(np.array([2.0, 3.0, 4.0]))
     with pytest.raises(SolveError, match="empty interior"):
-        _hemisphere_solve(None, lap, h, 1.2)
+        dirichlet_solve(None, lap, h, _interior_mask(h, 1.2))
+
+
+def pole_plane(surface):
+    """Reference Laplacian and stereographic plane of a unit icosphere,
+    whose north-pole vertex lands at infinity."""
+    h = stereographic(surface.vertices)
+    assert h.at_infinity.sum() == 1
+    return assemble_laplacian(surface, surface.vertices).tocsr(), h
+
+
+def test_vertex_at_infinity_coupled_to_interior_raises(icosphere1):
+    lap, h = pole_plane(icosphere1)
+    pole = int(np.flatnonzero(h.at_infinity)[0])
+    interior = _interior_mask(h, DEFAULT_RADIUS)
+    ring = icosphere1.edges[(icosphere1.edges == pole).any(axis=1)].ravel()
+    interior[ring] = True
+    interior[pole] = False
+    with pytest.raises(SolveError, match="vertex at infinity is coupled"):
+        dirichlet_solve(icosphere1, lap, h, interior)
+
+
+def test_vertex_at_infinity_among_boundary_is_kept(icosphere1):
+    lap, h = pole_plane(icosphere1)
+    interior = _interior_mask(h, DEFAULT_RADIUS)
+    out, fixed = dirichlet_solve(icosphere1, lap, h, interior)
+    assert fixed
+    assert np.array_equal(out.at_infinity, h.at_infinity)
+    assert np.array_equal(out.values[~interior], h.values[~interior])
+    # the interior rows of the Laplacian vanish on the solved plane
+    finite = np.where(out.at_infinity, 0.0, out.values)
+    assert np.abs(lap[interior] @ finite).max() <= 1e-12 * np.abs(finite).max()
 
 
 def test_parameter_validation(ellipsoid3):

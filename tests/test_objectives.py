@@ -122,25 +122,38 @@ def test_geometry_memo_recomputes_for_a_new_array(ellipsoid3):
 
 
 def test_one_face_geometry_pass_per_accepted_iterate(ellipsoid3, monkeypatch):
-    calls = [0]
+    # one geometry and one energy report per evaluated mapping: the
+    # accepted trial's serve the record and the next value and gradient
+    calls = {"face_geometry": 0, "geometry_report": 0}
     evals = []
-    face_geometry, search = en.face_geometry, rgd.search
+    search = rgd.search
 
-    def counted_geometry(*args, **kwargs):
-        calls[0] += 1
-        return face_geometry(*args, **kwargs)
+    def counted(name):
+        fn = getattr(en, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
 
     def counted_search(*args, **kwargs):
         result = search(*args, **kwargs)
         evals.append(result.evals)
         return result
 
-    monkeypatch.setattr(en, "face_geometry", counted_geometry)
+    for name in calls:
+        monkeypatch.setattr(en, name, counted(name))
     monkeypatch.setattr(rgd, "search", counted_search)
     result = minimize(ellipsoid3, spherical_start(ellipsoid3),
                       SolverConfig(max_iters=10, grad_tol=0.0, energy_tol=-np.inf))
     assert len(result.records) == 10
-    assert calls[0] <= sum(evals) + 1
+    assert calls["face_geometry"] <= sum(evals) + 1
+    assert calls["geometry_report"] <= sum(evals) + 1
+    # FPI: the start's report, then one per iteration
+    calls["geometry_report"] = 0
+    warm = fpi.fpi_minimize(ellipsoid3, fpi.conformal_initial_map(ellipsoid3),
+                            max_iters=4, stop_on_increase=False)
+    assert calls["geometry_report"] == len(warm.records) + 1
 
 
 def test_records_count_folds_without_a_second_gather(ellipsoid3, monkeypatch):

@@ -3,9 +3,8 @@ import pytest
 
 from authalic.energy import assemble_laplacian
 from authalic.mesh import build_surface, make_icosphere
-from authalic.registration import (compose_registration, geodesic_mismatch,
-                                   homotopy_frame, midpoint_targets,
-                                   registration_energy, registration_energy_gradient,
+from authalic.registration import (RegistrationObjective, compose_registration,
+                                   geodesic_mismatch, homotopy_frame, midpoint_targets,
                                    solve_alignment)
 from authalic.sphere import project_to_manifold
 
@@ -46,11 +45,15 @@ def test_antipodal_midpoint_rejected():
         midpoint_targets(f0, f1, np.array([[0, 0]]))
 
 
+def registration_gradient(sphere, h, rows, targets, lambdas):
+    return RegistrationObjective(sphere, rows, targets, lambdas).value_and_gradient(h)[1]
+
+
 def test_gradient_without_landmarks_is_stretch_gradient(icosphere1):
     sphere = build_surface(icosphere1.vertices, icosphere1.faces)
     h = icosphere1.vertices
     rows = np.array([], dtype=np.int64)
-    grad = registration_energy_gradient(sphere, h, rows, np.zeros((0, 3)), np.zeros(0))
+    grad = registration_gradient(sphere, h, rows, np.zeros((0, 3)), np.zeros(0))
     lap = assemble_laplacian(sphere, h)
     assert np.abs(grad - 2.0 * (lap @ h)).max() <= 1e-14
 
@@ -60,9 +63,9 @@ def test_gradient_zero_residual_row(icosphere1):
     h = icosphere1.vertices
     rows = np.array([4])
     targets = h[rows].copy()
-    with_lm = registration_energy_gradient(sphere, h, rows, targets, np.array([10.0]))
-    without = registration_energy_gradient(sphere, h, np.array([], dtype=int),
-                                           np.zeros((0, 3)), np.zeros(0))
+    with_lm = registration_gradient(sphere, h, rows, targets, np.array([10.0]))
+    without = registration_gradient(sphere, h, np.array([], dtype=int),
+                                    np.zeros((0, 3)), np.zeros(0))
     assert np.abs(with_lm - without).max() <= 1e-14
 
 
@@ -71,32 +74,45 @@ def test_vanishing_weight_recovers_stretch_descent(icosphere1):
     h = project_to_manifold(icosphere1.vertices + 0.01)
     rows = np.array([2, 9])
     targets = project_to_manifold(np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]))
-    lam0 = registration_energy_gradient(sphere, h, rows, targets, np.array([0.0, 0.0]))
-    plain = registration_energy_gradient(sphere, h, np.array([], dtype=int),
-                                         np.zeros((0, 3)), np.zeros(0))
+    lam0 = registration_gradient(sphere, h, rows, targets, np.array([0.0, 0.0]))
+    plain = registration_gradient(sphere, h, np.array([], dtype=int),
+                                  np.zeros((0, 3)), np.zeros(0))
     assert np.abs(lam0 - plain).max() <= 1e-12
 
 
-def test_gradient_matches_finite_differences():
+def assert_gradient_matches_finite_differences(rows, targets, lam):
     base = make_icosphere(0)
     sphere = build_surface(base.vertices, base.faces)
     rng = np.random.default_rng(0)
     h = project_to_manifold(base.vertices + 0.02 * rng.normal(size=(12, 3)))
-    rows = np.array([2, 7])
-    targets = project_to_manifold(np.array([[0.1, 0.9, 0.2], [-0.5, 0.3, 0.8]]))
-    lam = np.array([1.0, 1.0])
-    grad = registration_energy_gradient(sphere, h, rows, targets, lam)
-    fd = central_difference_gradient(
-        lambda g: registration_energy(sphere, g, rows, targets, lam), h)
+    objective = RegistrationObjective(sphere, rows, targets, lam)
+    grad = objective.value_and_gradient(h)[1]
+    fd = central_difference_gradient(objective.value, h)
     mask = np.abs(grad) > 1e-8
     assert (np.abs(fd - grad)[mask] / np.abs(grad)[mask]).max() <= 1e-6
 
 
+def test_gradient_matches_finite_differences():
+    targets = project_to_manifold(np.array([[0.1, 0.9, 0.2], [-0.5, 0.3, 0.8]]))
+    assert_gradient_matches_finite_differences(np.array([2, 7]), targets,
+                                               np.array([1.0, 1.0]))
+
+
+def test_gradient_with_two_landmarks_on_one_vertex():
+    # a landmark file may pair one source vertex with two target vertices;
+    # both pulls act on that row
+    targets = project_to_manifold(np.array([[0.1, 0.9, 0.2], [-0.5, 0.3, 0.8],
+                                            [0.7, -0.2, 0.4]]))
+    assert_gradient_matches_finite_differences(np.array([2, 2, 7]), targets,
+                                               np.array([1.0, 2.0, 1.0]))
+
+
 def test_gradient_row_out_of_range(icosphere1):
     sphere = build_surface(icosphere1.vertices, icosphere1.faces)
-    with pytest.raises(IndexError):
-        registration_energy_gradient(sphere, icosphere1.vertices, np.array([999]),
-                                     np.zeros((1, 3)), np.array([1.0]))
+    # a negative row must not wrap around to the last vertices
+    for row in (999, -1):
+        with pytest.raises(IndexError):
+            RegistrationObjective(sphere, np.array([row]), np.zeros((1, 3)), np.array([1.0]))
 
 
 def test_alignment_with_targets_at_landmarks_keeps_energy_nonincreasing(icosphere2):
@@ -108,9 +124,10 @@ def test_alignment_with_targets_at_landmarks_keeps_energy_nonincreasing(icospher
     rows = PAIRS[:, 0]
     targets = f[rows].copy()
     lam = np.full(len(rows), 10.0)
-    before = registration_energy(sphere, f, rows, targets, lam)
+    energy = RegistrationObjective(sphere, rows, targets, lam).value
+    before = energy(f)
     result = solve_alignment(sphere, f, rows, targets, lambdas=10.0, iters=20)
-    after = registration_energy(sphere, result.mapping, rows, targets, lam)
+    after = energy(result.mapping)
     assert after <= before + 1e-12 * abs(before)
     assert result.final_mismatch <= 1e-4
 
