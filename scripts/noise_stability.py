@@ -13,17 +13,9 @@ before area normalization.
 
 import argparse
 
-from authalic.diagnostics import area_ratio_stats, authalic_error
-from authalic.energy import area_matched_authalic, energy_report_per_face
+from authalic.diagnostics import authalic_error
 from authalic.mesh import load_mesh, make_icosphere, normalize_area, perturb_vertices
 from authalic.pipeline import ParameterizeConfig, parameterize
-from authalic.sphere import count_folds
-
-
-def run(surface, config):
-    result = parameterize(surface, config)
-    rep = energy_report_per_face(result.surface, result.mapping)
-    return result, area_matched_authalic(rep)
 
 
 def main():
@@ -39,20 +31,17 @@ def main():
         args.subdivisions, (1.0, 0.8, 0.6))
     config = ParameterizeConfig(max_iters=args.max_iters, seed=args.seed)
 
-    clean, ea_clean = run(normalize_area(raw), config)
-    stats = area_ratio_stats(clean.surface, clean.mapping)
-    print(f"clean: SD/Mean {stats.sd_over_mean:.4f}  E_A {ea_clean:.3e}  "
-          f"time {clean.seconds:.2f}s")
+    clean = parameterize(normalize_area(raw), config).summary
+    print(f"clean: SD/Mean {clean['sd_over_mean']:.4f}  E_A {clean['authalic']:.3e}  "
+          f"time {clean['seconds']:.2f}s")
     print(f"{'sigma':>8}  {'SD/Mean':>9}  {'E_A':>10}  {'err-E_A':>10}  folds")
 
     for sigma in args.sigmas:
         noisy_raw = perturb_vertices(raw, sigma, args.seed)
-        noisy, ea_noisy = run(normalize_area(noisy_raw), config)
-        err = authalic_error(noisy_raw, raw, ea_noisy, ea_clean)
-        stats = area_ratio_stats(noisy.surface, noisy.mapping)
-        folds = count_folds(noisy.surface, noisy.mapping)
-        print(f"{sigma:8.0e}  {stats.sd_over_mean:9.4f}  {ea_noisy:10.3e}  "
-              f"{err:10.3e}  {folds}")
+        noisy = parameterize(normalize_area(noisy_raw), config).summary
+        err = authalic_error(noisy_raw, raw, noisy["authalic"], clean["authalic"])
+        print(f"{sigma:8.0e}  {noisy['sd_over_mean']:9.4f}  {noisy['authalic']:10.3e}  "
+              f"{err:10.3e}  {noisy['folds']}")
 
 
 if __name__ == "__main__":

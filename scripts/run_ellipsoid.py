@@ -8,11 +8,8 @@ areas, wall time, and residual fold count.
 
 import argparse
 
-from authalic.diagnostics import area_ratio_stats
-from authalic.energy import area_matched_authalic, energy_report_per_face
 from authalic.mesh import load_mesh, make_icosphere, normalize_area
 from authalic.pipeline import ParameterizeConfig, parameterize
-from authalic.sphere import count_folds
 
 
 def main():
@@ -38,12 +35,9 @@ def main():
     for strategy in ("interpolant", "bounded"):
         config = ParameterizeConfig(fpi_iters=args.fpi_iters,
                                     max_iters=args.max_iters, strategy=strategy)
-        result = parameterize(surface, config)
-        stats = area_ratio_stats(result.surface, result.mapping)
-        rep = energy_report_per_face(result.surface, result.mapping)
-        matched = area_matched_authalic(rep)
-        print(f"{strategy:>12}  {stats.sd_over_mean:9.4f}  {matched:10.3e}  "
-              f"{result.seconds:6.2f}s  {count_folds(result.surface, result.mapping)}")
+        summary = parameterize(surface, config).summary
+        print(f"{strategy:>12}  {summary['sd_over_mean']:9.4f}  {summary['authalic']:10.3e}  "
+              f"{summary['seconds']:6.2f}s  {summary['folds']}")
 
 
 if __name__ == "__main__":

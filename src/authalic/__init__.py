@@ -12,9 +12,7 @@ The core entry points:
 """
 
 from .energy import (EnergyReport, area_matched_authalic, assemble_laplacian,
-                     euclidean_gradient,
-                     image_area, image_area_gradient, normalized_energy,
-                     stretch_energy)
+                     energy_report_per_face, euclidean_gradient, image_area_gradient)
 from .errors import (AuthalicError, DegenerateFaceError, LineSearchError,
                      MeshFormatError, MeshTopologyError, SolveError)
 from .fpi import conformal_initial_map, fpi_minimize
@@ -23,7 +21,7 @@ from .mesh import (SimplicialSurface, build_surface, load_mesh, make_icosphere,
 from .pipeline import ParameterizeConfig, ParameterizeResult, parameterize
 from .registration import (compose_registration, homotopy_frame,
                            midpoint_targets, solve_alignment)
-from .rgd import IterationRecord, MinimizeResult, SolverConfig, minimize, riemannian_gradient
+from .rgd import IterationRecord, MinimizeResult, SolverConfig, minimize
 from .sphere import (PlanarPoints, count_folds, inverse_stereographic, invert_plane,
                      project_tangent, project_to_manifold, retract, stereographic)
 from .unfold import assemble_mean_value, correct_bijectivity

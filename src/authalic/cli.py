@@ -23,7 +23,7 @@ from .errors import AuthalicError
 from .fpi import DEFAULT_RADIUS
 from .mesh import (build_surface, load_mesh, normalize_area, parse_landmarks,
                    perturb_vertices, save_mesh)
-from .pipeline import ParameterizeConfig, parameterize, write_records_csv
+from .pipeline import CORRECTIONS, ParameterizeConfig, parameterize, write_records_csv
 from .registration import (ComposedMap, compose_registration, geodesic_mismatch,
                            homotopy_frame, midpoint_targets, solve_alignment)
 from .sphere import (count_folds, inverse_stereographic, project_to_manifold,
@@ -91,7 +91,7 @@ def main():
 @click.option("--log", "log_path", type=click.Path(dir_okay=False), default=None,
               help="Convergence CSV path (default: <out>/convergence.csv).")
 @click.option("--correct-bijectivity", "correct",
-              type=click.Choice(["off", "fpi", "rgd", "both"]), default="both",
+              type=click.Choice(CORRECTIONS), default="both",
               show_default=True)
 @click.option("--no-normalize", is_flag=True,
               help="Skip rescaling the mesh to total area 4*pi.")
@@ -261,9 +261,11 @@ def _check_lines(surface, probe_eigen: bool):
     row_err = np.abs(np.asarray(lap.sum(axis=1))).max() / max(abs(lap.data).max(), 1e-300)
     yield "laplacian rows sum to zero", row_err < 1e-10, f"residual {row_err:.2e}"
 
-    report = en.stretch_energy(surface, f, laplacian=lap)
-    per_face = float(np.sum(en.stretch_energy_per_face(surface, f)))
-    rel = abs(report.stretch - per_face) / abs(per_face)
+    # the Laplacian quadratic form (1/2) sum_s (f^s)^T L f^s against the
+    # per-face report the library runs
+    quadratic = 0.5 * float(np.sum(f * (lap @ f)))
+    per_face = en.energy_report_per_face(surface, f).stretch
+    rel = abs(quadratic - per_face) / abs(per_face)
     yield "stretch energy routes agree", rel < 1e-10, f"rel diff {rel:.2e}"
 
     ga = en.image_area_gradient(surface, f)

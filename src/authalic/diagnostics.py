@@ -51,6 +51,36 @@ def authalic_error(surface_noisy, surface_clean, ea_noisy: float, ea_clean: floa
     return surface_clean.n_vertices * abs(ea_noisy - ea_clean) / displacement
 
 
+def _fd_probe(surface, f: np.ndarray, step: float, max_coords: int | None,
+              min_abs: float | None = None):
+    """The analytic ambient gradient of the normalized energy at f,
+    flattened, the probed coordinates and their central differences.
+
+    Every coordinate is probed, or an even stride of at most `max_coords`
+    of them, skipping those whose gradient entry is at most `min_abs` in
+    magnitude when it is given.
+    """
+    if not 1e-8 <= step <= 1e-4:
+        raise ValueError("step must lie in [1e-8, 1e-4]")
+    f = np.asarray(f, dtype=np.float64)
+    grad = en.euclidean_gradient(surface, f).ravel()
+    flat = f.ravel()
+    total = flat.size
+    idx = np.arange(total)
+    if max_coords is not None and total > max_coords:
+        idx = idx[:: int(np.ceil(total / max_coords))]
+    if min_abs is not None:
+        idx = idx[np.abs(grad[idx]) > min_abs]
+    fd = np.empty(idx.size)
+    for k, i in enumerate(idx):
+        bump = np.zeros(total)
+        bump[i] = step
+        plus = en.energy_report_per_face(surface, (flat + bump).reshape(f.shape)).normalized
+        minus = en.energy_report_per_face(surface, (flat - bump).reshape(f.shape)).normalized
+        fd[k] = (plus - minus) / (2.0 * step)
+    return grad, idx, fd
+
+
 def fd_check_gradient(surface, f: np.ndarray, step: float = 1e-6,
                       max_coords: int | None = None) -> float:
     """Max relative error of the analytic ambient gradient of the
@@ -60,27 +90,8 @@ def fd_check_gradient(surface, f: np.ndarray, step: float = 1e-6,
     comparison.  `max_coords` caps the number of coordinates probed
     (evenly strided) to keep large meshes affordable.
     """
-    if not 1e-8 <= step <= 1e-4:
-        raise ValueError("step must lie in [1e-8, 1e-4]")
-    f = np.asarray(f, dtype=np.float64)
-    grad = en.euclidean_gradient(surface, f)
-    flat = f.ravel()
-    total = flat.size
-    idx = np.arange(total)
-    if max_coords is not None and total > max_coords:
-        idx = idx[:: int(np.ceil(total / max_coords))]
-    worst = 0.0
-    for i in idx:
-        gi = grad.ravel()[i]
-        if abs(gi) <= 1e-8:
-            continue
-        bump = np.zeros(total)
-        bump[i] = step
-        plus = en.normalized_energy(surface, (flat + bump).reshape(f.shape))
-        minus = en.normalized_energy(surface, (flat - bump).reshape(f.shape))
-        fd = (plus - minus) / (2.0 * step)
-        worst = max(worst, abs(fd - gi) / abs(gi))
-    return worst
+    grad, idx, fd = _fd_probe(surface, f, step, max_coords, min_abs=1e-8)
+    return max([0.0, *(np.abs(fd - grad[idx]) / np.abs(grad[idx]))])
 
 
 def fd_gradient_norm_error(surface, f: np.ndarray, step: float = 1e-6,
@@ -93,23 +104,8 @@ def fd_gradient_norm_error(surface, f: np.ndarray, step: float = 1e-6,
     entries much smaller than the gradient scale, so for arbitrary
     meshes a go/no-go check should use this one.
     """
-    if not 1e-8 <= step <= 1e-4:
-        raise ValueError("step must lie in [1e-8, 1e-4]")
-    f = np.asarray(f, dtype=np.float64)
-    grad = en.euclidean_gradient(surface, f)
-    flat = f.ravel()
-    total = flat.size
-    idx = np.arange(total)
-    if max_coords is not None and total > max_coords:
-        idx = idx[:: int(np.ceil(total / max_coords))]
-    worst = 0.0
-    for i in idx:
-        bump = np.zeros(total)
-        bump[i] = step
-        plus = en.normalized_energy(surface, (flat + bump).reshape(f.shape))
-        minus = en.normalized_energy(surface, (flat - bump).reshape(f.shape))
-        worst = max(worst, abs((plus - minus) / (2.0 * step) - grad.ravel()[i]))
-    return worst / max(np.abs(grad).max(), 1e-300)
+    grad, idx, fd = _fd_probe(surface, f, step, max_coords)
+    return max([0.0, *np.abs(fd - grad[idx])]) / max(np.abs(grad).max(), 1e-300)
 
 
 @dataclass(frozen=True)

@@ -21,12 +21,15 @@ gradient is sum_tau c_tau grad |f(tau)| with
 one gather of the corner positions and one scatter of the nine
 closed-form area partials per face onto the vertices, all from one
 :class:`FaceGeometry` that also gives the energies and the fold count.
-That per-face route is the one the library runs; the Laplacian routes
-(the quadratic form in :func:`stretch_energy`,
-:func:`image_area_gradient_via_laplacian`, and ``L f`` from
-:func:`assemble_laplacian`) are kept as independent cross-checks.  The
-per-face 9x9 Hessian of the stretch energy is available in closed form
-for diagnostics.
+
+There is one route to each energy: :func:`geometry_report` on a
+:class:`FaceGeometry`, or :func:`energy_report_per_face` on a mapping;
+callers read ``stretch``, ``image_area`` or ``normalized`` from the
+:class:`EnergyReport`.  The Laplacian routes stay as independent
+cross-checks: :func:`image_area_gradient_via_laplacian` and ``L f`` from
+:func:`assemble_laplacian` here, the quadratic form in ``authalic check``
+and in the test helpers.  The per-face 9x9 Hessian of the stretch energy
+is available in closed form for diagnostics.
 """
 
 from __future__ import annotations
@@ -107,11 +110,6 @@ def check_geometry(geom: FaceGeometry) -> None:
         )
 
 
-def image_area(surface, f: np.ndarray) -> float:
-    """Total unsigned area of the image mapping."""
-    return float(face_geometry(surface, f, check=False).image_areas.sum())
-
-
 def _corner_weights(surface, f: np.ndarray):
     """Modified cotangent weight per face corner (the corner opposite the
     weighted edge): w = dot of the two image edges at the corner / (4 |tau|)."""
@@ -149,17 +147,12 @@ def assemble_laplacian(surface, f: np.ndarray) -> sp.csr_matrix:
     return (lap + sp.diags(diag)).tocsr()
 
 
-def stretch_energy_per_face(surface, f: np.ndarray) -> np.ndarray:
-    """(image area)^2 / (reference area) for every face."""
-    geom = face_geometry(surface, f, check=False)
-    return geom.image_areas**2 / surface.face_areas
-
-
 @dataclass(frozen=True)
 class EnergyReport:
     """Energy values at a mapping.
 
-    stretch : the Laplacian quadratic form (1/2) sum_s (f^s)^T L f^s
+    stretch : sum over faces of (image area)^2 / (reference area), which
+        equals the Laplacian quadratic form (1/2) sum_s (f^s)^T L f^s
     image_area : A(f)
     authalic : stretch - image_area (zero exactly at area preservation)
     normalized : (|M| / A(f)) * stretch, the objective driven to a minimum
@@ -169,22 +162,6 @@ class EnergyReport:
     image_area: float
     authalic: float
     normalized: float
-
-
-def stretch_energy(surface, f: np.ndarray, laplacian: sp.csr_matrix | None = None) -> EnergyReport:
-    """Evaluate all energies via the Laplacian quadratic form."""
-    f = np.asarray(f, dtype=np.float64)
-    lap = assemble_laplacian(surface, f) if laplacian is None else laplacian
-    e_s = 0.5 * float(np.sum(f * (lap @ f)))
-    area = image_area(surface, f)
-    if area <= 0:
-        raise DegenerateFaceError("image area is zero")
-    return EnergyReport(
-        stretch=e_s,
-        image_area=area,
-        authalic=e_s - area,
-        normalized=surface.total_area / area * e_s,
-    )
 
 
 def geometry_report(surface, geom: FaceGeometry) -> EnergyReport:
@@ -198,14 +175,9 @@ def geometry_report(surface, geom: FaceGeometry) -> EnergyReport:
                         normalized=surface.total_area / area * e_s)
 
 
-def normalized_energy(surface, f: np.ndarray) -> float:
-    """The objective (|M| / A(f)) * E_stretch, per face, no sparse assembly."""
-    return geometry_report(surface, face_geometry(surface, f, check=False)).normalized
-
-
 def energy_report_per_face(surface, f: np.ndarray) -> EnergyReport:
-    """EnergyReport via the per-face route (same values as
-    :func:`stretch_energy` to roundoff, cheaper)."""
+    """EnergyReport of the mapping `f`: :func:`geometry_report` of its
+    unchecked face geometry."""
     return geometry_report(surface, face_geometry(surface, f, check=False))
 
 

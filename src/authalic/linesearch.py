@@ -23,6 +23,7 @@ from .sphere import retract, row_dots
 DEFAULT_C1 = 1e-4
 DEFAULT_ALPHA_MAX = 1.0
 DEFAULT_MAX_BACKTRACKS = 30
+STRATEGIES = ("interpolant", "bounded")
 # safeguard window for each interpolated step, relative to the last trial
 CLAMP_LO = 0.1
 CLAMP_HI = 0.5
@@ -36,8 +37,6 @@ class LineSearchState:
     dphi0: float
     alpha0: float
     c1: float = DEFAULT_C1
-    alpha_max: float = DEFAULT_ALPHA_MAX
-    max_backtracks: int = DEFAULT_MAX_BACKTRACKS
     alpha_prev: float | None = None
     phi_prev: float | None = None
     alpha_2prev: float | None = None
@@ -126,8 +125,7 @@ def _sufficient(state: LineSearchState, alpha: float, phi_alpha: float) -> bool:
     return phi_alpha <= state.phi0 + state.c1 * alpha * state.dphi0
 
 
-def search(surface, f: np.ndarray, d: np.ndarray, *, energy=None, egrad=None,
-           phi0: float | None = None, dphi0: float | None = None,
+def search(f: np.ndarray, d: np.ndarray, *, energy, phi0: float, dphi0: float,
            strategy: str = "interpolant", alpha0: float = 1.0,
            c1: float = DEFAULT_C1, alpha_max: float = DEFAULT_ALPHA_MAX,
            max_backtracks: int = DEFAULT_MAX_BACKTRACKS) -> LineSearchResult:
@@ -135,11 +133,11 @@ def search(surface, f: np.ndarray, d: np.ndarray, *, energy=None, egrad=None,
 
     Parameters
     ----------
-    energy : callable, optional
-        Maps a candidate (n, 3) mapping to the objective value.  Defaults
-        to the normalized stretch energy on `surface`.
-    egrad : (n, 3) array, optional
-        Ambient gradient at f; required when `dphi0` is not given.
+    energy : callable
+        Maps a candidate (n, 3) mapping to the objective value.
+    phi0, dphi0 : float
+        The objective at f and its derivative along the retracted curve
+        (:func:`phi_derivative_at_zero`); `dphi0` must be negative.
     strategy : {"interpolant", "bounded"}
 
     Returns
@@ -148,21 +146,11 @@ def search(surface, f: np.ndarray, d: np.ndarray, *, energy=None, egrad=None,
         `ok` is False when no trial satisfied the condition within the
         backtrack budget; the best trial seen is still returned.
     """
-    if energy is None:
-        from .energy import normalized_energy
-        energy = lambda g: normalized_energy(surface, g)
-    if phi0 is None:
-        phi0 = energy(f)
-    if dphi0 is None:
-        if egrad is None:
-            raise ValueError("either dphi0 or egrad must be provided")
-        dphi0 = phi_derivative_at_zero(f, d, egrad)
     if not dphi0 < 0.0:
         raise LineSearchError(f"not a descent direction (phi'(0) = {dphi0:.3e})")
 
     state = LineSearchState(phi0=phi0, dphi0=dphi0,
-                            alpha0=min(float(alpha0), alpha_max),
-                            c1=c1, alpha_max=alpha_max, max_backtracks=max_backtracks)
+                            alpha0=min(float(alpha0), alpha_max), c1=c1)
     evals = 0
 
     def phi(alpha: float):

@@ -13,7 +13,8 @@ against the contract
 
     ||A x - b|| <= rtol * (||A||_inf ||x|| + ||b||)     per column,
 
-and a violation raises :class:`SolveError` with a condition estimate.
+and a violation raises :class:`SolveError` with a 1-norm condition
+estimate.
 """
 
 from __future__ import annotations
@@ -27,11 +28,18 @@ from .errors import SolveError
 RESIDUAL_RTOL = 1e-10
 
 
-def _condition_estimate(lu, a_norm: float, n: int) -> float:
+def _condition_estimate(lu, matrix: sp.csc_matrix) -> float:
+    """1-norm condition estimate ||A||_1 ||A^-1||_1 from the factors of A
+    (or of a symmetric permutation of A), inf when it cannot be formed."""
     # the 1-norm of the inverse is invariant under a symmetric permutation,
-    # so the factors of the reordered matrix estimate the caller's one
+    # so the factors of the reordered matrix estimate the caller's one;
+    # onenormest needs products with the transpose as well
+    n = matrix.shape[0]
     try:
-        inv_op = spla.LinearOperator((n, n), matvec=lu.solve, dtype=np.float64)
+        inv_op = spla.LinearOperator((n, n), matvec=lu.solve,
+                                     rmatvec=lambda v: lu.solve(v, trans="T"),
+                                     dtype=np.float64)
+        a_norm = float(abs(matrix).sum(axis=0).max()) if matrix.nnz else 0.0
         return float(a_norm * spla.onenormest(inv_op))
     except Exception:
         return float("inf")
@@ -91,7 +99,7 @@ def solve(matrix: sp.spmatrix, rhs, rtol: float = RESIDUAL_RTOL,
         raise SolveError(
             "solve failed the residual contract "
             f"(residual {residual.max():.3e}, bound {bound.max():.3e}, "
-            f"condition estimate {_condition_estimate(lu, a_norm, n):.3e}); "
+            f"condition estimate {_condition_estimate(lu, matrix):.3e}); "
             "matrix singular or ill-conditioned"
         )
     if split:

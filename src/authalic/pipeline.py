@@ -17,6 +17,7 @@ import numpy as np
 from . import energy as en
 from .diagnostics import geometry_ratio_stats
 from .fpi import DEFAULT_RADIUS, conformal_initial_map, fpi_minimize
+from .linesearch import STRATEGIES
 from .mesh import SPHERE_AREA, SimplicialSurface, normalize_area
 from .rgd import IterationRecord, MinimizeResult, SolverConfig, minimize
 # the summary reads the fold count from the face geometry; count_folds stays
@@ -25,20 +26,30 @@ from .sphere import count_folds  # noqa: F401
 from .unfold import CorrectionResult, correct_bijectivity
 
 CSV_HEADER = "iter,E_S,E_A,E,sd_over_mean,grad_norm,alpha,folds,elapsed_s"
+CORRECTIONS = ("off", "fpi", "rgd", "both")
 
 
 @dataclass(frozen=True)
 class ParameterizeConfig:
+    """Settings of :func:`parameterize`.  `correct` picks the fold
+    corrections (after FPI, after RGD, both or off); an unknown `correct`
+    or `strategy` raises ``ValueError`` here, before any work is done."""
+
     fpi_iters: int = 10
     max_iters: int = 100
     strategy: str = "interpolant"
     radius: float = DEFAULT_RADIUS
     c1: float = 1e-4
     alpha_max: float = 1.0
-    epsilon: float = 1e-6
-    correct: str = "both"  # off | fpi | rgd | both
+    correct: str = "both"
     seed: int = 0
     normalize: bool = True
+
+    def __post_init__(self):
+        for name, allowed in (("strategy", STRATEGIES), ("correct", CORRECTIONS)):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"unknown {name} {getattr(self, name)!r}, "
+                                 f"expected one of {allowed}")
 
 
 @dataclass(frozen=True)
@@ -83,7 +94,7 @@ def parameterize(surface: SimplicialSurface,
     corrections: dict[str, CorrectionResult] = {}
 
     if config.fpi_iters > 0:
-        fpi = fpi_minimize(surface, f, epsilon=config.epsilon, r=config.radius,
+        fpi = fpi_minimize(surface, f, r=config.radius,
                            max_iters=config.fpi_iters, stop_on_increase=True)
         f = fpi.mapping
         fpi_status = fpi.status

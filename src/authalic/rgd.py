@@ -31,24 +31,28 @@ from .sphere import count_folds, project_tangent  # noqa: F401
 logger = logging.getLogger(__name__)
 
 
+STALL_ITERS = 3
+
+
 @dataclass
 class SolverConfig:
     """Stopping rules and line-search knobs for :func:`minimize`.
 
     grad_tol defaults to 1e-6 * sqrt(n) when left as None; the energy
-    stall test fires after `stall_iters` consecutive iterations whose
-    authalic-energy decrease falls below `energy_tol`.
+    stall test fires after :data:`STALL_ITERS` consecutive iterations
+    whose authalic-energy decrease falls below `energy_tol` (a negative
+    infinite `energy_tol` never stalls).  `strategy`, `c1` and
+    `alpha_max` go to :func:`~authalic.linesearch.search`, which keeps
+    its own backtrack budget.
     """
 
     max_iters: int = 100
     grad_tol: float | None = None
     energy_tol: float = 1e-12
-    stall_iters: int = 3
     strategy: str = "interpolant"
     log_every: int = 0
     c1: float = 1e-4
     alpha_max: float = 1.0
-    max_backtracks: int = 30
 
 
 @dataclass(frozen=True)
@@ -115,11 +119,6 @@ class NormalizedStretchObjective(GeometryMemo):
         en.check_geometry(geom)
         report = self.report(f)
         return report.normalized, en.normalized_gradient(self.surface, geom, report), report
-
-
-def riemannian_gradient(surface, f: np.ndarray) -> np.ndarray:
-    """Tangent projection of the ambient gradient of the normalized energy."""
-    return project_tangent(f, en.euclidean_gradient(surface, f))
 
 
 def make_record(geom: en.FaceGeometry, report: en.EnergyReport, iteration: int,
@@ -194,9 +193,9 @@ def minimize(surface, f0: np.ndarray, config: SolverConfig | None = None,
             alpha0 = min(config.alpha_max, 2.0 * (value - prev_value) / dphi0)
             if not np.isfinite(alpha0) or alpha0 <= 0:
                 alpha0 = config.alpha_max
-        ls = search(surface, f, d, energy=objective.value, phi0=value, dphi0=dphi0,
+        ls = search(f, d, energy=objective.value, phi0=value, dphi0=dphi0,
                     strategy=config.strategy, alpha0=alpha0, c1=config.c1,
-                    alpha_max=config.alpha_max, max_backtracks=config.max_backtracks)
+                    alpha_max=config.alpha_max)
         if not ls.ok:
             return MinimizeResult(f, records, "line_search_failed", ls.message)
 
@@ -211,10 +210,10 @@ def minimize(surface, f0: np.ndarray, config: SolverConfig | None = None,
 
         if prev_authalic is not None and prev_authalic - record.authalic < config.energy_tol:
             stall_count += 1
-            if stall_count >= config.stall_iters:
+            if stall_count >= STALL_ITERS:
                 return MinimizeResult(f, records, "energy_stalled",
                                       f"authalic decrease < {config.energy_tol:g} "
-                                      f"for {config.stall_iters} iterations")
+                                      f"for {STALL_ITERS} iterations")
         else:
             stall_count = 0
         prev_authalic = record.authalic

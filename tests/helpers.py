@@ -7,8 +7,16 @@ so that agreement is meaningful.
 
 import numpy as np
 
+from authalic.energy import assemble_laplacian
 from authalic.mesh import build_surface, make_icosphere
 from authalic.sphere import project_to_manifold
+
+
+def laplacian_stretch(surface, f):
+    """Stretch energy as the Laplacian quadratic form
+    (1/2) sum_s (f^s)^T L f^s, the cross-check of the per-face sum."""
+    f = np.asarray(f, dtype=np.float64)
+    return 0.5 * float(np.sum(f * (assemble_laplacian(surface, f) @ f)))
 
 
 def dense_stretch_laplacian(surface, f):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -175,6 +176,21 @@ def test_check_certifies_both_fold_routes(sphere_file, monkeypatch):
     result = CliRunner().invoke(main, ["check", sphere_file])
     assert result.exit_code == 1
     assert "[FAIL] fold detector counts a flipped face" in result.output
+
+
+def test_check_certifies_the_per_face_energy_route(sphere_file, monkeypatch):
+    # the Laplacian quadratic form guards the per-face report: a stretch
+    # off by 1e-8 relative fails the check
+    report = en.energy_report_per_face
+
+    def skewed(surface, f):
+        rep = report(surface, f)
+        return dataclasses.replace(rep, stretch=rep.stretch * (1.0 + 1e-8))
+
+    monkeypatch.setattr(en, "energy_report_per_face", skewed)
+    result = CliRunner().invoke(main, ["check", sphere_file])
+    assert result.exit_code == 1
+    assert "[FAIL] stretch energy routes agree" in result.output
 
 
 def test_check_probe_eigen(sphere_file):

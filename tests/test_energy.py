@@ -3,17 +3,16 @@ import pytest
 
 from authalic.energy import (area_gradient, assemble_global_hessian, assemble_laplacian,
                              energy_report_per_face, euclidean_gradient,
-                             face_geometry, face_hessian, image_area,
-                             image_area_gradient, image_area_gradient_via_laplacian,
-                             normalized_energy, stretch_energy,
-                             stretch_energy_per_face, _corner_weights)
+                             face_geometry, face_hessian, image_area_gradient,
+                             image_area_gradient_via_laplacian, _corner_weights)
 from authalic.errors import DegenerateFaceError
 from authalic.mesh import build_surface
 from authalic.sphere import (face_orientations, project_tangent, project_to_manifold,
                              retract)
 
 from helpers import (central_difference_gradient, dense_stretch_laplacian,
-                     inverted_vertex_map, random_tetrahedron, regular_tetrahedron)
+                     inverted_vertex_map, laplacian_stretch, random_tetrahedron,
+                     regular_tetrahedron)
 
 
 def perturbed_mapping(surface, seed, amplitude=0.05):
@@ -127,8 +126,11 @@ def test_degenerate_image_face_rejected(icosphere1):
 # ---------------------------------------------------------------------------
 
 def test_identity_on_unit_sphere_mesh_is_area_preserving(icosphere2):
-    rep = stretch_energy(icosphere2, icosphere2.vertices)
+    rep = energy_report_per_face(icosphere2, icosphere2.vertices)
+    quadratic = laplacian_stretch(icosphere2, icosphere2.vertices)
     assert abs(rep.authalic) <= 1e-10
+    assert abs(quadratic - rep.image_area) <= 1e-10
+    assert quadratic == pytest.approx(icosphere2.total_area, rel=1e-12)
     assert rep.stretch == pytest.approx(icosphere2.total_area, rel=1e-12)
     assert rep.image_area == pytest.approx(icosphere2.total_area, rel=1e-12)
     assert rep.normalized == pytest.approx(icosphere2.total_area, rel=1e-12)
@@ -137,22 +139,25 @@ def test_identity_on_unit_sphere_mesh_is_area_preserving(icosphere2):
 def test_uniform_scale_per_face_energy():
     tetra = regular_tetrahedron()
     s = 1.7
-    per_face = stretch_energy_per_face(tetra, s * tetra.vertices)
+    geom = face_geometry(tetra, s * tetra.vertices, check=False)
+    per_face = geom.image_areas**2 / geom.ref_areas
     assert per_face == pytest.approx(s**4 * tetra.face_areas, rel=1e-12)
-    rep = stretch_energy(tetra, s * tetra.vertices)
+    rep = energy_report_per_face(tetra, s * tetra.vertices)
+    quadratic = laplacian_stretch(tetra, s * tetra.vertices)
     total = tetra.total_area
-    assert rep.stretch == pytest.approx(s**4 * total, rel=1e-12)
-    assert rep.authalic == pytest.approx(s**4 * total - s**2 * total, rel=1e-12)
+    for stretch in (rep.stretch, quadratic):
+        assert stretch == pytest.approx(s**4 * total, rel=1e-12)
+        assert stretch - rep.image_area == pytest.approx(s**4 * total - s**2 * total,
+                                                         rel=1e-12)
 
 
 def test_matrix_and_per_face_energy_agree(icosphere2):
     f = perturbed_mapping(icosphere2, 4)
-    rep = stretch_energy(icosphere2, f)
-    per_face = stretch_energy_per_face(icosphere2, f).sum()
-    assert abs(rep.stretch - per_face) <= 1e-10 * per_face
-    fast = energy_report_per_face(icosphere2, f)
-    assert fast.normalized == pytest.approx(rep.normalized, rel=1e-12)
-    assert normalized_energy(icosphere2, f) == pytest.approx(rep.normalized, rel=1e-12)
+    quadratic = laplacian_stretch(icosphere2, f)
+    rep = energy_report_per_face(icosphere2, f)
+    assert abs(quadratic - rep.stretch) <= 1e-10 * rep.stretch
+    assert rep.normalized == pytest.approx(icosphere2.total_area / rep.image_area * quadratic,
+                                           rel=1e-12)
 
 
 def test_authalic_identity_and_nonnegativity(icosphere2):
@@ -210,7 +215,8 @@ def test_area_gradient_dual_routes_on_random_faces():
 def test_area_gradient_matches_finite_differences(icosphere1):
     f = perturbed_mapping(icosphere1, 2)
     grad = image_area_gradient(icosphere1, f)
-    fd = central_difference_gradient(lambda g: image_area(icosphere1, g), f)
+    fd = central_difference_gradient(
+        lambda g: energy_report_per_face(icosphere1, g).image_area, f)
     mask = np.abs(grad) > 1e-8
     rel = np.abs(fd - grad)[mask] / np.abs(grad)[mask]
     assert rel.max() <= 1e-6
@@ -223,7 +229,8 @@ def test_area_gradient_matches_finite_differences(icosphere1):
 def test_euclidean_gradient_matches_finite_differences(icosphere2):
     f = perturbed_mapping(icosphere2, 12)
     grad = euclidean_gradient(icosphere2, f)
-    fd = central_difference_gradient(lambda g: normalized_energy(icosphere2, g), f)
+    fd = central_difference_gradient(
+        lambda g: energy_report_per_face(icosphere2, g).normalized, f)
     mask = np.abs(grad) > 1e-8
     rel = np.abs(fd - grad)[mask] / np.abs(grad)[mask]
     assert rel.max() <= 1e-6
@@ -263,7 +270,8 @@ def test_face_hessian_matches_finite_differences(icosphere1):
                 g = f.copy()
                 g[idx[ca], sa] += da
                 g[idx[cb], sb] += db
-                return stretch_energy_per_face(icosphere1, g)[fi]
+                geom = face_geometry(icosphere1, g, check=False)
+                return geom.image_areas[fi]**2 / geom.ref_areas[fi]
 
             fd[a, b] = (at(eps, eps) - at(eps, -eps)
                         - at(-eps, eps) + at(-eps, -eps)) / (4 * eps * eps)

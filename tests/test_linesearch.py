@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from authalic.energy import euclidean_gradient, normalized_energy
+from authalic.energy import energy_report_per_face, euclidean_gradient
 from authalic.errors import LineSearchError
 from authalic.linesearch import (LineSearchState, cubic_backtrack_step, cubic_fit,
                                  phi_derivative_at_zero, quadratic_backtrack_step,
                                  search)
-from authalic.rgd import riemannian_gradient
 from authalic.sphere import project_tangent, project_to_manifold, retract
 
 
@@ -15,6 +14,17 @@ def ellipsoid_state(ellipsoid3):
     egrad = euclidean_gradient(ellipsoid3, f)
     d = -project_tangent(f, egrad)
     return f, egrad, d
+
+
+def normalized(surface):
+    return lambda g: energy_report_per_face(surface, g).normalized
+
+
+def ellipsoid_search(ellipsoid3, f, d, egrad, **kwargs):
+    """Search on the normalized energy, from phi(0) and phi'(0) at f."""
+    energy = normalized(ellipsoid3)
+    return search(f, d, energy=energy, phi0=energy(f),
+                  dphi0=phi_derivative_at_zero(f, d, egrad), **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -26,7 +36,7 @@ def test_phi_derivative_reduces_to_inner_product(ellipsoid3):
     value = phi_derivative_at_zero(f, d, egrad)
     assert value == pytest.approx(float(np.sum(egrad * d)), rel=1e-12)
     # equals the Riemannian inner product with the projected gradient
-    rgrad = riemannian_gradient(ellipsoid3, f)
+    rgrad = project_tangent(f, egrad)
     assert abs(value - float(np.sum(rgrad * d))) <= 1e-10 * abs(value)
 
 
@@ -42,8 +52,8 @@ def test_phi_derivative_matches_curve_finite_difference(ellipsoid3):
     f, egrad, d = ellipsoid_state(ellipsoid3)
     value = phi_derivative_at_zero(f, d, egrad)
     eps = 1e-6
-    fd = (normalized_energy(ellipsoid3, retract(f, eps * d))
-          - normalized_energy(ellipsoid3, retract(f, -eps * d))) / (2 * eps)
+    energy = normalized(ellipsoid3)
+    fd = (energy(retract(f, eps * d)) - energy(retract(f, -eps * d))) / (2 * eps)
     assert abs(fd - value) <= 1e-6 * abs(value)
 
 
@@ -123,25 +133,27 @@ def test_cubic_negative_discriminant_falls_back():
 
 def test_first_trial_accepted_when_condition_holds(ellipsoid3):
     f, egrad, d = ellipsoid_state(ellipsoid3)
-    res = search(ellipsoid3, f, d, egrad=egrad, strategy="interpolant")
+    res = ellipsoid_search(ellipsoid3, f, d, egrad, strategy="interpolant")
     assert res.ok and res.evals == 1 and res.alpha == 1.0
 
 
 def test_accepted_step_satisfies_sufficient_decrease(ellipsoid3):
     f, egrad, d = ellipsoid_state(ellipsoid3)
-    phi0 = normalized_energy(ellipsoid3, f)
+    energy = normalized(ellipsoid3)
+    phi0 = energy(f)
     dphi0 = phi_derivative_at_zero(f, d, egrad)
-    res = search(ellipsoid3, f, d, egrad=egrad, strategy="interpolant")
+    res = ellipsoid_search(ellipsoid3, f, d, egrad, strategy="interpolant")
     # re-evaluate the condition independently of the search bookkeeping
-    assert normalized_energy(ellipsoid3, res.mapping) <= phi0 + 1e-4 * res.alpha * dphi0
+    assert energy(res.mapping) <= phi0 + 1e-4 * res.alpha * dphi0
     assert res.energy < phi0
 
 
 def test_bounded_strategy_beats_grid_scan(ellipsoid3):
     f, egrad, d = ellipsoid_state(ellipsoid3)
-    res = search(ellipsoid3, f, d, egrad=egrad, strategy="bounded")
+    res = ellipsoid_search(ellipsoid3, f, d, egrad, strategy="bounded")
     assert res.ok
-    grid = min(normalized_energy(ellipsoid3, retract(f, a * d))
+    energy = normalized(ellipsoid3)
+    grid = min(energy(retract(f, a * d))
                for a in np.linspace(0.0, 1.0, 1000)[1:])
     assert res.energy <= grid + 1e-8
 
@@ -158,7 +170,7 @@ def test_backtracking_sequence_decreasing_and_bounded():
         trials.append(alpha)
         return 1.0  # never below phi0 + c1 alpha dphi0
 
-    res = search(None, f, d, energy=stubborn, phi0=1.0, dphi0=-1.0,
+    res = search(f, d, energy=stubborn, phi0=1.0, dphi0=-1.0,
                  strategy="interpolant", alpha0=1.0, max_backtracks=12)
     assert not res.ok
     assert len(trials) == 13
@@ -170,12 +182,12 @@ def test_backtracking_sequence_decreasing_and_bounded():
 def test_non_descent_direction_rejected(ellipsoid3):
     f, egrad, d = ellipsoid_state(ellipsoid3)
     with pytest.raises(LineSearchError, match="descent"):
-        search(ellipsoid3, f, -d, egrad=egrad)
+        ellipsoid_search(ellipsoid3, f, -d, egrad)
 
 
 def test_unknown_strategy():
     f = np.array([[1.0, 0.0, 0.0]])
     d = np.array([[0.0, 1.0, 0.0]])
     with pytest.raises(ValueError, match="strategy"):
-        search(None, f, d, energy=lambda g: 0.0, phi0=1.0, dphi0=-1.0,
+        search(f, d, energy=lambda g: 0.0, phi0=1.0, dphi0=-1.0,
                strategy="golden")

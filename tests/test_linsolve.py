@@ -6,7 +6,7 @@ import scipy.sparse.linalg as spla
 from authalic.energy import assemble_laplacian
 from authalic.errors import SolveError
 from authalic.fpi import _interior_mask, conformal_initial_map
-from authalic.linsolve import solve
+from authalic.linsolve import _condition_estimate, solve
 from authalic.mesh import make_icosphere, normalize_area
 from authalic.sphere import invert_plane, stereographic
 
@@ -124,6 +124,23 @@ def test_singular_matrix_reported():
     a = sp.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(SolveError):
         solve(a, np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("permuted", [False, True])
+def test_condition_estimate_is_the_one_norm_condition_number(permuted):
+    rng = np.random.default_rng(4)
+    dense = np.diag(rng.uniform(0.5, 2.0, 30)) + 0.2 * rng.normal(size=(30, 30))
+    dense[0, 1:] *= 40.0  # unsymmetric and not too well conditioned
+    a = sp.csc_matrix(dense)
+    if permuted:
+        order = rng.permutation(30)
+        lu = spla.splu(a[order][:, order], permc_spec="NATURAL")
+    else:
+        lu = spla.splu(a)
+    estimate = _condition_estimate(lu, a)
+    exact = np.linalg.cond(dense, 1)
+    assert np.isfinite(estimate)
+    assert exact / 3.0 <= estimate <= 3.0 * exact
 
 
 def test_shape_validation():

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
-from authalic.energy import energy_report_per_face, normalized_energy
+from authalic.energy import energy_report_per_face, euclidean_gradient
 from authalic.mesh import make_icosphere, normalize_area
 from authalic.diagnostics import area_ratio_stats
-from authalic.rgd import SolverConfig, minimize, riemannian_gradient
+from authalic.rgd import SolverConfig, minimize
 from authalic.sphere import project_tangent, project_to_manifold, retract
+
+
+def riemannian_gradient(surface, f):
+    return project_tangent(f, euclidean_gradient(surface, f))
 
 
 def test_riemannian_gradient_rows_tangent(ellipsoid3):
@@ -29,8 +33,8 @@ def test_directional_derivative_first_order(ellipsoid3):
     xi = project_tangent(f, rng.normal(size=f.shape))
     xi /= np.linalg.norm(xi)
     eps = 1e-7
-    fd = (normalized_energy(ellipsoid3, retract(f, eps * xi))
-          - normalized_energy(ellipsoid3, retract(f, -eps * xi))) / (2 * eps)
+    fd = (energy_report_per_face(ellipsoid3, retract(f, eps * xi)).normalized
+          - energy_report_per_face(ellipsoid3, retract(f, -eps * xi)).normalized) / (2 * eps)
     inner = float(np.sum(rgrad * xi))
     assert fd == pytest.approx(inner, rel=1e-5)
 
@@ -97,8 +101,7 @@ def test_energy_stall_stop(icosphere2):
     # identity on the unit icosphere is already area distortion minimizing
     # in practice: tiny decreases trip the stall rule quickly
     result = minimize(icosphere2, icosphere2.vertices,
-                      SolverConfig(max_iters=4000, energy_tol=1e-9, stall_iters=3,
-                                   grad_tol=0.0))
+                      SolverConfig(max_iters=4000, energy_tol=1e-9, grad_tol=0.0))
     assert result.status in ("energy_stalled", "line_search_failed")
 
 
@@ -108,7 +111,7 @@ def test_gradient_falls_with_generous_budget():
     surf = normalize_area(make_icosphere(1, (1.0, 0.9, 0.8)))
     f0 = project_to_manifold(surf.vertices)
     result = minimize(surf, f0, SolverConfig(max_iters=5000, grad_tol=1e-4,
-                                             energy_tol=0.0, stall_iters=10**9))
+                                             energy_tol=-np.inf))
     assert result.status == "grad_converged"
     assert np.linalg.norm(riemannian_gradient(surf, result.mapping)) <= 1e-4
 
