@@ -25,6 +25,8 @@ from .sphere import (PlanarPoints, count_folds, inverse_stereographic,
                      invert_plane, stereographic)
 
 DEFAULT_RADIUS = 1.2
+# FPI stops once an iteration lowers the stretch energy by no more than this
+STRETCH_DECREASE_TOL = 1e-6
 
 # equilateral pinning targets for the punctured face, counterclockwise
 _PIN = np.exp(1j * np.array([np.pi / 2, np.pi / 2 + 2 * np.pi / 3, np.pi / 2 + 4 * np.pi / 3]))
@@ -114,20 +116,17 @@ def dirichlet_solve(surface, lap, h: PlanarPoints, interior: np.ndarray):
     return PlanarPoints(values=values, at_infinity=h.at_infinity.copy()), fixed
 
 
-def fpi_minimize(surface, f0: np.ndarray, epsilon: float = 1e-6,
-                 r: float = DEFAULT_RADIUS, max_iters: int = 10,
+def fpi_minimize(surface, f0: np.ndarray, r: float = DEFAULT_RADIUS, max_iters: int = 10,
                  stop_on_increase: bool = True) -> FPIResult:
     """Alternating hemisphere fixed-point iteration from `f0`.
 
     Each iteration: rebuild the image-weighted Laplacian, invert the
     plane (swapping hemispheres), re-solve the interior {|h| < r}, rescale
     to unit median magnitude, and lift back to the sphere.  Stops when
-    the stretch-energy decrease drops to `epsilon` or (when
-    `stop_on_increase`) at the first authalic-energy increase, returning
-    the pre-increase mapping.
+    the stretch-energy decrease drops to :data:`STRETCH_DECREASE_TOL` or
+    (when `stop_on_increase`) at the first authalic-energy increase,
+    returning the pre-increase mapping.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
     if r <= 1.0:
         raise ValueError("radius must exceed 1")
     current = np.asarray(f0, dtype=np.float64).copy()
@@ -160,7 +159,7 @@ def fpi_minimize(surface, f0: np.ndarray, epsilon: float = 1e-6,
             return FPIResult(current, records, k, "authalic_increased", boundary_fixed)
         delta = report.stretch - report_new.stretch
         current, report = f_new, report_new
-        if delta <= epsilon:
+        if delta <= STRETCH_DECREASE_TOL:
             return FPIResult(current, records, None, "delta_converged", boundary_fixed)
 
     return FPIResult(current, records, None, "max_iters", boundary_fixed)

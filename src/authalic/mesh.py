@@ -137,9 +137,7 @@ def build_surface(vertices, faces, genus_check: str = "error") -> SimplicialSurf
     if degenerate.any():
         raise MeshTopologyError(f"degenerate face (repeated vertex) at index {int(np.flatnonzero(degenerate)[0])}")
 
-    pairs = faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-    pairs = np.sort(pairs, axis=1)
-    edges, counts = np.unique(pairs, axis=0, return_counts=True)
+    edges, counts = edge_table(faces)
     if (counts > 2).any():
         e = edges[np.flatnonzero(counts > 2)[0]]
         raise MeshTopologyError(f"non-manifold edge {tuple(int(v) for v in e)} shared by >2 faces")
@@ -156,6 +154,20 @@ def build_surface(vertices, faces, genus_check: str = "error") -> SimplicialSurf
         face_areas=_freeze(areas),
         total_area=float(areas.sum()),
     )
+
+
+def edge_table(faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Undirected edges of the faces and how many faces share each.
+
+    Each face side is keyed by the scalar ``i * n + j`` of its sorted pair
+    (`n` exceeds every index), so one 1-D ``np.unique`` orders the edges
+    lexicographically and counts them.  Returns the (e, 2) sorted pairs
+    and the (e,) counts.
+    """
+    pairs = np.sort(faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    n = int(pairs.max()) + 1 if pairs.size else 1
+    keys, counts = np.unique(pairs[:, 0] * n + pairs[:, 1], return_counts=True)
+    return np.stack([keys // n, keys % n], axis=1), counts
 
 
 def _check_genus(euler: int, genus_check: str) -> None:
@@ -336,8 +348,7 @@ def save_mesh(vertices, faces, path, fmt: str = "auto") -> None:
             for f in faces:
                 fh.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
         elif fmt == "off":
-            pairs = np.sort(faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-            n_edges = np.unique(pairs, axis=0).shape[0]
+            n_edges = edge_table(faces)[0].shape[0]
             fh.write("OFF\n")
             fh.write(f"{len(vertices)} {len(faces)} {n_edges}\n")
             for v in vertices:
@@ -374,7 +385,11 @@ def make_icosphere(subdivisions: int, radii=(1.0, 1.0, 1.0)) -> SimplicialSurfac
     Each subdivision splits every face into four via edge midpoints
     re-projected to the unit sphere, so counts grow as V' = V + E,
     F' = 4 F.  Vertex ordering is deterministic: base vertices first,
-    then midpoints in face-visit order.
+    then midpoints in face-visit order, i.e. the order in which the face
+    sides (i, j), (j, k), (k, i) of faces 0, 1, ... first meet each edge
+    (vertex 12 is the midpoint of base edge (0, 11)).  Face t of a level
+    becomes faces 4t..4t+3 of the next: (i, ij, ki), (j, jk, ij),
+    (k, ki, jk), (ij, jk, ki).
     """
     if subdivisions < 0:
         raise ValueError("subdivisions must be >= 0")
@@ -382,27 +397,28 @@ def make_icosphere(subdivisions: int, radii=(1.0, 1.0, 1.0)) -> SimplicialSurfac
     if radii.shape != (3,) or (radii <= 0).any():
         raise ValueError("radii must be three positive scales")
 
-    verts = [v for v in _ICO_VERTS]
-    faces = _ICO_FACES.copy()
+    verts = _ICO_VERTS
+    faces = _ICO_FACES
     for _ in range(subdivisions):
-        midpoint = {}
+        n = verts.shape[0]
+        sides = np.sort(faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+        _, first, side_edge = np.unique(sides[:, 0] * n + sides[:, 1],
+                                        return_index=True, return_inverse=True)
+        # number each edge's midpoint by the first side that meets it
+        visit = np.argsort(first)
+        rank = np.empty_like(visit)
+        rank[visit] = np.arange(visit.size)
+        ends = sides[first[visit]]
+        p = verts[ends[:, 0]] + verts[ends[:, 1]]
+        # each row's norm as a (1, 3) @ (3, 1) product rounds as
+        # np.linalg.norm of that row does; norm(axis=1) and einsum do not
+        norms = np.sqrt((p[:, None, :] @ p[:, :, None])[:, 0, 0])
+        verts = np.concatenate([verts, p / norms[:, None]])
+        ij, jk, ki = (n + rank[side_edge]).reshape(-1, 3).T
+        i, j, k = faces.T
+        faces = np.stack([i, ij, ki, j, jk, ij, k, ki, jk, ij, jk, ki], axis=1).reshape(-1, 3)
 
-        def mid(a, b):
-            key = (a, b) if a < b else (b, a)
-            if key not in midpoint:
-                p = verts[a] + verts[b]
-                verts.append(p / np.linalg.norm(p))
-                midpoint[key] = len(verts) - 1
-            return midpoint[key]
-
-        new_faces = []
-        for i, j, k in faces:
-            ij, jk, ki = mid(i, j), mid(j, k), mid(k, i)
-            new_faces += [(i, ij, ki), (j, jk, ij), (k, ki, jk), (ij, jk, ki)]
-        faces = np.array(new_faces, dtype=np.int64)
-
-    vertices = np.array(verts) * radii
-    return build_surface(vertices, faces)
+    return build_surface(verts * radii, faces)
 
 
 def scatter_corners(surface: SimplicialSurface, values: np.ndarray) -> np.ndarray:

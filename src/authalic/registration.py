@@ -151,14 +151,25 @@ def _barycentric_on_sphere(point: np.ndarray, triangle: np.ndarray):
     return w / s
 
 
+LOCATE_BATCH = 4096
+"""Queries per stacked solve in :func:`locate_on_sphere`'s first round,
+which bounds its (batch, 8, 3, 3) systems to about 2.4 MB."""
+
+
 def locate_on_sphere(points: np.ndarray, sphere_vertices: np.ndarray,
                      faces: np.ndarray, tol: float = 1e-12):
     """Find, for each query unit vector, a containing spherical triangle.
 
-    Candidate faces come from a nearest-centroid tree, expanded until a
-    triangle with all barycentric weights >= -tol is found; queries that
-    exhaust all faces fall back to the least-negative triangle and are
-    counted.  Returns (face_indices, weights, fallback_count).
+    Candidate faces come in nearest-centroid order.  A first, batched
+    round tries every query's 8 nearest faces with one tree query and one
+    stacked 3x3 solve per batch, and takes the first candidate whose
+    normalized barycentric weights are all >= -tol (a singular system or
+    a nonpositive weight sum skips the candidate).  The queries it misses
+    repeat the search one by one, widening the candidate set fourfold
+    until a triangle is found; queries that exhaust all faces fall back
+    to the least-negative triangle and are counted.  Weights are clipped
+    at zero and renormalized.  Returns (face_indices, weights,
+    fallback_count).
     """
     centroids = project_to_manifold(sphere_vertices[faces].mean(axis=1))
     tree = cKDTree(centroids)
@@ -166,9 +177,31 @@ def locate_on_sphere(points: np.ndarray, sphere_vertices: np.ndarray,
     n = points.shape[0]
     face_out = np.full(n, -1, dtype=np.int64)
     weights_out = np.zeros((n, 3))
-    fallbacks = 0
 
-    for idx in range(n):
+    k = min(8, m)
+    for lo in range(0, n, LOCATE_BATCH):
+        p = points[lo:lo + LOCATE_BATCH]
+        cand = tree.query(p, k=k)[1].reshape(len(p), k)
+        systems = sphere_vertices[faces[cand]].swapaxes(-1, -2)
+        # slogdet's sign is 0 exactly when LU meets a zero pivot, the one
+        # case in which gesv raises (det can also underflow to 0); such a
+        # candidate is skipped instead of failing the whole stack
+        singular = np.linalg.slogdet(systems)[0] == 0
+        systems[singular] = np.eye(3)
+        rhs = np.broadcast_to(p[:, None, :, None], (len(p), k, 3, 1))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = np.linalg.solve(systems, rhs)[..., 0]
+            s = w.sum(axis=-1)
+            w /= s[..., None]
+            inside = ~singular & (s > 0) & (w.min(axis=-1) >= -tol)
+        hit = np.flatnonzero(inside.any(axis=1))
+        first = inside[hit].argmax(axis=1)
+        w = np.clip(w[hit, first], 0.0, None)
+        face_out[lo + hit] = cand[hit, first]
+        weights_out[lo + hit] = w / w.sum(axis=1, keepdims=True)
+
+    fallbacks = 0
+    for idx in np.flatnonzero(face_out < 0):
         p = points[idx]
         found = False
         best = (-np.inf, -1, None)

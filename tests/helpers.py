@@ -6,7 +6,9 @@ so that agreement is meaningful.
 """
 
 import numpy as np
+from scipy.spatial import cKDTree
 
+from authalic import mesh
 from authalic.energy import assemble_laplacian
 from authalic.mesh import build_surface, make_icosphere
 from authalic.sphere import project_to_manifold
@@ -123,3 +125,67 @@ def inverted_vertex_map(surface, vertex=17):
     neighbors = star[star != vertex]
     f[vertex] = 2.0 * surface.vertices[neighbors[0]] - f[vertex]
     return project_to_manifold(f)
+
+
+def icosphere_by_midpoint_dict(subdivisions, radii=(1.0, 1.0, 1.0)):
+    """The icosphere subdivided face by face with a midpoint dictionary:
+    the reference for the numbering and rounding of `make_icosphere`."""
+    verts = list(mesh._ICO_VERTS)
+    faces = mesh._ICO_FACES.copy()
+    for _ in range(subdivisions):
+        midpoint = {}
+
+        def mid(a, b):
+            key = (a, b) if a < b else (b, a)
+            if key not in midpoint:
+                p = verts[a] + verts[b]
+                verts.append(p / np.linalg.norm(p))
+                midpoint[key] = len(verts) - 1
+            return midpoint[key]
+
+        new_faces = []
+        for i, j, k in faces:
+            ij, jk, ki = mid(i, j), mid(j, k), mid(k, i)
+            new_faces += [(i, ij, ki), (j, jk, ij), (k, ki, jk), (ij, jk, ki)]
+        faces = np.array(new_faces, dtype=np.int64)
+    return build_surface(np.array(verts) * np.asarray(radii, dtype=np.float64), faces)
+
+
+def locate_one_by_one(points, sphere_vertices, faces, tol=1e-12):
+    """Spherical point location query by query: the reference for the
+    batched `locate_on_sphere`.  Each query tries its 8, 32, 128, ...
+    nearest-centroid faces in order, skipping singular systems and
+    nonpositive weight sums, and takes the first triangle whose
+    normalized weights are all >= -tol, else the least-negative one.
+    Returns (faces, weights, fallback_count)."""
+    tree = cKDTree(project_to_manifold(sphere_vertices[faces].mean(axis=1)))
+    m = faces.shape[0]
+    face_out = np.full(len(points), -1, dtype=np.int64)
+    weights_out = np.zeros((len(points), 3))
+    fallbacks = 0
+    for idx, p in enumerate(points):
+        best = (-np.inf, -1, None)
+        k, seen = 8, 0
+        while face_out[idx] < 0 and seen < m:
+            k = min(k, m)
+            for fi in np.atleast_1d(tree.query(p, k=k)[1])[seen:]:
+                try:
+                    w = np.linalg.solve(sphere_vertices[faces[fi]].T, p)
+                except np.linalg.LinAlgError:
+                    continue
+                s = w.sum()
+                if s <= 0:
+                    continue
+                w = w / s
+                if w.min() >= -tol:
+                    face_out[idx], best = fi, (w.min(), fi, w)
+                    break
+                if w.min() > best[0]:
+                    best = (w.min(), fi, w)
+            seen, k = k, 4 * k
+        if face_out[idx] < 0:
+            fallbacks += 1
+        w = np.clip(best[2], 0.0, None)
+        face_out[idx] = best[1]
+        weights_out[idx] = w / w.sum()
+    return face_out, weights_out, fallbacks

@@ -142,7 +142,5 @@ def test_vertex_at_infinity_among_boundary_is_kept(icosphere1):
 
 def test_parameter_validation(ellipsoid3):
     f0 = conformal_initial_map(ellipsoid3)
-    with pytest.raises(ValueError, match="epsilon"):
-        fpi_minimize(ellipsoid3, f0, epsilon=0.0)
     with pytest.raises(ValueError, match="radius"):
         fpi_minimize(ellipsoid3, f0, r=0.9)

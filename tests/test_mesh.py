@@ -11,7 +11,7 @@ from authalic.mesh import (build_surface, load_mesh, make_icosphere, normalize_a
                            vertex_normals)
 from authalic.pipeline import ParameterizeConfig, parameterize
 
-from helpers import regular_tetrahedron
+from helpers import icosphere_by_midpoint_dict, regular_tetrahedron
 
 TETRA_OFF = """OFF
 4 4 6
@@ -70,6 +70,9 @@ def test_save_load_round_trip(tmp_path, fmt):
     back = load_mesh(path)
     assert np.abs(back.vertices - surf.vertices).max() <= 1e-12
     assert np.array_equal(back.faces, surf.faces)
+    if fmt == "off":
+        counts = path.read_text().splitlines()[1].split()
+        assert int(counts[2]) == surf.n_edges
 
 
 def test_closed_mesh_edge_face_count(icosphere2):
@@ -88,6 +91,25 @@ def test_icosphere_counts_and_radius():
     one = make_icosphere(1)
     assert (one.n_vertices, one.n_faces) == (42, 80)
     assert np.abs(np.linalg.norm(one.vertices, axis=1) - 1.0).max() <= 1e-12
+
+
+@pytest.mark.parametrize("radii", [(1.0, 1.0, 1.0), (1.0, 0.8, 0.6)])
+@pytest.mark.parametrize("subdivisions", range(6))
+def test_icosphere_equals_the_midpoint_dict_loop(subdivisions, radii):
+    ours = make_icosphere(subdivisions, radii)
+    loop = icosphere_by_midpoint_dict(subdivisions, radii)
+    for name in ("vertices", "faces", "edges", "face_areas"):
+        assert np.array_equal(getattr(ours, name), getattr(loop, name)), name
+    assert ours.total_area == loop.total_area
+
+
+def test_icosphere_numbering():
+    base, one = make_icosphere(0), make_icosphere(1)
+    assert np.array_equal(one.vertices[:12], base.vertices)
+    # the first face (0, 11, 5) meets edge (0, 11) first, then (11, 5), (5, 0)
+    p = base.vertices[0] + base.vertices[11]
+    assert np.array_equal(one.vertices[12], p / np.linalg.norm(p))
+    assert one.faces[:4].tolist() == [[0, 12, 14], [11, 13, 12], [5, 14, 13], [12, 13, 14]]
 
 
 def test_icosphere_ellipsoid_topology():
@@ -184,6 +206,20 @@ def test_non_manifold_edge_rejected():
     faces = np.vstack([tetra.faces, [[0, 1, 4]]])  # edge (0,1) now has 3 faces
     with pytest.raises(MeshTopologyError, match="non-manifold"):
         build_surface(verts, faces)
+
+
+def test_edge_errors_name_the_lexicographically_smallest_edge():
+    base = make_icosphere(0)
+    # face (9, 8, 1) comes last; its sides become the boundary
+    with pytest.raises(MeshTopologyError) as info:
+        build_surface(base.vertices, base.faces[::-1][1:])
+    assert str(info.value) == "open surface: boundary edge (1, 8)"
+    # edges (8, 9) and then (1, 8) gain a third face
+    verts = np.vstack([base.vertices, [0.0, 0.0, 3.0]])
+    faces = np.vstack([base.faces, [[8, 9, 12], [1, 8, 12]]])
+    with pytest.raises(MeshTopologyError) as info:
+        build_surface(verts, faces)
+    assert str(info.value) == "non-manifold edge (1, 8) shared by >2 faces"
 
 
 def test_genus_error_and_warning():

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from authalic.energy import assemble_laplacian
 from authalic.mesh import build_surface, make_icosphere
 from authalic.registration import (RegistrationObjective, compose_registration,
-                                   geodesic_mismatch, homotopy_frame, midpoint_targets,
-                                   solve_alignment)
+                                   geodesic_mismatch, homotopy_frame, locate_on_sphere,
+                                   midpoint_targets, solve_alignment)
 from authalic.sphere import project_to_manifold
 
-from helpers import central_difference_gradient, rotation_matrix
+from helpers import (central_difference_gradient, inverted_vertex_map, locate_one_by_one,
+                     regular_tetrahedron, rotation_matrix)
 
 PAIRS = np.array([[3, 3], [40, 40], [77, 77], [120, 120], [150, 150]])
 
@@ -192,3 +194,71 @@ def test_homotopy_parameter_validated(icosphere2):
     composed = compose_registration(icosphere2, icosphere2, f, f, f, f)
     with pytest.raises(ValueError, match="homotopy"):
         homotopy_frame(icosphere2, composed, 1.5)
+
+
+def assert_located_as_one_by_one(points, sphere_vertices, faces):
+    batched = locate_on_sphere(points, sphere_vertices, faces)
+    loop = locate_one_by_one(points, sphere_vertices, faces)
+    assert np.array_equal(batched[0], loop[0])
+    assert np.array_equal(batched[1], loop[1])
+    assert batched[2] == loop[2]
+    return batched
+
+
+def nearest_faces(points, sphere_vertices, faces, k=8):
+    tree = cKDTree(project_to_manifold(sphere_vertices[faces].mean(axis=1)))
+    return tree.query(points, k=k)[1]
+
+
+def random_unit_vectors(n, seed=3):
+    return project_to_manifold(np.random.default_rng(seed).normal(size=(n, 3)))
+
+
+def test_locate_identity_breaks_ties_as_one_by_one(icosphere2):
+    # every query is a vertex, on the boundary of several faces
+    f = icosphere2.vertices
+    assert_located_as_one_by_one(f, f, icosphere2.faces)
+
+
+def test_locate_aligned_pair_as_one_by_one():
+    rot = rotation_matrix([1.0, 2.0, 3.0], 0.4)
+    m0 = make_icosphere(3, (1.0, 0.75, 0.9))
+    m1 = build_surface(make_icosphere(3, (0.7, 1.0, 0.8)).vertices @ rot.T, m0.faces)
+    f0, f1 = project_to_manifold(m0.vertices), project_to_manifold(m1.vertices)
+    pairs = np.array([[5, 300], [80, 41], [200, 610], [444, 17], [600, 123]])
+    targets = midpoint_targets(f0, f1, pairs)
+    a0 = solve_alignment(build_surface(f0, m0.faces), f0, pairs[:, 0], targets, iters=20)
+    a1 = solve_alignment(build_surface(f1, m1.faces), f1, pairs[:, 1], targets, iters=20)
+    assert_located_as_one_by_one(a0.mapping, a1.mapping, m1.faces)
+
+
+def test_locate_in_a_folded_target_widens_and_falls_back(icosphere1):
+    f = inverted_vertex_map(icosphere1, vertex=5)
+    points = random_unit_vectors(3000)
+    faces, _, fallbacks = assert_located_as_one_by_one(points, f, icosphere1.faces)
+    # some query is found only beyond its 8 nearest faces
+    assert not (nearest_faces(points, f, icosphere1.faces) == faces[:, None]).any(axis=1).all()
+    assert fallbacks == 0
+    # with one face left out, the queries in its hole take the least-negative face
+    assert assert_located_as_one_by_one(points, f, icosphere1.faces[1:])[2] > 0
+
+
+def test_locate_on_the_tetrahedron_with_fewer_faces_than_candidates():
+    t = regular_tetrahedron()
+    f = project_to_manifold(t.vertices)
+    assert_located_as_one_by_one(random_unit_vectors(200), f, t.faces)
+    assert_located_as_one_by_one(f, f, t.faces)
+
+
+def test_locate_skips_a_singular_candidate(icosphere2):
+    f = icosphere2.vertices.copy()
+    centroids = project_to_manifold(f[icosphere2.faces].mean(axis=1))
+    top = int(np.argmax(centroids[:, 2]))
+    f[icosphere2.faces[top]] = (0.0, 0.0, 1.0)   # collapse the face to the pole
+    points = random_unit_vectors(3000)
+    points = points[points[:, 2] > 0.9]
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(f[icosphere2.faces[top]].T, points[0])
+    assert (nearest_faces(points, f, icosphere2.faces) == top).any()
+    faces, _, _ = assert_located_as_one_by_one(points, f, icosphere2.faces)
+    assert (faces != top).all()
