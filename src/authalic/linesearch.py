@@ -29,20 +29,6 @@ CLAMP_LO = 0.1
 CLAMP_HI = 0.5
 
 
-@dataclass
-class LineSearchState:
-    """Bookkeeping for one backtracking run."""
-
-    phi0: float
-    dphi0: float
-    alpha0: float
-    c1: float = DEFAULT_C1
-    alpha_prev: float | None = None
-    phi_prev: float | None = None
-    alpha_2prev: float | None = None
-    phi_2prev: float | None = None
-
-
 @dataclass(frozen=True)
 class LineSearchResult:
     alpha: float
@@ -74,29 +60,31 @@ def phi_derivative_at_zero(f: np.ndarray, d: np.ndarray, egrad: np.ndarray,
                                      - (inv_norms * inv_norms * fd) * row_dots(egrad, f))))
 
 
-def quadratic_backtrack_step(state: LineSearchState, phi_alpha0: float) -> float:
-    """Minimizer of the quadratic through phi(0), phi'(0), phi(alpha0),
-    clamped into [0.1, 0.5] * alpha0."""
-    a0 = state.alpha0
-    denom = 2.0 * (phi_alpha0 - state.phi0 - state.dphi0 * a0)
-    if denom == 0.0 or not np.isfinite(denom):
-        step = 0.5 * a0
-    else:
-        step = -state.dphi0 * a0 * a0 / denom
-    if not np.isfinite(step):
-        step = 0.5 * a0
-    return float(min(max(step, CLAMP_LO * a0), CLAMP_HI * a0))
+def _safeguarded(step: float | None, alpha: float) -> float:
+    """An interpolated step clamped into [0.1, 0.5] * alpha, the last
+    trial; half that trial when the model gives no finite step."""
+    if step is None or not np.isfinite(step):
+        step = 0.5 * alpha
+    return float(min(max(step, CLAMP_LO * alpha), CLAMP_HI * alpha))
 
 
-def cubic_fit(state: LineSearchState):
+def quadratic_backtrack_step(phi0: float, dphi0: float, alpha: float,
+                             phi_alpha: float) -> float:
+    """Minimizer of the quadratic through phi(0), phi'(0) and the rejected
+    trial (alpha, phi_alpha), safeguarded."""
+    denom = 2.0 * (phi_alpha - phi0 - dphi0 * alpha)
+    step = -dphi0 * alpha * alpha / denom if denom != 0.0 and np.isfinite(denom) else None
+    return _safeguarded(step, alpha)
+
+
+def cubic_fit(phi0: float, dphi0: float, last, before):
     """Fit a alpha^3 + b alpha^2 + phi'(0) alpha + phi(0) through the two
-    most recent trials.  Returns (a, b, raw_minimizer); the minimizer is
-    None when the model has no finite local minimum."""
-    ap, a2 = state.alpha_prev, state.alpha_2prev
-    if ap is None or a2 is None:
-        raise LineSearchError("cubic step requires two previous trials")
-    rp = state.phi_prev - state.phi0 - state.dphi0 * ap
-    r2 = state.phi_2prev - state.phi0 - state.dphi0 * a2
+    most recent trials, each an (alpha, phi) pair.  Returns (a, b,
+    raw_minimizer); the minimizer is None when the model has no finite
+    local minimum."""
+    (ap, phip), (a2, phi2) = last, before
+    rp = phip - phi0 - dphi0 * ap
+    r2 = phi2 - phi0 - dphi0 * a2
     gap = ap - a2
     if gap == 0.0:
         return 0.0, 0.0, None
@@ -105,24 +93,18 @@ def cubic_fit(state: LineSearchState):
     if abs(a) * max(ap, a2) < 1e-12 * max(abs(b), 1e-300):
         # cubic degenerates to the quadratic b alpha^2 + phi'(0) alpha + phi(0)
         if b > 0.0:
-            return a, b, -state.dphi0 / (2.0 * b)
+            return a, b, -dphi0 / (2.0 * b)
         return a, b, None
-    disc = b * b - 3.0 * a * state.dphi0
+    disc = b * b - 3.0 * a * dphi0
     if disc < 0.0:
         return a, b, None
     return a, b, (-b + np.sqrt(disc)) / (3.0 * a)
 
 
-def cubic_backtrack_step(state: LineSearchState) -> float:
-    """Cubic-model step, clamped into [0.1, 0.5] * alpha_prev."""
-    ap = state.alpha_prev
-    _, _, raw = cubic_fit(state)
-    step = 0.5 * ap if raw is None or not np.isfinite(raw) else raw
-    return float(min(max(step, CLAMP_LO * ap), CLAMP_HI * ap))
-
-
-def _sufficient(state: LineSearchState, alpha: float, phi_alpha: float) -> bool:
-    return phi_alpha <= state.phi0 + state.c1 * alpha * state.dphi0
+def cubic_backtrack_step(phi0: float, dphi0: float, last, before) -> float:
+    """Cubic-model step through the trials `last` and `before`,
+    safeguarded relative to the last one."""
+    return _safeguarded(cubic_fit(phi0, dphi0, last, before)[2], last[0])
 
 
 def search(f: np.ndarray, d: np.ndarray, *, energy, phi0: float, dphi0: float,
@@ -139,6 +121,14 @@ def search(f: np.ndarray, d: np.ndarray, *, energy, phi0: float, dphi0: float,
         The objective at f and its derivative along the retracted curve
         (:func:`phi_derivative_at_zero`); `dphi0` must be negative.
     strategy : {"interpolant", "bounded"}
+        The first trial: min(alpha0, alpha_max), or the bounded scalar
+        minimizer of phi on [0, alpha_max] (alpha_max itself when lower).
+        Each rejected trial sets the next one: after the first rejection
+        the minimizer of the quadratic through phi(0), phi'(0) and that
+        trial, after later ones the minimizer of the cubic through the
+        last two trials, each clamped into [0.1, 0.5] times the last
+        trial.  The interpolant makes at most `max_backtracks` + 1
+        trials; the bounded strategy makes that many after its minimizer.
 
     Returns
     -------
@@ -149,9 +139,9 @@ def search(f: np.ndarray, d: np.ndarray, *, energy, phi0: float, dphi0: float,
     if not dphi0 < 0.0:
         raise LineSearchError(f"not a descent direction (phi'(0) = {dphi0:.3e})")
 
-    state = LineSearchState(phi0=phi0, dphi0=dphi0,
-                            alpha0=min(float(alpha0), alpha_max), c1=c1)
     evals = 0
+    best = (np.inf, None, np.nan)
+    rejected = []  # (alpha, phi) of each rejected trial, in order
 
     def phi(alpha: float):
         nonlocal evals
@@ -159,7 +149,18 @@ def search(f: np.ndarray, d: np.ndarray, *, energy, phi0: float, dphi0: float,
         evals += 1
         return energy(g), g
 
-    best = (np.inf, None, np.nan)
+    def sufficient(alpha: float, value: float) -> bool:
+        return value <= phi0 + c1 * alpha * dphi0
+
+    def reject(alpha: float, value: float, g: np.ndarray) -> float:
+        """Keep a rejected trial; return the next step to try."""
+        nonlocal best
+        if value < best[0]:
+            best = (value, g, alpha)
+        rejected.append((alpha, value))
+        if len(rejected) == 1:
+            return quadratic_backtrack_step(phi0, dphi0, alpha, value)
+        return cubic_backtrack_step(phi0, dphi0, rejected[-1], rejected[-2])
 
     if strategy == "bounded":
         res = minimize_scalar(lambda a: phi(float(a))[0], bounds=(0.0, alpha_max),
@@ -171,34 +172,20 @@ def search(f: np.ndarray, d: np.ndarray, *, energy, phi0: float, dphi0: float,
         value_end, g_end = phi(alpha_max)
         if value_end < value:
             alpha, value, g = alpha_max, value_end, g_end
-        if _sufficient(state, alpha, value):
+        if sufficient(alpha, value):
             return LineSearchResult(alpha, g, value, evals, True)
-        # fall through to backtracking from the bounded result
-        state.alpha0 = alpha
-        state.alpha_prev, state.phi_prev = alpha, value
-        best = min(best, (value, g, alpha), key=lambda t: t[0])
-        alpha = quadratic_backtrack_step(state, value)
+        # backtrack from the bounded result, the first rejected trial
+        alpha = reject(alpha, value, g)
     elif strategy == "interpolant":
-        alpha = state.alpha0
+        alpha = min(float(alpha0), alpha_max)
     else:
         raise ValueError(f"unknown line-search strategy {strategy!r}")
 
     for _ in range(max_backtracks + 1):
         value, g = phi(alpha)
-        if _sufficient(state, alpha, value):
+        if sufficient(alpha, value):
             return LineSearchResult(alpha, g, value, evals, True)
-        if value < best[0]:
-            best = (value, g, alpha)
-        if state.alpha_prev is None:
-            state.alpha0 = alpha
-            next_alpha = quadratic_backtrack_step(state, value)
-        else:
-            state.alpha_2prev, state.phi_2prev = state.alpha_prev, state.phi_prev
-            state.alpha_prev, state.phi_prev = alpha, value
-            next_alpha = cubic_backtrack_step(state)
-        if state.alpha_prev is None:
-            state.alpha_prev, state.phi_prev = alpha, value
-        alpha = next_alpha
+        alpha = reject(alpha, value, g)
 
     value, g, alpha = best
     return LineSearchResult(

@@ -11,7 +11,7 @@ as given, which fills far less than SuperLU's own COLAMD column order.
 Every solve, ordered or not, is checked on the caller's unpermuted system
 against the contract
 
-    ||A x - b|| <= rtol * (||A||_inf ||x|| + ||b||)     per column,
+    ||A x - b|| <= RESIDUAL_RTOL * (||A||_inf ||x|| + ||b||)     per column,
 
 and a violation raises :class:`SolveError` with a 1-norm condition
 estimate.
@@ -45,8 +45,7 @@ def _condition_estimate(lu, matrix: sp.csc_matrix) -> float:
         return float("inf")
 
 
-def solve(matrix: sp.spmatrix, rhs, rtol: float = RESIDUAL_RTOL,
-          order: np.ndarray | None = None) -> np.ndarray:
+def solve(matrix: sp.spmatrix, rhs, order: np.ndarray | None = None) -> np.ndarray:
     """Solve A x = b for each right-hand-side column.
 
     Parameters
@@ -94,7 +93,7 @@ def solve(matrix: sp.spmatrix, rhs, rtol: float = RESIDUAL_RTOL,
         x2[order] = x_ordered
 
     residual = np.linalg.norm(matrix @ x2 - b2, axis=0)
-    bound = rtol * (a_norm * np.linalg.norm(x2, axis=0) + np.linalg.norm(b2, axis=0))
+    bound = RESIDUAL_RTOL * (a_norm * np.linalg.norm(x2, axis=0) + np.linalg.norm(b2, axis=0))
     if not np.isfinite(x2).all() or (residual > np.maximum(bound, 1e-300)).any():
         raise SolveError(
             "solve failed the residual contract "

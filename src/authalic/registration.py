@@ -62,17 +62,16 @@ class RegistrationObjective(GeometryMemo):
         return self.report(h).stretch + self._mismatch(h)
 
     def value_and_gradient(self, h: np.ndarray):
-        """Value, ambient gradient and stretch report.  The gradient is
-        2 L(h) h through the per-face identity plus the landmark pull
-        2 lambda (h - target), summed per row."""
+        """Value and ambient gradient.  The gradient is 2 L(h) h through
+        the per-face identity plus the landmark pull 2 lambda (h - target),
+        summed per row."""
         geom = self.geometry(h)
         en.check_geometry(geom)
-        report = self.report(h)
         grad = en.stretch_gradient(self.surface, geom)
         if self.rows.size:
             np.add.at(grad, self.rows,
                       2.0 * self.lambdas[:, None] * (h[self.rows] - self.targets))
-        return report.stretch + self._mismatch(h), grad, report
+        return self.report(h).stretch + self._mismatch(h), grad
 
 
 def geodesic_mismatch(points_a: np.ndarray, points_b: np.ndarray) -> float:
@@ -137,39 +136,25 @@ class ComposedMap:
     fallback_count: int
 
 
-def _barycentric_on_sphere(point: np.ndarray, triangle: np.ndarray):
-    """Gnomonic barycentric coordinates of a unit vector with respect to a
-    spherical triangle: solve the 3x3 system [a b c] w = point and
-    normalize; `point` lies inside iff all components are nonnegative."""
-    try:
-        w = np.linalg.solve(triangle.T, point)
-    except np.linalg.LinAlgError:
-        return None
-    s = w.sum()
-    if s <= 0:
-        return None
-    return w / s
-
-
-LOCATE_BATCH = 4096
-"""Queries per stacked solve in :func:`locate_on_sphere`'s first round,
-which bounds its (batch, 8, 3, 3) systems to about 2.4 MB."""
+LOCATE_SYSTEMS = 4096 * 8
+"""Most (query, candidate) 3x3 systems in one stacked solve of
+:func:`locate_on_sphere`, about 2.4 MB of them."""
 
 
 def locate_on_sphere(points: np.ndarray, sphere_vertices: np.ndarray,
                      faces: np.ndarray, tol: float = 1e-12):
     """Find, for each query unit vector, a containing spherical triangle.
 
-    Candidate faces come in nearest-centroid order.  A first, batched
-    round tries every query's 8 nearest faces with one tree query and one
-    stacked 3x3 solve per batch, and takes the first candidate whose
-    normalized barycentric weights are all >= -tol (a singular system or
-    a nonpositive weight sum skips the candidate).  The queries it misses
-    repeat the search one by one, widening the candidate set fourfold
-    until a triangle is found; queries that exhaust all faces fall back
-    to the least-negative triangle and are counted.  Weights are clipped
-    at zero and renormalized.  Returns (face_indices, weights,
-    fallback_count).
+    Candidate faces come in nearest-centroid order, in rounds that widen
+    fourfold: round r tries each still-unplaced query's candidates
+    [seen, k) for k = 8, 32, 128, ... up to all faces, with one tree
+    query and one stacked 3x3 solve of the gnomonic barycentric systems
+    [a b c] w = point per batch.  A query takes its first candidate whose
+    normalized weights are all >= -tol; a singular system or a
+    nonpositive weight sum skips the candidate.  Queries no face contains
+    fall back to the least-negative candidate (the first of equals) and
+    are counted.  Weights are clipped at zero and renormalized.  Returns
+    (face_indices, weights, fallback_count).
     """
     centroids = project_to_manifold(sphere_vertices[faces].mean(axis=1))
     tree = cKDTree(centroids)
@@ -177,65 +162,49 @@ def locate_on_sphere(points: np.ndarray, sphere_vertices: np.ndarray,
     n = points.shape[0]
     face_out = np.full(n, -1, dtype=np.int64)
     weights_out = np.zeros((n, 3))
+    # least weight of each query's pick so far: >= -tol once it is inside
+    best = np.full(n, -np.inf)
+    todo = np.arange(n)
 
-    k = min(8, m)
-    for lo in range(0, n, LOCATE_BATCH):
-        p = points[lo:lo + LOCATE_BATCH]
-        cand = tree.query(p, k=k)[1].reshape(len(p), k)
-        systems = sphere_vertices[faces[cand]].swapaxes(-1, -2)
-        # slogdet's sign is 0 exactly when LU meets a zero pivot, the one
-        # case in which gesv raises (det can also underflow to 0); such a
-        # candidate is skipped instead of failing the whole stack
-        singular = np.linalg.slogdet(systems)[0] == 0
-        systems[singular] = np.eye(3)
-        rhs = np.broadcast_to(p[:, None, :, None], (len(p), k, 3, 1))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = np.linalg.solve(systems, rhs)[..., 0]
-            s = w.sum(axis=-1)
-            w /= s[..., None]
-            inside = ~singular & (s > 0) & (w.min(axis=-1) >= -tol)
-        hit = np.flatnonzero(inside.any(axis=1))
-        first = inside[hit].argmax(axis=1)
-        w = np.clip(w[hit, first], 0.0, None)
-        face_out[lo + hit] = cand[hit, first]
-        weights_out[lo + hit] = w / w.sum(axis=1, keepdims=True)
+    seen, k = 0, min(8, m)
+    while todo.size and seen < m:
+        batch = max(1, LOCATE_SYSTEMS // (k - seen))
+        for lo in range(0, todo.size, batch):
+            idx = todo[lo:lo + batch]
+            p = points[idx]
+            cand = tree.query(p, k=k)[1].reshape(len(p), k)[:, seen:]
+            systems = sphere_vertices[faces[cand]].swapaxes(-1, -2)
+            # slogdet's sign is 0 exactly when LU meets a zero pivot, the
+            # one case in which gesv raises (det can also underflow to 0);
+            # such a candidate is skipped instead of failing the stack
+            singular = np.linalg.slogdet(systems)[0] == 0
+            systems[singular] = np.eye(3)
+            rhs = np.broadcast_to(p[:, None, :, None], (*cand.shape, 3, 1))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                w = np.linalg.solve(systems, rhs)[..., 0]
+                s = w.sum(axis=-1)
+                w /= s[..., None]
+                worst = w.min(axis=-1)
+            # skipped candidates, and NaN weights, never become a pick
+            worst[singular | ~(s > 0) | np.isnan(worst)] = -np.inf
+            inside = worst >= -tol
+            # the first candidate inside, else the first least-negative one;
+            # it replaces the pick of an earlier round only if it is better
+            pick = np.where(inside.any(axis=1), inside.argmax(axis=1), worst.argmax(axis=1))
+            rows = np.arange(len(idx))
+            take = worst[rows, pick] > best[idx]
+            idx, rows, pick = idx[take], rows[take], pick[take]
+            face_out[idx] = cand[rows, pick]
+            weights_out[idx] = w[rows, pick]
+            best[idx] = worst[rows, pick]
+        todo = todo[best[todo] < -tol]
+        seen, k = k, min(4 * k, m)
 
-    fallbacks = 0
-    for idx in np.flatnonzero(face_out < 0):
-        p = points[idx]
-        found = False
-        best = (-np.inf, -1, None)
-        k = 8
-        seen = 0
-        while not found and seen < m:
-            k = min(k, m)
-            _, cand = tree.query(p, k=k)
-            cand = np.atleast_1d(cand)[seen:]
-            for fi in cand:
-                tri = sphere_vertices[faces[fi]]
-                w = _barycentric_on_sphere(p, tri)
-                if w is None:
-                    continue
-                worst = w.min()
-                if worst >= -tol:
-                    face_out[idx] = fi
-                    weights_out[idx] = np.clip(w, 0.0, None)
-                    weights_out[idx] /= weights_out[idx].sum()
-                    found = True
-                    break
-                if worst > best[0]:
-                    best = (worst, fi, w)
-            seen = k
-            k *= 4
-        if not found:
-            fallbacks += 1
-            _, fi, w = best
-            if fi < 0:
-                raise ValueError(f"point location failed for query {idx}")
-            w = np.clip(w, 0.0, None)
-            face_out[idx] = fi
-            weights_out[idx] = w / w.sum()
-    return face_out, weights_out, fallbacks
+    if (face_out[todo] < 0).any():
+        raise ValueError(f"point location failed for query {todo[face_out[todo] < 0][0]}")
+    weights_out = np.clip(weights_out, 0.0, None)
+    weights_out /= weights_out.sum(axis=1, keepdims=True)
+    return face_out, weights_out, int(todo.size)
 
 
 def compose_registration(m0, m1, f0: np.ndarray, f1: np.ndarray,

@@ -118,7 +118,7 @@ class NormalizedStretchObjective(GeometryMemo):
         geom = self.geometry(f)
         en.check_geometry(geom)
         report = self.report(f)
-        return report.normalized, en.normalized_gradient(self.surface, geom, report), report
+        return report.normalized, en.normalized_gradient(self.surface, geom, report)
 
 
 def make_record(geom: en.FaceGeometry, report: en.EnergyReport, iteration: int,
@@ -146,11 +146,11 @@ def minimize(surface, f0: np.ndarray, config: SolverConfig | None = None,
 
     Parameters
     ----------
-    objective : optional
-        Object with `value(f)` and `value_and_gradient(f)`; defaults to
-        the normalized stretch energy on `surface`.  When it is a
-        :class:`GeometryMemo`, the records reuse the geometry and report
-        it computed for the accepted trial.
+    objective : GeometryMemo, optional
+        A :class:`GeometryMemo` with `value(f)` and
+        `value_and_gradient(f)` -> (value, ambient gradient); defaults to
+        the normalized stretch energy on `surface`.  The records reuse
+        the geometry and report it computed for the accepted trial.
     extra_stop : callable, optional
         Called as `extra_stop(f, records)` after each accepted iteration;
         a non-None return value becomes the final status string.
@@ -165,7 +165,6 @@ def minimize(surface, f0: np.ndarray, config: SolverConfig | None = None,
     """
     config = config or SolverConfig()
     objective = objective or NormalizedStretchObjective(surface)
-    memo = objective if isinstance(objective, GeometryMemo) else GeometryMemo(surface)
     f = np.asarray(f0, dtype=np.float64).copy()
     n = f.shape[0]
     grad_tol = config.grad_tol if config.grad_tol is not None else 1e-6 * np.sqrt(n)
@@ -177,7 +176,7 @@ def minimize(surface, f0: np.ndarray, config: SolverConfig | None = None,
     stall_count = 0
 
     for k in range(1, config.max_iters + 1):
-        value, egrad, report = objective.value_and_gradient(f)
+        value, egrad = objective.value_and_gradient(f)
         rgrad = project_tangent(f, egrad)
         # einsum, not np.linalg.norm: a BLAS dot can wait milliseconds for
         # its worker threads, more than the rest of the record costs
@@ -201,8 +200,8 @@ def minimize(surface, f0: np.ndarray, config: SolverConfig | None = None,
 
         f = ls.mapping
         prev_value = value
-        record = make_record(memo.geometry(f), memo.report(f), k, grad_norm, ls.alpha,
-                             time.perf_counter() - start)
+        record = make_record(objective.geometry(f), objective.report(f), k, grad_norm,
+                             ls.alpha, time.perf_counter() - start)
         records.append(record)
         if config.log_every and k % config.log_every == 0:
             logger.info("iter %5d  E = %.9e  E_A = %.3e  |grad| = %.3e  alpha = %.3e",

@@ -94,14 +94,12 @@ def stereographic(f: np.ndarray) -> PlanarPoints:
     return PlanarPoints(values=values, at_infinity=at_inf)
 
 
-def inverse_stereographic(h: PlanarPoints | np.ndarray) -> np.ndarray:
+def inverse_stereographic(h: PlanarPoints) -> np.ndarray:
     """Lift extended-plane points back to the unit sphere.
 
     Infinity-flagged points map to the north pole.  The z coordinate is
     evaluated as 1 - 2/(|h|^2 + 1), which stays finite for huge |h|.
     """
-    if not isinstance(h, PlanarPoints):
-        h = PlanarPoints.finite(h)
     u, v = h.values.real, h.values.imag
     with np.errstate(over="ignore"):
         t1 = u * u + v * v + 1.0

@@ -35,7 +35,7 @@ def _corner_angles(u: np.ndarray, v: np.ndarray):
     return cross, dot, lengths
 
 
-def assemble_mean_value(surface, h: PlanarPoints | np.ndarray) -> sp.csr_matrix:
+def assemble_mean_value(surface, h: PlanarPoints) -> sp.csr_matrix:
     """Mean-value-weighted Laplacian of a planar mapping.
 
     The weight of directed edge (i, j) accumulates tan(angle at h_i / 2)
@@ -44,8 +44,6 @@ def assemble_mean_value(surface, h: PlanarPoints | np.ndarray) -> sp.csr_matrix:
     infinity-flagged vertex contribute nothing.  Raises on coincident
     adjacent points and on angles degenerating to pi.
     """
-    if not isinstance(h, PlanarPoints):
-        h = PlanarPoints.finite(h)
     faces = surface.faces
     finite_faces = ~h.at_infinity[faces].any(axis=1)
     tri = h.values[faces[finite_faces]]

@@ -17,7 +17,7 @@ from authalic.energy import (assemble_laplacian, energy_report_per_face,
                              euclidean_gradient, face_geometry, image_area_gradient,
                              image_area_gradient_via_laplacian, assemble_global_hessian)
 from authalic.fpi import conformal_initial_map, fpi_minimize
-from authalic.linesearch import LineSearchState, cubic_fit, quadratic_backtrack_step
+from authalic.linesearch import cubic_fit, quadratic_backtrack_step
 from authalic.mesh import build_surface, load_mesh, make_icosphere, normalize_area
 from authalic.pipeline import ParameterizeConfig, parameterize
 from authalic.registration import (compose_registration, geodesic_mismatch,
@@ -146,11 +146,8 @@ def test_criterion_5_descent_contract():
 
 
 def test_criterion_6_line_search_algebra():
-    quad = quadratic_backtrack_step(LineSearchState(phi0=1.0, dphi0=-1.0, alpha0=1.0), 1.0)
-    state = LineSearchState(phi0=1.0, dphi0=-2.0, alpha0=2.0,
-                            alpha_prev=1.0, phi_prev=0.0,
-                            alpha_2prev=2.0, phi_2prev=5.0)
-    a, b, raw = cubic_fit(state)
+    quad = quadratic_backtrack_step(1.0, -1.0, 1.0, 1.0)
+    a, b, raw = cubic_fit(1.0, -2.0, (1.0, 0.0), (2.0, 5.0))
     ok = (abs(quad - 0.5) <= 1e-15 and abs(a - 1.0) <= 1e-10
           and abs(b) <= 1e-10 and abs(raw - np.sqrt(2.0 / 3.0)) <= 1e-10)
     report("criterion 6 (line-search algebra)", ok,

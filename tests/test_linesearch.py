@@ -3,9 +3,8 @@ import pytest
 
 from authalic.energy import energy_report_per_face, euclidean_gradient
 from authalic.errors import LineSearchError
-from authalic.linesearch import (LineSearchState, cubic_backtrack_step, cubic_fit,
-                                 phi_derivative_at_zero, quadratic_backtrack_step,
-                                 search)
+from authalic.linesearch import (cubic_backtrack_step, cubic_fit, phi_derivative_at_zero,
+                                 quadratic_backtrack_step, search)
 from authalic.sphere import project_tangent, project_to_manifold, retract
 
 
@@ -68,23 +67,27 @@ def test_phi_derivative_rejects_non_tangent(ellipsoid3):
 # ---------------------------------------------------------------------------
 
 def test_quadratic_step_hand_example():
-    state = LineSearchState(phi0=1.0, dphi0=-1.0, alpha0=1.0)
-    assert quadratic_backtrack_step(state, 1.0) == pytest.approx(0.5, abs=1e-15)
+    assert quadratic_backtrack_step(1.0, -1.0, 1.0, 1.0) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_quadratic_step_degenerate_denominator():
-    state = LineSearchState(phi0=1.0, dphi0=-1.0, alpha0=1.0)
     # phi(a0) exactly on the tangent line: quadratic degenerates
-    assert quadratic_backtrack_step(state, 0.0) == pytest.approx(0.5)
+    assert quadratic_backtrack_step(1.0, -1.0, 1.0, 0.0) == pytest.approx(0.5)
+
+
+def test_quadratic_step_overflow_halves():
+    # a finite denominator with a minimizer that overflows to -inf: half
+    # the trial, not the lower clamp
+    assert quadratic_backtrack_step(0.0, -1e200, 1e100, -3e300) == 0.5e100
 
 
 def test_quadratic_step_clamps():
     # unclamped minimizer at 0.9 a0 -> clamp to 0.5 a0
-    state = LineSearchState(phi0=0.0, dphi0=-1.0, alpha0=1.0)
-    phi_a0 = state.phi0 + state.dphi0 * 1.0 + 1.0 / 1.8
-    assert quadratic_backtrack_step(state, phi_a0) == pytest.approx(0.5)
+    phi0, dphi0 = 0.0, -1.0
+    phi_a0 = phi0 + dphi0 * 1.0 + 1.0 / 1.8
+    assert quadratic_backtrack_step(phi0, dphi0, 1.0, phi_a0) == pytest.approx(0.5)
     # unclamped minimizer far below 0.1 a0 -> clamp to 0.1 a0
-    assert quadratic_backtrack_step(state, 1e3) == pytest.approx(0.1)
+    assert quadratic_backtrack_step(phi0, dphi0, 1.0, 1e3) == pytest.approx(0.1)
 
 
 def cubic_value(a, b, c, d, alpha):
@@ -93,23 +96,20 @@ def cubic_value(a, b, c, d, alpha):
 
 def test_cubic_fit_recovers_constructed_cubic():
     # phi(alpha) = alpha^3 - 2 alpha + 1: phi(1) = 0, phi(2) = 5
-    state = LineSearchState(phi0=1.0, dphi0=-2.0, alpha0=2.0,
-                            alpha_prev=1.0, phi_prev=0.0,
-                            alpha_2prev=2.0, phi_2prev=5.0)
-    a, b, raw = cubic_fit(state)
+    last, before = (1.0, 0.0), (2.0, 5.0)
+    a, b, raw = cubic_fit(1.0, -2.0, last, before)
     assert a == pytest.approx(1.0, abs=1e-12)
     assert b == pytest.approx(0.0, abs=1e-12)
     assert raw == pytest.approx(np.sqrt(2.0 / 3.0), abs=1e-10)
-    # the actual step is safeguarded into [0.1, 0.5] alpha_prev
-    assert cubic_backtrack_step(state) == pytest.approx(0.5)
+    # the actual step is safeguarded into [0.1, 0.5] times the last trial
+    assert cubic_backtrack_step(1.0, -2.0, last, before) == pytest.approx(0.5)
 
 
 def test_cubic_fit_quadratic_degeneracy_returns_vertex():
     b_true = 2.0
-    state = LineSearchState(phi0=1.0, dphi0=-1.0, alpha0=1.0)
-    state.alpha_prev, state.phi_prev = 1.0, cubic_value(0, b_true, -1, 1, 1.0)
-    state.alpha_2prev, state.phi_2prev = 2.0, cubic_value(0, b_true, -1, 1, 2.0)
-    a, b, raw = cubic_fit(state)
+    last = (1.0, cubic_value(0, b_true, -1, 1, 1.0))
+    before = (2.0, cubic_value(0, b_true, -1, 1, 2.0))
+    a, b, raw = cubic_fit(1.0, -1.0, last, before)
     assert a == pytest.approx(0.0, abs=1e-12)
     assert b == pytest.approx(b_true, rel=1e-12)
     assert raw == pytest.approx(1.0 / (2 * b_true), rel=1e-12)
@@ -117,14 +117,14 @@ def test_cubic_fit_quadratic_degeneracy_returns_vertex():
 
 def test_cubic_negative_discriminant_falls_back():
     # a < 0 with positive phi'(0)-side data engineered so disc < 0
-    state = LineSearchState(phi0=0.0, dphi0=-4.0, alpha0=1.0,
-                            alpha_prev=1.0, phi_prev=cubic_value(-2, 1, -4, 0, 1.0),
-                            alpha_2prev=2.0, phi_2prev=cubic_value(-2, 1, -4, 0, 2.0))
-    a, b, raw = cubic_fit(state)
+    dphi0 = -4.0
+    last = (1.0, cubic_value(-2, 1, dphi0, 0, 1.0))
+    before = (2.0, cubic_value(-2, 1, dphi0, 0, 2.0))
+    a, b, raw = cubic_fit(0.0, dphi0, last, before)
     assert a == pytest.approx(-2.0, rel=1e-12)
-    assert b * b - 3 * a * state.dphi0 < 0
+    assert b * b - 3 * a * dphi0 < 0
     assert raw is None
-    assert cubic_backtrack_step(state) == pytest.approx(0.5)
+    assert cubic_backtrack_step(0.0, dphi0, last, before) == pytest.approx(0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +177,53 @@ def test_backtracking_sequence_decreasing_and_bounded():
     assert all(b < a for a, b in zip(trials, trials[1:]))
     assert all(t >= 0.1 ** (k + 1) - 1e-12 for k, t in enumerate(trials[1:]))
     assert res.energy == 1.0
+
+
+def test_bounded_strategy_backtracks_from_its_minimizer():
+    # the never-accepting stub again: after the bounded minimizer and the
+    # probe at alpha_max, every backtrack stays in the safeguard window
+    # of the trial before it, starting from the minimizer
+    f = np.array([[1.0, 0.0, 0.0]])
+    d = np.array([[0.0, 1.0, 0.0]])
+    trials = []
+
+    def stubborn(g):
+        trials.append(g[0, 1] / g[0, 0])
+        return 1.0
+
+    res = search(f, d, energy=stubborn, phi0=1.0, dphi0=-1.0,
+                 strategy="bounded", max_backtracks=5)
+    assert not res.ok
+    assert res.evals == len(trials) == 38
+    minimizer, end, backtracks = trials[-8], trials[-7], trials[-6:]
+    assert minimizer == pytest.approx(1.0, abs=1e-5)
+    assert end == pytest.approx(1.0, abs=1e-12)
+    chain = [minimizer] + backtracks
+    assert all(0.1 * a * (1 - 1e-12) <= b <= 0.5 * a * (1 + 1e-12)
+               for a, b in zip(chain, chain[1:]))
+    # one quadratic step from the minimizer, then cubic ones
+    assert backtracks == pytest.approx([0.5, 0.211325, 0.092196, 0.040004, 0.017375,
+                                        0.007545], abs=1e-6)
+    # no later trial is lower, so the minimizer stays the best one
+    assert res.alpha == pytest.approx(minimizer, rel=1e-12)
+    assert res.energy == 1.0
+
+
+def test_cubic_step_clamps_relative_to_the_last_trial():
+    # phi(alpha) = 1 + 100 alpha^2 against phi'(0) = -1: every model puts
+    # its minimizer near 0.005, so each step is the lower clamp of the
+    # trial just rejected
+    f = np.array([[1.0, 0.0, 0.0]])
+    d = np.array([[0.0, 1.0, 0.0]])
+    trials = []
+
+    def steep(g):
+        alpha = g[0, 1] / g[0, 0]
+        trials.append(alpha)
+        return 1.0 + 100.0 * alpha**2
+
+    search(f, d, energy=steep, phi0=1.0, dphi0=-1.0, max_backtracks=2)
+    assert trials == pytest.approx([1.0, 0.1, 0.01], rel=1e-12)
 
 
 def test_non_descent_direction_rejected(ellipsoid3):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from authalic import registration
 from authalic.energy import assemble_laplacian
 from authalic.mesh import build_surface, make_icosphere
 from authalic.registration import (RegistrationObjective, compose_registration,
@@ -243,11 +244,55 @@ def test_locate_in_a_folded_target_widens_and_falls_back(icosphere1):
     assert assert_located_as_one_by_one(points, f, icosphere1.faces[1:])[2] > 0
 
 
+def test_locate_falls_back_to_the_first_of_equal_candidates(icosphere1):
+    # one face left out and a neighbor listed 12 times: queries in the
+    # hole next to their shared edge fall back to that neighbor, whose
+    # copies give bitwise equal weights and fill the first widening
+    # round and part of the second; the copy first in candidate order
+    # must win
+    f, all_faces = icosphere1.vertices, icosphere1.faces
+    a, b, c = all_faces[0]
+    twin = next(i for i, face in enumerate(all_faces) if i and a in face and b in face)
+    faces = np.vstack([all_faces[1:]] + [all_faces[twin]] * 11)
+    rng = np.random.default_rng(0)
+    t, u = rng.uniform(0.02, 0.2, size=(50, 1)), rng.uniform(0.3, 0.7, size=(50, 1))
+    points = project_to_manifold((1 - t) * (u * f[a] + (1 - u) * f[b]) + t * f[c])
+    located, _, fallbacks = assert_located_as_one_by_one(points, f, faces)
+    assert fallbacks == len(points)
+    assert (faces[located] == all_faces[twin]).all()
+    assert len(set(located)) > 1
+
+
 def test_locate_on_the_tetrahedron_with_fewer_faces_than_candidates():
     t = regular_tetrahedron()
     f = project_to_manifold(t.vertices)
     assert_located_as_one_by_one(random_unit_vectors(200), f, t.faces)
     assert_located_as_one_by_one(f, f, t.faces)
+
+
+def test_locate_with_a_small_systems_cap_as_one_by_one(icosphere1, monkeypatch):
+    # 64 systems per stacked solve: 8 queries in the first round, 2 or 1
+    # in the wider ones, so every round takes several solves
+    monkeypatch.setattr(registration, "LOCATE_SYSTEMS", 64)
+    f = inverted_vertex_map(icosphere1, vertex=5)
+    points = random_unit_vectors(3000)
+    assert assert_located_as_one_by_one(points, f, icosphere1.faces)[2] == 0
+    assert assert_located_as_one_by_one(points, f, icosphere1.faces[1:])[2] > 0
+    t = regular_tetrahedron()
+    tf = project_to_manifold(t.vertices)
+    assert_located_as_one_by_one(random_unit_vectors(200), tf, t.faces)
+    assert_located_as_one_by_one(tf, tf, t.faces)
+
+
+def test_locate_raises_when_no_candidate_is_usable():
+    # with one face of the tetrahedron left out, the direction antipodal
+    # to the opposite vertex gives every other face a negative weight sum
+    t = regular_tetrahedron()
+    f = project_to_manifold(t.vertices)
+    opposite = (set(range(4)) - set(t.faces[0])).pop()
+    points = np.stack([f[opposite], -f[opposite]])
+    with pytest.raises(ValueError, match="point location failed for query 1"):
+        locate_on_sphere(points, f, t.faces[1:])
 
 
 def test_locate_skips_a_singular_candidate(icosphere2):
