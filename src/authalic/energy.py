@@ -25,11 +25,15 @@ closed-form area partials per face onto the vertices, all from one
 There is one route to each energy: :func:`geometry_report` on a
 :class:`FaceGeometry`, or :func:`energy_report_per_face` on a mapping;
 callers read ``stretch``, ``image_area`` or ``normalized`` from the
-:class:`EnergyReport`.  The Laplacian routes stay as independent
-cross-checks: :func:`image_area_gradient_via_laplacian` and ``L f`` from
-:func:`assemble_laplacian` here, the quadratic form in ``authalic check``
-and in the test helpers.  The per-face 9x9 Hessian of the stretch energy
-is available in closed form for diagnostics.
+:class:`EnergyReport`.  :func:`assemble_laplacian` takes a
+:class:`FaceGeometry` too, so FPI builds each Laplacian from the pass its
+record already made; it computes the corner weights and leaves the
+sparse layout to :func:`~authalic.mesh.side_laplacian`, the assembler the
+mean-value Laplacian of fold correction shares.  The Laplacian routes
+stay as independent cross-checks: :func:`image_area_gradient_via_laplacian`
+and ``L f`` from :func:`assemble_laplacian` here, the quadratic form in
+``authalic check`` and in the test helpers.  The per-face 9x9 Hessian of
+the stretch energy is available in closed form for diagnostics.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DegenerateFaceError
-from .mesh import scatter_corners
+from .mesh import scatter_corners, side_laplacian
 
 IMAGE_AREA_TOL = 1e-14
 
@@ -110,10 +114,9 @@ def check_geometry(geom: FaceGeometry) -> None:
         )
 
 
-def _corner_weights(surface, f: np.ndarray):
+def _corner_weights(surface, geom: FaceGeometry):
     """Modified cotangent weight per face corner (the corner opposite the
     weighted edge): w = dot of the two image edges at the corner / (4 |tau|)."""
-    geom = face_geometry(surface, f, check=True)
     inv4a = 1.0 / (4.0 * surface.face_areas)
     # einsum sums a row in a different order when the rows are strided, so
     # the dots run on face-major copies, whatever the geometry's layout
@@ -124,27 +127,23 @@ def _corner_weights(surface, f: np.ndarray):
     w_j = np.einsum("ij,ij->i", e_ij, -e_jk) * inv4a
     # corner k: (f_i - f_k).(f_j - f_k) = e_ik . e_jk
     w_k = np.einsum("ij,ij->i", e_ik, e_jk) * inv4a
-    return w_i, w_j, w_k, geom
+    return w_i, w_j, w_k
 
 
-def assemble_laplacian(surface, f: np.ndarray) -> sp.csr_matrix:
-    """Sparse symmetric weighted Laplacian of the image mapping.
+def assemble_laplacian(surface, geom: FaceGeometry) -> sp.csr_matrix:
+    """Sparse symmetric weighted Laplacian of the mapping behind `geom`.
 
     Off-diagonal (i, j) accumulates -w over the faces containing edge
     (i, j); the diagonal is the negated off-diagonal row sum, so rows sum
     to zero.  Raises :class:`DegenerateFaceError` when an image triangle
     has collapsed.
     """
-    w_i, w_j, w_k, _ = _corner_weights(surface, f)
-    fi, fj, fk = surface.faces[:, 0], surface.faces[:, 1], surface.faces[:, 2]
-    n = surface.n_vertices
-    # corner weight couples the opposite edge, symmetrically
-    rows = np.concatenate([fj, fk, fi, fk, fi, fj])
-    cols = np.concatenate([fk, fj, fk, fi, fj, fi])
-    vals = -np.concatenate([w_i, w_i, w_j, w_j, w_k, w_k])
-    lap = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    diag = -np.asarray(lap.sum(axis=1)).ravel()
-    return (lap + sp.diags(diag)).tocsr()
+    check_geometry(geom)
+    w_i, w_j, w_k = _corner_weights(surface, geom)
+    # the side from corner c to c + 1 takes the weight of the corner
+    # opposite it, c + 2, and the side to c + 2 that of c + 1
+    return side_laplacian(surface.n_vertices, surface.faces,
+                          np.array([[w_k, w_j], [w_i, w_k], [w_j, w_i]]))
 
 
 @dataclass(frozen=True)
@@ -237,7 +236,8 @@ def image_area_gradient(surface, f: np.ndarray) -> np.ndarray:
 
 def image_area_gradient_via_laplacian(surface, f: np.ndarray) -> np.ndarray:
     """Independent route: per face, (|tau| / |f(tau)|) * L(f|tau) f_tau."""
-    w_i, w_j, w_k, geom = _corner_weights(surface, f)
+    geom = face_geometry(surface, f)
+    w_i, w_j, w_k = _corner_weights(surface, geom)
     p = np.asarray(f)[surface.faces]
     # per-face Laplacian rows: L = [[wj+wk, -wk, -wj], [-wk, wi+wk, -wi],
     # [-wj, -wi, wi+wj]] applied to the corner positions
@@ -295,18 +295,10 @@ def _hessian_blocks(surface, f: np.ndarray, face_indices=None) -> np.ndarray:
     d = np.stack([p[:, 1] - p[:, 2], p[:, 2] - p[:, 0], p[:, 0] - p[:, 1]], axis=1)
     # d[face, a, l] = h^l component at corner a
     outer = np.einsum("mas,mbt->mstab", d, d)  # outer[m,s,t,a,b] = h^s_a h^t_b
-    m = faces.shape[0]
-    blocks = np.empty((m, 3, 3, 3, 3))
+    blocks = outer - 2.0 * outer.transpose(0, 2, 1, 3, 4)
     for s in range(3):
-        for t in range(3):
-            if s == t:
-                acc = np.zeros((m, 3, 3))
-                for l in range(3):
-                    if l != s:
-                        acc += outer[:, l, l]
-                blocks[:, s, t] = acc
-            else:
-                blocks[:, s, t] = outer[:, s, t] - 2.0 * outer[:, t, s]
+        l1, l2 = (s + 1) % 3, (s + 2) % 3
+        blocks[:, s, s] = outer[:, l1, l1] + outer[:, l2, l2]
     blocks /= (2.0 * ref)[:, None, None, None, None]
     return blocks
 
@@ -333,16 +325,10 @@ def assemble_global_hessian(surface, f: np.ndarray) -> sp.csr_matrix:
     """
     n = surface.n_vertices
     blocks = _hessian_blocks(surface, f)
-    faces = surface.faces
-    m = faces.shape[0]
-    rows = np.empty((m, 3, 3, 3, 3), dtype=np.int64)
-    cols = np.empty_like(rows)
-    for s in range(3):
-        for a in range(3):
-            rows[:, s, :, a, :] = (s * n + faces[:, a])[:, None, None]
-    for t in range(3):
-        for b in range(3):
-            cols[:, :, t, :, b] = (t * n + faces[:, b])[:, None, None]
+    # index[m, s, a] = s * n + (corner a of face m)
+    index = np.arange(3)[:, None] * n + surface.faces[:, None, :]
+    rows = np.broadcast_to(index[:, :, None, :, None], blocks.shape)
+    cols = np.broadcast_to(index[:, None, :, None, :], blocks.shape)
     hess = sp.coo_matrix(
         (blocks.ravel(), (rows.ravel(), cols.ravel())), shape=(3 * n, 3 * n)
     )

@@ -52,7 +52,7 @@ def conformal_initial_map(surface, face_index: int | None = None, rng=None) -> n
 
     # stretch Laplacian of the identity mapping = classical half-cotangent
     # Laplacian of the reference mesh
-    lap = en.assemble_laplacian(surface, surface.vertices).tocsr()
+    lap = en.assemble_laplacian(surface, en.face_geometry(surface, surface.vertices))
     n = surface.n_vertices
     interior = np.ones(n, dtype=bool)
     interior[pinned] = False
@@ -120,7 +120,8 @@ def fpi_minimize(surface, f0: np.ndarray, r: float = DEFAULT_RADIUS, max_iters: 
                  stop_on_increase: bool = True) -> FPIResult:
     """Alternating hemisphere fixed-point iteration from `f0`.
 
-    Each iteration: rebuild the image-weighted Laplacian, invert the
+    Each iteration: rebuild the image-weighted Laplacian from the face
+    geometry of the current mapping (the one its record holds), invert the
     plane (swapping hemispheres), re-solve the interior {|h| < r}, rescale
     to unit median magnitude, and lift back to the sphere.  Stops when
     the stretch-energy decrease drops to :data:`STRETCH_DECREASE_TOL` or
@@ -136,13 +137,14 @@ def fpi_minimize(surface, f0: np.ndarray, r: float = DEFAULT_RADIUS, max_iters: 
     # every reported mapping in the input orientation
     h = stereographic(current)
     flipped = False
-    report = en.energy_report_per_face(surface, current)
+    geom = en.face_geometry(surface, current, check=False)
+    report = en.geometry_report(surface, geom)
     records: list[IterationRecord] = []
     boundary_fixed: list[bool] = []
     start = time.perf_counter()
 
     for k in range(1, max_iters + 1):
-        lap = en.assemble_laplacian(surface, current).tocsr()
+        lap = en.assemble_laplacian(surface, geom)
         h = invert_plane(h)
         flipped = not flipped
         h, fixed = dirichlet_solve(surface, lap, h, _interior_mask(h, r))
@@ -151,14 +153,14 @@ def fpi_minimize(surface, f0: np.ndarray, r: float = DEFAULT_RADIUS, max_iters: 
             mags = np.where(h.at_infinity, np.inf, np.abs(h.values))
         h = PlanarPoints(values=h.values / np.median(mags), at_infinity=h.at_infinity)
         f_new = inverse_stereographic(invert_plane(h) if flipped else h)
-        geom = en.face_geometry(surface, f_new, check=False)
-        report_new = en.geometry_report(surface, geom)
-        records.append(make_record(geom, report_new, k, None, None,
+        geom_new = en.face_geometry(surface, f_new, check=False)
+        report_new = en.geometry_report(surface, geom_new)
+        records.append(make_record(geom_new, report_new, k, None, None,
                                    time.perf_counter() - start))
         if stop_on_increase and report_new.authalic > report.authalic:
             return FPIResult(current, records, k, "authalic_increased", boundary_fixed)
         delta = report.stretch - report_new.stretch
-        current, report = f_new, report_new
+        current, geom, report = f_new, geom_new, report_new
         if delta <= STRETCH_DECREASE_TOL:
             return FPIResult(current, records, None, "delta_converged", boundary_fixed)
 

@@ -434,6 +434,26 @@ def scatter_corners(surface: SimplicialSurface, values: np.ndarray) -> np.ndarra
     return np.stack([np.bincount(index, row, minlength=n) for row in values], axis=1)
 
 
+def side_laplacian(n: int, faces: np.ndarray, weights: np.ndarray) -> sp.csr_matrix:
+    """Sparse n x n Laplacian from per-face side weights.
+
+    `weights` is (3, 2, m): weights[c, 0] and weights[c, 1] weight the
+    sides of each of the m `faces` from its corner c to its corners c + 1
+    and c + 2 (mod 3).
+    Off-diagonal (a, b) is minus the sum of the weights of side a -> b
+    over the faces that hold it; the diagonal is minus the off-diagonal
+    row sum, so rows sum to zero.  Sides of faces left out of `faces`
+    store no entry.
+    """
+    corners = faces.T
+    rows = np.broadcast_to(corners[:, None], weights.shape)
+    cols = corners[(np.arange(3)[:, None] + (1, 2)) % 3]
+    lap = sp.coo_matrix((-weights.ravel(), (rows.ravel(), cols.ravel())),
+                        shape=(n, n)).tocsr()
+    diag = -np.asarray(lap.sum(axis=1)).ravel()
+    return (lap + sp.diags(diag)).tocsr()
+
+
 def vertex_normals(surface: SimplicialSurface) -> np.ndarray:
     """Unit vertex normals: unweighted mean of incident face unit normals."""
     p = surface.vertices[surface.faces]

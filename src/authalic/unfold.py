@@ -20,6 +20,7 @@ from .fpi import DEFAULT_RADIUS, _interior_mask, dirichlet_solve
 # the passes solve through fpi.dirichlet_solve; solve stays importable here
 # because perfbench/spans.py wraps it under this name
 from .linsolve import solve  # noqa: F401
+from .mesh import side_laplacian
 from .sphere import (PlanarPoints, count_folds, inverse_stereographic,
                      invert_plane, stereographic)
 
@@ -40,23 +41,21 @@ def assemble_mean_value(surface, h: PlanarPoints) -> sp.csr_matrix:
 
     The weight of directed edge (i, j) accumulates tan(angle at h_i / 2)
     divided by |h_i - h_j| over the faces containing the edge, so the
-    matrix is generally unsymmetric; rows sum to zero.  Faces touching an
-    infinity-flagged vertex contribute nothing.  Raises on coincident
+    matrix is generally unsymmetric; rows sum to zero.  The weights go to
+    :func:`~authalic.mesh.side_laplacian` for the finite faces only: a
+    face touching an infinity-flagged vertex contributes nothing, and an
+    edge with no finite face stores no entry.  Raises on coincident
     adjacent points and on angles degenerating to pi.
     """
-    faces = surface.faces
-    finite_faces = ~h.at_infinity[faces].any(axis=1)
-    tri = h.values[faces[finite_faces]]
-    n = h.n
-
-    rows_all, cols_all, vals_all = [], [], []
-    fidx = faces[finite_faces]
+    finite_faces = ~h.at_infinity[surface.faces].any(axis=1)
+    fidx = surface.faces[finite_faces]
+    tri = h.values[fidx]
+    weights = np.empty((3, 2, fidx.shape[0]))
     # corner c: angle between edges to the other two corners, feeding the
     # two directed edges that leave c
     for c in range(3):
-        o1, o2 = (c + 1) % 3, (c + 2) % 3
-        u = tri[:, o1] - tri[:, c]
-        v = tri[:, o2] - tri[:, c]
+        u = tri[:, (c + 1) % 3] - tri[:, c]
+        v = tri[:, (c + 2) % 3] - tri[:, c]
         cross, dot, lengths = _corner_angles(u, v)
         if (lengths < 1e-14).any():
             bad = int(np.flatnonzero(lengths < 1e-14)[0])
@@ -68,18 +67,9 @@ def assemble_mean_value(surface, h: PlanarPoints) -> sp.csr_matrix:
             raise DegenerateFaceError("degenerate (straight) planar angle",
                                       face_index=int(np.flatnonzero(finite_faces)[bad]))
         half_tan = cross / (lengths + dot)
-        for o, edge in ((o1, u), (o2, v)):
-            w = half_tan / np.abs(edge)
-            rows_all.append(fidx[:, c])
-            cols_all.append(fidx[:, o])
-            vals_all.append(-w)
-
-    lap = sp.coo_matrix(
-        (np.concatenate(vals_all), (np.concatenate(rows_all), np.concatenate(cols_all))),
-        shape=(n, n),
-    ).tocsr()
-    diag = -np.asarray(lap.sum(axis=1)).ravel()
-    return (lap + sp.diags(diag)).tocsr()
+        weights[c, 0] = half_tan / np.abs(u)
+        weights[c, 1] = half_tan / np.abs(v)
+    return side_laplacian(surface.n_vertices, fidx, weights)
 
 
 @dataclass(frozen=True)

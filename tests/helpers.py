@@ -9,7 +9,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from authalic import mesh
-from authalic.energy import assemble_laplacian
+from authalic.energy import assemble_laplacian, face_geometry
 from authalic.mesh import build_surface, make_icosphere
 from authalic.sphere import project_to_manifold
 
@@ -18,7 +18,8 @@ def laplacian_stretch(surface, f):
     """Stretch energy as the Laplacian quadratic form
     (1/2) sum_s (f^s)^T L f^s, the cross-check of the per-face sum."""
     f = np.asarray(f, dtype=np.float64)
-    return 0.5 * float(np.sum(f * (assemble_laplacian(surface, f) @ f)))
+    lap = assemble_laplacian(surface, face_geometry(surface, f))
+    return 0.5 * float(np.sum(f * (lap @ f)))
 
 
 def dense_stretch_laplacian(surface, f):
@@ -156,8 +157,9 @@ def locate_one_by_one(points, sphere_vertices, faces, tol=1e-12):
     batched `locate_on_sphere`.  Each query tries its 8, 32, 128, ...
     nearest-centroid faces in order, skipping singular systems and
     nonpositive weight sums, and takes the first triangle whose
-    normalized weights are all >= -tol, else the least-negative one.
-    Returns (faces, weights, fallback_count)."""
+    normalized weights are all >= -tol, else the least-negative one; a
+    query with no usable candidate raises ``ValueError``, as the library
+    does.  Returns (faces, weights, fallback_count)."""
     tree = cKDTree(project_to_manifold(sphere_vertices[faces].mean(axis=1)))
     m = faces.shape[0]
     face_out = np.full(len(points), -1, dtype=np.int64)
@@ -183,6 +185,8 @@ def locate_one_by_one(points, sphere_vertices, faces, tol=1e-12):
                 if w.min() > best[0]:
                     best = (w.min(), fi, w)
             seen, k = k, 4 * k
+        if best[2] is None:
+            raise ValueError(f"point location failed for query {idx}")
         if face_out[idx] < 0:
             fallbacks += 1
         w = np.clip(best[2], 0.0, None)

@@ -82,7 +82,7 @@ def test_criterion_3_hessian_matches_finite_differences():
     hessian = assemble_global_hessian(surf, f).toarray()
 
     def stretch_grad_vec(mapping):
-        lap = assemble_laplacian(surf, mapping)
+        lap = assemble_laplacian(surf, face_geometry(surf, mapping))
         return (2.0 * (lap @ mapping)).T.ravel()
 
     vec = f.T.ravel()

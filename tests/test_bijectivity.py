@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,19 @@ def test_mean_value_matches_dense_oracle(icosphere1):
     ours = assemble_mean_value(icosphere1, PlanarPoints.finite(h)).toarray()
     oracle = dense_mean_value_laplacian(icosphere1, h)
     assert np.abs(ours - oracle).max() <= 1e-10 * np.abs(oracle).max()
+
+
+def test_mean_value_leaves_a_vertex_at_infinity_out(icosphere1):
+    h = planar_layout(icosphere1, seed=3)
+    at_infinity = np.zeros(h.size, dtype=bool)
+    v = int(np.argmax(np.abs(h)))
+    at_infinity[v] = True
+    lap = assemble_mean_value(icosphere1, PlanarPoints(values=h, at_infinity=at_infinity))
+    # no stored entry couples the vertex at infinity, not even a zero
+    assert lap[v].nnz == 0 and lap[:, v].nnz == 0
+    finite = SimpleNamespace(faces=icosphere1.faces[(icosphere1.faces != v).all(axis=1)])
+    oracle = dense_mean_value_laplacian(finite, h)
+    assert np.abs(lap.toarray() - oracle).max() <= 1e-10 * np.abs(oracle).max()
 
 
 def test_mean_value_rows_sum_to_zero(icosphere1):

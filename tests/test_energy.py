@@ -30,7 +30,7 @@ def test_equilateral_corner_weight():
     # degrees, so each corner weight is cot(60)/2 = 1/(2 sqrt 3) and each
     # off-diagonal accumulates two such faces
     tetra = regular_tetrahedron()
-    lap = assemble_laplacian(tetra, tetra.vertices).toarray()
+    lap = assemble_laplacian(tetra, face_geometry(tetra, tetra.vertices)).toarray()
     expected = -2.0 / (2.0 * np.sqrt(3.0))
     off = lap[~np.eye(4, dtype=bool)]
     assert off == pytest.approx(expected, rel=1e-12)
@@ -38,21 +38,21 @@ def test_equilateral_corner_weight():
 
 def test_laplacian_rows_sum_to_zero(icosphere2):
     f = perturbed_mapping(icosphere2, 0)
-    lap = assemble_laplacian(icosphere2, f)
+    lap = assemble_laplacian(icosphere2, face_geometry(icosphere2, f))
     scale = np.abs(lap.data).max()
     assert np.abs(np.asarray(lap.sum(axis=1))).max() <= 1e-10 * scale
 
 
 def test_laplacian_matches_dense_oracle(icosphere1):
     f = perturbed_mapping(icosphere1, 1)
-    ours = assemble_laplacian(icosphere1, f).toarray()
+    ours = assemble_laplacian(icosphere1, face_geometry(icosphere1, f)).toarray()
     oracle = dense_stretch_laplacian(icosphere1, f)
     assert np.abs(ours - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
 
 def test_laplacian_symmetric(icosphere1):
     f = perturbed_mapping(icosphere1, 2)
-    lap = assemble_laplacian(icosphere1, f)
+    lap = assemble_laplacian(icosphere1, face_geometry(icosphere1, f))
     assert np.abs((lap - lap.T).toarray()).max() <= 1e-14 * np.abs(lap.data).max()
 
 
@@ -60,8 +60,8 @@ def test_laplacian_invariant_under_face_relabeling(icosphere1):
     f = perturbed_mapping(icosphere1, 3)
     perm = np.random.default_rng(0).permutation(icosphere1.n_faces)
     shuffled = build_surface(icosphere1.vertices, icosphere1.faces[perm])
-    a = assemble_laplacian(icosphere1, f).sorted_indices()
-    b = assemble_laplacian(shuffled, f).sorted_indices()
+    a = assemble_laplacian(icosphere1, face_geometry(icosphere1, f)).sorted_indices()
+    b = assemble_laplacian(shuffled, face_geometry(shuffled, f)).sorted_indices()
     assert np.array_equal(a.indptr, b.indptr)
     assert np.array_equal(a.indices, b.indices)
     assert np.array_equal(a.data, b.data)
@@ -96,7 +96,7 @@ def test_corner_weights_bitwise_match_row_gather(icosphere2):
     reference = (np.einsum("ij,ij->i", e_ij, e_ik) * inv4a,
                  np.einsum("ij,ij->i", e_ij, -e_jk) * inv4a,
                  np.einsum("ij,ij->i", e_ik, e_jk) * inv4a)
-    for got, want in zip(_corner_weights(icosphere2, f), reference):
+    for got, want in zip(_corner_weights(icosphere2, face_geometry(icosphere2, f)), reference):
         assert np.array_equal(got, want)
 
 
@@ -117,7 +117,7 @@ def test_degenerate_image_face_rejected(icosphere1):
     i, j, k = icosphere1.faces[4]
     f[k] = f[j]
     with pytest.raises(DegenerateFaceError) as err:
-        assemble_laplacian(icosphere1, f)
+        assemble_laplacian(icosphere1, face_geometry(icosphere1, f, check=False))
     assert err.value.face_index is not None
 
 
@@ -241,7 +241,7 @@ def test_euclidean_gradient_matches_finite_differences(icosphere2):
 # ---------------------------------------------------------------------------
 
 def stretch_gradient_vec(surface, f):
-    lap = assemble_laplacian(surface, f)
+    lap = assemble_laplacian(surface, face_geometry(surface, f))
     return (2.0 * (lap @ f)).T.ravel()
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from authalic.energy import assemble_laplacian, energy_report_per_face
+from authalic.energy import assemble_laplacian, energy_report_per_face, face_geometry
 from authalic.errors import SolveError
 from authalic.fpi import (DEFAULT_RADIUS, _interior_mask, conformal_initial_map,
                           dirichlet_solve, fpi_minimize)
@@ -114,7 +114,7 @@ def pole_plane(surface):
     whose north-pole vertex lands at infinity."""
     h = stereographic(surface.vertices)
     assert h.at_infinity.sum() == 1
-    return assemble_laplacian(surface, surface.vertices).tocsr(), h
+    return assemble_laplacian(surface, face_geometry(surface, surface.vertices)).tocsr(), h
 
 
 def test_vertex_at_infinity_coupled_to_interior_raises(icosphere1):

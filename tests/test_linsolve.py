@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from authalic.energy import assemble_laplacian
+from authalic.energy import assemble_laplacian, face_geometry
 from authalic.errors import SolveError
 from authalic.fpi import _interior_mask, conformal_initial_map
 from authalic.linsolve import _condition_estimate, solve
@@ -24,7 +24,7 @@ def test_two_by_two_hand_check():
 
 def test_restricted_laplacian_matches_dense_oracle(icosphere1):
     f = icosphere1.vertices
-    lap = assemble_laplacian(icosphere1, f).tocsr()
+    lap = assemble_laplacian(icosphere1, face_geometry(icosphere1, f)).tocsr()
     h = invert_plane(stereographic(f))
     interior = np.abs(h.values) < 1.2
     boundary = ~interior
@@ -84,7 +84,7 @@ def test_complex_rhs_factorizes_once(monkeypatch):
 
 def restricted_fpi_system(surface):
     f = conformal_initial_map(surface)
-    lap = assemble_laplacian(surface, f).tocsr()
+    lap = assemble_laplacian(surface, face_geometry(surface, f)).tocsr()
     h = invert_plane(stereographic(f))
     interior = _interior_mask(h, 1.2)
     rhs = -lap[interior][:, ~interior] @ h.values[~interior]
@@ -103,7 +103,7 @@ def test_ordered_solve_matches_default_order(monkeypatch, ellipsoid3):
 
 def test_dissection_order_fills_less_than_colamd(monkeypatch):
     surface = normalize_area(make_icosphere(4, (1.0, 0.8, 0.6)))
-    lap = assemble_laplacian(surface, surface.vertices).tocsr()
+    lap = assemble_laplacian(surface, face_geometry(surface, surface.vertices)).tocsr()
     interior = np.ones(surface.n_vertices, dtype=bool)
     interior[surface.faces[np.argmax(surface.face_areas)]] = False  # the conformal start's pins
     a = lap[interior][:, interior]

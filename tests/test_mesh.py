@@ -8,7 +8,7 @@ from authalic.energy import face_geometry
 from authalic.errors import MeshFormatError, MeshTopologyError
 from authalic.mesh import (build_surface, load_mesh, make_icosphere, normalize_area,
                            parse_landmarks, perturb_vertices, save_mesh,
-                           vertex_normals)
+                           side_laplacian, vertex_normals)
 from authalic.pipeline import ParameterizeConfig, parameterize
 
 from helpers import icosphere_by_midpoint_dict, regular_tetrahedron
@@ -143,6 +143,21 @@ def test_vertex_normals_point_outward(icosphere1):
     assert np.linalg.norm(normals, axis=1) == pytest.approx(1.0, abs=1e-12)
     # for a sphere mesh the vertex normal is close to the radial direction
     assert (np.sum(normals * icosphere1.vertices, axis=1) > 0.9).all()
+
+
+def test_side_laplacian_hand_values_on_tetrahedron():
+    # unit side weights: every edge lies on two faces, every vertex has
+    # three neighbours
+    t = regular_tetrahedron()
+    lap = side_laplacian(4, t.faces, np.ones((3, 2, 4)))
+    assert np.array_equal(lap.toarray(), 8.0 * np.eye(4) - 2.0)
+    # a side weight lands on its directed entry only
+    weights = np.zeros((3, 2, 4))
+    weights[1, 0, 2] = 0.5   # face 2, corner 1 -> corner 2
+    a, b = t.faces[2, 1], t.faces[2, 2]
+    want = np.zeros((4, 4))
+    want[a, b], want[a, a] = -0.5, 0.5
+    assert np.array_equal(side_laplacian(4, t.faces, weights).toarray(), want)
 
 
 def test_normalize_area():

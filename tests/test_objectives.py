@@ -11,7 +11,7 @@ import authalic.energy as en
 import authalic.fpi as fpi
 import authalic.rgd as rgd
 import authalic.sphere as sphere
-from authalic.energy import (assemble_laplacian, energy_report_per_face,
+from authalic.energy import (assemble_laplacian, energy_report_per_face, face_geometry,
                              image_area_gradient_via_laplacian)
 from authalic.errors import DegenerateFaceError
 from authalic.mesh import normalize_area
@@ -40,7 +40,7 @@ def landmark_targets(f):
 def laplacian_stretch_terms(surface, f):
     """2 L f, E_stretch and A(f) through the sparse Laplacian, with the
     area gradient from the per-face Laplacian route."""
-    lap = assemble_laplacian(surface, f)
+    lap = assemble_laplacian(surface, face_geometry(surface, f))
     lap_f = lap @ f
     e_s = 0.5 * float(np.sum(f * lap_f))
     area = energy_report_per_face(surface, f).image_area

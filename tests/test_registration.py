@@ -3,7 +3,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from authalic import registration
-from authalic.energy import assemble_laplacian
+from authalic.energy import assemble_laplacian, face_geometry
 from authalic.mesh import build_surface, make_icosphere
 from authalic.registration import (RegistrationObjective, compose_registration,
                                    geodesic_mismatch, homotopy_frame, locate_on_sphere,
@@ -57,7 +57,7 @@ def test_gradient_without_landmarks_is_stretch_gradient(icosphere1):
     h = icosphere1.vertices
     rows = np.array([], dtype=np.int64)
     grad = registration_gradient(sphere, h, rows, np.zeros((0, 3)), np.zeros(0))
-    lap = assemble_laplacian(sphere, h)
+    lap = assemble_laplacian(sphere, face_geometry(sphere, h))
     assert np.abs(grad - 2.0 * (lap @ h)).max() <= 1e-14
 
 
@@ -293,6 +293,8 @@ def test_locate_raises_when_no_candidate_is_usable():
     points = np.stack([f[opposite], -f[opposite]])
     with pytest.raises(ValueError, match="point location failed for query 1"):
         locate_on_sphere(points, f, t.faces[1:])
+    with pytest.raises(ValueError, match="point location failed for query 1"):
+        locate_one_by_one(points, f, t.faces[1:])
 
 
 def test_locate_skips_a_singular_candidate(icosphere2):
