@@ -20,7 +20,6 @@ import numpy as np
 from . import diagnostics as diag
 from . import energy as en
 from .errors import AuthalicError
-from .fpi import DEFAULT_RADIUS
 from .mesh import (build_surface, load_mesh, normalize_area, parse_landmarks,
                    perturb_vertices, save_mesh)
 from .pipeline import CORRECTIONS, ParameterizeConfig, parameterize, write_records_csv
@@ -35,6 +34,7 @@ except PackageNotFoundError:  # running from a source tree
     _VERSION = "0.1.0"
 
 _STRATEGIES = {"interp": "interpolant", "bounded": "bounded"}
+_COUNT = click.IntRange(min=0)
 
 
 def _write_manifest(out_dir, command, inputs, params, seconds):
@@ -53,15 +53,14 @@ def _write_manifest(out_dir, command, inputs, params, seconds):
     return path
 
 
-def _run_param(mesh_path, *, fpi_iters, max_iters, strategy, radius, c1,
-               alpha_max, noise_sigma, seed, correct, normalize):
+def _run_param(mesh_path, *, fpi_iters, max_iters, strategy, noise_sigma, seed,
+               correct, normalize):
     surface = load_mesh(mesh_path)
     if noise_sigma > 0:
         surface = perturb_vertices(surface, noise_sigma, seed)
     config = ParameterizeConfig(
         fpi_iters=fpi_iters, max_iters=max_iters, strategy=strategy,
-        radius=radius, c1=c1, alpha_max=alpha_max, correct=correct,
-        seed=seed, normalize=normalize,
+        correct=correct, seed=seed, normalize=normalize,
     )
     return surface, parameterize(surface, config)
 
@@ -74,18 +73,13 @@ def main():
 
 @main.command()
 @click.argument("mesh", type=click.Path(exists=True, dir_okay=False))
-@click.option("--fpi-iters", default=10, show_default=True,
+@click.option("--fpi-iters", type=_COUNT, default=10, show_default=True,
               help="Warm-start fixed-point iterations (stops early on energy increase).")
-@click.option("--max-iters", default=100, show_default=True,
+@click.option("--max-iters", type=_COUNT, default=100, show_default=True,
               help="Gradient-descent iterations.")
 @click.option("--ls", "ls", type=click.Choice(sorted(_STRATEGIES)), default="interp",
               show_default=True, help="Line-search strategy.")
-@click.option("--r", "radius", default=DEFAULT_RADIUS, show_default=True,
-              help="Interior radius for hemisphere solves.")
-@click.option("--c1", default=1e-4, show_default=True,
-              help="Sufficient-decrease constant.")
-@click.option("--alpha-max", default=1.0, show_default=True, help="Step-size cap.")
-@click.option("--noise-sigma", default=0.0, show_default=True,
+@click.option("--noise-sigma", type=click.FloatRange(min=0), default=0.0, show_default=True,
               help="Gaussian vertex-normal noise applied to the raw input mesh.")
 @click.option("--seed", default=0, show_default=True)
 @click.option("--log", "log_path", type=click.Path(dir_okay=False), default=None,
@@ -97,19 +91,18 @@ def main():
               help="Skip rescaling the mesh to total area 4*pi.")
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), default=None,
               help="Output directory (default: <mesh stem>_param).")
-def param(mesh, fpi_iters, max_iters, ls, radius, c1, alpha_max, noise_sigma,
-          seed, log_path, correct, no_normalize, out_dir):
+def param(mesh, fpi_iters, max_iters, ls, noise_sigma, seed, log_path, correct,
+          no_normalize, out_dir):
     """Compute the spherical parameterization of MESH."""
     out_dir = out_dir or os.path.splitext(mesh)[0] + "_param"
     os.makedirs(out_dir, exist_ok=True)
     try:
         surface, result = _run_param(
             mesh, fpi_iters=fpi_iters, max_iters=max_iters,
-            strategy=_STRATEGIES[ls], radius=radius, c1=c1, alpha_max=alpha_max,
-            noise_sigma=noise_sigma, seed=seed, correct=correct,
-            normalize=not no_normalize,
+            strategy=_STRATEGIES[ls], noise_sigma=noise_sigma, seed=seed,
+            correct=correct, normalize=not no_normalize,
         )
-    except AuthalicError as exc:
+    except (AuthalicError, ValueError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
 
@@ -123,8 +116,8 @@ def param(mesh, fpi_iters, max_iters, ls, radius, c1, alpha_max, noise_sigma,
     csv_path = log_path or os.path.join(out_dir, "convergence.csv")
     write_records_csv(csv_path, result.records)
     params = {
-        "fpi_iters": fpi_iters, "max_iters": max_iters, "ls": ls, "r": radius,
-        "c1": c1, "alpha_max": alpha_max, "noise_sigma": noise_sigma, "seed": seed,
+        "fpi_iters": fpi_iters, "max_iters": max_iters, "ls": ls,
+        "noise_sigma": noise_sigma, "seed": seed,
         "correct_bijectivity": correct, "normalize": not no_normalize,
         "fpi_iterations_run": result.fpi_iterations,
     }
@@ -141,9 +134,9 @@ def param(mesh, fpi_iters, max_iters, ls, radius, c1, alpha_max, noise_sigma,
 @click.argument("landmarks", type=click.Path(exists=True, dir_okay=False))
 @click.option("--lam", "--lambda", "lam", default=10.0, show_default=True,
               help="Landmark penalty weight.")
-@click.option("--align-iters", default=200, show_default=True)
-@click.option("--fpi-iters", default=10, show_default=True)
-@click.option("--max-iters", default=100, show_default=True)
+@click.option("--align-iters", type=_COUNT, default=200, show_default=True)
+@click.option("--fpi-iters", type=_COUNT, default=10, show_default=True)
+@click.option("--max-iters", type=_COUNT, default=100, show_default=True)
 @click.option("--ls", "ls", type=click.Choice(sorted(_STRATEGIES)), default="interp",
               show_default=True)
 @click.option("--seed", default=0, show_default=True)
@@ -173,7 +166,7 @@ def register(mesh0, mesh1, landmarks, lam, align_iters, fpi_iters, max_iters, ls
         a1 = solve_alignment(s1, f1, pairs[:, 1], targets, lambdas=lam,
                              iters=align_iters, strategy=_STRATEGIES[ls])
         composed = compose_registration(m0, m1, f0, f1, a0.mapping, a1.mapping)
-    except AuthalicError as exc:
+    except (AuthalicError, ValueError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
 
@@ -210,6 +203,26 @@ def register(mesh0, mesh1, landmarks, lam, align_iters, fpi_iters, max_iters, ls
                f"({100 * mismatch['reduction']:.1f}% reduction)")
 
 
+def _read_composed_map(path, m0, m1) -> ComposedMap:
+    """Read a ``composed_map.txt``: one row per source vertex, each an
+    integral face id of the target and three finite weights."""
+    rows = np.loadtxt(path, comments="#", ndmin=2)
+    if rows.shape != (m0.n_vertices, 5):
+        raise ValueError(f"{path} has shape {rows.shape}, expected ({m0.n_vertices}, 5)")
+    ids = rows[:, 1]
+    bad = (ids != np.floor(ids)) | (ids < 0) | (ids >= m1.n_faces)
+    if bad.any():
+        raise ValueError(f"{path}: face id {ids[bad][0]:g} is not one of the "
+                         f"{m1.n_faces} target faces")
+    weights = rows[:, 2:5]
+    if not np.isfinite(weights).all():
+        raise ValueError(f"{path}: non-finite barycentric weight")
+    face_idx = ids.astype(np.int64)
+    points = np.einsum("nk,nkd->nd", weights, m1.vertices[m1.faces[face_idx]])
+    return ComposedMap(face_indices=face_idx, weights=weights, points=points,
+                       fallback_count=0)
+
+
 @main.command()
 @click.argument("regdir", type=click.Path(exists=True, file_okay=False))
 @click.option("--frames", default=4, show_default=True,
@@ -231,12 +244,7 @@ def morph(regdir, frames, out_dir):
             manifest = json.load(fh)
         m0 = load_mesh(manifest["inputs"]["mesh0"])
         m1 = load_mesh(manifest["inputs"]["mesh1"])
-        rows = np.loadtxt(composed_path, comments="#")
-        face_idx = rows[:, 1].astype(np.int64)
-        weights = rows[:, 2:5]
-        points = np.einsum("nk,nkd->nd", weights, m1.vertices[m1.faces[face_idx]])
-        composed = ComposedMap(face_indices=face_idx, weights=weights,
-                               points=points, fallback_count=0)
+        composed = _read_composed_map(composed_path, m0, m1)
         for k in range(frames):
             t = k / (frames - 1)
             frame = homotopy_frame(m0, composed, t)

@@ -24,7 +24,9 @@ from .rgd import IterationRecord, make_record
 from .sphere import (PlanarPoints, count_folds, inverse_stereographic,
                      invert_plane, stereographic)
 
-DEFAULT_RADIUS = 1.2
+# disk radius of the hemisphere solves: each re-solves the finite points
+# with |h| < RADIUS, so the two hemispheres' disks overlap
+RADIUS = 1.2
 # FPI stops once an iteration lowers the stretch energy by no more than this
 STRETCH_DECREASE_TOL = 1e-6
 
@@ -83,12 +85,12 @@ class FPIResult:
     boundary_fixed: list[bool]
 
 
-def _interior_mask(h: PlanarPoints, radius: float) -> np.ndarray:
+def _interior_mask(h: PlanarPoints) -> np.ndarray:
     """The vertices a hemisphere solve re-solves: the finite points of the
-    disk |h| < radius (FPI and fold correction alike)."""
+    disk |h| < :data:`RADIUS` (FPI and fold correction alike)."""
     with np.errstate(over="ignore"):
         mags = np.abs(h.values)
-    mask = (mags < radius) & ~h.at_infinity
+    mask = (mags < RADIUS) & ~h.at_infinity
     return mask
 
 
@@ -96,40 +98,42 @@ def dirichlet_solve(surface, lap, h: PlanarPoints, interior: np.ndarray):
     """Re-solve the `interior` vertices of the plane from `lap`, holding
     every other vertex at its current value.
 
-    The system is `lap[interior]` restricted to the interior columns,
-    factored in the surface's dissection order; the boundary columns move
-    to the right-hand side.  A vertex at infinity may only be boundary,
-    and only where no interior row couples to it.  Returns the new points
-    and whether the boundary values came back bitwise unchanged.
+    The unknowns are the interior vertices listed in the surface's
+    dissection order, which is the order the system is factored in: the
+    rows and columns of `lap` at those vertices, with the boundary
+    columns moved to the right-hand side.  A vertex at infinity may only
+    be boundary, and only where no interior row couples to it.  Returns
+    the new points and whether the boundary values came back bitwise
+    unchanged.
     """
     if not interior.any():
         raise SolveError("empty interior vertex set")
     boundary = ~interior
-    rows = lap[interior]
+    order = surface.dissection_order
+    idx = order[interior[order]]
+    rows = lap[idx]
     if h.at_infinity.any() and rows[:, h.at_infinity].nnz:
         raise SolveError("vertex at infinity is coupled to the interior system")
     rhs = -rows[:, boundary] @ np.where(h.at_infinity[boundary], 0.0, h.values[boundary])
     values = h.values.copy()
     before = values[boundary].copy()
-    values[interior] = solve(rows[:, interior], rhs, order=surface.subsystem_order(interior))
+    values[idx] = solve(rows[:, idx], rhs)
     fixed = bool(np.array_equal(values[boundary], before))
     return PlanarPoints(values=values, at_infinity=h.at_infinity.copy()), fixed
 
 
-def fpi_minimize(surface, f0: np.ndarray, r: float = DEFAULT_RADIUS, max_iters: int = 10,
+def fpi_minimize(surface, f0: np.ndarray, max_iters: int = 10,
                  stop_on_increase: bool = True) -> FPIResult:
     """Alternating hemisphere fixed-point iteration from `f0`.
 
     Each iteration: rebuild the image-weighted Laplacian from the face
     geometry of the current mapping (the one its record holds), invert the
-    plane (swapping hemispheres), re-solve the interior {|h| < r}, rescale
+    plane (swapping hemispheres), re-solve the interior {|h| < RADIUS}, rescale
     to unit median magnitude, and lift back to the sphere.  Stops when
     the stretch-energy decrease drops to :data:`STRETCH_DECREASE_TOL` or
     (when `stop_on_increase`) at the first authalic-energy increase,
     returning the pre-increase mapping.
     """
-    if r <= 1.0:
-        raise ValueError("radius must exceed 1")
     current = np.asarray(f0, dtype=np.float64).copy()
     # the working plane accumulates one inversion per iteration (that is
     # what alternates the hemispheres); an inversion is a reflection on
@@ -147,7 +151,7 @@ def fpi_minimize(surface, f0: np.ndarray, r: float = DEFAULT_RADIUS, max_iters: 
         lap = en.assemble_laplacian(surface, geom)
         h = invert_plane(h)
         flipped = not flipped
-        h, fixed = dirichlet_solve(surface, lap, h, _interior_mask(h, r))
+        h, fixed = dirichlet_solve(surface, lap, h, _interior_mask(h))
         boundary_fixed.append(fixed)
         with np.errstate(over="ignore"):
             mags = np.where(h.at_infinity, np.inf, np.abs(h.values))

@@ -20,8 +20,9 @@ from scipy.optimize import minimize_scalar
 from .errors import LineSearchError
 from .sphere import retract, row_dots
 
-DEFAULT_C1 = 1e-4
-DEFAULT_ALPHA_MAX = 1.0
+# sufficient-decrease constant and step-size cap of every search
+C1 = 1e-4
+ALPHA_MAX = 1.0
 DEFAULT_MAX_BACKTRACKS = 30
 STRATEGIES = ("interpolant", "bounded")
 # safeguard window for each interpolated step, relative to the last trial
@@ -109,9 +110,9 @@ def cubic_backtrack_step(phi0: float, dphi0: float, last, before) -> float:
 
 def search(f: np.ndarray, d: np.ndarray, *, energy, phi0: float, dphi0: float,
            strategy: str = "interpolant", alpha0: float = 1.0,
-           c1: float = DEFAULT_C1, alpha_max: float = DEFAULT_ALPHA_MAX,
            max_backtracks: int = DEFAULT_MAX_BACKTRACKS) -> LineSearchResult:
-    """Find a step size satisfying sufficient decrease along retract(f, a d).
+    """Find a step size satisfying sufficient decrease along retract(f, a d),
+    with c1 = :data:`C1` and the steps capped at :data:`ALPHA_MAX`.
 
     Parameters
     ----------
@@ -121,8 +122,8 @@ def search(f: np.ndarray, d: np.ndarray, *, energy, phi0: float, dphi0: float,
         The objective at f and its derivative along the retracted curve
         (:func:`phi_derivative_at_zero`); `dphi0` must be negative.
     strategy : {"interpolant", "bounded"}
-        The first trial: min(alpha0, alpha_max), or the bounded scalar
-        minimizer of phi on [0, alpha_max] (alpha_max itself when lower).
+        The first trial: min(alpha0, ALPHA_MAX), or the bounded scalar
+        minimizer of phi on [0, ALPHA_MAX] (ALPHA_MAX itself when lower).
         Each rejected trial sets the next one: after the first rejection
         the minimizer of the quadratic through phi(0), phi'(0) and that
         trial, after later ones the minimizer of the cubic through the
@@ -150,7 +151,7 @@ def search(f: np.ndarray, d: np.ndarray, *, energy, phi0: float, dphi0: float,
         return energy(g), g
 
     def sufficient(alpha: float, value: float) -> bool:
-        return value <= phi0 + c1 * alpha * dphi0
+        return value <= phi0 + C1 * alpha * dphi0
 
     def reject(alpha: float, value: float, g: np.ndarray) -> float:
         """Keep a rejected trial; return the next step to try."""
@@ -163,21 +164,21 @@ def search(f: np.ndarray, d: np.ndarray, *, energy, phi0: float, dphi0: float,
         return cubic_backtrack_step(phi0, dphi0, rejected[-1], rejected[-2])
 
     if strategy == "bounded":
-        res = minimize_scalar(lambda a: phi(float(a))[0], bounds=(0.0, alpha_max),
+        res = minimize_scalar(lambda a: phi(float(a))[0], bounds=(0.0, ALPHA_MAX),
                               method="bounded", options={"xatol": 1e-6, "maxiter": 50})
         alpha = float(res.x)
         value, g = phi(alpha)
         # the bounded minimizer cannot land exactly on the interval end;
         # probe it so a monotone phi still gets the full step
-        value_end, g_end = phi(alpha_max)
+        value_end, g_end = phi(ALPHA_MAX)
         if value_end < value:
-            alpha, value, g = alpha_max, value_end, g_end
+            alpha, value, g = ALPHA_MAX, value_end, g_end
         if sufficient(alpha, value):
             return LineSearchResult(alpha, g, value, evals, True)
         # backtrack from the bounded result, the first rejected trial
         alpha = reject(alpha, value, g)
     elif strategy == "interpolant":
-        alpha = min(float(alpha0), alpha_max)
+        alpha = min(float(alpha0), ALPHA_MAX)
     else:
         raise ValueError(f"unknown line-search strategy {strategy!r}")
 

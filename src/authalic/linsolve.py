@@ -3,13 +3,12 @@
 Every system is solved by one direct sparse LU factorization (SuperLU with
 its default threshold partial pivoting; the Laplacians of the unfolding
 passes are unsymmetric, so symmetric-only factorizations are out).  The
-callers' systems are restrictions of mesh-graph Laplacians, and they pass
-the mesh's nested-dissection vertex order
+system is factored in the order it is given, with no column reordering:
+the callers' systems are restrictions of mesh-graph Laplacians whose
+unknowns they list in the mesh's nested-dissection order
 (:attr:`~authalic.mesh.SimplicialSurface.dissection_order`, computed once
-per surface) restricted to the unknowns; the permuted matrix is factored
-as given, which fills far less than SuperLU's own COLAMD column order.
-Every solve, ordered or not, is checked on the caller's unpermuted system
-against the contract
+per surface), which fills far less than SuperLU's own COLAMD order.
+Every solve is checked against the contract
 
     ||A x - b|| <= RESIDUAL_RTOL * (||A||_inf ||x|| + ||b||)     per column,
 
@@ -29,10 +28,8 @@ RESIDUAL_RTOL = 1e-10
 
 
 def _condition_estimate(lu, matrix: sp.csc_matrix) -> float:
-    """1-norm condition estimate ||A||_1 ||A^-1||_1 from the factors of A
-    (or of a symmetric permutation of A), inf when it cannot be formed."""
-    # the 1-norm of the inverse is invariant under a symmetric permutation,
-    # so the factors of the reordered matrix estimate the caller's one;
+    """1-norm condition estimate ||A||_1 ||A^-1||_1 from the factors of A,
+    inf when it cannot be formed."""
     # onenormest needs products with the transpose as well
     n = matrix.shape[0]
     try:
@@ -45,16 +42,16 @@ def _condition_estimate(lu, matrix: sp.csc_matrix) -> float:
         return float("inf")
 
 
-def solve(matrix: sp.spmatrix, rhs, order: np.ndarray | None = None) -> np.ndarray:
+def solve(matrix: sp.spmatrix, rhs) -> np.ndarray:
     """Solve A x = b for each right-hand-side column.
+
+    The unknowns are eliminated in the order the rows and columns of A
+    list them (SuperLU's ``NATURAL`` column order).
 
     Parameters
     ----------
     matrix : square sparse matrix A
     rhs : array whose first axis has one row per unknown
-    order : permutation of the unknowns, optional
-        Elimination order: ``A[order][:, order]`` is factored without
-        further column reordering.  None lets SuperLU pick (COLAMD).
 
     Returns
     -------
@@ -67,8 +64,6 @@ def solve(matrix: sp.spmatrix, rhs, order: np.ndarray | None = None) -> np.ndarr
     rhs = np.asarray(rhs)
     if rhs.shape[0] != n:
         raise ValueError(f"rhs has {rhs.shape[0]} rows, expected {n}")
-    if order is not None and np.shape(order) != (n,):
-        raise ValueError(f"order has shape {np.shape(order)}, expected ({n},)")
 
     b2 = rhs.reshape(n, -1)
     # a real matrix with a complex right-hand side: the real and imaginary
@@ -79,18 +74,10 @@ def solve(matrix: sp.spmatrix, rhs, order: np.ndarray | None = None) -> np.ndarr
     a_norm = float(abs(matrix).sum(axis=1).max()) if matrix.nnz else 0.0
 
     try:
-        if order is None:
-            lu = spla.splu(matrix)
-        else:
-            lu = spla.splu(matrix[order][:, order], permc_spec="NATURAL")
+        lu = spla.splu(matrix, permc_spec="NATURAL")
     except RuntimeError as exc:
         raise SolveError(f"sparse LU factorization failed: {exc}") from exc
-    if order is None:
-        x2 = lu.solve(b2)
-    else:
-        x_ordered = lu.solve(b2[order])
-        x2 = np.empty_like(x_ordered)
-        x2[order] = x_ordered
+    x2 = lu.solve(b2)
 
     residual = np.linalg.norm(matrix @ x2 - b2, axis=0)
     bound = RESIDUAL_RTOL * (a_norm * np.linalg.norm(x2, axis=0) + np.linalg.norm(b2, axis=0))

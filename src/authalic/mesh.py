@@ -10,7 +10,6 @@ assumes.
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -58,9 +57,9 @@ class SimplicialSurface:
     def n_edges(self) -> int:
         return self.edges.shape[0]
 
-    def with_vertices(self, vertices: np.ndarray, genus_check: str = "error") -> "SimplicialSurface":
+    def with_vertices(self, vertices: np.ndarray) -> "SimplicialSurface":
         """Rebuild the surface with new vertex positions, same faces."""
-        return build_surface(vertices, self.faces, genus_check=genus_check)
+        return build_surface(vertices, self.faces)
 
     @cached_property
     def corner_index(self) -> np.ndarray:
@@ -76,23 +75,16 @@ class SimplicialSurface:
         A fill-reducing elimination order for every sparse system on the
         mesh graph; computed on first use and kept for the surface's life.
         The split points scale with the mesh, so the order is shared with
-        every rescaled copy made by :func:`normalize_area`.
+        every rescaled copy made by :func:`normalize_area`.  A separator
+        of the mesh graph stays a separator of every induced subgraph, so
+        the order restricted to a vertex subset still orders that
+        subsystem well.
         """
         order = self._scale_free.get("dissection_order")
         if order is None:
             order = _freeze(nested_dissection(self.vertices, self.edges))
             self._scale_free["dissection_order"] = order
         return order
-
-    def subsystem_order(self, keep: np.ndarray) -> np.ndarray:
-        """:attr:`dissection_order` restricted to the vertices where the
-        boolean mask `keep` holds, as positions among those vertices.
-
-        A separator of the mesh graph stays a separator of every induced
-        subgraph, so the restriction still orders the subsystem well.
-        """
-        order = self.dissection_order
-        return (np.cumsum(keep) - 1)[order[keep[order]]]
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -108,15 +100,11 @@ def triangle_areas(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
     return 0.5 * np.linalg.norm(cross, axis=1)
 
 
-def build_surface(vertices, faces, genus_check: str = "error") -> SimplicialSurface:
+def build_surface(vertices, faces) -> SimplicialSurface:
     """Validate arrays and derive edges/areas.
 
-    Parameters
-    ----------
-    vertices, faces : array_like
-    genus_check : {"error", "warn"}
-        Whether a non-zero genus aborts construction or only warns.
-        Non-manifold or boundary edges are always hard errors.
+    A non-zero genus, a non-manifold edge and a boundary edge each raise
+    :class:`~authalic.errors.MeshTopologyError`.
     """
     vertices = np.asarray(vertices, dtype=np.float64)
     faces = np.asarray(faces, dtype=np.int64)
@@ -145,7 +133,7 @@ def build_surface(vertices, faces, genus_check: str = "error") -> SimplicialSurf
         e = edges[np.flatnonzero(counts == 1)[0]]
         raise MeshTopologyError(f"open surface: boundary edge {tuple(int(v) for v in e)}")
 
-    _check_genus(n - edges.shape[0] + faces.shape[0], genus_check)
+    _check_genus(n - edges.shape[0] + faces.shape[0])
     areas = _checked_areas(vertices, faces)
     return SimplicialSurface(
         vertices=_freeze(vertices),
@@ -170,16 +158,11 @@ def edge_table(faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.stack([keys // n, keys % n], axis=1), counts
 
 
-def _check_genus(euler: int, genus_check: str) -> None:
-    """Reject (or, with "warn", warn about) an Euler characteristic other
-    than 2; a warning points at the caller of :func:`build_surface`."""
+def _check_genus(euler: int) -> None:
+    """Reject an Euler characteristic other than 2."""
     if euler != 2:
         genus = (2 - euler) / 2
-        msg = f"surface is not genus zero (V-E+F = {euler}, genus {genus:g})"
-        if genus_check == "warn":
-            warnings.warn(msg, stacklevel=3)
-        else:
-            raise MeshTopologyError(msg)
+        raise MeshTopologyError(f"surface is not genus zero (V-E+F = {euler}, genus {genus:g})")
 
 
 def _checked_areas(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
@@ -239,7 +222,7 @@ def _detect_format(path: str) -> str:
     raise MeshFormatError(f"cannot infer mesh format from extension {ext!r}")
 
 
-def load_mesh(path, fmt: str = "auto", genus_check: str = "error") -> SimplicialSurface:
+def load_mesh(path, fmt: str = "auto") -> SimplicialSurface:
     """Load a triangular OBJ or OFF file.
 
     Only `v x y z` and `f i j k` records are honored in OBJ files
@@ -256,7 +239,7 @@ def load_mesh(path, fmt: str = "auto", genus_check: str = "error") -> Simplicial
         verts, faces = _parse_off(path)
     else:
         raise MeshFormatError(f"unknown mesh format {fmt!r}")
-    return build_surface(verts, faces, genus_check=genus_check)
+    return build_surface(verts, faces)
 
 
 def _parse_obj(path):
@@ -482,13 +465,13 @@ def normalize_area(surface: SimplicialSurface, target: float = SPHERE_AREA) -> S
     The result equals ``build_surface(surface.vertices * scale,
     surface.faces)`` field by field, without rebuilding: the faces and
     edges carry over, only the face areas are recomputed.  The genus and
-    face-area checks of :func:`build_surface` still run (a surface built
-    with ``genus_check="warn"`` is rejected here), and the result shares
-    the source's :attr:`~SimplicialSurface.dissection_order`.
+    face-area checks of :func:`build_surface` still run (a
+    :class:`SimplicialSurface` constructed directly skips them), and the
+    result shares the source's :attr:`~SimplicialSurface.dissection_order`.
     """
     scale = np.sqrt(target / surface.total_area)
     vertices = surface.vertices * scale
-    _check_genus(surface.n_vertices - surface.n_edges + surface.n_faces, "error")
+    _check_genus(surface.n_vertices - surface.n_edges + surface.n_faces)
     areas = _checked_areas(vertices, surface.faces)
     return replace(surface, vertices=_freeze(vertices), face_areas=_freeze(areas),
                    total_area=float(areas.sum()))

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import energy as en
 from .diagnostics import geometry_ratio_stats
-from .fpi import DEFAULT_RADIUS, conformal_initial_map, fpi_minimize
+from .fpi import conformal_initial_map, fpi_minimize
 from .linesearch import STRATEGIES
 from .mesh import SPHERE_AREA, SimplicialSurface, normalize_area
 from .rgd import IterationRecord, MinimizeResult, SolverConfig, minimize
@@ -33,14 +33,15 @@ CORRECTIONS = ("off", "fpi", "rgd", "both")
 class ParameterizeConfig:
     """Settings of :func:`parameterize`.  `correct` picks the fold
     corrections (after FPI, after RGD, both or off); an unknown `correct`
-    or `strategy` raises ``ValueError`` here, before any work is done."""
+    or `strategy` raises ``ValueError`` here, before any work is done.
+    The method's fixed numbers are module constants: the disk radius of
+    the hemisphere solves (:data:`authalic.fpi.RADIUS`) and the line
+    search's sufficient-decrease constant and step cap
+    (:data:`authalic.linesearch.C1`, :data:`authalic.linesearch.ALPHA_MAX`)."""
 
     fpi_iters: int = 10
     max_iters: int = 100
     strategy: str = "interpolant"
-    radius: float = DEFAULT_RADIUS
-    c1: float = 1e-4
-    alpha_max: float = 1.0
     correct: str = "both"
     seed: int = 0
     normalize: bool = True
@@ -94,27 +95,25 @@ def parameterize(surface: SimplicialSurface,
     corrections: dict[str, CorrectionResult] = {}
 
     if config.fpi_iters > 0:
-        fpi = fpi_minimize(surface, f, r=config.radius,
-                           max_iters=config.fpi_iters, stop_on_increase=True)
+        fpi = fpi_minimize(surface, f, max_iters=config.fpi_iters, stop_on_increase=True)
         f = fpi.mapping
         fpi_status = fpi.status
         fpi_iterations = len(fpi.records)
         records.extend(fpi.records)
 
     if config.correct in ("fpi", "both"):
-        corr = correct_bijectivity(surface, f, r=config.radius)
+        corr = correct_bijectivity(surface, f)
         corrections["after_fpi"] = corr
         f = corr.mapping
 
-    solver = SolverConfig(max_iters=config.max_iters, strategy=config.strategy,
-                          c1=config.c1, alpha_max=config.alpha_max)
-    rgd = minimize(surface, f, solver)
+    rgd = minimize(surface, f, SolverConfig(max_iters=config.max_iters,
+                                            strategy=config.strategy))
     f = rgd.mapping
     offset = len(records)
     records.extend(replace(r, iteration=offset + r.iteration) for r in rgd.records)
 
     if config.correct in ("rgd", "both"):
-        corr = correct_bijectivity(surface, f, r=config.radius)
+        corr = correct_bijectivity(surface, f)
         corrections["after_rgd"] = corr
         f = corr.mapping
 

@@ -20,6 +20,8 @@ from .rgd import GeometryMemo, SolverConfig, minimize
 from .sphere import project_to_manifold
 
 DEFAULT_LAMBDA = 10.0
+# alignment stops once the mean geodesic landmark mismatch is below this
+MISMATCH_TOL = 1e-6
 
 
 def midpoint_targets(f0: np.ndarray, f1: np.ndarray, pairs: np.ndarray,
@@ -91,14 +93,13 @@ class AlignmentResult:
 
 def solve_alignment(sphere_surface, f_param: np.ndarray, landmark_rows,
                     targets, lambdas=DEFAULT_LAMBDA, iters: int = 200,
-                    mismatch_tol: float = 1e-6,
                     strategy: str = "interpolant") -> AlignmentResult:
     """Warp a spherical parameterization so landmarks approach targets.
 
     Gradient descent on the registration energy over the power manifold,
     starting from the parameterization itself; stops at `iters`
     iterations or when the mean geodesic landmark mismatch drops below
-    `mismatch_tol`.
+    :data:`MISMATCH_TOL`.
     """
     rows = np.asarray(landmark_rows)
     targets = np.asarray(targets, dtype=np.float64)
@@ -108,7 +109,7 @@ def solve_alignment(sphere_surface, f_param: np.ndarray, landmark_rows,
         return geodesic_mismatch(h[rows], targets)
 
     def stop(h, records):
-        return "landmarks_aligned" if mismatch(h) < mismatch_tol else None
+        return "landmarks_aligned" if mismatch(h) < MISMATCH_TOL else None
 
     initial = mismatch(f_param)
     # the stall rule watches the stretch authalic energy, which is not the

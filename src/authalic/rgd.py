@@ -23,7 +23,7 @@ import numpy as np
 
 from . import energy as en
 from .diagnostics import geometry_ratio_stats
-from .linesearch import phi_derivative_at_zero, search
+from .linesearch import ALPHA_MAX, phi_derivative_at_zero, search
 # the records read the fold count from the face geometry; count_folds stays
 # importable here because perfbench/spans.py wraps it under this name
 from .sphere import count_folds, project_tangent  # noqa: F401
@@ -36,23 +36,20 @@ STALL_ITERS = 3
 
 @dataclass
 class SolverConfig:
-    """Stopping rules and line-search knobs for :func:`minimize`.
+    """Stopping rules and line-search strategy for :func:`minimize`.
 
     grad_tol defaults to 1e-6 * sqrt(n) when left as None; the energy
     stall test fires after :data:`STALL_ITERS` consecutive iterations
     whose authalic-energy decrease falls below `energy_tol` (a negative
-    infinite `energy_tol` never stalls).  `strategy`, `c1` and
-    `alpha_max` go to :func:`~authalic.linesearch.search`, which keeps
-    its own backtrack budget.
+    infinite `energy_tol` never stalls).  `strategy` goes to
+    :func:`~authalic.linesearch.search`, which keeps its own
+    sufficient-decrease constant, step cap and backtrack budget.
     """
 
     max_iters: int = 100
     grad_tol: float | None = None
     energy_tol: float = 1e-12
     strategy: str = "interpolant"
-    log_every: int = 0
-    c1: float = 1e-4
-    alpha_max: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -144,6 +141,9 @@ def minimize(surface, f0: np.ndarray, config: SolverConfig | None = None,
              objective=None, extra_stop=None) -> MinimizeResult:
     """Run gradient descent from `f0` until a stopping rule fires.
 
+    Every accepted iteration is logged at DEBUG level on this module's
+    logger.
+
     Parameters
     ----------
     objective : GeometryMemo, optional
@@ -187,14 +187,13 @@ def minimize(surface, f0: np.ndarray, config: SolverConfig | None = None,
         d = -rgrad
         dphi0 = phi_derivative_at_zero(f, d, egrad)
         if prev_value is None or not np.isfinite(dphi0) or dphi0 >= 0:
-            alpha0 = config.alpha_max
+            alpha0 = ALPHA_MAX
         else:
-            alpha0 = min(config.alpha_max, 2.0 * (value - prev_value) / dphi0)
+            alpha0 = min(ALPHA_MAX, 2.0 * (value - prev_value) / dphi0)
             if not np.isfinite(alpha0) or alpha0 <= 0:
-                alpha0 = config.alpha_max
+                alpha0 = ALPHA_MAX
         ls = search(f, d, energy=objective.value, phi0=value, dphi0=dphi0,
-                    strategy=config.strategy, alpha0=alpha0, c1=config.c1,
-                    alpha_max=config.alpha_max)
+                    strategy=config.strategy, alpha0=alpha0)
         if not ls.ok:
             return MinimizeResult(f, records, "line_search_failed", ls.message)
 
@@ -203,9 +202,8 @@ def minimize(surface, f0: np.ndarray, config: SolverConfig | None = None,
         record = make_record(objective.geometry(f), objective.report(f), k, grad_norm,
                              ls.alpha, time.perf_counter() - start)
         records.append(record)
-        if config.log_every and k % config.log_every == 0:
-            logger.info("iter %5d  E = %.9e  E_A = %.3e  |grad| = %.3e  alpha = %.3e",
-                        k, ls.energy, record.authalic, grad_norm, ls.alpha)
+        logger.debug("iter %5d  E = %.9e  E_A = %.3e  |grad| = %.3e  alpha = %.3e",
+                     k, ls.energy, record.authalic, grad_norm, ls.alpha)
 
         if prev_authalic is not None and prev_authalic - record.authalic < config.energy_tol:
             stall_count += 1

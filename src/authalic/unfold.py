@@ -1,9 +1,9 @@
 """Fold removal by mean-value-weighted re-solves in the plane.
 
 A spherical mapping with inverted faces is projected to the extended
-complex plane, the disk-side vertices {|h| < r} are recomputed from a
-mean-value-weighted Laplacian (whose weights stay positive even on
-flipped triangles, unlike cotangents), the plane is inverted to swap
+complex plane, the disk-side vertices {|h| < fpi.RADIUS} are recomputed
+from a mean-value-weighted Laplacian (whose weights stay positive even
+on flipped triangles, unlike cotangents), the plane is inverted to swap
 hemispheres, and the solve is repeated; the plane is inverted back
 before lifting so the original orientation is preserved.
 """
@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DegenerateFaceError
-from .fpi import DEFAULT_RADIUS, _interior_mask, dirichlet_solve
+from .fpi import _interior_mask, dirichlet_solve
 # the passes solve through fpi.dirichlet_solve; solve stays importable here
 # because perfbench/spans.py wraps it under this name
 from .linsolve import solve  # noqa: F401
@@ -88,36 +88,35 @@ class CorrectionResult:
     passes: list[UnfoldPass]
 
 
-def _solve_pass(surface, h: PlanarPoints, r: float, label: str):
-    interior = _interior_mask(h, r)
+def _solve_pass(surface, h: PlanarPoints, label: str):
+    interior = _interior_mask(h)
     h, fixed = dirichlet_solve(surface, assemble_mean_value(surface, h), h, interior)
     return h, UnfoldPass(hemisphere=label, n_interior=int(interior.sum()),
                          boundary_fixed=fixed)
 
 
-def correct_bijectivity(surface, f: np.ndarray, r: float = DEFAULT_RADIUS,
-                        max_sweeps: int = MAX_SWEEPS) -> CorrectionResult:
+def correct_bijectivity(surface, f: np.ndarray) -> CorrectionResult:
     """Unfold inverted faces of a spherical mapping.
 
     Runs southern+northern pass pairs while folds remain, at most
-    `max_sweeps` of them.  A fold-free mapping is returned as given, with
-    no sweep: embedded configurations are fixed points of the mean-value
-    solve, so a sweep could only add solver roundoff.  Folds may survive
-    on hard inputs; the counts are reported rather than asserted away.
+    :data:`MAX_SWEEPS` of them; each pass re-solves the disk
+    {|h| < :data:`~authalic.fpi.RADIUS`} of its hemisphere.  A fold-free
+    mapping is returned as given, with no sweep: embedded configurations
+    are fixed points of the mean-value solve, so a sweep could only add
+    solver roundoff.  Folds may survive on hard inputs; the counts are
+    reported rather than asserted away.
     """
-    if r <= 1.0:
-        raise ValueError("radius must exceed 1")
     folds_before = count_folds(surface, f)
     mapping = np.asarray(f, dtype=np.float64)
     passes: list[UnfoldPass] = []
     sweeps = 0
     folds_after = folds_before
-    while folds_after > 0 and sweeps < max_sweeps:
+    while folds_after > 0 and sweeps < MAX_SWEEPS:
         h = stereographic(mapping)
-        h, info_s = _solve_pass(surface, h, r, "south")
+        h, info_s = _solve_pass(surface, h, "south")
         passes.append(info_s)
         h = invert_plane(h)
-        h, info_n = _solve_pass(surface, h, r, "north")
+        h, info_n = _solve_pass(surface, h, "north")
         passes.append(info_n)
         # invert back so the lift restores the original hemispheres
         h = invert_plane(h)

@@ -7,7 +7,7 @@ from authalic.energy import energy_report_per_face
 from authalic.errors import DegenerateFaceError
 from authalic.sphere import (PlanarPoints, count_folds, inverse_stereographic, invert_plane,
                              project_to_manifold, stereographic)
-from authalic.unfold import DEFAULT_RADIUS, _solve_pass, assemble_mean_value, correct_bijectivity
+from authalic.unfold import _solve_pass, assemble_mean_value, correct_bijectivity
 
 from helpers import dense_mean_value_laplacian, inverted_vertex_map, regular_tetrahedron
 
@@ -82,8 +82,8 @@ def test_fold_free_mapping_is_fixed_point(icosphere2):
     # embedded configurations are reproduced by the mean-value solve on
     # both hemispheres
     h = stereographic(f)
-    h, south = _solve_pass(icosphere2, h, DEFAULT_RADIUS, "south")
-    h, north = _solve_pass(icosphere2, invert_plane(h), DEFAULT_RADIUS, "north")
+    h, south = _solve_pass(icosphere2, h, "south")
+    h, north = _solve_pass(icosphere2, invert_plane(h), "north")
     assert south.boundary_fixed and north.boundary_fixed
     assert np.abs(inverse_stereographic(invert_plane(h)) - f).max() <= 1e-9
     # so a fold-free mapping is returned as given, with no sweep
@@ -113,8 +113,3 @@ def test_correction_preserves_quality_when_clean(ellipsoid3):
     result = correct_bijectivity(ellipsoid3, f)
     after = energy_report_per_face(ellipsoid3, result.mapping).authalic
     assert after == pytest.approx(before, abs=1e-6 * max(1.0, abs(before)))
-
-
-def test_radius_validation(icosphere1):
-    with pytest.raises(ValueError, match="radius"):
-        correct_bijectivity(icosphere1, icosphere1.vertices, r=1.0)

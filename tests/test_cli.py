@@ -95,6 +95,26 @@ def test_param_missing_mesh_is_usage_error(tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("command, flag", [("param", "--max-iters"), ("param", "--fpi-iters"),
+                                           ("register", "--align-iters")])
+def test_negative_iteration_count_is_usage_error(tmp_path, mesh_file, command, flag):
+    marks = tmp_path / "marks.txt"
+    marks.write_text("4 4\n")
+    inputs = [mesh_file, mesh_file, str(marks)] if command == "register" else [mesh_file]
+    out = tmp_path / "run"
+    result = CliRunner().invoke(main, [command, *inputs, flag, "-2", "--out", str(out)])
+    assert result.exit_code == 2
+    assert not out.exists()
+
+
+def test_param_negative_noise_is_usage_error(tmp_path, mesh_file):
+    out = tmp_path / "run"
+    result = CliRunner().invoke(main, ["param", mesh_file, "--noise-sigma", "-1",
+                                       "--out", str(out)])
+    assert result.exit_code == 2
+    assert not out.exists()
+
+
 def test_param_bad_mesh_is_numerical_failure(tmp_path):
     path = tmp_path / "open.off"
     path.write_text("OFF\n3 1 3\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
@@ -135,6 +155,23 @@ def test_register_missing_landmarks_usage_error(sphere_file, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("command, patched", [("register", "midpoint_targets"),
+                                              ("param", "parameterize")])
+def test_library_value_error_is_numerical_failure(sphere_file, tmp_path, monkeypatch,
+                                                   command, patched):
+    def fail(*args, **kwargs):
+        raise ValueError("landmark pair is (nearly) antipodal; midpoint undefined")
+
+    monkeypatch.setattr(f"authalic.cli.{patched}", fail)
+    marks = tmp_path / "marks.txt"
+    marks.write_text("4 4\n")
+    inputs = [sphere_file, sphere_file, str(marks)] if command == "register" else [sphere_file]
+    result = run(command, *inputs, "--fpi-iters", "1", "--max-iters", "1",
+                 "--out", str(tmp_path / "out"))
+    assert result.exit_code == 1
+    assert "error: landmark pair is (nearly) antipodal" in result.output
+
+
 def test_morph_frames(registration_dir, tmp_path):
     out = tmp_path / "frames"
     result = run("morph", str(registration_dir), "--frames", "4", "--out", str(out))
@@ -147,6 +184,23 @@ def test_morph_frames(registration_dir, tmp_path):
     frame0 = load_mesh(out / "frame_000.obj")
     assert np.abs(frame0.vertices - m0.vertices).max() <= 1e-12
     assert np.array_equal(frame0.faces, m0.faces)
+
+
+@pytest.mark.parametrize("face_id", ["-1", "999999"])
+def test_morph_rejects_a_face_id_out_of_range(registration_dir, tmp_path, face_id):
+    regdir = tmp_path / "reg"
+    regdir.mkdir()
+    (regdir / "manifest.json").write_text((registration_dir / "manifest.json").read_text())
+    lines = (registration_dir / "composed_map.txt").read_text().splitlines()
+    fields = lines[5].split()
+    fields[1] = face_id
+    lines[5] = " ".join(fields)
+    (regdir / "composed_map.txt").write_text("\n".join(lines) + "\n")
+    out = tmp_path / "frames"
+    result = run("morph", str(regdir), "--out", str(out))
+    assert result.exit_code == 1
+    assert f"error: {regdir / 'composed_map.txt'}: face id {face_id}" in result.output
+    assert not any(name.endswith(".obj") for name in os.listdir(out))
 
 
 def test_morph_single_frame_usage_error(registration_dir):

@@ -3,8 +3,7 @@ import pytest
 
 from authalic.energy import assemble_laplacian, energy_report_per_face, face_geometry
 from authalic.errors import SolveError
-from authalic.fpi import (DEFAULT_RADIUS, _interior_mask, conformal_initial_map,
-                          dirichlet_solve, fpi_minimize)
+from authalic.fpi import _interior_mask, conformal_initial_map, dirichlet_solve, fpi_minimize
 from authalic.mesh import normalize_area
 from authalic.rgd import SolverConfig, minimize
 from authalic.sphere import PlanarPoints, count_folds, stereographic
@@ -13,17 +12,15 @@ from helpers import bumpy_sphere
 
 
 def test_interior_boundary_split_by_radius():
-    from authalic.fpi import _interior_mask
     h = PlanarPoints.finite(np.array([0.5, 1.1, 1.3]))
-    mask = _interior_mask(h, 1.2)
+    mask = _interior_mask(h)
     assert mask.tolist() == [True, True, False]
 
 
 def test_infinity_always_boundary():
-    from authalic.fpi import _interior_mask
     h = PlanarPoints(values=np.array([0.0j, 0.3 + 0j]),
                      at_infinity=np.array([True, False]))
-    assert _interior_mask(h, 1.2).tolist() == [False, True]
+    assert _interior_mask(h).tolist() == [False, True]
 
 
 def test_median_normalization_rule():
@@ -106,7 +103,7 @@ def test_empty_interior_raises():
     lap = None
     h = PlanarPoints.finite(np.array([2.0, 3.0, 4.0]))
     with pytest.raises(SolveError, match="empty interior"):
-        dirichlet_solve(None, lap, h, _interior_mask(h, 1.2))
+        dirichlet_solve(None, lap, h, _interior_mask(h))
 
 
 def pole_plane(surface):
@@ -120,7 +117,7 @@ def pole_plane(surface):
 def test_vertex_at_infinity_coupled_to_interior_raises(icosphere1):
     lap, h = pole_plane(icosphere1)
     pole = int(np.flatnonzero(h.at_infinity)[0])
-    interior = _interior_mask(h, DEFAULT_RADIUS)
+    interior = _interior_mask(h)
     ring = icosphere1.edges[(icosphere1.edges == pole).any(axis=1)].ravel()
     interior[ring] = True
     interior[pole] = False
@@ -130,7 +127,7 @@ def test_vertex_at_infinity_coupled_to_interior_raises(icosphere1):
 
 def test_vertex_at_infinity_among_boundary_is_kept(icosphere1):
     lap, h = pole_plane(icosphere1)
-    interior = _interior_mask(h, DEFAULT_RADIUS)
+    interior = _interior_mask(h)
     out, fixed = dirichlet_solve(icosphere1, lap, h, interior)
     assert fixed
     assert np.array_equal(out.at_infinity, h.at_infinity)
@@ -139,8 +136,3 @@ def test_vertex_at_infinity_among_boundary_is_kept(icosphere1):
     finite = np.where(out.at_infinity, 0.0, out.values)
     assert np.abs(lap[interior] @ finite).max() <= 1e-12 * np.abs(finite).max()
 
-
-def test_parameter_validation(ellipsoid3):
-    f0 = conformal_initial_map(ellipsoid3)
-    with pytest.raises(ValueError, match="radius"):
-        fpi_minimize(ellipsoid3, f0, r=0.9)

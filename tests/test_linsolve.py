@@ -5,7 +5,7 @@ import scipy.sparse.linalg as spla
 
 from authalic.energy import assemble_laplacian, face_geometry
 from authalic.errors import SolveError
-from authalic.fpi import _interior_mask, conformal_initial_map
+from authalic.fpi import _interior_mask, conformal_initial_map, dirichlet_solve
 from authalic.linsolve import _condition_estimate, solve
 from authalic.mesh import make_icosphere, normalize_area
 from authalic.sphere import invert_plane, stereographic
@@ -82,23 +82,38 @@ def test_complex_rhs_factorizes_once(monkeypatch):
     assert np.abs(a @ x - z).max() <= 1e-12
 
 
+def dissection_ranks(surface, interior):
+    """Positions among the interior vertices, in vertex order, that list
+    them in the surface's dissection order."""
+    order = surface.dissection_order
+    return (np.cumsum(interior) - 1)[order[interior[order]]]
+
+
 def restricted_fpi_system(surface):
+    """The first FPI solve's system with its unknowns in vertex order, and
+    their dissection ranks."""
     f = conformal_initial_map(surface)
     lap = assemble_laplacian(surface, face_geometry(surface, f)).tocsr()
     h = invert_plane(stereographic(f))
-    interior = _interior_mask(h, 1.2)
+    interior = _interior_mask(h)
     rhs = -lap[interior][:, ~interior] @ h.values[~interior]
-    return lap[interior][:, interior], rhs, interior
+    return lap[interior][:, interior], rhs, dissection_ranks(surface, interior)
+
+
+def colamd_solve(a, rhs):
+    """Reference solve with SuperLU's own COLAMD column order."""
+    lu = spla.splu(sp.csc_matrix(a))
+    return lu.solve(rhs.real) + 1j * lu.solve(rhs.imag), lu.L.nnz + lu.U.nnz
 
 
 def test_ordered_solve_matches_default_order(monkeypatch, ellipsoid3):
-    a, rhs, interior = restricted_fpi_system(ellipsoid3)
+    a, rhs, ranked = restricted_fpi_system(ellipsoid3)
     assert np.iscomplexobj(rhs)
-    plain = solve(a, rhs)
+    plain = colamd_solve(a, rhs)[0]
     calls = count_factorizations(monkeypatch)
-    ordered = solve(a, rhs, order=ellipsoid3.subsystem_order(interior))
+    ordered = solve(a[ranked][:, ranked], rhs[ranked])
     assert len(calls) == 1
-    assert np.abs(ordered - plain).max() <= 1e-12 * np.abs(plain).max()
+    assert np.abs(ordered - plain[ranked]).max() <= 1e-12 * np.abs(plain).max()
 
 
 def test_dissection_order_fills_less_than_colamd(monkeypatch):
@@ -108,16 +123,32 @@ def test_dissection_order_fills_less_than_colamd(monkeypatch):
     interior[surface.faces[np.argmax(surface.face_areas)]] = False  # the conformal start's pins
     a = lap[interior][:, interior]
     rhs = -lap[interior][:, ~interior] @ np.ones(3)
+    colamd = colamd_solve(a, rhs)[1]
+    ranked = dissection_ranks(surface, interior)
     calls = count_factorizations(monkeypatch)
-    solve(a, rhs)
-    solve(a, rhs, order=surface.subsystem_order(interior))
-    colamd, dissection = calls
-    assert dissection < colamd
+    solve(a[ranked][:, ranked], rhs[ranked])
+    assert calls[0] < colamd
 
 
-def test_order_validation():
-    with pytest.raises(ValueError, match="order"):
-        solve(sp.eye(3, format="csc"), np.ones(3), order=np.arange(2))
+def test_dirichlet_solve_factors_the_dissection_ordered_system(monkeypatch, ellipsoid3):
+    f = conformal_initial_map(ellipsoid3)
+    lap = assemble_laplacian(ellipsoid3, face_geometry(ellipsoid3, f)).tocsr()
+    h = invert_plane(stereographic(f))
+    interior = _interior_mask(h)
+    seen = []
+    splu = spla.splu
+
+    def spy(matrix, *args, **kwargs):
+        seen.append((matrix, kwargs))
+        return splu(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", spy)
+    dirichlet_solve(ellipsoid3, lap, h, interior)
+    order = ellipsoid3.dissection_order
+    idx = order[interior[order]]
+    (matrix, kwargs), = seen
+    assert kwargs == {"permc_spec": "NATURAL"}
+    assert np.array_equal(matrix.toarray(), lap[idx][:, idx].toarray())
 
 
 def test_singular_matrix_reported():

@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 
@@ -178,11 +176,14 @@ def test_normalize_area_equals_a_rebuild():
 
 
 def test_normalize_area_keeps_the_genus_check():
+    # two disjoint tetrahedra (V - E + F = 4), constructed without the
+    # checks of build_surface
     t = regular_tetrahedron()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        two = build_surface(np.vstack([t.vertices, t.vertices + 10.0]),
-                            np.vstack([t.faces, t.faces + 4]), genus_check="warn")
+    two = mesh.SimplicialSurface(
+        vertices=np.vstack([t.vertices, t.vertices + 10.0]),
+        faces=np.vstack([t.faces, t.faces + 4]), edges=np.vstack([t.edges, t.edges + 4]),
+        face_areas=np.concatenate([t.face_areas, t.face_areas]),
+        total_area=2.0 * t.total_area)
     with pytest.raises(MeshTopologyError, match="genus"):
         normalize_area(two)
 
@@ -244,8 +245,6 @@ def test_genus_error_and_warning():
     faces = np.vstack([t.faces, t.faces + 4])
     with pytest.raises(MeshTopologyError, match="genus"):
         build_surface(verts, faces)
-    with pytest.warns(UserWarning, match="genus"):
-        build_surface(verts, faces, genus_check="warn")
 
 
 def test_out_of_range_and_degenerate_faces():
@@ -299,8 +298,3 @@ def test_dissection_order_is_a_cached_permutation():
     order = surface.dissection_order
     assert np.array_equal(np.sort(order), np.arange(surface.n_vertices))
     assert surface.dissection_order is order
-    # the restriction ranks the kept vertices as the full order does
-    keep = surface.vertices[:, 2] > 0.1
-    sub = surface.subsystem_order(keep)
-    assert np.array_equal(np.sort(sub), np.arange(keep.sum()))
-    assert np.array_equal(np.flatnonzero(keep)[sub], order[keep[order]])

@@ -190,9 +190,12 @@ def test_record_folds_match_count_folds(icosphere2):
 
 
 def test_log_every_goes_through_logging(ellipsoid3, caplog, capsys):
-    with caplog.at_level(logging.INFO, logger="authalic.rgd"):
+    with caplog.at_level(logging.DEBUG, logger="authalic.rgd"):
         minimize(ellipsoid3, spherical_start(ellipsoid3),
-                 SolverConfig(max_iters=4, log_every=2, energy_tol=-np.inf))
-    lines = [r.getMessage() for r in caplog.records if r.name == "authalic.rgd"]
-    assert len(lines) == 2 and lines[0].startswith("iter     2")
+                 SolverConfig(max_iters=4, energy_tol=-np.inf))
+    records = [r for r in caplog.records if r.name == "authalic.rgd"]
+    # one DEBUG line per iteration, nothing at INFO or above
+    assert [r.levelno for r in records] == [logging.DEBUG] * 4
+    assert [r.getMessage().split()[:2] for r in records] == [["iter", str(k)]
+                                                           for k in range(1, 5)]
     assert capsys.readouterr().out == ""

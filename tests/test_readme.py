@@ -1,8 +1,12 @@
-"""The README's library example runs as written against the current API."""
+"""The README's library example runs as written against the current API,
+and its command-line flag list matches the command."""
 
 import re
 from pathlib import Path
 
+import click
+
+from authalic.cli import param
 from authalic.mesh import make_icosphere, save_mesh
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -20,3 +24,11 @@ def test_library_example_runs(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     exec(compile(library_example(), str(README), "exec"), {})
     assert "sd_over_mean" in capsys.readouterr().out
+
+
+def test_param_bullet_lists_every_param_option():
+    text = README.read_text()
+    bullet = re.search(r"^- `param` (.*?)^- ", text, re.S | re.M).group(1)
+    documented = set(re.findall(r"--[a-z][a-z-]*", bullet))
+    options = {opt for p in param.params if isinstance(p, click.Option) for opt in p.opts}
+    assert documented == options
