@@ -21,7 +21,7 @@ from .mesh import (SimplicialSurface, build_surface, load_mesh, make_icosphere,
 from .pipeline import ParameterizeConfig, ParameterizeResult, parameterize
 from .registration import (compose_registration, homotopy_frame,
                            midpoint_targets, solve_alignment)
-from .rgd import IterationRecord, MinimizeResult, SolverConfig, minimize
+from .rgd import IterationRecord, MinimizeResult, minimize
 from .sphere import (PlanarPoints, count_folds, inverse_stereographic, invert_plane,
                      project_tangent, project_to_manifold, retract, stereographic)
 from .unfold import assemble_mean_value, correct_bijectivity

@@ -102,6 +102,9 @@ def param(mesh, fpi_iters, max_iters, ls, noise_sigma, seed, log_path, correct,
             strategy=_STRATEGIES[ls], noise_sigma=noise_sigma, seed=seed,
             correct=correct, normalize=not no_normalize,
         )
+        # a map the summary cannot measure is a failure, found before any
+        # output is written
+        s = result.summary
     except (AuthalicError, ValueError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
@@ -123,7 +126,6 @@ def param(mesh, fpi_iters, max_iters, ls, noise_sigma, seed, log_path, correct,
     }
     _write_manifest(out_dir, "param", {"mesh": os.path.abspath(mesh)}, params,
                     result.seconds)
-    s = result.summary
     click.echo(f"SD/Mean {s['sd_over_mean']:.4f}, E_A {s['authalic']:.3e}, "
                f"time {s['seconds']:.2f} s, folds {s['folds']}")
 
@@ -132,8 +134,8 @@ def param(mesh, fpi_iters, max_iters, ls, noise_sigma, seed, log_path, correct,
 @click.argument("mesh0", type=click.Path(exists=True, dir_okay=False))
 @click.argument("mesh1", type=click.Path(exists=True, dir_okay=False))
 @click.argument("landmarks", type=click.Path(exists=True, dir_okay=False))
-@click.option("--lam", "--lambda", "lam", default=10.0, show_default=True,
-              help="Landmark penalty weight.")
+@click.option("--lam", "--lambda", "lam", type=click.FloatRange(min=0, min_open=True),
+              default=10.0, show_default=True, help="Landmark penalty weight (> 0).")
 @click.option("--align-iters", type=_COUNT, default=200, show_default=True)
 @click.option("--fpi-iters", type=_COUNT, default=10, show_default=True)
 @click.option("--max-iters", type=_COUNT, default=100, show_default=True)

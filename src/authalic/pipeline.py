@@ -19,7 +19,7 @@ from .diagnostics import geometry_ratio_stats
 from .fpi import conformal_initial_map, fpi_minimize
 from .linesearch import STRATEGIES
 from .mesh import SPHERE_AREA, SimplicialSurface, normalize_area
-from .rgd import IterationRecord, MinimizeResult, SolverConfig, minimize
+from .rgd import IterationRecord, MinimizeResult, minimize
 # the summary reads the fold count from the face geometry; count_folds stays
 # importable here because perfbench/spans.py wraps it under this name
 from .sphere import count_folds  # noqa: F401
@@ -94,23 +94,30 @@ def parameterize(surface: SimplicialSurface,
     fpi_iterations = 0
     corrections: dict[str, CorrectionResult] = {}
 
+    def append(stage_records, began):
+        # one numbering and one clock for the whole run: the stage's own
+        # iteration count and time both start over at its first record
+        offset = len(records)
+        records.extend(replace(r, iteration=offset + r.iteration,
+                               elapsed_s=began + r.elapsed_s) for r in stage_records)
+
     if config.fpi_iters > 0:
+        began = time.perf_counter() - start
         fpi = fpi_minimize(surface, f, max_iters=config.fpi_iters, stop_on_increase=True)
         f = fpi.mapping
         fpi_status = fpi.status
         fpi_iterations = len(fpi.records)
-        records.extend(fpi.records)
+        append(fpi.records, began)
 
     if config.correct in ("fpi", "both"):
         corr = correct_bijectivity(surface, f)
         corrections["after_fpi"] = corr
         f = corr.mapping
 
-    rgd = minimize(surface, f, SolverConfig(max_iters=config.max_iters,
-                                            strategy=config.strategy))
+    began = time.perf_counter() - start
+    rgd = minimize(surface, f, max_iters=config.max_iters, strategy=config.strategy)
     f = rgd.mapping
-    offset = len(records)
-    records.extend(replace(r, iteration=offset + r.iteration) for r in rgd.records)
+    append(rgd.records, began)
 
     if config.correct in ("rgd", "both"):
         corr = correct_bijectivity(surface, f)

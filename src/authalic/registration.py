@@ -16,12 +16,10 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import energy as en
-from .rgd import GeometryMemo, SolverConfig, minimize
+from .rgd import GeometryMemo, minimize
 from .sphere import project_to_manifold
 
 DEFAULT_LAMBDA = 10.0
-# alignment stops once the mean geodesic landmark mismatch is below this
-MISMATCH_TOL = 1e-6
 
 
 def midpoint_targets(f0: np.ndarray, f1: np.ndarray, pairs: np.ndarray,
@@ -42,7 +40,9 @@ class RegistrationObjective(GeometryMemo):
     """Stretch energy of the warp plus weighted squared landmark mismatch,
     as an objective for the shared descent driver.
 
-    A vertex may carry several landmarks; each adds its own term.
+    A vertex may carry several landmarks; each adds its own term.  Every
+    weight must be finite and positive: at lambda <= 0 the pull pushes a
+    landmark away from its target, toward the antipode.
     """
 
     def __init__(self, surface_sphere, landmark_rows, targets, lambdas):
@@ -55,6 +55,8 @@ class RegistrationObjective(GeometryMemo):
         self.lambdas = np.broadcast_to(
             np.asarray(lambdas, dtype=np.float64), (self.rows.size,)
         )
+        if not (np.isfinite(self.lambdas) & (self.lambdas > 0)).all():
+            raise ValueError("landmark weights must be finite and positive")
 
     def _mismatch(self, h: np.ndarray) -> float:
         resid = h[self.rows] - self.targets
@@ -97,30 +99,21 @@ def solve_alignment(sphere_surface, f_param: np.ndarray, landmark_rows,
     """Warp a spherical parameterization so landmarks approach targets.
 
     Gradient descent on the registration energy over the power manifold,
-    starting from the parameterization itself; stops at `iters`
-    iterations or when the mean geodesic landmark mismatch drops below
-    :data:`MISMATCH_TOL`.
+    starting from the parameterization itself.  It stops by the rules
+    every descent stops by (:func:`~authalic.rgd.minimize`), the stall
+    test reading the registration energy; `iters` is the iteration cap.
+    `initial_mismatch` and `final_mismatch` are the mean geodesic
+    distances of the landmarks to their targets before and after.
     """
     rows = np.asarray(landmark_rows)
     targets = np.asarray(targets, dtype=np.float64)
     objective = RegistrationObjective(sphere_surface, rows, targets, lambdas)
-
-    def mismatch(h):
-        return geodesic_mismatch(h[rows], targets)
-
-    def stop(h, records):
-        return "landmarks_aligned" if mismatch(h) < MISMATCH_TOL else None
-
-    initial = mismatch(f_param)
-    # the stall rule watches the stretch authalic energy, which is not the
-    # minimized quantity here; disable it and run on iterations/mismatch
-    config = SolverConfig(max_iters=iters, strategy=strategy, grad_tol=1e-12,
-                          energy_tol=-np.inf)
-    result = minimize(sphere_surface, f_param, config, objective=objective,
-                      extra_stop=stop)
+    result = minimize(sphere_surface, f_param, objective=objective, max_iters=iters,
+                      strategy=strategy)
     return AlignmentResult(mapping=result.mapping, records=result.records,
-                           status=result.status, initial_mismatch=initial,
-                           final_mismatch=mismatch(result.mapping))
+                           status=result.status,
+                           initial_mismatch=geodesic_mismatch(f_param[rows], targets),
+                           final_mismatch=geodesic_mismatch(result.mapping[rows], targets))
 
 
 # ---------------------------------------------------------------------------

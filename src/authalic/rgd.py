@@ -4,7 +4,9 @@ Each iteration projects the ambient gradient of the objective to the
 tangent space, takes the anti-gradient direction, picks a step size by
 line search, and retracts.  The default objective is the normalized
 stretch energy; alternative objectives (e.g. the landmark registration
-energy) plug in through the same interface.
+energy) plug in through the same interface, and every objective stops
+by the same rules (see :func:`minimize`): the stall test reads the
+decrease of the objective being minimized, so no caller needs its own.
 
 Each accepted iterate gets one per-face geometry pass and one energy
 report: the objectives keep the :class:`~authalic.energy.FaceGeometry`
@@ -31,25 +33,12 @@ from .sphere import count_folds, project_tangent  # noqa: F401
 logger = logging.getLogger(__name__)
 
 
+GRAD_TOL = 1e-6
+"""The gradient test: stop once |grad| <= GRAD_TOL * sqrt(n) for n vertices."""
+ENERGY_TOL = 1e-12
+"""The stall test: stop after :data:`STALL_ITERS` accepted steps in a row
+that each lower the objective by less than this."""
 STALL_ITERS = 3
-
-
-@dataclass
-class SolverConfig:
-    """Stopping rules and line-search strategy for :func:`minimize`.
-
-    grad_tol defaults to 1e-6 * sqrt(n) when left as None; the energy
-    stall test fires after :data:`STALL_ITERS` consecutive iterations
-    whose authalic-energy decrease falls below `energy_tol` (a negative
-    infinite `energy_tol` never stalls).  `strategy` goes to
-    :func:`~authalic.linesearch.search`, which keeps its own
-    sufficient-decrease constant, step cap and backtrack budget.
-    """
-
-    max_iters: int = 100
-    grad_tol: float | None = None
-    energy_tol: float = 1e-12
-    strategy: str = "interpolant"
 
 
 @dataclass(frozen=True)
@@ -137,9 +126,19 @@ def make_record(geom: en.FaceGeometry, report: en.EnergyReport, iteration: int,
     )
 
 
-def minimize(surface, f0: np.ndarray, config: SolverConfig | None = None,
-             objective=None, extra_stop=None) -> MinimizeResult:
+def minimize(surface, f0: np.ndarray, *, objective=None, max_iters: int = 100,
+             strategy: str = "interpolant") -> MinimizeResult:
     """Run gradient descent from `f0` until a stopping rule fires.
+
+    The rules are the same for every objective, and each reads values the
+    loop already holds: the Riemannian gradient norm falls to
+    :data:`GRAD_TOL` * sqrt(n) (`grad_converged`); :data:`STALL_ITERS`
+    accepted steps in a row each lower the objective by less than
+    :data:`ENERGY_TOL` (`energy_stalled`); `max_iters` steps are taken
+    (`max_iters`); the line search finds no step (`line_search_failed`).
+    On line-search failure the best (last accepted) iterate is returned,
+    not an exception.  `strategy` goes to
+    :func:`~authalic.linesearch.search`.
 
     Every accepted iteration is logged at DEBUG level on this module's
     logger.
@@ -151,31 +150,17 @@ def minimize(surface, f0: np.ndarray, config: SolverConfig | None = None,
         `value_and_gradient(f)` -> (value, ambient gradient); defaults to
         the normalized stretch energy on `surface`.  The records reuse
         the geometry and report it computed for the accepted trial.
-    extra_stop : callable, optional
-        Called as `extra_stop(f, records)` after each accepted iteration;
-        a non-None return value becomes the final status string.
-
-    Returns
-    -------
-    MinimizeResult
-        `status` is one of grad_converged / energy_stalled / max_iters /
-        line_search_failed, or the `extra_stop` value.  On line-search
-        failure the best (last accepted) iterate is returned, not an
-        exception.
     """
-    config = config or SolverConfig()
     objective = objective or NormalizedStretchObjective(surface)
     f = np.asarray(f0, dtype=np.float64).copy()
-    n = f.shape[0]
-    grad_tol = config.grad_tol if config.grad_tol is not None else 1e-6 * np.sqrt(n)
+    grad_tol = GRAD_TOL * np.sqrt(f.shape[0])
 
     records: list[IterationRecord] = []
     start = time.perf_counter()
     prev_value = None
-    prev_authalic = None
     stall_count = 0
 
-    for k in range(1, config.max_iters + 1):
+    for k in range(1, max_iters + 1):
         value, egrad = objective.value_and_gradient(f)
         rgrad = project_tangent(f, egrad)
         # einsum, not np.linalg.norm: a BLAS dot can wait milliseconds for
@@ -193,7 +178,7 @@ def minimize(surface, f0: np.ndarray, config: SolverConfig | None = None,
             if not np.isfinite(alpha0) or alpha0 <= 0:
                 alpha0 = ALPHA_MAX
         ls = search(f, d, energy=objective.value, phi0=value, dphi0=dphi0,
-                    strategy=config.strategy, alpha0=alpha0)
+                    strategy=strategy, alpha0=alpha0)
         if not ls.ok:
             return MinimizeResult(f, records, "line_search_failed", ls.message)
 
@@ -205,19 +190,10 @@ def minimize(surface, f0: np.ndarray, config: SolverConfig | None = None,
         logger.debug("iter %5d  E = %.9e  E_A = %.3e  |grad| = %.3e  alpha = %.3e",
                      k, ls.energy, record.authalic, grad_norm, ls.alpha)
 
-        if prev_authalic is not None and prev_authalic - record.authalic < config.energy_tol:
-            stall_count += 1
-            if stall_count >= STALL_ITERS:
-                return MinimizeResult(f, records, "energy_stalled",
-                                      f"authalic decrease < {config.energy_tol:g} "
-                                      f"for {STALL_ITERS} iterations")
-        else:
-            stall_count = 0
-        prev_authalic = record.authalic
-
-        if extra_stop is not None:
-            status = extra_stop(f, records)
-            if status:
-                return MinimizeResult(f, records, status)
+        stall_count = stall_count + 1 if value - ls.energy < ENERGY_TOL else 0
+        if stall_count >= STALL_ITERS:
+            return MinimizeResult(f, records, "energy_stalled",
+                                  f"objective decrease < {ENERGY_TOL:g} "
+                                  f"for {STALL_ITERS} iterations")
 
     return MinimizeResult(f, records, "max_iters")

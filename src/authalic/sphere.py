@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 UNIT_TOL = 1e-12
-TANGENT_TOL = 1e-10
 _MIN_NORM = 1e-14
 
 

@@ -22,7 +22,7 @@ from authalic.mesh import build_surface, load_mesh, make_icosphere, normalize_ar
 from authalic.pipeline import ParameterizeConfig, parameterize
 from authalic.registration import (compose_registration, geodesic_mismatch,
                                    homotopy_frame, midpoint_targets, solve_alignment)
-from authalic.rgd import SolverConfig, minimize
+from authalic.rgd import minimize
 from authalic.sphere import (PlanarPoints, inverse_stereographic, invert_plane,
                              project_tangent, project_to_manifold, retract,
                              stereographic)
@@ -124,7 +124,7 @@ def test_criterion_5_descent_contract():
     surf = normalize_area(make_icosphere(3, (1.0, 0.8, 0.6)))
     f0 = project_to_manifold(surf.vertices)
     rep0 = energy_report_per_face(surf, f0)
-    result = minimize(surf, f0, SolverConfig(max_iters=100, strategy="interpolant"))
+    result = minimize(surf, f0, max_iters=100, strategy="interpolant")
     elapsed = time.perf_counter() - start
 
     values = [rep0.normalized] + [r.normalized for r in result.records]
@@ -185,7 +185,7 @@ def test_criterion_8_fpi_monitor_and_pipeline():
     boundary_ok = all(monitored.boundary_fixed) and all(fpi_only.boundary_fixed)
 
     warm = fpi_minimize(surf, f0, max_iters=10, stop_on_increase=True)
-    refined = minimize(surf, warm.mapping, SolverConfig(max_iters=100))
+    refined = minimize(surf, warm.mapping, max_iters=100)
     final = energy_report_per_face(surf, refined.mapping).authalic
     ok = increase_found and boundary_ok and final <= fpi_min
     report("criterion 8 (FPI behavior)", ok,

@@ -9,6 +9,7 @@ from click.testing import CliRunner
 import authalic.energy as en
 from authalic.cli import main
 from authalic.mesh import load_mesh, make_icosphere, save_mesh
+from authalic.pipeline import parameterize
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +114,36 @@ def test_param_negative_noise_is_usage_error(tmp_path, mesh_file):
                                        "--out", str(out)])
     assert result.exit_code == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, lam", [("--lam", "-10"), ("--lam", "0"), ("--lambda", "0")])
+def test_nonpositive_lambda_is_usage_error(tmp_path, sphere_file, flag, lam):
+    # a weight <= 0 pushes each landmark away from its target; it used to
+    # run and report the antipodal landing as a mismatch "reduction"
+    marks = tmp_path / "marks.txt"
+    marks.write_text("4 4\n41 41\n")
+    out = tmp_path / "run"
+    result = CliRunner().invoke(main, ["register", sphere_file, sphere_file, str(marks),
+                                       flag, lam, "--out", str(out)])
+    assert result.exit_code == 2
+    assert not out.exists()
+
+
+def test_param_collapsed_map_is_numerical_failure(tmp_path, sphere_file, monkeypatch):
+    # a map the summary cannot measure (every vertex on the north pole)
+    # must end in an error line, with no sphere, CSV or manifest written
+    def collapsed(surface, config):
+        result = parameterize(surface, dataclasses.replace(config, max_iters=1))
+        return dataclasses.replace(result, mapping=np.tile([0.0, 0.0, 1.0],
+                                                           (surface.n_vertices, 1)))
+
+    monkeypatch.setattr("authalic.cli.parameterize", collapsed)
+    out = tmp_path / "run"
+    result = run("param", sphere_file, "--fpi-iters", "1", "--out", str(out))
+    assert result.exit_code == 1
+    assert "error: " in result.output
+    for name in ("sphere.obj", "vertex_ids.txt", "convergence.csv", "manifest.json"):
+        assert not (out / name).exists()
 
 
 def test_param_bad_mesh_is_numerical_failure(tmp_path):

@@ -5,7 +5,7 @@ from authalic.energy import assemble_laplacian, energy_report_per_face, face_geo
 from authalic.errors import SolveError
 from authalic.fpi import _interior_mask, conformal_initial_map, dirichlet_solve, fpi_minimize
 from authalic.mesh import normalize_area
-from authalic.rgd import SolverConfig, minimize
+from authalic.rgd import minimize
 from authalic.sphere import PlanarPoints, count_folds, stereographic
 
 from helpers import bumpy_sphere
@@ -94,7 +94,7 @@ def test_warm_start_then_descent_beats_fpi_alone():
     fpi_best = min(r.authalic for r in fpi_only.records)
 
     warm = fpi_minimize(surf, f0, max_iters=10, stop_on_increase=True)
-    refined = minimize(surf, warm.mapping, SolverConfig(max_iters=100))
+    refined = minimize(surf, warm.mapping, max_iters=100)
     final = energy_report_per_face(surf, refined.mapping).authalic
     assert final <= fpi_best
 

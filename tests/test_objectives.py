@@ -16,7 +16,7 @@ from authalic.energy import (assemble_laplacian, energy_report_per_face, face_ge
 from authalic.errors import DegenerateFaceError
 from authalic.mesh import normalize_area
 from authalic.registration import RegistrationObjective
-from authalic.rgd import NormalizedStretchObjective, SolverConfig, minimize
+from authalic.rgd import NormalizedStretchObjective, minimize
 from authalic.sphere import count_folds, project_to_manifold
 
 from helpers import bumpy_sphere, inverted_vertex_map
@@ -144,8 +144,9 @@ def test_one_face_geometry_pass_per_accepted_iterate(ellipsoid3, monkeypatch):
     for name in calls:
         monkeypatch.setattr(en, name, counted(name))
     monkeypatch.setattr(rgd, "search", counted_search)
-    result = minimize(ellipsoid3, spherical_start(ellipsoid3),
-                      SolverConfig(max_iters=10, grad_tol=0.0, energy_tol=-np.inf))
+    monkeypatch.setattr(rgd, "GRAD_TOL", 0.0)
+    monkeypatch.setattr(rgd, "ENERGY_TOL", -np.inf)
+    result = minimize(ellipsoid3, spherical_start(ellipsoid3), max_iters=10)
     assert len(result.records) == 10
     assert calls["face_geometry"] <= sum(evals) + 1
     assert calls["geometry_report"] <= sum(evals) + 1
@@ -167,32 +168,41 @@ def test_records_count_folds_without_a_second_gather(ellipsoid3, monkeypatch):
         monkeypatch.setattr(module, "count_folds", counted_folds)
     f0 = fpi.conformal_initial_map(ellipsoid3)
     calls[0] = 0
-    result = minimize(ellipsoid3, f0, SolverConfig(max_iters=5, energy_tol=-np.inf))
+    monkeypatch.setattr(rgd, "ENERGY_TOL", -np.inf)
+    result = minimize(ellipsoid3, f0, max_iters=5)
     warm = fpi.fpi_minimize(ellipsoid3, f0, max_iters=3)
     assert len(result.records) == 5 and len(warm.records) >= 1
     assert calls[0] == 0
 
 
-def test_record_folds_match_count_folds(icosphere2):
+def test_record_folds_match_count_folds(icosphere2, monkeypatch):
     # from a map with inverted faces, every record's fold count (read off
     # the face geometry) equals the determinant count of its mapping
     f0 = inverted_vertex_map(icosphere2)
-    seen = []
+    iterates = []
+    value_and_gradient = NormalizedStretchObjective.value_and_gradient
 
-    def compare(f, records):
-        seen.append((records[-1].folds, count_folds(icosphere2, f)))
+    def recorded(self, f):
+        iterates.append(f)
+        return value_and_gradient(self, f)
 
-    minimize(icosphere2, f0, SolverConfig(max_iters=15, grad_tol=0.0, energy_tol=-np.inf),
-             extra_stop=compare)
+    monkeypatch.setattr(NormalizedStretchObjective, "value_and_gradient", recorded)
+    monkeypatch.setattr(rgd, "GRAD_TOL", 0.0)
+    monkeypatch.setattr(rgd, "ENERGY_TOL", -np.inf)
+    result = minimize(icosphere2, f0, max_iters=15)
+    # the gradient is taken at the start and then at each accepted iterate
+    # but the last
+    seen = [(r.folds, count_folds(icosphere2, f))
+            for r, f in zip(result.records, iterates[1:] + [result.mapping])]
     assert len(seen) == 15
     assert all(got == want for got, want in seen), seen
     assert seen[0][1] >= 1
 
 
-def test_log_every_goes_through_logging(ellipsoid3, caplog, capsys):
+def test_log_every_goes_through_logging(ellipsoid3, caplog, capsys, monkeypatch):
+    monkeypatch.setattr(rgd, "ENERGY_TOL", -np.inf)
     with caplog.at_level(logging.DEBUG, logger="authalic.rgd"):
-        minimize(ellipsoid3, spherical_start(ellipsoid3),
-                 SolverConfig(max_iters=4, energy_tol=-np.inf))
+        minimize(ellipsoid3, spherical_start(ellipsoid3), max_iters=4)
     records = [r for r in caplog.records if r.name == "authalic.rgd"]
     # one DEBUG line per iteration, nothing at INFO or above
     assert [r.levelno for r in records] == [logging.DEBUG] * 4

@@ -1,12 +1,12 @@
 """The README's library example runs as written against the current API,
-and its command-line flag list matches the command."""
+and its command-line flag lists match the commands."""
 
 import re
 from pathlib import Path
 
 import click
 
-from authalic.cli import param
+from authalic.cli import param, register
 from authalic.mesh import make_icosphere, save_mesh
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -26,9 +26,19 @@ def test_library_example_runs(tmp_path, monkeypatch, capsys):
     assert "sd_over_mean" in capsys.readouterr().out
 
 
-def test_param_bullet_lists_every_param_option():
+def documented_and_actual_options(command):
     text = README.read_text()
-    bullet = re.search(r"^- `param` (.*?)^- ", text, re.S | re.M).group(1)
+    bullet = re.search(rf"^- `{command.name}` (.*?)^- ", text, re.S | re.M).group(1)
     documented = set(re.findall(r"--[a-z][a-z-]*", bullet))
-    options = {opt for p in param.params if isinstance(p, click.Option) for opt in p.opts}
+    options = {opt for p in command.params if isinstance(p, click.Option) for opt in p.opts}
+    return documented, options
+
+
+def test_param_bullet_lists_every_param_option():
+    documented, options = documented_and_actual_options(param)
+    assert documented == options
+
+
+def test_register_bullet_lists_every_register_option():
+    documented, options = documented_and_actual_options(register)
     assert documented == options

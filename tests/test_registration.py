@@ -77,10 +77,19 @@ def test_vanishing_weight_recovers_stretch_descent(icosphere1):
     h = project_to_manifold(icosphere1.vertices + 0.01)
     rows = np.array([2, 9])
     targets = project_to_manifold(np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]))
-    lam0 = registration_gradient(sphere, h, rows, targets, np.array([0.0, 0.0]))
+    # a weight must be positive, so "vanishing" is the limit from above
+    lam0 = registration_gradient(sphere, h, rows, targets, np.array([1e-14, 1e-14]))
     plain = registration_gradient(sphere, h, np.array([], dtype=int),
                                   np.zeros((0, 3)), np.zeros(0))
     assert np.abs(lam0 - plain).max() <= 1e-12
+
+
+@pytest.mark.parametrize("lam", [0.0, -10.0, np.nan, np.inf, [1.0, 0.0]])
+def test_nonpositive_or_nonfinite_weight_rejected(icosphere1, lam):
+    sphere = build_surface(icosphere1.vertices, icosphere1.faces)
+    rows = np.array([2, 9])
+    with pytest.raises(ValueError, match="finite and positive"):
+        RegistrationObjective(sphere, rows, sphere.vertices[rows], lam)
 
 
 def assert_gradient_matches_finite_differences(rows, targets, lam):

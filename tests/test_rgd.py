@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from authalic.energy import energy_report_per_face, euclidean_gradient
 from authalic.mesh import make_icosphere, normalize_area
 from authalic.diagnostics import area_ratio_stats
-from authalic.rgd import GeometryMemo, SolverConfig, minimize
+import authalic.rgd as rgd
+from authalic.rgd import GeometryMemo, minimize
 from authalic.sphere import project_tangent, project_to_manifold, retract
 
 
@@ -39,7 +42,7 @@ def test_directional_derivative_first_order(ellipsoid3):
     assert fd == pytest.approx(inner, rel=1e-5)
 
 
-def test_immediate_convergence_at_critical_point(icosphere2):
+def test_immediate_convergence_at_critical_point(icosphere2, monkeypatch):
     class Flat(GeometryMemo):
         def value(self, f):
             return 1.0
@@ -47,8 +50,8 @@ def test_immediate_convergence_at_critical_point(icosphere2):
         def value_and_gradient(self, f):
             return 1.0, 2.0 * f
 
-    result = minimize(icosphere2, icosphere2.vertices, SolverConfig(grad_tol=1e-8),
-                      objective=Flat(icosphere2))
+    monkeypatch.setattr(rgd, "GRAD_TOL", 1e-8 / np.sqrt(icosphere2.n_vertices))
+    result = minimize(icosphere2, icosphere2.vertices, objective=Flat(icosphere2))
     assert result.status == "grad_converged"
     assert result.records == []
     assert np.array_equal(result.mapping, icosphere2.vertices)
@@ -63,15 +66,15 @@ def test_line_search_failure_returns_best_iterate(icosphere2):
             g = project_tangent(f, np.roll(f, 1, axis=1))
             return 1.0, g + f
 
-    result = minimize(icosphere2, icosphere2.vertices, SolverConfig(max_iters=5),
-                      objective=Stubborn(icosphere2))
+    result = minimize(icosphere2, icosphere2.vertices, objective=Stubborn(icosphere2),
+                      max_iters=5)
     assert result.status == "line_search_failed"
     assert np.array_equal(result.mapping, icosphere2.vertices)
 
 
 def test_descent_run_on_ellipsoid(ellipsoid3):
     f0 = project_to_manifold(ellipsoid3.vertices)
-    result = minimize(ellipsoid3, f0, SolverConfig(max_iters=50))
+    result = minimize(ellipsoid3, f0, max_iters=50)
     assert result.status in ("max_iters", "energy_stalled", "grad_converged")
     values = [r.normalized for r in result.records]
     assert len(values) >= 10
@@ -90,28 +93,49 @@ def test_descent_run_on_ellipsoid(ellipsoid3):
 
 def test_alpha_and_grad_norm_recorded(ellipsoid3):
     f0 = project_to_manifold(ellipsoid3.vertices)
-    result = minimize(ellipsoid3, f0, SolverConfig(max_iters=5))
+    result = minimize(ellipsoid3, f0, max_iters=5)
     for r in result.records:
         assert r.alpha is not None and 0 < r.alpha <= 1.0
         assert r.grad_norm is not None and r.grad_norm > 0
         assert r.folds >= 0 and r.elapsed_s >= 0
 
 
-def test_energy_stall_stop(icosphere2):
+def test_energy_stall_stop(icosphere2, monkeypatch):
     # identity on the unit icosphere is already area distortion minimizing
     # in practice: tiny decreases trip the stall rule quickly
-    result = minimize(icosphere2, icosphere2.vertices,
-                      SolverConfig(max_iters=4000, energy_tol=1e-9, grad_tol=0.0))
+    monkeypatch.setattr(rgd, "ENERGY_TOL", 1e-9)
+    monkeypatch.setattr(rgd, "GRAD_TOL", 0.0)
+    result = minimize(icosphere2, icosphere2.vertices, max_iters=4000)
     assert result.status in ("energy_stalled", "line_search_failed")
 
 
-def test_gradient_falls_with_generous_budget():
+def test_stall_test_reads_the_objective_not_the_authalic_energy(icosphere2):
+    # the objective sum(z) falls every step while the report's authalic
+    # energy rises: the descent must not call that a stall
+    class Downhill(GeometryMemo):
+        def value(self, f):
+            return float(f[:, 2].sum())
+
+        def value_and_gradient(self, f):
+            return self.value(f), np.broadcast_to([0.0, 0.0, 1.0], f.shape)
+
+        def report(self, f):
+            return dataclasses.replace(super().report(f), authalic=-self.value(f))
+
+    result = minimize(icosphere2, icosphere2.vertices, objective=Downhill(icosphere2))
+    authalic = [r.authalic for r in result.records]
+    assert all(b > a for a, b in zip(authalic[:4], authalic[1:4]))
+    assert result.status == "grad_converged"
+
+
+def test_gradient_falls_with_generous_budget(monkeypatch):
     # accumulation at critical points: on a small mesh the gradient norm
     # drops below 1e-4 well within a generous iteration budget
     surf = normalize_area(make_icosphere(1, (1.0, 0.9, 0.8)))
     f0 = project_to_manifold(surf.vertices)
-    result = minimize(surf, f0, SolverConfig(max_iters=5000, grad_tol=1e-4,
-                                             energy_tol=-np.inf))
+    monkeypatch.setattr(rgd, "GRAD_TOL", 1e-4 / np.sqrt(surf.n_vertices))
+    monkeypatch.setattr(rgd, "ENERGY_TOL", -np.inf)
+    result = minimize(surf, f0, max_iters=5000)
     assert result.status == "grad_converged"
     assert np.linalg.norm(riemannian_gradient(surf, result.mapping)) <= 1e-4
 
