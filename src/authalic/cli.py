@@ -37,6 +37,13 @@ _STRATEGIES = {"interp": "interpolant", "bounded": "bounded"}
 _COUNT = click.IntRange(min=0)
 
 
+def _finite(ctx, param, value):
+    # a range test lets NaN through (it compares false with every bound)
+    if not np.isfinite(value):
+        raise click.BadParameter(f"{value} is not a finite number.")
+    return value
+
+
 def _write_manifest(out_dir, command, inputs, params, seconds):
     manifest = {
         "command": command,
@@ -51,18 +58,6 @@ def _write_manifest(out_dir, command, inputs, params, seconds):
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
-
-
-def _run_param(mesh_path, *, fpi_iters, max_iters, strategy, noise_sigma, seed,
-               correct, normalize):
-    surface = load_mesh(mesh_path)
-    if noise_sigma > 0:
-        surface = perturb_vertices(surface, noise_sigma, seed)
-    config = ParameterizeConfig(
-        fpi_iters=fpi_iters, max_iters=max_iters, strategy=strategy,
-        correct=correct, seed=seed, normalize=normalize,
-    )
-    return surface, parameterize(surface, config)
 
 
 @click.group(context_settings={"auto_envvar_prefix": "AUTHALIC"})
@@ -87,21 +82,19 @@ def main():
 @click.option("--correct-bijectivity", "correct",
               type=click.Choice(CORRECTIONS), default="both",
               show_default=True)
-@click.option("--no-normalize", is_flag=True,
-              help="Skip rescaling the mesh to total area 4*pi.")
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), default=None,
               help="Output directory (default: <mesh stem>_param).")
-def param(mesh, fpi_iters, max_iters, ls, noise_sigma, seed, log_path, correct,
-          no_normalize, out_dir):
+def param(mesh, fpi_iters, max_iters, ls, noise_sigma, seed, log_path, correct, out_dir):
     """Compute the spherical parameterization of MESH."""
     out_dir = out_dir or os.path.splitext(mesh)[0] + "_param"
     os.makedirs(out_dir, exist_ok=True)
     try:
-        surface, result = _run_param(
-            mesh, fpi_iters=fpi_iters, max_iters=max_iters,
-            strategy=_STRATEGIES[ls], noise_sigma=noise_sigma, seed=seed,
-            correct=correct, normalize=not no_normalize,
-        )
+        surface = load_mesh(mesh)
+        if noise_sigma > 0:
+            surface = perturb_vertices(surface, noise_sigma, seed)
+        result = parameterize(surface, ParameterizeConfig(
+            fpi_iters=fpi_iters, max_iters=max_iters, strategy=_STRATEGIES[ls],
+            correct=correct, seed=seed))
         # a map the summary cannot measure is a failure, found before any
         # output is written
         s = result.summary
@@ -121,7 +114,7 @@ def param(mesh, fpi_iters, max_iters, ls, noise_sigma, seed, log_path, correct,
     params = {
         "fpi_iters": fpi_iters, "max_iters": max_iters, "ls": ls,
         "noise_sigma": noise_sigma, "seed": seed,
-        "correct_bijectivity": correct, "normalize": not no_normalize,
+        "correct_bijectivity": correct,
         "fpi_iterations_run": result.fpi_iterations,
     }
     _write_manifest(out_dir, "param", {"mesh": os.path.abspath(mesh)}, params,
@@ -135,7 +128,8 @@ def param(mesh, fpi_iters, max_iters, ls, noise_sigma, seed, log_path, correct,
 @click.argument("mesh1", type=click.Path(exists=True, dir_okay=False))
 @click.argument("landmarks", type=click.Path(exists=True, dir_okay=False))
 @click.option("--lam", "--lambda", "lam", type=click.FloatRange(min=0, min_open=True),
-              default=10.0, show_default=True, help="Landmark penalty weight (> 0).")
+              callback=_finite, default=10.0, show_default=True,
+              help="Landmark penalty weight (finite, > 0).")
 @click.option("--align-iters", type=_COUNT, default=200, show_default=True)
 @click.option("--fpi-iters", type=_COUNT, default=10, show_default=True)
 @click.option("--max-iters", type=_COUNT, default=100, show_default=True)
@@ -294,13 +288,9 @@ def _check_lines(surface, probe_eigen: bool):
     flipped = surface.faces.copy()
     flipped[0] = flipped[0, [0, 2, 1]]
     flipped_surface = build_surface(surface.vertices, flipped)
-    # both fold routes: the determinant (fold correction, the conformal
-    # start) and the face-geometry orientation (descent and FPI records)
     base = count_folds(surface, f)
     got = count_folds(flipped_surface, f)
-    got_geom = en.face_geometry(flipped_surface, f, check=False).folds
-    yield ("fold detector counts a flipped face", got == got_geom == base + 1,
-           f"{base} -> {got} (face geometry {got_geom})")
+    yield "fold detector counts a flipped face", got == base + 1, f"{base} -> {got}"
 
     if probe_eigen:
         try:

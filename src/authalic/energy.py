@@ -74,8 +74,8 @@ class FaceGeometry:
 
     @property
     def folds(self) -> int:
-        """Number of inverted faces (orientation < 0), the count of
-        :func:`~authalic.sphere.count_folds` without a second gather."""
+        """Number of inverted faces (orientation < 0): the one fold rule,
+        which :func:`~authalic.sphere.count_folds` reads too."""
         return int(np.count_nonzero(self.orientation < 0.0))
 
 

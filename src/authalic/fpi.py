@@ -60,7 +60,7 @@ def conformal_initial_map(surface, face_index: int | None = None, rng=None) -> n
     interior[pinned] = False
     h = np.zeros(n, dtype=np.complex128)
     h[pinned] = _PIN
-    h = dirichlet_solve(surface, lap, PlanarPoints.finite(h), interior)[0].values
+    h = dirichlet_solve(surface, lap, PlanarPoints.finite(h), interior).values
 
     h -= h.mean()
     mags = np.abs(h)
@@ -78,11 +78,13 @@ def conformal_initial_map(surface, face_index: int | None = None, rng=None) -> n
 
 @dataclass(frozen=True)
 class FPIResult:
+    """The warm-up's mapping, one record per iteration run and the stop.
+    On ``"authalic_increased"`` the last record is the rejected iterate,
+    so the increase came at iteration ``len(records)``."""
+
     mapping: np.ndarray
     records: list[IterationRecord]
-    first_increase: int | None
     status: str
-    boundary_fixed: list[bool]
 
 
 def _interior_mask(h: PlanarPoints) -> np.ndarray:
@@ -103,8 +105,7 @@ def dirichlet_solve(surface, lap, h: PlanarPoints, interior: np.ndarray):
     rows and columns of `lap` at those vertices, with the boundary
     columns moved to the right-hand side.  A vertex at infinity may only
     be boundary, and only where no interior row couples to it.  Returns
-    the new points and whether the boundary values came back bitwise
-    unchanged.
+    the new points; only the interior entries are written.
     """
     if not interior.any():
         raise SolveError("empty interior vertex set")
@@ -116,10 +117,8 @@ def dirichlet_solve(surface, lap, h: PlanarPoints, interior: np.ndarray):
         raise SolveError("vertex at infinity is coupled to the interior system")
     rhs = -rows[:, boundary] @ np.where(h.at_infinity[boundary], 0.0, h.values[boundary])
     values = h.values.copy()
-    before = values[boundary].copy()
     values[idx] = solve(rows[:, idx], rhs)
-    fixed = bool(np.array_equal(values[boundary], before))
-    return PlanarPoints(values=values, at_infinity=h.at_infinity.copy()), fixed
+    return PlanarPoints(values=values, at_infinity=h.at_infinity.copy())
 
 
 def fpi_minimize(surface, f0: np.ndarray, max_iters: int = 10,
@@ -144,15 +143,13 @@ def fpi_minimize(surface, f0: np.ndarray, max_iters: int = 10,
     geom = en.face_geometry(surface, current, check=False)
     report = en.geometry_report(surface, geom)
     records: list[IterationRecord] = []
-    boundary_fixed: list[bool] = []
     start = time.perf_counter()
 
     for k in range(1, max_iters + 1):
         lap = en.assemble_laplacian(surface, geom)
         h = invert_plane(h)
         flipped = not flipped
-        h, fixed = dirichlet_solve(surface, lap, h, _interior_mask(h))
-        boundary_fixed.append(fixed)
+        h = dirichlet_solve(surface, lap, h, _interior_mask(h))
         with np.errstate(over="ignore"):
             mags = np.where(h.at_infinity, np.inf, np.abs(h.values))
         h = PlanarPoints(values=h.values / np.median(mags), at_infinity=h.at_infinity)
@@ -162,10 +159,10 @@ def fpi_minimize(surface, f0: np.ndarray, max_iters: int = 10,
         records.append(make_record(geom_new, report_new, k, None, None,
                                    time.perf_counter() - start))
         if stop_on_increase and report_new.authalic > report.authalic:
-            return FPIResult(current, records, k, "authalic_increased", boundary_fixed)
+            return FPIResult(current, records, "authalic_increased")
         delta = report.stretch - report_new.stretch
         current, geom, report = f_new, geom_new, report_new
         if delta <= STRETCH_DECREASE_TOL:
-            return FPIResult(current, records, None, "delta_converged", boundary_fixed)
+            return FPIResult(current, records, "delta_converged")
 
-    return FPIResult(current, records, None, "max_iters", boundary_fixed)
+    return FPIResult(current, records, "max_iters")

@@ -2,9 +2,11 @@
 
 Pipeline order: conformal start, a short burst of fixed-point iterations
 (stopped at the first authalic-energy increase), fold correction,
-gradient descent, fold correction again.  The input mesh is rescaled to
-total area 4*pi beforehand so the reported energies are comparable
-across models (the objective itself is invariant under that rescaling).
+gradient descent, fold correction again.  The input mesh is always
+rescaled to total area 4*pi first: the reported energies are then
+comparable across models, and FPI's stopping tests, which read absolute
+energies, take the same decisions at every input scale (the descent's
+objective is invariant under the rescaling anyway).
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ class ParameterizeConfig:
     strategy: str = "interpolant"
     correct: str = "both"
     seed: int = 0
-    normalize: bool = True
 
     def __post_init__(self):
         for name, allowed in (("strategy", STRATEGIES), ("correct", CORRECTIONS)):
@@ -83,8 +84,7 @@ def parameterize(surface: SimplicialSurface,
                  config: ParameterizeConfig | None = None) -> ParameterizeResult:
     """Compute a spherical area-preserving parameterization of `surface`."""
     config = config or ParameterizeConfig()
-    if config.normalize:
-        surface = normalize_area(surface, SPHERE_AREA)
+    surface = normalize_area(surface, SPHERE_AREA)
     rng = np.random.default_rng(config.seed)
     start = time.perf_counter()
 

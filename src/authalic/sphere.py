@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import energy as en
+
 UNIT_TOL = 1e-12
 _MIN_NORM = 1e-14
 
@@ -125,15 +127,10 @@ def invert_plane(h: PlanarPoints) -> PlanarPoints:
     return PlanarPoints(values=values, at_infinity=zero)
 
 
-def face_orientations(surface, f: np.ndarray) -> np.ndarray:
-    """det [f_i; f_j; f_k] per face: positive for outward-oriented images."""
-    p = np.asarray(f)[surface.faces]
-    return np.einsum("ij,ij->i", p[:, 0], np.cross(p[:, 1], p[:, 2]))
-
-
 def count_folds(surface, f: np.ndarray) -> int:
-    """Number of faces whose spherical image is inverted (det < 0).
+    """Number of faces whose spherical image is inverted: the count of
+    :attr:`~authalic.energy.FaceGeometry.folds`, the one fold rule.
 
-    Degenerate images (det == 0) are not counted as folds.
+    Degenerate images (orientation exactly 0) are not counted as folds.
     """
-    return int((face_orientations(surface, f) < 0.0).sum())
+    return en.face_geometry(surface, f, check=False).folds

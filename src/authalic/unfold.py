@@ -73,26 +73,15 @@ def assemble_mean_value(surface, h: PlanarPoints) -> sp.csr_matrix:
 
 
 @dataclass(frozen=True)
-class UnfoldPass:
-    hemisphere: str
-    n_interior: int
-    boundary_fixed: bool
-
-
-@dataclass(frozen=True)
 class CorrectionResult:
     mapping: np.ndarray
     folds_before: int
     folds_after: int
     sweeps: int
-    passes: list[UnfoldPass]
 
 
-def _solve_pass(surface, h: PlanarPoints, label: str):
-    interior = _interior_mask(h)
-    h, fixed = dirichlet_solve(surface, assemble_mean_value(surface, h), h, interior)
-    return h, UnfoldPass(hemisphere=label, n_interior=int(interior.sum()),
-                         boundary_fixed=fixed)
+def _solve_pass(surface, h: PlanarPoints) -> PlanarPoints:
+    return dirichlet_solve(surface, assemble_mean_value(surface, h), h, _interior_mask(h))
 
 
 def correct_bijectivity(surface, f: np.ndarray) -> CorrectionResult:
@@ -100,28 +89,24 @@ def correct_bijectivity(surface, f: np.ndarray) -> CorrectionResult:
 
     Runs southern+northern pass pairs while folds remain, at most
     :data:`MAX_SWEEPS` of them; each pass re-solves the disk
-    {|h| < :data:`~authalic.fpi.RADIUS`} of its hemisphere.  A fold-free
-    mapping is returned as given, with no sweep: embedded configurations
-    are fixed points of the mean-value solve, so a sweep could only add
-    solver roundoff.  Folds may survive on hard inputs; the counts are
-    reported rather than asserted away.
+    {|h| < :data:`~authalic.fpi.RADIUS`} of its hemisphere and holds every
+    other vertex.  Folds are counted by :func:`~authalic.sphere.count_folds`,
+    the face-geometry fold rule.  A fold-free mapping is returned as
+    given, with no sweep: embedded configurations are fixed points of the
+    mean-value solve, so a sweep could only add solver roundoff.  Folds
+    may survive on hard inputs; the counts are reported rather than
+    asserted away.
     """
     folds_before = count_folds(surface, f)
     mapping = np.asarray(f, dtype=np.float64)
-    passes: list[UnfoldPass] = []
     sweeps = 0
     folds_after = folds_before
     while folds_after > 0 and sweeps < MAX_SWEEPS:
-        h = stereographic(mapping)
-        h, info_s = _solve_pass(surface, h, "south")
-        passes.append(info_s)
-        h = invert_plane(h)
-        h, info_n = _solve_pass(surface, h, "north")
-        passes.append(info_n)
+        h = _solve_pass(surface, stereographic(mapping))
+        h = _solve_pass(surface, invert_plane(h))
         # invert back so the lift restores the original hemispheres
-        h = invert_plane(h)
-        mapping = inverse_stereographic(h)
+        mapping = inverse_stereographic(invert_plane(h))
         sweeps += 1
         folds_after = count_folds(surface, mapping)
     return CorrectionResult(mapping=mapping, folds_before=folds_before,
-                            folds_after=folds_after, sweeps=sweeps, passes=passes)
+                            folds_after=folds_after, sweeps=sweeps)

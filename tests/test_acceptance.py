@@ -16,7 +16,7 @@ from authalic.diagnostics import area_ratio_stats
 from authalic.energy import (assemble_laplacian, energy_report_per_face,
                              euclidean_gradient, face_geometry, image_area_gradient,
                              image_area_gradient_via_laplacian, assemble_global_hessian)
-from authalic.fpi import conformal_initial_map, fpi_minimize
+from authalic.fpi import _interior_mask, conformal_initial_map, dirichlet_solve, fpi_minimize
 from authalic.linesearch import cubic_fit, quadratic_backtrack_step
 from authalic.mesh import build_surface, load_mesh, make_icosphere, normalize_area
 from authalic.pipeline import ParameterizeConfig, parameterize
@@ -26,7 +26,7 @@ from authalic.rgd import minimize
 from authalic.sphere import (PlanarPoints, inverse_stereographic, invert_plane,
                              project_tangent, project_to_manifold, retract,
                              stereographic)
-from authalic.unfold import correct_bijectivity
+from authalic.unfold import assemble_mean_value, correct_bijectivity
 
 from helpers import (bumpy_sphere, central_difference_gradient, laplacian_stretch,
                      random_tetrahedron)
@@ -173,6 +173,14 @@ def test_criterion_7_geometry_round_trips():
            f"inversion {invol:.1e}")
 
 
+def boundary_held(surface, lap, h):
+    """A direct disk solve of the plane `h`, and whether it returned every
+    vertex outside the disk bitwise unchanged."""
+    interior = _interior_mask(h)
+    out = dirichlet_solve(surface, lap, h, interior)
+    return out, bool(np.array_equal(out.values[~interior], h.values[~interior]))
+
+
 def test_criterion_8_fpi_monitor_and_pipeline():
     surf = normalize_area(bumpy_sphere())
     f0 = conformal_initial_map(surf)
@@ -181,15 +189,19 @@ def test_criterion_8_fpi_monitor_and_pipeline():
     fpi_min = min(r.authalic for r in fpi_only.records)
 
     monitored = fpi_minimize(surf, f0, max_iters=60, stop_on_increase=True)
-    increase_found = monitored.first_increase is not None
-    boundary_ok = all(monitored.boundary_fixed) and all(fpi_only.boundary_fixed)
+    increase_found = monitored.status == "authalic_increased"
+    # FPI's solve on the inverted plane of the start and of the result
+    boundary_ok = all(
+        boundary_held(surf, assemble_laplacian(surf, face_geometry(surf, f)),
+                      invert_plane(stereographic(f)))[1]
+        for f in (f0, monitored.mapping, fpi_only.mapping))
 
     warm = fpi_minimize(surf, f0, max_iters=10, stop_on_increase=True)
     refined = minimize(surf, warm.mapping, max_iters=100)
     final = energy_report_per_face(surf, refined.mapping).authalic
     ok = increase_found and boundary_ok and final <= fpi_min
     report("criterion 8 (FPI behavior)", ok,
-           f"first increase at {monitored.first_increase}, boundary fixed "
+           f"first increase at {len(monitored.records)}, boundary fixed "
            f"{boundary_ok}, E_A {final:.4f} <= FPI min {fpi_min:.4f}")
 
 
@@ -202,7 +214,13 @@ def test_criterion_9_bijectivity_correction():
     f[vertex] = 2.0 * surf.vertices[neighbors[0]] - f[vertex]
     f = project_to_manifold(f)
     result = correct_bijectivity(surf, f)
-    boundary_ok = all(p.boundary_fixed for p in result.passes)
+    # the correction's first sweep, solved directly: a southern and a
+    # northern pass
+    h = stereographic(f)
+    h, south_ok = boundary_held(surf, assemble_mean_value(surf, h), h)
+    h = invert_plane(h)
+    _, north_ok = boundary_held(surf, assemble_mean_value(surf, h), h)
+    boundary_ok = south_ok and north_ok
     ok = result.folds_before >= 1 and result.folds_after == 0 and boundary_ok
     report("criterion 9 (bijectivity correction)", ok,
            f"folds {result.folds_before} -> {result.folds_after}, "
@@ -252,8 +270,7 @@ def test_criterion_11_benchmark_reproduction():
     surf = normalize_area(load_mesh(path))
     start = time.perf_counter()
     result = parameterize(surf, ParameterizeConfig(fpi_iters=10, max_iters=100,
-                                                   strategy="interpolant",
-                                                   normalize=False))
+                                                   strategy="interpolant"))
     elapsed = time.perf_counter() - start
     stats = area_ratio_stats(result.surface, result.mapping)
     rep = energy_report_per_face(result.surface, result.mapping)
@@ -263,10 +280,10 @@ def test_criterion_11_benchmark_reproduction():
                             stop_on_increase=True)
     sd_ok = abs(stats.sd_over_mean - 0.0156) <= 0.25 * 0.0156
     ea_ok = abs(matched - 3.04e-3) <= 0.5 * 3.04e-3
-    its_ok = (fpi_only.first_increase is not None
-              and abs(fpi_only.first_increase - 8) <= 3)
+    its_ok = (fpi_only.status == "authalic_increased"
+              and abs(len(fpi_only.records) - 8) <= 3)
     time_ok = elapsed < 92.0  # same order of magnitude as the reference run
     ok = sd_ok and ea_ok and its_ok and time_ok
     report("criterion 11 (benchmark reproduction)", ok,
            f"SD/Mean {stats.sd_over_mean:.4f}, E-A {matched:.2e}, "
-           f"first increase {fpi_only.first_increase}, {elapsed:.1f} s")
+           f"first increase {len(fpi_only.records)}, {elapsed:.1f} s")

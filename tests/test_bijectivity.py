@@ -7,7 +7,8 @@ from authalic.energy import energy_report_per_face
 from authalic.errors import DegenerateFaceError
 from authalic.sphere import (PlanarPoints, count_folds, inverse_stereographic, invert_plane,
                              project_to_manifold, stereographic)
-from authalic.unfold import _solve_pass, assemble_mean_value, correct_bijectivity
+from authalic.fpi import _interior_mask, dirichlet_solve
+from authalic.unfold import assemble_mean_value, correct_bijectivity
 
 from helpers import dense_mean_value_laplacian, inverted_vertex_map, regular_tetrahedron
 
@@ -77,20 +78,29 @@ def test_mean_value_straight_angle_rejected():
         assemble_mean_value(tetra, PlanarPoints.finite(h))
 
 
+def sweep_holding_boundary(surface, f):
+    """One southern+northern sweep of mean-value solves, run directly;
+    each pass must return every vertex outside its disk bitwise unchanged."""
+    h = stereographic(f)
+    for _ in ("south", "north"):
+        interior = _interior_mask(h)
+        out = dirichlet_solve(surface, assemble_mean_value(surface, h), h, interior)
+        assert np.array_equal(out.values[~interior], h.values[~interior])
+        assert np.array_equal(out.at_infinity, h.at_infinity)
+        h = invert_plane(out)
+    return inverse_stereographic(h)
+
+
 def test_fold_free_mapping_is_fixed_point(icosphere2):
     f = icosphere2.vertices.copy()
     # embedded configurations are reproduced by the mean-value solve on
     # both hemispheres
-    h = stereographic(f)
-    h, south = _solve_pass(icosphere2, h, "south")
-    h, north = _solve_pass(icosphere2, invert_plane(h), "north")
-    assert south.boundary_fixed and north.boundary_fixed
-    assert np.abs(inverse_stereographic(invert_plane(h)) - f).max() <= 1e-9
+    assert np.abs(sweep_holding_boundary(icosphere2, f) - f).max() <= 1e-9
     # so a fold-free mapping is returned as given, with no sweep
     result = correct_bijectivity(icosphere2, f)
     assert result.folds_before == 0
     assert result.folds_after == 0
-    assert result.sweeps == 0 and result.passes == []
+    assert result.sweeps == 0
     assert np.array_equal(result.mapping, f)
 
 
@@ -102,7 +112,9 @@ def test_constructed_fold_removed(icosphere2):
     result = correct_bijectivity(icosphere2, f)
     assert result.folds_before == before
     assert result.folds_after == 0
-    assert all(p.boundary_fixed for p in result.passes)
+    assert result.sweeps == 1
+    # that sweep, run directly, holds each pass's boundary
+    assert np.array_equal(sweep_holding_boundary(icosphere2, f), result.mapping)
     assert np.abs(np.linalg.norm(result.mapping, axis=1) - 1.0).max() <= 1e-12
 
 

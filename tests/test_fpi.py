@@ -3,10 +3,11 @@ import pytest
 
 from authalic.energy import assemble_laplacian, energy_report_per_face, face_geometry
 from authalic.errors import SolveError
-from authalic.fpi import _interior_mask, conformal_initial_map, dirichlet_solve, fpi_minimize
+from authalic.fpi import (_PIN, _interior_mask, conformal_initial_map, dirichlet_solve,
+                          fpi_minimize)
 from authalic.mesh import normalize_area
 from authalic.rgd import minimize
-from authalic.sphere import PlanarPoints, count_folds, stereographic
+from authalic.sphere import PlanarPoints, count_folds, invert_plane, stereographic
 
 from helpers import bumpy_sphere
 
@@ -50,10 +51,27 @@ def test_conformal_map_seeded_face_choice(ellipsoid3):
 
 
 def test_fpi_boundary_rows_fixed(ellipsoid3):
+    # the conformal start's plane: its pinned face is the whole boundary
+    lap = assemble_laplacian(ellipsoid3, face_geometry(ellipsoid3, ellipsoid3.vertices))
+    pinned = ellipsoid3.faces[int(np.argmax(ellipsoid3.face_areas))]
+    interior = np.ones(ellipsoid3.n_vertices, dtype=bool)
+    interior[pinned] = False
+    values = np.zeros(ellipsoid3.n_vertices, dtype=np.complex128)
+    values[pinned] = _PIN
+    h = PlanarPoints.finite(values)
+    out = dirichlet_solve(ellipsoid3, lap, h, interior)
+    assert np.array_equal(out.values[~interior], h.values[~interior])
+
+    # one FPI plane: the inverted stereographic image of the start, with
+    # the Laplacian of the start's face geometry
     f0 = conformal_initial_map(ellipsoid3)
-    result = fpi_minimize(ellipsoid3, f0, max_iters=6, stop_on_increase=False)
-    assert len(result.boundary_fixed) == len(result.records)
-    assert all(result.boundary_fixed)
+    lap = assemble_laplacian(ellipsoid3, face_geometry(ellipsoid3, f0))
+    h = invert_plane(stereographic(f0))
+    interior = _interior_mask(h)
+    assert interior.any() and not interior.all()
+    out = dirichlet_solve(ellipsoid3, lap, h, interior)
+    assert np.array_equal(out.values[~interior], h.values[~interior])
+    assert np.array_equal(out.at_infinity, h.at_infinity)
 
 
 def test_fpi_iterates_on_manifold(ellipsoid3):
@@ -68,8 +86,9 @@ def test_fpi_detects_first_increase_and_rolls_back():
     f0 = conformal_initial_map(surf)
     result = fpi_minimize(surf, f0, max_iters=60, stop_on_increase=True)
     assert result.status == "authalic_increased"
-    k = result.first_increase
-    assert k is not None and k >= 2
+    # the last record is the rejected iterate
+    k = len(result.records)
+    assert k >= 2
     energies = [r.authalic for r in result.records]
     # nonincreasing up to the detected iteration, increase at it
     assert all(b <= a for a, b in zip(energies[: k - 1], energies[1: k - 1]))
@@ -83,8 +102,11 @@ def test_fpi_monitor_off_runs_to_budget():
     surf = normalize_area(bumpy_sphere())
     f0 = conformal_initial_map(surf)
     result = fpi_minimize(surf, f0, max_iters=8, stop_on_increase=False)
-    assert result.first_increase is None
     assert result.status in ("max_iters", "delta_converged")
+    assert len(result.records) <= 8
+    # the run went past an authalic increase without stopping on it
+    energies = [r.authalic for r in result.records]
+    assert any(b > a for a, b in zip(energies, energies[1:]))
 
 
 def test_warm_start_then_descent_beats_fpi_alone():
@@ -128,8 +150,7 @@ def test_vertex_at_infinity_coupled_to_interior_raises(icosphere1):
 def test_vertex_at_infinity_among_boundary_is_kept(icosphere1):
     lap, h = pole_plane(icosphere1)
     interior = _interior_mask(h)
-    out, fixed = dirichlet_solve(icosphere1, lap, h, interior)
-    assert fixed
+    out = dirichlet_solve(icosphere1, lap, h, interior)
     assert np.array_equal(out.at_infinity, h.at_infinity)
     assert np.array_equal(out.values[~interior], h.values[~interior])
     # the interior rows of the Laplacian vanish on the solved plane

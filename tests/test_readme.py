@@ -6,7 +6,7 @@ from pathlib import Path
 
 import click
 
-from authalic.cli import param, register
+from authalic.cli import check, morph, param, register
 from authalic.mesh import make_icosphere, save_mesh
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -28,7 +28,9 @@ def test_library_example_runs(tmp_path, monkeypatch, capsys):
 
 def documented_and_actual_options(command):
     text = README.read_text()
-    bullet = re.search(rf"^- `{command.name}` (.*?)^- ", text, re.S | re.M).group(1)
+    # a bullet ends at the next bullet or, for the last one, at the blank
+    # line that ends the list
+    bullet = re.search(rf"^- `{command.name}` (.*?)^(?:- |$)", text, re.S | re.M).group(1)
     documented = set(re.findall(r"--[a-z][a-z-]*", bullet))
     options = {opt for p in command.params if isinstance(p, click.Option) for opt in p.opts}
     return documented, options
@@ -41,4 +43,14 @@ def test_param_bullet_lists_every_param_option():
 
 def test_register_bullet_lists_every_register_option():
     documented, options = documented_and_actual_options(register)
+    assert documented == options
+
+
+def test_morph_bullet_lists_every_morph_option():
+    documented, options = documented_and_actual_options(morph)
+    assert documented == options
+
+
+def test_check_bullet_lists_every_check_option():
+    documented, options = documented_and_actual_options(check)
     assert documented == options
