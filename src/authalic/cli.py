@@ -115,7 +115,7 @@ def param(mesh, fpi_iters, max_iters, ls, noise_sigma, seed, log_path, correct, 
         "fpi_iters": fpi_iters, "max_iters": max_iters, "ls": ls,
         "noise_sigma": noise_sigma, "seed": seed,
         "correct_bijectivity": correct,
-        "fpi_iterations_run": result.fpi_iterations,
+        "fpi_iterations_run": len(result.fpi.records),
     }
     _write_manifest(out_dir, "param", {"mesh": os.path.abspath(mesh)}, params,
                     result.seconds)

@@ -13,14 +13,13 @@ one restricted planar solve, :func:`dirichlet_solve`.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import energy as en
-from .errors import SolveError
+from .errors import DegenerateFaceError, SolveError
 from .linsolve import solve
-from .rgd import IterationRecord, make_record
+from .rgd import IterationRecord, MinimizeResult, make_record
 from .sphere import (PlanarPoints, count_folds, inverse_stereographic,
                      invert_plane, stereographic)
 
@@ -76,17 +75,6 @@ def conformal_initial_map(surface, face_index: int | None = None, rng=None) -> n
     return f
 
 
-@dataclass(frozen=True)
-class FPIResult:
-    """The warm-up's mapping, one record per iteration run and the stop.
-    On ``"authalic_increased"`` the last record is the rejected iterate,
-    so the increase came at iteration ``len(records)``."""
-
-    mapping: np.ndarray
-    records: list[IterationRecord]
-    status: str
-
-
 def _interior_mask(h: PlanarPoints) -> np.ndarray:
     """The vertices a hemisphere solve re-solves: the finite points of the
     disk |h| < :data:`RADIUS` (FPI and fold correction alike)."""
@@ -122,16 +110,22 @@ def dirichlet_solve(surface, lap, h: PlanarPoints, interior: np.ndarray):
 
 
 def fpi_minimize(surface, f0: np.ndarray, max_iters: int = 10,
-                 stop_on_increase: bool = True) -> FPIResult:
+                 stop_on_increase: bool = True) -> MinimizeResult:
     """Alternating hemisphere fixed-point iteration from `f0`.
 
     Each iteration: rebuild the image-weighted Laplacian from the face
     geometry of the current mapping (the one its record holds), invert the
     plane (swapping hemispheres), re-solve the interior {|h| < RADIUS}, rescale
-    to unit median magnitude, and lift back to the sphere.  Stops when
-    the stretch-energy decrease drops to :data:`STRETCH_DECREASE_TOL` or
-    (when `stop_on_increase`) at the first authalic-energy increase,
-    returning the pre-increase mapping.
+    to unit median magnitude, and lift back to the sphere.  Stops at the
+    first authalic-energy increase when `stop_on_increase`
+    (``"authalic_increased"``), at the first stretch-energy increase
+    (``"stretch_increased"``), once the stretch-energy decrease drops to
+    :data:`STRETCH_DECREASE_TOL` (``"delta_converged"``), or after
+    `max_iters` iterations.  On either increase the pre-increase mapping
+    is returned and the last record is the rejected iterate, so the
+    increase came at iteration ``len(records)``.  Raises
+    :class:`DegenerateFaceError` when the rescale has no finite, positive
+    median magnitude to divide by.
     """
     current = np.asarray(f0, dtype=np.float64).copy()
     # the working plane accumulates one inversion per iteration (that is
@@ -152,17 +146,22 @@ def fpi_minimize(surface, f0: np.ndarray, max_iters: int = 10,
         h = dirichlet_solve(surface, lap, h, _interior_mask(h))
         with np.errstate(over="ignore"):
             mags = np.where(h.at_infinity, np.inf, np.abs(h.values))
-        h = PlanarPoints(values=h.values / np.median(mags), at_infinity=h.at_infinity)
+        scale = np.median(mags)
+        if not (np.isfinite(scale) and scale > 0):
+            raise DegenerateFaceError(f"FPI iteration {k}: median planar magnitude {scale}")
+        h = PlanarPoints(values=h.values / scale, at_infinity=h.at_infinity)
         f_new = inverse_stereographic(invert_plane(h) if flipped else h)
         geom_new = en.face_geometry(surface, f_new, check=False)
         report_new = en.geometry_report(surface, geom_new)
         records.append(make_record(geom_new, report_new, k, None, None,
                                    time.perf_counter() - start))
         if stop_on_increase and report_new.authalic > report.authalic:
-            return FPIResult(current, records, "authalic_increased")
+            return MinimizeResult(current, records, "authalic_increased")
         delta = report.stretch - report_new.stretch
+        if delta < 0:
+            return MinimizeResult(current, records, "stretch_increased")
         current, geom, report = f_new, geom_new, report_new
         if delta <= STRETCH_DECREASE_TOL:
-            return FPIResult(current, records, "delta_converged")
+            return MinimizeResult(current, records, "delta_converged")
 
-    return FPIResult(current, records, "max_iters")
+    return MinimizeResult(current, records, "max_iters")

@@ -1,7 +1,7 @@
 """End-to-end parameterization pipeline and record/report plumbing.
 
 Pipeline order: conformal start, a short burst of fixed-point iterations
-(stopped at the first authalic-energy increase), fold correction,
+(stopped at the first energy increase), fold correction,
 gradient descent, fold correction again.  The input mesh is always
 rescaled to total area 4*pi first: the reported energies are then
 comparable across models, and FPI's stopping tests, which read absolute
@@ -56,11 +56,14 @@ class ParameterizeConfig:
 
 @dataclass(frozen=True)
 class ParameterizeResult:
+    """The final map and its rescaled surface.  `fpi` and `rgd` are the
+    warm-up's and the descent's own results; `records` runs through both
+    with one iteration numbering and one clock."""
+
     mapping: np.ndarray
     surface: SimplicialSurface
     records: list[IterationRecord]
-    fpi_status: str
-    fpi_iterations: int
+    fpi: MinimizeResult
     rgd: MinimizeResult
     corrections: dict = field(default_factory=dict)
     seconds: float = 0.0
@@ -90,8 +93,6 @@ def parameterize(surface: SimplicialSurface,
 
     f = conformal_initial_map(surface, rng=rng)
     records: list[IterationRecord] = []
-    fpi_status = "skipped"
-    fpi_iterations = 0
     corrections: dict[str, CorrectionResult] = {}
 
     def append(stage_records, began):
@@ -101,13 +102,10 @@ def parameterize(surface: SimplicialSurface,
         records.extend(replace(r, iteration=offset + r.iteration,
                                elapsed_s=began + r.elapsed_s) for r in stage_records)
 
-    if config.fpi_iters > 0:
-        began = time.perf_counter() - start
-        fpi = fpi_minimize(surface, f, max_iters=config.fpi_iters, stop_on_increase=True)
-        f = fpi.mapping
-        fpi_status = fpi.status
-        fpi_iterations = len(fpi.records)
-        append(fpi.records, began)
+    began = time.perf_counter() - start
+    fpi = fpi_minimize(surface, f, max_iters=config.fpi_iters, stop_on_increase=True)
+    f = fpi.mapping
+    append(fpi.records, began)
 
     if config.correct in ("fpi", "both"):
         corr = correct_bijectivity(surface, f)
@@ -125,10 +123,8 @@ def parameterize(surface: SimplicialSurface,
         f = corr.mapping
 
     return ParameterizeResult(
-        mapping=f, surface=surface, records=records,
-        fpi_status=fpi_status, fpi_iterations=fpi_iterations,
-        rgd=rgd, corrections=corrections,
-        seconds=time.perf_counter() - start,
+        mapping=f, surface=surface, records=records, fpi=fpi, rgd=rgd,
+        corrections=corrections, seconds=time.perf_counter() - start,
     )
 
 

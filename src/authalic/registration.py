@@ -16,7 +16,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import energy as en
-from .rgd import GeometryMemo, minimize
+from .rgd import GeometryMemo, MinimizeResult, minimize
 from .sphere import project_to_manifold
 
 DEFAULT_LAMBDA = 10.0
@@ -84,36 +84,20 @@ def geodesic_mismatch(points_a: np.ndarray, points_b: np.ndarray) -> float:
     return float(np.mean(np.arccos(dots)))
 
 
-@dataclass(frozen=True)
-class AlignmentResult:
-    mapping: np.ndarray
-    records: list
-    status: str
-    initial_mismatch: float
-    final_mismatch: float
-
-
 def solve_alignment(sphere_surface, f_param: np.ndarray, landmark_rows,
                     targets, lambdas=DEFAULT_LAMBDA, iters: int = 200,
-                    strategy: str = "interpolant") -> AlignmentResult:
+                    strategy: str = "interpolant") -> MinimizeResult:
     """Warp a spherical parameterization so landmarks approach targets.
 
     Gradient descent on the registration energy over the power manifold,
     starting from the parameterization itself.  It stops by the rules
     every descent stops by (:func:`~authalic.rgd.minimize`), the stall
     test reading the registration energy; `iters` is the iteration cap.
-    `initial_mismatch` and `final_mismatch` are the mean geodesic
-    distances of the landmarks to their targets before and after.
+    Returns the descent's result, its stop `message` included.
     """
-    rows = np.asarray(landmark_rows)
-    targets = np.asarray(targets, dtype=np.float64)
-    objective = RegistrationObjective(sphere_surface, rows, targets, lambdas)
-    result = minimize(sphere_surface, f_param, objective=objective, max_iters=iters,
-                      strategy=strategy)
-    return AlignmentResult(mapping=result.mapping, records=result.records,
-                           status=result.status,
-                           initial_mismatch=geodesic_mismatch(f_param[rows], targets),
-                           final_mismatch=geodesic_mismatch(result.mapping[rows], targets))
+    objective = RegistrationObjective(sphere_surface, landmark_rows, targets, lambdas)
+    return minimize(sphere_surface, f_param, objective=objective, max_iters=iters,
+                    strategy=strategy)
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,13 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class MinimizeResult:
+    """The result of every iterative stage: the descent, the FPI warm-up
+    and the landmark alignment.  `records` holds one record per iteration
+    run, `status` names the stop and `message` gives its reason where
+    there is one.  On ``"authalic_increased"`` and ``"stretch_increased"``
+    (FPI's stops) the last record is the rejected iterate and `mapping`
+    the one before it."""
+
     mapping: np.ndarray
     records: list[IterationRecord]
     status: str

@@ -6,7 +6,9 @@ traced run raise `KeyError`.  The benchmark file is loaded read-only, by
 path, so this check runs with the library's own tests.
 
 The same list is the only excuse for an import a module never uses:
-with no linter in the toolchain, an AST pass stands guard.
+with no linter in the toolchain, an AST pass stands guard.  A small
+instrumented run checks that the counts the traced run reads off each
+stage's result still resolve.
 """
 
 import ast
@@ -14,7 +16,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from authalic import mesh, pipeline, registration, sphere
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
@@ -63,3 +68,44 @@ def test_unused_imports_are_only_wrapped_names(spans):
               if path.name != "__init__.py"
               for name in _unused_imports(path)}
     assert unused <= wrapped, sorted(unused - wrapped)
+
+
+# span name -> the counts the traced run reads off that layer's result
+TRACED_COUNTS = {
+    "pipeline.fpi": {"iterations", "status"},
+    "pipeline.rgd": {"iterations", "status"},
+    "pipeline.unfold": {"sweeps", "folds_before", "folds_after"},
+    "registration.align": {"iterations", "status"},
+    "registration.compose": {"fallbacks"},
+    "linesearch.search": {"evals"},
+}
+
+
+def test_traced_run_reads_every_stage_result(spans):
+    # the library is called through its module attributes, the names the
+    # instrumentation replaces
+    recorder = spans.Recorder()
+    restore = spans.instrument(recorder)
+    try:
+        with recorder.operation("guard", "guard"):
+            surface = mesh.make_icosphere(2, (1.0, 0.8, 0.6))
+            result = pipeline.parameterize(surface, pipeline.ParameterizeConfig(max_iters=3))
+            f = result.mapping
+            rows = np.array([3, 40, 77])
+            targets = sphere.project_to_manifold(f[rows] + 0.05)
+            aligned = registration.solve_alignment(mesh.build_surface(f, surface.faces), f,
+                                                   rows, targets, iters=2)
+            registration.compose_registration(result.surface, result.surface, f, f,
+                                              aligned.mapping, f)
+    finally:
+        restore()
+
+    raised = [s[spans.NAME] for s in recorder.spans if s[spans.ATTRS] == {"raised": True}]
+    still_open = [s[spans.NAME] for s in recorder.spans if s[spans.END] is None]
+    assert not raised and not still_open, (raised, still_open)
+    for name, keys in TRACED_COUNTS.items():
+        attrs = [s[spans.ATTRS] for s in recorder.spans if s[spans.NAME] == name]
+        assert attrs and all(a is not None and keys <= a.keys() for a in attrs), (name, attrs)
+    metrics = spans.layer_metrics(recorder, "guard")
+    assert metrics["fpi.iterations"] == len(result.fpi.records)
+    assert metrics["registration.align_iters"] == len(aligned.records)

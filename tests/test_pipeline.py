@@ -1,5 +1,7 @@
 """Validation of the pipeline settings, and the records of a run."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
@@ -31,7 +33,7 @@ def test_record_clock_runs_from_the_start_of_the_run(ellipsoid3):
     # FPI and descent time their records from their own starts; the run's
     # records read one clock, the one `seconds` is read from
     result = parameterize(ellipsoid3, ParameterizeConfig(max_iters=10))
-    assert result.fpi_iterations >= 1 and len(result.rgd.records) == 10
+    assert len(result.fpi.records) >= 1 and len(result.rgd.records) == 10
     elapsed = [r.elapsed_s for r in result.records]
     assert all(b >= a for a, b in zip(elapsed, elapsed[1:])), elapsed
     assert elapsed[-1] <= result.seconds
@@ -44,8 +46,27 @@ def test_fpi_decisions_do_not_depend_on_the_input_scale():
     large = build_surface(10.0 * small.vertices, small.faces)
     config = ParameterizeConfig(max_iters=1)
     a, b = parameterize(small, config), parameterize(large, config)
-    assert (a.fpi_status, a.fpi_iterations) == (b.fpi_status, b.fpi_iterations)
+    assert (a.fpi.status, len(a.fpi.records)) == (b.fpi.status, len(b.fpi.records))
     assert np.abs(a.mapping - b.mapping).max() <= 1e-9
+
+
+def test_no_fpi_iterations_runs_the_descent_from_the_start(ellipsoid3):
+    # FPI always runs; with no iterations it returns the start unchanged
+    result = parameterize(ellipsoid3, ParameterizeConfig(fpi_iters=0, max_iters=5))
+    assert result.fpi.records == []
+    assert result.fpi.status == "max_iters"
+    # the run's records are the descent's, numbered from 1
+    assert [r.stretch for r in result.records] == [r.stretch for r in result.rgd.records]
+    assert [r.iteration for r in result.records] == list(range(1, len(result.rgd.records) + 1))
+
+
+def test_zero_median_rescale_raises_before_dividing():
+    # this 10:1 ellipsoid reaches a median planar magnitude of 0 in FPI;
+    # dividing by it used to fill the plane with NaNs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(AuthalicError, match="FPI iteration"):
+            parameterize(make_icosphere(3, (10.0, 1.0, 1.0)))
 
 
 def unit_hull(n_points: int, seed: int):
