@@ -87,6 +87,13 @@ def main():
 def param(mesh, fpi_iters, max_iters, ls, noise_sigma, seed, log_path, correct, out_dir):
     """Compute the spherical parameterization of MESH."""
     out_dir = out_dir or os.path.splitext(mesh)[0] + "_param"
+    # the log is written last: a missing directory for it (other than the
+    # output directory, made below) fails now, before any work
+    if log_path:
+        log_dir = os.path.dirname(os.path.abspath(log_path))
+        if not (os.path.isdir(log_dir) or log_dir == os.path.abspath(out_dir)):
+            raise click.BadParameter(f"directory {log_dir!r} does not exist.",
+                                     param_hint="'--log'")
     os.makedirs(out_dir, exist_ok=True)
     try:
         surface = load_mesh(mesh)
@@ -294,7 +301,7 @@ def _check_lines(surface, probe_eigen: bool):
 
     if probe_eigen:
         try:
-            probe = diag.smallest_hessian_eigenvalue(surface, f, mode="magnitude")
+            probe = diag.smallest_hessian_eigenvalue(surface, f)
             yield ("hessian eigenvalue probe", True,
                    f"lambda {probe.smallest_eigenvalue:.4e}, residual {probe.residual:.2e}")
         except AuthalicError as exc:

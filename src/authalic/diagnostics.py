@@ -3,7 +3,7 @@
 These are the measurement tools: area-ratio statistics (the SD/Mean
 distortion score), the noise-stability error on the authalic energy, a
 finite-difference harness certifying the analytic gradient, and a sparse
-probe for the smallest eigenvalue of the stretch-energy Hessian.
+probe for the eigenvalue of the stretch-energy Hessian closest to zero.
 """
 
 from __future__ import annotations
@@ -108,6 +108,11 @@ def fd_gradient_norm_error(surface, f: np.ndarray, step: float = 1e-6,
     return max([0.0, *np.abs(fd - grad[idx])]) / max(np.abs(grad).max(), 1e-300)
 
 
+# eigenpairs the probe computes near zero, and its residual contract
+PROBE_EIGENPAIRS = 6
+PROBE_RESIDUAL_RTOL = 1e-8
+
+
 @dataclass(frozen=True)
 class HessianProbeResult:
     smallest_eigenvalue: float
@@ -115,61 +120,45 @@ class HessianProbeResult:
     iterations: int
 
 
-def probe_smallest_eigenvalue(matrix, mode: str = "magnitude", k: int = 6,
-                              residual_rtol: float = 1e-8) -> HessianProbeResult:
-    """Smallest eigenvalue of a symmetric sparse matrix.
+def probe_smallest_eigenvalue(matrix) -> HessianProbeResult:
+    """The eigenvalue of a symmetric sparse matrix closest to zero.
 
-    mode "magnitude" returns the eigenvalue closest to zero (via
-    shift-invert at a tiny nonzero shift: the stretch Hessian annihilates
-    rigid translations, so zero itself is an eigenvalue and cannot be
-    factored at); mode "algebraic" returns the most negative eigenvalue.
-    The returned pair is certified against ||H v - t v|| <= rtol ||H||_F.
+    Shift-invert at a tiny nonzero shift finds the
+    :data:`PROBE_EIGENPAIRS` eigenpairs nearest it (the stretch Hessian
+    annihilates rigid translations, so zero itself is an eigenvalue and
+    cannot be factored at); `iterations` counts the shifted solves.  The
+    returned pair is certified against ||H v - t v|| <=
+    :data:`PROBE_RESIDUAL_RTOL` ||H||_F.
     """
     matrix = sp.csc_matrix(matrix)
     n = matrix.shape[0]
-    matvecs = [0]
-
-    def counted(v):
-        matvecs[0] += 1
-        return matrix @ v
-
-    op = spla.LinearOperator(matrix.shape, matvec=counted, dtype=np.float64)
-    v0 = np.full(n, 1.0 / np.sqrt(n))
-    k = min(k, n - 1)
     scale = float(spla.norm(matrix, "fro"))
-    if mode == "magnitude":
-        sigma = 1e-9 * scale if scale > 0 else 1e-12
-        try:
-            lu = spla.splu((matrix - sigma * sp.eye(n)).tocsc())
-        except RuntimeError as exc:
-            raise SolveError(f"shifted factorization failed: {exc}") from exc
+    sigma = 1e-9 * scale if scale > 0 else 1e-12
+    try:
+        lu = spla.splu((matrix - sigma * sp.eye(n)).tocsc())
+    except RuntimeError as exc:
+        raise SolveError(f"shifted factorization failed: {exc}") from exc
+    solves = 0
 
-        def counted_inv(v):
-            matvecs[0] += 1
-            return lu.solve(v)
+    def counted_inv(v):
+        nonlocal solves
+        solves += 1
+        return lu.solve(v)
 
-        opinv = spla.LinearOperator(matrix.shape, matvec=counted_inv,
-                                    dtype=np.float64)
-        vals, vecs = spla.eigsh(matrix, k=k, sigma=sigma, which="LM", v0=v0,
-                                OPinv=opinv)
-        pick = int(np.argmin(np.abs(vals)))
-    elif mode == "algebraic":
-        vals, vecs = spla.eigsh(op, k=1, which="SA", v0=v0, maxiter=100 * n)
-        pick = 0
-    else:
-        raise ValueError(f"unknown probe mode {mode!r}")
+    opinv = spla.LinearOperator(matrix.shape, matvec=counted_inv, dtype=np.float64)
+    vals, vecs = spla.eigsh(matrix, k=min(PROBE_EIGENPAIRS, n - 1), sigma=sigma, which="LM",
+                            v0=np.full(n, 1.0 / np.sqrt(n)), OPinv=opinv)
+    pick = int(np.argmin(np.abs(vals)))
     lam = float(vals[pick])
     vec = vecs[:, pick]
     residual = float(np.linalg.norm(matrix @ vec - lam * vec))
-    if residual > residual_rtol * max(scale, 1e-300):
-        raise SolveError(f"eigenvalue residual {residual:.3e} exceeds "
-                         f"{residual_rtol:.1e} * ||H|| = {residual_rtol * scale:.3e}")
-    return HessianProbeResult(smallest_eigenvalue=lam, residual=residual,
-                              iterations=matvecs[0])
+    if residual > PROBE_RESIDUAL_RTOL * max(scale, 1e-300):
+        raise SolveError(f"eigenvalue residual {residual:.3e} exceeds {PROBE_RESIDUAL_RTOL:.1e} "
+                         f"* ||H|| = {PROBE_RESIDUAL_RTOL * scale:.3e}")
+    return HessianProbeResult(smallest_eigenvalue=lam, residual=residual, iterations=solves)
 
 
-def smallest_hessian_eigenvalue(surface, f: np.ndarray, k: int = 6,
-                                mode: str = "magnitude") -> HessianProbeResult:
-    """Probe the stretch-energy Hessian of a mapping (desk-scale meshes)."""
-    hessian = en.assemble_global_hessian(surface, f)
-    return probe_smallest_eigenvalue(hessian, mode=mode, k=k)
+def smallest_hessian_eigenvalue(surface, f: np.ndarray) -> HessianProbeResult:
+    """Probe the stretch-energy Hessian of a mapping (desk-scale meshes)
+    for its eigenvalue closest to zero."""
+    return probe_smallest_eigenvalue(en.assemble_global_hessian(surface, f))

@@ -59,7 +59,8 @@ class FaceGeometry:
     image_areas : (m,) unsigned image areas, 0.5 * sqrt(a12^2 + a13^2 + a23^2).
     ref_areas : (m,) reference (mesh) face areas.
     orientation : (m,) f_i . (e_ij x e_ik) = det [f_i; f_j; f_k], negative
-        where the spherical image of the face is inverted.
+        where the spherical image of the face is inverted and zero where it
+        is degenerate.
     """
 
     e_ij: np.ndarray
@@ -74,9 +75,11 @@ class FaceGeometry:
 
     @property
     def folds(self) -> int:
-        """Number of inverted faces (orientation < 0): the one fold rule,
-        which :func:`~authalic.sphere.count_folds` reads too."""
-        return int(np.count_nonzero(self.orientation < 0.0))
+        """Number of inverted or degenerate faces (orientation <= 0): the
+        one fold rule, which :func:`~authalic.sphere.count_folds` reads too.
+        A zero-area image counts, so a map collapsed onto a point or a
+        great circle is never fold-free."""
+        return int(np.count_nonzero(self.orientation <= 0.0))
 
 
 def face_geometry(surface, f: np.ndarray, check: bool = True) -> FaceGeometry:

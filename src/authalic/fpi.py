@@ -33,7 +33,7 @@ STRETCH_DECREASE_TOL = 1e-6
 _PIN = np.exp(1j * np.array([np.pi / 2, np.pi / 2 + 2 * np.pi / 3, np.pi / 2 + 4 * np.pi / 3]))
 
 
-def conformal_initial_map(surface, face_index: int | None = None, rng=None) -> np.ndarray:
+def conformal_initial_map(surface, rng=None) -> np.ndarray:
     """Spherical conformal-ish starting map via harmonic flattening.
 
     One face is punctured and its three vertices pinned to an equilateral
@@ -42,13 +42,14 @@ def conformal_initial_map(surface, face_index: int | None = None, rng=None) -> n
     (barycenter to origin, median magnitude to one), and the result is
     lifted through the inverse stereographic projection.  If the lift
     lands with inverted global orientation the plane is conjugated, so
-    meshes of either orientation get a mostly fold-free start.
+    meshes of either orientation get a mostly fold-free start.  The
+    punctured face is drawn by `rng` when one is given, else it is the
+    largest face.
     """
-    if face_index is None:
-        if rng is not None:
-            face_index = int(rng.integers(surface.n_faces))
-        else:
-            face_index = int(np.argmax(surface.face_areas))
+    if rng is not None:
+        face_index = int(rng.integers(surface.n_faces))
+    else:
+        face_index = int(np.argmax(surface.face_areas))
     pinned = surface.faces[face_index]
 
     # stretch Laplacian of the identity mapping = classical half-cotangent

@@ -23,7 +23,10 @@ from .sphere import retract, row_dots
 # sufficient-decrease constant and step-size cap of every search
 C1 = 1e-4
 ALPHA_MAX = 1.0
-DEFAULT_MAX_BACKTRACKS = 30
+# most rejected trials a search makes before giving up
+MAX_BACKTRACKS = 30
+# largest |f . d| of a row that a tangent direction may have
+TANGENT_TOL = 1e-8
 STRATEGIES = ("interpolant", "bounded")
 # safeguard window for each interpolated step, relative to the last trial
 CLAMP_LO = 0.1
@@ -40,20 +43,20 @@ class LineSearchResult:
     message: str = ""
 
 
-def phi_derivative_at_zero(f: np.ndarray, d: np.ndarray, egrad: np.ndarray,
-                           tangent_tol: float = 1e-8) -> float:
+def phi_derivative_at_zero(f: np.ndarray, d: np.ndarray, egrad: np.ndarray) -> float:
     """Directional derivative of the objective along the retracted curve.
 
     The retraction derivative at zero has rows
     d_l / ||f_l|| - (f_l . d_l / ||f_l||^3) f_l, contracted against the
     ambient gradient; for unit rows and tangent d this is just the
-    Frobenius inner product <egrad, d>.
+    Frobenius inner product <egrad, d>.  A direction with a row farther
+    than :data:`TANGENT_TOL` from tangent raises.
     """
     f = np.asarray(f, dtype=np.float64)
     d = np.asarray(d, dtype=np.float64)
     fd = row_dots(f, d)
     radial = np.abs(fd).max() if d.size else 0.0
-    if radial > tangent_tol:
+    if radial > TANGENT_TOL:
         raise LineSearchError(f"direction is not tangent (max |f.d| = {radial:.3e})")
     inv_norms = 1.0 / np.sqrt(row_dots(f, f))
     # sum_l egrad_l . psi'_l, one row dot per term
@@ -109,8 +112,7 @@ def cubic_backtrack_step(phi0: float, dphi0: float, last, before) -> float:
 
 
 def search(f: np.ndarray, d: np.ndarray, *, energy, phi0: float, dphi0: float,
-           strategy: str = "interpolant", alpha0: float = 1.0,
-           max_backtracks: int = DEFAULT_MAX_BACKTRACKS) -> LineSearchResult:
+           strategy: str = "interpolant", alpha0: float = 1.0) -> LineSearchResult:
     """Find a step size satisfying sufficient decrease along retract(f, a d),
     with c1 = :data:`C1` and the steps capped at :data:`ALPHA_MAX`.
 
@@ -128,7 +130,7 @@ def search(f: np.ndarray, d: np.ndarray, *, energy, phi0: float, dphi0: float,
         the minimizer of the quadratic through phi(0), phi'(0) and that
         trial, after later ones the minimizer of the cubic through the
         last two trials, each clamped into [0.1, 0.5] times the last
-        trial.  The interpolant makes at most `max_backtracks` + 1
+        trial.  The interpolant makes at most :data:`MAX_BACKTRACKS` + 1
         trials; the bounded strategy makes that many after its minimizer.
 
     Returns
@@ -182,7 +184,7 @@ def search(f: np.ndarray, d: np.ndarray, *, energy, phi0: float, dphi0: float,
     else:
         raise ValueError(f"unknown line-search strategy {strategy!r}")
 
-    for _ in range(max_backtracks + 1):
+    for _ in range(MAX_BACKTRACKS + 1):
         value, g = phi(alpha)
         if sufficient(alpha, value):
             return LineSearchResult(alpha, g, value, evals, True)
@@ -191,5 +193,5 @@ def search(f: np.ndarray, d: np.ndarray, *, energy, phi0: float, dphi0: float,
     value, g, alpha = best
     return LineSearchResult(
         alpha, f if g is None else g, phi0 if g is None else value, evals, False,
-        message=f"no sufficient-decrease step within {max_backtracks} backtracks",
+        message=f"no sufficient-decrease step within {MAX_BACKTRACKS} backtracks",
     )

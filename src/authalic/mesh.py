@@ -15,6 +15,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .errors import MeshFormatError, MeshTopologyError
 
@@ -103,7 +104,8 @@ def triangle_areas(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
 def build_surface(vertices, faces) -> SimplicialSurface:
     """Validate arrays and derive edges/areas.
 
-    A non-zero genus, a non-manifold edge and a boundary edge each raise
+    A non-zero genus, more than one connected component, a non-manifold
+    edge and a boundary edge each raise
     :class:`~authalic.errors.MeshTopologyError`.
     """
     vertices = np.asarray(vertices, dtype=np.float64)
@@ -134,6 +136,7 @@ def build_surface(vertices, faces) -> SimplicialSurface:
         raise MeshTopologyError(f"open surface: boundary edge {tuple(int(v) for v in e)}")
 
     _check_genus(n - edges.shape[0] + faces.shape[0])
+    _check_connected(n, edges)
     areas = _checked_areas(vertices, faces)
     return SimplicialSurface(
         vertices=_freeze(vertices),
@@ -147,14 +150,14 @@ def build_surface(vertices, faces) -> SimplicialSurface:
 def edge_table(faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Undirected edges of the faces and how many faces share each.
 
-    Each face side is keyed by the scalar ``i * n + j`` of its sorted pair
-    (`n` exceeds every index), so one 1-D ``np.unique`` orders the edges
-    lexicographically and counts them.  Returns the (e, 2) sorted pairs
-    and the (e,) counts.
+    Each face side (a, b) is keyed by the scalar ``i * n + j`` of its
+    sorted pair i = min(a, b), j = max(a, b) (`n` exceeds every index), so
+    one 1-D ``np.unique`` orders the edges lexicographically and counts
+    them.  Returns the (e, 2) sorted pairs and the (e,) counts.
     """
-    pairs = np.sort(faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-    n = int(pairs.max()) + 1 if pairs.size else 1
-    keys, counts = np.unique(pairs[:, 0] * n + pairs[:, 1], return_counts=True)
+    a, b = faces.ravel(), faces[:, [1, 2, 0]].ravel()
+    n = int(faces.max()) + 1 if faces.size else 1
+    keys, counts = np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_counts=True)
     return np.stack([keys // n, keys % n], axis=1), counts
 
 
@@ -163,6 +166,19 @@ def _check_genus(euler: int) -> None:
     if euler != 2:
         genus = (2 - euler) / 2
         raise MeshTopologyError(f"surface is not genus zero (V-E+F = {euler}, genus {genus:g})")
+
+
+def _check_connected(n: int, edges: np.ndarray) -> None:
+    """Reject a mesh graph in more than one piece: V-E+F = 2 does not
+    imply one (a sphere and a torus side by side sum to 2 + 0)."""
+    # the edges are sorted pairs in lexicographic order, so their first
+    # ends are already the rows of a CSR matrix and need no sort
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(edges[:, 0], minlength=n))])
+    graph = sp.csr_array((np.ones(edges.shape[0]), np.ascontiguousarray(edges[:, 1]), indptr),
+                         shape=(n, n))
+    components = connected_components(graph, directed=False)[0]
+    if components != 1:
+        raise MeshTopologyError(f"surface is not connected ({components} components)")
 
 
 def _checked_areas(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
@@ -214,73 +230,65 @@ def nested_dissection(points: np.ndarray, edges: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _detect_format(path: str) -> str:
+    """The mesh format, "obj" or "off", from the file extension; any other
+    extension is rejected."""
     ext = os.path.splitext(path)[1].lower()
-    if ext == ".obj":
-        return "obj"
-    if ext == ".off":
-        return "off"
-    raise MeshFormatError(f"cannot infer mesh format from extension {ext!r}")
+    if ext not in (".obj", ".off"):
+        raise MeshFormatError(f"cannot infer mesh format from extension {ext!r}")
+    return ext[1:]
 
 
-def load_mesh(path, fmt: str = "auto") -> SimplicialSurface:
-    """Load a triangular OBJ or OFF file.
+def _text_lines(path):
+    """(line number, tokens) of each line of a text file that holds
+    anything besides a `#` comment, numbered from 1."""
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            tokens = raw.split("#", 1)[0].split()
+            if tokens:
+                yield lineno, tokens
+
+
+def load_mesh(path) -> SimplicialSurface:
+    """Load a triangular OBJ or OFF file, by its extension.
 
     Only `v x y z` and `f i j k` records are honored in OBJ files
     (texture/normal references like ``f 1/2/3`` are stripped to the vertex
     index); OFF files must carry the standard ``OFF`` header and counts
     line.  Faces with more or fewer than three vertices are rejected.
     """
-    path = os.fspath(path)
-    if fmt == "auto":
-        fmt = _detect_format(path)
-    if fmt == "obj":
-        verts, faces = _parse_obj(path)
-    elif fmt == "off":
-        verts, faces = _parse_off(path)
-    else:
-        raise MeshFormatError(f"unknown mesh format {fmt!r}")
-    return build_surface(verts, faces)
+    parse = _parse_obj if _detect_format(path) == "obj" else _parse_off
+    return build_surface(*parse(path))
 
 
 def _parse_obj(path):
     verts, faces = [], []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tok = line.split()
-            if tok[0] == "v":
-                if len(tok) < 4:
-                    raise MeshFormatError(f"{path}:{lineno}: malformed vertex line")
-                try:
-                    verts.append([float(t) for t in tok[1:4]])
-                except ValueError as exc:
-                    raise MeshFormatError(f"{path}:{lineno}: malformed vertex line") from exc
-            elif tok[0] == "f":
-                refs = tok[1:]
-                if len(refs) != 3:
-                    raise MeshFormatError(f"{path}:{lineno}: non-triangle face ({len(refs)} vertices)")
-                try:
-                    idx = [int(r.split("/", 1)[0]) for r in refs]
-                except ValueError as exc:
-                    raise MeshFormatError(f"{path}:{lineno}: malformed face line") from exc
-                if any(i < 1 for i in idx):
-                    raise MeshFormatError(f"{path}:{lineno}: face index out of range")
-                faces.append([i - 1 for i in idx])
-            # all other record types (vn, vt, o, g, s, ...) are ignored
+    for lineno, tok in _text_lines(path):
+        if tok[0] == "v":
+            if len(tok) < 4:
+                raise MeshFormatError(f"{path}:{lineno}: malformed vertex line")
+            try:
+                verts.append([float(t) for t in tok[1:4]])
+            except ValueError as exc:
+                raise MeshFormatError(f"{path}:{lineno}: malformed vertex line") from exc
+        elif tok[0] == "f":
+            refs = tok[1:]
+            if len(refs) != 3:
+                raise MeshFormatError(f"{path}:{lineno}: non-triangle face ({len(refs)} vertices)")
+            try:
+                idx = [int(r.split("/", 1)[0]) for r in refs]
+            except ValueError as exc:
+                raise MeshFormatError(f"{path}:{lineno}: malformed face line") from exc
+            if any(i < 1 for i in idx):
+                raise MeshFormatError(f"{path}:{lineno}: face index out of range")
+            faces.append([i - 1 for i in idx])
+        # all other record types (vn, vt, o, g, s, ...) are ignored
     if not verts or not faces:
         raise MeshFormatError(f"{path}: no triangle mesh found")
     return np.array(verts), np.array(faces)
 
 
 def _parse_off(path):
-    with open(path) as fh:
-        tokens = []
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                tokens.extend(line.split())
+    tokens = [t for _, line in _text_lines(path) for t in line]
     if not tokens or tokens[0].upper() != "OFF":
         raise MeshFormatError(f"{path}: missing OFF header")
     body = tokens[1:]
@@ -317,11 +325,10 @@ def _parse_off(path):
     return verts, np.array(faces)
 
 
-def save_mesh(vertices, faces, path, fmt: str = "auto") -> None:
-    """Write vertices/faces as OBJ or OFF with full float64 precision."""
-    path = os.fspath(path)
-    if fmt == "auto":
-        fmt = _detect_format(path)
+def save_mesh(vertices, faces, path) -> None:
+    """Write vertices/faces as OBJ or OFF, by the extension of `path`,
+    with full float64 precision."""
+    fmt = _detect_format(path)
     vertices = np.asarray(vertices, dtype=np.float64)
     faces = np.asarray(faces, dtype=np.int64)
     with open(path, "w") as fh:
@@ -330,7 +337,7 @@ def save_mesh(vertices, faces, path, fmt: str = "auto") -> None:
                 fh.write(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
             for f in faces:
                 fh.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
-        elif fmt == "off":
+        else:
             n_edges = edge_table(faces)[0].shape[0]
             fh.write("OFF\n")
             fh.write(f"{len(vertices)} {len(faces)} {n_edges}\n")
@@ -338,8 +345,6 @@ def save_mesh(vertices, faces, path, fmt: str = "auto") -> None:
                 fh.write(f"{v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
             for f in faces:
                 fh.write(f"3 {f[0]} {f[1]} {f[2]}\n")
-        else:
-            raise MeshFormatError(f"unknown mesh format {fmt!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -459,8 +464,9 @@ def perturb_vertices(surface: SimplicialSurface, sigma_noise: float, seed: int) 
     return surface.with_vertices(moved)
 
 
-def normalize_area(surface: SimplicialSurface, target: float = SPHERE_AREA) -> SimplicialSurface:
-    """Uniformly rescale so the total surface area equals `target`.
+def normalize_area(surface: SimplicialSurface) -> SimplicialSurface:
+    """Uniformly rescale so the total surface area equals
+    :data:`SPHERE_AREA`, the area of the unit sphere.
 
     The result equals ``build_surface(surface.vertices * scale,
     surface.faces)`` field by field, without rebuilding: the faces and
@@ -469,7 +475,7 @@ def normalize_area(surface: SimplicialSurface, target: float = SPHERE_AREA) -> S
     :class:`SimplicialSurface` constructed directly skips them), and the
     result shares the source's :attr:`~SimplicialSurface.dissection_order`.
     """
-    scale = np.sqrt(target / surface.total_area)
+    scale = np.sqrt(SPHERE_AREA / surface.total_area)
     vertices = surface.vertices * scale
     _check_genus(surface.n_vertices - surface.n_edges + surface.n_faces)
     areas = _checked_areas(vertices, surface.faces)
@@ -487,21 +493,16 @@ def parse_landmarks(path, n_source: int | None = None, n_target: int | None = No
     Returns a (k, 2) int array of 0-based (source, target) vertex indices.
     """
     pairs = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tok = line.split()
-            if len(tok) != 2:
-                raise MeshFormatError(f"{path}:{lineno}: expected two indices per line")
-            try:
-                i, j = int(tok[0]), int(tok[1])
-            except ValueError as exc:
-                raise MeshFormatError(f"{path}:{lineno}: malformed landmark pair") from exc
-            if i < 1 or j < 1:
-                raise MeshFormatError(f"{path}:{lineno}: landmark indices are 1-based")
-            pairs.append((i - 1, j - 1))
+    for lineno, tok in _text_lines(path):
+        if len(tok) != 2:
+            raise MeshFormatError(f"{path}:{lineno}: expected two indices per line")
+        try:
+            i, j = int(tok[0]), int(tok[1])
+        except ValueError as exc:
+            raise MeshFormatError(f"{path}:{lineno}: malformed landmark pair") from exc
+        if i < 1 or j < 1:
+            raise MeshFormatError(f"{path}:{lineno}: landmark indices are 1-based")
+        pairs.append((i - 1, j - 1))
     if not pairs:
         raise MeshFormatError(f"{path}: no landmark pairs found")
     out = np.array(pairs, dtype=np.int64)

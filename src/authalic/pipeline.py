@@ -20,7 +20,7 @@ from . import energy as en
 from .diagnostics import geometry_ratio_stats
 from .fpi import conformal_initial_map, fpi_minimize
 from .linesearch import STRATEGIES
-from .mesh import SPHERE_AREA, SimplicialSurface, normalize_area
+from .mesh import SimplicialSurface, normalize_area
 from .rgd import IterationRecord, MinimizeResult, minimize
 # the summary reads the fold count from the face geometry; count_folds stays
 # importable here because perfbench/spans.py wraps it under this name
@@ -87,7 +87,7 @@ def parameterize(surface: SimplicialSurface,
                  config: ParameterizeConfig | None = None) -> ParameterizeResult:
     """Compute a spherical area-preserving parameterization of `surface`."""
     config = config or ParameterizeConfig()
-    surface = normalize_area(surface, SPHERE_AREA)
+    surface = normalize_area(surface)
     rng = np.random.default_rng(config.seed)
     start = time.perf_counter()
 

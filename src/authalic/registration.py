@@ -117,10 +117,13 @@ class ComposedMap:
 LOCATE_SYSTEMS = 4096 * 8
 """Most (query, candidate) 3x3 systems in one stacked solve of
 :func:`locate_on_sphere`, about 2.4 MB of them."""
+LOCATE_TOL = 1e-12
+"""A candidate face contains a query when its least normalized
+barycentric weight is at least ``-LOCATE_TOL``."""
 
 
 def locate_on_sphere(points: np.ndarray, sphere_vertices: np.ndarray,
-                     faces: np.ndarray, tol: float = 1e-12):
+                     faces: np.ndarray):
     """Find, for each query unit vector, a containing spherical triangle.
 
     Candidate faces come in nearest-centroid order, in rounds that widen
@@ -128,7 +131,7 @@ def locate_on_sphere(points: np.ndarray, sphere_vertices: np.ndarray,
     [seen, k) for k = 8, 32, 128, ... up to all faces, with one tree
     query and one stacked 3x3 solve of the gnomonic barycentric systems
     [a b c] w = point per batch.  A query takes its first candidate whose
-    normalized weights are all >= -tol; a singular system or a
+    normalized weights are all >= -:data:`LOCATE_TOL`; a singular system or a
     nonpositive weight sum skips the candidate.  Queries no face contains
     fall back to the least-negative candidate (the first of equals) and
     are counted.  Weights are clipped at zero and renormalized.  Returns
@@ -140,7 +143,7 @@ def locate_on_sphere(points: np.ndarray, sphere_vertices: np.ndarray,
     n = points.shape[0]
     face_out = np.full(n, -1, dtype=np.int64)
     weights_out = np.zeros((n, 3))
-    # least weight of each query's pick so far: >= -tol once it is inside
+    # least weight of each query's pick so far: >= -LOCATE_TOL once it is inside
     best = np.full(n, -np.inf)
     todo = np.arange(n)
 
@@ -165,7 +168,7 @@ def locate_on_sphere(points: np.ndarray, sphere_vertices: np.ndarray,
                 worst = w.min(axis=-1)
             # skipped candidates, and NaN weights, never become a pick
             worst[singular | ~(s > 0) | np.isnan(worst)] = -np.inf
-            inside = worst >= -tol
+            inside = worst >= -LOCATE_TOL
             # the first candidate inside, else the first least-negative one;
             # it replaces the pick of an earlier round only if it is better
             pick = np.where(inside.any(axis=1), inside.argmax(axis=1), worst.argmax(axis=1))
@@ -175,7 +178,7 @@ def locate_on_sphere(points: np.ndarray, sphere_vertices: np.ndarray,
             face_out[idx] = cand[rows, pick]
             weights_out[idx] = w[rows, pick]
             best[idx] = worst[rows, pick]
-        todo = todo[best[todo] < -tol]
+        todo = todo[best[todo] < -LOCATE_TOL]
         seen, k = k, min(4 * k, m)
 
     if (face_out[todo] < 0).any():

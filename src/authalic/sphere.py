@@ -41,9 +41,9 @@ class PlanarPoints:
         return self.values.shape[0]
 
 
-def assert_on_sphere(f: np.ndarray, tol: float = UNIT_TOL) -> None:
+def assert_on_sphere(f: np.ndarray) -> None:
     err = np.abs(np.linalg.norm(f, axis=1) - 1.0).max()
-    if err > tol:
+    if err > UNIT_TOL:
         raise ValueError(f"mapping rows deviate from unit norm by {err:.3e}")
 
 
@@ -128,9 +128,7 @@ def invert_plane(h: PlanarPoints) -> PlanarPoints:
 
 
 def count_folds(surface, f: np.ndarray) -> int:
-    """Number of faces whose spherical image is inverted: the count of
-    :attr:`~authalic.energy.FaceGeometry.folds`, the one fold rule.
-
-    Degenerate images (orientation exactly 0) are not counted as folds.
-    """
+    """Number of faces whose spherical image is inverted or degenerate:
+    the count of :attr:`~authalic.energy.FaceGeometry.folds`, the one
+    fold rule."""
     return en.face_geometry(surface, f, check=False).folds

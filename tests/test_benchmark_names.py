@@ -70,6 +70,67 @@ def test_unused_imports_are_only_wrapped_names(spans):
     assert unused <= wrapped, sorted(unused - wrapped)
 
 
+# parameters with a default that no caller sets: the finite-difference
+# harness keeps its step and stride, which the tests sweep
+UNSET_ALLOWED = {("diagnostics", "fd_check_gradient", "step"),
+                 ("diagnostics", "fd_check_gradient", "max_coords")}
+
+
+def _calls(paths) -> dict[str, tuple[int, set[str]]]:
+    """Per called name (a plain or attribute name; a class for its
+    ``__init__``), the most positional arguments one call passes and the
+    keywords any call passes.  A starred argument counts as passing every
+    position."""
+    calls: dict[str, tuple[int, set[str]]] = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            most, keywords = calls.get(name, (0, set()))
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            calls[name] = (max(most, float("inf") if starred else len(node.args)),
+                           keywords | {k.arg for k in node.keywords})
+    return calls
+
+
+def _defaulted_parameters(path: Path):
+    """(function name, called name, position, parameter) of every
+    parameter with a default; the position excludes ``self`` and is None
+    for a keyword-only parameter."""
+    tree = ast.parse(path.read_text())
+    owner = {id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+             for f in c.body}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        skip = 1 if positional and positional[0].arg in ("self", "cls") else 0
+        called = owner[id(node)] if node.name == "__init__" else node.name
+        first = len(positional) - len(args.defaults)
+        for i, arg in enumerate(positional[first:], start=first):
+            yield node.name, called, i - skip, arg.arg
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield node.name, called, None, arg.arg
+
+
+def test_every_defaulted_parameter_is_set_by_some_caller():
+    # a default that no call in the library, the scripts or the benchmark
+    # passes is a setting only tests vary; it belongs in a constant
+    callers = [path for folder in ("src/authalic", "scripts", "perfbench")
+               for path in sorted((ROOT / folder).rglob("*.py"))]
+    calls = _calls(callers)
+    unset = set()
+    for path in sorted((ROOT / "src" / "authalic").glob("*.py")):
+        for function, called, position, parameter in _defaulted_parameters(path):
+            most, keywords = calls.get(called, (0, set()))
+            if parameter not in keywords and (position is None or most <= position):
+                unset.add((path.stem, function, parameter))
+    assert unset <= UNSET_ALLOWED, sorted(unset - UNSET_ALLOWED)
+
+
 # span name -> the counts the traced run reads off that layer's result
 TRACED_COUNTS = {
     "pipeline.fpi": {"iterations", "status"},

@@ -91,6 +91,22 @@ def test_param_log_flag_and_noise(tmp_path, mesh_file):
     assert manifest["seed"] == 5
 
 
+def test_param_log_into_a_missing_directory_is_usage_error(tmp_path, mesh_file):
+    # the log is written last; this used to write the map and then fail
+    # with a traceback and no manifest
+    out = tmp_path / "run"
+    result = CliRunner().invoke(main, ["param", mesh_file, "--out", str(out),
+                                       "--log", str(tmp_path / "absent" / "conv.csv")])
+    assert result.exit_code == 2
+    assert "--log" in result.output
+    assert not out.exists()
+    # a log inside the output directory, which the run makes, is fine
+    result = run("param", mesh_file, "--max-iters", "1", "--fpi-iters", "1",
+                 "--out", str(out), "--log", str(out / "conv.csv"))
+    assert result.exit_code == 0
+    assert (out / "conv.csv").exists()
+
+
 def test_param_missing_mesh_is_usage_error(tmp_path):
     result = CliRunner().invoke(main, ["param", str(tmp_path / "absent.off")])
     assert result.exit_code == 2

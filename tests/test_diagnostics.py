@@ -88,29 +88,20 @@ def test_fd_harness_degenerate_mapping_errors(icosphere1):
 
 
 def test_probe_identity_matrix():
-    result = probe_smallest_eigenvalue(sp.eye(40, format="csc"), mode="magnitude")
+    result = probe_smallest_eigenvalue(sp.eye(40, format="csc"))
     assert result.smallest_eigenvalue == pytest.approx(1.0, rel=1e-10)
-    result = probe_smallest_eigenvalue(sp.eye(40, format="csc"), mode="algebraic")
-    assert result.smallest_eigenvalue == pytest.approx(1.0, rel=1e-8)
 
 
 def test_probe_diagonal_modes():
     d = sp.diags([-2.0, 1.0, 3.0, 5.0, -0.5]).tocsc()
-    alg = probe_smallest_eigenvalue(d, mode="algebraic")
-    assert alg.smallest_eigenvalue == pytest.approx(-2.0, rel=1e-8)
-    mag = probe_smallest_eigenvalue(d, mode="magnitude")
+    mag = probe_smallest_eigenvalue(d)
     assert mag.smallest_eigenvalue == pytest.approx(-0.5, rel=1e-8)
-
-
-def test_probe_mode_validation():
-    with pytest.raises(ValueError, match="mode"):
-        probe_smallest_eigenvalue(sp.eye(4, format="csc"), mode="weird")
 
 
 def test_hessian_probe_certified_residual(icosphere1):
     rng = np.random.default_rng(1)
     f = project_to_manifold(icosphere1.vertices + 0.02 * rng.normal(size=(42, 3)))
-    result = smallest_hessian_eigenvalue(icosphere1, f, mode="magnitude")
+    result = smallest_hessian_eigenvalue(icosphere1, f)
     # the stretch Hessian annihilates rigid translations: something
     # numerically indistinguishable from zero is always nearest
     assert abs(result.smallest_eigenvalue) <= 1e-8

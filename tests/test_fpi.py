@@ -45,8 +45,10 @@ def test_conformal_map_ellipsoid(ellipsoid3):
 def test_conformal_map_seeded_face_choice(ellipsoid3):
     a = conformal_initial_map(ellipsoid3, rng=np.random.default_rng(1))
     b = conformal_initial_map(ellipsoid3, rng=np.random.default_rng(1))
-    c = conformal_initial_map(ellipsoid3, face_index=5)
+    c = conformal_initial_map(ellipsoid3, rng=np.random.default_rng(2))
     assert np.array_equal(a, b)
+    # the second seed punctures another face: a different, fold-free start
+    assert not np.array_equal(a, c)
     assert count_folds(ellipsoid3, c) == 0
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from authalic import linesearch
 from authalic.energy import energy_report_per_face, euclidean_gradient
 from authalic.errors import LineSearchError
 from authalic.linesearch import (cubic_backtrack_step, cubic_fit, phi_derivative_at_zero,
@@ -158,7 +159,7 @@ def test_bounded_strategy_beats_grid_scan(ellipsoid3):
     assert res.energy <= grid + 1e-8
 
 
-def test_backtracking_sequence_decreasing_and_bounded():
+def test_backtracking_sequence_decreasing_and_bounded(monkeypatch):
     # a single point on the sphere with an energy that never accepts:
     # recover each trial alpha from the retracted row
     f = np.array([[1.0, 0.0, 0.0]])
@@ -170,8 +171,9 @@ def test_backtracking_sequence_decreasing_and_bounded():
         trials.append(alpha)
         return 1.0  # never below phi0 + c1 alpha dphi0
 
+    monkeypatch.setattr(linesearch, "MAX_BACKTRACKS", 12)
     res = search(f, d, energy=stubborn, phi0=1.0, dphi0=-1.0,
-                 strategy="interpolant", alpha0=1.0, max_backtracks=12)
+                 strategy="interpolant", alpha0=1.0)
     assert not res.ok
     assert len(trials) == 13
     assert all(b < a for a, b in zip(trials, trials[1:]))
@@ -179,7 +181,7 @@ def test_backtracking_sequence_decreasing_and_bounded():
     assert res.energy == 1.0
 
 
-def test_bounded_strategy_backtracks_from_its_minimizer():
+def test_bounded_strategy_backtracks_from_its_minimizer(monkeypatch):
     # the never-accepting stub again: after the bounded minimizer and the
     # probe at alpha_max, every backtrack stays in the safeguard window
     # of the trial before it, starting from the minimizer
@@ -191,8 +193,8 @@ def test_bounded_strategy_backtracks_from_its_minimizer():
         trials.append(g[0, 1] / g[0, 0])
         return 1.0
 
-    res = search(f, d, energy=stubborn, phi0=1.0, dphi0=-1.0,
-                 strategy="bounded", max_backtracks=5)
+    monkeypatch.setattr(linesearch, "MAX_BACKTRACKS", 5)
+    res = search(f, d, energy=stubborn, phi0=1.0, dphi0=-1.0, strategy="bounded")
     assert not res.ok
     assert res.evals == len(trials) == 38
     minimizer, end, backtracks = trials[-8], trials[-7], trials[-6:]
@@ -209,7 +211,7 @@ def test_bounded_strategy_backtracks_from_its_minimizer():
     assert res.energy == 1.0
 
 
-def test_cubic_step_clamps_relative_to_the_last_trial():
+def test_cubic_step_clamps_relative_to_the_last_trial(monkeypatch):
     # phi(alpha) = 1 + 100 alpha^2 against phi'(0) = -1: every model puts
     # its minimizer near 0.005, so each step is the lower clamp of the
     # trial just rejected
@@ -222,7 +224,8 @@ def test_cubic_step_clamps_relative_to_the_last_trial():
         trials.append(alpha)
         return 1.0 + 100.0 * alpha**2
 
-    search(f, d, energy=steep, phi0=1.0, dphi0=-1.0, max_backtracks=2)
+    monkeypatch.setattr(linesearch, "MAX_BACKTRACKS", 2)
+    search(f, d, energy=steep, phi0=1.0, dphi0=-1.0)
     assert trials == pytest.approx([1.0, 0.1, 0.01], rel=1e-12)
 
 

@@ -247,6 +247,33 @@ def test_genus_error_and_warning():
         build_surface(verts, faces)
 
 
+def torus(n_major: int, n_minor: int, offset: float):
+    """A closed n_major x n_minor grid torus (V - E + F = 0), moved by
+    `offset` along x."""
+    i, j = np.meshgrid(np.arange(n_major), np.arange(n_minor), indexing="ij")
+    u, v = 2 * np.pi * i / n_major, 2 * np.pi * j / n_minor
+    ring = 3.0 + np.cos(v)
+    verts = np.stack([ring * np.cos(u) + offset, ring * np.sin(u), np.sin(v)],
+                     axis=-1).reshape(-1, 3)
+    a, b = i * n_minor + j, (i + 1) % n_major * n_minor + j
+    c, d = (i + 1) % n_major * n_minor + (j + 1) % n_minor, i * n_minor + (j + 1) % n_minor
+    faces = np.concatenate([np.stack([a, b, c], -1), np.stack([a, c, d], -1)]).reshape(-1, 3)
+    return verts, faces
+
+
+def test_disconnected_mesh_rejected():
+    # V - E + F = 2 for both, but neither is one sphere: two bare vertices
+    # (2 - 0 + 0), and a sphere next to a torus (2 + 0)
+    with pytest.raises(MeshTopologyError, match="2 components"):
+        build_surface(np.zeros((2, 3)), np.zeros((0, 3), dtype=int))
+    ico = make_icosphere(1)
+    verts, faces = torus(12, 8, offset=10.0)
+    assert len(verts) - len(mesh.edge_table(faces)[0]) + len(faces) == 0
+    with pytest.raises(MeshTopologyError, match="not connected \\(2 components\\)"):
+        build_surface(np.vstack([ico.vertices, verts]),
+                      np.vstack([ico.faces, faces + ico.n_vertices]))
+
+
 def test_out_of_range_and_degenerate_faces():
     t = regular_tetrahedron()
     bad = t.faces.copy()

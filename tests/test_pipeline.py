@@ -81,11 +81,10 @@ def unit_hull(n_points: int, seed: int):
     return build_surface(points, faces)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 4")
 def test_collapsed_map_is_not_returned_as_a_success():
-    # fold correction after the descent sends every vertex of this hull to
-    # one point (17 folds -> 0); a map with zero image areas must not come
-    # back as a normal result
+    # a fold-correction sweep after the descent sends every vertex of this
+    # hull to one point; a map with zero image areas must not come back as
+    # a normal result (its faces count as folds, and the next sweep raises)
     surface = unit_hull(20, seed=0)
     try:
         result = parameterize(surface)

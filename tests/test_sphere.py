@@ -139,8 +139,8 @@ def test_count_folds(icosphere2):
     assert count_folds(surf, f) == 1
 
 
-def test_degenerate_face_not_a_fold(icosphere2):
+def test_degenerate_face_is_a_fold(icosphere2):
     f = icosphere2.vertices.copy()
     i, j, k = icosphere2.faces[0]
-    f[k] = f[j]  # collapses face 0, det exactly 0
-    assert count_folds(icosphere2, f) == 0
+    f[k] = f[j]  # collapses edge jk: both faces on it get det exactly 0
+    assert count_folds(icosphere2, f) == 2
