@@ -13,9 +13,7 @@ import numpy as np
 
 from authalic.mesh import make_icosphere, normalize_area, save_mesh
 from authalic.pipeline import ParameterizeConfig, parameterize
-from authalic.registration import (compose_registration, geodesic_mismatch,
-                                   homotopy_frame, midpoint_targets, solve_alignment)
-from authalic.mesh import build_surface
+from authalic.registration import homotopy_frame, register
 
 
 def main():
@@ -37,16 +35,9 @@ def main():
     f0 = parameterize(m0, config).mapping
     f1 = parameterize(m1, config).mapping
 
-    targets = midpoint_targets(f0, f1, pairs)
-    s0 = build_surface(f0, m0.faces)
-    s1 = build_surface(f1, m1.faces)
-    a0 = solve_alignment(s0, f0, pairs[:, 0], targets, lambdas=args.lam, iters=200)
-    a1 = solve_alignment(s1, f1, pairs[:, 1], targets, lambdas=args.lam, iters=200)
-    before = geodesic_mismatch(f0[pairs[:, 0]], f1[pairs[:, 1]])
-    after = geodesic_mismatch(a0.mapping[pairs[:, 0]], a1.mapping[pairs[:, 1]])
-    print(f"landmark mismatch {before:.4f} -> {after:.6f}")
-
-    composed = compose_registration(m0, m1, f0, f1, a0.mapping, a1.mapping)
+    reg = register(m0, m1, f0, f1, pairs, lam=args.lam)
+    print(f"landmark mismatch {reg.mismatch_before:.4f} -> {reg.mismatch_after:.6f}")
+    composed = reg.composed
     print(f"point-location fallbacks: {composed.fallback_count}")
 
     os.makedirs(args.out, exist_ok=True)

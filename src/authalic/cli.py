@@ -19,12 +19,11 @@ import numpy as np
 
 from . import diagnostics as diag
 from . import energy as en
+from . import registration
 from .errors import AuthalicError
 from .mesh import (build_surface, load_mesh, normalize_area, parse_landmarks,
                    perturb_vertices, save_mesh)
 from .pipeline import CORRECTIONS, ParameterizeConfig, parameterize, write_records_csv
-from .registration import (ComposedMap, compose_registration, geodesic_mismatch,
-                           homotopy_frame, midpoint_targets, solve_alignment)
 from .sphere import (count_folds, inverse_stereographic, project_to_manifold,
                      stereographic)
 
@@ -158,23 +157,18 @@ def register(mesh0, mesh1, landmarks, lam, align_iters, fpi_iters, max_iters, ls
         pairs = parse_landmarks(landmarks, m0.n_vertices, m1.n_vertices)
         config = ParameterizeConfig(fpi_iters=fpi_iters, max_iters=max_iters,
                                     strategy=_STRATEGIES[ls], seed=seed)
-        r0 = parameterize(m0, config)
-        r1 = parameterize(m1, config)
-        f0, f1 = r0.mapping, r1.mapping
-        targets = midpoint_targets(f0, f1, pairs, normalize=not raw_midpoints)
-        s0 = build_surface(f0, m0.faces)
-        s1 = build_surface(f1, m1.faces)
-        a0 = solve_alignment(s0, f0, pairs[:, 0], targets, lambdas=lam,
-                             iters=align_iters, strategy=_STRATEGIES[ls])
-        a1 = solve_alignment(s1, f1, pairs[:, 1], targets, lambdas=lam,
-                             iters=align_iters, strategy=_STRATEGIES[ls])
-        composed = compose_registration(m0, m1, f0, f1, a0.mapping, a1.mapping)
+        f0 = parameterize(m0, config).mapping
+        f1 = parameterize(m1, config).mapping
+        reg = registration.register(m0, m1, f0, f1, pairs, lam=lam, iters=align_iters,
+                                    strategy=_STRATEGIES[ls],
+                                    normalize=not raw_midpoints)
     except (AuthalicError, ValueError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
 
+    h0, h1, composed = reg.h0.mapping, reg.h1.mapping, reg.composed
     for name, mapping, faces in (("f0", f0, m0.faces), ("f1", f1, m1.faces),
-                                 ("h0", a0.mapping, m0.faces), ("h1", a1.mapping, m1.faces)):
+                                 ("h0", h0, m0.faces), ("h1", h1, m1.faces)):
         save_mesh(mapping, faces, os.path.join(out_dir, f"{name}.obj"))
     with open(os.path.join(out_dir, "composed_map.txt"), "w") as fh:
         fh.write("# vertex_id face_id w0 w1 w2\n")
@@ -183,14 +177,15 @@ def register(mesh0, mesh1, landmarks, lam, align_iters, fpi_iters, max_iters, ls
             fh.write(f"{i} {composed.face_indices[i]} "
                      f"{w[0]:.17g} {w[1]:.17g} {w[2]:.17g}\n")
 
-    before = geodesic_mismatch(f0[pairs[:, 0]], f1[pairs[:, 1]])
-    after = geodesic_mismatch(a0.mapping[pairs[:, 0]], a1.mapping[pairs[:, 1]])
+    before, after = reg.mismatch_before, reg.mismatch_after
+    folds = [count_folds(m0, h0), count_folds(m1, h1)]
     mismatch = {
         "initial_mean_geodesic": before,
         "final_mean_geodesic": after,
         "reduction": 1.0 - after / before if before > 0 else 0.0,
         "fallback_points": composed.fallback_count,
-        "alignment_status": [a0.status, a1.status],
+        "alignment_status": [reg.h0.status, reg.h1.status],
+        "alignment_folds": folds,
     }
     with open(os.path.join(out_dir, "mismatch.json"), "w") as fh:
         json.dump(mismatch, fh, indent=2, sort_keys=True)
@@ -203,10 +198,11 @@ def register(mesh0, mesh1, landmarks, lam, align_iters, fpi_iters, max_iters, ls
                      "landmarks": os.path.abspath(landmarks)},
                     params, time.perf_counter() - start)
     click.echo(f"landmark mismatch {before:.4e} -> {after:.4e} "
-               f"({100 * mismatch['reduction']:.1f}% reduction)")
+               f"({100 * mismatch['reduction']:.1f}% reduction), "
+               f"alignment folds {folds[0]} + {folds[1]}")
 
 
-def _read_composed_map(path, m0, m1) -> ComposedMap:
+def _read_composed_map(path, m0, m1) -> registration.ComposedMap:
     """Read a ``composed_map.txt``: one row per source vertex, each an
     integral face id of the target and three finite weights."""
     rows = np.loadtxt(path, comments="#", ndmin=2)
@@ -220,10 +216,7 @@ def _read_composed_map(path, m0, m1) -> ComposedMap:
     weights = rows[:, 2:5]
     if not np.isfinite(weights).all():
         raise ValueError(f"{path}: non-finite barycentric weight")
-    face_idx = ids.astype(np.int64)
-    points = np.einsum("nk,nkd->nd", weights, m1.vertices[m1.faces[face_idx]])
-    return ComposedMap(face_indices=face_idx, weights=weights, points=points,
-                       fallback_count=0)
+    return registration.composed_map(m1, ids.astype(np.int64), weights, 0)
 
 
 @main.command()
@@ -250,7 +243,7 @@ def morph(regdir, frames, out_dir):
         composed = _read_composed_map(composed_path, m0, m1)
         for k in range(frames):
             t = k / (frames - 1)
-            frame = homotopy_frame(m0, composed, t)
+            frame = registration.homotopy_frame(m0, composed, t)
             save_mesh(frame, m0.faces, os.path.join(out_dir, f"frame_{k:03d}.obj"))
     except (AuthalicError, OSError, ValueError) as exc:
         click.echo(f"error: {exc}", err=True)

@@ -20,8 +20,7 @@ from authalic.fpi import _interior_mask, conformal_initial_map, dirichlet_solve,
 from authalic.linesearch import cubic_fit, quadratic_backtrack_step
 from authalic.mesh import build_surface, load_mesh, make_icosphere, normalize_area
 from authalic.pipeline import ParameterizeConfig, parameterize
-from authalic.registration import (compose_registration, geodesic_mismatch,
-                                   homotopy_frame, midpoint_targets, solve_alignment)
+from authalic.registration import compose_registration, homotopy_frame, register
 from authalic.rgd import minimize
 from authalic.sphere import (PlanarPoints, inverse_stereographic, invert_plane,
                              project_tangent, project_to_manifold, retract,
@@ -233,14 +232,8 @@ def test_criterion_10_registration():
     m1 = build_surface(m0.vertices @ rotation_matrix([1, 2, 3], 0.5).T, m0.faces)
     pairs = np.array([[3, 3], [40, 40], [77, 77], [120, 120], [150, 150]])
     f0, f1 = m0.vertices.copy(), m1.vertices.copy()
-    targets = midpoint_targets(f0, f1, pairs)
-    s0 = build_surface(f0, m0.faces)
-    s1 = build_surface(f1, m1.faces)
-    a0 = solve_alignment(s0, f0, pairs[:, 0], targets, lambdas=10.0, iters=200)
-    a1 = solve_alignment(s1, f1, pairs[:, 1], targets, lambdas=10.0, iters=200)
-    before = geodesic_mismatch(f0[pairs[:, 0]], f1[pairs[:, 1]])
-    after = geodesic_mismatch(a0.mapping[pairs[:, 0]], a1.mapping[pairs[:, 1]])
-    reduction = 1.0 - after / before
+    reg = register(m0, m1, f0, f1, pairs, lam=10.0, iters=200)
+    reduction = 1.0 - reg.mismatch_after / reg.mismatch_before
 
     composed = compose_registration(m0, m0, f0, f0, f0, f0)
     identity_err = np.abs(composed.points - m0.vertices).max()

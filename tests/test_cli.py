@@ -7,9 +7,11 @@ import pytest
 from click.testing import CliRunner
 
 import authalic.energy as en
+from authalic import registration
 from authalic.cli import main
 from authalic.mesh import load_mesh, make_icosphere, save_mesh
 from authalic.pipeline import parameterize
+from authalic.sphere import count_folds
 
 
 @pytest.fixture(scope="module")
@@ -186,7 +188,7 @@ def registration_dir(tmp_path_factory, sphere_file):
     return out
 
 
-def test_register_outputs(registration_dir):
+def test_register_outputs(registration_dir, sphere_file):
     out = registration_dir
     for name in ("f0.obj", "f1.obj", "h0.obj", "h1.obj",
                  "composed_map.txt", "mismatch.json", "manifest.json"):
@@ -197,6 +199,35 @@ def test_register_outputs(registration_dir):
     assert np.abs(weights.sum(axis=1) - 1.0).max() <= 1e-10
     mismatch = json.loads((out / "mismatch.json").read_text())
     assert "final_mean_geodesic" in mismatch
+    surface = load_mesh(sphere_file)
+    folds = [count_folds(surface, load_mesh(out / f"{name}.obj").vertices)
+             for name in ("h0", "h1")]
+    assert mismatch["alignment_folds"] == folds
+    assert all(type(n) is int and n >= 0 for n in mismatch["alignment_folds"])
+
+
+@pytest.mark.parametrize("flags, normalize", [([], True), (["--raw-midpoints"], False)],
+                         ids=["default", "raw-midpoints"])
+def test_register_raw_midpoints_reach_the_targets(sphere_file, tmp_path, monkeypatch,
+                                                  flags, normalize):
+    seen = []
+    original = registration.midpoint_targets
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["normalize"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(registration, "midpoint_targets", spy)
+    marks = tmp_path / "marks.txt"
+    marks.write_text("4 4\n41 41\n")
+    out = tmp_path / "out"
+    result = run("register", sphere_file, sphere_file, str(marks), *flags,
+                 "--fpi-iters", "1", "--max-iters", "1", "--align-iters", "1",
+                 "--out", str(out))
+    assert result.exit_code == 0, result.output
+    assert seen == [normalize]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["params"]["raw_midpoints"] is not normalize
 
 
 def test_register_missing_landmarks_usage_error(sphere_file, tmp_path):
@@ -212,7 +243,10 @@ def test_library_value_error_is_numerical_failure(sphere_file, tmp_path, monkeyp
     def fail(*args, **kwargs):
         raise ValueError("landmark pair is (nearly) antipodal; midpoint undefined")
 
-    monkeypatch.setattr(f"authalic.cli.{patched}", fail)
+    # the register case fails inside the library, which cli reaches
+    # through the registration module
+    module = "registration" if command == "register" else "cli"
+    monkeypatch.setattr(f"authalic.{module}.{patched}", fail)
     marks = tmp_path / "marks.txt"
     marks.write_text("4 4\n")
     inputs = [sphere_file, sphere_file, str(marks)] if command == "register" else [sphere_file]

@@ -7,7 +7,7 @@ from authalic.energy import assemble_laplacian, face_geometry
 from authalic.mesh import build_surface, make_icosphere
 from authalic.registration import (RegistrationObjective, compose_registration,
                                    geodesic_mismatch, homotopy_frame, locate_on_sphere,
-                                   midpoint_targets, solve_alignment)
+                                   midpoint_targets, register, solve_alignment)
 from authalic.sphere import project_to_manifold
 
 from helpers import (central_difference_gradient, inverted_vertex_map, locate_one_by_one,
@@ -144,18 +144,17 @@ def test_alignment_with_targets_at_landmarks_keeps_energy_nonincreasing(icospher
     assert geodesic_mismatch(result.mapping[rows], targets) <= 1e-4
 
 
-def test_alignment_reduces_mismatch(sphere_pair):
+@pytest.fixture(scope="module")
+def registered_pair(sphere_pair):
     m0, m1 = sphere_pair
-    f0, f1 = m0.vertices.copy(), m1.vertices.copy()
-    targets = midpoint_targets(f0, f1, PAIRS)
-    s0 = build_surface(f0, m0.faces)
-    s1 = build_surface(f1, m1.faces)
-    a0 = solve_alignment(s0, f0, PAIRS[:, 0], targets, lambdas=10.0, iters=200)
-    a1 = solve_alignment(s1, f1, PAIRS[:, 1], targets, lambdas=10.0, iters=200)
-    before = geodesic_mismatch(f0[PAIRS[:, 0]], f1[PAIRS[:, 1]])
-    after = geodesic_mismatch(a0.mapping[PAIRS[:, 0]], a1.mapping[PAIRS[:, 1]])
-    assert after <= 0.1 * before
-    assert np.abs(np.linalg.norm(a0.mapping, axis=1) - 1.0).max() <= 1e-12
+    return register(m0, m1, m0.vertices.copy(), m1.vertices.copy(), PAIRS,
+                    lam=10.0, iters=200)
+
+
+def test_alignment_reduces_mismatch(registered_pair):
+    reg = registered_pair
+    assert reg.mismatch_after <= 0.1 * reg.mismatch_before
+    assert np.abs(np.linalg.norm(reg.h0.mapping, axis=1) - 1.0).max() <= 1e-12
 
 
 def test_identity_composition(icosphere2):
@@ -167,15 +166,9 @@ def test_identity_composition(icosphere2):
     assert np.abs(composed.weights.sum(axis=1) - 1.0).max() <= 1e-10
 
 
-def test_registered_landmarks_land_near_targets(sphere_pair):
+def test_registered_landmarks_land_near_targets(sphere_pair, registered_pair):
     m0, m1 = sphere_pair
-    f0, f1 = m0.vertices.copy(), m1.vertices.copy()
-    targets = midpoint_targets(f0, f1, PAIRS)
-    s0 = build_surface(f0, m0.faces)
-    s1 = build_surface(f1, m1.faces)
-    a0 = solve_alignment(s0, f0, PAIRS[:, 0], targets, lambdas=10.0, iters=200)
-    a1 = solve_alignment(s1, f1, PAIRS[:, 1], targets, lambdas=10.0, iters=200)
-    composed = compose_registration(m0, m1, f0, f1, a0.mapping, a1.mapping)
+    composed = registered_pair.composed
     # each mapped landmark lies in the neighborhood of its partner vertex
     gap = np.linalg.norm(composed.points[PAIRS[:, 0]] - m1.vertices[PAIRS[:, 1]], axis=1)
     edge = np.linalg.norm(m1.vertices[m1.edges[:, 0]] - m1.vertices[m1.edges[:, 1]],
@@ -236,10 +229,10 @@ def test_locate_aligned_pair_as_one_by_one():
     m1 = build_surface(make_icosphere(3, (0.7, 1.0, 0.8)).vertices @ rot.T, m0.faces)
     f0, f1 = project_to_manifold(m0.vertices), project_to_manifold(m1.vertices)
     pairs = np.array([[5, 300], [80, 41], [200, 610], [444, 17], [600, 123]])
-    targets = midpoint_targets(f0, f1, pairs)
-    a0 = solve_alignment(build_surface(f0, m0.faces), f0, pairs[:, 0], targets, iters=20)
-    a1 = solve_alignment(build_surface(f1, m1.faces), f1, pairs[:, 1], targets, iters=20)
-    assert_located_as_one_by_one(a0.mapping, a1.mapping, m1.faces)
+    reg = register(m0, m1, f0, f1, pairs, iters=20)
+    located = assert_located_as_one_by_one(reg.h0.mapping, reg.h1.mapping, m1.faces)
+    assert np.array_equal(located[0], reg.composed.face_indices)
+    assert np.array_equal(located[1], reg.composed.weights)
 
 
 def test_locate_in_a_folded_target_widens_and_falls_back(icosphere1):
