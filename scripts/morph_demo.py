@@ -13,7 +13,7 @@ import numpy as np
 
 from authalic.mesh import make_icosphere, normalize_area, save_mesh
 from authalic.pipeline import ParameterizeConfig, parameterize
-from authalic.registration import homotopy_frame, register
+from authalic.registration import DEFAULT_LAMBDA, homotopy_frame, register
 
 
 def main():
@@ -22,7 +22,7 @@ def main():
     ap.add_argument("--frames", type=int, default=4)
     ap.add_argument("--subdivisions", type=int, default=3)
     ap.add_argument("--landmarks", type=int, default=5)
-    ap.add_argument("--lam", type=float, default=10.0)
+    ap.add_argument("--lam", type=float, default=DEFAULT_LAMBDA)
     args = ap.parse_args()
 
     m0 = normalize_area(make_icosphere(args.subdivisions, (1.0, 0.75, 0.9)))

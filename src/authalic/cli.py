@@ -23,7 +23,7 @@ from . import registration
 from .errors import AuthalicError
 from .mesh import (build_surface, load_mesh, normalize_area, parse_landmarks,
                    perturb_vertices, save_mesh)
-from .pipeline import CORRECTIONS, ParameterizeConfig, parameterize, write_records_csv
+from .pipeline import ParameterizeConfig, parameterize, write_records_csv
 from .sphere import (count_folds, inverse_stereographic, project_to_manifold,
                      stereographic)
 
@@ -67,10 +67,11 @@ def main():
 
 @main.command()
 @click.argument("mesh", type=click.Path(exists=True, dir_okay=False))
-@click.option("--fpi-iters", type=_COUNT, default=10, show_default=True,
+@click.option("--fpi-iters", type=_COUNT, default=ParameterizeConfig.fpi_iters,
+              show_default=True,
               help="Warm-start fixed-point iterations (stops early on energy increase).")
-@click.option("--max-iters", type=_COUNT, default=100, show_default=True,
-              help="Gradient-descent iterations.")
+@click.option("--max-iters", type=_COUNT, default=ParameterizeConfig.max_iters,
+              show_default=True, help="Gradient-descent iterations.")
 @click.option("--ls", "ls", type=click.Choice(sorted(_STRATEGIES)), default="interp",
               show_default=True, help="Line-search strategy.")
 @click.option("--noise-sigma", type=click.FloatRange(min=0), default=0.0, show_default=True,
@@ -78,12 +79,9 @@ def main():
 @click.option("--seed", default=0, show_default=True)
 @click.option("--log", "log_path", type=click.Path(dir_okay=False), default=None,
               help="Convergence CSV path (default: <out>/convergence.csv).")
-@click.option("--correct-bijectivity", "correct",
-              type=click.Choice(CORRECTIONS), default="both",
-              show_default=True)
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), default=None,
               help="Output directory (default: <mesh stem>_param).")
-def param(mesh, fpi_iters, max_iters, ls, noise_sigma, seed, log_path, correct, out_dir):
+def param(mesh, fpi_iters, max_iters, ls, noise_sigma, seed, log_path, out_dir):
     """Compute the spherical parameterization of MESH."""
     out_dir = out_dir or os.path.splitext(mesh)[0] + "_param"
     # the log is written last: a missing directory for it (other than the
@@ -99,8 +97,7 @@ def param(mesh, fpi_iters, max_iters, ls, noise_sigma, seed, log_path, correct, 
         if noise_sigma > 0:
             surface = perturb_vertices(surface, noise_sigma, seed)
         result = parameterize(surface, ParameterizeConfig(
-            fpi_iters=fpi_iters, max_iters=max_iters, strategy=_STRATEGIES[ls],
-            correct=correct, seed=seed))
+            fpi_iters=fpi_iters, max_iters=max_iters, strategy=_STRATEGIES[ls], seed=seed))
         # a map the summary cannot measure is a failure, found before any
         # output is written
         s = result.summary
@@ -120,7 +117,6 @@ def param(mesh, fpi_iters, max_iters, ls, noise_sigma, seed, log_path, correct, 
     params = {
         "fpi_iters": fpi_iters, "max_iters": max_iters, "ls": ls,
         "noise_sigma": noise_sigma, "seed": seed,
-        "correct_bijectivity": correct,
         "fpi_iterations_run": len(result.fpi.records),
     }
     _write_manifest(out_dir, "param", {"mesh": os.path.abspath(mesh)}, params,
@@ -134,18 +130,19 @@ def param(mesh, fpi_iters, max_iters, ls, noise_sigma, seed, log_path, correct, 
 @click.argument("mesh1", type=click.Path(exists=True, dir_okay=False))
 @click.argument("landmarks", type=click.Path(exists=True, dir_okay=False))
 @click.option("--lam", "--lambda", "lam", type=click.FloatRange(min=0, min_open=True),
-              callback=_finite, default=10.0, show_default=True,
+              callback=_finite, default=registration.DEFAULT_LAMBDA, show_default=True,
               help="Landmark penalty weight (finite, > 0).")
-@click.option("--align-iters", type=_COUNT, default=200, show_default=True)
-@click.option("--fpi-iters", type=_COUNT, default=10, show_default=True)
-@click.option("--max-iters", type=_COUNT, default=100, show_default=True)
-@click.option("--ls", "ls", type=click.Choice(sorted(_STRATEGIES)), default="interp",
+@click.option("--align-iters", type=_COUNT, default=registration.DEFAULT_ALIGN_ITERS,
+              show_default=True)
+@click.option("--fpi-iters", type=_COUNT, default=ParameterizeConfig.fpi_iters,
+              show_default=True)
+@click.option("--max-iters", type=_COUNT, default=ParameterizeConfig.max_iters,
               show_default=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--raw-midpoints", is_flag=True,
               help="Use chord midpoints as-is instead of renormalizing to the sphere.")
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), default=None)
-def register(mesh0, mesh1, landmarks, lam, align_iters, fpi_iters, max_iters, ls,
+def register(mesh0, mesh1, landmarks, lam, align_iters, fpi_iters, max_iters,
              seed, raw_midpoints, out_dir):
     """Landmark-aligned registration of MESH0 onto MESH1."""
     out_dir = out_dir or os.path.splitext(mesh0)[0] + "_register"
@@ -155,12 +152,10 @@ def register(mesh0, mesh1, landmarks, lam, align_iters, fpi_iters, max_iters, ls
         m0 = load_mesh(mesh0)
         m1 = load_mesh(mesh1)
         pairs = parse_landmarks(landmarks, m0.n_vertices, m1.n_vertices)
-        config = ParameterizeConfig(fpi_iters=fpi_iters, max_iters=max_iters,
-                                    strategy=_STRATEGIES[ls], seed=seed)
+        config = ParameterizeConfig(fpi_iters=fpi_iters, max_iters=max_iters, seed=seed)
         f0 = parameterize(m0, config).mapping
         f1 = parameterize(m1, config).mapping
         reg = registration.register(m0, m1, f0, f1, pairs, lam=lam, iters=align_iters,
-                                    strategy=_STRATEGIES[ls],
                                     normalize=not raw_midpoints)
     except (AuthalicError, ValueError) as exc:
         click.echo(f"error: {exc}", err=True)
@@ -191,8 +186,7 @@ def register(mesh0, mesh1, landmarks, lam, align_iters, fpi_iters, max_iters, ls
         json.dump(mismatch, fh, indent=2, sort_keys=True)
         fh.write("\n")
     params = {"lambda": lam, "align_iters": align_iters, "fpi_iters": fpi_iters,
-              "max_iters": max_iters, "ls": ls, "seed": seed,
-              "raw_midpoints": raw_midpoints}
+              "max_iters": max_iters, "seed": seed, "raw_midpoints": raw_midpoints}
     _write_manifest(out_dir, "register",
                     {"mesh0": os.path.abspath(mesh0), "mesh1": os.path.abspath(mesh1),
                      "landmarks": os.path.abspath(landmarks)},
@@ -231,15 +225,19 @@ def morph(regdir, frames, out_dir):
     out_dir = out_dir or os.path.join(regdir, "morph")
     manifest_path = os.path.join(regdir, "manifest.json")
     composed_path = os.path.join(regdir, "composed_map.txt")
-    if not os.path.exists(manifest_path) or not os.path.exists(composed_path):
-        raise click.UsageError(f"{regdir} does not contain registration outputs")
-    os.makedirs(out_dir, exist_ok=True)
     start = time.perf_counter()
     try:
-        with open(manifest_path) as fh:
-            manifest = json.load(fh)
-        m0 = load_mesh(manifest["inputs"]["mesh0"])
-        m1 = load_mesh(manifest["inputs"]["mesh1"])
+        manifest = {}
+        if os.path.exists(manifest_path) and os.path.exists(composed_path):
+            with open(manifest_path) as fh:
+                manifest = json.load(fh)
+        # the manifest of a registration names both input meshes
+        try:
+            mesh_paths = [manifest["inputs"][key] for key in ("mesh0", "mesh1")]
+        except (KeyError, TypeError):
+            raise click.UsageError(f"{regdir} does not contain registration outputs") from None
+        os.makedirs(out_dir, exist_ok=True)
+        m0, m1 = (load_mesh(path) for path in mesh_paths)
         composed = _read_composed_map(composed_path, m0, m1)
         for k in range(frames):
             t = k / (frames - 1)
@@ -257,7 +255,7 @@ def _check_lines(surface, probe_eigen: bool):
     """Yield (name, passed, detail) tuples for the verification suite."""
     f = project_to_manifold(surface.vertices - surface.vertices.mean(axis=0))
 
-    geom = en.face_geometry(surface, surface.vertices, check=False)
+    geom = en.face_geometry(surface, surface.vertices)
     err = np.abs(geom.image_areas - surface.face_areas).max() / surface.face_areas.max()
     yield "area formulas agree", err < 1e-12, f"max rel diff {err:.2e}"
 

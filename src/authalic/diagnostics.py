@@ -26,13 +26,9 @@ class AreaRatioStats:
     sd_over_mean: float
 
 
-def area_ratio_stats(surface, f: np.ndarray) -> AreaRatioStats:
-    """Population statistics of the per-face image/reference area ratios."""
-    return geometry_ratio_stats(en.face_geometry(surface, f, check=False))
-
-
 def geometry_ratio_stats(geom: en.FaceGeometry) -> AreaRatioStats:
-    """:func:`area_ratio_stats` from a face geometry already computed."""
+    """Population statistics of the per-face image/reference area ratios
+    of a face geometry."""
     ratios = geom.image_areas / geom.ref_areas
     mean = float(ratios.mean())
     sd = float(np.sqrt(np.mean((ratios - mean) ** 2)))
@@ -51,14 +47,17 @@ def authalic_error(surface_noisy, surface_clean, ea_noisy: float, ea_clean: floa
     return surface_clean.n_vertices * abs(ea_noisy - ea_clean) / displacement
 
 
-def _fd_probe(surface, f: np.ndarray, step: float, max_coords: int | None,
-              min_abs: float | None = None):
-    """The analytic ambient gradient of the normalized energy at f,
-    flattened, the probed coordinates and their central differences.
+def fd_gradient_norm_error(surface, f: np.ndarray, step: float = 1e-6,
+                           max_coords: int | None = None) -> float:
+    """Normwise error of the analytic ambient gradient of the normalized
+    energy: max absolute deviation from central finite differences over
+    the gradient's max magnitude.
 
     Every coordinate is probed, or an even stride of at most `max_coords`
-    of them, skipping those whose gradient entry is at most `min_abs` in
-    magnitude when it is given.
+    of them to keep large meshes affordable.  The error is normwise, not
+    entrywise, because an entrywise comparison is dominated by the
+    finite-difference roundoff floor (about eps * E / step) on entries
+    much smaller than the gradient scale.
     """
     if not 1e-8 <= step <= 1e-4:
         raise ValueError("step must lie in [1e-8, 1e-4]")
@@ -69,8 +68,6 @@ def _fd_probe(surface, f: np.ndarray, step: float, max_coords: int | None,
     idx = np.arange(total)
     if max_coords is not None and total > max_coords:
         idx = idx[:: int(np.ceil(total / max_coords))]
-    if min_abs is not None:
-        idx = idx[np.abs(grad[idx]) > min_abs]
     fd = np.empty(idx.size)
     for k, i in enumerate(idx):
         bump = np.zeros(total)
@@ -78,33 +75,6 @@ def _fd_probe(surface, f: np.ndarray, step: float, max_coords: int | None,
         plus = en.energy_report_per_face(surface, (flat + bump).reshape(f.shape)).normalized
         minus = en.energy_report_per_face(surface, (flat - bump).reshape(f.shape)).normalized
         fd[k] = (plus - minus) / (2.0 * step)
-    return grad, idx, fd
-
-
-def fd_check_gradient(surface, f: np.ndarray, step: float = 1e-6,
-                      max_coords: int | None = None) -> float:
-    """Max relative error of the analytic ambient gradient of the
-    normalized energy against central finite differences.
-
-    Entries below 1e-8 in magnitude are skipped in the relative
-    comparison.  `max_coords` caps the number of coordinates probed
-    (evenly strided) to keep large meshes affordable.
-    """
-    grad, idx, fd = _fd_probe(surface, f, step, max_coords, min_abs=1e-8)
-    return max([0.0, *(np.abs(fd - grad[idx]) / np.abs(grad[idx]))])
-
-
-def fd_gradient_norm_error(surface, f: np.ndarray, step: float = 1e-6,
-                           max_coords: int | None = None) -> float:
-    """Normwise variant of :func:`fd_check_gradient`: max absolute
-    finite-difference deviation over the gradient's max magnitude.
-
-    The entrywise harness is the sharper certificate but is dominated by
-    the finite-difference roundoff floor (about eps * E / step) on
-    entries much smaller than the gradient scale, so for arbitrary
-    meshes a go/no-go check should use this one.
-    """
-    grad, idx, fd = _fd_probe(surface, f, step, max_coords)
     return max([0.0, *np.abs(fd - grad[idx])]) / max(np.abs(grad).max(), 1e-300)
 
 

@@ -32,8 +32,9 @@ sparse layout to :func:`~authalic.mesh.side_laplacian`, the assembler the
 mean-value Laplacian of fold correction shares.  The Laplacian routes
 stay as independent cross-checks: :func:`image_area_gradient_via_laplacian`
 and ``L f`` from :func:`assemble_laplacian` here, the quadratic form in
-``authalic check`` and in the test helpers.  The per-face 9x9 Hessian of
-the stretch energy is available in closed form for diagnostics.
+``authalic check`` and in the test helpers.  The sparse Hessian of the
+stretch energy is assembled in closed form for the eigenvalue probe of
+``authalic check --probe-eigen``.
 """
 
 from __future__ import annotations
@@ -59,8 +60,8 @@ class FaceGeometry:
     image_areas : (m,) unsigned image areas, 0.5 * sqrt(a12^2 + a13^2 + a23^2).
     ref_areas : (m,) reference (mesh) face areas.
     orientation : (m,) f_i . (e_ij x e_ik) = det [f_i; f_j; f_k], negative
-        where the spherical image of the face is inverted and zero where it
-        is degenerate.
+        where the spherical image of the face is inverted, zero where it
+        is degenerate and NaN where a corner is not a number.
     """
 
     e_ij: np.ndarray
@@ -75,14 +76,16 @@ class FaceGeometry:
 
     @property
     def folds(self) -> int:
-        """Number of inverted or degenerate faces (orientation <= 0): the
-        one fold rule, which :func:`~authalic.sphere.count_folds` reads too.
-        A zero-area image counts, so a map collapsed onto a point or a
-        great circle is never fold-free."""
-        return int(np.count_nonzero(self.orientation <= 0.0))
+        """Number of faces whose orientation is not positive: the one fold
+        rule, which :func:`~authalic.sphere.count_folds` reads too.  A
+        zero-area image counts, so a map collapsed onto a point or a great
+        circle is never fold-free, and so does a face with a NaN corner."""
+        return int(np.count_nonzero(~(self.orientation > 0.0)))
 
 
-def face_geometry(surface, f: np.ndarray, check: bool = True) -> FaceGeometry:
+def face_geometry(surface, f: np.ndarray) -> FaceGeometry:
+    """Measure the image of every face under `f`; degenerate images are
+    measured too (:func:`check_geometry` rejects them)."""
     # one flat, coordinate-major gather, p[s, c] = coordinate s of corner c
     # of every face, so each product below runs on contiguous (m,) rows;
     # the edge fields are (m, 3) views of these rows
@@ -95,23 +98,21 @@ def face_geometry(surface, f: np.ndarray, check: bool = True) -> FaceGeometry:
     a13 = e_ij[0] * e_ik[2] - e_ij[2] * e_ik[0]
     a23 = e_ij[1] * e_ik[2] - e_ij[2] * e_ik[1]
     areas = 0.5 * np.sqrt(a12 * a12 + a13 * a13 + a23 * a23)
-    geom = FaceGeometry(
+    return FaceGeometry(
         e_ij=e_ij.T, e_ik=e_ik.T, e_jk=e_jk.T,
         a12=a12, a13=a13, a23=a23,
         image_areas=areas, ref_areas=surface.face_areas,
         orientation=p[0, 0] * a23 - p[1, 0] * a13 + p[2, 0] * a12,
     )
-    if check:
-        check_geometry(geom)
-    return geom
 
 
 def check_geometry(geom: FaceGeometry) -> None:
     """Raise :class:`DegenerateFaceError` naming the first face whose image
-    area is at most :data:`IMAGE_AREA_TOL`."""
+    area is not above :data:`IMAGE_AREA_TOL` (NaN included)."""
     areas = geom.image_areas
-    if (areas <= IMAGE_AREA_TOL).any():
-        bad = int(np.flatnonzero(areas <= IMAGE_AREA_TOL)[0])
+    degenerate = ~(areas > IMAGE_AREA_TOL)
+    if degenerate.any():
+        bad = int(np.flatnonzero(degenerate)[0])
         raise DegenerateFaceError(
             f"image of face {bad} is degenerate (area {areas[bad]:.3e})", face_index=bad
         )
@@ -171,16 +172,16 @@ def geometry_report(surface, geom: FaceGeometry) -> EnergyReport:
     identity stretch = sum (image area)^2 / (reference area)."""
     e_s = float(np.sum(geom.image_areas**2 / geom.ref_areas))
     area = float(geom.image_areas.sum())
-    if area <= 0:
-        raise DegenerateFaceError("image area is zero")
+    if not area > 0:
+        raise DegenerateFaceError(f"total image area {area:.3e} is not positive")
     return EnergyReport(stretch=e_s, image_area=area, authalic=e_s - area,
                         normalized=surface.total_area / area * e_s)
 
 
 def energy_report_per_face(surface, f: np.ndarray) -> EnergyReport:
     """EnergyReport of the mapping `f`: :func:`geometry_report` of its
-    unchecked face geometry."""
-    return geometry_report(surface, face_geometry(surface, f, check=False))
+    face geometry."""
+    return geometry_report(surface, face_geometry(surface, f))
 
 
 def area_matched_authalic(report: EnergyReport) -> float:
@@ -234,12 +235,15 @@ def area_gradient(surface, geom: FaceGeometry, weights: np.ndarray | None = None
 
 def image_area_gradient(surface, f: np.ndarray) -> np.ndarray:
     """Gradient of the total image area, accumulated per face."""
-    return area_gradient(surface, face_geometry(surface, f, check=True))
+    geom = face_geometry(surface, f)
+    check_geometry(geom)
+    return area_gradient(surface, geom)
 
 
 def image_area_gradient_via_laplacian(surface, f: np.ndarray) -> np.ndarray:
     """Independent route: per face, (|tau| / |f(tau)|) * L(f|tau) f_tau."""
     geom = face_geometry(surface, f)
+    check_geometry(geom)
     w_i, w_j, w_k = _corner_weights(surface, geom)
     p = np.asarray(f)[surface.faces]
     # per-face Laplacian rows: L = [[wj+wk, -wk, -wj], [-wk, wi+wk, -wi],
@@ -274,6 +278,7 @@ def euclidean_gradient(surface, f: np.ndarray) -> np.ndarray:
     """Ambient gradient of the normalized energy (per-face route); raises
     :class:`DegenerateFaceError` when an image triangle has collapsed."""
     geom = face_geometry(surface, f)
+    check_geometry(geom)
     return normalized_gradient(surface, geom, geometry_report(surface, geom))
 
 
@@ -281,7 +286,7 @@ def euclidean_gradient(surface, f: np.ndarray) -> np.ndarray:
 # Stretch-energy Hessian
 # ---------------------------------------------------------------------------
 
-def _hessian_blocks(surface, f: np.ndarray, face_indices=None) -> np.ndarray:
+def _hessian_blocks(surface, f: np.ndarray) -> np.ndarray:
     """Closed-form per-face Hessian of the stretch energy.
 
     Returns (m, 3, 3, 3, 3) array H[face, s, t, a, b]: second derivative
@@ -291,10 +296,7 @@ def _hessian_blocks(surface, f: np.ndarray, face_indices=None) -> np.ndarray:
     coordinate blocks are sum_{l != s} h^l (h^l)^T and the off-diagonal
     ones h^s (h^t)^T - 2 h^t (h^s)^T, all over twice the reference area.
     """
-    f = np.asarray(f, dtype=np.float64)
-    faces = surface.faces if face_indices is None else surface.faces[face_indices]
-    ref = surface.face_areas if face_indices is None else surface.face_areas[face_indices]
-    p = f[faces]  # (m, corner, coord)
+    p = np.asarray(f, dtype=np.float64)[surface.faces]  # (m, corner, coord)
     d = np.stack([p[:, 1] - p[:, 2], p[:, 2] - p[:, 0], p[:, 0] - p[:, 1]], axis=1)
     # d[face, a, l] = h^l component at corner a
     outer = np.einsum("mas,mbt->mstab", d, d)  # outer[m,s,t,a,b] = h^s_a h^t_b
@@ -302,22 +304,8 @@ def _hessian_blocks(surface, f: np.ndarray, face_indices=None) -> np.ndarray:
     for s in range(3):
         l1, l2 = (s + 1) % 3, (s + 2) % 3
         blocks[:, s, s] = outer[:, l1, l1] + outer[:, l2, l2]
-    blocks /= (2.0 * ref)[:, None, None, None, None]
+    blocks /= (2.0 * surface.face_areas)[:, None, None, None, None]
     return blocks
-
-
-def face_hessian(surface, f: np.ndarray, face_index: int) -> np.ndarray:
-    """9x9 stretch-energy Hessian of one face, corner-major ordering.
-
-    Rows/columns run (corner i coords 1..3, corner j coords 1..3,
-    corner k coords 1..3), so the translation null vector along
-    coordinate s tiles the canonical basis vector e_s three times.
-    """
-    if surface.face_areas[face_index] <= 0:
-        raise DegenerateFaceError("zero reference area", face_index=face_index)
-    b = _hessian_blocks(surface, f, face_indices=np.array([face_index]))[0]
-    # H9[3a + s, 3b + t] = b[s, t, a, b]
-    return b.transpose(2, 0, 3, 1).reshape(9, 9)
 
 
 def assemble_global_hessian(surface, f: np.ndarray) -> sp.csr_matrix:

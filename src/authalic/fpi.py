@@ -135,7 +135,7 @@ def fpi_minimize(surface, f0: np.ndarray, max_iters: int = 10,
     # every reported mapping in the input orientation
     h = stereographic(current)
     flipped = False
-    geom = en.face_geometry(surface, current, check=False)
+    geom = en.face_geometry(surface, current)
     report = en.geometry_report(surface, geom)
     records: list[IterationRecord] = []
     start = time.perf_counter()
@@ -152,7 +152,7 @@ def fpi_minimize(surface, f0: np.ndarray, max_iters: int = 10,
             raise DegenerateFaceError(f"FPI iteration {k}: median planar magnitude {scale}")
         h = PlanarPoints(values=h.values / scale, at_infinity=h.at_infinity)
         f_new = inverse_stereographic(invert_plane(h) if flipped else h)
-        geom_new = en.face_geometry(surface, f_new, check=False)
+        geom_new = en.face_geometry(surface, f_new)
         report_new = en.geometry_report(surface, geom_new)
         records.append(make_record(geom_new, report_new, k, None, None,
                                    time.perf_counter() - start))

@@ -12,7 +12,7 @@ objective is invariant under the rescaling anyway).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,52 +28,52 @@ from .sphere import count_folds  # noqa: F401
 from .unfold import CorrectionResult, correct_bijectivity
 
 CSV_HEADER = "iter,E_S,E_A,E,sd_over_mean,grad_norm,alpha,folds,elapsed_s"
-CORRECTIONS = ("off", "fpi", "rgd", "both")
 
 
 @dataclass(frozen=True)
 class ParameterizeConfig:
-    """Settings of :func:`parameterize`.  `correct` picks the fold
-    corrections (after FPI, after RGD, both or off); an unknown `correct`
-    or `strategy` raises ``ValueError`` here, before any work is done.
-    The method's fixed numbers are module constants: the disk radius of
-    the hemisphere solves (:data:`authalic.fpi.RADIUS`) and the line
-    search's sufficient-decrease constant and step cap
-    (:data:`authalic.linesearch.C1`, :data:`authalic.linesearch.ALPHA_MAX`)."""
+    """Settings of :func:`parameterize`: the FPI and descent iteration
+    caps, the line search and the seed of the conformal start's puncture.
+    An unknown `strategy` raises ``ValueError`` here, before any work is
+    done.  The method's fixed steps and numbers are not settings: fold
+    correction always runs after FPI and after the descent, and the disk
+    radius of the hemisphere solves (:data:`authalic.fpi.RADIUS`) and the
+    line search's sufficient-decrease constant and step cap
+    (:data:`authalic.linesearch.C1`, :data:`authalic.linesearch.ALPHA_MAX`)
+    are module constants."""
 
     fpi_iters: int = 10
     max_iters: int = 100
     strategy: str = "interpolant"
-    correct: str = "both"
     seed: int = 0
 
     def __post_init__(self):
-        for name, allowed in (("strategy", STRATEGIES), ("correct", CORRECTIONS)):
-            if getattr(self, name) not in allowed:
-                raise ValueError(f"unknown {name} {getattr(self, name)!r}, "
-                                 f"expected one of {allowed}")
+        if self.strategy not in STRATEGIES:
+            raise ValueError(f"unknown strategy {self.strategy!r}, "
+                             f"expected one of {STRATEGIES}")
 
 
 @dataclass(frozen=True)
 class ParameterizeResult:
     """The final map and its rescaled surface.  `fpi` and `rgd` are the
     warm-up's and the descent's own results; `records` runs through both
-    with one iteration numbering and one clock."""
+    with one iteration numbering and one clock.  `corrections` holds the
+    fold corrections ``"after_fpi"`` and ``"after_rgd"``."""
 
     mapping: np.ndarray
     surface: SimplicialSurface
     records: list[IterationRecord]
     fpi: MinimizeResult
     rgd: MinimizeResult
-    corrections: dict = field(default_factory=dict)
-    seconds: float = 0.0
+    corrections: dict[str, CorrectionResult]
+    seconds: float
 
     @property
     def summary(self) -> dict:
         # the reported distortion energy is the area-matched one (scale
         # free and nonnegative); the raw stretch-minus-area value is in
         # the records
-        geom = en.face_geometry(self.surface, self.mapping, check=False)
+        geom = en.face_geometry(self.surface, self.mapping)
         report = en.geometry_report(self.surface, geom)
         return {
             "sd_over_mean": geometry_ratio_stats(geom).sd_over_mean,
@@ -93,7 +93,6 @@ def parameterize(surface: SimplicialSurface,
 
     f = conformal_initial_map(surface, rng=rng)
     records: list[IterationRecord] = []
-    corrections: dict[str, CorrectionResult] = {}
 
     def append(stage_records, began):
         # one numbering and one clock for the whole run: the stage's own
@@ -104,27 +103,19 @@ def parameterize(surface: SimplicialSurface,
 
     began = time.perf_counter() - start
     fpi = fpi_minimize(surface, f, max_iters=config.fpi_iters, stop_on_increase=True)
-    f = fpi.mapping
     append(fpi.records, began)
-
-    if config.correct in ("fpi", "both"):
-        corr = correct_bijectivity(surface, f)
-        corrections["after_fpi"] = corr
-        f = corr.mapping
+    after_fpi = correct_bijectivity(surface, fpi.mapping)
 
     began = time.perf_counter() - start
-    rgd = minimize(surface, f, max_iters=config.max_iters, strategy=config.strategy)
-    f = rgd.mapping
+    rgd = minimize(surface, after_fpi.mapping, max_iters=config.max_iters,
+                   strategy=config.strategy)
     append(rgd.records, began)
-
-    if config.correct in ("rgd", "both"):
-        corr = correct_bijectivity(surface, f)
-        corrections["after_rgd"] = corr
-        f = corr.mapping
+    after_rgd = correct_bijectivity(surface, rgd.mapping)
 
     return ParameterizeResult(
-        mapping=f, surface=surface, records=records, fpi=fpi, rgd=rgd,
-        corrections=corrections, seconds=time.perf_counter() - start,
+        mapping=after_rgd.mapping, surface=surface, records=records, fpi=fpi, rgd=rgd,
+        corrections={"after_fpi": after_fpi, "after_rgd": after_rgd},
+        seconds=time.perf_counter() - start,
     )
 
 

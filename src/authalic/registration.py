@@ -21,7 +21,10 @@ from .mesh import build_surface
 from .rgd import GeometryMemo, MinimizeResult, minimize
 from .sphere import project_to_manifold
 
+# the landmark weight and the iteration cap of each alignment, for the
+# library and the command line alike
 DEFAULT_LAMBDA = 10.0
+DEFAULT_ALIGN_ITERS = 200
 
 
 def midpoint_targets(f0: np.ndarray, f1: np.ndarray, pairs: np.ndarray,
@@ -87,19 +90,19 @@ def geodesic_mismatch(points_a: np.ndarray, points_b: np.ndarray) -> float:
 
 
 def solve_alignment(sphere_surface, f_param: np.ndarray, landmark_rows,
-                    targets, lambdas=DEFAULT_LAMBDA, iters: int = 200,
-                    strategy: str = "interpolant") -> MinimizeResult:
+                    targets, lambdas=DEFAULT_LAMBDA,
+                    iters: int = DEFAULT_ALIGN_ITERS) -> MinimizeResult:
     """Warp a spherical parameterization so landmarks approach targets.
 
     Gradient descent on the registration energy over the power manifold,
-    starting from the parameterization itself.  It stops by the rules
-    every descent stops by (:func:`~authalic.rgd.minimize`), the stall
-    test reading the registration energy; `iters` is the iteration cap.
-    Returns the descent's result, its stop `message` included.
+    starting from the parameterization itself, with the interpolating
+    line search.  It stops by the rules every descent stops by
+    (:func:`~authalic.rgd.minimize`), the stall test reading the
+    registration energy; `iters` is the iteration cap.  Returns the
+    descent's result, its stop `message` included.
     """
     objective = RegistrationObjective(sphere_surface, landmark_rows, targets, lambdas)
-    return minimize(sphere_surface, f_param, objective=objective, max_iters=iters,
-                    strategy=strategy)
+    return minimize(sphere_surface, f_param, objective=objective, max_iters=iters)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +231,7 @@ class Registration:
 
 
 def register(m0, m1, f0: np.ndarray, f1: np.ndarray, pairs: np.ndarray,
-             lam=DEFAULT_LAMBDA, iters: int = 200, strategy: str = "interpolant",
+             lam=DEFAULT_LAMBDA, iters: int = DEFAULT_ALIGN_ITERS,
              normalize: bool = True) -> Registration:
     """Landmark-aligned registration of surface m0 onto m1.
 
@@ -236,15 +239,15 @@ def register(m0, m1, f0: np.ndarray, f1: np.ndarray, pairs: np.ndarray,
     pairs source vertex p with target vertex q.  Both maps are aligned
     to the pairs' midpoint targets (:func:`midpoint_targets`, renormalized
     unless `normalize` is false) by :func:`solve_alignment` with weight
-    `lam`, at most `iters` iterations and line search `strategy`; the
-    aligned source map is then located in the aligned target map
+    `lam` and at most `iters` iterations; the aligned source map is
+    then located in the aligned target map
     (:func:`compose_registration`).
     """
     targets = midpoint_targets(f0, f1, pairs, normalize=normalize)
     h0 = solve_alignment(build_surface(f0, m0.faces), f0, pairs[:, 0], targets,
-                         lambdas=lam, iters=iters, strategy=strategy)
+                         lambdas=lam, iters=iters)
     h1 = solve_alignment(build_surface(f1, m1.faces), f1, pairs[:, 1], targets,
-                         lambdas=lam, iters=iters, strategy=strategy)
+                         lambdas=lam, iters=iters)
     composed = compose_registration(m0, m1, f0, f1, h0.mapping, h1.mapping)
     return Registration(
         h0=h0, h1=h1, composed=composed,

@@ -75,7 +75,7 @@ class GeometryMemo:
 
     One entry, keyed by the array object: a mapping must not be changed
     in place between evaluations (the descent driver and the line search
-    only ever make new arrays).  The geometry is stored unchecked;
+    only ever make new arrays).  The geometry may be degenerate;
     callers that need a nondegenerate image run
     :func:`~authalic.energy.check_geometry` on it.  The report is made
     on first use.
@@ -89,7 +89,7 @@ class GeometryMemo:
 
     def geometry(self, f: np.ndarray) -> en.FaceGeometry:
         if f is not self._mapping:
-            self._geometry = en.face_geometry(self.surface, f, check=False)
+            self._geometry = en.face_geometry(self.surface, f)
             self._report = None
             self._mapping = f
         return self._geometry

@@ -131,4 +131,4 @@ def count_folds(surface, f: np.ndarray) -> int:
     """Number of faces whose spherical image is inverted or degenerate:
     the count of :attr:`~authalic.energy.FaceGeometry.folds`, the one
     fold rule."""
-    return en.face_geometry(surface, f, check=False).folds
+    return en.face_geometry(surface, f).folds

@@ -6,9 +6,13 @@ traced run raise `KeyError`.  The benchmark file is loaded read-only, by
 path, so this check runs with the library's own tests.
 
 The same list is the only excuse for an import a module never uses:
-with no linter in the toolchain, an AST pass stands guard.  A small
-instrumented run checks that the counts the traced run reads off each
-stage's result still resolve.
+with no linter in the toolchain, an AST pass stands guard.  Two more AST
+passes keep the library to what its programs (the library itself, the
+scripts and the benchmark) run: every top-level function or class is
+named by one of them, exported or a click command, and every defaulted
+parameter is set by one of their calls.  A small instrumented run checks
+that the counts the traced run reads off each stage's result still
+resolve.
 """
 
 import ast
@@ -70,10 +74,33 @@ def test_unused_imports_are_only_wrapped_names(spans):
     assert unused <= wrapped, sorted(unused - wrapped)
 
 
-# parameters with a default that no caller sets: the finite-difference
-# harness keeps its step and stride, which the tests sweep
-UNSET_ALLOWED = {("diagnostics", "fd_check_gradient", "step"),
-                 ("diagnostics", "fd_check_gradient", "max_coords")}
+CALLERS = [path for folder in ("src/authalic", "scripts", "perfbench")
+           for path in sorted((ROOT / folder).rglob("*.py"))]
+
+
+def _is_click_command(node) -> bool:
+    """A function decorated with ``@<group>.command(...)`` or ``@click.group(...)``."""
+    return any(getattr(getattr(d, "func", d), "attr", None) in ("command", "group")
+               for d in node.decorator_list)
+
+
+def test_every_library_function_is_run_by_some_program():
+    # a function or class that only tests reach is code no program runs;
+    # the package exports and the click commands are the entry points
+    named = set()
+    for path in CALLERS:
+        for node in ast.walk(ast.parse(path.read_text())):
+            named.add(getattr(node, "id", None) or getattr(node, "attr", None))
+    exported = {a.asname or a.name
+                for node in ast.walk(ast.parse((ROOT / "src/authalic/__init__.py").read_text()))
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    unreached = sorted(
+        f"{path.stem}.{node.name}"
+        for path in sorted((ROOT / "src" / "authalic").glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in named | exported and not _is_click_command(node))
+    assert not unreached
 
 
 def _calls(paths) -> dict[str, tuple[int, set[str]]]:
@@ -119,16 +146,14 @@ def _defaulted_parameters(path: Path):
 def test_every_defaulted_parameter_is_set_by_some_caller():
     # a default that no call in the library, the scripts or the benchmark
     # passes is a setting only tests vary; it belongs in a constant
-    callers = [path for folder in ("src/authalic", "scripts", "perfbench")
-               for path in sorted((ROOT / folder).rglob("*.py"))]
-    calls = _calls(callers)
+    calls = _calls(CALLERS)
     unset = set()
     for path in sorted((ROOT / "src" / "authalic").glob("*.py")):
         for function, called, position, parameter in _defaulted_parameters(path):
             most, keywords = calls.get(called, (0, set()))
             if parameter not in keywords and (position is None or most <= position):
                 unset.add((path.stem, function, parameter))
-    assert unset <= UNSET_ALLOWED, sorted(unset - UNSET_ALLOWED)
+    assert not unset, sorted(unset)
 
 
 # span name -> the counts the traced run reads off that layer's result

@@ -3,8 +3,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from authalic.energy import energy_report_per_face
-from authalic.errors import DegenerateFaceError
+from authalic.energy import energy_report_per_face, euclidean_gradient
+from authalic.errors import DegenerateFaceError, SolveError
 from authalic.sphere import (PlanarPoints, count_folds, inverse_stereographic, invert_plane,
                              project_to_manifold, stereographic)
 from authalic.fpi import _interior_mask, dirichlet_solve
@@ -102,6 +102,22 @@ def test_fold_free_mapping_is_fixed_point(icosphere2):
     assert result.folds_after == 0
     assert result.sweeps == 0
     assert np.array_equal(result.mapping, f)
+
+
+def test_a_nan_image_face_is_a_fold_and_degenerate(icosphere2):
+    # NaN compares false with every bound, so each rule reads "not
+    # positive", not "negative or zero": the five faces around vertex 5
+    # are folds, no energy or gradient is computed, and the correction
+    # fails with a typed error instead of returning the map as fold-free
+    f = icosphere2.vertices.copy()
+    f[5] = np.nan
+    assert count_folds(icosphere2, f) == 5
+    with pytest.raises(DegenerateFaceError, match="area nan"):
+        euclidean_gradient(icosphere2, f)
+    with pytest.raises(DegenerateFaceError, match="total image area nan is not positive"):
+        energy_report_per_face(icosphere2, f)
+    with np.errstate(invalid="ignore"), pytest.raises(SolveError):
+        correct_bijectivity(icosphere2, f)
 
 
 def test_constructed_fold_removed(icosphere2):

@@ -346,3 +346,21 @@ def test_env_var_override(tmp_path, mesh_file):
     assert result.exit_code == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 9
+
+
+@pytest.mark.parametrize("manifest", [None, "[]\n"], ids=["param-manifest", "not-an-object"])
+def test_morph_requires_a_registration_manifest(registration_dir, mesh_file, tmp_path,
+                                                manifest):
+    # a param output directory with a stray composed_map.txt: its manifest
+    # names one input mesh, not the two a registration reads
+    regdir = tmp_path / "param"
+    assert run("param", mesh_file, "--fpi-iters", "1", "--max-iters", "1",
+               "--out", str(regdir)).exit_code == 0
+    if manifest is not None:
+        (regdir / "manifest.json").write_text(manifest)
+    (regdir / "composed_map.txt").write_text((registration_dir / "composed_map.txt").read_text())
+    out = tmp_path / "frames"
+    result = run("morph", str(regdir), "--out", str(out))
+    assert result.exit_code == 2
+    assert "does not contain registration outputs" in result.output
+    assert not out.exists()

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from authalic.diagnostics import (area_ratio_stats, authalic_error, fd_check_gradient,
-                                  fd_gradient_norm_error, probe_smallest_eigenvalue,
-                                  smallest_hessian_eigenvalue)
+from authalic.diagnostics import (authalic_error, fd_gradient_norm_error, geometry_ratio_stats,
+                                  probe_smallest_eigenvalue, smallest_hessian_eigenvalue)
+from authalic.energy import face_geometry
 from authalic.errors import DegenerateFaceError
 from authalic.mesh import perturb_vertices
 from authalic.sphere import project_to_manifold
@@ -13,7 +13,7 @@ from helpers import rotation_matrix
 
 
 def test_area_preserving_mapping_scores_zero(icosphere2):
-    stats = area_ratio_stats(icosphere2, icosphere2.vertices)
+    stats = geometry_ratio_stats(face_geometry(icosphere2, icosphere2.vertices))
     assert stats.sd_over_mean <= 1e-12
     assert stats.mean == pytest.approx(1.0, rel=1e-12)
 
@@ -23,7 +23,7 @@ def test_population_sd_convention(icosphere2):
     assert np.std([1.0, 3.0]) / np.mean([1.0, 3.0]) == 0.5
     rng = np.random.default_rng(3)
     f = project_to_manifold(icosphere2.vertices + 0.05 * rng.normal(size=(162, 3)))
-    stats = area_ratio_stats(icosphere2, f)
+    stats = geometry_ratio_stats(face_geometry(icosphere2, f))
     assert stats.sd == pytest.approx(float(np.std(stats.ratios, ddof=0)), rel=1e-12)
     assert stats.sd_over_mean == pytest.approx(stats.sd / stats.mean, rel=1e-12)
 
@@ -32,8 +32,8 @@ def test_stats_invariant_under_rotation(icosphere2):
     rng = np.random.default_rng(4)
     f = project_to_manifold(icosphere2.vertices + 0.05 * rng.normal(size=(162, 3)))
     rotated = f @ rotation_matrix([0.3, -1.0, 2.0], 1.2).T
-    a = area_ratio_stats(icosphere2, f)
-    b = area_ratio_stats(icosphere2, rotated)
+    a = geometry_ratio_stats(face_geometry(icosphere2, f))
+    b = geometry_ratio_stats(face_geometry(icosphere2, rotated))
     assert b.sd_over_mean == pytest.approx(a.sd_over_mean, abs=1e-12)
 
 
@@ -56,27 +56,25 @@ def test_authalic_error_identical_meshes_rejected(icosphere2):
 def test_fd_harness_small_on_good_gradient(icosphere1):
     rng = np.random.default_rng(2)
     f = project_to_manifold(icosphere1.vertices + 0.05 * rng.normal(size=(42, 3)))
-    assert fd_check_gradient(icosphere1, f, step=1e-6) < 1e-6
+    assert fd_gradient_norm_error(icosphere1, f, step=1e-6) < 1e-6
 
 
 def test_fd_harness_truncation_grows_with_step(icosphere1):
     rng = np.random.default_rng(2)
     f = project_to_manifold(icosphere1.vertices + 0.05 * rng.normal(size=(42, 3)))
-    fine = fd_check_gradient(icosphere1, f, step=1e-5)
-    coarse = fd_check_gradient(icosphere1, f, step=1e-4)
+    fine = fd_gradient_norm_error(icosphere1, f, step=1e-5)
+    coarse = fd_gradient_norm_error(icosphere1, f, step=1e-4)
     assert coarse > fine
 
 
 def test_fd_harness_step_validation(icosphere1):
     with pytest.raises(ValueError, match="step"):
-        fd_check_gradient(icosphere1, icosphere1.vertices, step=1e-2)
-    with pytest.raises(ValueError, match="step"):
         fd_gradient_norm_error(icosphere1, icosphere1.vertices, step=1e-2)
 
 
 def test_fd_norm_error_robust_on_arbitrary_mappings(ellipsoid3):
-    # the normwise variant stays far below tolerance even where small
-    # gradient entries push the entrywise harness onto the noise floor
+    # the normwise error stays far below tolerance even where small
+    # gradient entries would push an entrywise one onto the noise floor
     f = project_to_manifold(ellipsoid3.vertices)
     assert fd_gradient_norm_error(ellipsoid3, f, max_coords=200) < 1e-6
 
@@ -84,7 +82,7 @@ def test_fd_norm_error_robust_on_arbitrary_mappings(ellipsoid3):
 def test_fd_harness_degenerate_mapping_errors(icosphere1):
     constant = np.tile([1.0, 0.0, 0.0], (icosphere1.n_vertices, 1))
     with pytest.raises(DegenerateFaceError):
-        fd_check_gradient(icosphere1, constant)
+        fd_gradient_norm_error(icosphere1, constant)
 
 
 def test_probe_identity_matrix():

@@ -3,7 +3,7 @@ import pytest
 
 from authalic.energy import (area_gradient, assemble_global_hessian, assemble_laplacian,
                              energy_report_per_face, euclidean_gradient,
-                             face_geometry, face_hessian, image_area_gradient,
+                             face_geometry, image_area_gradient,
                              image_area_gradient_via_laplacian, _corner_weights)
 from authalic.errors import DegenerateFaceError
 from authalic.mesh import build_surface
@@ -69,7 +69,7 @@ def test_laplacian_invariant_under_face_relabeling(icosphere1):
 def test_face_geometry_bitwise_matches_row_gather(icosphere2):
     # the flat corner gather returns the same bits as gathering f[faces]
     f = perturbed_mapping(icosphere2, seed=5, amplitude=0.3)
-    geom = face_geometry(icosphere2, f, check=False)
+    geom = face_geometry(icosphere2, f)
     p = f[icosphere2.faces]
     e_ij, e_ik, e_jk = p[:, 0] - p[:, 1], p[:, 0] - p[:, 2], p[:, 1] - p[:, 2]
     a12 = e_ij[:, 0] * e_ik[:, 1] - e_ij[:, 1] * e_ik[:, 0]
@@ -105,7 +105,7 @@ def test_orientation_sign_matches_determinant(icosphere2):
             for _ in range(5)]
     maps.append(inverted_vertex_map(icosphere2))
     for f in maps:
-        geom = face_geometry(icosphere2, f, check=False)
+        geom = face_geometry(icosphere2, f)
         # independent oracle: det [f_i; f_j; f_k] of the stacked corner rows
         det = np.linalg.det(f[icosphere2.faces])
         assert np.array_equal(np.sign(geom.orientation), np.sign(det))
@@ -117,7 +117,7 @@ def test_degenerate_image_face_rejected(icosphere1):
     i, j, k = icosphere1.faces[4]
     f[k] = f[j]
     with pytest.raises(DegenerateFaceError) as err:
-        assemble_laplacian(icosphere1, face_geometry(icosphere1, f, check=False))
+        assemble_laplacian(icosphere1, face_geometry(icosphere1, f))
     assert err.value.face_index is not None
 
 
@@ -139,7 +139,7 @@ def test_identity_on_unit_sphere_mesh_is_area_preserving(icosphere2):
 def test_uniform_scale_per_face_energy():
     tetra = regular_tetrahedron()
     s = 1.7
-    geom = face_geometry(tetra, s * tetra.vertices, check=False)
+    geom = face_geometry(tetra, s * tetra.vertices)
     per_face = geom.image_areas**2 / geom.ref_areas
     assert per_face == pytest.approx(s**4 * tetra.face_areas, rel=1e-12)
     rep = energy_report_per_face(tetra, s * tetra.vertices)
@@ -205,7 +205,7 @@ def test_area_gradient_dual_routes_on_random_faces():
     for _ in range(25):
         surf = random_tetrahedron(rng)
         f = rng.normal(size=(4, 3))
-        while face_geometry(surf, f, check=False).image_areas.min() < 1e-3:
+        while face_geometry(surf, f).image_areas.min() < 1e-3:
             f = rng.normal(size=(4, 3))
         a = image_area_gradient(surf, f)
         b = image_area_gradient_via_laplacian(surf, f)
@@ -243,39 +243,6 @@ def test_euclidean_gradient_matches_finite_differences(icosphere2):
 def stretch_gradient_vec(surface, f):
     lap = assemble_laplacian(surface, face_geometry(surface, f))
     return (2.0 * (lap @ f)).T.ravel()
-
-
-def test_face_hessian_properties(icosphere1):
-    f = perturbed_mapping(icosphere1, 5)
-    block = face_hessian(icosphere1, f, 7)
-    assert np.abs(block - block.T).max() <= 1e-12 * np.abs(block).max()
-    for s in range(3):
-        translation = np.tile(np.eye(3)[s], 3)
-        assert np.abs(block @ translation).max() <= 1e-12 * np.abs(block).max()
-
-
-def test_face_hessian_matches_finite_differences(icosphere1):
-    f = perturbed_mapping(icosphere1, 5)
-    fi = 7
-    idx = icosphere1.faces[fi]
-    block = face_hessian(icosphere1, f, fi)
-    eps = 1e-5
-    fd = np.zeros((9, 9))
-    for a in range(9):
-        ca, sa = divmod(a, 3)
-        for b in range(9):
-            cb, sb = divmod(b, 3)
-
-            def at(da, db):
-                g = f.copy()
-                g[idx[ca], sa] += da
-                g[idx[cb], sb] += db
-                geom = face_geometry(icosphere1, g, check=False)
-                return geom.image_areas[fi]**2 / geom.ref_areas[fi]
-
-            fd[a, b] = (at(eps, eps) - at(eps, -eps)
-                        - at(-eps, eps) + at(-eps, -eps)) / (4 * eps * eps)
-    assert np.abs(block - fd).max() <= 1e-5 * np.abs(block).max()
 
 
 def test_global_hessian_matches_finite_differences(icosphere1):

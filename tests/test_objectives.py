@@ -109,7 +109,7 @@ def test_value_and_gradient_rejects_collapsed_face(ellipsoid3, which, value_firs
     with pytest.raises(DegenerateFaceError) as err:
         objective.value_and_gradient(f)
     assert err.value.face_index is not None
-    assert en.face_geometry(ellipsoid3, f, check=False).image_areas[
+    assert en.face_geometry(ellipsoid3, f).image_areas[
         err.value.face_index] <= en.IMAGE_AREA_TOL
 
 

@@ -12,14 +12,6 @@ from authalic.mesh import build_surface, make_icosphere
 from authalic.pipeline import ParameterizeConfig, parameterize
 
 
-def test_unknown_correction_rejected_on_construction():
-    # "rgb" used to run no fold correction at all, silently
-    with pytest.raises(ValueError, match="correct 'rgb'"):
-        ParameterizeConfig(correct="rgb")
-    for correct in ("off", "fpi", "rgd", "both"):
-        assert ParameterizeConfig(correct=correct).correct == correct
-
-
 def test_unknown_strategy_rejected_on_construction():
     # rejected before the conformal start and FPI run, not inside the
     # first line search
@@ -37,6 +29,14 @@ def test_record_clock_runs_from_the_start_of_the_run(ellipsoid3):
     elapsed = [r.elapsed_s for r in result.records]
     assert all(b >= a for a, b in zip(elapsed, elapsed[1:])), elapsed
     assert elapsed[-1] <= result.seconds
+
+
+def test_both_fold_corrections_are_reported(ellipsoid3):
+    # the run corrects folds after FPI and after the descent, and the
+    # second correction's count is the one the summary reports
+    result = parameterize(ellipsoid3, ParameterizeConfig(max_iters=5))
+    assert set(result.corrections) == {"after_fpi", "after_rgd"}
+    assert result.corrections["after_rgd"].folds_after == result.summary["folds"]
 
 
 def test_fpi_decisions_do_not_depend_on_the_input_scale():
@@ -90,5 +90,5 @@ def test_collapsed_map_is_not_returned_as_a_success():
         result = parameterize(surface)
     except AuthalicError:
         return
-    geom = face_geometry(result.surface, result.mapping, check=False)
+    geom = face_geometry(result.surface, result.mapping)
     assert (geom.image_areas > IMAGE_AREA_TOL).all()

@@ -3,9 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from authalic.energy import energy_report_per_face, euclidean_gradient
+from authalic.energy import energy_report_per_face, euclidean_gradient, face_geometry
 from authalic.mesh import make_icosphere, normalize_area
-from authalic.diagnostics import area_ratio_stats
+from authalic.diagnostics import geometry_ratio_stats
 import authalic.rgd as rgd
 from authalic.rgd import GeometryMemo, minimize
 from authalic.sphere import project_tangent, project_to_manifold, retract
@@ -141,4 +141,5 @@ def test_gradient_falls_with_generous_budget(monkeypatch):
 
 
 def test_area_ratio_cv_zero_at_identity(icosphere2):
-    assert area_ratio_stats(icosphere2, icosphere2.vertices).sd_over_mean <= 1e-12
+    stats = geometry_ratio_stats(face_geometry(icosphere2, icosphere2.vertices))
+    assert stats.sd_over_mean <= 1e-12
