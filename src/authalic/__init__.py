@@ -14,8 +14,7 @@ The core entry points:
 - the ``authalic`` command-line tool (param / register / morph / check)
 """
 
-from .energy import (EnergyReport, area_matched_authalic, assemble_laplacian,
-                     energy_report_per_face, euclidean_gradient, image_area_gradient)
+from .energy import assemble_laplacian, euclidean_gradient, face_geometry, image_area_gradient
 from .errors import (AuthalicError, DegenerateFaceError, LineSearchError,
                      MeshFormatError, MeshTopologyError, SolveError)
 from .fpi import conformal_initial_map, fpi_minimize

@@ -1,9 +1,12 @@
-"""Quality metrics, finite-difference verification, and an eigenvalue probe.
+"""Finite-difference verification, noise stability and an eigenvalue probe.
 
-These are the measurement tools: area-ratio statistics (the SD/Mean
-distortion score), the noise-stability error on the authalic energy, a
-finite-difference harness certifying the analytic gradient, and a sparse
-probe for the eigenvalue of the stretch-energy Hessian closest to zero.
+These are the measurement tools beyond the energies themselves: the
+SD/Mean distortion score and every energy are read off
+:class:`~authalic.energy.FaceGeometry`, and so is each finite-difference
+value here.  The module adds the noise-stability error on the authalic
+energy, a finite-difference harness certifying the analytic gradient,
+and a sparse probe for the eigenvalue of the stretch-energy Hessian
+closest to zero.
 """
 
 from __future__ import annotations
@@ -16,23 +19,6 @@ import scipy.sparse.linalg as spla
 
 from . import energy as en
 from .errors import SolveError
-
-
-@dataclass(frozen=True)
-class AreaRatioStats:
-    ratios: np.ndarray
-    mean: float
-    sd: float
-    sd_over_mean: float
-
-
-def geometry_ratio_stats(geom: en.FaceGeometry) -> AreaRatioStats:
-    """Population statistics of the per-face image/reference area ratios
-    of a face geometry."""
-    ratios = geom.image_areas / geom.ref_areas
-    mean = float(ratios.mean())
-    sd = float(np.sqrt(np.mean((ratios - mean) ** 2)))
-    return AreaRatioStats(ratios=ratios, mean=mean, sd=sd, sd_over_mean=sd / mean)
 
 
 def authalic_error(surface_noisy, surface_clean, ea_noisy: float, ea_clean: float) -> float:
@@ -72,8 +58,8 @@ def fd_gradient_norm_error(surface, f: np.ndarray, step: float = 1e-6,
     for k, i in enumerate(idx):
         bump = np.zeros(total)
         bump[i] = step
-        plus = en.energy_report_per_face(surface, (flat + bump).reshape(f.shape)).normalized
-        minus = en.energy_report_per_face(surface, (flat - bump).reshape(f.shape)).normalized
+        plus = en.face_geometry(surface, (flat + bump).reshape(f.shape)).normalized
+        minus = en.face_geometry(surface, (flat - bump).reshape(f.shape)).normalized
         fd[k] = (plus - minus) / (2.0 * step)
     return max([0.0, *np.abs(fd - grad[idx])]) / max(np.abs(grad).max(), 1e-300)
 

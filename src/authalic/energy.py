@@ -22,24 +22,27 @@ one gather of the corner positions and one scatter of the nine
 closed-form area partials per face onto the vertices, all from one
 :class:`FaceGeometry` that also gives the energies and the fold count.
 
-There is one route to each energy: :func:`geometry_report` on a
-:class:`FaceGeometry`, or :func:`energy_report_per_face` on a mapping;
-callers read ``stretch``, ``image_area`` or ``normalized`` from the
-:class:`EnergyReport`.  :func:`assemble_laplacian` takes a
+There is one route to each energy: :func:`face_geometry` measures a
+mapping once, and its :class:`FaceGeometry` gives ``stretch``,
+``image_area``, ``authalic``, ``normalized``, ``area_matched_authalic``
+and ``sd_over_mean``, each summed on first use and kept, so the value,
+the gradient, the iteration record and the summary of one mapping all
+read one pass.  :func:`assemble_laplacian` takes a
 :class:`FaceGeometry` too, so FPI builds each Laplacian from the pass its
 record already made; it computes the corner weights and leaves the
 sparse layout to :func:`~authalic.mesh.side_laplacian`, the assembler the
-mean-value Laplacian of fold correction shares.  The Laplacian routes
-stay as independent cross-checks: :func:`image_area_gradient_via_laplacian`
-and ``L f`` from :func:`assemble_laplacian` here, the quadratic form in
-``authalic check`` and in the test helpers.  The sparse Hessian of the
-stretch energy is assembled in closed form for the eigenvalue probe of
-``authalic check --probe-eigen``.
+mean-value Laplacian of fold correction shares.  The Laplacian stays as
+an independent cross-check: ``authalic check`` compares its quadratic
+form with ``stretch`` and ``2 L f`` with :func:`stretch_gradient`, and
+the tests keep a per-face Laplacian route to the area gradient.  The
+sparse Hessian of the stretch energy is assembled in closed form for the
+eigenvalue probe of ``authalic check --probe-eigen``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -62,6 +65,11 @@ class FaceGeometry:
     orientation : (m,) f_i . (e_ij x e_ik) = det [f_i; f_j; f_k], negative
         where the spherical image of the face is inverted, zero where it
         is degenerate and NaN where a corner is not a number.
+    total_area : |M|, the reference surface area.
+
+    The energies and SD/Mean are sums over these fields, each computed
+    on first use and kept.  Each raises :class:`DegenerateFaceError` when
+    the total image area is not positive (NaN included).
     """
 
     e_ij: np.ndarray
@@ -73,6 +81,55 @@ class FaceGeometry:
     image_areas: np.ndarray
     ref_areas: np.ndarray
     orientation: np.ndarray
+    total_area: float
+
+    @cached_property
+    def image_area(self) -> float:
+        """A(f), the total image area."""
+        area = float(self.image_areas.sum())
+        if not area > 0:
+            raise DegenerateFaceError(f"total image area {area:.3e} is not positive")
+        return area
+
+    @cached_property
+    def stretch(self) -> float:
+        """E_S, the sum over faces of (image area)^2 / (reference area),
+        which equals the Laplacian quadratic form (1/2) sum_s (f^s)^T L f^s."""
+        e_s = float(np.sum(self.image_areas**2 / self.ref_areas))
+        self.image_area  # raises on a degenerate total
+        return e_s
+
+    @cached_property
+    def authalic(self) -> float:
+        """E_A = E_S - A(f), zero exactly at area preservation."""
+        return self.stretch - self.image_area
+
+    @cached_property
+    def normalized(self) -> float:
+        """(|M| / A(f)) E_S, the objective the descent minimizes."""
+        return self.total_area / self.image_area * self.stretch
+
+    @cached_property
+    def area_matched_authalic(self) -> float:
+        """Stretch-minus-area energy with the reference mesh rescaled so
+        its total area matches the image area: normalized - A(f).
+
+        Unlike `authalic` this is invariant to the input mesh scale and
+        nonnegative for every mapping, with zero exactly at constant
+        per-face area ratios, which makes it the right quantity for
+        cross-model distortion tables.
+        """
+        return self.normalized - self.image_area
+
+    @cached_property
+    def sd_over_mean(self) -> float:
+        """Population SD over mean of the per-face image/reference area
+        ratios, the distortion score."""
+        self.image_area  # raises before a zero mean divides
+        ratios = self.image_areas / self.ref_areas
+        mean = float(ratios.mean())
+        sd = float(np.sqrt(np.mean((ratios - mean) ** 2)))
+        return sd / mean
 
     @property
     def folds(self) -> int:
@@ -103,6 +160,7 @@ def face_geometry(surface, f: np.ndarray) -> FaceGeometry:
         a12=a12, a13=a13, a23=a23,
         image_areas=areas, ref_areas=surface.face_areas,
         orientation=p[0, 0] * a23 - p[1, 0] * a13 + p[2, 0] * a12,
+        total_area=surface.total_area,
     )
 
 
@@ -150,52 +208,6 @@ def assemble_laplacian(surface, geom: FaceGeometry) -> sp.csr_matrix:
                           np.array([[w_k, w_j], [w_i, w_k], [w_j, w_i]]))
 
 
-@dataclass(frozen=True)
-class EnergyReport:
-    """Energy values at a mapping.
-
-    stretch : sum over faces of (image area)^2 / (reference area), which
-        equals the Laplacian quadratic form (1/2) sum_s (f^s)^T L f^s
-    image_area : A(f)
-    authalic : stretch - image_area (zero exactly at area preservation)
-    normalized : (|M| / A(f)) * stretch, the objective driven to a minimum
-    """
-
-    stretch: float
-    image_area: float
-    authalic: float
-    normalized: float
-
-
-def geometry_report(surface, geom: FaceGeometry) -> EnergyReport:
-    """EnergyReport from one face-geometry pass, through the per-face
-    identity stretch = sum (image area)^2 / (reference area)."""
-    e_s = float(np.sum(geom.image_areas**2 / geom.ref_areas))
-    area = float(geom.image_areas.sum())
-    if not area > 0:
-        raise DegenerateFaceError(f"total image area {area:.3e} is not positive")
-    return EnergyReport(stretch=e_s, image_area=area, authalic=e_s - area,
-                        normalized=surface.total_area / area * e_s)
-
-
-def energy_report_per_face(surface, f: np.ndarray) -> EnergyReport:
-    """EnergyReport of the mapping `f`: :func:`geometry_report` of its
-    face geometry."""
-    return geometry_report(surface, face_geometry(surface, f))
-
-
-def area_matched_authalic(report: EnergyReport) -> float:
-    """Stretch-minus-area energy with the reference mesh rescaled so its
-    total area matches the current image area: normalized - image_area.
-
-    Unlike the raw `authalic` field this is invariant to the input mesh
-    scale and nonnegative for every mapping, with zero exactly at
-    constant per-face area ratios, which makes it the right quantity for
-    cross-model distortion tables.
-    """
-    return report.normalized - report.image_area
-
-
 # ---------------------------------------------------------------------------
 # Image-area gradient
 # ---------------------------------------------------------------------------
@@ -240,37 +252,22 @@ def image_area_gradient(surface, f: np.ndarray) -> np.ndarray:
     return area_gradient(surface, geom)
 
 
-def image_area_gradient_via_laplacian(surface, f: np.ndarray) -> np.ndarray:
-    """Independent route: per face, (|tau| / |f(tau)|) * L(f|tau) f_tau."""
-    geom = face_geometry(surface, f)
-    check_geometry(geom)
-    w_i, w_j, w_k = _corner_weights(surface, geom)
-    p = np.asarray(f)[surface.faces]
-    # per-face Laplacian rows: L = [[wj+wk, -wk, -wj], [-wk, wi+wk, -wi],
-    # [-wj, -wi, wi+wj]] applied to the corner positions
-    li = (w_j + w_k)[:, None] * p[:, 0] - w_k[:, None] * p[:, 1] - w_j[:, None] * p[:, 2]
-    lj = -w_k[:, None] * p[:, 0] + (w_i + w_k)[:, None] * p[:, 1] - w_i[:, None] * p[:, 2]
-    lk = -w_j[:, None] * p[:, 0] - w_i[:, None] * p[:, 1] + (w_i + w_j)[:, None] * p[:, 2]
-    scale = (surface.face_areas / geom.image_areas)[:, None]
-    return scatter_corners(surface, np.concatenate([scale * li, scale * lj, scale * lk]).T)
-
-
 def stretch_gradient(surface, geom: FaceGeometry) -> np.ndarray:
     """Gradient of the stretch energy, 2 L(f) f, as
     sum_tau (2 |f(tau)| / |tau|) grad |f(tau)|."""
     return area_gradient(surface, geom, 2.0 * geom.image_areas / geom.ref_areas)
 
 
-def normalized_gradient(surface, geom: FaceGeometry, report: EnergyReport) -> np.ndarray:
+def normalized_gradient(surface, geom: FaceGeometry) -> np.ndarray:
     """Ambient gradient of the normalized energy from one face-geometry
-    pass and its :func:`geometry_report`.
+    pass, its energies included.
 
     grad = (2 |M| / A) L f - (|M| E_stretch / A^2) grad A
          = sum_tau (|M| / A) (2 |f(tau)| / |tau| - E_stretch / A) grad |f(tau)|.
     """
-    area = report.image_area
-    weights = (surface.total_area / area) * (2.0 * geom.image_areas / geom.ref_areas
-                                             - report.stretch / area)
+    area = geom.image_area
+    weights = (geom.total_area / area) * (2.0 * geom.image_areas / geom.ref_areas
+                                          - geom.stretch / area)
     return area_gradient(surface, geom, weights)
 
 
@@ -279,7 +276,7 @@ def euclidean_gradient(surface, f: np.ndarray) -> np.ndarray:
     :class:`DegenerateFaceError` when an image triangle has collapsed."""
     geom = face_geometry(surface, f)
     check_geometry(geom)
-    return normalized_gradient(surface, geom, geometry_report(surface, geom))
+    return normalized_gradient(surface, geom)
 
 
 # ---------------------------------------------------------------------------

@@ -136,7 +136,7 @@ def fpi_minimize(surface, f0: np.ndarray, max_iters: int = 10,
     h = stereographic(current)
     flipped = False
     geom = en.face_geometry(surface, current)
-    report = en.geometry_report(surface, geom)
+    geom.stretch  # the start's energies; raises on a degenerate total area
     records: list[IterationRecord] = []
     start = time.perf_counter()
 
@@ -153,15 +153,13 @@ def fpi_minimize(surface, f0: np.ndarray, max_iters: int = 10,
         h = PlanarPoints(values=h.values / scale, at_infinity=h.at_infinity)
         f_new = inverse_stereographic(invert_plane(h) if flipped else h)
         geom_new = en.face_geometry(surface, f_new)
-        report_new = en.geometry_report(surface, geom_new)
-        records.append(make_record(geom_new, report_new, k, None, None,
-                                   time.perf_counter() - start))
-        if stop_on_increase and report_new.authalic > report.authalic:
+        records.append(make_record(geom_new, k, None, None, time.perf_counter() - start))
+        if stop_on_increase and geom_new.authalic > geom.authalic:
             return MinimizeResult(current, records, "authalic_increased")
-        delta = report.stretch - report_new.stretch
+        delta = geom.stretch - geom_new.stretch
         if delta < 0:
             return MinimizeResult(current, records, "stretch_increased")
-        current, geom, report = f_new, geom_new, report_new
+        current, geom = f_new, geom_new
         if delta <= STRETCH_DECREASE_TOL:
             return MinimizeResult(current, records, "delta_converged")
 

@@ -333,18 +333,13 @@ def save_mesh(vertices, faces, path) -> None:
     faces = np.asarray(faces, dtype=np.int64)
     with open(path, "w") as fh:
         if fmt == "obj":
-            for v in vertices:
-                fh.write(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
-            for f in faces:
-                fh.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
+            np.savetxt(fh, vertices, fmt="v %.17g %.17g %.17g")
+            np.savetxt(fh, faces + 1, fmt="f %d %d %d")
         else:
             n_edges = edge_table(faces)[0].shape[0]
-            fh.write("OFF\n")
-            fh.write(f"{len(vertices)} {len(faces)} {n_edges}\n")
-            for v in vertices:
-                fh.write(f"{v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
-            for f in faces:
-                fh.write(f"3 {f[0]} {f[1]} {f[2]}\n")
+            np.savetxt(fh, vertices, fmt="%.17g %.17g %.17g", comments="",
+                       header=f"OFF\n{len(vertices)} {len(faces)} {n_edges}")
+            np.savetxt(fh, faces, fmt="3 %d %d %d")
 
 
 # ---------------------------------------------------------------------------

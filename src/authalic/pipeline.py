@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import energy as en
-from .diagnostics import geometry_ratio_stats
 from .fpi import conformal_initial_map, fpi_minimize
 from .linesearch import STRATEGIES
 from .mesh import SimplicialSurface, normalize_area
@@ -74,10 +73,9 @@ class ParameterizeResult:
         # free and nonnegative); the raw stretch-minus-area value is in
         # the records
         geom = en.face_geometry(self.surface, self.mapping)
-        report = en.geometry_report(self.surface, geom)
         return {
-            "sd_over_mean": geometry_ratio_stats(geom).sd_over_mean,
-            "authalic": en.area_matched_authalic(report),
+            "sd_over_mean": geom.sd_over_mean,
+            "authalic": geom.area_matched_authalic,
             "seconds": self.seconds,
             "folds": geom.folds,
         }
@@ -127,8 +125,8 @@ def _fmt(x) -> str:
     return f"{x:.12g}"
 
 
-def format_records_csv(records) -> str:
-    """Render iteration records with the fixed column schema."""
+def write_records_csv(path, records) -> None:
+    """Write iteration records with the fixed column schema."""
     lines = [CSV_HEADER]
     for r in records:
         lines.append(",".join([
@@ -136,9 +134,5 @@ def format_records_csv(records) -> str:
             _fmt(r.sd_over_mean), _fmt(r.grad_norm), _fmt(r.alpha),
             str(r.folds), f"{r.elapsed_s:.3f}",
         ]))
-    return "\n".join(lines) + "\n"
-
-
-def write_records_csv(path, records) -> None:
     with open(path, "w") as fh:
-        fh.write(format_records_csv(records))
+        fh.write("\n".join(lines) + "\n")

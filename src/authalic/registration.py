@@ -68,7 +68,7 @@ class RegistrationObjective(GeometryMemo):
         return float(np.sum(self.lambdas * np.sum(resid**2, axis=1)))
 
     def value(self, h: np.ndarray) -> float:
-        return self.report(h).stretch + self._mismatch(h)
+        return self.geometry(h).stretch + self._mismatch(h)
 
     def value_and_gradient(self, h: np.ndarray):
         """Value and ambient gradient.  The gradient is 2 L(h) h through
@@ -80,7 +80,7 @@ class RegistrationObjective(GeometryMemo):
         if self.rows.size:
             np.add.at(grad, self.rows,
                       2.0 * self.lambdas[:, None] * (h[self.rows] - self.targets))
-        return self.report(h).stretch + self._mismatch(h), grad
+        return geom.stretch + self._mismatch(h), grad
 
 
 def geodesic_mismatch(points_a: np.ndarray, points_b: np.ndarray) -> float:

@@ -8,11 +8,11 @@ energy) plug in through the same interface, and every objective stops
 by the same rules (see :func:`minimize`): the stall test reads the
 decrease of the objective being minimized, so no caller needs its own.
 
-Each accepted iterate gets one per-face geometry pass and one energy
-report: the objectives keep the :class:`~authalic.energy.FaceGeometry`
-of the last mapping they evaluated and its report, so those computed for
-the accepted line-search trial also give the iteration record (energies,
-SD/Mean and fold count) and the next value and gradient.
+Each accepted iterate gets one per-face geometry pass: the objectives
+keep the :class:`~authalic.energy.FaceGeometry` of the last mapping they
+evaluated, and the energies, SD/Mean and fold count are read off it
+(each summed once), so the pass made for the accepted line-search trial
+also gives the iteration record and the next value and gradient.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import energy as en
-from .diagnostics import geometry_ratio_stats
 from .linesearch import ALPHA_MAX, phi_derivative_at_zero, search
 # the records read the fold count from the face geometry; count_folds stays
 # importable here because perfbench/spans.py wraps it under this name
@@ -70,62 +69,49 @@ class MinimizeResult:
 
 
 class GeometryMemo:
-    """The face geometry of the last mapping an objective evaluated, and
-    its energy report.
+    """The face geometry of the last mapping an objective evaluated.
 
     One entry, keyed by the array object: a mapping must not be changed
     in place between evaluations (the descent driver and the line search
     only ever make new arrays).  The geometry may be degenerate;
     callers that need a nondegenerate image run
-    :func:`~authalic.energy.check_geometry` on it.  The report is made
-    on first use.
+    :func:`~authalic.energy.check_geometry` on it.
     """
 
     def __init__(self, surface):
         self.surface = surface
         self._mapping = None
         self._geometry = None
-        self._report = None
 
     def geometry(self, f: np.ndarray) -> en.FaceGeometry:
         if f is not self._mapping:
             self._geometry = en.face_geometry(self.surface, f)
-            self._report = None
             self._mapping = f
         return self._geometry
-
-    def report(self, f: np.ndarray) -> en.EnergyReport:
-        geom = self.geometry(f)
-        if self._report is None:
-            self._report = en.geometry_report(self.surface, geom)
-        return self._report
 
 
 class NormalizedStretchObjective(GeometryMemo):
     """Objective wrapper: normalized stretch energy and its gradient."""
 
     def value(self, f: np.ndarray) -> float:
-        return self.report(f).normalized
+        return self.geometry(f).normalized
 
     def value_and_gradient(self, f: np.ndarray):
         geom = self.geometry(f)
         en.check_geometry(geom)
-        report = self.report(f)
-        return report.normalized, en.normalized_gradient(self.surface, geom, report)
+        return geom.normalized, en.normalized_gradient(self.surface, geom)
 
 
-def make_record(geom: en.FaceGeometry, report: en.EnergyReport, iteration: int,
-                grad_norm: float | None, alpha: float | None,
-                elapsed_s: float) -> IterationRecord:
-    """Iteration record of the mapping whose face geometry is `geom` and
-    whose energy report is `report`: the energies, SD/Mean and fold count
-    all come from that one pass."""
+def make_record(geom: en.FaceGeometry, iteration: int, grad_norm: float | None,
+                alpha: float | None, elapsed_s: float) -> IterationRecord:
+    """Iteration record of the mapping whose face geometry is `geom`: the
+    energies, SD/Mean and fold count all come from that one pass."""
     return IterationRecord(
         iteration=iteration,
-        stretch=report.stretch,
-        authalic=report.authalic,
-        normalized=report.normalized,
-        sd_over_mean=geometry_ratio_stats(geom).sd_over_mean,
+        stretch=geom.stretch,
+        authalic=geom.authalic,
+        normalized=geom.normalized,
+        sd_over_mean=geom.sd_over_mean,
         grad_norm=grad_norm,
         alpha=alpha,
         folds=geom.folds,
@@ -156,7 +142,7 @@ def minimize(surface, f0: np.ndarray, *, objective=None, max_iters: int = 100,
         A :class:`GeometryMemo` with `value(f)` and
         `value_and_gradient(f)` -> (value, ambient gradient); defaults to
         the normalized stretch energy on `surface`.  The records reuse
-        the geometry and report it computed for the accepted trial.
+        the geometry it measured for the accepted trial.
     """
     objective = objective or NormalizedStretchObjective(surface)
     f = np.asarray(f0, dtype=np.float64).copy()
@@ -191,8 +177,8 @@ def minimize(surface, f0: np.ndarray, *, objective=None, max_iters: int = 100,
 
         f = ls.mapping
         prev_value = value
-        record = make_record(objective.geometry(f), objective.report(f), k, grad_norm,
-                             ls.alpha, time.perf_counter() - start)
+        record = make_record(objective.geometry(f), k, grad_norm, ls.alpha,
+                             time.perf_counter() - start)
         records.append(record)
         logger.debug("iter %5d  E = %.9e  E_A = %.3e  |grad| = %.3e  alpha = %.3e",
                      k, ls.energy, record.authalic, grad_norm, ls.alpha)

@@ -95,10 +95,15 @@ def correct_bijectivity(surface, f: np.ndarray) -> CorrectionResult:
     given, with no sweep: embedded configurations are fixed points of the
     mean-value solve, so a sweep could only add solver roundoff.  Folds
     may survive on hard inputs; the counts are reported rather than
-    asserted away.
+    asserted away.  A mapping with a non-finite row raises
+    :class:`DegenerateFaceError` naming the first such row.
     """
-    folds_before = count_folds(surface, f)
     mapping = np.asarray(f, dtype=np.float64)
+    finite = np.isfinite(mapping).all(axis=1)
+    if not finite.all():
+        bad = int(np.flatnonzero(~finite)[0])
+        raise DegenerateFaceError(f"row {bad} of the mapping is not finite")
+    folds_before = count_folds(surface, mapping)
     sweeps = 0
     folds_after = folds_before
     while folds_after > 0 and sweeps < MAX_SWEEPS:

@@ -9,7 +9,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from authalic import mesh
-from authalic.energy import assemble_laplacian, face_geometry
+from authalic.energy import _corner_weights, assemble_laplacian, check_geometry, face_geometry
 from authalic.mesh import build_surface, make_icosphere
 from authalic.sphere import project_to_manifold
 
@@ -20,6 +20,24 @@ def laplacian_stretch(surface, f):
     f = np.asarray(f, dtype=np.float64)
     lap = assemble_laplacian(surface, face_geometry(surface, f))
     return 0.5 * float(np.sum(f * (lap @ f)))
+
+
+def image_area_gradient_via_laplacian(surface, f):
+    """Gradient of the total image area through the per-face Laplacian,
+    (|tau| / |f(tau)|) L(f|tau) f_tau summed per face: the cross-check of
+    the closed-form area partials."""
+    geom = face_geometry(surface, f)
+    check_geometry(geom)
+    w_i, w_j, w_k = _corner_weights(surface, geom)
+    p = np.asarray(f)[surface.faces]
+    # per-face Laplacian rows: L = [[wj+wk, -wk, -wj], [-wk, wi+wk, -wi],
+    # [-wj, -wi, wi+wj]] applied to the corner positions
+    li = (w_j + w_k)[:, None] * p[:, 0] - w_k[:, None] * p[:, 1] - w_j[:, None] * p[:, 2]
+    lj = -w_k[:, None] * p[:, 0] + (w_i + w_k)[:, None] * p[:, 1] - w_i[:, None] * p[:, 2]
+    lk = -w_j[:, None] * p[:, 0] - w_i[:, None] * p[:, 1] + (w_i + w_j)[:, None] * p[:, 2]
+    scale = (surface.face_areas / geom.image_areas)[:, None]
+    return mesh.scatter_corners(surface,
+                                np.concatenate([scale * li, scale * lj, scale * lk]).T)
 
 
 def dense_stretch_laplacian(surface, f):

@@ -12,10 +12,8 @@ import time
 import numpy as np
 import pytest
 
-from authalic.diagnostics import geometry_ratio_stats
-from authalic.energy import (assemble_laplacian, energy_report_per_face,
-                             euclidean_gradient, face_geometry, image_area_gradient,
-                             image_area_gradient_via_laplacian, assemble_global_hessian)
+from authalic.energy import (assemble_laplacian, euclidean_gradient, face_geometry,
+                             image_area_gradient, assemble_global_hessian)
 from authalic.fpi import _interior_mask, conformal_initial_map, dirichlet_solve, fpi_minimize
 from authalic.linesearch import cubic_fit, quadratic_backtrack_step
 from authalic.mesh import build_surface, load_mesh, make_icosphere, normalize_area
@@ -27,8 +25,8 @@ from authalic.sphere import (PlanarPoints, inverse_stereographic, invert_plane,
                              stereographic)
 from authalic.unfold import assemble_mean_value, correct_bijectivity
 
-from helpers import (bumpy_sphere, central_difference_gradient, laplacian_stretch,
-                     random_tetrahedron)
+from helpers import (bumpy_sphere, central_difference_gradient,
+                     image_area_gradient_via_laplacian, laplacian_stretch, random_tetrahedron)
 
 
 def report(criterion, ok, detail):
@@ -45,16 +43,15 @@ def matched_authalic(report_):
 def test_criterion_1_exact_at_area_preservation():
     start = time.perf_counter()
     surf = make_icosphere(3)
-    rep = energy_report_per_face(surf, surf.vertices)
+    rep = face_geometry(surf, surf.vertices)
     # the Laplacian quadratic form must vanish there too
     quadratic = laplacian_stretch(surf, surf.vertices) - rep.image_area
-    stats = geometry_ratio_stats(face_geometry(surf, surf.vertices))
     elapsed = time.perf_counter() - start
     ok = (abs(rep.authalic) <= 1e-10 and abs(quadratic) <= 1e-10
-          and stats.sd_over_mean <= 1e-12 and elapsed < 1.0)
+          and rep.sd_over_mean <= 1e-12 and elapsed < 1.0)
     report("criterion 1 (exactness at area preservation)", ok,
            f"E_A {rep.authalic:.2e} (Laplacian form {quadratic:.2e}), "
-           f"SD/Mean {stats.sd_over_mean:.2e}, {elapsed:.2f} s")
+           f"SD/Mean {rep.sd_over_mean:.2e}, {elapsed:.2f} s")
 
 
 def test_criterion_2_gradient_matches_finite_differences():
@@ -63,7 +60,7 @@ def test_criterion_2_gradient_matches_finite_differences():
     rng = np.random.default_rng(12)
     f = project_to_manifold(surf.vertices + 0.05 * rng.normal(size=surf.vertices.shape))
     grad = euclidean_gradient(surf, f)
-    fd = central_difference_gradient(lambda g: energy_report_per_face(surf, g).normalized,
+    fd = central_difference_gradient(lambda g: face_geometry(surf, g).normalized,
                                      f, eps=1e-6)
     mask = np.abs(grad) > 1e-8
     rel = (np.abs(fd - grad)[mask] / np.abs(grad)[mask]).max()
@@ -122,7 +119,7 @@ def test_criterion_5_descent_contract():
     start = time.perf_counter()
     surf = normalize_area(make_icosphere(3, (1.0, 0.8, 0.6)))
     f0 = project_to_manifold(surf.vertices)
-    rep0 = energy_report_per_face(surf, f0)
+    rep0 = face_geometry(surf, f0)
     result = minimize(surf, f0, max_iters=100, strategy="interpolant")
     elapsed = time.perf_counter() - start
 
@@ -132,7 +129,7 @@ def test_criterion_5_descent_contract():
         values[k + 1] <= values[k] - 1e-4 * r.alpha * r.grad_norm**2
         + 1e-10 * abs(values[k])
         for k, r in enumerate(result.records))
-    rep1 = energy_report_per_face(surf, result.mapping)
+    rep1 = face_geometry(surf, result.mapping)
     halved = (rep1.authalic < 0.5 * rep0.authalic
               and matched_authalic(rep1) < 0.5 * matched_authalic(rep0))
     corrected = correct_bijectivity(surf, result.mapping)
@@ -197,7 +194,7 @@ def test_criterion_8_fpi_monitor_and_pipeline():
 
     warm = fpi_minimize(surf, f0, max_iters=10, stop_on_increase=True)
     refined = minimize(surf, warm.mapping, max_iters=100)
-    final = energy_report_per_face(surf, refined.mapping).authalic
+    final = face_geometry(surf, refined.mapping).authalic
     ok = increase_found and boundary_ok and final <= fpi_min
     report("criterion 8 (FPI behavior)", ok,
            f"first increase at {len(monitored.records)}, boundary fixed "
@@ -265,18 +262,17 @@ def test_criterion_11_benchmark_reproduction():
     result = parameterize(surf, ParameterizeConfig(fpi_iters=10, max_iters=100,
                                                    strategy="interpolant"))
     elapsed = time.perf_counter() - start
-    stats = geometry_ratio_stats(face_geometry(result.surface, result.mapping))
-    rep = energy_report_per_face(result.surface, result.mapping)
+    rep = face_geometry(result.surface, result.mapping)
     matched = matched_authalic(rep)
 
     fpi_only = fpi_minimize(surf, conformal_initial_map(surf), max_iters=60,
                             stop_on_increase=True)
-    sd_ok = abs(stats.sd_over_mean - 0.0156) <= 0.25 * 0.0156
+    sd_ok = abs(rep.sd_over_mean - 0.0156) <= 0.25 * 0.0156
     ea_ok = abs(matched - 3.04e-3) <= 0.5 * 3.04e-3
     its_ok = (fpi_only.status == "authalic_increased"
               and abs(len(fpi_only.records) - 8) <= 3)
     time_ok = elapsed < 92.0  # same order of magnitude as the reference run
     ok = sd_ok and ea_ok and its_ok and time_ok
     report("criterion 11 (benchmark reproduction)", ok,
-           f"SD/Mean {stats.sd_over_mean:.4f}, E-A {matched:.2e}, "
+           f"SD/Mean {rep.sd_over_mean:.4f}, E-A {matched:.2e}, "
            f"first increase {len(fpi_only.records)}, {elapsed:.1f} s")

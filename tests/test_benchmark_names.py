@@ -6,13 +6,15 @@ traced run raise `KeyError`.  The benchmark file is loaded read-only, by
 path, so this check runs with the library's own tests.
 
 The same list is the only excuse for an import a module never uses:
-with no linter in the toolchain, an AST pass stands guard.  Two more AST
-passes keep the library to what its programs (the library itself, the
+with no linter in the toolchain, an AST pass stands guard.  Three more
+AST passes keep the library to what its programs (the library itself, the
 scripts and the benchmark) run: every top-level function or class is
-named by one of them, exported or a click command, and every defaulted
-parameter is set by one of their calls.  A small instrumented run checks
-that the counts the traced run reads off each stage's result still
-resolve.
+named by one of them, exported or a click command; every method or
+property of a library class is read as an attribute (or named in a
+string, as `perfbench/spans.py` patches methods by name); and every
+defaulted parameter is set by one of their calls.  A small instrumented
+run checks that the counts the traced run reads off each stage's result
+still resolve.
 """
 
 import ast
@@ -101,6 +103,36 @@ def test_every_library_function_is_run_by_some_program():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and node.name not in named | exported and not _is_click_command(node))
     assert not unreached
+
+
+def _is_property(node) -> bool:
+    """A method decorated with ``@property`` or ``@cached_property``."""
+    return any((getattr(d, "id", None) or getattr(d, "attr", None))
+               in ("property", "cached_property") for d in node.decorator_list)
+
+
+def test_every_library_method_is_run_by_some_program():
+    # a method or property that only tests read is code no program runs.
+    # Names are all the AST knows, so a property counts as read only where
+    # an attribute of its name is not called: `ratios.mean()` does not
+    # read a `mean` property
+    read, called = set(), set()
+    for path in CALLERS:
+        tree = ast.parse(path.read_text())
+        calls = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                (called if id(node) in calls else read).add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    unreached = sorted(
+        f"{path.stem}.{cls.name}.{node.name}"
+        for path in sorted((ROOT / "src" / "authalic").glob("*.py"))
+        for cls in ast.parse(path.read_text()).body if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("__")
+        and node.name not in (read if _is_property(node) else read | called))
+    assert not unreached, unreached
 
 
 def _calls(paths) -> dict[str, tuple[int, set[str]]]:

@@ -1,10 +1,11 @@
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from authalic.energy import energy_report_per_face, euclidean_gradient
-from authalic.errors import DegenerateFaceError, SolveError
+from authalic.energy import euclidean_gradient, face_geometry
+from authalic.errors import DegenerateFaceError
 from authalic.sphere import (PlanarPoints, count_folds, inverse_stereographic, invert_plane,
                              project_to_manifold, stereographic)
 from authalic.fpi import _interior_mask, dirichlet_solve
@@ -115,9 +116,20 @@ def test_a_nan_image_face_is_a_fold_and_degenerate(icosphere2):
     with pytest.raises(DegenerateFaceError, match="area nan"):
         euclidean_gradient(icosphere2, f)
     with pytest.raises(DegenerateFaceError, match="total image area nan is not positive"):
-        energy_report_per_face(icosphere2, f)
-    with np.errstate(invalid="ignore"), pytest.raises(SolveError):
+        face_geometry(icosphere2, f).stretch
+    with pytest.raises(DegenerateFaceError):
         correct_bijectivity(icosphere2, f)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_correction_names_the_first_non_finite_row(icosphere2, value):
+    # checked before any projection: no division warns and no solve runs
+    f = icosphere2.vertices.copy()
+    f[[5, 9], 1] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateFaceError, match="row 5 of the mapping is not finite"):
+            correct_bijectivity(icosphere2, f)
 
 
 def test_constructed_fold_removed(icosphere2):
@@ -137,7 +149,7 @@ def test_constructed_fold_removed(icosphere2):
 def test_correction_preserves_quality_when_clean(ellipsoid3):
     from authalic.fpi import conformal_initial_map
     f = conformal_initial_map(ellipsoid3)
-    before = energy_report_per_face(ellipsoid3, f).authalic
+    before = face_geometry(ellipsoid3, f).authalic
     result = correct_bijectivity(ellipsoid3, f)
-    after = energy_report_per_face(ellipsoid3, result.mapping).authalic
+    after = face_geometry(ellipsoid3, result.mapping).authalic
     assert after == pytest.approx(before, abs=1e-6 * max(1.0, abs(before)))

@@ -317,18 +317,27 @@ def test_check_certifies_the_fold_rule(sphere_file, monkeypatch):
 
 
 def test_check_certifies_the_per_face_energy_route(sphere_file, monkeypatch):
-    # the Laplacian quadratic form guards the per-face report: a stretch
+    # the Laplacian quadratic form guards the per-face sum: a stretch
     # off by 1e-8 relative fails the check
-    report = en.energy_report_per_face
-
-    def skewed(surface, f):
-        rep = report(surface, f)
-        return dataclasses.replace(rep, stretch=rep.stretch * (1.0 + 1e-8))
-
-    monkeypatch.setattr(en, "energy_report_per_face", skewed)
+    stretch = en.FaceGeometry.stretch.func
+    monkeypatch.setattr(en.FaceGeometry, "stretch",
+                        property(lambda geom: stretch(geom) * (1.0 + 1e-8)))
     result = CliRunner().invoke(main, ["check", sphere_file])
     assert result.exit_code == 1
     assert "[FAIL] stretch energy routes agree" in result.output
+    assert "[PASS] stretch gradient routes agree" in result.output
+
+
+def test_check_certifies_the_per_face_gradient_route(sphere_file, monkeypatch):
+    # 2 L f guards the per-face gradient the descent runs: a stretch
+    # gradient off by 1e-8 relative fails the check
+    stretch_gradient = en.stretch_gradient
+    monkeypatch.setattr(en, "stretch_gradient",
+                        lambda surface, geom: stretch_gradient(surface, geom) * (1.0 + 1e-8))
+    result = CliRunner().invoke(main, ["check", sphere_file])
+    assert result.exit_code == 1
+    assert "[FAIL] stretch gradient routes agree" in result.output
+    assert "[PASS] stretch energy routes agree" in result.output
 
 
 def test_check_probe_eigen(sphere_file):
@@ -348,7 +357,8 @@ def test_env_var_override(tmp_path, mesh_file):
     assert manifest["seed"] == 9
 
 
-@pytest.mark.parametrize("manifest", [None, "[]\n"], ids=["param-manifest", "not-an-object"])
+@pytest.mark.parametrize("manifest", [None, [], {"inputs": {"mesh0": 3, "mesh1": "m1.off"}}],
+                         ids=["param-manifest", "not-an-object", "non-string-mesh"])
 def test_morph_requires_a_registration_manifest(registration_dir, mesh_file, tmp_path,
                                                 manifest):
     # a param output directory with a stray composed_map.txt: its manifest
@@ -357,7 +367,7 @@ def test_morph_requires_a_registration_manifest(registration_dir, mesh_file, tmp
     assert run("param", mesh_file, "--fpi-iters", "1", "--max-iters", "1",
                "--out", str(regdir)).exit_code == 0
     if manifest is not None:
-        (regdir / "manifest.json").write_text(manifest)
+        (regdir / "manifest.json").write_text(json.dumps(manifest) + "\n")
     (regdir / "composed_map.txt").write_text((registration_dir / "composed_map.txt").read_text())
     out = tmp_path / "frames"
     result = run("morph", str(regdir), "--out", str(out))

@@ -2,16 +2,15 @@ import numpy as np
 import pytest
 
 from authalic.energy import (area_gradient, assemble_global_hessian, assemble_laplacian,
-                             energy_report_per_face, euclidean_gradient,
-                             face_geometry, image_area_gradient,
-                             image_area_gradient_via_laplacian, _corner_weights)
+                             euclidean_gradient, face_geometry, image_area_gradient,
+                             _corner_weights)
 from authalic.errors import DegenerateFaceError
 from authalic.mesh import build_surface
 from authalic.sphere import project_tangent, project_to_manifold, retract
 
 from helpers import (central_difference_gradient, dense_stretch_laplacian,
-                     inverted_vertex_map, laplacian_stretch, random_tetrahedron,
-                     regular_tetrahedron)
+                     image_area_gradient_via_laplacian, inverted_vertex_map, laplacian_stretch,
+                     random_tetrahedron, regular_tetrahedron)
 
 
 def perturbed_mapping(surface, seed, amplitude=0.05):
@@ -126,7 +125,7 @@ def test_degenerate_image_face_rejected(icosphere1):
 # ---------------------------------------------------------------------------
 
 def test_identity_on_unit_sphere_mesh_is_area_preserving(icosphere2):
-    rep = energy_report_per_face(icosphere2, icosphere2.vertices)
+    rep = face_geometry(icosphere2, icosphere2.vertices)
     quadratic = laplacian_stretch(icosphere2, icosphere2.vertices)
     assert abs(rep.authalic) <= 1e-10
     assert abs(quadratic - rep.image_area) <= 1e-10
@@ -142,7 +141,7 @@ def test_uniform_scale_per_face_energy():
     geom = face_geometry(tetra, s * tetra.vertices)
     per_face = geom.image_areas**2 / geom.ref_areas
     assert per_face == pytest.approx(s**4 * tetra.face_areas, rel=1e-12)
-    rep = energy_report_per_face(tetra, s * tetra.vertices)
+    rep = face_geometry(tetra, s * tetra.vertices)
     quadratic = laplacian_stretch(tetra, s * tetra.vertices)
     total = tetra.total_area
     for stretch in (rep.stretch, quadratic):
@@ -154,7 +153,7 @@ def test_uniform_scale_per_face_energy():
 def test_matrix_and_per_face_energy_agree(icosphere2):
     f = perturbed_mapping(icosphere2, 4)
     quadratic = laplacian_stretch(icosphere2, f)
-    rep = energy_report_per_face(icosphere2, f)
+    rep = face_geometry(icosphere2, f)
     assert abs(quadratic - rep.stretch) <= 1e-10 * rep.stretch
     assert rep.normalized == pytest.approx(icosphere2.total_area / rep.image_area * quadratic,
                                            rel=1e-12)
@@ -168,7 +167,7 @@ def test_authalic_identity_and_nonnegativity(icosphere2):
         rng = np.random.default_rng(seed)
         for amplitude in (1e-3, 1e-2, 0.1):
             xi = project_tangent(f0, amplitude * rng.normal(size=f0.shape))
-            rep = energy_report_per_face(icosphere2, retract(f0, xi))
+            rep = face_geometry(icosphere2, retract(f0, xi))
             assert rep.authalic >= -1e-10
             assert rep.authalic == pytest.approx(rep.stretch - rep.image_area, abs=1e-14)
 
@@ -216,7 +215,7 @@ def test_area_gradient_matches_finite_differences(icosphere1):
     f = perturbed_mapping(icosphere1, 2)
     grad = image_area_gradient(icosphere1, f)
     fd = central_difference_gradient(
-        lambda g: energy_report_per_face(icosphere1, g).image_area, f)
+        lambda g: face_geometry(icosphere1, g).image_area, f)
     mask = np.abs(grad) > 1e-8
     rel = np.abs(fd - grad)[mask] / np.abs(grad)[mask]
     assert rel.max() <= 1e-6
@@ -230,7 +229,7 @@ def test_euclidean_gradient_matches_finite_differences(icosphere2):
     f = perturbed_mapping(icosphere2, 12)
     grad = euclidean_gradient(icosphere2, f)
     fd = central_difference_gradient(
-        lambda g: energy_report_per_face(icosphere2, g).normalized, f)
+        lambda g: face_geometry(icosphere2, g).normalized, f)
     mask = np.abs(grad) > 1e-8
     rel = np.abs(fd - grad)[mask] / np.abs(grad)[mask]
     assert rel.max() <= 1e-6

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from authalic.energy import assemble_laplacian, energy_report_per_face, face_geometry
+from authalic.energy import assemble_laplacian, face_geometry
 from authalic.errors import SolveError
 from authalic.fpi import (_PIN, _interior_mask, conformal_initial_map, dirichlet_solve,
                           fpi_minimize)
@@ -39,7 +39,7 @@ def test_conformal_map_unit_icosphere(icosphere2):
 def test_conformal_map_ellipsoid(ellipsoid3):
     f = conformal_initial_map(ellipsoid3)
     assert count_folds(ellipsoid3, f) == 0
-    assert np.isfinite(energy_report_per_face(ellipsoid3, f).authalic)
+    assert np.isfinite(face_geometry(ellipsoid3, f).authalic)
 
 
 def test_conformal_map_seeded_face_choice(ellipsoid3):
@@ -96,7 +96,7 @@ def test_fpi_detects_first_increase_and_rolls_back():
     assert all(b <= a for a, b in zip(energies[: k - 1], energies[1: k - 1]))
     assert energies[k - 1] > energies[k - 2]
     # the returned mapping is the pre-increase iterate
-    returned = energy_report_per_face(surf, result.mapping).authalic
+    returned = face_geometry(surf, result.mapping).authalic
     assert returned == pytest.approx(energies[k - 2], rel=1e-12)
 
 
@@ -108,7 +108,7 @@ def test_fpi_monitor_off_runs_to_budget():
     # returns the iterate before the rise, whose record is the one before last
     assert result.status == "stretch_increased"
     assert len(result.records) <= 8
-    assert energy_report_per_face(surf, result.mapping).stretch == result.records[-2].stretch
+    assert face_geometry(surf, result.mapping).stretch == result.records[-2].stretch
     # the run went past an authalic increase without stopping on it
     energies = [r.authalic for r in result.records]
     assert any(b > a for a, b in zip(energies, energies[1:]))
@@ -122,7 +122,7 @@ def test_warm_start_then_descent_beats_fpi_alone():
 
     warm = fpi_minimize(surf, f0, max_iters=10, stop_on_increase=True)
     refined = minimize(surf, warm.mapping, max_iters=100)
-    final = energy_report_per_face(surf, refined.mapping).authalic
+    final = face_geometry(surf, refined.mapping).authalic
     assert final <= fpi_best
 
 

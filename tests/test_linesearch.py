@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from authalic import linesearch
-from authalic.energy import energy_report_per_face, euclidean_gradient
+from authalic.energy import euclidean_gradient, face_geometry
 from authalic.errors import LineSearchError
 from authalic.linesearch import (cubic_backtrack_step, cubic_fit, phi_derivative_at_zero,
                                  quadratic_backtrack_step, search)
@@ -17,7 +17,7 @@ def ellipsoid_state(ellipsoid3):
 
 
 def normalized(surface):
-    return lambda g: energy_report_per_face(surface, g).normalized
+    return lambda g: face_geometry(surface, g).normalized
 
 
 def ellipsoid_search(ellipsoid3, f, d, egrad, **kwargs):

@@ -73,6 +73,26 @@ def test_save_load_round_trip(tmp_path, fmt):
         assert int(counts[2]) == surf.n_edges
 
 
+# a tetrahedron whose coordinates need all 17 digits, a signed zero, the
+# smallest subnormal and a huge exponent
+GOLDEN_VERTICES = np.array([[1.0, 1.0, 1.0], [0.1, -1.0, -1.0], [-1.0, 1.0 / 3.0, -1.0],
+                            [-0.0, 5e-324, 1e308]])
+GOLDEN_ROWS = ["1 1 1", "0.10000000000000001 -1 -1", "-1 0.33333333333333331 -1",
+               "-0 4.9406564584124654e-324 1e+308"]
+
+
+@pytest.mark.parametrize("fmt, expected", [
+    ("obj", "".join(f"v {row}\n" for row in GOLDEN_ROWS)
+     + "f 1 3 2\nf 1 2 4\nf 1 4 3\nf 2 3 4\n"),
+    ("off", "OFF\n4 4 6\n" + "".join(f"{row}\n" for row in GOLDEN_ROWS)
+     + "3 0 2 1\n3 0 1 3\n3 0 3 2\n3 1 2 3\n"),
+])
+def test_save_mesh_golden_bytes(tmp_path, fmt, expected):
+    path = tmp_path / f"tetra.{fmt}"
+    save_mesh(GOLDEN_VERTICES, [[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]], path)
+    assert path.read_bytes() == expected.encode()
+
+
 def test_closed_mesh_edge_face_count(icosphere2):
     assert 2 * icosphere2.n_edges == 3 * icosphere2.n_faces
 

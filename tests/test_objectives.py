@@ -2,6 +2,7 @@
 and one face-geometry pass per accepted iterate, which also gives the
 records' fold counts."""
 
+import functools
 import logging
 
 import numpy as np
@@ -11,15 +12,14 @@ import authalic.energy as en
 import authalic.fpi as fpi
 import authalic.rgd as rgd
 import authalic.sphere as sphere
-from authalic.energy import (assemble_laplacian, energy_report_per_face, face_geometry,
-                             image_area_gradient_via_laplacian)
+from authalic.energy import assemble_laplacian, face_geometry
 from authalic.errors import DegenerateFaceError
 from authalic.mesh import normalize_area
 from authalic.registration import RegistrationObjective
 from authalic.rgd import NormalizedStretchObjective, minimize
 from authalic.sphere import count_folds, project_to_manifold
 
-from helpers import bumpy_sphere, inverted_vertex_map
+from helpers import bumpy_sphere, image_area_gradient_via_laplacian, inverted_vertex_map
 
 LANDMARK_ROWS = np.array([3, 40, 77, 120])
 
@@ -43,7 +43,7 @@ def laplacian_stretch_terms(surface, f):
     lap = assemble_laplacian(surface, face_geometry(surface, f))
     lap_f = lap @ f
     e_s = 0.5 * float(np.sum(f * lap_f))
-    area = energy_report_per_face(surface, f).image_area
+    area = face_geometry(surface, f).image_area
     return 2.0 * lap_f, e_s, area, image_area_gradient_via_laplacian(surface, f)
 
 
@@ -64,7 +64,7 @@ def test_normalized_gradient_matches_laplacian_route(mesh, request):
     assert_close(egrad, expected)
     assert_close(en.euclidean_gradient(surface, f), expected)
     assert value == pytest.approx(total * e_s / area, rel=1e-12)
-    assert objective.report(f).stretch == pytest.approx(e_s, rel=1e-12)
+    assert objective.geometry(f).stretch == pytest.approx(e_s, rel=1e-12)
 
 
 @pytest.mark.parametrize("mesh", ["ellipsoid3", "bumpy"])
@@ -113,48 +113,71 @@ def test_value_and_gradient_rejects_collapsed_face(ellipsoid3, which, value_firs
         err.value.face_index] <= en.IMAGE_AREA_TOL
 
 
+@pytest.mark.parametrize("which", [0, 1])
+def test_value_rejects_a_non_finite_total_image_area(ellipsoid3, which):
+    # the value reads the stretch energy, which checks the total image area
+    f = spherical_start(ellipsoid3)
+    f[5] = np.nan
+    with pytest.raises(DegenerateFaceError, match="total image area nan is not positive"):
+        objectives(ellipsoid3)[which].value(f)
+
+
 def test_geometry_memo_recomputes_for_a_new_array(ellipsoid3):
     objective = NormalizedStretchObjective(ellipsoid3)
     f = spherical_start(ellipsoid3)
     g = project_to_manifold(f + 0.01)
     for h in (f, g, f):
-        assert objective.value(h) == energy_report_per_face(ellipsoid3, h).normalized
+        assert objective.value(h) == face_geometry(ellipsoid3, h).normalized
+
+
+ENERGIES = ("image_area", "stretch", "authalic", "normalized", "sd_over_mean")
 
 
 def test_one_face_geometry_pass_per_accepted_iterate(ellipsoid3, monkeypatch):
-    # one geometry and one energy report per evaluated mapping: the
-    # accepted trial's serve the record and the next value and gradient
-    calls = {"face_geometry": 0, "geometry_report": 0}
+    # one geometry per evaluated mapping, each energy summed at most once
+    # on it: the accepted trial's serve the record and the next value and
+    # gradient
+    calls = {"face_geometry": 0}
+    summed = {name: [] for name in ENERGIES}
     evals = []
     search = rgd.search
+    face_geometry_ = en.face_geometry
 
-    def counted(name):
-        fn = getattr(en, name)
+    def counted_face_geometry(*args, **kwargs):
+        calls["face_geometry"] += 1
+        return face_geometry_(*args, **kwargs)
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def counted_energy(name):
+        fn = getattr(en.FaceGeometry, name).func
+
+        def wrapper(geom):
+            summed[name].append(geom)
+            return fn(geom)
+        prop = functools.cached_property(wrapper)
+        prop.__set_name__(en.FaceGeometry, name)
+        return prop
 
     def counted_search(*args, **kwargs):
         result = search(*args, **kwargs)
         evals.append(result.evals)
         return result
 
-    for name in calls:
-        monkeypatch.setattr(en, name, counted(name))
+    monkeypatch.setattr(en, "face_geometry", counted_face_geometry)
+    for name in ENERGIES:
+        monkeypatch.setattr(en.FaceGeometry, name, counted_energy(name))
     monkeypatch.setattr(rgd, "search", counted_search)
     monkeypatch.setattr(rgd, "GRAD_TOL", 0.0)
     monkeypatch.setattr(rgd, "ENERGY_TOL", -np.inf)
     result = minimize(ellipsoid3, spherical_start(ellipsoid3), max_iters=10)
     assert len(result.records) == 10
     assert calls["face_geometry"] <= sum(evals) + 1
-    assert calls["geometry_report"] <= sum(evals) + 1
-    # FPI: the start's report, then one per iteration
-    calls["geometry_report"] = 0
+    for geoms in summed.values():
+        assert len({id(g) for g in geoms}) == len(geoms) <= sum(evals) + 1
+    # FPI: the start's energies, then one set per iteration
+    summed["stretch"].clear()
     warm = fpi.fpi_minimize(ellipsoid3, fpi.conformal_initial_map(ellipsoid3),
                             max_iters=4, stop_on_increase=False)
-    assert calls["geometry_report"] == len(warm.records) + 1
+    assert len(summed["stretch"]) == len(warm.records) + 1
 
 
 def test_records_count_folds_without_a_second_gather(ellipsoid3, monkeypatch):

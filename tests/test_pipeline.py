@@ -1,5 +1,6 @@
 """Validation of the pipeline settings, and the records of a run."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from scipy.spatial import ConvexHull
 
 from authalic.energy import IMAGE_AREA_TOL, face_geometry
-from authalic.errors import AuthalicError
+from authalic.errors import AuthalicError, DegenerateFaceError
 from authalic.mesh import build_surface, make_icosphere
 from authalic.pipeline import ParameterizeConfig, parameterize
 
@@ -37,6 +38,16 @@ def test_both_fold_corrections_are_reported(ellipsoid3):
     result = parameterize(ellipsoid3, ParameterizeConfig(max_iters=5))
     assert set(result.corrections) == {"after_fpi", "after_rgd"}
     assert result.corrections["after_rgd"].folds_after == result.summary["folds"]
+
+
+def test_summary_of_a_collapsed_map_raises(ellipsoid3):
+    # SD/Mean is read first and divides by the mean area ratio, so it
+    # checks the total image area before dividing
+    result = parameterize(ellipsoid3, ParameterizeConfig(fpi_iters=0, max_iters=1))
+    collapsed = dataclasses.replace(result, mapping=np.tile([0.0, 0.0, 1.0],
+                                                            (ellipsoid3.n_vertices, 1)))
+    with pytest.raises(DegenerateFaceError, match="total image area 0.000e"):
+        collapsed.summary
 
 
 def test_fpi_decisions_do_not_depend_on_the_input_scale():

@@ -1,11 +1,9 @@
-import dataclasses
 
 import numpy as np
 import pytest
 
-from authalic.energy import energy_report_per_face, euclidean_gradient, face_geometry
+from authalic.energy import euclidean_gradient, face_geometry
 from authalic.mesh import make_icosphere, normalize_area
-from authalic.diagnostics import geometry_ratio_stats
 import authalic.rgd as rgd
 from authalic.rgd import GeometryMemo, minimize
 from authalic.sphere import project_tangent, project_to_manifold, retract
@@ -36,8 +34,8 @@ def test_directional_derivative_first_order(ellipsoid3):
     xi = project_tangent(f, rng.normal(size=f.shape))
     xi /= np.linalg.norm(xi)
     eps = 1e-7
-    fd = (energy_report_per_face(ellipsoid3, retract(f, eps * xi)).normalized
-          - energy_report_per_face(ellipsoid3, retract(f, -eps * xi)).normalized) / (2 * eps)
+    fd = (face_geometry(ellipsoid3, retract(f, eps * xi)).normalized
+          - face_geometry(ellipsoid3, retract(f, -eps * xi)).normalized) / (2 * eps)
     inner = float(np.sum(rgrad * xi))
     assert fd == pytest.approx(inner, rel=1e-5)
 
@@ -86,8 +84,8 @@ def test_descent_run_on_ellipsoid(ellipsoid3):
     for r in result.records:
         area = total * r.stretch / r.normalized
         assert r.authalic == pytest.approx(r.stretch - area, abs=1e-10 * max(1.0, r.stretch))
-    rep0 = energy_report_per_face(ellipsoid3, f0)
-    rep1 = energy_report_per_face(ellipsoid3, result.mapping)
+    rep0 = face_geometry(ellipsoid3, f0)
+    rep1 = face_geometry(ellipsoid3, result.mapping)
     assert rep1.authalic < rep0.authalic
 
 
@@ -119,8 +117,11 @@ def test_stall_test_reads_the_objective_not_the_authalic_energy(icosphere2):
         def value_and_gradient(self, f):
             return self.value(f), np.broadcast_to([0.0, 0.0, 1.0], f.shape)
 
-        def report(self, f):
-            return dataclasses.replace(super().report(f), authalic=-self.value(f))
+        def geometry(self, f):
+            # the records read the authalic energy off this geometry
+            geom = super().geometry(f)
+            object.__setattr__(geom, "authalic", -self.value(f))
+            return geom
 
     result = minimize(icosphere2, icosphere2.vertices, objective=Downhill(icosphere2))
     authalic = [r.authalic for r in result.records]
@@ -141,5 +142,4 @@ def test_gradient_falls_with_generous_budget(monkeypatch):
 
 
 def test_area_ratio_cv_zero_at_identity(icosphere2):
-    stats = geometry_ratio_stats(face_geometry(icosphere2, icosphere2.vertices))
-    assert stats.sd_over_mean <= 1e-12
+    assert face_geometry(icosphere2, icosphere2.vertices).sd_over_mean <= 1e-12
