@@ -31,7 +31,7 @@ def main():
     idx = rng.choice(m0.n_vertices, size=args.landmarks, replace=False)
     pairs = np.stack([idx, idx], axis=1)
 
-    config = ParameterizeConfig(max_iters=100)
+    config = ParameterizeConfig()
     f0 = parameterize(m0, config).mapping
     f1 = parameterize(m1, config).mapping
 

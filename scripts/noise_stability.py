@@ -24,7 +24,8 @@ def main():
     ap.add_argument("--subdivisions", type=int, default=4)
     ap.add_argument("--sigmas", type=float, nargs="+", default=[1e-3, 5e-3])
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--max-iters", type=int, default=100)
+    ap.add_argument("--max-iters", type=int, default=None,
+                    help="default: the default method's")
     args = ap.parse_args()
 
     raw = load_mesh(args.mesh) if args.mesh else make_icosphere(

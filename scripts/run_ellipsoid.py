@@ -9,7 +9,7 @@ areas, wall time, and residual fold count.
 import argparse
 
 from authalic.mesh import load_mesh, make_icosphere, normalize_area
-from authalic.pipeline import ParameterizeConfig, parameterize
+from authalic.pipeline import METHODS, ParameterizeConfig, parameterize
 
 
 def main():
@@ -18,8 +18,10 @@ def main():
                     help="optional OBJ/OFF path (default: generated ellipsoid)")
     ap.add_argument("--subdivisions", type=int, default=4)
     ap.add_argument("--radii", type=float, nargs=3, default=(1.0, 0.8, 0.6))
-    ap.add_argument("--fpi-iters", type=int, default=10)
-    ap.add_argument("--max-iters", type=int, default=100)
+    ap.add_argument("--method", choices=METHODS, default=ParameterizeConfig.method,
+                    help="the paper's run is --method paper")
+    ap.add_argument("--fpi-iters", type=int, default=None, help="default: the method's")
+    ap.add_argument("--max-iters", type=int, default=None, help="default: the method's")
     args = ap.parse_args()
 
     if args.mesh:
@@ -33,7 +35,7 @@ def main():
     print(f"{'strategy':>12}  {'SD/Mean':>9}  {'E_A':>10}  {'time':>7}  folds")
 
     for strategy in ("interpolant", "bounded"):
-        config = ParameterizeConfig(fpi_iters=args.fpi_iters,
+        config = ParameterizeConfig(method=args.method, fpi_iters=args.fpi_iters,
                                     max_iters=args.max_iters, strategy=strategy)
         summary = parameterize(surface, config).summary
         print(f"{strategy:>12}  {summary['sd_over_mean']:9.4f}  {summary['authalic']:10.3e}  "

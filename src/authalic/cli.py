@@ -23,7 +23,8 @@ from . import registration
 from .errors import AuthalicError
 from .mesh import (build_surface, load_mesh, normalize_area, parse_landmarks,
                    perturb_vertices, save_mesh)
-from .pipeline import ParameterizeConfig, parameterize, write_records_csv
+from .pipeline import (METHOD_ITERS, METHODS, ParameterizeConfig, parameterize,
+                       write_records_csv)
 from .sphere import (count_folds, inverse_stereographic, project_to_manifold,
                      stereographic)
 
@@ -65,13 +66,28 @@ def main():
     """Spherical area-preserving parameterization of closed triangle meshes."""
 
 
+_METHOD = click.Choice(METHODS)
+_METHOD_HELP = ("Descent: preconditioned L-BFGS on spherical areas, or the paper's "
+                "steepest descent on chordal areas.")
+
+
+def _by_method(stage):
+    """The default of an iteration cap, which the method picks."""
+    return "default: " + ", ".join(f"{iters[stage]} under {m}"
+                                   for m, iters in METHOD_ITERS.items())
+
+
+_FPI_HELP = ("Warm-start fixed-point iterations, stopped early on an energy increase "
+             f"({_by_method(0)}).")
+_MAX_HELP = f"Descent iterations ({_by_method(1)})."
+
+
 @main.command()
 @click.argument("mesh", type=click.Path(exists=True, dir_okay=False))
-@click.option("--fpi-iters", type=_COUNT, default=ParameterizeConfig.fpi_iters,
-              show_default=True,
-              help="Warm-start fixed-point iterations (stops early on energy increase).")
-@click.option("--max-iters", type=_COUNT, default=ParameterizeConfig.max_iters,
-              show_default=True, help="Gradient-descent iterations.")
+@click.option("--method", type=_METHOD, default=ParameterizeConfig.method,
+              show_default=True, help=_METHOD_HELP)
+@click.option("--fpi-iters", type=_COUNT, default=None, help=_FPI_HELP)
+@click.option("--max-iters", type=_COUNT, default=None, help=_MAX_HELP)
 @click.option("--ls", "ls", type=click.Choice(sorted(_STRATEGIES)), default="interp",
               show_default=True, help="Line-search strategy.")
 @click.option("--noise-sigma", type=click.FloatRange(min=0), default=0.0, show_default=True,
@@ -81,7 +97,7 @@ def main():
               help="Convergence CSV path (default: <out>/convergence.csv).")
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), default=None,
               help="Output directory (default: <mesh stem>_param).")
-def param(mesh, fpi_iters, max_iters, ls, noise_sigma, seed, log_path, out_dir):
+def param(mesh, method, fpi_iters, max_iters, ls, noise_sigma, seed, log_path, out_dir):
     """Compute the spherical parameterization of MESH."""
     out_dir = out_dir or os.path.splitext(mesh)[0] + "_param"
     # the log is written last: a missing directory for it (other than the
@@ -96,8 +112,10 @@ def param(mesh, fpi_iters, max_iters, ls, noise_sigma, seed, log_path, out_dir):
         surface = load_mesh(mesh)
         if noise_sigma > 0:
             surface = perturb_vertices(surface, noise_sigma, seed)
-        result = parameterize(surface, ParameterizeConfig(
-            fpi_iters=fpi_iters, max_iters=max_iters, strategy=_STRATEGIES[ls], seed=seed))
+        config = ParameterizeConfig(method=method, fpi_iters=fpi_iters,
+                                    max_iters=max_iters, strategy=_STRATEGIES[ls],
+                                    seed=seed)
+        result = parameterize(surface, config)
         # a map the summary cannot measure is a failure, found before any
         # output is written
         s = result.summary
@@ -114,9 +132,9 @@ def param(mesh, fpi_iters, max_iters, ls, noise_sigma, seed, log_path, out_dir):
     csv_path = log_path or os.path.join(out_dir, "convergence.csv")
     write_records_csv(csv_path, result.records)
     params = {
-        "fpi_iters": fpi_iters, "max_iters": max_iters, "ls": ls,
-        "noise_sigma": noise_sigma, "seed": seed,
-        "fpi_iterations_run": len(result.fpi.records),
+        "method": method, "fpi_iters": config.fpi_iters, "max_iters": config.max_iters,
+        "ls": ls, "noise_sigma": noise_sigma, "seed": seed,
+        "fpi_iterations_run": len(result.fpi.records), "start": result.start,
     }
     _write_manifest(out_dir, "param", {"mesh": os.path.abspath(mesh)}, params,
                     result.seconds)
@@ -133,15 +151,15 @@ def param(mesh, fpi_iters, max_iters, ls, noise_sigma, seed, log_path, out_dir):
               help="Landmark penalty weight (finite, > 0).")
 @click.option("--align-iters", type=_COUNT, default=registration.DEFAULT_ALIGN_ITERS,
               show_default=True)
-@click.option("--fpi-iters", type=_COUNT, default=ParameterizeConfig.fpi_iters,
-              show_default=True)
-@click.option("--max-iters", type=_COUNT, default=ParameterizeConfig.max_iters,
-              show_default=True)
+@click.option("--method", type=_METHOD, default=ParameterizeConfig.method,
+              show_default=True, help=_METHOD_HELP)
+@click.option("--fpi-iters", type=_COUNT, default=None, help=_FPI_HELP)
+@click.option("--max-iters", type=_COUNT, default=None, help=_MAX_HELP)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--raw-midpoints", is_flag=True,
               help="Use chord midpoints as-is instead of renormalizing to the sphere.")
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), default=None)
-def register(mesh0, mesh1, landmarks, lam, align_iters, fpi_iters, max_iters,
+def register(mesh0, mesh1, landmarks, lam, align_iters, method, fpi_iters, max_iters,
              seed, raw_midpoints, out_dir):
     """Landmark-aligned registration of MESH0 onto MESH1."""
     out_dir = out_dir or os.path.splitext(mesh0)[0] + "_register"
@@ -151,9 +169,10 @@ def register(mesh0, mesh1, landmarks, lam, align_iters, fpi_iters, max_iters,
         m0 = load_mesh(mesh0)
         m1 = load_mesh(mesh1)
         pairs = parse_landmarks(landmarks, m0.n_vertices, m1.n_vertices)
-        config = ParameterizeConfig(fpi_iters=fpi_iters, max_iters=max_iters, seed=seed)
-        f0 = parameterize(m0, config).mapping
-        f1 = parameterize(m1, config).mapping
+        config = ParameterizeConfig(method=method, fpi_iters=fpi_iters,
+                                    max_iters=max_iters, seed=seed)
+        p0, p1 = parameterize(m0, config), parameterize(m1, config)
+        f0, f1 = p0.mapping, p1.mapping
         reg = registration.register(m0, m1, f0, f1, pairs, lam=lam, iters=align_iters,
                                     normalize=not raw_midpoints)
     except (AuthalicError, ValueError) as exc:
@@ -182,8 +201,9 @@ def register(mesh0, mesh1, landmarks, lam, align_iters, fpi_iters, max_iters,
     with open(os.path.join(out_dir, "mismatch.json"), "w") as fh:
         json.dump(mismatch, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    params = {"lambda": lam, "align_iters": align_iters, "fpi_iters": fpi_iters,
-              "max_iters": max_iters, "seed": seed, "raw_midpoints": raw_midpoints}
+    params = {"lambda": lam, "align_iters": align_iters, "method": method,
+              "fpi_iters": config.fpi_iters, "max_iters": config.max_iters, "seed": seed,
+              "raw_midpoints": raw_midpoints, "starts": [p0.start, p1.start]}
     _write_manifest(out_dir, "register",
                     {"mesh0": os.path.abspath(mesh0), "mesh1": os.path.abspath(mesh1),
                      "landmarks": os.path.abspath(landmarks)},

@@ -22,6 +22,13 @@ one gather of the corner positions and one scatter of the nine
 closed-form area partials per face onto the vertices, all from one
 :class:`FaceGeometry` that also gives the energies and the fold count.
 
+The default descent measures image areas on the sphere instead: the
+signed area of the geodesic triangle of unit corners a, b, c is
+S_t = 2 atan2(N, D), with N = a.(b x c) and D = 1 + a.b + b.c + c.a
+(Van Oosterom and Strackee, IEEE Trans. Biomed. Eng. 1983), both read
+off the same :class:`FaceGeometry`, and the objective is
+(|M| / sum S) sum S_t^2 / |t| (:func:`spherical_gradient`).
+
 There is one route to each energy: :func:`face_geometry` measures a
 mapping once, and its :class:`FaceGeometry` gives ``stretch``,
 ``image_area``, ``authalic``, ``normalized``, ``area_matched_authalic``
@@ -130,6 +137,44 @@ class FaceGeometry:
         mean = float(ratios.mean())
         sd = float(np.sqrt(np.mean((ratios - mean) ** 2)))
         return sd / mean
+
+    @cached_property
+    def spherical_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """(N, D) of every face, with tan(S_t / 2) = N / D for the signed
+        spherical area S_t of its geodesic image triangle (Van Oosterom
+        and Strackee): N = a . (b x c), the `orientation`, and
+        D = 1 + a.b + b.c + c.a = 4 - (|e_ij|^2 + |e_ik|^2 + |e_jk|^2) / 2,
+        which holds for unit corners a, b, c."""
+        d = 4.0 - 0.5 * sum(e[0] * e[0] + e[1] * e[1] + e[2] * e[2]
+                            for e in (self.e_ij.T, self.e_ik.T, self.e_jk.T))
+        return self.orientation, d
+
+    @cached_property
+    def spherical_areas(self) -> np.ndarray:
+        """(m,) signed spherical image areas S_t = 2 atan2(N, D)."""
+        return 2.0 * np.arctan2(*self.spherical_terms)
+
+    @cached_property
+    def spherical_area(self) -> float:
+        """The sum of the signed spherical areas, 4 pi for a degree-1 map;
+        raises :class:`DegenerateFaceError` when it is not positive."""
+        area = float(self.spherical_areas.sum())
+        if not area > 0:
+            raise DegenerateFaceError(f"total spherical image area {area:.3e} "
+                                      "is not positive")
+        return area
+
+    @cached_property
+    def spherical_stretch(self) -> float:
+        """The stretch energy on spherical areas, sum S_t^2 / |t|."""
+        return float(np.sum(self.spherical_areas**2 / self.ref_areas))
+
+    @cached_property
+    def spherical_normalized(self) -> float:
+        """(|M| / sum S) sum S_t^2 / |t|, the normalized stretch energy
+        measured with spherical image areas: at least sum S (Cauchy-Schwarz),
+        with equality exactly at constant spherical-area ratio."""
+        return self.total_area / self.spherical_area * self.spherical_stretch
 
     @property
     def folds(self) -> int:
@@ -242,6 +287,48 @@ def area_gradient(surface, geom: FaceGeometry, weights: np.ndarray | None = None
     _cross(geom.e_jk.T, normal, corners[:, 0], scratch)
     _cross(normal, geom.e_ik.T, corners[:, 1], scratch)
     _cross(geom.e_ij.T, normal, corners[:, 2], scratch)
+    return scatter_corners(surface, buf)
+
+
+def spherical_gradient(surface, geom: FaceGeometry, f: np.ndarray) -> np.ndarray:
+    """Ambient gradient of the spherical normalized energy
+    E = (|M| / sum S) sum S_t^2 / |t| at the unit-row mapping `f` whose
+    face geometry is `geom`.
+
+    dE = sum_t c_t dS_t with c_t = (|M| / sum S) (2 S_t / |t| - E_S / sum S),
+    as for the chordal energy, and dS = 2 (D dN - N dD) / (N^2 + D^2).
+    At corner a of a face (b, c the next corners, cyclically),
+    dN/da = b x c = n - a x (b - c), with n = e_ij x e_ik the face's
+    doubled area normal, and the edge form of D gives
+    dD/da = b + c - 2a, whose tangent part is that of b + c.  The corner
+    positions are gathered into one coordinate-major (3, 3m) buffer and
+    each corner's term overwrites its own position, so one scatter sums
+    the buffer onto the vertices.
+    """
+    n_face, d_face = geom.spherical_terms
+    area = geom.spherical_area
+    coeff = (geom.total_area / area) * (2.0 * geom.spherical_areas / geom.ref_areas
+                                        - geom.spherical_stretch / area)
+    w = 2.0 * coeff / (n_face * n_face + d_face * d_face)
+    wd, wn = w * d_face, w * n_face
+    normal = (geom.a23, -geom.a13, geom.a12)
+    e_ij, e_ik, e_jk = geom.e_ij.T, geom.e_ik.T, geom.e_jk.T
+    ft = np.ascontiguousarray(np.asarray(f, dtype=np.float64).T)
+    buf = np.take(ft, surface.corner_index, axis=1)
+    corners = buf.reshape(3, 3, -1)
+    cross = np.empty((3, w.size))
+    scratch = np.empty(w.size)
+    # per corner x: the cross x x (next - after) as u x v, and dD as a
+    # signed sum of two edges (b + c - 2a = -e_ij - e_ik at a, cyclically)
+    a, b, c = corners[:, 0], corners[:, 1], corners[:, 2]
+    for x, (u, v), (p, sign_p), (q, sign_q) in (
+            (a, (a, e_jk), (e_ij, -1.0), (e_ik, -1.0)),
+            (b, (e_ik, b), (e_ij, 1.0), (e_jk, -1.0)),
+            (c, (c, e_ij), (e_ik, 1.0), (e_jk, 1.0))):
+        _cross(u, v, cross, scratch)
+        # x is read by its own cross product only, so its rows take the term
+        for s in range(3):
+            x[s] = wd * (normal[s] - cross[s]) - wn * (sign_p * p[s] + sign_q * q[s])
     return scatter_corners(surface, buf)
 
 

@@ -2,12 +2,14 @@
 
 Produces the initial spherical mapping for gradient descent: a conformal
 starting map (harmonic flattening of the once-punctured mesh, lifted to
-the sphere), then alternating hemisphere solves of the image-weighted
-Laplacian in the stereographic plane with median rescaling.  The
-iteration is cheap but not monotone; the driver can stop as soon as the
-authalic energy first increases and roll back one step.  The conformal
-start, these solves and fold correction (:mod:`authalic.unfold`) share
-one restricted planar solve, :func:`dirichlet_solve`.
+the sphere, from the reference cotangent Laplacian), or the radial start
+where the conformal one folds, then alternating hemisphere solves of the
+image-weighted Laplacian in the stereographic plane with median
+rescaling.  The iteration is cheap but not monotone; the caller can
+stop as soon as the authalic energy first increases and roll back one
+step.  The conformal start, these solves and fold correction
+(:mod:`authalic.unfold`) share one restricted planar solve,
+:func:`dirichlet_solve`.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .errors import DegenerateFaceError, SolveError
 from .linsolve import solve
 from .rgd import IterationRecord, MinimizeResult, make_record
 from .sphere import (PlanarPoints, count_folds, inverse_stereographic,
-                     invert_plane, stereographic)
+                     invert_plane, row_dots, stereographic)
 
 # disk radius of the hemisphere solves: each re-solves the finite points
 # with |h| < RADIUS, so the two hemispheres' disks overlap
@@ -33,7 +35,7 @@ STRETCH_DECREASE_TOL = 1e-6
 _PIN = np.exp(1j * np.array([np.pi / 2, np.pi / 2 + 2 * np.pi / 3, np.pi / 2 + 4 * np.pi / 3]))
 
 
-def conformal_initial_map(surface, rng=None) -> np.ndarray:
+def conformal_initial_map(surface, rng=None, laplacian=None) -> np.ndarray:
     """Spherical conformal-ish starting map via harmonic flattening.
 
     One face is punctured and its three vertices pinned to an equilateral
@@ -44,7 +46,8 @@ def conformal_initial_map(surface, rng=None) -> np.ndarray:
     lands with inverted global orientation the plane is conjugated, so
     meshes of either orientation get a mostly fold-free start.  The
     punctured face is drawn by `rng` when one is given, else it is the
-    largest face.
+    largest face.  `laplacian` is the reference cotangent Laplacian,
+    assembled here when not given.
     """
     if rng is not None:
         face_index = int(rng.integers(surface.n_faces))
@@ -52,9 +55,7 @@ def conformal_initial_map(surface, rng=None) -> np.ndarray:
         face_index = int(np.argmax(surface.face_areas))
     pinned = surface.faces[face_index]
 
-    # stretch Laplacian of the identity mapping = classical half-cotangent
-    # Laplacian of the reference mesh
-    lap = en.assemble_laplacian(surface, en.face_geometry(surface, surface.vertices))
+    lap = reference_laplacian(surface) if laplacian is None else laplacian
     n = surface.n_vertices
     interior = np.ones(n, dtype=bool)
     interior[pinned] = False
@@ -73,6 +74,27 @@ def conformal_initial_map(surface, rng=None) -> np.ndarray:
     f = inverse_stereographic(PlanarPoints.finite(h))
     if count_folds(surface, f) > surface.n_faces // 2:
         f = inverse_stereographic(PlanarPoints.finite(np.conj(h)))
+    return f
+
+
+def reference_laplacian(surface):
+    """The stretch Laplacian of the identity mapping, which is the
+    classical half-cotangent Laplacian of the reference mesh."""
+    return en.assemble_laplacian(surface, en.face_geometry(surface, surface.vertices))
+
+
+def radial_initial_map(surface) -> np.ndarray:
+    """The radial start (v - c) / |v - c|, c the vertex centroid, mirrored
+    (x -> -x) when more than half its faces fold.
+
+    It is fold-free on every mesh that is star-shaped about c.  A vertex
+    at c has no direction: its row is NaN, and its faces count as folds.
+    """
+    d = surface.vertices - surface.vertices.mean(axis=0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        f = d / np.sqrt(row_dots(d, d))[:, None]
+    if count_folds(surface, f) > surface.n_faces // 2:
+        f[:, 0] = -f[:, 0]
     return f
 
 

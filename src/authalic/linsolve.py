@@ -8,6 +8,9 @@ the callers' systems are restrictions of mesh-graph Laplacians whose
 unknowns they list in the mesh's nested-dissection order
 (:attr:`~authalic.mesh.SimplicialSurface.dissection_order`, computed once
 per surface), which fills far less than SuperLU's own COLAMD order.
+:func:`factorize` is the one route to a factor: it returns a solve that
+can be applied many times (the descent's preconditioner, see
+:mod:`authalic.rgd`), and :func:`solve` factors and solves once.
 Every solve is checked against the contract
 
     ||A x - b|| <= RESIDUAL_RTOL * (||A||_inf ||x|| + ||b||)     per column,
@@ -42,11 +45,58 @@ def _condition_estimate(lu, matrix: sp.csc_matrix) -> float:
         return float("inf")
 
 
-def solve(matrix: sp.spmatrix, rhs) -> np.ndarray:
-    """Solve A x = b for each right-hand-side column.
+def factorize(matrix: sp.spmatrix):
+    """Factor A once; return its checked solve, ``x = solve(b)``.
 
     The unknowns are eliminated in the order the rows and columns of A
-    list them (SuperLU's ``NATURAL`` column order).
+    list them (SuperLU's ``NATURAL`` column order).  Each call of the
+    returned solve takes an array whose first axis has one row per
+    unknown, checks every column against the residual contract and
+    returns x with the shape of b.
+    """
+    matrix = sp.csc_matrix(matrix)
+    n = matrix.shape[0]
+    if matrix.shape[0] != matrix.shape[1]:
+        raise ValueError(f"matrix must be square, got {matrix.shape}")
+    a_norm = float(abs(matrix).sum(axis=1).max()) if matrix.nnz else 0.0
+    try:
+        lu = spla.splu(matrix, permc_spec="NATURAL")
+    except RuntimeError as exc:
+        raise SolveError(f"sparse LU factorization failed: {exc}") from exc
+
+    def solve_factored(rhs) -> np.ndarray:
+        rhs = np.asarray(rhs)
+        if rhs.shape[0] != n:
+            raise ValueError(f"rhs has {rhs.shape[0]} rows, expected {n}")
+        b2 = rhs.reshape(n, -1)
+        # a real matrix with a complex right-hand side: the real and
+        # imaginary parts become extra real columns of the one factorization
+        split = np.iscomplexobj(rhs) and not np.iscomplexobj(matrix.data)
+        if split:
+            b2 = np.concatenate([b2.real, b2.imag], axis=1)
+        x2 = lu.solve(b2)
+
+        residual = np.linalg.norm(matrix @ x2 - b2, axis=0)
+        bound = RESIDUAL_RTOL * (a_norm * np.linalg.norm(x2, axis=0)
+                                 + np.linalg.norm(b2, axis=0))
+        if not np.isfinite(x2).all() or (residual > np.maximum(bound, 1e-300)).any():
+            raise SolveError(
+                "solve failed the residual contract "
+                f"(residual {residual.max():.3e}, bound {bound.max():.3e}, "
+                f"condition estimate {_condition_estimate(lu, matrix):.3e}); "
+                "matrix singular or ill-conditioned"
+            )
+        if split:
+            half = b2.shape[1] // 2
+            x2 = x2[:, :half] + 1j * x2[:, half:]
+        return x2.reshape(rhs.shape)
+
+    return solve_factored
+
+
+def solve(matrix: sp.spmatrix, rhs) -> np.ndarray:
+    """Solve A x = b for each right-hand-side column: one factorization
+    (:func:`factorize`) and one checked solve.
 
     Parameters
     ----------
@@ -57,38 +107,4 @@ def solve(matrix: sp.spmatrix, rhs) -> np.ndarray:
     -------
     x : array with the same shape as the right-hand side.
     """
-    matrix = sp.csc_matrix(matrix)
-    n = matrix.shape[0]
-    if matrix.shape[0] != matrix.shape[1]:
-        raise ValueError(f"matrix must be square, got {matrix.shape}")
-    rhs = np.asarray(rhs)
-    if rhs.shape[0] != n:
-        raise ValueError(f"rhs has {rhs.shape[0]} rows, expected {n}")
-
-    b2 = rhs.reshape(n, -1)
-    # a real matrix with a complex right-hand side: the real and imaginary
-    # parts become extra real columns of the one factorization
-    split = np.iscomplexobj(rhs) and not np.iscomplexobj(matrix.data)
-    if split:
-        b2 = np.concatenate([b2.real, b2.imag], axis=1)
-    a_norm = float(abs(matrix).sum(axis=1).max()) if matrix.nnz else 0.0
-
-    try:
-        lu = spla.splu(matrix, permc_spec="NATURAL")
-    except RuntimeError as exc:
-        raise SolveError(f"sparse LU factorization failed: {exc}") from exc
-    x2 = lu.solve(b2)
-
-    residual = np.linalg.norm(matrix @ x2 - b2, axis=0)
-    bound = RESIDUAL_RTOL * (a_norm * np.linalg.norm(x2, axis=0) + np.linalg.norm(b2, axis=0))
-    if not np.isfinite(x2).all() or (residual > np.maximum(bound, 1e-300)).any():
-        raise SolveError(
-            "solve failed the residual contract "
-            f"(residual {residual.max():.3e}, bound {bound.max():.3e}, "
-            f"condition estimate {_condition_estimate(lu, matrix):.3e}); "
-            "matrix singular or ill-conditioned"
-        )
-    if split:
-        half = b2.shape[1] // 2
-        x2 = x2[:, :half] + 1j * x2[:, half:]
-    return x2.reshape(rhs.shape)
+    return factorize(matrix)(rhs)

@@ -1,12 +1,28 @@
 """End-to-end parameterization pipeline and record/report plumbing.
 
-Pipeline order: conformal start, a short burst of fixed-point iterations
-(stopped at the first energy increase), fold correction,
-gradient descent, fold correction again.  The input mesh is always
-rescaled to total area 4*pi first: the reported energies are then
-comparable across models, and FPI's stopping tests, which read absolute
-energies, take the same decisions at every input scale (the descent's
-objective is invariant under the rescaling anyway).
+Pipeline order: a start map, a burst of fixed-point iterations (FPI,
+stopped at the first energy increase), fold correction, Riemannian
+descent, fold correction again.  The start is the conformal one; if it
+folds and the radial start (:func:`~authalic.fpi.radial_initial_map`)
+does not, the radial one.  Two methods share that order
+(:attr:`ParameterizeConfig.method`):
+
+- ``"lbfgs"``, the default: no FPI iterations, and 20 iterations of the
+  preconditioned Riemannian L-BFGS direction on the normalized stretch
+  energy measured with spherical image areas;
+- ``"paper"``: 10 FPI iterations, then 100 of the paper's steepest
+  descent on the chordal normalized stretch energy;
+  ``ParameterizeConfig(method="paper")`` is the paper's run.
+
+The method picks the iteration caps (:data:`METHOD_ITERS`), the
+objective and the direction together; the caps can be overridden.
+
+One reference cotangent Laplacian is assembled per run, for the
+conformal start and the L-BFGS preconditioner.  The input mesh is
+always rescaled to total area 4*pi first: the reported energies are
+then comparable across models, and FPI's stopping tests, which read
+absolute energies, take the same decisions at every input scale (the
+descent's objectives are invariant under the rescaling anyway).
 """
 
 from __future__ import annotations
@@ -17,36 +33,50 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import energy as en
-from .fpi import conformal_initial_map, fpi_minimize
+from .fpi import (conformal_initial_map, fpi_minimize, radial_initial_map,
+                  reference_laplacian)
 from .linesearch import STRATEGIES
 from .mesh import SimplicialSurface, normalize_area
 from .rgd import IterationRecord, MinimizeResult, minimize
-# the summary reads the fold count from the face geometry; count_folds stays
-# importable here because perfbench/spans.py wraps it under this name
-from .sphere import count_folds  # noqa: F401
+from .sphere import count_folds
 from .unfold import CorrectionResult, correct_bijectivity
 
 CSV_HEADER = "iter,E_S,E_A,E,sd_over_mean,grad_norm,alpha,folds,elapsed_s"
+METHOD_ITERS = {"lbfgs": (0, 20), "paper": (10, 100)}
+"""(FPI, descent) iteration caps of each method, used where the
+configuration leaves them unset."""
+METHODS = tuple(METHOD_ITERS)
 
 
 @dataclass(frozen=True)
 class ParameterizeConfig:
-    """Settings of :func:`parameterize`: the FPI and descent iteration
-    caps, the line search and the seed of the conformal start's puncture.
-    An unknown `strategy` raises ``ValueError`` here, before any work is
-    done.  The method's fixed steps and numbers are not settings: fold
-    correction always runs after FPI and after the descent, and the disk
-    radius of the hemisphere solves (:data:`authalic.fpi.RADIUS`) and the
-    line search's sufficient-decrease constant and step cap
-    (:data:`authalic.linesearch.C1`, :data:`authalic.linesearch.ALPHA_MAX`)
-    are module constants."""
+    """Settings of :func:`parameterize`: the method (see
+    :mod:`authalic.pipeline`), the FPI and descent iteration caps (unset,
+    the method's own, :data:`METHOD_ITERS`; they read resolved after
+    construction), the line search and the seed of the conformal start's
+    puncture.  An unknown `method` or `strategy` raises ``ValueError``
+    here, before any work is done.  The method's fixed steps and numbers
+    are not settings: fold correction always runs after FPI (a fold-free
+    start that FPI left unchanged counts as corrected) and after the
+    descent, and the disk radius of the hemisphere solves
+    (:data:`authalic.fpi.RADIUS`) and the line search's
+    sufficient-decrease constant and step cap (:data:`authalic.linesearch.C1`,
+    :data:`authalic.linesearch.ALPHA_MAX`) are module constants."""
 
-    fpi_iters: int = 10
-    max_iters: int = 100
+    method: str = "lbfgs"
+    fpi_iters: int | None = None
+    max_iters: int | None = None
     strategy: str = "interpolant"
     seed: int = 0
 
     def __post_init__(self):
+        if self.method not in METHODS:
+            raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
+        fpi_iters, max_iters = METHOD_ITERS[self.method]
+        if self.fpi_iters is None:
+            object.__setattr__(self, "fpi_iters", fpi_iters)
+        if self.max_iters is None:
+            object.__setattr__(self, "max_iters", max_iters)
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}, "
                              f"expected one of {STRATEGIES}")
@@ -54,13 +84,15 @@ class ParameterizeConfig:
 
 @dataclass(frozen=True)
 class ParameterizeResult:
-    """The final map and its rescaled surface.  `fpi` and `rgd` are the
+    """The final map and its rescaled surface.  `start` names the start
+    map, ``"conformal"`` or ``"radial"``.  `fpi` and `rgd` are the
     warm-up's and the descent's own results; `records` runs through both
     with one iteration numbering and one clock.  `corrections` holds the
     fold corrections ``"after_fpi"`` and ``"after_rgd"``."""
 
     mapping: np.ndarray
     surface: SimplicialSurface
+    start: str
     records: list[IterationRecord]
     fpi: MinimizeResult
     rgd: MinimizeResult
@@ -89,7 +121,14 @@ def parameterize(surface: SimplicialSurface,
     rng = np.random.default_rng(config.seed)
     start = time.perf_counter()
 
-    f = conformal_initial_map(surface, rng=rng)
+    lap = reference_laplacian(surface)
+    f = conformal_initial_map(surface, rng=rng, laplacian=lap)
+    start_name = "conformal"
+    start_folds = count_folds(surface, f)
+    if start_folds:
+        radial = radial_initial_map(surface)
+        if not count_folds(surface, radial):
+            f, start_name, start_folds = radial, "radial", 0
     records: list[IterationRecord] = []
 
     def append(stage_records, began):
@@ -102,16 +141,24 @@ def parameterize(surface: SimplicialSurface,
     began = time.perf_counter() - start
     fpi = fpi_minimize(surface, f, max_iters=config.fpi_iters, stop_on_increase=True)
     append(fpi.records, began)
-    after_fpi = correct_bijectivity(surface, fpi.mapping)
+    if fpi.records or start_folds:
+        after_fpi = correct_bijectivity(surface, fpi.mapping)
+    else:
+        # FPI ran no iteration and the start is fold-free: the correction
+        # would count its folds again and return it as given
+        after_fpi = CorrectionResult(mapping=fpi.mapping, folds_before=0, folds_after=0,
+                                     sweeps=0)
 
     began = time.perf_counter() - start
     rgd = minimize(surface, after_fpi.mapping, max_iters=config.max_iters,
-                   strategy=config.strategy)
+                   strategy=config.strategy,
+                   laplacian=lap if config.method == "lbfgs" else None)
     append(rgd.records, began)
     after_rgd = correct_bijectivity(surface, rgd.mapping)
 
     return ParameterizeResult(
-        mapping=after_rgd.mapping, surface=surface, records=records, fpi=fpi, rgd=rgd,
+        mapping=after_rgd.mapping, surface=surface, start=start_name, records=records,
+        fpi=fpi, rgd=rgd,
         corrections={"after_fpi": after_fpi, "after_rgd": after_rgd},
         seconds=time.perf_counter() - start,
     )

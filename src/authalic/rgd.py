@@ -1,12 +1,23 @@
 """Riemannian gradient descent on the power manifold of unit spheres.
 
 Each iteration projects the ambient gradient of the objective to the
-tangent space, takes the anti-gradient direction, picks a step size by
-line search, and retracts.  The default objective is the normalized
-stretch energy; alternative objectives (e.g. the landmark registration
-energy) plug in through the same interface, and every objective stops
-by the same rules (see :func:`minimize`): the stall test reads the
-decrease of the objective being minimized, so no caller needs its own.
+tangent space, takes a descent direction, picks a step size by line
+search, and retracts.  The direction is the anti-gradient (the paper's
+method, and the landmark alignment's) or, given the reference
+cotangent Laplacian L, a preconditioned Riemannian L-BFGS direction
+(Huang, Gallivan and Absil, SIAM J. Optim. 2015): the two-loop
+recursion over the last :data:`LBFGS_MEMORY` pairs, re-projected onto
+the current tangent space, with the initial inverse Hessian
+P K^-1 P for K = L + :data:`PRECONDITIONER_SHIFT` (|M| / n) I.  K is
+factored once per :func:`minimize` call and released when it returns.
+
+The default objective is the normalized stretch energy, with chordal
+or spherical image areas (:class:`NormalizedStretchObjective`);
+alternative objectives (e.g. the landmark registration energy) plug in
+through the same interface, and every objective stops by the same
+rules (see :func:`minimize`): the stall test reads the decrease of the
+objective being minimized, so no caller needs its own.  The records
+always carry the chordal energies of the geometry.
 
 Each accepted iterate gets one per-face geometry pass: the objectives
 keep the :class:`~authalic.energy.FaceGeometry` of the last mapping they
@@ -22,12 +33,15 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import energy as en
+from .errors import SolveError
 from .linesearch import ALPHA_MAX, phi_derivative_at_zero, search
+from .linsolve import factorize
 # the records read the fold count from the face geometry; count_folds stays
 # importable here because perfbench/spans.py wraps it under this name
-from .sphere import count_folds, project_tangent  # noqa: F401
+from .sphere import count_folds, project_tangent, row_dots  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -38,6 +52,13 @@ ENERGY_TOL = 1e-12
 """The stall test: stop after :data:`STALL_ITERS` accepted steps in a row
 that each lower the objective by less than this."""
 STALL_ITERS = 3
+PRECONDITIONER_SHIFT = 3.0
+"""epsilon of the preconditioner K = L + epsilon (|M| / n) I; at 0.01 and
+below the descent stalls."""
+LBFGS_MEMORY = 5
+"""Pairs the L-BFGS direction keeps."""
+CURVATURE_TOL = 1e-12
+"""A pair is kept only when <s, y> > CURVATURE_TOL |s| |y|."""
 
 
 @dataclass(frozen=True)
@@ -91,15 +112,150 @@ class GeometryMemo:
 
 
 class NormalizedStretchObjective(GeometryMemo):
-    """Objective wrapper: normalized stretch energy and its gradient."""
+    """Objective wrapper: normalized stretch energy and its gradient.
+
+    The image area of a face is its chordal triangle's (the paper's
+    energy, `normalized`) or, with `spherical`, its geodesic triangle's
+    on the sphere (`spherical_normalized`).  Spherical areas sum to 4 pi
+    for every degree-1 map, so that energy cannot fall by shrinking the
+    total image area, which the chordal one can on coarse meshes.
+    """
+
+    def __init__(self, surface, spherical: bool = False):
+        super().__init__(surface)
+        self.spherical = spherical
 
     def value(self, f: np.ndarray) -> float:
-        return self.geometry(f).normalized
+        geom = self.geometry(f)
+        return geom.spherical_normalized if self.spherical else geom.normalized
 
     def value_and_gradient(self, f: np.ndarray):
         geom = self.geometry(f)
         en.check_geometry(geom)
+        if self.spherical:
+            return geom.spherical_normalized, en.spherical_gradient(self.surface, geom, f)
         return geom.normalized, en.normalized_gradient(self.surface, geom)
+
+
+def preconditioner(surface, laplacian: sp.spmatrix):
+    """K^-1 as a checked solve, for K = L + :data:`PRECONDITIONER_SHIFT`
+    (|M| / n) I with L the reference cotangent Laplacian `laplacian`.
+
+    K is factored once, in the surface's dissection order, through
+    :func:`~authalic.linsolve.factorize`, so every application meets the
+    residual contract; K is symmetric positive definite, so each
+    application also checks <g, K^-1 g> > 0 and raises
+    :class:`~authalic.errors.SolveError` otherwise.  The returned
+    function maps an (n, 3) array g to K^-1 g.
+    """
+    n = surface.n_vertices
+    order = surface.dissection_order
+    shift = PRECONDITIONER_SHIFT * surface.total_area / n
+    k = sp.csr_matrix(laplacian + shift * sp.eye(n, format="csr"))[order][:, order]
+    solve_k = factorize(k)
+
+    def apply(g: np.ndarray) -> np.ndarray:
+        x = np.empty_like(g)
+        x[order] = solve_k(g[order])
+        curvature = _inner(g, x)
+        if not curvature > 0:
+            raise SolveError(f"preconditioner is not positive definite "
+                             f"(<g, K^-1 g> = {curvature:.3e})")
+        return x
+
+    return apply
+
+
+class LBFGS:
+    """Preconditioned Riemannian L-BFGS directions on the power manifold.
+
+    The last :data:`LBFGS_MEMORY` pairs s = P_x(x_k - x_{k-1}) and
+    y = g_k - P_x(g_{k-1}) (g the Riemannian gradient, P_x the tangent
+    projection at the current x) live in preallocated ring arrays; each
+    call re-projects them onto the current tangent space in place and
+    runs the two-loop recursion (Nocedal and Wright, Alg. 7.4) with the
+    initial inverse Hessian H_0 = P_x K^-1 P_x.  A pair is kept only when
+    <s, y> > :data:`CURVATURE_TOL` |s| |y|; it is built in spare arrays,
+    so a rejected pair never overwrites a kept one.  A direction that is
+    not a descent direction is replaced by -P_x K^-1 g and the memory is
+    cleared.
+    """
+
+    def __init__(self, precondition, shape):
+        self.precondition = precondition
+        self.s = [np.empty(shape) for _ in range(LBFGS_MEMORY)]
+        self.y = [np.empty(shape) for _ in range(LBFGS_MEMORY)]
+        self.rho = np.zeros(LBFGS_MEMORY)
+        self.count = 0  # pairs held
+        self.newest = -1  # ring slot of the newest pair
+        self._spare = (np.empty(shape), np.empty(shape))
+        self._last = None  # (x, g) of the previous call
+
+    def _slots(self):
+        """Ring slots of the pairs held, oldest first."""
+        return [(self.newest - i) % LBFGS_MEMORY for i in range(self.count - 1, -1, -1)]
+
+    def _push(self, f: np.ndarray, g: np.ndarray) -> None:
+        """Form the pair from the previous call's (x, g) and keep it if its
+        curvature passes."""
+        x_prev, g_prev = self._last
+        s, y = self._spare
+        np.subtract(f, x_prev, out=s)
+        _project_in_place(f, s)
+        np.copyto(y, g_prev)
+        _project_in_place(f, y)
+        np.subtract(g, y, out=y)
+        sy = _inner(s, y)
+        if not sy > CURVATURE_TOL * np.sqrt(_inner(s, s) * _inner(y, y)):
+            return
+        slot = (self.newest + 1) % LBFGS_MEMORY
+        # swap the spare arrays into the ring; the slot's old arrays
+        # (the oldest pair, when the ring is full) become the spares
+        self._spare = (self.s[slot], self.y[slot])
+        self.s[slot], self.y[slot] = s, y
+        self.rho[slot] = 1.0 / sy
+        self.newest = slot
+        self.count = min(self.count + 1, LBFGS_MEMORY)
+
+    def _preconditioned(self, f: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """P_f K^-1 v, in a new array."""
+        x = self.precondition(v)
+        _project_in_place(f, x)
+        return x
+
+    def direction(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """The descent direction at `f`, whose Riemannian gradient is `g`."""
+        if self._last is not None:
+            self._push(f, g)
+        self._last = (f, g)
+        slots = self._slots()
+        for slot in slots:
+            _project_in_place(f, self.s[slot])
+            _project_in_place(f, self.y[slot])
+        q = g.copy()
+        alphas = []
+        for slot in reversed(slots):
+            alphas.append(self.rho[slot] * _inner(self.s[slot], q))
+            q -= alphas[-1] * self.y[slot]
+        r = self._preconditioned(f, q)
+        for slot, alpha in zip(slots, reversed(alphas)):
+            r += (alpha - self.rho[slot] * _inner(self.y[slot], r)) * self.s[slot]
+        _project_in_place(f, r)
+        if not _inner(r, g) > 0:
+            self.count = 0
+            r = self._preconditioned(f, g)
+        return np.negative(r, out=r)
+
+
+def _project_in_place(f: np.ndarray, v: np.ndarray) -> None:
+    """v <- P_f v, row by row."""
+    v -= row_dots(f, v)[:, None] * f
+
+
+def _inner(a: np.ndarray, b: np.ndarray) -> float:
+    """Frobenius inner product; einsum, not a BLAS dot, which can wait
+    milliseconds for its worker threads."""
+    return float(np.einsum("ij,ij->", a, b))
 
 
 def make_record(geom: en.FaceGeometry, iteration: int, grad_norm: float | None,
@@ -120,8 +276,18 @@ def make_record(geom: en.FaceGeometry, iteration: int, grad_norm: float | None,
 
 
 def minimize(surface, f0: np.ndarray, *, objective=None, max_iters: int = 100,
-             strategy: str = "interpolant") -> MinimizeResult:
+             strategy: str = "interpolant", laplacian=None) -> MinimizeResult:
     """Run gradient descent from `f0` until a stopping rule fires.
+
+    The direction is the anti-gradient (the paper's method) or, when the
+    reference cotangent Laplacian `laplacian` is given, the
+    preconditioned L-BFGS direction (:class:`LBFGS`, with
+    :func:`preconditioner` factored once for this call and released when
+    it returns).  Once the L-BFGS memory holds a pair, the first trial
+    step is :data:`~authalic.linesearch.ALPHA_MAX`.  `laplacian` also
+    picks the default objective, so one argument selects each of the
+    pipeline's methods: the chordal normalized stretch energy without
+    it, the spherical one with it.
 
     The rules are the same for every objective, and each reads values the
     loop already holds: the Riemannian gradient norm falls to
@@ -141,11 +307,14 @@ def minimize(surface, f0: np.ndarray, *, objective=None, max_iters: int = 100,
     objective : GeometryMemo, optional
         A :class:`GeometryMemo` with `value(f)` and
         `value_and_gradient(f)` -> (value, ambient gradient); defaults to
-        the normalized stretch energy on `surface`.  The records reuse
-        the geometry it measured for the accepted trial.
+        the normalized stretch energy on `surface`, with spherical image
+        areas when `laplacian` is given.  The records reuse the geometry
+        it measured for the accepted trial.
     """
-    objective = objective or NormalizedStretchObjective(surface)
+    objective = objective or NormalizedStretchObjective(surface,
+                                                        spherical=laplacian is not None)
     f = np.asarray(f0, dtype=np.float64).copy()
+    lbfgs = None if laplacian is None else LBFGS(preconditioner(surface, laplacian), f.shape)
     grad_tol = GRAD_TOL * np.sqrt(f.shape[0])
 
     records: list[IterationRecord] = []
@@ -156,15 +325,14 @@ def minimize(surface, f0: np.ndarray, *, objective=None, max_iters: int = 100,
     for k in range(1, max_iters + 1):
         value, egrad = objective.value_and_gradient(f)
         rgrad = project_tangent(f, egrad)
-        # einsum, not np.linalg.norm: a BLAS dot can wait milliseconds for
-        # its worker threads, more than the rest of the record costs
-        grad_norm = float(np.sqrt(np.einsum("ij,ij->", rgrad, rgrad)))
+        grad_norm = float(np.sqrt(_inner(rgrad, rgrad)))
         if grad_norm <= grad_tol:
             return MinimizeResult(f, records, "grad_converged",
                                   f"|grad| = {grad_norm:.3e} <= {grad_tol:.3e}")
-        d = -rgrad
+        d = -rgrad if lbfgs is None else lbfgs.direction(f, rgrad)
         dphi0 = phi_derivative_at_zero(f, d, egrad)
-        if prev_value is None or not np.isfinite(dphi0) or dphi0 >= 0:
+        if (prev_value is None or not np.isfinite(dphi0) or dphi0 >= 0
+                or (lbfgs is not None and lbfgs.count)):
             alpha0 = ALPHA_MAX
         else:
             alpha0 = min(ALPHA_MAX, 2.0 * (value - prev_value) / dphi0)

@@ -259,8 +259,9 @@ def test_criterion_11_benchmark_reproduction():
     path = _find_benchmark(["*[Dd]avid*"])
     surf = normalize_area(load_mesh(path))
     start = time.perf_counter()
-    result = parameterize(surf, ParameterizeConfig(fpi_iters=10, max_iters=100,
-                                                   strategy="interpolant"))
+    # the paper's method: 10 FPI iterations, then 100 steepest-descent
+    # iterations on the chordal energy
+    result = parameterize(surf, ParameterizeConfig(method="paper", strategy="interpolant"))
     elapsed = time.perf_counter() - start
     rep = face_geometry(result.surface, result.mapping)
     matched = matched_authalic(rep)

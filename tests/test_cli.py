@@ -10,7 +10,7 @@ import authalic.energy as en
 from authalic import registration
 from authalic.cli import main
 from authalic.mesh import load_mesh, make_icosphere, save_mesh
-from authalic.pipeline import parameterize
+from authalic.pipeline import METHOD_ITERS, parameterize
 from authalic.sphere import count_folds
 
 
@@ -78,6 +78,26 @@ def test_param_deterministic_rerun(tmp_path, mesh_file):
     # byte-identical numerical columns; wall-clock column may differ
     assert strip_elapsed(csv_a) == strip_elapsed(csv_b)
     assert (a / "sphere.obj").read_text() == (b / "sphere.obj").read_text()
+
+
+def test_param_method_is_run_and_recorded(tmp_path, mesh_file):
+    runs = {}
+    for method in ("lbfgs", "paper"):
+        out = tmp_path / method
+        result = run("param", mesh_file, "--method", method, "--max-iters", "3",
+                     "--out", str(out))
+        assert result.exit_code == 0, result.output
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["params"]["method"] == method
+        # an unset cap is the method's own, and the manifest records it
+        assert manifest["params"]["fpi_iters"] == METHOD_ITERS[method][0]
+        assert manifest["params"]["max_iters"] == 3
+        assert manifest["params"]["start"] == "conformal"
+        runs[method] = (out / "sphere.obj").read_text()
+    assert runs["lbfgs"] != runs["paper"]
+    result = CliRunner().invoke(main, ["param", mesh_file, "--method", "newton",
+                                       "--out", str(tmp_path / "bad")])
+    assert result.exit_code == 2
 
 
 def test_param_log_flag_and_noise(tmp_path, mesh_file):
@@ -204,6 +224,8 @@ def test_register_outputs(registration_dir, sphere_file):
              for name in ("h0", "h1")]
     assert mismatch["alignment_folds"] == folds
     assert all(type(n) is int and n >= 0 for n in mismatch["alignment_folds"])
+    params = json.loads((out / "manifest.json").read_text())["params"]
+    assert params["method"] == "lbfgs" and params["starts"] == ["conformal", "conformal"]
 
 
 @pytest.mark.parametrize("flags, normalize", [([], True), (["--raw-midpoints"], False)],

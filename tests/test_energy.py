@@ -3,7 +3,7 @@ import pytest
 
 from authalic.energy import (area_gradient, assemble_global_hessian, assemble_laplacian,
                              euclidean_gradient, face_geometry, image_area_gradient,
-                             _corner_weights)
+                             spherical_gradient, _corner_weights)
 from authalic.errors import DegenerateFaceError
 from authalic.mesh import build_surface
 from authalic.sphere import project_tangent, project_to_manifold, retract
@@ -233,6 +233,51 @@ def test_euclidean_gradient_matches_finite_differences(icosphere2):
     mask = np.abs(grad) > 1e-8
     rel = np.abs(fd - grad)[mask] / np.abs(grad)[mask]
     assert rel.max() <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# Spherical-area energy
+# ---------------------------------------------------------------------------
+
+def test_spherical_gradient_matches_finite_differences(icosphere2):
+    # criterion 2's mesh, mapping and bound.  The step is 1e-5: at 1e-6
+    # the quotient's roundoff (about 3e-9 on an energy of 12.6) is above
+    # 1e-6 of the smallest entries checked (2e-4); the gradient agrees
+    # with the 1e-5 quotient to 6e-8
+    f = perturbed_mapping(icosphere2, 12)
+    grad = spherical_gradient(icosphere2, face_geometry(icosphere2, f), f)
+    fd = central_difference_gradient(
+        lambda g: face_geometry(icosphere2, g).spherical_normalized, f, eps=1e-5)
+    mask = np.abs(grad) > 1e-8
+    rel = np.abs(fd - grad)[mask] / np.abs(grad)[mask]
+    assert rel.max() < 1e-6
+
+
+def test_spherical_areas_sum_to_four_pi_at_the_identity(icosphere2):
+    geom = face_geometry(icosphere2, icosphere2.vertices)
+    assert abs(geom.spherical_area - 4.0 * np.pi) <= 1e-12
+    # and at any other degree-1 map
+    f = perturbed_mapping(icosphere2, 3)
+    assert abs(face_geometry(icosphere2, f).spherical_area - 4.0 * np.pi) <= 1e-12
+
+
+def test_spherical_areas_of_the_octahedron_are_octants():
+    # Girard: the geodesic triangle of three orthogonal unit vectors has
+    # area pi / 2
+    v = np.concatenate([np.eye(3), -np.eye(3)])
+    faces = np.array([[0, 1, 2], [1, 3, 2], [3, 4, 2], [4, 0, 2],
+                      [1, 0, 5], [3, 1, 5], [4, 3, 5], [0, 4, 5]])
+    octahedron = build_surface(v, faces)
+    areas = face_geometry(octahedron, v).spherical_areas
+    assert np.abs(areas - np.pi / 2).max() <= 1e-15
+
+
+def test_mirrored_map_has_no_positive_spherical_area(icosphere2):
+    mirrored = icosphere2.vertices * np.array([-1.0, 1.0, 1.0])
+    geom = face_geometry(icosphere2, mirrored)
+    assert abs(geom.spherical_areas.sum() + 4.0 * np.pi) <= 1e-12
+    with pytest.raises(DegenerateFaceError, match="total spherical image area"):
+        geom.spherical_normalized
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ import scipy.sparse.linalg as spla
 from authalic.energy import assemble_laplacian, face_geometry
 from authalic.errors import SolveError
 from authalic.fpi import _interior_mask, conformal_initial_map, dirichlet_solve
-from authalic.linsolve import _condition_estimate, solve
+import authalic.linsolve as linsolve
+from authalic.linsolve import _condition_estimate, factorize, solve
 from authalic.mesh import make_icosphere, normalize_area
 from authalic.sphere import invert_plane, stereographic
 
@@ -80,6 +81,23 @@ def test_complex_rhs_factorizes_once(monkeypatch):
     assert len(calls) == 1
     assert x.shape == z.shape and np.iscomplexobj(x)
     assert np.abs(a @ x - z).max() <= 1e-12
+
+
+def test_factorize_gives_a_checked_solve_for_many_right_hand_sides(monkeypatch):
+    calls = count_factorizations(monkeypatch)
+    rng = np.random.default_rng(1)
+    a = sp.random(30, 30, density=0.2, random_state=rng) + sp.eye(30) * 10.0
+    solve_a = factorize(a)
+    for shape in ((30,), (30, 3)):
+        b = rng.normal(size=shape)
+        x = solve_a(b)
+        assert x.shape == shape
+        assert np.abs(a @ x - b).max() <= 1e-12
+    assert len(calls) == 1
+    # every solve is checked: a contract no roundoff meets raises
+    monkeypatch.setattr(linsolve, "RESIDUAL_RTOL", 0.0)
+    with pytest.raises(SolveError, match="residual contract"):
+        solve_a(rng.normal(size=(30, 3)))
 
 
 def dissection_ranks(surface, interior):

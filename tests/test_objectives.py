@@ -94,10 +94,11 @@ def collapsed_mapping(surface, face=4):
 def objectives(surface):
     f = spherical_start(surface)
     return [NormalizedStretchObjective(surface),
-            RegistrationObjective(surface, LANDMARK_ROWS, landmark_targets(f), 10.0)]
+            RegistrationObjective(surface, LANDMARK_ROWS, landmark_targets(f), 10.0),
+            NormalizedStretchObjective(surface, spherical=True)]
 
 
-@pytest.mark.parametrize("which", [0, 1])
+@pytest.mark.parametrize("which", [0, 1, 2])
 @pytest.mark.parametrize("value_first", [False, True])
 def test_value_and_gradient_rejects_collapsed_face(ellipsoid3, which, value_first):
     # the value alone does not check, so a trial geometry stored by value()
@@ -120,6 +121,14 @@ def test_value_rejects_a_non_finite_total_image_area(ellipsoid3, which):
     f[5] = np.nan
     with pytest.raises(DegenerateFaceError, match="total image area nan is not positive"):
         objectives(ellipsoid3)[which].value(f)
+
+
+def test_spherical_value_rejects_a_non_finite_total_area(ellipsoid3):
+    f = spherical_start(ellipsoid3)
+    f[5] = np.nan
+    with pytest.raises(DegenerateFaceError,
+                       match="total spherical image area nan is not positive"):
+        objectives(ellipsoid3)[2].value(f)
 
 
 def test_geometry_memo_recomputes_for_a_new_array(ellipsoid3):
@@ -232,3 +241,25 @@ def test_log_every_goes_through_logging(ellipsoid3, caplog, capsys, monkeypatch)
     assert [r.getMessage().split()[:2] for r in records] == [["iter", str(k)]
                                                            for k in range(1, 5)]
     assert capsys.readouterr().out == ""
+
+
+def test_one_face_geometry_pass_per_iterate_under_lbfgs(ellipsoid3, monkeypatch):
+    # the L-BFGS direction reads the gradient the objective returned and
+    # measures no mapping of its own
+    lap = fpi.reference_laplacian(ellipsoid3)
+    calls, evals = [], []
+    face_geometry_, search = en.face_geometry, rgd.search
+    monkeypatch.setattr(en, "face_geometry",
+                        lambda *a, **k: calls.append(1) or face_geometry_(*a, **k))
+
+    def counted_search(*args, **kwargs):
+        result = search(*args, **kwargs)
+        evals.append(result.evals)
+        return result
+
+    monkeypatch.setattr(rgd, "search", counted_search)
+    result = minimize(ellipsoid3, spherical_start(ellipsoid3), max_iters=10,
+                      objective=NormalizedStretchObjective(ellipsoid3, spherical=True),
+                      laplacian=lap)
+    assert len(result.records) == 10
+    assert len(calls) <= sum(evals) + 1

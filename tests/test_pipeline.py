@@ -5,12 +5,39 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from scipy.spatial import ConvexHull
 
+import authalic.energy as en
+import authalic.fpi as fpi
+import authalic.pipeline as pipeline
 from authalic.energy import IMAGE_AREA_TOL, face_geometry
 from authalic.errors import AuthalicError, DegenerateFaceError
-from authalic.mesh import build_surface, make_icosphere
+from authalic.fpi import conformal_initial_map, fpi_minimize
+from authalic.mesh import build_surface, make_icosphere, normalize_area
 from authalic.pipeline import ParameterizeConfig, parameterize
+
+from helpers import inverted_vertex_map
+
+
+PAPER = ParameterizeConfig(method="paper")
+
+
+def test_unknown_method_rejected_on_construction():
+    with pytest.raises(ValueError, match="method 'newton'"):
+        ParameterizeConfig(method="newton")
+    assert ParameterizeConfig().method == "lbfgs"
+
+
+def test_the_method_picks_the_iteration_caps():
+    # one setting selects a method: its FPI and descent caps come with it
+    # unless set, and read resolved from then on
+    caps = lambda c: (c.fpi_iters, c.max_iters)
+    assert caps(ParameterizeConfig()) == (0, 20)
+    assert caps(PAPER) == (10, 100)
+    assert caps(ParameterizeConfig(method="paper", max_iters=3)) == (10, 3)
+    assert caps(ParameterizeConfig(fpi_iters=2)) == (2, 20)
+    assert caps(dataclasses.replace(PAPER, max_iters=1)) == (10, 1)
 
 
 def test_unknown_strategy_rejected_on_construction():
@@ -25,7 +52,7 @@ def test_unknown_strategy_rejected_on_construction():
 def test_record_clock_runs_from_the_start_of_the_run(ellipsoid3):
     # FPI and descent time their records from their own starts; the run's
     # records read one clock, the one `seconds` is read from
-    result = parameterize(ellipsoid3, ParameterizeConfig(max_iters=10))
+    result = parameterize(ellipsoid3, dataclasses.replace(PAPER, max_iters=10))
     assert len(result.fpi.records) >= 1 and len(result.rgd.records) == 10
     elapsed = [r.elapsed_s for r in result.records]
     assert all(b >= a for a, b in zip(elapsed, elapsed[1:])), elapsed
@@ -55,7 +82,7 @@ def test_fpi_decisions_do_not_depend_on_the_input_scale():
     # fpi.STRETCH_DECREASE_TOL), so the run always rescales the mesh first
     small = make_icosphere(3, (1.0, 0.8, 0.6))
     large = build_surface(10.0 * small.vertices, small.faces)
-    config = ParameterizeConfig(max_iters=1)
+    config = dataclasses.replace(PAPER, max_iters=1)
     a, b = parameterize(small, config), parameterize(large, config)
     assert (a.fpi.status, len(a.fpi.records)) == (b.fpi.status, len(b.fpi.records))
     assert np.abs(a.mapping - b.mapping).max() <= 1e-9
@@ -72,12 +99,15 @@ def test_no_fpi_iterations_runs_the_descent_from_the_start(ellipsoid3):
 
 
 def test_zero_median_rescale_raises_before_dividing():
-    # this 10:1 ellipsoid reaches a median planar magnitude of 0 in FPI;
-    # dividing by it used to fill the plane with NaNs
+    # from the conformal start a paper run takes, this 10:1 ellipsoid
+    # reaches a median planar magnitude of 0 in FPI; dividing by it used
+    # to fill the plane with NaNs
+    surface = normalize_area(make_icosphere(3, (10.0, 1.0, 1.0)))
+    f0 = conformal_initial_map(surface, rng=np.random.default_rng(0))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(AuthalicError, match="FPI iteration"):
-            parameterize(make_icosphere(3, (10.0, 1.0, 1.0)))
+            fpi_minimize(surface, f0, max_iters=10)
 
 
 def unit_hull(n_points: int, seed: int):
@@ -93,13 +123,97 @@ def unit_hull(n_points: int, seed: int):
 
 
 def test_collapsed_map_is_not_returned_as_a_success():
-    # a fold-correction sweep after the descent sends every vertex of this
-    # hull to one point; a map with zero image areas must not come back as
-    # a normal result (its faces count as folds, and the next sweep raises)
+    # in a paper run, a fold-correction sweep after the descent sends every
+    # vertex of this hull to one point; a map with zero image areas must
+    # not come back as a normal result (its faces count as folds, and the
+    # next sweep raises)
     surface = unit_hull(20, seed=0)
     try:
-        result = parameterize(surface)
+        result = parameterize(surface, PAPER)
     except AuthalicError:
         return
     geom = face_geometry(result.surface, result.mapping)
     assert (geom.image_areas > IMAGE_AREA_TOL).all()
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_one_reference_laplacian_per_run(ellipsoid3, monkeypatch):
+    # the conformal start and the preconditioner share it
+    calls = count_calls(monkeypatch, en, "assemble_laplacian")
+    factors = count_calls(monkeypatch, spla, "splu")
+    result = parameterize(ellipsoid3)
+    assert result.fpi.records == [] and len(result.rgd.records) == 20
+    assert len(calls) == 1
+    # the conformal start's solve and the preconditioner's factor
+    assert len(factors) == 2
+
+
+def test_a_fold_free_conformal_start_is_kept(ellipsoid3):
+    assert parameterize(ellipsoid3, ParameterizeConfig(max_iters=1)).start == "conformal"
+
+
+def test_an_unchanged_fold_free_start_is_not_corrected_again(ellipsoid3, monkeypatch):
+    # the start rule has counted the start's folds; with no FPI iteration
+    # the after-FPI correction is its fold-free result, not a second count
+    calls = count_calls(monkeypatch, pipeline, "correct_bijectivity")
+    result = parameterize(ellipsoid3, ParameterizeConfig(max_iters=1))
+    assert len(calls) == 1
+    after = result.corrections["after_fpi"]
+    assert after.mapping is result.fpi.mapping
+    assert (after.folds_before, after.folds_after, after.sweeps) == (0, 0, 0)
+    parameterize(ellipsoid3, dataclasses.replace(PAPER, max_iters=1))
+    assert len(calls) == 3
+
+
+def test_a_folded_conformal_start_falls_back_to_the_radial_start():
+    # the conformal start folds hundreds of this ellipsoid's faces; the
+    # radial start is fold-free on a star-shaped mesh
+    surface = make_icosphere(4, (10.0, 1.0, 1.0))
+    for config in (ParameterizeConfig(), PAPER):
+        assert parameterize(surface, dataclasses.replace(config, max_iters=1)).start == "radial"
+
+
+def test_the_radial_start_is_taken_only_when_fold_free(icosphere2, monkeypatch):
+    # a conformal start with one folded vertex, which fold correction
+    # mends, gives way to a fold-free radial start, and is kept when the
+    # radial start folds too
+    monkeypatch.setattr(pipeline, "conformal_initial_map",
+                        lambda s, **kwargs: inverted_vertex_map(s))
+    assert parameterize(icosphere2, ParameterizeConfig(max_iters=1)).start == "radial"
+    mirrored = lambda s: fpi.radial_initial_map(s) * np.array([-1.0, 1.0, 1.0])
+    monkeypatch.setattr(pipeline, "radial_initial_map", mirrored)
+    result = parameterize(icosphere2, ParameterizeConfig(max_iters=1))
+    assert result.start == "conformal"
+    assert result.corrections["after_fpi"].folds_before > 0
+
+
+def test_the_radial_start_mirrors_a_mirrored_mesh(ellipsoid3):
+    mirrored = build_surface(ellipsoid3.vertices, ellipsoid3.faces[:, ::-1])
+    f = fpi.radial_initial_map(mirrored)
+    assert face_geometry(mirrored, f).folds == 0
+
+
+@pytest.mark.parametrize("surface, config", [
+    (make_icosphere(1, (1.0, 0.75, 0.9)), ParameterizeConfig(max_iters=100)),
+    (make_icosphere(4, (10.0, 1.0, 1.0)), ParameterizeConfig()),
+], ids=["sub1-ellipsoid-100-iters", "ellipsoid-10-1-1"])
+def test_coarse_and_elongated_meshes_end_fold_free(surface, config):
+    result = parameterize(surface, config)
+    assert result.summary["folds"] == 0
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_twenty_point_hulls_end_fold_free(seed):
+    result = parameterize(unit_hull(20, seed=seed))
+    assert result.summary["folds"] == 0

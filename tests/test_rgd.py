@@ -1,12 +1,18 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from authalic.energy import euclidean_gradient, face_geometry
+from authalic.errors import SolveError
+from authalic.fpi import reference_laplacian
+from authalic.linesearch import ALPHA_MAX, phi_derivative_at_zero, search
+from authalic.linsolve import RESIDUAL_RTOL
 from authalic.mesh import make_icosphere, normalize_area
 import authalic.rgd as rgd
-from authalic.rgd import GeometryMemo, minimize
-from authalic.sphere import project_tangent, project_to_manifold, retract
+from authalic.rgd import LBFGS, GeometryMemo, NormalizedStretchObjective, minimize
+from authalic.sphere import project_tangent, project_to_manifold, retract, row_dots
 
 
 def riemannian_gradient(surface, f):
@@ -143,3 +149,132 @@ def test_gradient_falls_with_generous_budget(monkeypatch):
 
 def test_area_ratio_cv_zero_at_identity(icosphere2):
     assert face_geometry(icosphere2, icosphere2.vertices).sd_over_mean <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Preconditioned L-BFGS
+# ---------------------------------------------------------------------------
+
+def shifted_laplacian(surface):
+    """K = L_cot + PRECONDITIONER_SHIFT (|M| / n) I, in vertex order."""
+    n = surface.n_vertices
+    shift = rgd.PRECONDITIONER_SHIFT * surface.total_area / n
+    return reference_laplacian(surface) + shift * sp.eye(n)
+
+
+def test_preconditioner_solves_meet_the_residual_contract(ellipsoid3, monkeypatch):
+    factors = []
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda *a, **k: factors.append(1) or splu(*a, **k))
+    apply = rgd.preconditioner(ellipsoid3, reference_laplacian(ellipsoid3))
+    k = shifted_laplacian(ellipsoid3).tocsr()
+    k_norm = abs(k).sum(axis=1).max()
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        g = rng.normal(size=(ellipsoid3.n_vertices, 3))
+        x = apply(g)
+        residual = np.linalg.norm(k @ x - g, axis=0)
+        bound = RESIDUAL_RTOL * (k_norm * np.linalg.norm(x, axis=0)
+                                 + np.linalg.norm(g, axis=0))
+        assert (residual <= bound).all()
+    # one factorization for every application
+    assert len(factors) == 1
+
+
+def test_preconditioner_rejects_a_matrix_that_is_not_positive_definite(ellipsoid3):
+    # -K passes the residual contract but not <g, K^-1 g> > 0
+    n = ellipsoid3.n_vertices
+    shift = 2.0 * rgd.PRECONDITIONER_SHIFT * ellipsoid3.total_area / n
+    negated = -reference_laplacian(ellipsoid3) - shift * sp.eye(n)
+    apply = rgd.preconditioner(ellipsoid3, negated)
+    with pytest.raises(SolveError, match="not positive definite"):
+        apply(np.ones((n, 3)))
+
+
+def lbfgs_run(surface, steps):
+    """`steps` L-BFGS iterations on the spherical objective from the radial
+    start; returns the L-BFGS state, the last mapping and its
+    Riemannian gradient."""
+    objective = NormalizedStretchObjective(surface, spherical=True)
+    f = project_to_manifold(surface.vertices - surface.vertices.mean(axis=0))
+    lbfgs = LBFGS(rgd.preconditioner(surface, reference_laplacian(surface)), f.shape)
+    for _ in range(steps):
+        value, egrad = objective.value_and_gradient(f)
+        g = project_tangent(f, egrad)
+        d = lbfgs.direction(f, g)
+        assert np.abs(row_dots(f, d)).max() <= 1e-12 * np.abs(d).max()
+        assert np.sum(d * g) < 0
+        dphi0 = phi_derivative_at_zero(f, d, egrad)
+        f = search(f, d, energy=objective.value, phi0=value, dphi0=dphi0).mapping
+    value, egrad = objective.value_and_gradient(f)
+    return lbfgs, f, project_tangent(f, egrad)
+
+
+def test_lbfgs_directions_are_tangent_descent_directions(ellipsoid3):
+    lbfgs, _, _ = lbfgs_run(ellipsoid3, 8)
+    assert lbfgs.count == rgd.LBFGS_MEMORY
+
+
+def test_a_non_descent_direction_falls_back_and_clears_the_memory(ellipsoid3):
+    _, f, g = lbfgs_run(ellipsoid3, 0)
+    precondition = rgd.preconditioner(ellipsoid3, reference_laplacian(ellipsoid3))
+    lbfgs = LBFGS(precondition, f.shape)
+    # one held pair (s, y) = (g, 0) with a negative weight: then
+    # H = H_0 + rho g g^T and <g, H g> = <g, H_0 g> + rho |g|^4 < 0
+    h0g = project_tangent(f, precondition(g))
+    lbfgs.s[0][:], lbfgs.y[0][:] = g, 0.0
+    lbfgs.rho[0] = -2.0 * np.sum(g * h0g) / np.sum(g * g) ** 2
+    lbfgs.count, lbfgs.newest = 1, 0
+    d = lbfgs.direction(f, g)
+    assert lbfgs.count == 0
+    assert np.array_equal(d, -h0g)
+    assert np.sum(d * g) < 0
+
+
+def test_a_rejected_pair_keeps_every_held_pair(ellipsoid3, monkeypatch):
+    lbfgs, f, g = lbfgs_run(ellipsoid3, 8)
+    assert lbfgs.count == rgd.LBFGS_MEMORY
+    slots = lbfgs._slots()
+    held = [(lbfgs.s[i].copy(), lbfgs.y[i].copy(), lbfgs.rho[i]) for i in slots]
+    monkeypatch.setattr(rgd, "CURVATURE_TOL", np.inf)  # every new pair fails
+    lbfgs.direction(project_to_manifold(f + 1e-3), g)
+    assert lbfgs.count == rgd.LBFGS_MEMORY and lbfgs._slots() == slots
+    f_new = project_to_manifold(f + 1e-3)
+    for i, (s, y, rho) in zip(slots, held):
+        # the held pairs are only re-projected onto the new tangent space
+        assert np.array_equal(lbfgs.s[i], s - row_dots(f_new, s)[:, None] * f_new)
+        assert np.array_equal(lbfgs.y[i], y - row_dots(f_new, y)[:, None] * f_new)
+        assert lbfgs.rho[i] == rho
+
+
+def test_lbfgs_descent_decreases_the_spherical_energy(ellipsoid3, monkeypatch):
+    trials = []
+    search_ = rgd.search
+    monkeypatch.setattr(rgd, "search",
+                        lambda *a, **k: trials.append(k["alpha0"]) or search_(*a, **k))
+    f0 = project_to_manifold(ellipsoid3.vertices)
+    objective = NormalizedStretchObjective(ellipsoid3, spherical=True)
+    start = objective.value(f0)
+    result = minimize(ellipsoid3, f0, objective=objective, max_iters=20,
+                      laplacian=reference_laplacian(ellipsoid3))
+    assert len(result.records) == 20 and result.status == "max_iters"
+    assert objective.value(result.mapping) < start
+    assert result.records[-1].sd_over_mean < 0.01 * result.records[0].sd_over_mean
+    # once the memory holds a pair (from the second iteration on, here),
+    # the first trial is the full step, not the interpolated one
+    assert trials[1:] == [ALPHA_MAX] * 19
+
+
+def test_the_laplacian_picks_the_spherical_objective(ellipsoid3):
+    # the L-BFGS direction comes with the spherical energy unless another
+    # objective is given, so no caller pairs it with the chordal one by
+    # leaving the objective out
+    f0 = project_to_manifold(ellipsoid3.vertices)
+    lap = reference_laplacian(ellipsoid3)
+    default = minimize(ellipsoid3, f0, max_iters=3, laplacian=lap)
+    spherical = minimize(ellipsoid3, f0, max_iters=3, laplacian=lap,
+                         objective=NormalizedStretchObjective(ellipsoid3, spherical=True))
+    assert np.array_equal(default.mapping, spherical.mapping)
+    chordal = minimize(ellipsoid3, f0, max_iters=3, laplacian=lap,
+                       objective=NormalizedStretchObjective(ellipsoid3))
+    assert not np.array_equal(default.mapping, chordal.mapping)
