@@ -25,6 +25,7 @@ from .mesh import (build_surface, load_mesh, normalize_area, parse_landmarks,
                    perturb_vertices, save_mesh)
 from .pipeline import (METHOD_ITERS, METHODS, ParameterizeConfig, parameterize,
                        write_records_csv)
+from .rgd import NormalizedStretchObjective
 from .sphere import (count_folds, inverse_stereographic, project_to_manifold,
                      stereographic)
 
@@ -139,7 +140,7 @@ def param(mesh, method, fpi_iters, max_iters, ls, noise_sigma, seed, log_path, o
     _write_manifest(out_dir, "param", {"mesh": os.path.abspath(mesh)}, params,
                     result.seconds)
     click.echo(f"SD/Mean {s['sd_over_mean']:.4f}, E_A {s['authalic']:.3e}, "
-               f"time {s['seconds']:.2f} s, folds {s['folds']}")
+               f"time {s['seconds']:.2f} s, folds {s['folds']}, degree {s['degree']}")
 
 
 @main.command()
@@ -295,9 +296,13 @@ def _check_lines(surface, probe_eigen: bool):
     rel = np.abs(grad - 2.0 * lap_f).max() / max(np.abs(grad).max(), 1e-300)
     yield "stretch gradient routes agree", rel < 1e-10, f"rel diff {rel:.2e}"
 
-    fd_err = diag.fd_gradient_norm_error(surface, f, step=1e-6, max_coords=300)
-    yield ("gradient matches finite differences", fd_err < 1e-6,
-           f"normwise rel err {fd_err:.2e}")
+    # the gradients of both descents: the paper's chordal energy and the
+    # default L-BFGS's spherical one
+    for name, spherical in (("chordal", False), ("spherical", True)):
+        objective = NormalizedStretchObjective(surface, spherical=spherical)
+        fd_err = diag.fd_gradient_norm_error(objective, f, step=1e-6, max_coords=300)
+        yield (f"{name} gradient matches finite differences", fd_err < 1e-6,
+               f"normwise rel err {fd_err:.2e}")
 
     back = inverse_stereographic(stereographic(f))
     rt = np.abs(back - f).max()

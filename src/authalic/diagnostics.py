@@ -33,12 +33,16 @@ def authalic_error(surface_noisy, surface_clean, ea_noisy: float, ea_clean: floa
     return surface_clean.n_vertices * abs(ea_noisy - ea_clean) / displacement
 
 
-def fd_gradient_norm_error(surface, f: np.ndarray, step: float = 1e-6,
+def fd_gradient_norm_error(objective, f: np.ndarray, step: float = 1e-6,
                            max_coords: int | None = None) -> float:
-    """Normwise error of the analytic ambient gradient of the normalized
-    energy: max absolute deviation from central finite differences over
-    the gradient's max magnitude.
+    """Normwise error of an objective's analytic ambient gradient: max
+    absolute deviation from central finite differences over the
+    gradient's max magnitude.
 
+    `objective` is anything with `value(f)` and `value_and_gradient(f)`
+    -> (value, ambient gradient), as the descent runs it: a
+    :class:`~authalic.rgd.NormalizedStretchObjective` (chordal or
+    spherical) or a :class:`~authalic.registration.RegistrationObjective`.
     Every coordinate is probed, or an even stride of at most `max_coords`
     of them to keep large meshes affordable.  The error is normwise, not
     entrywise, because an entrywise comparison is dominated by the
@@ -48,7 +52,7 @@ def fd_gradient_norm_error(surface, f: np.ndarray, step: float = 1e-6,
     if not 1e-8 <= step <= 1e-4:
         raise ValueError("step must lie in [1e-8, 1e-4]")
     f = np.asarray(f, dtype=np.float64)
-    grad = en.euclidean_gradient(surface, f).ravel()
+    grad = objective.value_and_gradient(f)[1].ravel()
     flat = f.ravel()
     total = flat.size
     idx = np.arange(total)
@@ -58,8 +62,8 @@ def fd_gradient_norm_error(surface, f: np.ndarray, step: float = 1e-6,
     for k, i in enumerate(idx):
         bump = np.zeros(total)
         bump[i] = step
-        plus = en.face_geometry(surface, (flat + bump).reshape(f.shape)).normalized
-        minus = en.face_geometry(surface, (flat - bump).reshape(f.shape)).normalized
+        plus = objective.value((flat + bump).reshape(f.shape))
+        minus = objective.value((flat - bump).reshape(f.shape))
         fd[k] = (plus - minus) / (2.0 * step)
     return max([0.0, *np.abs(fd - grad[idx])]) / max(np.abs(grad).max(), 1e-300)
 

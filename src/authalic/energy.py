@@ -165,6 +165,20 @@ class FaceGeometry:
         return area
 
     @cached_property
+    def degree(self) -> int:
+        """The degree of the map, round(sum S_t / 4 pi): 1 for an
+        orientation-preserving bijection, -1 for a mirrored one.  A map
+        that covers the sphere twice can be fold-free and reads 2.  The
+        per-face areas are summed here, not :attr:`spherical_area`,
+        which raises on a non-positive sum; raises
+        :class:`DegenerateFaceError` when the sum is not finite."""
+        turns = float(self.spherical_areas.sum()) / (4.0 * np.pi)
+        if not np.isfinite(turns):
+            raise DegenerateFaceError(f"total spherical image area {4.0 * np.pi * turns:.3e} "
+                                      "is not finite")
+        return round(turns)
+
+    @cached_property
     def spherical_stretch(self) -> float:
         """The stretch energy on spherical areas, sum S_t^2 / |t|."""
         return float(np.sum(self.spherical_areas**2 / self.ref_areas))

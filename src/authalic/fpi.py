@@ -98,7 +98,7 @@ def radial_initial_map(surface) -> np.ndarray:
     return f
 
 
-def _interior_mask(h: PlanarPoints) -> np.ndarray:
+def disk_interior(h: PlanarPoints) -> np.ndarray:
     """The vertices a hemisphere solve re-solves: the finite points of the
     disk |h| < :data:`RADIUS` (FPI and fold correction alike)."""
     with np.errstate(over="ignore"):
@@ -166,7 +166,7 @@ def fpi_minimize(surface, f0: np.ndarray, max_iters: int = 10,
         lap = en.assemble_laplacian(surface, geom)
         h = invert_plane(h)
         flipped = not flipped
-        h = dirichlet_solve(surface, lap, h, _interior_mask(h))
+        h = dirichlet_solve(surface, lap, h, disk_interior(h))
         with np.errstate(over="ignore"):
             mags = np.where(h.at_infinity, np.inf, np.abs(h.values))
         scale = np.median(mags)

@@ -8,10 +8,16 @@ the callers' systems are restrictions of mesh-graph Laplacians whose
 unknowns they list in the mesh's nested-dissection order
 (:attr:`~authalic.mesh.SimplicialSurface.dissection_order`, computed once
 per surface), which fills far less than SuperLU's own COLAMD order.
-:func:`factorize` is the one route to a factor: it returns a solve that
-can be applied many times (the descent's preconditioner, see
-:mod:`authalic.rgd`), and :func:`solve` factors and solves once.
-Every solve is checked against the contract
+:func:`factorize` is the library's route to a factor of a solved system:
+it returns a solve that can be applied many times (the descent's
+preconditioner, see :mod:`authalic.rgd`), and :func:`solve` factors and
+solves once.  The one factor made elsewhere is the eigenvalue probe's
+(:func:`authalic.diagnostics.probe_smallest_eigenvalue`): it factors its
+shifted 3n x 3n Hessian with ``spla.splu`` under SuperLU's default
+COLAMD order, because that matrix is coordinate-major in the mesh's
+own vertex order, which NATURAL order would fill; its eigenpair is
+certified by a residual of its own.  Every solve of this module is
+checked against the contract
 
     ||A x - b|| <= RESIDUAL_RTOL * (||A||_inf ||x|| + ||b||)     per column,
 

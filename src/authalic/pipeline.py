@@ -110,6 +110,7 @@ class ParameterizeResult:
             "authalic": geom.area_matched_authalic,
             "seconds": self.seconds,
             "folds": geom.folds,
+            "degree": geom.degree,
         }
 
 

@@ -6,10 +6,11 @@ search, and retracts.  The direction is the anti-gradient (the paper's
 method, and the landmark alignment's) or, given the reference
 cotangent Laplacian L, a preconditioned Riemannian L-BFGS direction
 (Huang, Gallivan and Absil, SIAM J. Optim. 2015): the two-loop
-recursion over the last :data:`LBFGS_MEMORY` pairs, re-projected onto
-the current tangent space, with the initial inverse Hessian
-P K^-1 P for K = L + :data:`PRECONDITIONER_SHIFT` (|M| / n) I.  K is
-factored once per :func:`minimize` call and released when it returns.
+recursion over a bounded deque of the last :data:`LBFGS_MEMORY`
+curvature pairs, re-projected onto the current tangent space, with the
+initial inverse Hessian P K^-1 P for
+K = L + :data:`PRECONDITIONER_SHIFT` (|M| / n) I.  K is factored once
+per :func:`minimize` call and released when it returns.
 
 The default objective is the normalized stretch energy, with chordal
 or spherical image areas (:class:`NormalizedStretchObjective`);
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import logging
 import time
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,53 +171,32 @@ def preconditioner(surface, laplacian: sp.spmatrix):
 class LBFGS:
     """Preconditioned Riemannian L-BFGS directions on the power manifold.
 
-    The last :data:`LBFGS_MEMORY` pairs s = P_x(x_k - x_{k-1}) and
+    `pairs` is a deque of at most :data:`LBFGS_MEMORY` triples
+    (s, y, 1 / <s, y>), oldest first, with s = P_x(x_k - x_{k-1}) and
     y = g_k - P_x(g_{k-1}) (g the Riemannian gradient, P_x the tangent
-    projection at the current x) live in preallocated ring arrays; each
-    call re-projects them onto the current tangent space in place and
-    runs the two-loop recursion (Nocedal and Wright, Alg. 7.4) with the
-    initial inverse Hessian H_0 = P_x K^-1 P_x.  A pair is kept only when
-    <s, y> > :data:`CURVATURE_TOL` |s| |y|; it is built in spare arrays,
-    so a rejected pair never overwrites a kept one.  A direction that is
-    not a descent direction is replaced by -P_x K^-1 g and the memory is
-    cleared.
+    projection at the current x).  A pair is appended only when
+    <s, y> > :data:`CURVATURE_TOL` |s| |y|, and the deque then drops its
+    oldest.  Each call re-projects the held pairs onto the current
+    tangent space in place and runs the two-loop recursion (Nocedal and
+    Wright, Alg. 7.4) with the initial inverse Hessian
+    H_0 = P_x K^-1 P_x.  A direction that is not a descent direction is
+    replaced by -P_x K^-1 g and the deque is cleared.
     """
 
-    def __init__(self, precondition, shape):
+    def __init__(self, precondition):
         self.precondition = precondition
-        self.s = [np.empty(shape) for _ in range(LBFGS_MEMORY)]
-        self.y = [np.empty(shape) for _ in range(LBFGS_MEMORY)]
-        self.rho = np.zeros(LBFGS_MEMORY)
-        self.count = 0  # pairs held
-        self.newest = -1  # ring slot of the newest pair
-        self._spare = (np.empty(shape), np.empty(shape))
+        self.pairs = deque(maxlen=LBFGS_MEMORY)
         self._last = None  # (x, g) of the previous call
 
-    def _slots(self):
-        """Ring slots of the pairs held, oldest first."""
-        return [(self.newest - i) % LBFGS_MEMORY for i in range(self.count - 1, -1, -1)]
-
-    def _push(self, f: np.ndarray, g: np.ndarray) -> None:
-        """Form the pair from the previous call's (x, g) and keep it if its
-        curvature passes."""
+    def _remember(self, f: np.ndarray, g: np.ndarray) -> None:
+        """Form the pair from the previous call's (x, g) and append it if
+        its curvature passes."""
         x_prev, g_prev = self._last
-        s, y = self._spare
-        np.subtract(f, x_prev, out=s)
-        _project_in_place(f, s)
-        np.copyto(y, g_prev)
-        _project_in_place(f, y)
-        np.subtract(g, y, out=y)
+        s = project_tangent(f, f - x_prev)
+        y = g - project_tangent(f, g_prev)
         sy = _inner(s, y)
-        if not sy > CURVATURE_TOL * np.sqrt(_inner(s, s) * _inner(y, y)):
-            return
-        slot = (self.newest + 1) % LBFGS_MEMORY
-        # swap the spare arrays into the ring; the slot's old arrays
-        # (the oldest pair, when the ring is full) become the spares
-        self._spare = (self.s[slot], self.y[slot])
-        self.s[slot], self.y[slot] = s, y
-        self.rho[slot] = 1.0 / sy
-        self.newest = slot
-        self.count = min(self.count + 1, LBFGS_MEMORY)
+        if sy > CURVATURE_TOL * np.sqrt(_inner(s, s) * _inner(y, y)):
+            self.pairs.append((s, y, 1.0 / sy))
 
     def _preconditioned(self, f: np.ndarray, v: np.ndarray) -> np.ndarray:
         """P_f K^-1 v, in a new array."""
@@ -226,23 +207,22 @@ class LBFGS:
     def direction(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
         """The descent direction at `f`, whose Riemannian gradient is `g`."""
         if self._last is not None:
-            self._push(f, g)
+            self._remember(f, g)
         self._last = (f, g)
-        slots = self._slots()
-        for slot in slots:
-            _project_in_place(f, self.s[slot])
-            _project_in_place(f, self.y[slot])
+        for s, y, _ in self.pairs:
+            _project_in_place(f, s)
+            _project_in_place(f, y)
         q = g.copy()
         alphas = []
-        for slot in reversed(slots):
-            alphas.append(self.rho[slot] * _inner(self.s[slot], q))
-            q -= alphas[-1] * self.y[slot]
+        for s, y, rho in reversed(self.pairs):
+            alphas.append(rho * _inner(s, q))
+            q -= alphas[-1] * y
         r = self._preconditioned(f, q)
-        for slot, alpha in zip(slots, reversed(alphas)):
-            r += (alpha - self.rho[slot] * _inner(self.y[slot], r)) * self.s[slot]
+        for (s, y, rho), alpha in zip(self.pairs, reversed(alphas)):
+            r += (alpha - rho * _inner(y, r)) * s
         _project_in_place(f, r)
         if not _inner(r, g) > 0:
-            self.count = 0
+            self.pairs.clear()
             r = self._preconditioned(f, g)
         return np.negative(r, out=r)
 
@@ -314,7 +294,7 @@ def minimize(surface, f0: np.ndarray, *, objective=None, max_iters: int = 100,
     objective = objective or NormalizedStretchObjective(surface,
                                                         spherical=laplacian is not None)
     f = np.asarray(f0, dtype=np.float64).copy()
-    lbfgs = None if laplacian is None else LBFGS(preconditioner(surface, laplacian), f.shape)
+    lbfgs = None if laplacian is None else LBFGS(preconditioner(surface, laplacian))
     grad_tol = GRAD_TOL * np.sqrt(f.shape[0])
 
     records: list[IterationRecord] = []
@@ -332,7 +312,7 @@ def minimize(surface, f0: np.ndarray, *, objective=None, max_iters: int = 100,
         d = -rgrad if lbfgs is None else lbfgs.direction(f, rgrad)
         dphi0 = phi_derivative_at_zero(f, d, egrad)
         if (prev_value is None or not np.isfinite(dphi0) or dphi0 >= 0
-                or (lbfgs is not None and lbfgs.count)):
+                or (lbfgs is not None and lbfgs.pairs)):
             alpha0 = ALPHA_MAX
         else:
             alpha0 = min(ALPHA_MAX, 2.0 * (value - prev_value) / dphi0)

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DegenerateFaceError
-from .fpi import _interior_mask, dirichlet_solve
+from .fpi import dirichlet_solve, disk_interior
 # the passes solve through fpi.dirichlet_solve; solve stays importable here
 # because perfbench/spans.py wraps it under this name
 from .linsolve import solve  # noqa: F401
@@ -81,7 +81,7 @@ class CorrectionResult:
 
 
 def _solve_pass(surface, h: PlanarPoints) -> PlanarPoints:
-    return dirichlet_solve(surface, assemble_mean_value(surface, h), h, _interior_mask(h))
+    return dirichlet_solve(surface, assemble_mean_value(surface, h), h, disk_interior(h))
 
 
 def correct_bijectivity(surface, f: np.ndarray) -> CorrectionResult:

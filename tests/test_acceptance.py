@@ -14,7 +14,7 @@ import pytest
 
 from authalic.energy import (assemble_laplacian, euclidean_gradient, face_geometry,
                              image_area_gradient, assemble_global_hessian)
-from authalic.fpi import _interior_mask, conformal_initial_map, dirichlet_solve, fpi_minimize
+from authalic.fpi import conformal_initial_map, dirichlet_solve, disk_interior, fpi_minimize
 from authalic.linesearch import cubic_fit, quadratic_backtrack_step
 from authalic.mesh import build_surface, load_mesh, make_icosphere, normalize_area
 from authalic.pipeline import ParameterizeConfig, parameterize
@@ -172,7 +172,7 @@ def test_criterion_7_geometry_round_trips():
 def boundary_held(surface, lap, h):
     """A direct disk solve of the plane `h`, and whether it returned every
     vertex outside the disk bitwise unchanged."""
-    interior = _interior_mask(h)
+    interior = disk_interior(h)
     out = dirichlet_solve(surface, lap, h, interior)
     return out, bool(np.array_equal(out.values[~interior], h.values[~interior]))
 

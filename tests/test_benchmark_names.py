@@ -6,7 +6,9 @@ traced run raise `KeyError`.  The benchmark file is loaded read-only, by
 path, so this check runs with the library's own tests.
 
 The same list is the only excuse for an import a module never uses:
-with no linter in the toolchain, an AST pass stands guard.  Three more
+with no linter in the toolchain, an AST pass stands guard, and another
+keeps every name one library module imports from another public (no
+leading underscore).  Three more
 AST passes keep the library to what its programs (the library itself, the
 scripts and the benchmark) run: every top-level function or class is
 named by one of them, exported or a click command; every method or
@@ -74,6 +76,24 @@ def test_unused_imports_are_only_wrapped_names(spans):
               if path.name != "__init__.py"
               for name in _unused_imports(path)}
     assert unused <= wrapped, sorted(unused - wrapped)
+
+
+def _private_imports(path: Path) -> set[str]:
+    """Underscore-prefixed names a module imports from an authalic module."""
+    return {alias.name
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").split(".")[0] == "authalic")
+            for alias in node.names if alias.name.startswith("_")}
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a name one module shares with another is public: a private one may
+    # change without notice to its own module's readers
+    private = {(path.stem, name)
+               for path in sorted((ROOT / "src" / "authalic").glob("*.py"))
+               for name in _private_imports(path)}
+    assert not private, sorted(private)
 
 
 CALLERS = [path for folder in ("src/authalic", "scripts", "perfbench")

@@ -8,7 +8,7 @@ from authalic.energy import euclidean_gradient, face_geometry
 from authalic.errors import DegenerateFaceError
 from authalic.sphere import (PlanarPoints, count_folds, inverse_stereographic, invert_plane,
                              project_to_manifold, stereographic)
-from authalic.fpi import _interior_mask, dirichlet_solve
+from authalic.fpi import dirichlet_solve, disk_interior
 from authalic.unfold import assemble_mean_value, correct_bijectivity
 
 from helpers import dense_mean_value_laplacian, inverted_vertex_map, regular_tetrahedron
@@ -84,7 +84,7 @@ def sweep_holding_boundary(surface, f):
     each pass must return every vertex outside its disk bitwise unchanged."""
     h = stereographic(f)
     for _ in ("south", "north"):
-        interior = _interior_mask(h)
+        interior = disk_interior(h)
         out = dirichlet_solve(surface, assemble_mean_value(surface, h), h, interior)
         assert np.array_equal(out.values[~interior], h.values[~interior])
         assert np.array_equal(out.at_infinity, h.at_infinity)

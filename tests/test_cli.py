@@ -47,6 +47,7 @@ def test_param_outputs(tmp_path, mesh_file):
     assert (out / "manifest.json").exists()
     assert (out / "vertex_ids.txt").exists()
     assert "SD/Mean" in result.output and "folds" in result.output
+    assert result.output.rstrip().endswith("degree 1")
 
     manifest = json.loads((out / "manifest.json").read_text())
     warmup = manifest["params"]["fpi_iterations_run"]
@@ -360,6 +361,21 @@ def test_check_certifies_the_per_face_gradient_route(sphere_file, monkeypatch):
     assert result.exit_code == 1
     assert "[FAIL] stretch gradient routes agree" in result.output
     assert "[PASS] stretch energy routes agree" in result.output
+
+
+def test_check_certifies_both_descent_gradients(sphere_file, monkeypatch):
+    result = run("check", sphere_file)
+    assert "[PASS] chordal gradient matches finite differences" in result.output
+    assert "[PASS] spherical gradient matches finite differences" in result.output
+    # the default descent's spherical gradient off by 1e-5 relative fails
+    # its own line and leaves the chordal one passing
+    spherical_gradient = en.spherical_gradient
+    monkeypatch.setattr(en, "spherical_gradient",
+                        lambda *args: spherical_gradient(*args) * (1.0 + 1e-5))
+    result = CliRunner().invoke(main, ["check", sphere_file])
+    assert result.exit_code == 1
+    assert "[FAIL] spherical gradient matches finite differences" in result.output
+    assert "[PASS] chordal gradient matches finite differences" in result.output
 
 
 def test_check_probe_eigen(sphere_file):

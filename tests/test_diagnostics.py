@@ -7,6 +7,7 @@ from authalic.diagnostics import (authalic_error, fd_gradient_norm_error,
 from authalic.energy import face_geometry
 from authalic.errors import DegenerateFaceError
 from authalic.mesh import perturb_vertices
+from authalic.rgd import NormalizedStretchObjective
 from authalic.sphere import project_to_manifold
 
 from helpers import rotation_matrix
@@ -60,33 +61,37 @@ def test_authalic_error_identical_meshes_rejected(icosphere2):
 def test_fd_harness_small_on_good_gradient(icosphere1):
     rng = np.random.default_rng(2)
     f = project_to_manifold(icosphere1.vertices + 0.05 * rng.normal(size=(42, 3)))
-    assert fd_gradient_norm_error(icosphere1, f, step=1e-6) < 1e-6
+    assert fd_gradient_norm_error(NormalizedStretchObjective(icosphere1), f, step=1e-6) < 1e-6
 
 
 def test_fd_harness_truncation_grows_with_step(icosphere1):
     rng = np.random.default_rng(2)
     f = project_to_manifold(icosphere1.vertices + 0.05 * rng.normal(size=(42, 3)))
-    fine = fd_gradient_norm_error(icosphere1, f, step=1e-5)
-    coarse = fd_gradient_norm_error(icosphere1, f, step=1e-4)
+    objective = NormalizedStretchObjective(icosphere1)
+    fine = fd_gradient_norm_error(objective, f, step=1e-5)
+    coarse = fd_gradient_norm_error(objective, f, step=1e-4)
     assert coarse > fine
 
 
 def test_fd_harness_step_validation(icosphere1):
     with pytest.raises(ValueError, match="step"):
-        fd_gradient_norm_error(icosphere1, icosphere1.vertices, step=1e-2)
+        fd_gradient_norm_error(NormalizedStretchObjective(icosphere1), icosphere1.vertices,
+                               step=1e-2)
 
 
 def test_fd_norm_error_robust_on_arbitrary_mappings(ellipsoid3):
     # the normwise error stays far below tolerance even where small
     # gradient entries would push an entrywise one onto the noise floor
     f = project_to_manifold(ellipsoid3.vertices)
-    assert fd_gradient_norm_error(ellipsoid3, f, max_coords=200) < 1e-6
+    for spherical in (False, True):
+        objective = NormalizedStretchObjective(ellipsoid3, spherical=spherical)
+        assert fd_gradient_norm_error(objective, f, max_coords=200) < 1e-6
 
 
 def test_fd_harness_degenerate_mapping_errors(icosphere1):
     constant = np.tile([1.0, 0.0, 0.0], (icosphere1.n_vertices, 1))
     with pytest.raises(DegenerateFaceError):
-        fd_gradient_norm_error(icosphere1, constant)
+        fd_gradient_norm_error(NormalizedStretchObjective(icosphere1), constant)
 
 
 def test_probe_identity_matrix():

@@ -5,12 +5,13 @@ from authalic.energy import (area_gradient, assemble_global_hessian, assemble_la
                              euclidean_gradient, face_geometry, image_area_gradient,
                              spherical_gradient, _corner_weights)
 from authalic.errors import DegenerateFaceError
-from authalic.mesh import build_surface
-from authalic.sphere import project_tangent, project_to_manifold, retract
+from authalic.mesh import build_surface, make_icosphere
+from authalic.sphere import (PlanarPoints, count_folds, inverse_stereographic, project_tangent,
+                             project_to_manifold, retract, stereographic)
 
 from helpers import (central_difference_gradient, dense_stretch_laplacian,
                      image_area_gradient_via_laplacian, inverted_vertex_map, laplacian_stretch,
-                     random_tetrahedron, regular_tetrahedron)
+                     random_tetrahedron, regular_tetrahedron, rotation_matrix)
 
 
 def perturbed_mapping(surface, seed, amplitude=0.05):
@@ -278,6 +279,32 @@ def test_mirrored_map_has_no_positive_spherical_area(icosphere2):
     assert abs(geom.spherical_areas.sum() + 4.0 * np.pi) <= 1e-12
     with pytest.raises(DegenerateFaceError, match="total spherical image area"):
         geom.spherical_normalized
+
+
+def test_degree_tells_a_fold_free_double_cover_from_a_bijection():
+    # vertex 0 on the north pole and its antipode, also a vertex, on the
+    # south pole: h -> h^2 in the stereographic plane branches at these
+    # two vertices only, so every image face keeps its orientation while
+    # the map covers the sphere twice
+    base = make_icosphere(3)
+    v0 = base.vertices[0]
+    to_pole = rotation_matrix(np.cross(v0, [0.0, 0.0, 1.0]), np.arccos(v0[2]))
+    surface = build_surface(base.vertices @ to_pole.T, base.faces)
+    h = stereographic(surface.vertices)
+    double = inverse_stereographic(PlanarPoints(values=h.values**2, at_infinity=h.at_infinity))
+    geom = face_geometry(surface, double)
+    assert count_folds(surface, double) == geom.folds == 0
+    assert geom.image_areas.min() > 0
+    assert geom.degree == 2
+    assert face_geometry(surface, surface.vertices).degree == 1
+    assert face_geometry(surface, surface.vertices * [-1.0, 1.0, 1.0]).degree == -1
+
+
+def test_degree_of_a_map_with_a_nan_row_raises(icosphere2):
+    f = icosphere2.vertices.copy()
+    f[0] = np.nan
+    with pytest.raises(DegenerateFaceError, match="not finite"):
+        face_geometry(icosphere2, f).degree
 
 
 # ---------------------------------------------------------------------------

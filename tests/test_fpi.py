@@ -3,7 +3,7 @@ import pytest
 
 from authalic.energy import assemble_laplacian, face_geometry
 from authalic.errors import SolveError
-from authalic.fpi import (_PIN, _interior_mask, conformal_initial_map, dirichlet_solve,
+from authalic.fpi import (_PIN, conformal_initial_map, dirichlet_solve, disk_interior,
                           fpi_minimize)
 from authalic.mesh import normalize_area
 from authalic.rgd import minimize
@@ -14,14 +14,14 @@ from helpers import bumpy_sphere
 
 def test_interior_boundary_split_by_radius():
     h = PlanarPoints.finite(np.array([0.5, 1.1, 1.3]))
-    mask = _interior_mask(h)
+    mask = disk_interior(h)
     assert mask.tolist() == [True, True, False]
 
 
 def test_infinity_always_boundary():
     h = PlanarPoints(values=np.array([0.0j, 0.3 + 0j]),
                      at_infinity=np.array([True, False]))
-    assert _interior_mask(h).tolist() == [False, True]
+    assert disk_interior(h).tolist() == [False, True]
 
 
 def test_median_normalization_rule():
@@ -69,7 +69,7 @@ def test_fpi_boundary_rows_fixed(ellipsoid3):
     f0 = conformal_initial_map(ellipsoid3)
     lap = assemble_laplacian(ellipsoid3, face_geometry(ellipsoid3, f0))
     h = invert_plane(stereographic(f0))
-    interior = _interior_mask(h)
+    interior = disk_interior(h)
     assert interior.any() and not interior.all()
     out = dirichlet_solve(ellipsoid3, lap, h, interior)
     assert np.array_equal(out.values[~interior], h.values[~interior])
@@ -130,7 +130,7 @@ def test_empty_interior_raises():
     lap = None
     h = PlanarPoints.finite(np.array([2.0, 3.0, 4.0]))
     with pytest.raises(SolveError, match="empty interior"):
-        dirichlet_solve(None, lap, h, _interior_mask(h))
+        dirichlet_solve(None, lap, h, disk_interior(h))
 
 
 def pole_plane(surface):
@@ -144,7 +144,7 @@ def pole_plane(surface):
 def test_vertex_at_infinity_coupled_to_interior_raises(icosphere1):
     lap, h = pole_plane(icosphere1)
     pole = int(np.flatnonzero(h.at_infinity)[0])
-    interior = _interior_mask(h)
+    interior = disk_interior(h)
     ring = icosphere1.edges[(icosphere1.edges == pole).any(axis=1)].ravel()
     interior[ring] = True
     interior[pole] = False
@@ -154,7 +154,7 @@ def test_vertex_at_infinity_coupled_to_interior_raises(icosphere1):
 
 def test_vertex_at_infinity_among_boundary_is_kept(icosphere1):
     lap, h = pole_plane(icosphere1)
-    interior = _interior_mask(h)
+    interior = disk_interior(h)
     out = dirichlet_solve(icosphere1, lap, h, interior)
     assert np.array_equal(out.at_infinity, h.at_infinity)
     assert np.array_equal(out.values[~interior], h.values[~interior])

@@ -5,7 +5,7 @@ import scipy.sparse.linalg as spla
 
 from authalic.energy import assemble_laplacian, face_geometry
 from authalic.errors import SolveError
-from authalic.fpi import _interior_mask, conformal_initial_map, dirichlet_solve
+from authalic.fpi import conformal_initial_map, dirichlet_solve, disk_interior
 import authalic.linsolve as linsolve
 from authalic.linsolve import _condition_estimate, factorize, solve
 from authalic.mesh import make_icosphere, normalize_area
@@ -113,7 +113,7 @@ def restricted_fpi_system(surface):
     f = conformal_initial_map(surface)
     lap = assemble_laplacian(surface, face_geometry(surface, f)).tocsr()
     h = invert_plane(stereographic(f))
-    interior = _interior_mask(h)
+    interior = disk_interior(h)
     rhs = -lap[interior][:, ~interior] @ h.values[~interior]
     return lap[interior][:, interior], rhs, dissection_ranks(surface, interior)
 
@@ -152,7 +152,7 @@ def test_dirichlet_solve_factors_the_dissection_ordered_system(monkeypatch, elli
     f = conformal_initial_map(ellipsoid3)
     lap = assemble_laplacian(ellipsoid3, face_geometry(ellipsoid3, f)).tocsr()
     h = invert_plane(stereographic(f))
-    interior = _interior_mask(h)
+    interior = disk_interior(h)
     seen = []
     splu = spla.splu
 

@@ -211,6 +211,7 @@ def test_the_radial_start_mirrors_a_mirrored_mesh(ellipsoid3):
 def test_coarse_and_elongated_meshes_end_fold_free(surface, config):
     result = parameterize(surface, config)
     assert result.summary["folds"] == 0
+    assert result.summary["degree"] == 1
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -197,7 +197,7 @@ def lbfgs_run(surface, steps):
     Riemannian gradient."""
     objective = NormalizedStretchObjective(surface, spherical=True)
     f = project_to_manifold(surface.vertices - surface.vertices.mean(axis=0))
-    lbfgs = LBFGS(rgd.preconditioner(surface, reference_laplacian(surface)), f.shape)
+    lbfgs = LBFGS(rgd.preconditioner(surface, reference_laplacian(surface)))
     for _ in range(steps):
         value, egrad = objective.value_and_gradient(f)
         g = project_tangent(f, egrad)
@@ -212,39 +212,51 @@ def lbfgs_run(surface, steps):
 
 def test_lbfgs_directions_are_tangent_descent_directions(ellipsoid3):
     lbfgs, _, _ = lbfgs_run(ellipsoid3, 8)
-    assert lbfgs.count == rgd.LBFGS_MEMORY
+    assert len(lbfgs.pairs) == rgd.LBFGS_MEMORY
+
+
+def test_a_full_memory_drops_its_oldest_pair(ellipsoid3):
+    # eight steps form seven pairs, so the memory is full before the call
+    lbfgs, f, g = lbfgs_run(ellipsoid3, 8)
+    held = [s for s, _, _ in lbfgs.pairs]
+    lbfgs.direction(f, g)
+    now = [s for s, _, _ in lbfgs.pairs]
+    assert len(now) == rgd.LBFGS_MEMORY
+    # the rest keep their order and the new pair comes last
+    assert all(a is b for a, b in zip(now[:-1], held[1:]))
+    assert all(now[-1] is not s for s in held)
 
 
 def test_a_non_descent_direction_falls_back_and_clears_the_memory(ellipsoid3):
     _, f, g = lbfgs_run(ellipsoid3, 0)
     precondition = rgd.preconditioner(ellipsoid3, reference_laplacian(ellipsoid3))
-    lbfgs = LBFGS(precondition, f.shape)
+    lbfgs = LBFGS(precondition)
     # one held pair (s, y) = (g, 0) with a negative weight: then
     # H = H_0 + rho g g^T and <g, H g> = <g, H_0 g> + rho |g|^4 < 0
     h0g = project_tangent(f, precondition(g))
-    lbfgs.s[0][:], lbfgs.y[0][:] = g, 0.0
-    lbfgs.rho[0] = -2.0 * np.sum(g * h0g) / np.sum(g * g) ** 2
-    lbfgs.count, lbfgs.newest = 1, 0
+    rho = -2.0 * np.sum(g * h0g) / np.sum(g * g) ** 2
+    lbfgs.pairs.append((g.copy(), np.zeros_like(g), rho))
     d = lbfgs.direction(f, g)
-    assert lbfgs.count == 0
+    assert not lbfgs.pairs
     assert np.array_equal(d, -h0g)
     assert np.sum(d * g) < 0
 
 
 def test_a_rejected_pair_keeps_every_held_pair(ellipsoid3, monkeypatch):
     lbfgs, f, g = lbfgs_run(ellipsoid3, 8)
-    assert lbfgs.count == rgd.LBFGS_MEMORY
-    slots = lbfgs._slots()
-    held = [(lbfgs.s[i].copy(), lbfgs.y[i].copy(), lbfgs.rho[i]) for i in slots]
+    assert len(lbfgs.pairs) == rgd.LBFGS_MEMORY
+    held = [(s, s.copy(), y.copy(), rho) for s, y, rho in lbfgs.pairs]
     monkeypatch.setattr(rgd, "CURVATURE_TOL", np.inf)  # every new pair fails
-    lbfgs.direction(project_to_manifold(f + 1e-3), g)
-    assert lbfgs.count == rgd.LBFGS_MEMORY and lbfgs._slots() == slots
     f_new = project_to_manifold(f + 1e-3)
-    for i, (s, y, rho) in zip(slots, held):
-        # the held pairs are only re-projected onto the new tangent space
-        assert np.array_equal(lbfgs.s[i], s - row_dots(f_new, s)[:, None] * f_new)
-        assert np.array_equal(lbfgs.y[i], y - row_dots(f_new, y)[:, None] * f_new)
-        assert lbfgs.rho[i] == rho
+    lbfgs.direction(f_new, g)
+    assert len(lbfgs.pairs) == rgd.LBFGS_MEMORY
+    for (s_now, y_now, rho_now), (s_held, s, y, rho) in zip(lbfgs.pairs, held):
+        # the held pairs, in their order, are only re-projected onto the
+        # new tangent space
+        assert s_now is s_held
+        assert np.array_equal(s_now, s - row_dots(f_new, s)[:, None] * f_new)
+        assert np.array_equal(y_now, y - row_dots(f_new, y)[:, None] * f_new)
+        assert rho_now == rho
 
 
 def test_lbfgs_descent_decreases_the_spherical_energy(ellipsoid3, monkeypatch):
