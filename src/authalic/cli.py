@@ -151,7 +151,9 @@ def param(mesh, method, fpi_iters, max_iters, ls, noise_sigma, seed, log_path, o
               callback=_finite, default=registration.DEFAULT_LAMBDA, show_default=True,
               help="Landmark penalty weight (finite, > 0).")
 @click.option("--align-iters", type=_COUNT, default=registration.DEFAULT_ALIGN_ITERS,
-              show_default=True)
+              show_default=True,
+              help="Iteration cap of each alignment, a safety bound: an alignment "
+                   "often stops earlier, by the relative gradient test.")
 @click.option("--method", type=_METHOD, default=ParameterizeConfig.method,
               show_default=True, help=_METHOD_HELP)
 @click.option("--fpi-iters", type=_COUNT, default=None, help=_FPI_HELP)
@@ -197,6 +199,7 @@ def register(mesh0, mesh1, landmarks, lam, align_iters, method, fpi_iters, max_i
         "reduction": 1.0 - after / before if before > 0 else 0.0,
         "fallback_points": composed.fallback_count,
         "alignment_status": [reg.h0.status, reg.h1.status],
+        "alignment_iters": [len(reg.h0.records), len(reg.h1.records)],
         "alignment_folds": folds,
     }
     with open(os.path.join(out_dir, "mismatch.json"), "w") as fh:

@@ -7,7 +7,9 @@ The accepted step must satisfy the sufficient decrease condition
 where phi(alpha) is the objective evaluated at the retraction of
 alpha * d.  Two strategies are provided: safeguarded quadratic/cubic
 interpolation backtracking, and bounded scalar minimization followed by
-the same acceptance test.
+the same acceptance test.  A trial whose image is degenerate (the
+objective raises :class:`~authalic.errors.DegenerateFaceError`) is a
+rejected trial with phi = inf, and the next trial halves the step.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .errors import LineSearchError
+from .errors import DegenerateFaceError, LineSearchError
 from .sphere import retract, row_dots
 
 # sufficient-decrease constant and step-size cap of every search
@@ -130,8 +132,10 @@ def search(f: np.ndarray, d: np.ndarray, *, energy, phi0: float, dphi0: float,
         the minimizer of the quadratic through phi(0), phi'(0) and that
         trial, after later ones the minimizer of the cubic through the
         last two trials, each clamped into [0.1, 0.5] times the last
-        trial.  The interpolant makes at most :data:`MAX_BACKTRACKS` + 1
-        trials; the bounded strategy makes that many after its minimizer.
+        trial.  A degenerate trial (phi = inf) halves the step and
+        enters no fit: the next rejection fits a quadratic again.  The
+        interpolant makes at most :data:`MAX_BACKTRACKS` + 1 trials; the
+        bounded strategy makes that many after its minimizer.
 
     Returns
     -------
@@ -150,7 +154,10 @@ def search(f: np.ndarray, d: np.ndarray, *, energy, phi0: float, dphi0: float,
         nonlocal evals
         g = retract(f, alpha * d)
         evals += 1
-        return energy(g), g
+        try:
+            return energy(g), g
+        except DegenerateFaceError:
+            return np.inf, g
 
     def sufficient(alpha: float, value: float) -> bool:
         return value <= phi0 + C1 * alpha * dphi0
@@ -158,6 +165,9 @@ def search(f: np.ndarray, d: np.ndarray, *, energy, phi0: float, dphi0: float,
     def reject(alpha: float, value: float, g: np.ndarray) -> float:
         """Keep a rejected trial; return the next step to try."""
         nonlocal best
+        if not np.isfinite(value):
+            rejected.clear()
+            return CLAMP_HI * alpha
         if value < best[0]:
             best = (value, g, alpha)
         rejected.append((alpha, value))

@@ -205,11 +205,16 @@ def nested_dissection(points: np.ndarray, edges: np.ndarray) -> np.ndarray:
     adjacency = sp.csr_matrix((np.ones(len(ends)), (ends[:, 0], ends[:, 1])), shape=(n, n))
     upper_mask = np.zeros(n)
     pieces: list[np.ndarray] = []
-
-    def dissect(vertices: np.ndarray) -> None:
-        if vertices.size <= DISSECTION_LEAF:
+    # a stack of (vertices, is_separator): a set to dissect, or a
+    # separator to place once both halves before it are ordered; a loop,
+    # not a recursive closure, which would hold itself (and the adjacency)
+    # in a reference cycle until the next garbage collection
+    stack = [(np.arange(n), False)]
+    while stack:
+        vertices, is_separator = stack.pop()
+        if is_separator or vertices.size <= DISSECTION_LEAF:
             pieces.append(vertices)
-            return
+            continue
         p = points[vertices]
         axis = int(np.argmax(p.max(axis=0) - p.min(axis=0)))
         ranked = vertices[np.argsort(p[:, axis], kind="stable")]
@@ -217,11 +222,9 @@ def nested_dissection(points: np.ndarray, edges: np.ndarray) -> np.ndarray:
         upper_mask[upper] = 1.0
         on_separator = adjacency[lower] @ upper_mask > 0
         upper_mask[upper] = 0.0
-        dissect(lower[~on_separator])
-        dissect(upper)
-        pieces.append(lower[on_separator])
+        # popped in the reverse order: the lower half, the upper, the separator
+        stack += [(lower[on_separator], True), (upper, False), (lower[~on_separator], False)]
 
-    dissect(np.arange(n))
     return np.concatenate(pieces)
 
 

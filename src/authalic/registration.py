@@ -2,8 +2,9 @@
 
 Two surfaces with spherical parameterizations are registered by warping
 each parameterization on the sphere toward shared landmark targets (the
-normalized chord midpoints of each landmark pair), minimizing the stretch
-energy of the warp plus weighted squared landmark mismatch.  The final
+normalized chord midpoints of each landmark pair), minimizing the
+spherical-area stretch energy of the warp plus weighted squared
+landmark mismatch by preconditioned Riemannian L-BFGS.  The final
 vertex-to-surface map is evaluated by spherical point location plus
 barycentric inversion, and a linear homotopy provides morph frames.
 :func:`register` runs that sequence on two given spherical maps.
@@ -14,17 +15,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
 from . import energy as en
+from .fpi import reference_laplacian
 from .mesh import build_surface
 from .rgd import GeometryMemo, MinimizeResult, minimize
 from .sphere import project_to_manifold
 
 # the landmark weight and the iteration cap of each alignment, for the
-# library and the command line alike
+# library and the command line alike; the cap is a safety bound, and an
+# alignment often stops before it, by the relative gradient test
 DEFAULT_LAMBDA = 10.0
-DEFAULT_ALIGN_ITERS = 200
+DEFAULT_ALIGN_ITERS = 40
 
 
 def midpoint_targets(f0: np.ndarray, f1: np.ndarray, pairs: np.ndarray,
@@ -42,12 +46,16 @@ def midpoint_targets(f0: np.ndarray, f1: np.ndarray, pairs: np.ndarray,
 
 
 class RegistrationObjective(GeometryMemo):
-    """Stretch energy of the warp plus weighted squared landmark mismatch,
-    as an objective for the shared descent driver.
+    """Normalized stretch energy of the warp, measured with spherical
+    image areas, plus weighted squared landmark mismatch, as an objective
+    of :func:`~authalic.rgd.minimize`.
 
-    A vertex may carry several landmarks; each adds its own term.  Every
-    weight must be finite and positive: at lambda <= 0 the pull pushes a
-    landmark away from its target, toward the antipode.
+    The stretch term is the default descent's energy
+    (:attr:`~authalic.energy.FaceGeometry.spherical_normalized`), with
+    the sphere mesh being warped as the reference.  A vertex may carry
+    several landmarks; each adds its own term.  Every weight must be
+    finite and positive: at lambda <= 0 the pull pushes a landmark away
+    from its target, toward the antipode.
     """
 
     def __init__(self, surface_sphere, landmark_rows, targets, lambdas):
@@ -68,19 +76,19 @@ class RegistrationObjective(GeometryMemo):
         return float(np.sum(self.lambdas * np.sum(resid**2, axis=1)))
 
     def value(self, h: np.ndarray) -> float:
-        return self.geometry(h).stretch + self._mismatch(h)
+        return self.geometry(h).spherical_normalized + self._mismatch(h)
 
     def value_and_gradient(self, h: np.ndarray):
-        """Value and ambient gradient.  The gradient is 2 L(h) h through
-        the per-face identity plus the landmark pull 2 lambda (h - target),
-        summed per row."""
+        """Value and ambient gradient: the spherical stretch gradient
+        (:func:`~authalic.energy.spherical_gradient`) plus the landmark
+        pull 2 lambda (h - target), summed per row."""
         geom = self.geometry(h)
         en.check_geometry(geom)
-        grad = en.stretch_gradient(self.surface, geom)
+        grad = en.spherical_gradient(self.surface, geom, h)
         if self.rows.size:
             np.add.at(grad, self.rows,
                       2.0 * self.lambdas[:, None] * (h[self.rows] - self.targets))
-        return geom.stretch + self._mismatch(h), grad
+        return geom.spherical_normalized + self._mismatch(h), grad
 
 
 def geodesic_mismatch(points_a: np.ndarray, points_b: np.ndarray) -> float:
@@ -94,15 +102,24 @@ def solve_alignment(sphere_surface, f_param: np.ndarray, landmark_rows,
                     iters: int = DEFAULT_ALIGN_ITERS) -> MinimizeResult:
     """Warp a spherical parameterization so landmarks approach targets.
 
-    Gradient descent on the registration energy over the power manifold,
-    starting from the parameterization itself, with the interpolating
-    line search.  It stops by the rules every descent stops by
-    (:func:`~authalic.rgd.minimize`), the stall test reading the
-    registration energy; `iters` is the iteration cap.  Returns the
-    descent's result, its stop `message` included.
+    Preconditioned Riemannian L-BFGS on the registration energy
+    (:class:`RegistrationObjective`) over the power manifold, starting
+    from the parameterization itself, with the interpolating line
+    search.  The preconditioner's Laplacian is half the Hessian of the
+    energy's quadratic parts, K_L = L + diag(sum of lambda per landmark
+    row): the stretch energy's is about 2 L, L the sphere mesh's
+    cotangent Laplacian, and each landmark pull's 2 lambda.
+    It stops by the rules every descent stops by
+    (:func:`~authalic.rgd.minimize`), often by the gradient test
+    relative to the first gradient; `iters` is a safety cap.  Returns
+    the descent's result, its stop `message` included.
     """
     objective = RegistrationObjective(sphere_surface, landmark_rows, targets, lambdas)
-    return minimize(sphere_surface, f_param, objective=objective, max_iters=iters)
+    pull = np.bincount(objective.rows, weights=objective.lambdas,
+                       minlength=sphere_surface.n_vertices)
+    laplacian = reference_laplacian(sphere_surface) + sp.diags(pull)
+    return minimize(sphere_surface, f_param, objective=objective, max_iters=iters,
+                    laplacian=laplacian)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@
 Each iteration projects the ambient gradient of the objective to the
 tangent space, takes a descent direction, picks a step size by line
 search, and retracts.  The direction is the anti-gradient (the paper's
-method, and the landmark alignment's) or, given the reference
-cotangent Laplacian L, a preconditioned Riemannian L-BFGS direction
-(Huang, Gallivan and Absil, SIAM J. Optim. 2015): the two-loop
+method) or, given a Laplacian L, a preconditioned Riemannian L-BFGS
+direction (Huang, Gallivan and Absil, SIAM J. Optim. 2015), which the
+default parameterization and the landmark alignment take: the two-loop
 recursion over a bounded deque of the last :data:`LBFGS_MEMORY`
 curvature pairs, re-projected onto the current tangent space, with the
 initial inverse Hessian P K^-1 P for
@@ -49,7 +49,10 @@ logger = logging.getLogger(__name__)
 
 
 GRAD_TOL = 1e-6
-"""The gradient test: stop once |grad| <= GRAD_TOL * sqrt(n) for n vertices."""
+"""The gradient test: stop once |grad| <= GRAD_TOL * sqrt(n) for n vertices,
+or once it falls to :data:`GRAD_RTOL` times the first iterate's."""
+GRAD_RTOL = 1e-3
+"""The gradient test's scale-free floor, relative to the first gradient."""
 ENERGY_TOL = 1e-12
 """The stall test: stop after :data:`STALL_ITERS` accepted steps in a row
 that each lower the objective by less than this."""
@@ -141,7 +144,9 @@ class NormalizedStretchObjective(GeometryMemo):
 
 def preconditioner(surface, laplacian: sp.spmatrix):
     """K^-1 as a checked solve, for K = L + :data:`PRECONDITIONER_SHIFT`
-    (|M| / n) I with L the reference cotangent Laplacian `laplacian`.
+    (|M| / n) I with L the symmetric positive semidefinite `laplacian`:
+    the reference cotangent Laplacian, plus the landmark pull's diagonal
+    for the alignment.
 
     K is factored once, in the surface's dissection order, through
     :func:`~authalic.linsolve.factorize`, so every application meets the
@@ -259,8 +264,9 @@ def minimize(surface, f0: np.ndarray, *, objective=None, max_iters: int = 100,
              strategy: str = "interpolant", laplacian=None) -> MinimizeResult:
     """Run gradient descent from `f0` until a stopping rule fires.
 
-    The direction is the anti-gradient (the paper's method) or, when the
-    reference cotangent Laplacian `laplacian` is given, the
+    The direction is the anti-gradient (the paper's method) or, when a
+    Laplacian `laplacian` is given (the reference cotangent Laplacian,
+    to which the alignment adds its landmark pull), the
     preconditioned L-BFGS direction (:class:`LBFGS`, with
     :func:`preconditioner` factored once for this call and released when
     it returns).  Once the L-BFGS memory holds a pair, the first trial
@@ -271,7 +277,8 @@ def minimize(surface, f0: np.ndarray, *, objective=None, max_iters: int = 100,
 
     The rules are the same for every objective, and each reads values the
     loop already holds: the Riemannian gradient norm falls to
-    :data:`GRAD_TOL` * sqrt(n) (`grad_converged`); :data:`STALL_ITERS`
+    max(:data:`GRAD_TOL` * sqrt(n), :data:`GRAD_RTOL` * |g_1|), g_1 the
+    first iterate's gradient (`grad_converged`); :data:`STALL_ITERS`
     accepted steps in a row each lower the objective by less than
     :data:`ENERGY_TOL` (`energy_stalled`); `max_iters` steps are taken
     (`max_iters`); the line search finds no step (`line_search_failed`).
@@ -306,6 +313,8 @@ def minimize(surface, f0: np.ndarray, *, objective=None, max_iters: int = 100,
         value, egrad = objective.value_and_gradient(f)
         rgrad = project_tangent(f, egrad)
         grad_norm = float(np.sqrt(_inner(rgrad, rgrad)))
+        if k == 1:
+            grad_tol = max(grad_tol, GRAD_RTOL * grad_norm)
         if grad_norm <= grad_tol:
             return MinimizeResult(f, records, "grad_converged",
                                   f"|grad| = {grad_norm:.3e} <= {grad_tol:.3e}")

@@ -248,8 +248,8 @@ def test_traced_run_reads_every_stage_result(spans):
     assert metrics["fpi.iterations"] == len(result.fpi.records)
     assert metrics["registration.align_iters"] == len(aligned.records)
     # under the default method: the descent's objective is the one the
-    # span wraps, and the preconditioner's factor is an LU with no
-    # `linsolve.solve` system of its own
+    # span wraps, and each preconditioner's factor (the descent's and the
+    # alignment's) is an LU with no `linsolve.solve` system of its own
     calls = [s for s in recorder.spans if s[spans.NAME] == "rgd.value_and_gradient"]
     assert len(calls) == len(result.rgd.records) and metrics["rgd.value_and_gradient_s"] > 0
-    assert metrics["linsolve.factorizations"] == metrics["linsolve.systems"] + 1
+    assert metrics["linsolve.factorizations"] == metrics["linsolve.systems"] + 2

@@ -225,6 +225,10 @@ def test_register_outputs(registration_dir, sphere_file):
              for name in ("h0", "h1")]
     assert mismatch["alignment_folds"] == folds
     assert all(type(n) is int and n >= 0 for n in mismatch["alignment_folds"])
+    # one record per alignment iteration, up to the --align-iters cap of 60
+    for iters, status in zip(mismatch["alignment_iters"], mismatch["alignment_status"]):
+        assert type(iters) is int and 0 < iters <= 60
+        assert status != "max_iters" or iters == 60
     params = json.loads((out / "manifest.json").read_text())["params"]
     assert params["method"] == "lbfgs" and params["starts"] == ["conformal", "conformal"]
 

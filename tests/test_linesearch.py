@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from authalic import linesearch
 from authalic.energy import euclidean_gradient, face_geometry
-from authalic.errors import LineSearchError
+from authalic.errors import DegenerateFaceError, LineSearchError
 from authalic.linesearch import (cubic_backtrack_step, cubic_fit, phi_derivative_at_zero,
                                  quadratic_backtrack_step, search)
 from authalic.sphere import project_tangent, project_to_manifold, retract
@@ -227,6 +229,68 @@ def test_cubic_step_clamps_relative_to_the_last_trial(monkeypatch):
     monkeypatch.setattr(linesearch, "MAX_BACKTRACKS", 2)
     search(f, d, energy=steep, phi0=1.0, dphi0=-1.0)
     assert trials == pytest.approx([1.0, 0.1, 0.01], rel=1e-12)
+
+
+def trial_alpha(g):
+    """The step of a trial on the one-point stub: retract((1, 0, 0), a (0, 1, 0))."""
+    return g[0, 1] / g[0, 0]
+
+
+def test_a_degenerate_trial_is_rejected_and_halves_the_step():
+    # the objective raises on the unit step, as on an image that the step
+    # collapses: the search rejects that trial and halves the step
+    f = np.array([[1.0, 0.0, 0.0]])
+    d = np.array([[0.0, 1.0, 0.0]])
+    trials = []
+
+    def fragile(g):
+        trials.append(trial_alpha(g))
+        if trials[-1] > 0.6:
+            raise DegenerateFaceError("total spherical image area -1.257e+01 is not positive")
+        return 1.0 - trials[-1]
+
+    res = search(f, d, energy=fragile, phi0=1.0, dphi0=-1.0, alpha0=1.0)
+    assert res.ok and res.evals == 2
+    assert trials == pytest.approx([1.0, 0.5], rel=1e-12)
+    assert res.alpha == pytest.approx(0.5, rel=1e-12) and res.energy == pytest.approx(0.5)
+
+
+def test_a_degenerate_trial_enters_no_fit():
+    # rejected at 1, degenerate at the quadratic step 0.25, rejected at
+    # its half 0.125: the next step is the quadratic one through that
+    # trial alone, and no fit ever reads the degenerate trial's inf
+    f = np.array([[1.0, 0.0, 0.0]])
+    d = np.array([[0.0, 1.0, 0.0]])
+    trials = []
+
+    def energy(g):
+        alpha = trial_alpha(g)
+        trials.append(alpha)
+        if alpha > 0.9:
+            return 2.0
+        if alpha > 0.2:
+            raise DegenerateFaceError("image of face 0 is degenerate")
+        return 1.0 if alpha > 0.1 else 1.0 - alpha
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = search(f, d, energy=energy, phi0=1.0, dphi0=-1.0, alpha0=1.0)
+    assert res.ok
+    assert trials == pytest.approx([1.0, 0.25, 0.125, 0.0625], rel=1e-12)
+
+
+def test_only_degenerate_trials_fail_the_search_at_the_start(monkeypatch):
+    # every trial degenerate: no step is taken and the start is returned
+    f = np.array([[1.0, 0.0, 0.0]])
+    d = np.array([[0.0, 1.0, 0.0]])
+
+    def collapsed(g):
+        raise DegenerateFaceError("image of face 0 is degenerate")
+
+    monkeypatch.setattr(linesearch, "MAX_BACKTRACKS", 3)
+    res = search(f, d, energy=collapsed, phi0=1.0, dphi0=-1.0)
+    assert not res.ok and res.evals == 4
+    assert res.mapping is f and res.energy == 1.0
 
 
 def test_non_descent_direction_rejected(ellipsoid3):

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -345,3 +347,19 @@ def test_dissection_order_is_a_cached_permutation():
     order = surface.dissection_order
     assert np.array_equal(np.sort(order), np.arange(surface.n_vertices))
     assert surface.dissection_order is order
+
+
+def test_nested_dissection_leaves_nothing_for_the_collector():
+    # every alignment orders a new sphere mesh; a call that left a
+    # reference cycle would hold its adjacency until a full collection
+    surface = make_icosphere(3)
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        order = mesh.nested_dissection(surface.vertices, surface.edges)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+    assert np.array_equal(np.sort(order), np.arange(surface.n_vertices))

@@ -12,6 +12,7 @@ import authalic.energy as en
 import authalic.fpi as fpi
 import authalic.rgd as rgd
 import authalic.sphere as sphere
+from authalic.diagnostics import fd_gradient_norm_error
 from authalic.energy import assemble_laplacian, face_geometry
 from authalic.errors import DegenerateFaceError
 from authalic.mesh import normalize_area
@@ -68,20 +69,23 @@ def test_normalized_gradient_matches_laplacian_route(mesh, request):
 
 
 @pytest.mark.parametrize("mesh", ["ellipsoid3", "bumpy"])
-def test_registration_gradient_matches_laplacian_route(mesh, request):
+def test_registration_gradient_is_spherical_gradient_plus_pull(mesh, request):
     surface = request.getfixturevalue(mesh)
     f = spherical_start(surface)
     targets = landmark_targets(f)
     lambdas = np.array([10.0, 1.0, 0.5, 2.0])
-    two_lap_f, e_s, _, _ = laplacian_stretch_terms(surface, f)
-    expected = two_lap_f.copy()
-    expected[LANDMARK_ROWS] += 2.0 * lambdas[:, None] * (f[LANDMARK_ROWS] - targets)
+    geom = face_geometry(surface, f)
+    expected = en.spherical_gradient(surface, geom, f)
+    for row, target, lam in zip(LANDMARK_ROWS, targets, lambdas):
+        expected[row] += 2.0 * lam * (f[row] - target)
     objective = RegistrationObjective(surface, LANDMARK_ROWS, targets, lambdas)
     value, egrad = objective.value_and_gradient(f)
     assert_close(egrad, expected)
     mismatch = float(np.sum(lambdas * np.sum((f[LANDMARK_ROWS] - targets) ** 2, axis=1)))
-    assert value == pytest.approx(e_s + mismatch, rel=1e-12)
+    assert value == pytest.approx(geom.spherical_normalized + mismatch, rel=1e-12)
     assert objective.value(f) == value
+    # the whole gradient, pull included, against central differences
+    assert fd_gradient_norm_error(objective, f, max_coords=200) < 1e-6
 
 
 def collapsed_mapping(surface, face=4):
@@ -116,10 +120,12 @@ def test_value_and_gradient_rejects_collapsed_face(ellipsoid3, which, value_firs
 
 @pytest.mark.parametrize("which", [0, 1])
 def test_value_rejects_a_non_finite_total_image_area(ellipsoid3, which):
-    # the value reads the stretch energy, which checks the total image area
+    # the value reads the stretch energy, which checks the total image
+    # area: the chordal one, and the registration energy's spherical one
     f = spherical_start(ellipsoid3)
     f[5] = np.nan
-    with pytest.raises(DegenerateFaceError, match="total image area nan is not positive"):
+    area = ("total image area", "total spherical image area")[which]
+    with pytest.raises(DegenerateFaceError, match=f"{area} nan is not positive"):
         objectives(ellipsoid3)[which].value(f)
 
 

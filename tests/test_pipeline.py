@@ -218,3 +218,20 @@ def test_coarse_and_elongated_meshes_end_fold_free(surface, config):
 def test_twenty_point_hulls_end_fold_free(seed):
     result = parameterize(unit_hull(20, seed=seed))
     assert result.summary["folds"] == 0
+
+
+def test_a_hull_with_a_degenerate_trial_step_ends_fold_free():
+    # a trial step of the descent collapses this six-point hull's
+    # spherical image; the line search rejects it and halves the step
+    # instead of raising DegenerateFaceError
+    result = parameterize(unit_hull(6, seed=5))
+    assert result.summary["folds"] == 0 and result.summary["degree"] == 1
+    assert result.summary["sd_over_mean"] == pytest.approx(0.155, abs=1e-3)
+
+
+def test_the_relative_gradient_floor_does_not_cut_the_descent_short():
+    # the default descent stops by its iteration cap here, with its
+    # gradient still above rgd.GRAD_RTOL of the first one
+    result = parameterize(make_icosphere(3, (1.0, 0.8, 0.6)))
+    assert result.rgd.status == "max_iters"
+    assert len(result.rgd.records) == ParameterizeConfig().max_iters == 20

@@ -3,12 +3,13 @@ import pytest
 from scipy.spatial import cKDTree
 
 from authalic import registration
-from authalic.energy import assemble_laplacian, face_geometry
-from authalic.mesh import build_surface, make_icosphere
+from authalic.energy import face_geometry, spherical_gradient
+from authalic.mesh import build_surface, make_icosphere, normalize_area
+from authalic.pipeline import parameterize
 from authalic.registration import (RegistrationObjective, compose_registration,
                                    geodesic_mismatch, homotopy_frame, locate_on_sphere,
                                    midpoint_targets, register, solve_alignment)
-from authalic.sphere import project_to_manifold
+from authalic.sphere import count_folds, project_to_manifold
 
 from helpers import (central_difference_gradient, inverted_vertex_map, locate_one_by_one,
                      regular_tetrahedron, rotation_matrix)
@@ -57,8 +58,8 @@ def test_gradient_without_landmarks_is_stretch_gradient(icosphere1):
     h = icosphere1.vertices
     rows = np.array([], dtype=np.int64)
     grad = registration_gradient(sphere, h, rows, np.zeros((0, 3)), np.zeros(0))
-    lap = assemble_laplacian(sphere, face_geometry(sphere, h))
-    assert np.abs(grad - 2.0 * (lap @ h)).max() <= 1e-14
+    stretch = spherical_gradient(sphere, face_geometry(sphere, h), h)
+    assert np.abs(grad - stretch).max() <= 1e-14
 
 
 def test_gradient_zero_residual_row(icosphere1):
@@ -311,3 +312,31 @@ def test_locate_skips_a_singular_candidate(icosphere2):
     assert (nearest_faces(points, f, icosphere2.faces) == top).any()
     faces, _, _ = assert_located_as_one_by_one(points, f, icosphere2.faces)
     assert (faces != top).all()
+
+
+def ellipsoid_pair(subdivisions, landmarks):
+    """The benchmark's register-pair shapes, unrotated, their default
+    parameterizations, and `landmarks` pairs of one vertex id on both."""
+    m0 = normalize_area(make_icosphere(subdivisions, (1.0, 0.75, 0.9)))
+    m1 = normalize_area(make_icosphere(subdivisions, (0.7, 1.0, 0.8)))
+    ids = np.random.default_rng(0).choice(m0.n_vertices, size=landmarks, replace=False)
+    return m0, m1, parameterize(m0).mapping, parameterize(m1).mapping, np.stack([ids, ids], 1)
+
+
+def assert_aligned(m0, m1, reg):
+    assert count_folds(m0, reg.h0.mapping) == 0 and count_folds(m1, reg.h1.mapping) == 0
+    assert reg.mismatch_after <= 0.1 * reg.mismatch_before
+
+
+def test_alignments_stop_by_the_relative_gradient_test():
+    m0, m1, f0, f1, pairs = ellipsoid_pair(4, 8)
+    reg = register(m0, m1, f0, f1, pairs, iters=200)
+    for aligned in (reg.h0, reg.h1):
+        assert aligned.status == "grad_converged"
+        assert len(aligned.records) < registration.DEFAULT_ALIGN_ITERS
+    assert_aligned(m0, m1, reg)
+
+
+def test_many_landmarks_align_within_the_default_cap():
+    m0, m1, f0, f1, pairs = ellipsoid_pair(3, 64)
+    assert_aligned(m0, m1, register(m0, m1, f0, f1, pairs))

@@ -109,6 +109,7 @@ def test_energy_stall_stop(icosphere2, monkeypatch):
     # in practice: tiny decreases trip the stall rule quickly
     monkeypatch.setattr(rgd, "ENERGY_TOL", 1e-9)
     monkeypatch.setattr(rgd, "GRAD_TOL", 0.0)
+    monkeypatch.setattr(rgd, "GRAD_RTOL", 0.0)
     result = minimize(icosphere2, icosphere2.vertices, max_iters=4000)
     assert result.status in ("energy_stalled", "line_search_failed")
 
@@ -141,6 +142,7 @@ def test_gradient_falls_with_generous_budget(monkeypatch):
     surf = normalize_area(make_icosphere(1, (1.0, 0.9, 0.8)))
     f0 = project_to_manifold(surf.vertices)
     monkeypatch.setattr(rgd, "GRAD_TOL", 1e-4 / np.sqrt(surf.n_vertices))
+    monkeypatch.setattr(rgd, "GRAD_RTOL", 0.0)
     monkeypatch.setattr(rgd, "ENERGY_TOL", -np.inf)
     result = minimize(surf, f0, max_iters=5000)
     assert result.status == "grad_converged"
