@@ -3,13 +3,14 @@
 The core entry points:
 
 - :func:`authalic.mesh.load_mesh` / :func:`authalic.mesh.make_icosphere`
-- :func:`authalic.pipeline.parameterize` -- conformal start, fixed-point
-  warm-up, Riemannian gradient descent, fold correction
+- :func:`authalic.pipeline.parameterize` -- radial or conformal start,
+  fixed-point warm-up, Riemannian gradient descent, fold correction
 - :func:`authalic.registration.register` -- landmark-aligned
   registration of two parameterized surfaces, the one entry point:
   both alignments (:func:`~authalic.registration.solve_alignment`), the
-  composed map (:func:`~authalic.registration.compose_registration`)
-  and the landmark mismatch before and after, as one
+  composed map (:func:`~authalic.registration.compose_registration`),
+  the rigid rotation between the two maps' landmarks and the landmark
+  mismatch before and after, as one
   :class:`~authalic.registration.Registration`
 - the ``authalic`` command-line tool (param / register / morph / check)
 """

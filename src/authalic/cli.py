@@ -194,7 +194,10 @@ def register(mesh0, mesh1, landmarks, lam, align_iters, method, fpi_iters, max_i
     before, after = reg.mismatch_before, reg.mismatch_after
     folds = [count_folds(m0, h0), count_folds(m1, h1)]
     mismatch = {
-        "initial_mean_geodesic": before,
+        "initial_mean_geodesic": registration.geodesic_mismatch(f0[pairs[:, 0]],
+                                                                f1[pairs[:, 1]]),
+        "rotation_deg": reg.rotation_deg,
+        "rotated_mean_geodesic": before,
         "final_mean_geodesic": after,
         "reduction": 1.0 - after / before if before > 0 else 0.0,
         "fallback_points": composed.fallback_count,

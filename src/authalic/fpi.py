@@ -1,13 +1,14 @@
 """Fixed-point iteration of stretch-energy minimization.
 
-Produces the initial spherical mapping for gradient descent: a conformal
-starting map (harmonic flattening of the once-punctured mesh, lifted to
-the sphere, from the reference cotangent Laplacian), or the radial start
-where the conformal one folds, then alternating hemisphere solves of the
-image-weighted Laplacian in the stereographic plane with median
-rescaling.  The iteration is cheap but not monotone; the caller can
-stop as soon as the authalic energy first increases and roll back one
-step.  The conformal start, these solves and fold correction
+Produces the initial spherical mapping for gradient descent: the two
+start maps, radial (each vertex's direction from the centroid) and
+conformal (harmonic flattening of the once-punctured mesh, lifted to the
+sphere, from the reference cotangent Laplacian), of which the pipeline
+takes the first fold-free one in its method's order, then alternating
+hemisphere solves of the image-weighted Laplacian in the stereographic
+plane with median rescaling.  The iteration is cheap but not monotone;
+the caller can stop as soon as the authalic energy first increases and
+roll back one step.  The conformal start, these solves and fold correction
 (:mod:`authalic.unfold`) share one restricted planar solve,
 :func:`dirichlet_solve`.
 """

@@ -198,16 +198,19 @@ def nested_dissection(points: np.ndarray, edges: np.ndarray) -> np.ndarray:
     median of the coordinate with the widest spread; the lower-half
     vertices adjacent to the upper half form the separator.  Both halves
     are ordered first, recursively, and the separator last, so eliminating
-    the halves creates no fill between them.
+    the halves creates no fill between them.  Every vertex must have a
+    neighbour, as in a mesh :func:`build_surface` accepts.
     """
     n = points.shape[0]
     ends = np.concatenate([edges, edges[:, ::-1]])
-    adjacency = sp.csr_matrix((np.ones(len(ends)), (ends[:, 0], ends[:, 1])), shape=(n, n))
-    upper_mask = np.zeros(n)
+    # the graph as CSR: the neighbours of v are indices[indptr[v]:indptr[v + 1]]
+    indices = ends[np.argsort(ends[:, 0], kind="stable"), 1]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(ends[:, 0], minlength=n))])
+    upper_mask = np.zeros(n, dtype=bool)
     pieces: list[np.ndarray] = []
     # a stack of (vertices, is_separator): a set to dissect, or a
     # separator to place once both halves before it are ordered; a loop,
-    # not a recursive closure, which would hold itself (and the adjacency)
+    # not a recursive closure, which would hold itself (and the graph)
     # in a reference cycle until the next garbage collection
     stack = [(np.arange(n), False)]
     while stack:
@@ -219,9 +222,15 @@ def nested_dissection(points: np.ndarray, edges: np.ndarray) -> np.ndarray:
         axis = int(np.argmax(p.max(axis=0) - p.min(axis=0)))
         ranked = vertices[np.argsort(p[:, axis], kind="stable")]
         lower, upper = ranked[:ranked.size // 2], ranked[ranked.size // 2:]
-        upper_mask[upper] = 1.0
-        on_separator = adjacency[lower] @ upper_mask > 0
-        upper_mask[upper] = 0.0
+        upper_mask[upper] = True
+        # a lower vertex is on the separator if any neighbour is upper:
+        # gather the neighbours' flags, one run per lower vertex, and OR
+        # each run (no run is empty, as every vertex has a neighbour)
+        first, degree = indptr[lower], indptr[lower + 1] - indptr[lower]
+        runs = np.cumsum(degree) - degree
+        gather = np.arange(degree.sum()) + np.repeat(first - runs, degree)
+        on_separator = np.logical_or.reduceat(upper_mask[indices[gather]], runs)
+        upper_mask[upper] = False
         # popped in the reverse order: the lower half, the upper, the separator
         stack += [(lower[on_separator], True), (upper, False), (lower[~on_separator], False)]
 

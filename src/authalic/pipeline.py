@@ -2,20 +2,28 @@
 
 Pipeline order: a start map, a burst of fixed-point iterations (FPI,
 stopped at the first energy increase), fold correction, Riemannian
-descent, fold correction again.  The start is the conformal one; if it
-folds and the radial start (:func:`~authalic.fpi.radial_initial_map`)
-does not, the radial one.  Two methods share that order
+descent, fold correction again.  The start is the first fold-free one
+of the conformal start (:func:`~authalic.fpi.conformal_initial_map`) and
+the radial start (:func:`~authalic.fpi.radial_initial_map`), tried in
+the method's order (:data:`START_ORDER`), and the conformal one when
+both fold.  Two methods share that order
 (:attr:`ParameterizeConfig.method`):
 
-- ``"lbfgs"``, the default: no FPI iterations, and 20 iterations of the
-  preconditioned Riemannian L-BFGS direction on the normalized stretch
-  energy measured with spherical image areas;
-- ``"paper"``: 10 FPI iterations, then 100 of the paper's steepest
-  descent on the chordal normalized stretch energy;
-  ``ParameterizeConfig(method="paper")`` is the paper's run.
+- ``"lbfgs"``, the default: the radial start first, no FPI iterations,
+  and 20 iterations of the preconditioned Riemannian L-BFGS direction
+  on the normalized stretch energy measured with spherical image areas;
+  the descent converges from any fold-free start, so the conformal
+  solve runs only where the radial start folds;
+- ``"paper"``: the conformal start first, 10 FPI iterations, then 100
+  of the paper's steepest descent on the chordal normalized stretch
+  energy; ``ParameterizeConfig(method="paper")`` is the paper's run.
 
-The method picks the iteration caps (:data:`METHOD_ITERS`), the
-objective and the direction together; the caps can be overridden.
+The method picks the start order, the iteration caps
+(:data:`METHOD_ITERS`), the objective and the direction together; the
+caps can be overridden.  The radial start follows the input's frame:
+under ``"lbfgs"`` a rotated input gives a rotated output map, of the
+same quality.  The conformal start depends only on lengths and areas,
+so it does not rotate with the input.
 
 One reference cotangent Laplacian is assembled per run, for the
 conformal start and the L-BFGS preconditioner.  The input mesh is
@@ -46,6 +54,9 @@ METHOD_ITERS = {"lbfgs": (0, 20), "paper": (10, 100)}
 """(FPI, descent) iteration caps of each method, used where the
 configuration leaves them unset."""
 METHODS = tuple(METHOD_ITERS)
+START_ORDER = {"lbfgs": ("radial", "conformal"), "paper": ("conformal", "radial")}
+"""The order in which each method tries the start maps: the first
+fold-free one is taken, and the conformal one when both fold."""
 
 
 @dataclass(frozen=True)
@@ -85,10 +96,12 @@ class ParameterizeConfig:
 @dataclass(frozen=True)
 class ParameterizeResult:
     """The final map and its rescaled surface.  `start` names the start
-    map, ``"conformal"`` or ``"radial"``.  `fpi` and `rgd` are the
-    warm-up's and the descent's own results; `records` runs through both
-    with one iteration numbering and one clock.  `corrections` holds the
-    fold corrections ``"after_fpi"`` and ``"after_rgd"``."""
+    map, ``"conformal"`` or ``"radial"``: the first fold-free one in the
+    method's :data:`START_ORDER`, else the conformal one.  `fpi` and
+    `rgd` are the warm-up's and the descent's own results; `records`
+    runs through both with one iteration numbering and one clock.
+    `corrections` holds the fold corrections ``"after_fpi"`` and
+    ``"after_rgd"``."""
 
     mapping: np.ndarray
     surface: SimplicialSurface
@@ -123,13 +136,18 @@ def parameterize(surface: SimplicialSurface,
     start = time.perf_counter()
 
     lap = reference_laplacian(surface)
-    f = conformal_initial_map(surface, rng=rng, laplacian=lap)
-    start_name = "conformal"
-    start_folds = count_folds(surface, f)
-    if start_folds:
-        radial = radial_initial_map(surface)
-        if not count_folds(surface, radial):
-            f, start_name, start_folds = radial, "radial", 0
+    starts = {"conformal": lambda: conformal_initial_map(surface, rng=rng, laplacian=lap),
+              "radial": lambda: radial_initial_map(surface)}
+    # the first fold-free start in the method's order, else the conformal one
+    tried = {}
+    for start_name in START_ORDER[config.method]:
+        f = starts[start_name]()
+        tried[start_name] = f, count_folds(surface, f)
+        if not tried[start_name][1]:
+            break
+    else:
+        start_name = "conformal"
+    f, start_folds = tried[start_name]
     records: list[IterationRecord] = []
 
     def append(stage_records, began):

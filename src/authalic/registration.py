@@ -2,9 +2,14 @@
 
 Two surfaces with spherical parameterizations are registered by warping
 each parameterization on the sphere toward shared landmark targets (the
-normalized chord midpoints of each landmark pair), minimizing the
-spherical-area stretch energy of the warp plus weighted squared
-landmark mismatch by preconditioned Riemannian L-BFGS.  The final
+normalized chord midpoints of each landmark pair, after the rigid
+rotation of the second map's landmarks onto the first's), minimizing
+the spherical-area stretch energy of the warp plus weighted squared
+landmark mismatch by preconditioned Riemannian L-BFGS from the map's
+best rigid rotation onto the targets.  The rigid steps matter because a
+spherical map may follow its input's frame (the default radial start
+does), so two maps of differently posed surfaces can start far apart
+though each is fine; a rotation changes no face area.  The final
 vertex-to-surface map is evaluated by spherical point location plus
 barycentric inversion, and a linear homotopy provides morph frames.
 :func:`register` runs that sequence on two given spherical maps.
@@ -31,12 +36,34 @@ DEFAULT_LAMBDA = 10.0
 DEFAULT_ALIGN_ITERS = 40
 
 
+def landmark_rotation(targets: np.ndarray, points: np.ndarray, weights) -> np.ndarray:
+    """The rotation R (det R = +1) that minimizes the weighted pull
+    sum_i w_i |R points_i - targets_i|^2 (Kabsch, Acta Cryst. A32, 1976).
+
+    R comes from the SVD of the 3 x 3 weighted cross-covariance
+    sum_i w_i targets_i points_i^T, with the sign of its last singular
+    direction chosen so that R is proper.  Apply it to row vectors as
+    ``points @ R.T``.
+    """
+    w = np.broadcast_to(np.asarray(weights, dtype=np.float64), (len(points),))
+    u, _, vt = np.linalg.svd((w[:, None] * targets).T @ points)
+    d = np.sign(np.linalg.det(u @ vt))
+    return (u * np.array([1.0, 1.0, d])) @ vt
+
+
 def midpoint_targets(f0: np.ndarray, f1: np.ndarray, pairs: np.ndarray,
                      normalize: bool = True) -> np.ndarray:
-    """Per-pair targets c = (f0[p] + f1[q]) / 2, optionally renormalized
-    onto the sphere (the attainable version; the raw chord midpoint lies
-    strictly inside)."""
-    c = 0.5 * (f0[pairs[:, 0]] + f1[pairs[:, 1]])
+    """Per-pair targets c = (f0[p] + R f1[q]) / 2, optionally
+    renormalized onto the sphere (the attainable version; the raw chord
+    midpoint lies strictly inside).
+
+    R is the rotation of f1's landmarks onto f0's
+    (:func:`landmark_rotation`, unweighted): two spherical maps may lie
+    in different frames, and a rotation changes no face area, so the
+    targets are taken in f0's frame and do not depend on f1's.
+    """
+    a, b = f0[pairs[:, 0]], f1[pairs[:, 1]]
+    c = 0.5 * (a + b @ landmark_rotation(a, b, 1.0).T)
     if normalize:
         norms = np.linalg.norm(c, axis=1)
         if (norms < 1e-8).any():
@@ -104,8 +131,12 @@ def solve_alignment(sphere_surface, f_param: np.ndarray, landmark_rows,
 
     Preconditioned Riemannian L-BFGS on the registration energy
     (:class:`RegistrationObjective`) over the power manifold, starting
-    from the parameterization itself, with the interpolating line
-    search.  The preconditioner's Laplacian is half the Hessian of the
+    from the rotation of the parameterization that minimizes the
+    lambda-weighted landmark pull (:func:`landmark_rotation`), with the
+    interpolating line search.  The rotation changes no face area, so
+    the stretch term starts where the parameterization's is, and the
+    descent only has to warp, not to turn the map into the targets'
+    frame.  The preconditioner's Laplacian is half the Hessian of the
     energy's quadratic parts, K_L = L + diag(sum of lambda per landmark
     row): the stretch energy's is about 2 L, L the sphere mesh's
     cotangent Laplacian, and each landmark pull's 2 lambda.
@@ -118,8 +149,10 @@ def solve_alignment(sphere_surface, f_param: np.ndarray, landmark_rows,
     pull = np.bincount(objective.rows, weights=objective.lambdas,
                        minlength=sphere_surface.n_vertices)
     laplacian = reference_laplacian(sphere_surface) + sp.diags(pull)
-    return minimize(sphere_surface, f_param, objective=objective, max_iters=iters,
-                    laplacian=laplacian)
+    rotation = landmark_rotation(objective.targets, f_param[objective.rows],
+                                 objective.lambdas)
+    return minimize(sphere_surface, f_param @ rotation.T, objective=objective,
+                    max_iters=iters, laplacian=laplacian)
 
 
 # ---------------------------------------------------------------------------
@@ -237,14 +270,23 @@ def compose_registration(m0, m1, f0: np.ndarray, f1: np.ndarray,
 
 @dataclass(frozen=True)
 class Registration:
-    """Both alignments, the composed map, and the mean geodesic landmark
-    mismatch of the parameterizations and of the aligned maps."""
+    """Both alignments, the composed map, the rotation of the target
+    map's landmarks onto the source map's, and the mean geodesic
+    landmark mismatch of the parameterizations (after that rotation)
+    and of the aligned maps."""
 
     h0: MinimizeResult
     h1: MinimizeResult
     composed: ComposedMap
+    rotation: np.ndarray
     mismatch_before: float
     mismatch_after: float
+
+    @property
+    def rotation_deg(self) -> float:
+        """The angle of :attr:`rotation`, in degrees."""
+        cos = 0.5 * (np.trace(self.rotation) - 1.0)
+        return float(np.degrees(np.arccos(np.clip(cos, -1.0, 1.0))))
 
 
 def register(m0, m1, f0: np.ndarray, f1: np.ndarray, pairs: np.ndarray,
@@ -252,14 +294,19 @@ def register(m0, m1, f0: np.ndarray, f1: np.ndarray, pairs: np.ndarray,
              normalize: bool = True) -> Registration:
     """Landmark-aligned registration of surface m0 onto m1.
 
-    f0 and f1 are spherical maps of m0 and m1; row (p, q) of `pairs`
-    pairs source vertex p with target vertex q.  Both maps are aligned
-    to the pairs' midpoint targets (:func:`midpoint_targets`, renormalized
-    unless `normalize` is false) by :func:`solve_alignment` with weight
-    `lam` and at most `iters` iterations; the aligned source map is
-    then located in the aligned target map
-    (:func:`compose_registration`).
+    f0 and f1 are spherical maps of m0 and m1, in frames of their own;
+    row (p, q) of `pairs` pairs source vertex p with target vertex q.
+    Both maps are aligned to the pairs' midpoint targets
+    (:func:`midpoint_targets`, renormalized unless `normalize` is false,
+    in f0's frame) by :func:`solve_alignment` with weight `lam` and at
+    most `iters` iterations, each from its own best rotation onto the
+    targets; the aligned source map is then located in the aligned
+    target map (:func:`compose_registration`).  The rotation R of f1's
+    landmarks onto f0's is recorded, and `mismatch_before` is measured
+    after it, so that it holds no frame difference.
     """
+    a, b = f0[pairs[:, 0]], f1[pairs[:, 1]]
+    rotation = landmark_rotation(a, b, 1.0)
     targets = midpoint_targets(f0, f1, pairs, normalize=normalize)
     h0 = solve_alignment(build_surface(f0, m0.faces), f0, pairs[:, 0], targets,
                          lambdas=lam, iters=iters)
@@ -267,8 +314,8 @@ def register(m0, m1, f0: np.ndarray, f1: np.ndarray, pairs: np.ndarray,
                          lambdas=lam, iters=iters)
     composed = compose_registration(m0, m1, f0, f1, h0.mapping, h1.mapping)
     return Registration(
-        h0=h0, h1=h1, composed=composed,
-        mismatch_before=geodesic_mismatch(f0[pairs[:, 0]], f1[pairs[:, 1]]),
+        h0=h0, h1=h1, composed=composed, rotation=rotation,
+        mismatch_before=geodesic_mismatch(a, b @ rotation.T),
         mismatch_after=geodesic_mismatch(h0.mapping[pairs[:, 0]], h1.mapping[pairs[:, 1]]))
 
 

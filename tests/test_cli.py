@@ -13,6 +13,8 @@ from authalic.mesh import load_mesh, make_icosphere, save_mesh
 from authalic.pipeline import METHOD_ITERS, parameterize
 from authalic.sphere import count_folds
 
+from helpers import rotation_matrix
+
 
 @pytest.fixture(scope="module")
 def mesh_file(tmp_path_factory):
@@ -53,7 +55,9 @@ def test_param_outputs(tmp_path, mesh_file):
     warmup = manifest["params"]["fpi_iterations_run"]
     lines = (out / "convergence.csv").read_text().strip().splitlines()
     assert lines[0] == "iter,E_S,E_A,E,sd_over_mean,grad_norm,alpha,folds,elapsed_s"
-    assert len(lines) - 1 == 20 + warmup
+    # one row per iteration run: from the radial start the descent stops
+    # by the gradient test after 17 of its 20
+    assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(1, 17 + warmup + 1))
 
     sphere = load_mesh(out / "sphere.obj")
     assert np.abs(np.linalg.norm(sphere.vertices, axis=1) - 1.0).max() <= 1e-12
@@ -93,7 +97,8 @@ def test_param_method_is_run_and_recorded(tmp_path, mesh_file):
         # an unset cap is the method's own, and the manifest records it
         assert manifest["params"]["fpi_iters"] == METHOD_ITERS[method][0]
         assert manifest["params"]["max_iters"] == 3
-        assert manifest["params"]["start"] == "conformal"
+        # each method's first start is fold-free on this ellipsoid
+        assert manifest["params"]["start"] == {"lbfgs": "radial", "paper": "conformal"}[method]
         runs[method] = (out / "sphere.obj").read_text()
     assert runs["lbfgs"] != runs["paper"]
     result = CliRunner().invoke(main, ["param", mesh_file, "--method", "newton",
@@ -219,7 +224,12 @@ def test_register_outputs(registration_dir, sphere_file):
     weights = rows[:, 2:5]
     assert np.abs(weights.sum(axis=1) - 1.0).max() <= 1e-10
     mismatch = json.loads((out / "mismatch.json").read_text())
-    assert "final_mean_geodesic" in mismatch
+    # the same mesh on both sides: the maps share one frame, the rotation
+    # of f1's landmarks onto f0's is the identity, and both mismatches
+    # are zero up to the arccos roundoff
+    assert mismatch["rotation_deg"] == pytest.approx(0.0, abs=1e-5)
+    assert mismatch["initial_mean_geodesic"] == pytest.approx(0.0, abs=1e-7)
+    assert mismatch["rotated_mean_geodesic"] == pytest.approx(0.0, abs=1e-7)
     surface = load_mesh(sphere_file)
     folds = [count_folds(surface, load_mesh(out / f"{name}.obj").vertices)
              for name in ("h0", "h1")]
@@ -230,7 +240,33 @@ def test_register_outputs(registration_dir, sphere_file):
         assert type(iters) is int and 0 < iters <= 60
         assert status != "max_iters" or iters == 60
     params = json.loads((out / "manifest.json").read_text())["params"]
-    assert params["method"] == "lbfgs" and params["starts"] == ["conformal", "conformal"]
+    assert params["method"] == "lbfgs" and params["starts"] == ["radial", "radial"]
+
+
+def test_register_records_the_rotation_between_two_poses(mesh_file, tmp_path):
+    # the target is another ellipsoid turned by 50 degrees; its radial map
+    # turns with it, and the report separates the turn from the mismatch
+    turned = make_icosphere(2, (0.7, 1.0, 0.8))
+    rotation = rotation_matrix([1.0, 2.0, 2.0], np.radians(50.0))
+    target = tmp_path / "turned.off"
+    save_mesh(turned.vertices @ rotation.T, turned.faces, target)
+    marks = tmp_path / "marks.txt"
+    marks.write_text("4 4\n41 41\n78 78\n121 121\n151 151\n")
+    out = tmp_path / "out"
+    result = run("register", mesh_file, str(target), str(marks), "--out", str(out))
+    assert result.exit_code == 0, result.output
+    mismatch = json.loads((out / "mismatch.json").read_text())
+    f0, f1 = (load_mesh(out / f"{name}.obj").vertices for name in ("f0", "f1"))
+    rows = [3, 40, 77, 120, 150]  # the file counts from 1
+    assert mismatch["initial_mean_geodesic"] == pytest.approx(
+        registration.geodesic_mismatch(f0[rows], f1[rows]), rel=1e-9)
+    assert mismatch["rotation_deg"] == pytest.approx(50.0, abs=1.0)
+    assert mismatch["rotated_mean_geodesic"] < 0.25 * mismatch["initial_mean_geodesic"]
+    # the reduction is measured from the rotated mismatch
+    assert mismatch["reduction"] == pytest.approx(
+        1.0 - mismatch["final_mean_geodesic"] / mismatch["rotated_mean_geodesic"], rel=1e-12)
+    assert mismatch["reduction"] >= 0.9
+    assert mismatch["alignment_folds"] == [0, 0]
 
 
 @pytest.mark.parametrize("flags, normalize", [([], True), (["--raw-midpoints"], False)],

@@ -2,6 +2,8 @@ import gc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.spatial import ConvexHull
 
 import authalic.mesh as mesh
 from authalic.energy import face_geometry
@@ -363,3 +365,49 @@ def test_nested_dissection_leaves_nothing_for_the_collector():
         if enabled:
             gc.enable()
     assert np.array_equal(np.sort(order), np.arange(surface.n_vertices))
+
+
+def dissection_by_adjacency_product(points, edges):
+    """Nested dissection with the separator test as a sparse product: a
+    lower vertex is on the separator when its adjacency row times the
+    upper half's indicator is positive.  The cross-check of the CSR
+    gather in :func:`authalic.mesh.nested_dissection`."""
+    n = points.shape[0]
+    ends = np.concatenate([edges, edges[:, ::-1]])
+    adjacency = sp.csr_matrix((np.ones(len(ends)), (ends[:, 0], ends[:, 1])), shape=(n, n))
+    pieces, stack = [], [(np.arange(n), False)]
+    while stack:
+        vertices, is_separator = stack.pop()
+        if is_separator or vertices.size <= mesh.DISSECTION_LEAF:
+            pieces.append(vertices)
+            continue
+        p = points[vertices]
+        axis = int(np.argmax(p.max(axis=0) - p.min(axis=0)))
+        ranked = vertices[np.argsort(p[:, axis], kind="stable")]
+        lower, upper = ranked[:ranked.size // 2], ranked[ranked.size // 2:]
+        upper_mask = np.zeros(n)
+        upper_mask[upper] = 1.0
+        on_separator = adjacency[lower] @ upper_mask > 0
+        stack += [(lower[on_separator], True), (upper, False), (lower[~on_separator], False)]
+    return np.concatenate(pieces)
+
+
+def graph_of(surface):
+    return surface.vertices, surface.edges
+
+
+def hull_graph(n_points, seed):
+    # random unit vectors: every point is a hull vertex
+    points = np.random.default_rng(seed).normal(size=(n_points, 3))
+    points /= np.linalg.norm(points, axis=1, keepdims=True)
+    return points, mesh.edge_table(ConvexHull(points).simplices)[0]
+
+
+@pytest.mark.parametrize("graph", [
+    *(graph_of(make_icosphere(s, (1.0, 0.8, 0.6))) for s in range(5)),
+    hull_graph(700, 3),
+], ids=[*(f"icosphere-{s}" for s in range(5)), "hull-700"])
+def test_nested_dissection_matches_the_adjacency_product(graph):
+    points, edges = graph
+    order = mesh.nested_dissection(points, edges)
+    assert np.array_equal(order, dissection_by_adjacency_product(points, edges))

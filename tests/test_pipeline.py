@@ -11,13 +11,15 @@ from scipy.spatial import ConvexHull
 import authalic.energy as en
 import authalic.fpi as fpi
 import authalic.pipeline as pipeline
+import authalic.rgd as rgd
 from authalic.energy import IMAGE_AREA_TOL, face_geometry
 from authalic.errors import AuthalicError, DegenerateFaceError
 from authalic.fpi import conformal_initial_map, fpi_minimize
 from authalic.mesh import build_surface, make_icosphere, normalize_area
 from authalic.pipeline import ParameterizeConfig, parameterize
+from authalic.sphere import count_folds
 
-from helpers import inverted_vertex_map
+from helpers import inverted_vertex_map, rotation_matrix
 
 
 PAPER = ParameterizeConfig(method="paper")
@@ -148,19 +150,40 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
+def mirrored_radial(surface):
+    """The radial start mirrored: every face of a fold-free one folds."""
+    return fpi.radial_initial_map(surface) * np.array([-1.0, 1.0, 1.0])
+
+
 def test_one_reference_laplacian_per_run(ellipsoid3, monkeypatch):
     # the conformal start and the preconditioner share it
     calls = count_calls(monkeypatch, en, "assemble_laplacian")
     factors = count_calls(monkeypatch, spla, "splu")
     result = parameterize(ellipsoid3)
+    assert result.start == "radial"
     assert result.fpi.records == [] and len(result.rgd.records) == 20
     assert len(calls) == 1
-    # the conformal start's solve and the preconditioner's factor
-    assert len(factors) == 2
+    # the fold-free radial start needs no solve: the preconditioner's
+    # factor is the run's only one
+    assert len(factors) == 1
+    # where the radial start folds, the conformal start's solve is the second
+    monkeypatch.setattr(pipeline, "radial_initial_map", mirrored_radial)
+    assert parameterize(ellipsoid3).start == "conformal"
+    assert len(calls) == 2 and len(factors) == 3
+
+
+def test_each_method_tries_the_starts_in_its_own_order(ellipsoid3, monkeypatch):
+    # the first fold-free start is taken and the other is never built
+    built = count_calls(monkeypatch, pipeline, "conformal_initial_map")
+    assert parameterize(ellipsoid3, ParameterizeConfig(max_iters=1)).start == "radial"
+    assert built == []
+    radial = count_calls(monkeypatch, pipeline, "radial_initial_map")
+    assert parameterize(ellipsoid3, dataclasses.replace(PAPER, max_iters=1)).start == "conformal"
+    assert (len(built), radial) == (1, [])
 
 
 def test_a_fold_free_conformal_start_is_kept(ellipsoid3):
-    assert parameterize(ellipsoid3, ParameterizeConfig(max_iters=1)).start == "conformal"
+    assert parameterize(ellipsoid3, dataclasses.replace(PAPER, max_iters=1)).start == "conformal"
 
 
 def test_an_unchanged_fold_free_start_is_not_corrected_again(ellipsoid3, monkeypatch):
@@ -178,7 +201,8 @@ def test_an_unchanged_fold_free_start_is_not_corrected_again(ellipsoid3, monkeyp
 
 def test_a_folded_conformal_start_falls_back_to_the_radial_start():
     # the conformal start folds hundreds of this ellipsoid's faces; the
-    # radial start is fold-free on a star-shaped mesh
+    # radial start is fold-free on a star-shaped mesh, and is taken under
+    # either method's order
     surface = make_icosphere(4, (10.0, 1.0, 1.0))
     for config in (ParameterizeConfig(), PAPER):
         assert parameterize(surface, dataclasses.replace(config, max_iters=1)).start == "radial"
@@ -187,15 +211,52 @@ def test_a_folded_conformal_start_falls_back_to_the_radial_start():
 def test_the_radial_start_is_taken_only_when_fold_free(icosphere2, monkeypatch):
     # a conformal start with one folded vertex, which fold correction
     # mends, gives way to a fold-free radial start, and is kept when the
-    # radial start folds too
+    # radial start folds too, under either method's order
     monkeypatch.setattr(pipeline, "conformal_initial_map",
                         lambda s, **kwargs: inverted_vertex_map(s))
-    assert parameterize(icosphere2, ParameterizeConfig(max_iters=1)).start == "radial"
-    mirrored = lambda s: fpi.radial_initial_map(s) * np.array([-1.0, 1.0, 1.0])
-    monkeypatch.setattr(pipeline, "radial_initial_map", mirrored)
-    result = parameterize(icosphere2, ParameterizeConfig(max_iters=1))
+    configs = (ParameterizeConfig(max_iters=1),
+               dataclasses.replace(PAPER, fpi_iters=0, max_iters=1))
+    for config in configs:
+        assert parameterize(icosphere2, config).start == "radial"
+    monkeypatch.setattr(pipeline, "radial_initial_map", mirrored_radial)
+    for config in configs:
+        result = parameterize(icosphere2, config)
+        assert result.start == "conformal"
+        assert result.corrections["after_fpi"].folds_before > 0
+
+
+def bent_tube(k: float):
+    """The (3, 0.6, 0.6) sub-3 ellipsoid bent about the z axis by k
+    radians: x, y go to the angle k x / 3 and the radius 3 / k - y."""
+    s = make_icosphere(3, (3.0, 0.6, 0.6))
+    x, y, z = s.vertices.T
+    angle, radius = k * x / 3.0, 3.0 / k - y
+    return build_surface(np.column_stack([radius * np.sin(angle),
+                                          3.0 / k - radius * np.cos(angle), z]), s.faces)
+
+
+@pytest.mark.parametrize("k", [1.0, 2.0])
+def test_a_bent_tube_takes_the_conformal_start_and_ends_fold_free(k):
+    # the bent tube is not star-shaped about its centroid: the radial
+    # start folds 144 (k = 1) to 404 (k = 2) of its 1,280 faces, so the
+    # default run takes the conformal start (which folds a few faces
+    # here too, and fold correction mends them)
+    surface = bent_tube(k)
+    assert count_folds(surface, fpi.radial_initial_map(surface)) >= 144
+    result = parameterize(surface)
     assert result.start == "conformal"
-    assert result.corrections["after_fpi"].folds_before > 0
+    assert result.summary["folds"] == 0 and result.summary["degree"] == 1
+
+
+def test_a_rotated_input_gives_the_rotated_map(ellipsoid3):
+    # the default start follows the input's frame; the map's quality does not
+    rotation = rotation_matrix([0.3, -1.0, 2.0], 1.1)
+    turned = build_surface(ellipsoid3.vertices @ rotation.T, ellipsoid3.faces)
+    a, b = parameterize(ellipsoid3), parameterize(turned)
+    assert a.start == b.start == "radial"
+    assert np.abs(a.mapping @ rotation.T - b.mapping).max() <= 1e-12
+    assert b.summary["sd_over_mean"] == pytest.approx(a.summary["sd_over_mean"],
+                                                      rel=1e-12, abs=0)
 
 
 def test_the_radial_start_mirrors_a_mirrored_mesh(ellipsoid3):
@@ -220,11 +281,29 @@ def test_twenty_point_hulls_end_fold_free(seed):
     assert result.summary["folds"] == 0
 
 
-def test_a_hull_with_a_degenerate_trial_step_ends_fold_free():
-    # a trial step of the descent collapses this six-point hull's
-    # spherical image; the line search rejects it and halves the step
-    # instead of raising DegenerateFaceError
+def test_a_hull_with_a_degenerate_trial_step_ends_fold_free(monkeypatch):
+    # from the conformal start, a trial step of the descent collapses
+    # this six-point hull's spherical image; the line search rejects it
+    # and halves the step instead of raising DegenerateFaceError.  The
+    # radial start meets no such trial, so it is made to fold
+    monkeypatch.setattr(pipeline, "radial_initial_map", mirrored_radial)
+    degenerate = []
+    value = rgd.NormalizedStretchObjective.value
+
+    def spy(self, f):
+        try:
+            return value(self, f)
+        except DegenerateFaceError:
+            degenerate.append(f)
+            raise
+
+    monkeypatch.setattr(rgd.NormalizedStretchObjective, "value", spy)
     result = parameterize(unit_hull(6, seed=5))
+    assert result.start == "conformal"
+    assert degenerate
+    # no iterate of the run is a degenerate trial: each was rejected
+    assert not any(np.array_equal(f, r.mapping) for f in degenerate
+                   for r in (result.rgd, result.corrections["after_rgd"]))
     assert result.summary["folds"] == 0 and result.summary["degree"] == 1
     assert result.summary["sd_over_mean"] == pytest.approx(0.155, abs=1e-3)
 

@@ -7,8 +7,9 @@ from authalic.energy import face_geometry, spherical_gradient
 from authalic.mesh import build_surface, make_icosphere, normalize_area
 from authalic.pipeline import parameterize
 from authalic.registration import (RegistrationObjective, compose_registration,
-                                   geodesic_mismatch, homotopy_frame, locate_on_sphere,
-                                   midpoint_targets, register, solve_alignment)
+                                   geodesic_mismatch, homotopy_frame, landmark_rotation,
+                                   locate_on_sphere, midpoint_targets, register,
+                                   solve_alignment)
 from authalic.sphere import count_folds, project_to_manifold
 
 from helpers import (central_difference_gradient, inverted_vertex_map, locate_one_by_one,
@@ -24,29 +25,78 @@ def sphere_pair():
     return m0, m1
 
 
-def test_midpoints_unit_and_on_minor_arc(sphere_pair):
-    m0, m1 = sphere_pair
-    f0, f1 = m0.vertices, m1.vertices
+@pytest.fixture(scope="module")
+def landmark_maps():
+    """Two unit maps in different frames whose landmarks still differ
+    after the best rotation: a sphere mesh, and a perturbed copy of it
+    turned by 2 rad."""
+    f0 = make_icosphere(2).vertices
+    noise = 0.05 * np.random.default_rng(4).normal(size=f0.shape)
+    f1 = project_to_manifold(f0 + noise) @ rotation_matrix([1.0, 2.0, 3.0], 2.0).T
+    return f0, f1
+
+
+def test_landmark_rotation_is_proper_and_recovers_a_rotation(landmark_maps):
+    f0, _ = landmark_maps
+    q = rotation_matrix([-2.0, 0.5, 1.0], 2.5)
+    r = landmark_rotation(f0, f0 @ q.T, 1.0)
+    assert np.abs(r @ r.T - np.eye(3)).max() <= 1e-12
+    assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-12)
+    assert np.abs(r - q.T).max() <= 1e-12
+
+
+def test_landmark_rotation_is_proper_for_a_mirrored_set(landmark_maps):
+    # the best orthogonal map onto a mirror image is the mirror; the
+    # helper returns the best proper rotation instead
+    f0, _ = landmark_maps
+    rows = PAIRS[:, 0]
+    mirrored = f0[rows] * np.array([-1.0, 1.0, 1.0])
+    r = landmark_rotation(f0[rows], mirrored, 1.0)
+    assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-12)
+    pull = lambda m: np.sum((f0[rows] - mirrored @ m.T) ** 2)
+    turns = [rotation_matrix(axis, angle) for axis in np.eye(3)
+             for angle in np.linspace(0.0, 2.0 * np.pi, 24)]
+    assert pull(r) <= min(pull(t) for t in turns) + 1e-12
+
+
+def test_midpoints_unit_and_on_minor_arc(landmark_maps):
+    f0, f1 = landmark_maps
     c = midpoint_targets(f0, f1, PAIRS)
     assert np.abs(np.linalg.norm(c, axis=1) - 1.0).max() <= 1e-12
     a, b = f0[PAIRS[:, 0]], f1[PAIRS[:, 1]]
-    # equidistant from both landmark images and strictly inside the arc
+    b = b @ landmark_rotation(a, b, 1.0).T
+    # equidistant from f0[p] and R f1[q] and strictly inside their arc
     assert np.sum(c * a, axis=1) == pytest.approx(np.sum(c * b, axis=1), abs=1e-12)
     assert (np.sum(c * a, axis=1) > np.sum(a * b, axis=1)).all()
 
 
-def test_raw_midpoints_are_chord_midpoints(sphere_pair):
-    m0, m1 = sphere_pair
-    c = midpoint_targets(m0.vertices, m1.vertices, PAIRS, normalize=False)
-    expected = 0.5 * (m0.vertices[PAIRS[:, 0]] + m1.vertices[PAIRS[:, 1]])
-    assert np.array_equal(c, expected)
+def test_raw_midpoints_are_chord_midpoints(landmark_maps):
+    f0, f1 = landmark_maps
+    c = midpoint_targets(f0, f1, PAIRS, normalize=False)
+    a, b = f0[PAIRS[:, 0]], f1[PAIRS[:, 1]]
+    assert np.array_equal(c, 0.5 * (a + b @ landmark_rotation(a, b, 1.0).T))
+
+
+def test_midpoints_do_not_depend_on_the_second_maps_frame(landmark_maps):
+    f0, f1 = landmark_maps
+    q = rotation_matrix(np.random.default_rng(7).normal(size=3), 1.9)
+    for normalize in (True, False):
+        turned = midpoint_targets(f0, f1 @ q.T, PAIRS, normalize=normalize)
+        assert np.abs(turned - midpoint_targets(f0, f1, PAIRS, normalize=normalize)).max() \
+            <= 1e-12
 
 
 def test_antipodal_midpoint_rejected():
-    f0 = np.array([[0.0, 0.0, 1.0]])
-    f1 = np.array([[0.0, 0.0, -1.0]])
+    # six pairs on the axes fix R = q^T; the seventh pair is antipodal
+    # after it, though not before
+    q = rotation_matrix([1.0, 1.0, 0.0], 0.7)
+    p = project_to_manifold(np.array([[1.0, 2.0, 2.0]]))
+    f0 = np.vstack([np.eye(3), -np.eye(3), p])
+    f1 = np.vstack([np.eye(3), -np.eye(3), -p]) @ q.T
+    pairs = np.stack([np.arange(7), np.arange(7)], axis=1)
+    assert np.linalg.norm(f0[6] + f1[6]) > 0.1
     with pytest.raises(ValueError, match="antipodal"):
-        midpoint_targets(f0, f1, np.array([[0, 0]]))
+        midpoint_targets(f0, f1, pairs)
 
 
 def registration_gradient(sphere, h, rows, targets, lambdas):
@@ -340,3 +390,51 @@ def test_alignments_stop_by_the_relative_gradient_test():
 def test_many_landmarks_align_within_the_default_cap():
     m0, m1, f0, f1, pairs = ellipsoid_pair(3, 64)
     assert_aligned(m0, m1, register(m0, m1, f0, f1, pairs))
+
+
+def test_the_alignment_starts_from_the_best_rotation(monkeypatch):
+    # a map turned away from its targets: the descent starts from it
+    # turned back, with a lower pull and the same stretch energy
+    m = normalize_area(make_icosphere(3, (1.0, 0.75, 0.9)))
+    f = parameterize(m).mapping
+    sphere = build_surface(f, m.faces)
+    rows = PAIRS[:, 0]
+    targets = project_to_manifold(f[rows] @ rotation_matrix([0.2, 1.0, -0.4], 1.3).T + 0.05)
+    starts = []
+    descent = registration.minimize
+
+    def spy(surface, start, **kwargs):
+        starts.append(start)
+        return descent(surface, start, **kwargs)
+
+    monkeypatch.setattr(registration, "minimize", spy)
+    solve_alignment(sphere, f, rows, targets, lambdas=10.0, iters=1)
+    start, = starts
+    pull = lambda h: np.sum((h[rows] - targets) ** 2)
+    assert pull(start) < 0.1 * pull(f)
+    assert face_geometry(sphere, start).spherical_normalized == pytest.approx(
+        face_geometry(sphere, f).spherical_normalized, rel=1e-12, abs=0)
+
+
+def test_differently_posed_maps_register_from_radial_starts():
+    # the default starts follow their inputs' frames, so the two maps'
+    # landmarks begin radians apart; the rigid steps remove that
+    # difference before the warp
+    rot0 = rotation_matrix([1.0, -2.0, 0.5], 2.2)
+    rot1 = rotation_matrix([0.3, 1.0, 2.0], -1.4)
+    m0 = normalize_area(build_surface(make_icosphere(3, (1.0, 0.75, 0.9)).vertices @ rot0.T,
+                                      make_icosphere(3).faces))
+    m1 = normalize_area(build_surface(make_icosphere(3, (0.7, 1.0, 0.8)).vertices @ rot1.T,
+                                      make_icosphere(3).faces))
+    p0, p1 = parameterize(m0), parameterize(m1)
+    assert p0.start == p1.start == "radial"
+    f0, f1 = p0.mapping, p1.mapping
+    ids = np.random.default_rng(0).choice(m0.n_vertices, size=8, replace=False)
+    pairs = np.stack([ids, ids], axis=1)
+    assert geodesic_mismatch(f0[ids], f1[ids]) > 1.0
+    reg = register(m0, m1, f0, f1, pairs)
+    # the recorded rotation is nearly the one between the two poses
+    assert np.abs(reg.rotation - rot0 @ rot1.T).max() < 0.1
+    assert reg.rotation_deg > 90.0
+    assert reg.mismatch_before < 0.1
+    assert_aligned(m0, m1, reg)
