@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Convergence experiment on a generated ellipsoid (or a supplied mesh).
 
-Runs the full pipeline with both line-search strategies and prints a
-table row per run: SD/Mean, stretch-minus-area energy at matched total
-areas, wall time, and residual fold count.
+Runs the full pipeline under each method (the default L-BFGS run and the
+paper's run) and prints a table row per run: SD/Mean, stretch-minus-area
+energy at matched total areas, wall time, and residual fold count.
 """
 
 import argparse
@@ -18,10 +18,8 @@ def main():
                     help="optional OBJ/OFF path (default: generated ellipsoid)")
     ap.add_argument("--subdivisions", type=int, default=4)
     ap.add_argument("--radii", type=float, nargs=3, default=(1.0, 0.8, 0.6))
-    ap.add_argument("--method", choices=METHODS, default=ParameterizeConfig.method,
-                    help="the paper's run is --method paper")
-    ap.add_argument("--fpi-iters", type=int, default=None, help="default: the method's")
-    ap.add_argument("--max-iters", type=int, default=None, help="default: the method's")
+    ap.add_argument("--fpi-iters", type=int, default=None, help="default: each method's")
+    ap.add_argument("--max-iters", type=int, default=None, help="default: each method's")
     args = ap.parse_args()
 
     if args.mesh:
@@ -32,13 +30,13 @@ def main():
         name = f"ellipsoid{tuple(args.radii)} sub {args.subdivisions}"
     surface = normalize_area(surface)
     print(f"model: {name}  ({surface.n_vertices} vertices, {surface.n_faces} faces)")
-    print(f"{'strategy':>12}  {'SD/Mean':>9}  {'E_A':>10}  {'time':>7}  folds")
+    print(f"{'method':>12}  {'SD/Mean':>9}  {'E_A':>10}  {'time':>7}  folds")
 
-    for strategy in ("interpolant", "bounded"):
-        config = ParameterizeConfig(method=args.method, fpi_iters=args.fpi_iters,
-                                    max_iters=args.max_iters, strategy=strategy)
+    for method in METHODS:
+        config = ParameterizeConfig(method=method, fpi_iters=args.fpi_iters,
+                                    max_iters=args.max_iters)
         summary = parameterize(surface, config).summary
-        print(f"{strategy:>12}  {summary['sd_over_mean']:9.4f}  {summary['authalic']:10.3e}  "
+        print(f"{method:>12}  {summary['sd_over_mean']:9.4f}  {summary['authalic']:10.3e}  "
               f"{summary['seconds']:6.2f}s  {summary['folds']}")
 
 

@@ -34,7 +34,6 @@ try:
 except PackageNotFoundError:  # running from a source tree
     _VERSION = "0.1.0"
 
-_STRATEGIES = {"interp": "interpolant", "bounded": "bounded"}
 _COUNT = click.IntRange(min=0)
 
 
@@ -89,8 +88,6 @@ _MAX_HELP = f"Descent iterations ({_by_method(1)})."
               show_default=True, help=_METHOD_HELP)
 @click.option("--fpi-iters", type=_COUNT, default=None, help=_FPI_HELP)
 @click.option("--max-iters", type=_COUNT, default=None, help=_MAX_HELP)
-@click.option("--ls", "ls", type=click.Choice(sorted(_STRATEGIES)), default="interp",
-              show_default=True, help="Line-search strategy.")
 @click.option("--noise-sigma", type=click.FloatRange(min=0), default=0.0, show_default=True,
               help="Gaussian vertex-normal noise applied to the raw input mesh.")
 @click.option("--seed", default=0, show_default=True)
@@ -98,7 +95,7 @@ _MAX_HELP = f"Descent iterations ({_by_method(1)})."
               help="Convergence CSV path (default: <out>/convergence.csv).")
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), default=None,
               help="Output directory (default: <mesh stem>_param).")
-def param(mesh, method, fpi_iters, max_iters, ls, noise_sigma, seed, log_path, out_dir):
+def param(mesh, method, fpi_iters, max_iters, noise_sigma, seed, log_path, out_dir):
     """Compute the spherical parameterization of MESH."""
     out_dir = out_dir or os.path.splitext(mesh)[0] + "_param"
     # the log is written last: a missing directory for it (other than the
@@ -114,8 +111,7 @@ def param(mesh, method, fpi_iters, max_iters, ls, noise_sigma, seed, log_path, o
         if noise_sigma > 0:
             surface = perturb_vertices(surface, noise_sigma, seed)
         config = ParameterizeConfig(method=method, fpi_iters=fpi_iters,
-                                    max_iters=max_iters, strategy=_STRATEGIES[ls],
-                                    seed=seed)
+                                    max_iters=max_iters, seed=seed)
         result = parameterize(surface, config)
         # a map the summary cannot measure is a failure, found before any
         # output is written
@@ -134,7 +130,7 @@ def param(mesh, method, fpi_iters, max_iters, ls, noise_sigma, seed, log_path, o
     write_records_csv(csv_path, result.records)
     params = {
         "method": method, "fpi_iters": config.fpi_iters, "max_iters": config.max_iters,
-        "ls": ls, "noise_sigma": noise_sigma, "seed": seed,
+        "noise_sigma": noise_sigma, "seed": seed,
         "fpi_iterations_run": len(result.fpi.records), "start": result.start,
     }
     _write_manifest(out_dir, "param", {"mesh": os.path.abspath(mesh)}, params,
@@ -159,11 +155,9 @@ def param(mesh, method, fpi_iters, max_iters, ls, noise_sigma, seed, log_path, o
 @click.option("--fpi-iters", type=_COUNT, default=None, help=_FPI_HELP)
 @click.option("--max-iters", type=_COUNT, default=None, help=_MAX_HELP)
 @click.option("--seed", default=0, show_default=True)
-@click.option("--raw-midpoints", is_flag=True,
-              help="Use chord midpoints as-is instead of renormalizing to the sphere.")
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), default=None)
 def register(mesh0, mesh1, landmarks, lam, align_iters, method, fpi_iters, max_iters,
-             seed, raw_midpoints, out_dir):
+             seed, out_dir):
     """Landmark-aligned registration of MESH0 onto MESH1."""
     out_dir = out_dir or os.path.splitext(mesh0)[0] + "_register"
     os.makedirs(out_dir, exist_ok=True)
@@ -176,8 +170,7 @@ def register(mesh0, mesh1, landmarks, lam, align_iters, method, fpi_iters, max_i
                                     max_iters=max_iters, seed=seed)
         p0, p1 = parameterize(m0, config), parameterize(m1, config)
         f0, f1 = p0.mapping, p1.mapping
-        reg = registration.register(m0, m1, f0, f1, pairs, lam=lam, iters=align_iters,
-                                    normalize=not raw_midpoints)
+        reg = registration.register(m0, m1, f0, f1, pairs, lam=lam, iters=align_iters)
     except (AuthalicError, ValueError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
@@ -210,7 +203,7 @@ def register(mesh0, mesh1, landmarks, lam, align_iters, method, fpi_iters, max_i
         fh.write("\n")
     params = {"lambda": lam, "align_iters": align_iters, "method": method,
               "fpi_iters": config.fpi_iters, "max_iters": config.max_iters, "seed": seed,
-              "raw_midpoints": raw_midpoints, "starts": [p0.start, p1.start]}
+              "starts": [p0.start, p1.start]}
     _write_manifest(out_dir, "register",
                     {"mesh0": os.path.abspath(mesh0), "mesh1": os.path.abspath(mesh1),
                      "landmarks": os.path.abspath(landmarks)},

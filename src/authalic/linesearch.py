@@ -5,11 +5,11 @@ The accepted step must satisfy the sufficient decrease condition
     phi(alpha) <= phi(0) + c1 * alpha * phi'(0),
 
 where phi(alpha) is the objective evaluated at the retraction of
-alpha * d.  Two strategies are provided: safeguarded quadratic/cubic
-interpolation backtracking, and bounded scalar minimization followed by
-the same acceptance test.  A trial whose image is degenerate (the
-objective raises :class:`~authalic.errors.DegenerateFaceError`) is a
-rejected trial with phi = inf, and the next trial halves the step.
+alpha * d.  The search is Armijo backtracking: each rejected trial
+sets the next step by safeguarded quadratic/cubic interpolation.  A
+trial whose image is degenerate (the objective raises
+:class:`~authalic.errors.DegenerateFaceError`) is a rejected trial with
+phi = inf, and the next trial halves the step.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import DegenerateFaceError, LineSearchError
 from .sphere import retract, row_dots
@@ -29,7 +28,6 @@ ALPHA_MAX = 1.0
 MAX_BACKTRACKS = 30
 # largest |f . d| of a row that a tangent direction may have
 TANGENT_TOL = 1e-8
-STRATEGIES = ("interpolant", "bounded")
 # safeguard window for each interpolated step, relative to the last trial
 CLAMP_LO = 0.1
 CLAMP_HI = 0.5
@@ -114,7 +112,7 @@ def cubic_backtrack_step(phi0: float, dphi0: float, last, before) -> float:
 
 
 def search(f: np.ndarray, d: np.ndarray, *, energy, phi0: float, dphi0: float,
-           strategy: str = "interpolant", alpha0: float = 1.0) -> LineSearchResult:
+           alpha0: float = 1.0) -> LineSearchResult:
     """Find a step size satisfying sufficient decrease along retract(f, a d),
     with c1 = :data:`C1` and the steps capped at :data:`ALPHA_MAX`.
 
@@ -125,17 +123,15 @@ def search(f: np.ndarray, d: np.ndarray, *, energy, phi0: float, dphi0: float,
     phi0, dphi0 : float
         The objective at f and its derivative along the retracted curve
         (:func:`phi_derivative_at_zero`); `dphi0` must be negative.
-    strategy : {"interpolant", "bounded"}
-        The first trial: min(alpha0, ALPHA_MAX), or the bounded scalar
-        minimizer of phi on [0, ALPHA_MAX] (ALPHA_MAX itself when lower).
-        Each rejected trial sets the next one: after the first rejection
-        the minimizer of the quadratic through phi(0), phi'(0) and that
-        trial, after later ones the minimizer of the cubic through the
-        last two trials, each clamped into [0.1, 0.5] times the last
-        trial.  A degenerate trial (phi = inf) halves the step and
-        enters no fit: the next rejection fits a quadratic again.  The
-        interpolant makes at most :data:`MAX_BACKTRACKS` + 1 trials; the
-        bounded strategy makes that many after its minimizer.
+    alpha0 : float
+        The first trial is min(alpha0, ALPHA_MAX).  Each rejected trial
+        sets the next one: after the first rejection the minimizer of
+        the quadratic through phi(0), phi'(0) and that trial, after
+        later ones the minimizer of the cubic through the last two
+        trials, each clamped into [0.1, 0.5] times the last trial.  A
+        degenerate trial (phi = inf) halves the step and enters no fit:
+        the next rejection fits a quadratic again.  The search makes at
+        most :data:`MAX_BACKTRACKS` + 1 trials.
 
     Returns
     -------
@@ -146,59 +142,29 @@ def search(f: np.ndarray, d: np.ndarray, *, energy, phi0: float, dphi0: float,
     if not dphi0 < 0.0:
         raise LineSearchError(f"not a descent direction (phi'(0) = {dphi0:.3e})")
 
-    evals = 0
     best = (np.inf, None, np.nan)
-    rejected = []  # (alpha, phi) of each rejected trial, in order
-
-    def phi(alpha: float):
-        nonlocal evals
+    rejected = []  # (alpha, phi) of each rejected finite trial, in order
+    alpha = min(float(alpha0), ALPHA_MAX)
+    for evals in range(1, MAX_BACKTRACKS + 2):
         g = retract(f, alpha * d)
-        evals += 1
         try:
-            return energy(g), g
+            value = energy(g)
         except DegenerateFaceError:
-            return np.inf, g
-
-    def sufficient(alpha: float, value: float) -> bool:
-        return value <= phi0 + C1 * alpha * dphi0
-
-    def reject(alpha: float, value: float, g: np.ndarray) -> float:
-        """Keep a rejected trial; return the next step to try."""
-        nonlocal best
+            value = np.inf
+        if value <= phi0 + C1 * alpha * dphi0:
+            return LineSearchResult(alpha, g, value, evals, True)
         if not np.isfinite(value):
+            # a degenerate trial halves the step and enters no fit
             rejected.clear()
-            return CLAMP_HI * alpha
+            alpha = CLAMP_HI * alpha
+            continue
         if value < best[0]:
             best = (value, g, alpha)
         rejected.append((alpha, value))
         if len(rejected) == 1:
-            return quadratic_backtrack_step(phi0, dphi0, alpha, value)
-        return cubic_backtrack_step(phi0, dphi0, rejected[-1], rejected[-2])
-
-    if strategy == "bounded":
-        res = minimize_scalar(lambda a: phi(float(a))[0], bounds=(0.0, ALPHA_MAX),
-                              method="bounded", options={"xatol": 1e-6, "maxiter": 50})
-        alpha = float(res.x)
-        value, g = phi(alpha)
-        # the bounded minimizer cannot land exactly on the interval end;
-        # probe it so a monotone phi still gets the full step
-        value_end, g_end = phi(ALPHA_MAX)
-        if value_end < value:
-            alpha, value, g = ALPHA_MAX, value_end, g_end
-        if sufficient(alpha, value):
-            return LineSearchResult(alpha, g, value, evals, True)
-        # backtrack from the bounded result, the first rejected trial
-        alpha = reject(alpha, value, g)
-    elif strategy == "interpolant":
-        alpha = min(float(alpha0), ALPHA_MAX)
-    else:
-        raise ValueError(f"unknown line-search strategy {strategy!r}")
-
-    for _ in range(MAX_BACKTRACKS + 1):
-        value, g = phi(alpha)
-        if sufficient(alpha, value):
-            return LineSearchResult(alpha, g, value, evals, True)
-        alpha = reject(alpha, value, g)
+            alpha = quadratic_backtrack_step(phi0, dphi0, alpha, value)
+        else:
+            alpha = cubic_backtrack_step(phi0, dphi0, rejected[-1], rejected[-2])
 
     value, g, alpha = best
     return LineSearchResult(

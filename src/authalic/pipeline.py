@@ -43,7 +43,6 @@ import numpy as np
 from . import energy as en
 from .fpi import (conformal_initial_map, fpi_minimize, radial_initial_map,
                   reference_laplacian)
-from .linesearch import STRATEGIES
 from .mesh import SimplicialSurface, normalize_area
 from .rgd import IterationRecord, MinimizeResult, minimize
 from .sphere import count_folds
@@ -64,20 +63,19 @@ class ParameterizeConfig:
     """Settings of :func:`parameterize`: the method (see
     :mod:`authalic.pipeline`), the FPI and descent iteration caps (unset,
     the method's own, :data:`METHOD_ITERS`; they read resolved after
-    construction), the line search and the seed of the conformal start's
-    puncture.  An unknown `method` or `strategy` raises ``ValueError``
-    here, before any work is done.  The method's fixed steps and numbers
-    are not settings: fold correction always runs after FPI (a fold-free
-    start that FPI left unchanged counts as corrected) and after the
-    descent, and the disk radius of the hemisphere solves
-    (:data:`authalic.fpi.RADIUS`) and the line search's
-    sufficient-decrease constant and step cap (:data:`authalic.linesearch.C1`,
-    :data:`authalic.linesearch.ALPHA_MAX`) are module constants."""
+    construction) and the seed of the conformal start's puncture.  An
+    unknown `method` raises ``ValueError`` here, before any work is done.
+    The method's fixed steps and numbers are not settings: fold
+    correction always runs after FPI (a fold-free start that FPI left
+    unchanged counts as corrected) and after the descent, and the disk
+    radius of the hemisphere solves (:data:`authalic.fpi.RADIUS`) and the
+    line search's sufficient-decrease constant and step cap
+    (:data:`authalic.linesearch.C1`, :data:`authalic.linesearch.ALPHA_MAX`)
+    are module constants."""
 
     method: str = "lbfgs"
     fpi_iters: int | None = None
     max_iters: int | None = None
-    strategy: str = "interpolant"
     seed: int = 0
 
     def __post_init__(self):
@@ -88,9 +86,6 @@ class ParameterizeConfig:
             object.__setattr__(self, "fpi_iters", fpi_iters)
         if self.max_iters is None:
             object.__setattr__(self, "max_iters", max_iters)
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}, "
-                             f"expected one of {STRATEGIES}")
 
 
 @dataclass(frozen=True)
@@ -170,7 +165,6 @@ def parameterize(surface: SimplicialSurface,
 
     began = time.perf_counter() - start
     rgd = minimize(surface, after_fpi.mapping, max_iters=config.max_iters,
-                   strategy=config.strategy,
                    laplacian=lap if config.method == "lbfgs" else None)
     append(rgd.records, began)
     after_rgd = correct_bijectivity(surface, rgd.mapping)

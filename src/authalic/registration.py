@@ -51,11 +51,11 @@ def landmark_rotation(targets: np.ndarray, points: np.ndarray, weights) -> np.nd
     return (u * np.array([1.0, 1.0, d])) @ vt
 
 
-def midpoint_targets(f0: np.ndarray, f1: np.ndarray, pairs: np.ndarray,
-                     normalize: bool = True) -> np.ndarray:
-    """Per-pair targets c = (f0[p] + R f1[q]) / 2, optionally
-    renormalized onto the sphere (the attainable version; the raw chord
-    midpoint lies strictly inside).
+def midpoint_targets(f0: np.ndarray, f1: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Per-pair targets c = (f0[p] + R f1[q]) / |f0[p] + R f1[q]|: the
+    chord midpoints renormalized onto the sphere, where a landmark can
+    reach them.  A pair that is (nearly) antipodal after R has no
+    midpoint and raises ``ValueError``.
 
     R is the rotation of f1's landmarks onto f0's
     (:func:`landmark_rotation`, unweighted): two spherical maps may lie
@@ -64,12 +64,10 @@ def midpoint_targets(f0: np.ndarray, f1: np.ndarray, pairs: np.ndarray,
     """
     a, b = f0[pairs[:, 0]], f1[pairs[:, 1]]
     c = 0.5 * (a + b @ landmark_rotation(a, b, 1.0).T)
-    if normalize:
-        norms = np.linalg.norm(c, axis=1)
-        if (norms < 1e-8).any():
-            raise ValueError("landmark pair is (nearly) antipodal; midpoint undefined")
-        c = c / norms[:, None]
-    return c
+    norms = np.linalg.norm(c, axis=1)
+    if (norms < 1e-8).any():
+        raise ValueError("landmark pair is (nearly) antipodal; midpoint undefined")
+    return c / norms[:, None]
 
 
 class RegistrationObjective(GeometryMemo):
@@ -133,7 +131,7 @@ def solve_alignment(sphere_surface, f_param: np.ndarray, landmark_rows,
     (:class:`RegistrationObjective`) over the power manifold, starting
     from the rotation of the parameterization that minimizes the
     lambda-weighted landmark pull (:func:`landmark_rotation`), with the
-    interpolating line search.  The rotation changes no face area, so
+    descent's one line search (:func:`~authalic.linesearch.search`).  The rotation changes no face area, so
     the stretch term starts where the parameterization's is, and the
     descent only has to warp, not to turn the map into the targets'
     frame.  The preconditioner's Laplacian is half the Hessian of the
@@ -290,24 +288,23 @@ class Registration:
 
 
 def register(m0, m1, f0: np.ndarray, f1: np.ndarray, pairs: np.ndarray,
-             lam=DEFAULT_LAMBDA, iters: int = DEFAULT_ALIGN_ITERS,
-             normalize: bool = True) -> Registration:
+             lam=DEFAULT_LAMBDA, iters: int = DEFAULT_ALIGN_ITERS) -> Registration:
     """Landmark-aligned registration of surface m0 onto m1.
 
     f0 and f1 are spherical maps of m0 and m1, in frames of their own;
     row (p, q) of `pairs` pairs source vertex p with target vertex q.
-    Both maps are aligned to the pairs' midpoint targets
-    (:func:`midpoint_targets`, renormalized unless `normalize` is false,
-    in f0's frame) by :func:`solve_alignment` with weight `lam` and at
-    most `iters` iterations, each from its own best rotation onto the
-    targets; the aligned source map is then located in the aligned
-    target map (:func:`compose_registration`).  The rotation R of f1's
-    landmarks onto f0's is recorded, and `mismatch_before` is measured
-    after it, so that it holds no frame difference.
+    Both maps are aligned to the pairs' renormalized midpoint targets
+    (:func:`midpoint_targets`, in f0's frame) by :func:`solve_alignment`
+    with weight `lam` and at most `iters` iterations, each from its own
+    best rotation onto the targets; the aligned source map is then
+    located in the aligned target map (:func:`compose_registration`).
+    The rotation R of f1's landmarks onto f0's is recorded, and
+    `mismatch_before` is measured after it, so that it holds no frame
+    difference.
     """
     a, b = f0[pairs[:, 0]], f1[pairs[:, 1]]
     rotation = landmark_rotation(a, b, 1.0)
-    targets = midpoint_targets(f0, f1, pairs, normalize=normalize)
+    targets = midpoint_targets(f0, f1, pairs)
     h0 = solve_alignment(build_surface(f0, m0.faces), f0, pairs[:, 0], targets,
                          lambdas=lam, iters=iters)
     h1 = solve_alignment(build_surface(f1, m1.faces), f1, pairs[:, 1], targets,

@@ -261,7 +261,7 @@ def make_record(geom: en.FaceGeometry, iteration: int, grad_norm: float | None,
 
 
 def minimize(surface, f0: np.ndarray, *, objective=None, max_iters: int = 100,
-             strategy: str = "interpolant", laplacian=None) -> MinimizeResult:
+             laplacian=None) -> MinimizeResult:
     """Run gradient descent from `f0` until a stopping rule fires.
 
     The direction is the anti-gradient (the paper's method) or, when a
@@ -283,8 +283,7 @@ def minimize(surface, f0: np.ndarray, *, objective=None, max_iters: int = 100,
     :data:`ENERGY_TOL` (`energy_stalled`); `max_iters` steps are taken
     (`max_iters`); the line search finds no step (`line_search_failed`).
     On line-search failure the best (last accepted) iterate is returned,
-    not an exception.  `strategy` goes to
-    :func:`~authalic.linesearch.search`.
+    not an exception.
 
     Every accepted iteration is logged at DEBUG level on this module's
     logger.
@@ -327,8 +326,7 @@ def minimize(surface, f0: np.ndarray, *, objective=None, max_iters: int = 100,
             alpha0 = min(ALPHA_MAX, 2.0 * (value - prev_value) / dphi0)
             if not np.isfinite(alpha0) or alpha0 <= 0:
                 alpha0 = ALPHA_MAX
-        ls = search(f, d, energy=objective.value, phi0=value, dphi0=dphi0,
-                    strategy=strategy, alpha0=alpha0)
+        ls = search(f, d, energy=objective.value, phi0=value, dphi0=dphi0, alpha0=alpha0)
         if not ls.ok:
             return MinimizeResult(f, records, "line_search_failed", ls.message)
 

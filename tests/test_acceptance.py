@@ -120,7 +120,7 @@ def test_criterion_5_descent_contract():
     surf = normalize_area(make_icosphere(3, (1.0, 0.8, 0.6)))
     f0 = project_to_manifold(surf.vertices)
     rep0 = face_geometry(surf, f0)
-    result = minimize(surf, f0, max_iters=100, strategy="interpolant")
+    result = minimize(surf, f0, max_iters=100)
     elapsed = time.perf_counter() - start
 
     values = [rep0.normalized] + [r.normalized for r in result.records]
@@ -261,7 +261,7 @@ def test_criterion_11_benchmark_reproduction():
     start = time.perf_counter()
     # the paper's method: 10 FPI iterations, then 100 steepest-descent
     # iterations on the chordal energy
-    result = parameterize(surf, ParameterizeConfig(method="paper", strategy="interpolant"))
+    result = parameterize(surf, ParameterizeConfig(method="paper"))
     elapsed = time.perf_counter() - start
     rep = face_geometry(result.surface, result.mapping)
     matched = matched_authalic(rep)

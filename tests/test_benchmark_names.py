@@ -14,7 +14,8 @@ scripts and the benchmark) run: every top-level function or class is
 named by one of them, exported or a click command; every method or
 property of a library class is read as an attribute (or named in a
 string, as `perfbench/spans.py` patches methods by name); and every
-defaulted parameter is set by one of their calls.  A small instrumented
+defaulted parameter, a dataclass's public defaulted fields included, is
+set by one of their calls.  A small instrumented
 run checks that the counts the traced run reads off each stage's result
 still resolve.
 """
@@ -173,13 +174,29 @@ def _calls(paths) -> dict[str, tuple[int, set[str]]]:
     return calls
 
 
+def _is_dataclass(node) -> bool:
+    """A class decorated with ``@dataclass`` or ``@dataclass(...)``."""
+    return any(getattr(getattr(d, "func", d), "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
 def _defaulted_parameters(path: Path):
     """(function name, called name, position, parameter) of every
     parameter with a default; the position excludes ``self`` and is None
-    for a keyword-only parameter."""
+    for a keyword-only parameter.  A defaulted dataclass field is a
+    parameter of its class's generated ``__init__``, at the field's
+    position; a ``_``-prefixed field is a private cache and is skipped."""
     tree = ast.parse(path.read_text())
     owner = {id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
              for f in c.body}
+    for cls in ast.walk(tree):
+        if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
+            continue
+        fields = [f for f in cls.body
+                  if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
+        for i, f in enumerate(fields):
+            if f.value is not None and not f.target.id.startswith("_"):
+                yield cls.name, cls.name, i, f.target.id
     for node in ast.walk(tree):
         if not isinstance(node, ast.FunctionDef):
             continue

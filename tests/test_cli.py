@@ -63,15 +63,6 @@ def test_param_outputs(tmp_path, mesh_file):
     assert np.abs(np.linalg.norm(sphere.vertices, axis=1) - 1.0).max() <= 1e-12
 
 
-def test_param_bounded_strategy(tmp_path, mesh_file):
-    out = tmp_path / "run"
-    result = run("param", mesh_file, "--max-iters", "3", "--fpi-iters", "2",
-                 "--ls", "bounded", "--out", str(out))
-    assert result.exit_code == 0, result.output
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["params"]["ls"] == "bounded"
-
-
 def test_param_deterministic_rerun(tmp_path, mesh_file):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
@@ -269,28 +260,37 @@ def test_register_records_the_rotation_between_two_poses(mesh_file, tmp_path):
     assert mismatch["alignment_folds"] == [0, 0]
 
 
-@pytest.mark.parametrize("flags, normalize", [([], True), (["--raw-midpoints"], False)],
-                         ids=["default", "raw-midpoints"])
-def test_register_raw_midpoints_reach_the_targets(sphere_file, tmp_path, monkeypatch,
-                                                  flags, normalize):
+def test_register_reaches_the_renormalized_midpoints(sphere_file, tmp_path, monkeypatch):
     seen = []
     original = registration.midpoint_targets
 
     def spy(*args, **kwargs):
-        seen.append(kwargs["normalize"])
-        return original(*args, **kwargs)
+        seen.append(original(*args, **kwargs))
+        return seen[-1]
 
     monkeypatch.setattr(registration, "midpoint_targets", spy)
     marks = tmp_path / "marks.txt"
     marks.write_text("4 4\n41 41\n")
     out = tmp_path / "out"
-    result = run("register", sphere_file, sphere_file, str(marks), *flags,
+    result = run("register", sphere_file, sphere_file, str(marks),
                  "--fpi-iters", "1", "--max-iters", "1", "--align-iters", "1",
                  "--out", str(out))
     assert result.exit_code == 0, result.output
-    assert seen == [normalize]
+    assert len(seen) == 1
+    assert np.abs(np.linalg.norm(seen[0], axis=1) - 1.0).max() <= 1e-12
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["params"]["raw_midpoints"] is not normalize
+    assert "raw_midpoints" not in manifest["params"]
+
+
+def test_retired_flags_are_usage_errors(mesh_file, sphere_file, tmp_path):
+    # the line search and the landmark targets have one route each
+    marks = tmp_path / "marks.txt"
+    marks.write_text("4 4\n")
+    for args in (["param", mesh_file, "--ls", "interp"],
+                 ["register", sphere_file, sphere_file, str(marks), "--raw-midpoints"]):
+        result = CliRunner().invoke(main, [*args, "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+    assert not (tmp_path / "out").exists()
 
 
 def test_register_missing_landmarks_usage_error(sphere_file, tmp_path):

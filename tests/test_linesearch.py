@@ -136,7 +136,7 @@ def test_cubic_negative_discriminant_falls_back():
 
 def test_first_trial_accepted_when_condition_holds(ellipsoid3):
     f, egrad, d = ellipsoid_state(ellipsoid3)
-    res = ellipsoid_search(ellipsoid3, f, d, egrad, strategy="interpolant")
+    res = ellipsoid_search(ellipsoid3, f, d, egrad)
     assert res.ok and res.evals == 1 and res.alpha == 1.0
 
 
@@ -145,15 +145,15 @@ def test_accepted_step_satisfies_sufficient_decrease(ellipsoid3):
     energy = normalized(ellipsoid3)
     phi0 = energy(f)
     dphi0 = phi_derivative_at_zero(f, d, egrad)
-    res = ellipsoid_search(ellipsoid3, f, d, egrad, strategy="interpolant")
+    res = ellipsoid_search(ellipsoid3, f, d, egrad)
     # re-evaluate the condition independently of the search bookkeeping
     assert energy(res.mapping) <= phi0 + 1e-4 * res.alpha * dphi0
     assert res.energy < phi0
 
 
-def test_bounded_strategy_beats_grid_scan(ellipsoid3):
+def test_search_beats_grid_scan(ellipsoid3):
     f, egrad, d = ellipsoid_state(ellipsoid3)
-    res = ellipsoid_search(ellipsoid3, f, d, egrad, strategy="bounded")
+    res = ellipsoid_search(ellipsoid3, f, d, egrad)
     assert res.ok
     energy = normalized(ellipsoid3)
     grid = min(energy(retract(f, a * d))
@@ -174,42 +174,11 @@ def test_backtracking_sequence_decreasing_and_bounded(monkeypatch):
         return 1.0  # never below phi0 + c1 alpha dphi0
 
     monkeypatch.setattr(linesearch, "MAX_BACKTRACKS", 12)
-    res = search(f, d, energy=stubborn, phi0=1.0, dphi0=-1.0,
-                 strategy="interpolant", alpha0=1.0)
+    res = search(f, d, energy=stubborn, phi0=1.0, dphi0=-1.0, alpha0=1.0)
     assert not res.ok
     assert len(trials) == 13
     assert all(b < a for a, b in zip(trials, trials[1:]))
     assert all(t >= 0.1 ** (k + 1) - 1e-12 for k, t in enumerate(trials[1:]))
-    assert res.energy == 1.0
-
-
-def test_bounded_strategy_backtracks_from_its_minimizer(monkeypatch):
-    # the never-accepting stub again: after the bounded minimizer and the
-    # probe at alpha_max, every backtrack stays in the safeguard window
-    # of the trial before it, starting from the minimizer
-    f = np.array([[1.0, 0.0, 0.0]])
-    d = np.array([[0.0, 1.0, 0.0]])
-    trials = []
-
-    def stubborn(g):
-        trials.append(g[0, 1] / g[0, 0])
-        return 1.0
-
-    monkeypatch.setattr(linesearch, "MAX_BACKTRACKS", 5)
-    res = search(f, d, energy=stubborn, phi0=1.0, dphi0=-1.0, strategy="bounded")
-    assert not res.ok
-    assert res.evals == len(trials) == 38
-    minimizer, end, backtracks = trials[-8], trials[-7], trials[-6:]
-    assert minimizer == pytest.approx(1.0, abs=1e-5)
-    assert end == pytest.approx(1.0, abs=1e-12)
-    chain = [minimizer] + backtracks
-    assert all(0.1 * a * (1 - 1e-12) <= b <= 0.5 * a * (1 + 1e-12)
-               for a, b in zip(chain, chain[1:]))
-    # one quadratic step from the minimizer, then cubic ones
-    assert backtracks == pytest.approx([0.5, 0.211325, 0.092196, 0.040004, 0.017375,
-                                        0.007545], abs=1e-6)
-    # no later trial is lower, so the minimizer stays the best one
-    assert res.alpha == pytest.approx(minimizer, rel=1e-12)
     assert res.energy == 1.0
 
 
@@ -298,10 +267,3 @@ def test_non_descent_direction_rejected(ellipsoid3):
     with pytest.raises(LineSearchError, match="descent"):
         ellipsoid_search(ellipsoid3, f, -d, egrad)
 
-
-def test_unknown_strategy():
-    f = np.array([[1.0, 0.0, 0.0]])
-    d = np.array([[0.0, 1.0, 0.0]])
-    with pytest.raises(ValueError, match="strategy"):
-        search(f, d, energy=lambda g: 0.0, phi0=1.0, dphi0=-1.0,
-               strategy="golden")

@@ -42,15 +42,6 @@ def test_the_method_picks_the_iteration_caps():
     assert caps(dataclasses.replace(PAPER, max_iters=1)) == (10, 1)
 
 
-def test_unknown_strategy_rejected_on_construction():
-    # rejected before the conformal start and FPI run, not inside the
-    # first line search
-    with pytest.raises(ValueError, match="strategy 'golden'"):
-        ParameterizeConfig(strategy="golden")
-    for strategy in ("interpolant", "bounded"):
-        assert ParameterizeConfig(strategy=strategy).strategy == strategy
-
-
 def test_record_clock_runs_from_the_start_of_the_run(ellipsoid3):
     # FPI and descent time their records from their own starts; the run's
     # records read one clock, the one `seconds` is read from

@@ -70,20 +70,19 @@ def test_midpoints_unit_and_on_minor_arc(landmark_maps):
     assert (np.sum(c * a, axis=1) > np.sum(a * b, axis=1)).all()
 
 
-def test_raw_midpoints_are_chord_midpoints(landmark_maps):
+def test_midpoints_are_renormalized_chord_midpoints(landmark_maps):
     f0, f1 = landmark_maps
-    c = midpoint_targets(f0, f1, PAIRS, normalize=False)
+    c = midpoint_targets(f0, f1, PAIRS)
     a, b = f0[PAIRS[:, 0]], f1[PAIRS[:, 1]]
-    assert np.array_equal(c, 0.5 * (a + b @ landmark_rotation(a, b, 1.0).T))
+    chord = 0.5 * (a + b @ landmark_rotation(a, b, 1.0).T)
+    assert np.array_equal(c, chord / np.linalg.norm(chord, axis=1)[:, None])
 
 
 def test_midpoints_do_not_depend_on_the_second_maps_frame(landmark_maps):
     f0, f1 = landmark_maps
     q = rotation_matrix(np.random.default_rng(7).normal(size=3), 1.9)
-    for normalize in (True, False):
-        turned = midpoint_targets(f0, f1 @ q.T, PAIRS, normalize=normalize)
-        assert np.abs(turned - midpoint_targets(f0, f1, PAIRS, normalize=normalize)).max() \
-            <= 1e-12
+    turned = midpoint_targets(f0, f1 @ q.T, PAIRS)
+    assert np.abs(turned - midpoint_targets(f0, f1, PAIRS)).max() <= 1e-12
 
 
 def test_antipodal_midpoint_rejected():

@@ -13,7 +13,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize("name, args, row, files", [
     ("run_ellipsoid.py", ["--subdivisions", "1", "--fpi-iters", "2", "--max-iters", "5"],
-     "     bounded", []),
+     "       paper", []),
     ("noise_stability.py", ["--subdivisions", "1", "--sigmas", "1e-3", "--max-iters", "5"],
      "   1e-03", []),
     ("morph_demo.py", ["--subdivisions", "1", "--frames", "2", "--out", "frames"],
