@@ -18,7 +18,6 @@ def main():
                     help="optional OBJ/OFF path (default: generated ellipsoid)")
     ap.add_argument("--subdivisions", type=int, default=4)
     ap.add_argument("--radii", type=float, nargs=3, default=(1.0, 0.8, 0.6))
-    ap.add_argument("--fpi-iters", type=int, default=None, help="default: each method's")
     ap.add_argument("--max-iters", type=int, default=None, help="default: each method's")
     args = ap.parse_args()
 
@@ -33,8 +32,7 @@ def main():
     print(f"{'method':>12}  {'SD/Mean':>9}  {'E_A':>10}  {'time':>7}  folds")
 
     for method in METHODS:
-        config = ParameterizeConfig(method=method, fpi_iters=args.fpi_iters,
-                                    max_iters=args.max_iters)
+        config = ParameterizeConfig(method=method, max_iters=args.max_iters)
         summary = parameterize(surface, config).summary
         print(f"{method:>12}  {summary['sd_over_mean']:9.4f}  {summary['authalic']:10.3e}  "
               f"{summary['seconds']:6.2f}s  {summary['folds']}")

@@ -71,22 +71,15 @@ _METHOD_HELP = ("Descent: preconditioned L-BFGS on spherical areas, or the paper
                 "steepest descent on chordal areas.")
 
 
-def _by_method(stage):
-    """The default of an iteration cap, which the method picks."""
-    return "default: " + ", ".join(f"{iters[stage]} under {m}"
-                                   for m, iters in METHOD_ITERS.items())
-
-
-_FPI_HELP = ("Warm-start fixed-point iterations, stopped early on an energy increase "
-             f"({_by_method(0)}).")
-_MAX_HELP = f"Descent iterations ({_by_method(1)})."
+_MAX_HELP = ("Descent iterations (default: "
+             + ", ".join(f"{iters[1]} under {m}" for m, iters in METHOD_ITERS.items())
+             + "; the method fixes its warm-up).")
 
 
 @main.command()
 @click.argument("mesh", type=click.Path(exists=True, dir_okay=False))
 @click.option("--method", type=_METHOD, default=ParameterizeConfig.method,
               show_default=True, help=_METHOD_HELP)
-@click.option("--fpi-iters", type=_COUNT, default=None, help=_FPI_HELP)
 @click.option("--max-iters", type=_COUNT, default=None, help=_MAX_HELP)
 @click.option("--noise-sigma", type=click.FloatRange(min=0), default=0.0, show_default=True,
               help="Gaussian vertex-normal noise applied to the raw input mesh.")
@@ -95,7 +88,7 @@ _MAX_HELP = f"Descent iterations ({_by_method(1)})."
               help="Convergence CSV path (default: <out>/convergence.csv).")
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), default=None,
               help="Output directory (default: <mesh stem>_param).")
-def param(mesh, method, fpi_iters, max_iters, noise_sigma, seed, log_path, out_dir):
+def param(mesh, method, max_iters, noise_sigma, seed, log_path, out_dir):
     """Compute the spherical parameterization of MESH."""
     out_dir = out_dir or os.path.splitext(mesh)[0] + "_param"
     # the log is written last: a missing directory for it (other than the
@@ -110,8 +103,7 @@ def param(mesh, method, fpi_iters, max_iters, noise_sigma, seed, log_path, out_d
         surface = load_mesh(mesh)
         if noise_sigma > 0:
             surface = perturb_vertices(surface, noise_sigma, seed)
-        config = ParameterizeConfig(method=method, fpi_iters=fpi_iters,
-                                    max_iters=max_iters, seed=seed)
+        config = ParameterizeConfig(method=method, max_iters=max_iters, seed=seed)
         result = parameterize(surface, config)
         # a map the summary cannot measure is a failure, found before any
         # output is written
@@ -129,9 +121,8 @@ def param(mesh, method, fpi_iters, max_iters, noise_sigma, seed, log_path, out_d
     csv_path = log_path or os.path.join(out_dir, "convergence.csv")
     write_records_csv(csv_path, result.records)
     params = {
-        "method": method, "fpi_iters": config.fpi_iters, "max_iters": config.max_iters,
-        "noise_sigma": noise_sigma, "seed": seed,
-        "fpi_iterations_run": len(result.fpi.records), "start": result.start,
+        "method": method, "max_iters": config.max_iters, "noise_sigma": noise_sigma,
+        "seed": seed, "fpi_iterations_run": len(result.fpi.records), "start": result.start,
     }
     _write_manifest(out_dir, "param", {"mesh": os.path.abspath(mesh)}, params,
                     result.seconds)
@@ -152,12 +143,10 @@ def param(mesh, method, fpi_iters, max_iters, noise_sigma, seed, log_path, out_d
                    "often stops earlier, by the relative gradient test.")
 @click.option("--method", type=_METHOD, default=ParameterizeConfig.method,
               show_default=True, help=_METHOD_HELP)
-@click.option("--fpi-iters", type=_COUNT, default=None, help=_FPI_HELP)
 @click.option("--max-iters", type=_COUNT, default=None, help=_MAX_HELP)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), default=None)
-def register(mesh0, mesh1, landmarks, lam, align_iters, method, fpi_iters, max_iters,
-             seed, out_dir):
+def register(mesh0, mesh1, landmarks, lam, align_iters, method, max_iters, seed, out_dir):
     """Landmark-aligned registration of MESH0 onto MESH1."""
     out_dir = out_dir or os.path.splitext(mesh0)[0] + "_register"
     os.makedirs(out_dir, exist_ok=True)
@@ -166,8 +155,7 @@ def register(mesh0, mesh1, landmarks, lam, align_iters, method, fpi_iters, max_i
         m0 = load_mesh(mesh0)
         m1 = load_mesh(mesh1)
         pairs = parse_landmarks(landmarks, m0.n_vertices, m1.n_vertices)
-        config = ParameterizeConfig(method=method, fpi_iters=fpi_iters,
-                                    max_iters=max_iters, seed=seed)
+        config = ParameterizeConfig(method=method, max_iters=max_iters, seed=seed)
         p0, p1 = parameterize(m0, config), parameterize(m1, config)
         f0, f1 = p0.mapping, p1.mapping
         reg = registration.register(m0, m1, f0, f1, pairs, lam=lam, iters=align_iters)
@@ -202,8 +190,7 @@ def register(mesh0, mesh1, landmarks, lam, align_iters, method, fpi_iters, max_i
         json.dump(mismatch, fh, indent=2, sort_keys=True)
         fh.write("\n")
     params = {"lambda": lam, "align_iters": align_iters, "method": method,
-              "fpi_iters": config.fpi_iters, "max_iters": config.max_iters, "seed": seed,
-              "starts": [p0.start, p1.start]}
+              "max_iters": config.max_iters, "seed": seed, "starts": [p0.start, p1.start]}
     _write_manifest(out_dir, "register",
                     {"mesh0": os.path.abspath(mesh0), "mesh1": os.path.abspath(mesh1),
                      "landmarks": os.path.abspath(landmarks)},

@@ -77,7 +77,6 @@ PROBE_RESIDUAL_RTOL = 1e-8
 class HessianProbeResult:
     smallest_eigenvalue: float
     residual: float
-    iterations: int
 
 
 def probe_smallest_eigenvalue(matrix) -> HessianProbeResult:
@@ -86,9 +85,8 @@ def probe_smallest_eigenvalue(matrix) -> HessianProbeResult:
     Shift-invert at a tiny nonzero shift finds the
     :data:`PROBE_EIGENPAIRS` eigenpairs nearest it (the stretch Hessian
     annihilates rigid translations, so zero itself is an eigenvalue and
-    cannot be factored at); `iterations` counts the shifted solves.  The
-    returned pair is certified against ||H v - t v|| <=
-    :data:`PROBE_RESIDUAL_RTOL` ||H||_F.
+    cannot be factored at).  The returned pair is certified against
+    ||H v - t v|| <= :data:`PROBE_RESIDUAL_RTOL` ||H||_F.
     """
     matrix = sp.csc_matrix(matrix)
     n = matrix.shape[0]
@@ -98,14 +96,7 @@ def probe_smallest_eigenvalue(matrix) -> HessianProbeResult:
         lu = spla.splu((matrix - sigma * sp.eye(n)).tocsc())
     except RuntimeError as exc:
         raise SolveError(f"shifted factorization failed: {exc}") from exc
-    solves = 0
-
-    def counted_inv(v):
-        nonlocal solves
-        solves += 1
-        return lu.solve(v)
-
-    opinv = spla.LinearOperator(matrix.shape, matvec=counted_inv, dtype=np.float64)
+    opinv = spla.LinearOperator(matrix.shape, matvec=lu.solve, dtype=np.float64)
     vals, vecs = spla.eigsh(matrix, k=min(PROBE_EIGENPAIRS, n - 1), sigma=sigma, which="LM",
                             v0=np.full(n, 1.0 / np.sqrt(n)), OPinv=opinv)
     pick = int(np.argmin(np.abs(vals)))
@@ -115,7 +106,7 @@ def probe_smallest_eigenvalue(matrix) -> HessianProbeResult:
     if residual > PROBE_RESIDUAL_RTOL * max(scale, 1e-300):
         raise SolveError(f"eigenvalue residual {residual:.3e} exceeds {PROBE_RESIDUAL_RTOL:.1e} "
                          f"* ||H|| = {PROBE_RESIDUAL_RTOL * scale:.3e}")
-    return HessianProbeResult(smallest_eigenvalue=lam, residual=residual, iterations=solves)
+    return HessianProbeResult(smallest_eigenvalue=lam, residual=residual)
 
 
 def smallest_hessian_eigenvalue(surface, f: np.ndarray) -> HessianProbeResult:

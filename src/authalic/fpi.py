@@ -43,12 +43,12 @@ def conformal_initial_map(surface, rng=None, laplacian=None) -> np.ndarray:
     triangle; the cotangent-weighted Laplacian of the reference mesh is
     solved for all remaining planar positions, the plane is recentered
     (barycenter to origin, median magnitude to one), and the result is
-    lifted through the inverse stereographic projection.  If the lift
-    lands with inverted global orientation the plane is conjugated, so
-    meshes of either orientation get a mostly fold-free start.  The
-    punctured face is drawn by `rng` when one is given, else it is the
-    largest face.  `laplacian` is the reference cotangent Laplacian,
-    assembled here when not given.
+    lifted through the inverse stereographic projection and mirrored
+    (y -> -y) when more than half its faces fold, so meshes of either
+    orientation get a mostly fold-free start.  The punctured face is
+    drawn by `rng` when one is given, else it is the largest face.
+    `laplacian` is the reference cotangent Laplacian, assembled here when
+    not given.
     """
     if rng is not None:
         face_index = int(rng.integers(surface.n_faces))
@@ -72,9 +72,14 @@ def conformal_initial_map(surface, rng=None, laplacian=None) -> np.ndarray:
         mags = np.abs(h)
     h /= np.median(mags)
 
-    f = inverse_stereographic(PlanarPoints.finite(h))
+    return _oriented(surface, inverse_stereographic(PlanarPoints.finite(h)))
+
+
+def _oriented(surface, f: np.ndarray) -> np.ndarray:
+    """`f`, mirrored in place (y -> -y) when more than half its faces
+    fold: the orientation rule of both starts."""
     if count_folds(surface, f) > surface.n_faces // 2:
-        f = inverse_stereographic(PlanarPoints.finite(np.conj(h)))
+        f[:, 1] = -f[:, 1]
     return f
 
 
@@ -86,7 +91,7 @@ def reference_laplacian(surface):
 
 def radial_initial_map(surface) -> np.ndarray:
     """The radial start (v - c) / |v - c|, c the vertex centroid, mirrored
-    (x -> -x) when more than half its faces fold.
+    (y -> -y) when more than half its faces fold.
 
     It is fold-free on every mesh that is star-shaped about c.  A vertex
     at c has no direction: its row is NaN, and its faces count as folds.
@@ -94,9 +99,7 @@ def radial_initial_map(surface) -> np.ndarray:
     d = surface.vertices - surface.vertices.mean(axis=0)
     with np.errstate(invalid="ignore", divide="ignore"):
         f = d / np.sqrt(row_dots(d, d))[:, None]
-    if count_folds(surface, f) > surface.n_faces // 2:
-        f[:, 0] = -f[:, 0]
-    return f
+    return _oriented(surface, f)
 
 
 def disk_interior(h: PlanarPoints) -> np.ndarray:
@@ -133,7 +136,7 @@ def dirichlet_solve(surface, lap, h: PlanarPoints, interior: np.ndarray):
     return PlanarPoints(values=values, at_infinity=h.at_infinity.copy())
 
 
-def fpi_minimize(surface, f0: np.ndarray, max_iters: int = 10,
+def fpi_minimize(surface, f0: np.ndarray, max_iters: int,
                  stop_on_increase: bool = True) -> MinimizeResult:
     """Alternating hemisphere fixed-point iteration from `f0`.
 

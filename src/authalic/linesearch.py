@@ -137,12 +137,12 @@ def search(f: np.ndarray, d: np.ndarray, *, energy, phi0: float, dphi0: float,
     -------
     LineSearchResult
         `ok` is False when no trial satisfied the condition within the
-        backtrack budget; the best trial seen is still returned.
+        backtrack budget; the result is then the start, at alpha = 0
+        and energy `phi0`.
     """
     if not dphi0 < 0.0:
         raise LineSearchError(f"not a descent direction (phi'(0) = {dphi0:.3e})")
 
-    best = (np.inf, None, np.nan)
     rejected = []  # (alpha, phi) of each rejected finite trial, in order
     alpha = min(float(alpha0), ALPHA_MAX)
     for evals in range(1, MAX_BACKTRACKS + 2):
@@ -158,16 +158,13 @@ def search(f: np.ndarray, d: np.ndarray, *, energy, phi0: float, dphi0: float,
             rejected.clear()
             alpha = CLAMP_HI * alpha
             continue
-        if value < best[0]:
-            best = (value, g, alpha)
         rejected.append((alpha, value))
         if len(rejected) == 1:
             alpha = quadratic_backtrack_step(phi0, dphi0, alpha, value)
         else:
             alpha = cubic_backtrack_step(phi0, dphi0, rejected[-1], rejected[-2])
 
-    value, g, alpha = best
     return LineSearchResult(
-        alpha, f if g is None else g, phi0 if g is None else value, evals, False,
+        0.0, f, phi0, evals, False,
         message=f"no sufficient-decrease step within {MAX_BACKTRACKS} backtracks",
     )

@@ -58,10 +58,6 @@ class SimplicialSurface:
     def n_edges(self) -> int:
         return self.edges.shape[0]
 
-    def with_vertices(self, vertices: np.ndarray) -> "SimplicialSurface":
-        """Rebuild the surface with new vertex positions, same faces."""
-        return build_surface(vertices, self.faces)
-
     @cached_property
     def corner_index(self) -> np.ndarray:
         """Vertex of every face corner, corner-major: entry c m + t is
@@ -468,7 +464,7 @@ def perturb_vertices(surface: SimplicialSurface, sigma_noise: float, seed: int) 
     rng = np.random.default_rng(seed)
     amplitude = rng.normal(0.0, sigma_noise, surface.n_vertices)
     moved = surface.vertices + amplitude[:, None] * vertex_normals(surface)
-    return surface.with_vertices(moved)
+    return build_surface(moved, surface.faces)
 
 
 def normalize_area(surface: SimplicialSurface) -> SimplicialSurface:

@@ -19,11 +19,11 @@ both fold.  Two methods share that order
   energy; ``ParameterizeConfig(method="paper")`` is the paper's run.
 
 The method picks the start order, the iteration caps
-(:data:`METHOD_ITERS`), the objective and the direction together; the
-caps can be overridden.  The radial start follows the input's frame:
-under ``"lbfgs"`` a rotated input gives a rotated output map, of the
-same quality.  The conformal start depends only on lengths and areas,
-so it does not rotate with the input.
+(:data:`METHOD_ITERS`), the objective and the direction together; only
+the descent cap can be overridden, as the run's budget.  The radial
+start follows the input's frame: under ``"lbfgs"`` a rotated input gives
+a rotated output map, of the same quality.  The conformal start depends
+only on lengths and areas, so it does not rotate with the input.
 
 One reference cotangent Laplacian is assembled per run, for the
 conformal start and the L-BFGS preconditioner.  The input mesh is
@@ -50,8 +50,8 @@ from .unfold import CorrectionResult, correct_bijectivity
 
 CSV_HEADER = "iter,E_S,E_A,E,sd_over_mean,grad_norm,alpha,folds,elapsed_s"
 METHOD_ITERS = {"lbfgs": (0, 20), "paper": (10, 100)}
-"""(FPI, descent) iteration caps of each method, used where the
-configuration leaves them unset."""
+"""(FPI, descent) iteration caps of each method; the descent cap is the
+default of :attr:`ParameterizeConfig.max_iters`."""
 METHODS = tuple(METHOD_ITERS)
 START_ORDER = {"lbfgs": ("radial", "conformal"), "paper": ("conformal", "radial")}
 """The order in which each method tries the start maps: the first
@@ -61,31 +61,28 @@ fold-free one is taken, and the conformal one when both fold."""
 @dataclass(frozen=True)
 class ParameterizeConfig:
     """Settings of :func:`parameterize`: the method (see
-    :mod:`authalic.pipeline`), the FPI and descent iteration caps (unset,
-    the method's own, :data:`METHOD_ITERS`; they read resolved after
+    :mod:`authalic.pipeline`), the descent iteration cap (unset, the
+    method's own, :data:`METHOD_ITERS`; it reads resolved after
     construction) and the seed of the conformal start's puncture.  An
     unknown `method` raises ``ValueError`` here, before any work is done.
     The method's fixed steps and numbers are not settings: fold
     correction always runs after FPI (a fold-free start that FPI left
-    unchanged counts as corrected) and after the descent, and the disk
-    radius of the hemisphere solves (:data:`authalic.fpi.RADIUS`) and the
-    line search's sufficient-decrease constant and step cap
+    unchanged counts as corrected) and after the descent, and the FPI cap
+    (:data:`METHOD_ITERS`), the disk radius of the hemisphere solves
+    (:data:`authalic.fpi.RADIUS`) and the line search's
+    sufficient-decrease constant and step cap
     (:data:`authalic.linesearch.C1`, :data:`authalic.linesearch.ALPHA_MAX`)
     are module constants."""
 
     method: str = "lbfgs"
-    fpi_iters: int | None = None
     max_iters: int | None = None
     seed: int = 0
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
-        fpi_iters, max_iters = METHOD_ITERS[self.method]
-        if self.fpi_iters is None:
-            object.__setattr__(self, "fpi_iters", fpi_iters)
         if self.max_iters is None:
-            object.__setattr__(self, "max_iters", max_iters)
+            object.__setattr__(self, "max_iters", METHOD_ITERS[self.method][1])
 
 
 @dataclass(frozen=True)
@@ -153,7 +150,8 @@ def parameterize(surface: SimplicialSurface,
                                elapsed_s=began + r.elapsed_s) for r in stage_records)
 
     began = time.perf_counter() - start
-    fpi = fpi_minimize(surface, f, max_iters=config.fpi_iters, stop_on_increase=True)
+    fpi = fpi_minimize(surface, f, max_iters=METHOD_ITERS[config.method][0],
+                       stop_on_increase=True)
     append(fpi.records, began)
     if fpi.records or start_folds:
         after_fpi = correct_bijectivity(surface, fpi.mapping)

@@ -10,7 +10,7 @@ import authalic.energy as en
 from authalic import registration
 from authalic.cli import main
 from authalic.mesh import load_mesh, make_icosphere, save_mesh
-from authalic.pipeline import METHOD_ITERS, parameterize
+from authalic.pipeline import parameterize
 from authalic.sphere import count_folds
 
 from helpers import rotation_matrix
@@ -85,8 +85,8 @@ def test_param_method_is_run_and_recorded(tmp_path, mesh_file):
         assert result.exit_code == 0, result.output
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["params"]["method"] == method
-        # an unset cap is the method's own, and the manifest records it
-        assert manifest["params"]["fpi_iters"] == METHOD_ITERS[method][0]
+        # the warm-up's cap is the method's own, not a parameter
+        assert "fpi_iters" not in manifest["params"]
         assert manifest["params"]["max_iters"] == 3
         # each method's first start is fold-free on this ellipsoid
         assert manifest["params"]["start"] == {"lbfgs": "radial", "paper": "conformal"}[method]
@@ -100,7 +100,7 @@ def test_param_method_is_run_and_recorded(tmp_path, mesh_file):
 def test_param_log_flag_and_noise(tmp_path, mesh_file):
     out = tmp_path / "run"
     log = tmp_path / "conv.csv"
-    result = run("param", mesh_file, "--max-iters", "2", "--fpi-iters", "1",
+    result = run("param", mesh_file, "--max-iters", "2",
                  "--noise-sigma", "1e-3", "--seed", "5",
                  "--log", str(log), "--out", str(out))
     assert result.exit_code == 0
@@ -120,7 +120,7 @@ def test_param_log_into_a_missing_directory_is_usage_error(tmp_path, mesh_file):
     assert "--log" in result.output
     assert not out.exists()
     # a log inside the output directory, which the run makes, is fine
-    result = run("param", mesh_file, "--max-iters", "1", "--fpi-iters", "1",
+    result = run("param", mesh_file, "--max-iters", "1",
                  "--out", str(out), "--log", str(out / "conv.csv"))
     assert result.exit_code == 0
     assert (out / "conv.csv").exists()
@@ -131,7 +131,7 @@ def test_param_missing_mesh_is_usage_error(tmp_path):
     assert result.exit_code == 2
 
 
-@pytest.mark.parametrize("command, flag", [("param", "--max-iters"), ("param", "--fpi-iters"),
+@pytest.mark.parametrize("command, flag", [("param", "--max-iters"),
                                            ("register", "--align-iters")])
 def test_negative_iteration_count_is_usage_error(tmp_path, mesh_file, command, flag):
     marks = tmp_path / "marks.txt"
@@ -177,7 +177,7 @@ def test_param_collapsed_map_is_numerical_failure(tmp_path, sphere_file, monkeyp
 
     monkeypatch.setattr("authalic.cli.parameterize", collapsed)
     out = tmp_path / "run"
-    result = run("param", sphere_file, "--fpi-iters", "1", "--out", str(out))
+    result = run("param", sphere_file, "--out", str(out))
     assert result.exit_code == 1
     assert "error: " in result.output
     for name in ("sphere.obj", "vertex_ids.txt", "convergence.csv", "manifest.json"):
@@ -199,7 +199,7 @@ def registration_dir(tmp_path_factory, sphere_file):
     landmarks.write_text("# five pairs\n4 4\n41 41\n78 78\n121 121\n151 151\n")
     out = base / "out"
     result = run("register", sphere_file, sphere_file, str(landmarks),
-                 "--fpi-iters", "3", "--max-iters", "10", "--align-iters", "60",
+                 "--max-iters", "10", "--align-iters", "60",
                  "--out", str(out))
     assert result.exit_code == 0, result.output
     return out
@@ -273,7 +273,7 @@ def test_register_reaches_the_renormalized_midpoints(sphere_file, tmp_path, monk
     marks.write_text("4 4\n41 41\n")
     out = tmp_path / "out"
     result = run("register", sphere_file, sphere_file, str(marks),
-                 "--fpi-iters", "1", "--max-iters", "1", "--align-iters", "1",
+                 "--max-iters", "1", "--align-iters", "1",
                  "--out", str(out))
     assert result.exit_code == 0, result.output
     assert len(seen) == 1
@@ -283,11 +283,13 @@ def test_register_reaches_the_renormalized_midpoints(sphere_file, tmp_path, monk
 
 
 def test_retired_flags_are_usage_errors(mesh_file, sphere_file, tmp_path):
-    # the line search and the landmark targets have one route each
+    # the line search and the landmark targets have one route each, and
+    # the method fixes its warm-up
     marks = tmp_path / "marks.txt"
     marks.write_text("4 4\n")
-    for args in (["param", mesh_file, "--ls", "interp"],
-                 ["register", sphere_file, sphere_file, str(marks), "--raw-midpoints"]):
+    register = ["register", sphere_file, sphere_file, str(marks)]
+    for args in (["param", mesh_file, "--ls", "interp"], [*register, "--raw-midpoints"],
+                 ["param", mesh_file, "--fpi-iters", "1"], [*register, "--fpi-iters", "1"]):
         result = CliRunner().invoke(main, [*args, "--out", str(tmp_path / "out")])
         assert result.exit_code == 2, result.output
     assert not (tmp_path / "out").exists()
@@ -313,8 +315,7 @@ def test_library_value_error_is_numerical_failure(sphere_file, tmp_path, monkeyp
     marks = tmp_path / "marks.txt"
     marks.write_text("4 4\n")
     inputs = [sphere_file, sphere_file, str(marks)] if command == "register" else [sphere_file]
-    result = run(command, *inputs, "--fpi-iters", "1", "--max-iters", "1",
-                 "--out", str(tmp_path / "out"))
+    result = run(command, *inputs, "--max-iters", "1", "--out", str(tmp_path / "out"))
     assert result.exit_code == 1
     assert "error: landmark pair is (nearly) antipodal" in result.output
 
@@ -427,8 +428,7 @@ def test_check_probe_eigen(sphere_file):
 def test_env_var_override(tmp_path, mesh_file):
     out = tmp_path / "env_run"
     result = CliRunner().invoke(
-        main, ["param", mesh_file, "--max-iters", "2", "--fpi-iters", "1",
-               "--out", str(out)],
+        main, ["param", mesh_file, "--max-iters", "2", "--out", str(out)],
         env={"AUTHALIC_PARAM_SEED": "9"}, catch_exceptions=False)
     assert result.exit_code == 0
     manifest = json.loads((out / "manifest.json").read_text())
@@ -442,8 +442,7 @@ def test_morph_requires_a_registration_manifest(registration_dir, mesh_file, tmp
     # a param output directory with a stray composed_map.txt: its manifest
     # names one input mesh, not the two a registration reads
     regdir = tmp_path / "param"
-    assert run("param", mesh_file, "--fpi-iters", "1", "--max-iters", "1",
-               "--out", str(regdir)).exit_code == 0
+    assert run("param", mesh_file, "--max-iters", "1", "--out", str(regdir)).exit_code == 0
     if manifest is not None:
         (regdir / "manifest.json").write_text(json.dumps(manifest) + "\n")
     (regdir / "composed_map.txt").write_text((registration_dir / "composed_map.txt").read_text())

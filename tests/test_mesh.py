@@ -226,7 +226,8 @@ def test_repeated_parameterize_neither_rebuilds_nor_redissects(monkeypatch):
     surface = make_icosphere(2, (1.0, 0.8, 0.6))
     for name in calls:
         monkeypatch.setattr(mesh, name, counted(name))
-    config = ParameterizeConfig(fpi_iters=2, max_iters=3)
+    # the paper's run, whose conformal start and warm-up make planar solves
+    config = ParameterizeConfig(method="paper", max_iters=3)
     first = parameterize(surface, config)
     second = parameterize(surface, config)
     assert calls == {"nested_dissection": 1, "build_surface": 0}

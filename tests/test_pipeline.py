@@ -32,14 +32,12 @@ def test_unknown_method_rejected_on_construction():
 
 
 def test_the_method_picks_the_iteration_caps():
-    # one setting selects a method: its FPI and descent caps come with it
-    # unless set, and read resolved from then on
-    caps = lambda c: (c.fpi_iters, c.max_iters)
-    assert caps(ParameterizeConfig()) == (0, 20)
-    assert caps(PAPER) == (10, 100)
-    assert caps(ParameterizeConfig(method="paper", max_iters=3)) == (10, 3)
-    assert caps(ParameterizeConfig(fpi_iters=2)) == (2, 20)
-    assert caps(dataclasses.replace(PAPER, max_iters=1)) == (10, 1)
+    # one setting selects a method: its descent cap comes with it unless
+    # set, and reads resolved from then on
+    assert ParameterizeConfig().max_iters == 20
+    assert PAPER.max_iters == 100
+    assert ParameterizeConfig(method="paper", max_iters=3).max_iters == 3
+    assert dataclasses.replace(PAPER, max_iters=1).max_iters == 1
 
 
 def test_record_clock_runs_from_the_start_of_the_run(ellipsoid3):
@@ -63,7 +61,7 @@ def test_both_fold_corrections_are_reported(ellipsoid3):
 def test_summary_of_a_collapsed_map_raises(ellipsoid3):
     # SD/Mean is read first and divides by the mean area ratio, so it
     # checks the total image area before dividing
-    result = parameterize(ellipsoid3, ParameterizeConfig(fpi_iters=0, max_iters=1))
+    result = parameterize(ellipsoid3, ParameterizeConfig(max_iters=1))
     collapsed = dataclasses.replace(result, mapping=np.tile([0.0, 0.0, 1.0],
                                                             (ellipsoid3.n_vertices, 1)))
     with pytest.raises(DegenerateFaceError, match="total image area 0.000e"):
@@ -82,8 +80,9 @@ def test_fpi_decisions_do_not_depend_on_the_input_scale():
 
 
 def test_no_fpi_iterations_runs_the_descent_from_the_start(ellipsoid3):
-    # FPI always runs; with no iterations it returns the start unchanged
-    result = parameterize(ellipsoid3, ParameterizeConfig(fpi_iters=0, max_iters=5))
+    # FPI always runs; under the default method's cap of no iterations it
+    # returns the start unchanged
+    result = parameterize(ellipsoid3, ParameterizeConfig(max_iters=5))
     assert result.fpi.records == []
     assert result.fpi.status == "max_iters"
     # the run's records are the descent's, numbered from 1
@@ -205,15 +204,17 @@ def test_the_radial_start_is_taken_only_when_fold_free(icosphere2, monkeypatch):
     # radial start folds too, under either method's order
     monkeypatch.setattr(pipeline, "conformal_initial_map",
                         lambda s, **kwargs: inverted_vertex_map(s))
-    configs = (ParameterizeConfig(max_iters=1),
-               dataclasses.replace(PAPER, fpi_iters=0, max_iters=1))
+    configs = (ParameterizeConfig(max_iters=1), dataclasses.replace(PAPER, max_iters=1))
     for config in configs:
         assert parameterize(icosphere2, config).start == "radial"
     monkeypatch.setattr(pipeline, "radial_initial_map", mirrored_radial)
     for config in configs:
         result = parameterize(icosphere2, config)
         assert result.start == "conformal"
-        assert result.corrections["after_fpi"].folds_before > 0
+        # the default run corrects the start's fold; the paper's warm-up
+        # mends it before the correction
+        folded = result.corrections["after_fpi"].folds_before > 0
+        assert folded == (config.method == "lbfgs")
 
 
 def bent_tube(k: float):

@@ -1,7 +1,11 @@
 """The README's library example runs as written against the current API,
-and its command-line flag lists match the commands."""
+its command-line flag lists match the commands, and the flags it gives
+the experiment scripts are theirs."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import click
@@ -9,7 +13,8 @@ import click
 from authalic.cli import check, morph, param, register
 from authalic.mesh import make_icosphere, save_mesh
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def library_example() -> str:
@@ -54,3 +59,26 @@ def test_morph_bullet_lists_every_morph_option():
 def test_check_bullet_lists_every_check_option():
     documented, options = documented_and_actual_options(check)
     assert documented == options
+
+
+def script_options(name):
+    """The options in a script's ``--help``, run as a user runs it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, str(ROOT / "scripts" / name), "--help"],
+                            env=env, capture_output=True, text=True, timeout=60, check=True)
+    return set(re.findall(r"--[a-z][a-z-]*", result.stdout))
+
+
+def test_experiment_scripts_section_gives_each_script_its_own_flags():
+    # a flag belongs to the script named last before it
+    text = README.read_text()
+    section = text[text.index("## Experiment scripts"):].split("\n## ")[0]
+    parts = re.split(r"(\w+\.py)", section)
+    documented = {}
+    for name, after in zip(parts[1::2], parts[2::2]):
+        documented.setdefault(name, set()).update(re.findall(r"--[a-z][a-z-]*", after))
+    assert set(documented) == {p.name for p in (ROOT / "scripts").glob("*.py")}
+    for name, flags in documented.items():
+        assert flags <= script_options(name), name

@@ -12,7 +12,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("name, args, row, files", [
-    ("run_ellipsoid.py", ["--subdivisions", "1", "--fpi-iters", "2", "--max-iters", "5"],
+    ("run_ellipsoid.py", ["--subdivisions", "1", "--max-iters", "5"],
      "       paper", []),
     ("noise_stability.py", ["--subdivisions", "1", "--sigmas", "1e-3", "--max-iters", "5"],
      "   1e-03", []),
