@@ -27,6 +27,8 @@ def main():
     ap.add_argument("--max-iters", type=int, default=None,
                     help="default: the default method's")
     args = ap.parse_args()
+    if args.max_iters is not None and args.max_iters < 0:
+        ap.error(f"argument --max-iters: must be >= 0, got {args.max_iters}")
 
     raw = load_mesh(args.mesh) if args.mesh else make_icosphere(
         args.subdivisions, (1.0, 0.8, 0.6))

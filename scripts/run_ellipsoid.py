@@ -20,6 +20,8 @@ def main():
     ap.add_argument("--radii", type=float, nargs=3, default=(1.0, 0.8, 0.6))
     ap.add_argument("--max-iters", type=int, default=None, help="default: each method's")
     args = ap.parse_args()
+    if args.max_iters is not None and args.max_iters < 0:
+        ap.error(f"argument --max-iters: must be >= 0, got {args.max_iters}")
 
     if args.mesh:
         surface = load_mesh(args.mesh)

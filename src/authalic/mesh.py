@@ -90,11 +90,28 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _face_cross(vertices: np.ndarray, faces: np.ndarray):
+    """Doubled-area normal (p1 - p0) x (p2 - p0) of every face p0 p1 p2,
+    as three (m,) coordinate rows, and its (m,) length.
+
+    One coordinate-major gather, as in :func:`~authalic.energy.face_geometry`,
+    so every product runs on contiguous rows.  The rows repeat numpy's
+    cross product term for term, and the length sums the squares in the
+    order of ``np.linalg.norm(axis=1)``, so both are bitwise equal to
+    those formulas on an (m, 3, 3) corner gather.
+    """
+    p = np.take(np.ascontiguousarray(vertices.T), faces.T.ravel(), axis=1).reshape(3, 3, -1)
+    u, v = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    x = u[1] * v[2] - u[2] * v[1]
+    y = u[2] * v[0] - u[0] * v[2]
+    z = u[0] * v[1] - u[1] * v[0]
+    return (x, y, z), np.sqrt(x * x + y * y + z * z)
+
+
 def triangle_areas(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
-    """Unsigned area of each face: half the cross-product norm of two edges."""
-    p = vertices[faces]
-    cross = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-    return 0.5 * np.linalg.norm(cross, axis=1)
+    """Unsigned area of each face: half the length of its doubled-area
+    normal (p1 - p0) x (p2 - p0)."""
+    return 0.5 * _face_cross(vertices, faces)[1]
 
 
 def build_surface(vertices, faces) -> SimplicialSurface:
@@ -151,10 +168,16 @@ def edge_table(faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     one 1-D ``np.unique`` orders the edges lexicographically and counts
     them.  Returns the (e, 2) sorted pairs and the (e,) counts.
     """
-    a, b = faces.ravel(), faces[:, [1, 2, 0]].ravel()
     n = int(faces.max()) + 1 if faces.size else 1
-    keys, counts = np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_counts=True)
+    keys, counts = np.unique(_side_keys(faces, n), return_counts=True)
     return np.stack([keys // n, keys % n], axis=1), counts
+
+
+def _side_keys(faces: np.ndarray, n: int) -> np.ndarray:
+    """Key ``min(a, b) * n + max(a, b)`` of every face side (a, b), face
+    by face in the order (i, j), (j, k), (k, i); `n` exceeds every index."""
+    a, b = faces.ravel(), faces[:, [1, 2, 0]].ravel()
+    return np.minimum(a, b) * n + np.maximum(a, b)
 
 
 def _check_genus(euler: int) -> None:
@@ -392,15 +415,15 @@ def make_icosphere(subdivisions: int, radii=(1.0, 1.0, 1.0)) -> SimplicialSurfac
     faces = _ICO_FACES
     for _ in range(subdivisions):
         n = verts.shape[0]
-        sides = np.sort(faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-        _, first, side_edge = np.unique(sides[:, 0] * n + sides[:, 1],
-                                        return_index=True, return_inverse=True)
+        keys, first, side_edge = np.unique(_side_keys(faces, n), return_index=True,
+                                           return_inverse=True)
         # number each edge's midpoint by the first side that meets it
         visit = np.argsort(first)
         rank = np.empty_like(visit)
         rank[visit] = np.arange(visit.size)
-        ends = sides[first[visit]]
-        p = verts[ends[:, 0]] + verts[ends[:, 1]]
+        # the sorted ends i < j of edge e are keys[e] // n and keys[e] % n
+        ends = keys[visit]
+        p = verts[ends // n] + verts[ends % n]
         # each row's norm as a (1, 3) @ (3, 1) product rounds as
         # np.linalg.norm of that row does; norm(axis=1) and einsum do not
         norms = np.sqrt((p[:, None, :] @ p[:, :, None])[:, 0, 0])
@@ -446,11 +469,10 @@ def side_laplacian(n: int, faces: np.ndarray, weights: np.ndarray) -> sp.csr_mat
 
 
 def vertex_normals(surface: SimplicialSurface) -> np.ndarray:
-    """Unit vertex normals: unweighted mean of incident face unit normals."""
-    p = surface.vertices[surface.faces]
-    fn = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-    fn /= np.linalg.norm(fn, axis=1, keepdims=True)
-    acc = scatter_corners(surface, np.tile(fn.T, 3))
+    """Unit vertex normals: unweighted mean of incident face unit normals,
+    each face's doubled-area normal over its length."""
+    cross, length = _face_cross(surface.vertices, surface.faces)
+    acc = scatter_corners(surface, np.tile(np.stack(cross) / length, 3))
     norms = np.linalg.norm(acc, axis=1, keepdims=True)
     if (norms < 1e-14).any():
         raise MeshTopologyError("vertex with vanishing normal")

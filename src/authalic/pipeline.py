@@ -64,7 +64,8 @@ class ParameterizeConfig:
     :mod:`authalic.pipeline`), the descent iteration cap (unset, the
     method's own, :data:`METHOD_ITERS`; it reads resolved after
     construction) and the seed of the conformal start's puncture.  An
-    unknown `method` raises ``ValueError`` here, before any work is done.
+    unknown `method` or a negative `max_iters` raises ``ValueError`` here,
+    before any work is done.
     The method's fixed steps and numbers are not settings: fold
     correction always runs after FPI (a fold-free start that FPI left
     unchanged counts as corrected) and after the descent, and the FPI cap
@@ -83,6 +84,8 @@ class ParameterizeConfig:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
         if self.max_iters is None:
             object.__setattr__(self, "max_iters", METHOD_ITERS[self.method][1])
+        if self.max_iters < 0:
+            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ so that agreement is meaningful.
 """
 
 import numpy as np
-from scipy.spatial import cKDTree
+from scipy.spatial import ConvexHull, cKDTree
 
 from authalic import mesh
 from authalic.energy import _corner_weights, assemble_laplacian, check_geometry, face_geometry
@@ -131,6 +131,18 @@ def random_tetrahedron(rng):
                  for a, b, c in faces]
         if min(areas) > 1e-3:
             return build_surface(verts, faces)
+
+
+def unit_hull(n_points: int, seed: int):
+    """Convex hull of `n_points` random unit vectors, faces outward."""
+    points = np.random.default_rng(seed).normal(size=(n_points, 3))
+    points /= np.linalg.norm(points, axis=1, keepdims=True)
+    faces = ConvexHull(points).simplices
+    corners = points[faces]
+    normals = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
+    inward = np.einsum("ij,ij->i", normals, corners[:, 0]) < 0
+    faces[inward] = faces[inward][:, ::-1]
+    return build_surface(points, faces)
 
 
 def inverted_vertex_map(surface, vertex=17):

@@ -13,7 +13,8 @@ from authalic.mesh import (build_surface, load_mesh, make_icosphere, normalize_a
                            side_laplacian, vertex_normals)
 from authalic.pipeline import ParameterizeConfig, parameterize
 
-from helpers import icosphere_by_midpoint_dict, regular_tetrahedron
+from helpers import (icosphere_by_midpoint_dict, regular_tetrahedron, rotation_matrix,
+                     unit_hull)
 
 TETRA_OFF = """OFF
 4 4 6
@@ -165,6 +166,42 @@ def test_vertex_normals_point_outward(icosphere1):
     assert np.linalg.norm(normals, axis=1) == pytest.approx(1.0, abs=1e-12)
     # for a sphere mesh the vertex normal is close to the radial direction
     assert (np.sum(normals * icosphere1.vertices, axis=1) > 0.9).all()
+
+
+def sliver_icosphere():
+    """Icosphere whose face 0 is a sliver: its third corner pulled to a
+    millionth of its height over the opposite side."""
+    base = make_icosphere(2)
+    a, b, c = base.faces[0]
+    v = base.vertices.copy()
+    foot = 0.5 * (v[a] + v[b])
+    v[c] = foot + 1e-6 * (v[c] - foot)
+    return build_surface(v, base.faces)
+
+
+@pytest.mark.parametrize("surface", [
+    *(build_surface(scale * make_icosphere(s, (1.0, 0.8, 0.6)).vertices
+                    @ rotation_matrix((1.0, 2.0, 3.0), 0.7 * s + 0.3).T,
+                    make_icosphere(s).faces)
+      for s, scale in zip(range(5), (1e-3, 1.0, 1e3, 7.3, 0.011))),
+    unit_hull(300, seed=4),
+    sliver_icosphere(),
+], ids=[*(f"icosphere-{s}" for s in range(5)), "hull-300", "sliver"])
+def test_face_kernels_equal_the_cross_product_formulas(surface):
+    # the reference: numpy's cross product on the (m, 3, 3) corner gather
+    # and its row norms; the kernels must round exactly as these do
+    p = surface.vertices[surface.faces]
+    cross = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+    length = np.linalg.norm(cross, axis=1)
+    assert np.array_equal(mesh.triangle_areas(surface.vertices, surface.faces), 0.5 * length)
+    assert np.array_equal(surface.face_areas, 0.5 * length)
+    acc = mesh.scatter_corners(surface, np.tile((cross / length[:, None]).T, 3))
+    assert np.array_equal(vertex_normals(surface),
+                          acc / np.linalg.norm(acc, axis=1, keepdims=True))
+    scaled = normalize_area(surface)
+    q = scaled.vertices[scaled.faces]
+    assert np.array_equal(scaled.face_areas, 0.5 * np.linalg.norm(
+        np.cross(q[:, 1] - q[:, 0], q[:, 2] - q[:, 0]), axis=1))
 
 
 def test_side_laplacian_hand_values_on_tetrahedron():

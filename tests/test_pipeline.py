@@ -6,7 +6,6 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
-from scipy.spatial import ConvexHull
 
 import authalic.energy as en
 import authalic.fpi as fpi
@@ -19,7 +18,7 @@ from authalic.mesh import build_surface, make_icosphere, normalize_area
 from authalic.pipeline import ParameterizeConfig, parameterize
 from authalic.sphere import count_folds
 
-from helpers import inverted_vertex_map, rotation_matrix
+from helpers import inverted_vertex_map, rotation_matrix, unit_hull
 
 
 PAPER = ParameterizeConfig(method="paper")
@@ -29,6 +28,14 @@ def test_unknown_method_rejected_on_construction():
     with pytest.raises(ValueError, match="method 'newton'"):
         ParameterizeConfig(method="newton")
     assert ParameterizeConfig().method == "lbfgs"
+
+
+@pytest.mark.parametrize("method", pipeline.METHODS)
+def test_negative_descent_cap_rejected_on_construction(method):
+    # a negative cap would run no descent and still report the "max_iters" stop
+    with pytest.raises(ValueError, match="max_iters must be >= 0, got -3"):
+        ParameterizeConfig(method=method, max_iters=-3)
+    assert ParameterizeConfig(method=method, max_iters=0).max_iters == 0
 
 
 def test_the_method_picks_the_iteration_caps():
@@ -100,18 +107,6 @@ def test_zero_median_rescale_raises_before_dividing():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(AuthalicError, match="FPI iteration"):
             fpi_minimize(surface, f0, max_iters=10)
-
-
-def unit_hull(n_points: int, seed: int):
-    """Convex hull of `n_points` random unit vectors, faces outward."""
-    points = np.random.default_rng(seed).normal(size=(n_points, 3))
-    points /= np.linalg.norm(points, axis=1, keepdims=True)
-    faces = ConvexHull(points).simplices
-    corners = points[faces]
-    normals = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
-    inward = np.einsum("ij,ij->i", normals, corners[:, 0]) < 0
-    faces[inward] = faces[inward][:, ::-1]
-    return build_surface(points, faces)
 
 
 def test_collapsed_map_is_not_returned_as_a_success():
