@@ -10,7 +10,8 @@ class MeshFormatError(AuthalicError):
 
 
 class MeshTopologyError(AuthalicError):
-    """The mesh is not a genus-zero closed triangle surface."""
+    """The mesh is not a genus-zero closed triangle surface, or its faces
+    are not consistently oriented."""
 
 
 class DegenerateFaceError(AuthalicError):

@@ -200,6 +200,26 @@ def _check_connected(n: int, edges: np.ndarray) -> None:
         raise MeshTopologyError(f"surface is not connected ({components} components)")
 
 
+def check_orientation(surface: SimplicialSurface) -> None:
+    """Reject a face list whose neighbouring faces run their shared side
+    the same way.
+
+    Every side of a valid surface lies in exactly two faces, so the list
+    is consistently oriented exactly when each directed side (a, b),
+    keyed ``a * n + b``, occurs once; one sort finds a repeat.  A wholly
+    reversed list passes.  :func:`build_surface` does not run this check.
+    """
+    faces, n = surface.faces, surface.n_vertices
+    keys = faces.ravel() * n + faces[:, [1, 2, 0]].ravel()
+    ordered = np.sort(keys)
+    repeated = np.flatnonzero(np.diff(ordered) == 0)
+    if repeated.size:
+        key = ordered[repeated[0]]
+        first, second = np.flatnonzero(keys == key)[:2] // 3
+        raise MeshTopologyError(f"inconsistently oriented faces: faces {first} and {second} "
+                                f"both hold the directed side ({key // n}, {key % n})")
+
+
 def _checked_areas(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
     areas = triangle_areas(vertices, faces)
     if (areas <= 0.0).any() or not np.isfinite(areas).all():

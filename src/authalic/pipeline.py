@@ -26,7 +26,9 @@ a rotated output map, of the same quality.  The conformal start depends
 only on lengths and areas, so it does not rotate with the input.
 
 One reference cotangent Laplacian is assembled per run, for the
-conformal start and the L-BFGS preconditioner.  The input mesh is
+conformal start and the L-BFGS preconditioner.  The input's face list
+must be consistently oriented, in either sense
+(:func:`~authalic.mesh.check_orientation`).  The input mesh is
 always rescaled to total area 4*pi first: the reported energies are
 then comparable across models, and FPI's stopping tests, which read
 absolute energies, take the same decisions at every input scale (the
@@ -43,7 +45,7 @@ import numpy as np
 from . import energy as en
 from .fpi import (conformal_initial_map, fpi_minimize, radial_initial_map,
                   reference_laplacian)
-from .mesh import SimplicialSurface, normalize_area
+from .mesh import SimplicialSurface, check_orientation, normalize_area
 from .rgd import IterationRecord, MinimizeResult, minimize
 from .sphere import count_folds
 from .unfold import CorrectionResult, correct_bijectivity
@@ -124,7 +126,15 @@ class ParameterizeResult:
 
 def parameterize(surface: SimplicialSurface,
                  config: ParameterizeConfig | None = None) -> ParameterizeResult:
-    """Compute a spherical area-preserving parameterization of `surface`."""
+    """Compute a spherical area-preserving parameterization of `surface`.
+
+    `surface` is a valid :class:`~authalic.mesh.SimplicialSurface`; a face
+    list in which two faces hold the same directed side (inconsistent
+    orientation) raises :class:`~authalic.errors.MeshTopologyError`
+    naming both faces, before any work.  A wholly reversed face list is
+    valid: the start maps are mirrored to match it.
+    """
+    check_orientation(surface)
     config = config or ParameterizeConfig()
     surface = normalize_area(surface)
     rng = np.random.default_rng(config.seed)

@@ -16,9 +16,9 @@ The default objective is the normalized stretch energy, with chordal
 or spherical image areas (:class:`NormalizedStretchObjective`);
 alternative objectives (e.g. the landmark registration energy) plug in
 through the same interface, and every objective stops by the same
-rules (see :func:`minimize`): the stall test reads the decrease of the
-objective being minimized, so no caller needs its own.  The records
-always carry the chordal energies of the geometry.
+rules (see :func:`minimize`): the gradient test, the iteration cap or a
+failed line search.  The records always carry the chordal energies of
+the geometry.
 
 Each accepted iterate gets one per-face geometry pass: the objectives
 keep the :class:`~authalic.energy.FaceGeometry` of the last mapping they
@@ -50,13 +50,12 @@ logger = logging.getLogger(__name__)
 
 GRAD_TOL = 1e-6
 """The gradient test: stop once |grad| <= GRAD_TOL * sqrt(n) for n vertices,
-or once it falls to :data:`GRAD_RTOL` times the first iterate's."""
+or once it falls to :data:`GRAD_RTOL` times the first iterate's.  The
+sqrt(n) term is the roundoff floor: at a critical start, such as an
+icosphere's own vertices, the first gradient is roundoff and the
+relative term alone would send the line search a non-descent direction."""
 GRAD_RTOL = 1e-3
 """The gradient test's scale-free floor, relative to the first gradient."""
-ENERGY_TOL = 1e-12
-"""The stall test: stop after :data:`STALL_ITERS` accepted steps in a row
-that each lower the objective by less than this."""
-STALL_ITERS = 3
 PRECONDITIONER_SHIFT = 3.0
 """epsilon of the preconditioner K = L + epsilon (|M| / n) I; at 0.01 and
 below the descent stalls."""
@@ -84,9 +83,11 @@ class MinimizeResult:
     """The result of every iterative stage: the descent, the FPI warm-up
     and the landmark alignment.  `records` holds one record per iteration
     run, `status` names the stop and `message` gives its reason where
-    there is one.  On ``"authalic_increased"`` and ``"stretch_increased"``
-    (FPI's stops) the last record is the rejected iterate and `mapping`
-    the one before it."""
+    there is one.  A descent (:func:`minimize`) ends ``"grad_converged"``,
+    ``"max_iters"`` or ``"line_search_failed"``; FPI has its own stops
+    (:func:`~authalic.fpi.fpi_minimize`).  On ``"authalic_increased"`` and
+    ``"stretch_increased"`` the last record is the rejected iterate and
+    `mapping` the one before it."""
 
     mapping: np.ndarray
     records: list[IterationRecord]
@@ -262,7 +263,7 @@ def make_record(geom: en.FaceGeometry, iteration: int, grad_norm: float | None,
 
 def minimize(surface, f0: np.ndarray, *, objective=None, max_iters: int = 100,
              laplacian=None) -> MinimizeResult:
-    """Run gradient descent from `f0` until a stopping rule fires.
+    """Run gradient descent from `f0` until one of its three stops fires.
 
     The direction is the anti-gradient (the paper's method) or, when a
     Laplacian `laplacian` is given (the reference cotangent Laplacian,
@@ -275,15 +276,13 @@ def minimize(surface, f0: np.ndarray, *, objective=None, max_iters: int = 100,
     pipeline's methods: the chordal normalized stretch energy without
     it, the spherical one with it.
 
-    The rules are the same for every objective, and each reads values the
+    The stops are the same for every objective, and each reads values the
     loop already holds: the Riemannian gradient norm falls to
     max(:data:`GRAD_TOL` * sqrt(n), :data:`GRAD_RTOL` * |g_1|), g_1 the
-    first iterate's gradient (`grad_converged`); :data:`STALL_ITERS`
-    accepted steps in a row each lower the objective by less than
-    :data:`ENERGY_TOL` (`energy_stalled`); `max_iters` steps are taken
-    (`max_iters`); the line search finds no step (`line_search_failed`).
-    On line-search failure the best (last accepted) iterate is returned,
-    not an exception.
+    first iterate's gradient (`grad_converged`); `max_iters` steps are
+    taken (`max_iters`); the line search finds no step
+    (`line_search_failed`).  On line-search failure the best (last
+    accepted) iterate is returned, not an exception.
 
     Every accepted iteration is logged at DEBUG level on this module's
     logger.
@@ -306,7 +305,6 @@ def minimize(surface, f0: np.ndarray, *, objective=None, max_iters: int = 100,
     records: list[IterationRecord] = []
     start = time.perf_counter()
     prev_value = None
-    stall_count = 0
 
     for k in range(1, max_iters + 1):
         value, egrad = objective.value_and_gradient(f)
@@ -337,11 +335,5 @@ def minimize(surface, f0: np.ndarray, *, objective=None, max_iters: int = 100,
         records.append(record)
         logger.debug("iter %5d  E = %.9e  E_A = %.3e  |grad| = %.3e  alpha = %.3e",
                      k, ls.energy, record.authalic, grad_norm, ls.alpha)
-
-        stall_count = stall_count + 1 if value - ls.energy < ENERGY_TOL else 0
-        if stall_count >= STALL_ITERS:
-            return MinimizeResult(f, records, "energy_stalled",
-                                  f"objective decrease < {ENERGY_TOL:g} "
-                                  f"for {STALL_ITERS} iterations")
 
     return MinimizeResult(f, records, "max_iters")

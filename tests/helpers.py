@@ -134,13 +134,16 @@ def random_tetrahedron(rng):
 
 
 def unit_hull(n_points: int, seed: int):
-    """Convex hull of `n_points` random unit vectors, faces outward."""
+    """Convex hull of `n_points` random unit vectors, faces outward.
+
+    Outward is measured from the points' centroid, which lies inside the
+    hull; the origin need not when the points are few."""
     points = np.random.default_rng(seed).normal(size=(n_points, 3))
     points /= np.linalg.norm(points, axis=1, keepdims=True)
     faces = ConvexHull(points).simplices
     corners = points[faces]
     normals = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
-    inward = np.einsum("ij,ij->i", normals, corners[:, 0]) < 0
+    inward = np.einsum("ij,ij->i", normals, corners[:, 0] - points.mean(axis=0)) < 0
     faces[inward] = faces[inward][:, ::-1]
     return build_surface(points, faces)
 

@@ -192,6 +192,19 @@ def test_param_bad_mesh_is_numerical_failure(tmp_path):
     assert "error" in result.output
 
 
+def test_param_rejects_an_inconsistently_oriented_mesh(tmp_path):
+    surf = make_icosphere(3)
+    faces = surf.faces.copy()
+    faces[0] = faces[0, ::-1]
+    path = tmp_path / "flipped.off"
+    save_mesh(surf.vertices, faces, path)
+    out = tmp_path / "run"
+    result = run("param", str(path), "--out", str(out))
+    assert result.exit_code == 1
+    assert "error: inconsistently oriented faces: faces 0 and" in result.output
+    assert not (out / "sphere.obj").exists()
+
+
 @pytest.fixture(scope="module")
 def registration_dir(tmp_path_factory, sphere_file):
     base = tmp_path_factory.mktemp("reg")

@@ -182,7 +182,6 @@ def test_one_face_geometry_pass_per_accepted_iterate(ellipsoid3, monkeypatch):
         monkeypatch.setattr(en.FaceGeometry, name, counted_energy(name))
     monkeypatch.setattr(rgd, "search", counted_search)
     monkeypatch.setattr(rgd, "GRAD_TOL", 0.0)
-    monkeypatch.setattr(rgd, "ENERGY_TOL", -np.inf)
     result = minimize(ellipsoid3, spherical_start(ellipsoid3), max_iters=10)
     assert len(result.records) == 10
     assert calls["face_geometry"] <= sum(evals) + 1
@@ -206,7 +205,6 @@ def test_records_count_folds_without_a_second_gather(ellipsoid3, monkeypatch):
         monkeypatch.setattr(module, "count_folds", counted_folds)
     f0 = fpi.conformal_initial_map(ellipsoid3)
     calls[0] = 0
-    monkeypatch.setattr(rgd, "ENERGY_TOL", -np.inf)
     result = minimize(ellipsoid3, f0, max_iters=5)
     warm = fpi.fpi_minimize(ellipsoid3, f0, max_iters=3)
     assert len(result.records) == 5 and len(warm.records) >= 1
@@ -226,7 +224,6 @@ def test_record_folds_match_count_folds(icosphere2, monkeypatch):
 
     monkeypatch.setattr(NormalizedStretchObjective, "value_and_gradient", recorded)
     monkeypatch.setattr(rgd, "GRAD_TOL", 0.0)
-    monkeypatch.setattr(rgd, "ENERGY_TOL", -np.inf)
     result = minimize(icosphere2, f0, max_iters=15)
     # the gradient is taken at the start and then at each accepted iterate
     # but the last
@@ -237,8 +234,7 @@ def test_record_folds_match_count_folds(icosphere2, monkeypatch):
     assert seen[0][1] >= 1
 
 
-def test_log_every_goes_through_logging(ellipsoid3, caplog, capsys, monkeypatch):
-    monkeypatch.setattr(rgd, "ENERGY_TOL", -np.inf)
+def test_log_every_goes_through_logging(ellipsoid3, caplog, capsys):
     with caplog.at_level(logging.DEBUG, logger="authalic.rgd"):
         minimize(ellipsoid3, spherical_start(ellipsoid3), max_iters=4)
     records = [r for r in caplog.records if r.name == "authalic.rgd"]

@@ -12,9 +12,9 @@ import authalic.fpi as fpi
 import authalic.pipeline as pipeline
 import authalic.rgd as rgd
 from authalic.energy import IMAGE_AREA_TOL, face_geometry
-from authalic.errors import AuthalicError, DegenerateFaceError
+from authalic.errors import AuthalicError, DegenerateFaceError, MeshTopologyError
 from authalic.fpi import conformal_initial_map, fpi_minimize
-from authalic.mesh import build_surface, make_icosphere, normalize_area
+from authalic.mesh import build_surface, check_orientation, make_icosphere, normalize_area
 from authalic.pipeline import ParameterizeConfig, parameterize
 from authalic.sphere import count_folds
 
@@ -268,6 +268,17 @@ def test_twenty_point_hulls_end_fold_free(seed):
     assert result.summary["folds"] == 0
 
 
+@pytest.mark.parametrize("n, seed", [(5, 1), (5, 2), (5, 3), (5, 6), (5, 7), (6, 2), (6, 3),
+                                     (6, 6), (6, 7), (8, 3), (8, 6), (8, 7), (10, 7)])
+def test_small_hulls_face_outward_from_their_centroid(n, seed):
+    # the origin lies outside each of these hulls: oriented against it,
+    # some faces came out reversed and the face list inconsistent
+    surface = unit_hull(n, seed=seed)
+    check_orientation(surface)
+    summary = parameterize(surface).summary
+    assert summary["folds"] == 0 and summary["degree"] == 1
+
+
 def test_a_hull_with_a_degenerate_trial_step_ends_fold_free(monkeypatch):
     # from the conformal start, a trial step of the descent collapses
     # this six-point hull's spherical image; the line search rejects it
@@ -301,3 +312,26 @@ def test_the_relative_gradient_floor_does_not_cut_the_descent_short():
     result = parameterize(make_icosphere(3, (1.0, 0.8, 0.6)))
     assert result.rgd.status == "max_iters"
     assert len(result.rgd.records) == ParameterizeConfig().max_iters == 20
+
+
+def test_an_inconsistently_oriented_face_list_is_rejected():
+    surface = make_icosphere(3)
+    faces = surface.faces.copy()
+    faces[0] = faces[0, ::-1]
+    with pytest.raises(MeshTopologyError, match="faces 0 and [0-9]+ both hold the directed side"):
+        parameterize(build_surface(surface.vertices, faces))
+    # a wholly reversed face list is consistent
+    reversed_faces = build_surface(surface.vertices, surface.faces[:, ::-1])
+    assert parameterize(reversed_faces).summary["folds"] == 0
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_a_critical_start_stops_at_the_roundoff_floor(k):
+    # the radial start of an icosphere is its own vertices, a critical
+    # point: the first gradient is roundoff, which only the sqrt(n) term
+    # of the gradient test catches (without it the line search is sent a
+    # non-descent direction)
+    result = parameterize(make_icosphere(k))
+    assert result.start == "radial"
+    assert result.rgd.status == "grad_converged"
+    assert result.rgd.records == []

@@ -1,8 +1,10 @@
 """The README's library example runs as written against the current API,
-its command-line flag lists match the commands, and the flags it gives
-the experiment scripts are theirs."""
+its command-line flag lists match the commands, the flags it gives the
+experiment scripts are theirs, and the module names it documents exist."""
 
+import importlib
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -10,6 +12,7 @@ from pathlib import Path
 
 import click
 
+import authalic
 from authalic.cli import check, morph, param, register
 from authalic.mesh import make_icosphere, save_mesh
 
@@ -82,3 +85,38 @@ def test_experiment_scripts_section_gives_each_script_its_own_flags():
     assert set(documented) == {p.name for p in (ROOT / "scripts").glob("*.py")}
     for name, flags in documented.items():
         assert flags <= script_options(name), name
+
+
+def inline_code(text):
+    """The backticked spans of `text`, outside its fenced code blocks."""
+    prose = re.sub(r"^```.*?^```", "", text, flags=re.S | re.M)
+    return re.findall(r"`([^`\n]+)`", prose)
+
+
+def documented_names():
+    """(module, name) for every backticked ``module.NAME`` in the README
+    and every backticked ALL-CAPS name in a module's bullet of the
+    Library section's module list."""
+    modules = {m.name for m in pkgutil.iter_modules(authalic.__path__)} | {"authalic"}
+    text = README.read_text()
+    names = set()
+    for span in inline_code(text):
+        dotted = re.fullmatch(r"(\w+)\.(\w+)", span)
+        if dotted and dotted.group(1) in modules:
+            names.add(dotted.groups())
+    library = text[text.index("## Library"):].split("\n## ")[0]
+    # a bullet ends at the next bullet or at the blank line after the list
+    for module, bullet in re.findall(r"^- `(\w+)`: (.*?)(?=^- |^$)", library, re.S | re.M):
+        assert module in modules, module
+        names.update((module, span) for span in inline_code(bullet)
+                     if re.fullmatch(r"[A-Z][A-Z0-9_]*", span))
+    return names
+
+
+def test_documented_module_names_exist():
+    names = documented_names()
+    assert ("rgd", "GRAD_TOL") in names and ("pipeline", "METHOD_ITERS") in names
+    missing = sorted(f"{module}.{name}" for module, name in names if not hasattr(
+        importlib.import_module("authalic" if module == "authalic" else f"authalic.{module}"),
+        name))
+    assert not missing
