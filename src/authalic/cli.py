@@ -21,8 +21,8 @@ from . import diagnostics as diag
 from . import energy as en
 from . import registration
 from .errors import AuthalicError
-from .mesh import (build_surface, load_mesh, normalize_area, parse_landmarks,
-                   perturb_vertices, save_mesh)
+from .mesh import (build_surface, check_orientation, load_mesh, normalize_area,
+                   parse_landmarks, perturb_vertices, save_mesh)
 from .pipeline import (METHOD_ITERS, METHODS, ParameterizeConfig, parameterize,
                        write_records_csv)
 from .rgd import NormalizedStretchObjective
@@ -92,13 +92,12 @@ def param(mesh, method, max_iters, noise_sigma, seed, log_path, out_dir):
     """Compute the spherical parameterization of MESH."""
     out_dir = out_dir or os.path.splitext(mesh)[0] + "_param"
     # the log is written last: a missing directory for it (other than the
-    # output directory, made below) fails now, before any work
+    # output directory, made once the map is found) fails now, before any work
     if log_path:
         log_dir = os.path.dirname(os.path.abspath(log_path))
         if not (os.path.isdir(log_dir) or log_dir == os.path.abspath(out_dir)):
             raise click.BadParameter(f"directory {log_dir!r} does not exist.",
                                      param_hint="'--log'")
-    os.makedirs(out_dir, exist_ok=True)
     try:
         surface = load_mesh(mesh)
         if noise_sigma > 0:
@@ -112,6 +111,7 @@ def param(mesh, method, max_iters, noise_sigma, seed, log_path, out_dir):
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
 
+    os.makedirs(out_dir, exist_ok=True)
     sphere_path = os.path.join(out_dir, "sphere.obj")
     save_mesh(result.mapping, result.surface.faces, sphere_path)
     # the output keeps the input vertex order; the sidecar records the map
@@ -149,7 +149,6 @@ def param(mesh, method, max_iters, noise_sigma, seed, log_path, out_dir):
 def register(mesh0, mesh1, landmarks, lam, align_iters, method, max_iters, seed, out_dir):
     """Landmark-aligned registration of MESH0 onto MESH1."""
     out_dir = out_dir or os.path.splitext(mesh0)[0] + "_register"
-    os.makedirs(out_dir, exist_ok=True)
     start = time.perf_counter()
     try:
         m0 = load_mesh(mesh0)
@@ -163,6 +162,7 @@ def register(mesh0, mesh1, landmarks, lam, align_iters, method, max_iters, seed,
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
 
+    os.makedirs(out_dir, exist_ok=True)
     h0, h1, composed = reg.h0.mapping, reg.h1.mapping, reg.composed
     for name, mapping, faces in (("f0", f0, m0.faces), ("f1", f1, m1.faces),
                                  ("h0", h0, m0.faces), ("h1", h1, m1.faces)):
@@ -242,9 +242,9 @@ def morph(regdir, frames, out_dir):
             mesh_paths = [None]
         if not all(isinstance(path, str) for path in mesh_paths):
             raise click.UsageError(f"{regdir} does not contain registration outputs")
-        os.makedirs(out_dir, exist_ok=True)
         m0, m1 = (load_mesh(path) for path in mesh_paths)
         composed = _read_composed_map(composed_path, m0, m1)
+        os.makedirs(out_dir, exist_ok=True)
         for k in range(frames):
             t = k / (frames - 1)
             frame = registration.homotopy_frame(m0, composed, t)
@@ -317,6 +317,7 @@ def check(mesh, probe_eigen):
     """Run the verification suite on MESH; nonzero exit on any failure."""
     try:
         surface = normalize_area(load_mesh(mesh))
+        check_orientation(surface)
         results = list(_check_lines(surface, probe_eigen))
     except AuthalicError as exc:
         click.echo(f"error: {exc}", err=True)

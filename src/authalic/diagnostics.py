@@ -19,6 +19,7 @@ import scipy.sparse.linalg as spla
 
 from . import energy as en
 from .errors import SolveError
+from .linsolve import factorize
 
 
 def authalic_error(surface_noisy, surface_clean, ea_noisy: float, ea_clean: float) -> float:
@@ -85,18 +86,17 @@ def probe_smallest_eigenvalue(matrix) -> HessianProbeResult:
     Shift-invert at a tiny nonzero shift finds the
     :data:`PROBE_EIGENPAIRS` eigenpairs nearest it (the stretch Hessian
     annihilates rigid translations, so zero itself is an eigenvalue and
-    cannot be factored at).  The returned pair is certified against
+    cannot be factored at); each shift-invert solve is one of
+    :func:`~authalic.linsolve.factorize`'s, under its residual contract.
+    The returned pair is certified against
     ||H v - t v|| <= :data:`PROBE_RESIDUAL_RTOL` ||H||_F.
     """
     matrix = sp.csc_matrix(matrix)
     n = matrix.shape[0]
     scale = float(spla.norm(matrix, "fro"))
     sigma = 1e-9 * scale if scale > 0 else 1e-12
-    try:
-        lu = spla.splu((matrix - sigma * sp.eye(n)).tocsc())
-    except RuntimeError as exc:
-        raise SolveError(f"shifted factorization failed: {exc}") from exc
-    opinv = spla.LinearOperator(matrix.shape, matvec=lu.solve, dtype=np.float64)
+    opinv = spla.LinearOperator(matrix.shape, matvec=factorize(matrix - sigma * sp.eye(n)),
+                                dtype=np.float64)
     vals, vecs = spla.eigsh(matrix, k=min(PROBE_EIGENPAIRS, n - 1), sigma=sigma, which="LM",
                             v0=np.full(n, 1.0 / np.sqrt(n)), OPinv=opinv)
     pick = int(np.argmin(np.abs(vals)))
@@ -111,5 +111,8 @@ def probe_smallest_eigenvalue(matrix) -> HessianProbeResult:
 
 def smallest_hessian_eigenvalue(surface, f: np.ndarray) -> HessianProbeResult:
     """Probe the stretch-energy Hessian of a mapping (desk-scale meshes)
-    for its eigenvalue closest to zero."""
-    return probe_smallest_eigenvalue(en.assemble_global_hessian(surface, f))
+    for its eigenvalue closest to zero, the Hessian ordered vertex-major
+    in the surface's dissection order to be factored: rows 3r, 3r + 1 and
+    3r + 2 hold the coordinates of vertex ``dissection_order[r]``."""
+    perm = (np.arange(3) * surface.n_vertices + surface.dissection_order[:, None]).ravel()
+    return probe_smallest_eigenvalue(en.assemble_global_hessian(surface, f)[perm][:, perm])

@@ -117,10 +117,11 @@ def dirichlet_solve(surface, lap, h: PlanarPoints, interior: np.ndarray):
 
     The unknowns are the interior vertices listed in the surface's
     dissection order, which is the order the system is factored in: the
-    rows and columns of `lap` at those vertices, with the boundary
-    columns moved to the right-hand side.  A vertex at infinity may only
-    be boundary, and only where no interior row couples to it.  Returns
-    the new points; only the interior entries are written.
+    rows and columns of `lap` at those vertices, with the boundary columns
+    moved to the right-hand side, whose real and imaginary parts are two
+    columns of one solve.  A vertex at infinity may only be boundary, and
+    only where no interior row couples to it.  Returns the new points;
+    only the interior entries are written.
     """
     if not interior.any():
         raise SolveError("empty interior vertex set")
@@ -132,7 +133,8 @@ def dirichlet_solve(surface, lap, h: PlanarPoints, interior: np.ndarray):
         raise SolveError("vertex at infinity is coupled to the interior system")
     rhs = -rows[:, boundary] @ np.where(h.at_infinity[boundary], 0.0, h.values[boundary])
     values = h.values.copy()
-    values[idx] = solve(rows[:, idx], rhs)
+    x = solve(rows[:, idx], np.column_stack([rhs.real, rhs.imag]))
+    values[idx] = x[:, 0] + 1j * x[:, 1]
     return PlanarPoints(values=values, at_infinity=h.at_infinity.copy())
 
 
@@ -142,19 +144,21 @@ def fpi_minimize(surface, f0: np.ndarray, max_iters: int,
 
     Each iteration: rebuild the image-weighted Laplacian from the face
     geometry of the current mapping (the one its record holds), invert the
-    plane (swapping hemispheres), re-solve the interior {|h| < RADIUS}, rescale
-    to unit median magnitude, and lift back to the sphere.  Stops at the
-    first authalic-energy increase when `stop_on_increase`
+    plane (swapping hemispheres), re-solve the interior {|h| < RADIUS},
+    rescale to unit median magnitude, and lift back to the sphere.  Stops at
+    the first authalic-energy increase when `stop_on_increase`
     (``"authalic_increased"``), at the first stretch-energy increase
     (``"stretch_increased"``), once the stretch-energy decrease drops to
-    :data:`STRETCH_DECREASE_TOL` (``"delta_converged"``), or after
-    `max_iters` iterations.  On either increase the pre-increase mapping
-    is returned and the last record is the rejected iterate, so the
-    increase came at iteration ``len(records)``.  Raises
-    :class:`DegenerateFaceError` when the rescale has no finite, positive
-    median magnitude to divide by.
+    :data:`STRETCH_DECREASE_TOL` (``"delta_converged"``), or after `max_iters`
+    iterations.  On either increase the pre-increase mapping is returned and
+    the last record is the rejected iterate, so the increase came at iteration
+    ``len(records)``.  A zero cap returns a copy of `f0` with no records and
+    does no work.  Raises :class:`DegenerateFaceError` when the rescale has no
+    finite, positive median magnitude to divide by.
     """
     current = np.asarray(f0, dtype=np.float64).copy()
+    if max_iters == 0:
+        return MinimizeResult(current, [], "max_iters")
     # the working plane accumulates one inversion per iteration (that is
     # what alternates the hemispheres); an inversion is a reflection on
     # the sphere, so lifts at odd parity are inverted once more to keep

@@ -4,20 +4,16 @@ Every system is solved by one direct sparse LU factorization (SuperLU with
 its default threshold partial pivoting; the Laplacians of the unfolding
 passes are unsymmetric, so symmetric-only factorizations are out).  The
 system is factored in the order it is given, with no column reordering:
-the callers' systems are restrictions of mesh-graph Laplacians whose
-unknowns they list in the mesh's nested-dissection order
+the callers list the unknowns of their mesh-graph systems (restricted
+Laplacians, the stretch Hessian) in the mesh's nested-dissection order
 (:attr:`~authalic.mesh.SimplicialSurface.dissection_order`, computed once
 per surface), which fills far less than SuperLU's own COLAMD order.
-:func:`factorize` is the library's route to a factor of a solved system:
-it returns a solve that can be applied many times (the descent's
-preconditioner, see :mod:`authalic.rgd`), and :func:`solve` factors and
-solves once.  The one factor made elsewhere is the eigenvalue probe's
-(:func:`authalic.diagnostics.probe_smallest_eigenvalue`): it factors its
-shifted 3n x 3n Hessian with ``spla.splu`` under SuperLU's default
-COLAMD order, because that matrix is coordinate-major in the mesh's
-own vertex order, which NATURAL order would fill; its eigenpair is
-certified by a residual of its own.  Every solve of this module is
-checked against the contract
+:func:`factorize`, the library's only route to a factor, returns a solve
+that can be applied many times (the descent's preconditioner and the
+eigenvalue probe's shift-invert, see :mod:`authalic.rgd` and
+:mod:`authalic.diagnostics`); :func:`solve` factors and solves once.
+Systems are real: a complex plane is solved as two real columns.  Every
+solve is checked against the contract
 
     ||A x - b|| <= RESIDUAL_RTOL * (||A||_inf ||x|| + ||b||)     per column,
 
@@ -58,7 +54,7 @@ def factorize(matrix: sp.spmatrix):
     list them (SuperLU's ``NATURAL`` column order).  Each call of the
     returned solve takes an array whose first axis has one row per
     unknown, checks every column against the residual contract and
-    returns x with the shape of b.
+    returns x with the shape of b; a complex b raises ``TypeError``.
     """
     matrix = sp.csc_matrix(matrix)
     n = matrix.shape[0]
@@ -72,14 +68,11 @@ def factorize(matrix: sp.spmatrix):
 
     def solve_factored(rhs) -> np.ndarray:
         rhs = np.asarray(rhs)
+        if np.iscomplexobj(rhs):
+            raise TypeError("complex right-hand side: solve its real and imaginary columns")
         if rhs.shape[0] != n:
             raise ValueError(f"rhs has {rhs.shape[0]} rows, expected {n}")
         b2 = rhs.reshape(n, -1)
-        # a real matrix with a complex right-hand side: the real and
-        # imaginary parts become extra real columns of the one factorization
-        split = np.iscomplexobj(rhs) and not np.iscomplexobj(matrix.data)
-        if split:
-            b2 = np.concatenate([b2.real, b2.imag], axis=1)
         x2 = lu.solve(b2)
 
         residual = np.linalg.norm(matrix @ x2 - b2, axis=0)
@@ -92,9 +85,6 @@ def factorize(matrix: sp.spmatrix):
                 f"condition estimate {_condition_estimate(lu, matrix):.3e}); "
                 "matrix singular or ill-conditioned"
             )
-        if split:
-            half = b2.shape[1] // 2
-            x2 = x2[:, :half] + 1j * x2[:, half:]
         return x2.reshape(rhs.shape)
 
     return solve_factored

@@ -6,6 +6,7 @@ so that agreement is meaningful.
 """
 
 import numpy as np
+import scipy.sparse.linalg as spla
 from scipy.spatial import ConvexHull, cKDTree
 
 from authalic import mesh
@@ -226,3 +227,17 @@ def locate_one_by_one(points, sphere_vertices, faces, tol=1e-12):
         face_out[idx] = best[1]
         weights_out[idx] = w / w.sum()
     return face_out, weights_out, fallbacks
+
+
+def count_factorizations(monkeypatch):
+    """Record the size of L + U of every `splu` call that `solve` makes."""
+    calls = []
+    splu = spla.splu
+
+    def counted(matrix, *args, **kwargs):
+        lu = splu(matrix, *args, **kwargs)
+        calls.append(lu.L.nnz + lu.U.nnz)
+        return lu
+
+    monkeypatch.setattr(spla, "splu", counted)
+    return calls

@@ -184,25 +184,67 @@ def test_param_collapsed_map_is_numerical_failure(tmp_path, sphere_file, monkeyp
         assert not (out / name).exists()
 
 
+def rejected_mesh(tmp_path, kind):
+    """An OFF file that loads but is no valid input: an open triangle, or
+    a sub-3 icosphere with face 0 reversed."""
+    path = tmp_path / f"{kind}.off"
+    if kind == "open":
+        path.write_text("OFF\n3 1 3\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
+    else:
+        surf = make_icosphere(3)
+        faces = surf.faces.copy()
+        faces[0] = faces[0, ::-1]
+        save_mesh(surf.vertices, faces, path)
+    return str(path)
+
+
 def test_param_bad_mesh_is_numerical_failure(tmp_path):
-    path = tmp_path / "open.off"
-    path.write_text("OFF\n3 1 3\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
-    result = CliRunner().invoke(main, ["param", str(path)])
+    out = tmp_path / "run"
+    result = CliRunner().invoke(main, ["param", rejected_mesh(tmp_path, "open"),
+                                       "--out", str(out)])
     assert result.exit_code == 1
     assert "error" in result.output
+    assert not out.exists()
 
 
 def test_param_rejects_an_inconsistently_oriented_mesh(tmp_path):
-    surf = make_icosphere(3)
-    faces = surf.faces.copy()
-    faces[0] = faces[0, ::-1]
-    path = tmp_path / "flipped.off"
-    save_mesh(surf.vertices, faces, path)
     out = tmp_path / "run"
-    result = run("param", str(path), "--out", str(out))
+    result = run("param", rejected_mesh(tmp_path, "flipped"), "--out", str(out))
     assert result.exit_code == 1
     assert "error: inconsistently oriented faces: faces 0 and" in result.output
-    assert not (out / "sphere.obj").exists()
+    assert not out.exists()
+
+
+def test_register_makes_no_output_directory_for_a_rejected_mesh(tmp_path, sphere_file):
+    marks = tmp_path / "marks.txt"
+    marks.write_text("4 4\n")
+    out = tmp_path / "run"
+    result = run("register", rejected_mesh(tmp_path, "flipped"), sphere_file, str(marks),
+                 "--out", str(out))
+    assert result.exit_code == 1
+    assert "error: inconsistently oriented faces: faces 0 and" in result.output
+    assert not out.exists()
+
+
+def test_morph_makes_no_output_directory_for_a_rejected_mesh(tmp_path):
+    regdir = tmp_path / "reg"
+    regdir.mkdir()
+    mesh = rejected_mesh(tmp_path, "open")
+    (regdir / "manifest.json").write_text(
+        json.dumps({"inputs": {"mesh0": mesh, "mesh1": mesh}}) + "\n")
+    (regdir / "composed_map.txt").write_text("0 0 1 0 0\n")
+    out = tmp_path / "frames"
+    result = run("morph", str(regdir), "--out", str(out))
+    assert result.exit_code == 1
+    assert "error: " in result.output
+    assert not out.exists()
+
+
+def test_check_rejects_an_inconsistently_oriented_mesh(tmp_path):
+    result = CliRunner().invoke(main, ["check", rejected_mesh(tmp_path, "flipped")])
+    assert result.exit_code == 1
+    assert "error: inconsistently oriented faces: faces 0 and" in result.output
+    assert "FAIL" not in result.output
 
 
 @pytest.fixture(scope="module")
@@ -361,7 +403,7 @@ def test_morph_rejects_a_face_id_out_of_range(registration_dir, tmp_path, face_i
     result = run("morph", str(regdir), "--out", str(out))
     assert result.exit_code == 1
     assert f"error: {regdir / 'composed_map.txt'}: face id {face_id}" in result.output
-    assert not any(name.endswith(".obj") for name in os.listdir(out))
+    assert not out.exists()
 
 
 def test_morph_single_frame_usage_error(registration_dir):

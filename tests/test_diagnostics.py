@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from authalic.diagnostics import (authalic_error, fd_gradient_norm_error,
-                                  probe_smallest_eigenvalue, smallest_hessian_eigenvalue)
-from authalic.energy import face_geometry
-from authalic.errors import DegenerateFaceError
-from authalic.mesh import perturb_vertices
+import authalic.linsolve as linsolve
+from authalic.diagnostics import (PROBE_EIGENPAIRS, PROBE_RESIDUAL_RTOL, authalic_error,
+                                  fd_gradient_norm_error, probe_smallest_eigenvalue,
+                                  smallest_hessian_eigenvalue)
+from authalic.energy import assemble_global_hessian, face_geometry
+from authalic.errors import DegenerateFaceError, SolveError
+from authalic.fpi import radial_initial_map
+from authalic.mesh import make_icosphere, perturb_vertices
 from authalic.rgd import NormalizedStretchObjective
 from authalic.sphere import project_to_manifold
 
-from helpers import rotation_matrix
+from helpers import count_factorizations, rotation_matrix
 
 
 def area_ratios(geom):
@@ -113,3 +117,36 @@ def test_hessian_probe_certified_residual(icosphere1):
     # numerically indistinguishable from zero is always nearest
     assert abs(result.smallest_eigenvalue) <= 1e-8
     assert result.residual >= 0.0
+
+
+def colamd_probe(matrix):
+    """Reference probe: the shifted matrix factored by SuperLU under its
+    own COLAMD order, solves unchecked, the eigenvalue nearest zero."""
+    matrix = sp.csc_matrix(matrix)
+    n = matrix.shape[0]
+    scale = spla.norm(matrix, "fro")
+    sigma = 1e-9 * scale
+    lu = spla.splu((matrix - sigma * sp.eye(n)).tocsc())
+    opinv = spla.LinearOperator(matrix.shape, matvec=lu.solve, dtype=np.float64)
+    vals = spla.eigsh(matrix, k=PROBE_EIGENPAIRS, sigma=sigma, which="LM",
+                      v0=np.full(n, 1.0 / np.sqrt(n)), OPinv=opinv, return_eigenvectors=False)
+    return float(vals[np.argmin(np.abs(vals))]), scale
+
+
+@pytest.mark.parametrize("subdivisions", [1, 2, 3])
+def test_hessian_probe_factors_once_through_linsolve(monkeypatch, subdivisions):
+    surface = make_icosphere(subdivisions, (1.0, 0.8, 0.6))
+    f = radial_initial_map(surface)
+    reference, scale = colamd_probe(assemble_global_hessian(surface, f))
+    calls = count_factorizations(monkeypatch)
+    result = smallest_hessian_eigenvalue(surface, f)
+    assert len(calls) == 1
+    assert result.residual <= PROBE_RESIDUAL_RTOL * scale
+    assert abs(result.smallest_eigenvalue - reference) <= 1e-10 * scale
+
+
+def test_hessian_probe_solves_meet_the_residual_contract(monkeypatch, icosphere1):
+    # a contract no roundoff meets: the first shift-invert solve raises
+    monkeypatch.setattr(linsolve, "RESIDUAL_RTOL", 0.0)
+    with pytest.raises(SolveError, match="residual contract"):
+        smallest_hessian_eigenvalue(icosphere1, project_to_manifold(icosphere1.vertices))

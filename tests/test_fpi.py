@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import authalic.energy as en
 from authalic.energy import assemble_laplacian, face_geometry
 from authalic.errors import SolveError
 from authalic.fpi import (_PIN, conformal_initial_map, dirichlet_solve, disk_interior,
@@ -112,6 +113,22 @@ def test_fpi_monitor_off_runs_to_budget():
     # the run went past an authalic increase without stopping on it
     energies = [r.authalic for r in result.records]
     assert any(b > a for a, b in zip(energies, energies[1:]))
+
+
+def test_a_zero_cap_does_no_work(monkeypatch, ellipsoid3):
+    f0 = conformal_initial_map(ellipsoid3)
+    calls = []
+    geometry = en.face_geometry
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return geometry(*args, **kwargs)
+
+    monkeypatch.setattr(en, "face_geometry", counted)
+    result = fpi_minimize(ellipsoid3, f0, max_iters=0)
+    assert not calls
+    assert result.status == "max_iters" and result.records == []
+    assert np.array_equal(result.mapping, f0) and result.mapping is not f0
 
 
 def test_warm_start_then_descent_beats_fpi_alone():

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -10,6 +13,8 @@ import authalic.linsolve as linsolve
 from authalic.linsolve import _condition_estimate, factorize, solve
 from authalic.mesh import make_icosphere, normalize_area
 from authalic.sphere import invert_plane, stereographic
+
+from helpers import count_factorizations
 
 
 def test_identity_system():
@@ -32,9 +37,9 @@ def test_restricted_laplacian_matches_dense_oracle(icosphere1):
     assert interior.any() and boundary.any()
     a = lap[interior][:, interior]
     rhs = -lap[interior][:, boundary] @ h.values[boundary]
-    x = solve(a.tocsc(), rhs)
+    x = solve(a.tocsc(), np.column_stack([rhs.real, rhs.imag]))
     dense = np.linalg.solve(a.toarray(), rhs)
-    assert np.abs(x - dense).max() <= 1e-10 * max(1.0, np.abs(dense).max())
+    assert np.abs(x[:, 0] + 1j * x[:, 1] - dense).max() <= 1e-10 * max(1.0, np.abs(dense).max())
 
 
 def test_permutation_invariance():
@@ -54,32 +59,26 @@ def test_multiple_columns_and_complex():
     rhs = np.array([[1.0, 0.0], [0.0, 1.0]])
     x = solve(a, rhs)
     assert np.abs(a @ x - rhs).max() <= 1e-12
+    # a complex plane is solved as its real and imaginary columns
     z = np.array([1.0 + 2.0j, -3.0j])
-    xz = solve(a, z)
-    assert np.abs(a @ xz - z).max() <= 1e-12
+    xz = solve(a, np.column_stack([z.real, z.imag]))
+    assert np.abs(a @ (xz[:, 0] + 1j * xz[:, 1]) - z).max() <= 1e-12
 
 
-def count_factorizations(monkeypatch):
-    """Record the size of L + U of every `splu` call that `solve` makes."""
-    calls = []
-    splu = spla.splu
-
-    def counted(matrix, *args, **kwargs):
-        lu = splu(matrix, *args, **kwargs)
-        calls.append(lu.L.nnz + lu.U.nnz)
-        return lu
-
-    monkeypatch.setattr(spla, "splu", counted)
-    return calls
+def test_complex_right_hand_side_is_a_type_error():
+    a = sp.csc_matrix(np.array([[4.0, 1.0], [1.0, 3.0]]))
+    with pytest.raises(TypeError, match="complex right-hand side"):
+        solve(a, np.array([1.0 + 2.0j, -3.0j]))
 
 
 def test_complex_rhs_factorizes_once(monkeypatch):
     calls = count_factorizations(monkeypatch)
     a = sp.csc_matrix(np.array([[4.0, 1.0, 0.0], [1.0, 3.0, -1.0], [0.0, 2.0, 5.0]]))
     z = np.array([[1.0 + 2.0j, 0.5], [-3.0j, 1.0j], [2.0, -1.0 - 1.0j]])
-    x = solve(a, z)
+    x = solve(a, np.concatenate([z.real, z.imag], axis=1))
     assert len(calls) == 1
-    assert x.shape == z.shape and np.iscomplexobj(x)
+    x = x[:, :2] + 1j * x[:, 2:]
+    assert x.shape == z.shape
     assert np.abs(a @ x - z).max() <= 1e-12
 
 
@@ -129,7 +128,8 @@ def test_ordered_solve_matches_default_order(monkeypatch, ellipsoid3):
     assert np.iscomplexobj(rhs)
     plain = colamd_solve(a, rhs)[0]
     calls = count_factorizations(monkeypatch)
-    ordered = solve(a[ranked][:, ranked], rhs[ranked])
+    ordered = solve(a[ranked][:, ranked], np.column_stack([rhs.real, rhs.imag])[ranked])
+    ordered = ordered[:, 0] + 1j * ordered[:, 1]
     assert len(calls) == 1
     assert np.abs(ordered - plain[ranked]).max() <= 1e-12 * np.abs(plain).max()
 
@@ -161,12 +161,17 @@ def test_dirichlet_solve_factors_the_dissection_ordered_system(monkeypatch, elli
         return splu(matrix, *args, **kwargs)
 
     monkeypatch.setattr(spla, "splu", spy)
-    dirichlet_solve(ellipsoid3, lap, h, interior)
+    got = dirichlet_solve(ellipsoid3, lap, h, interior).values
     order = ellipsoid3.dissection_order
     idx = order[interior[order]]
     (matrix, kwargs), = seen
     assert kwargs == {"permc_spec": "NATURAL"}
     assert np.array_equal(matrix.toarray(), lap[idx][:, idx].toarray())
+    # the complex plane is solved by that one factorization, as two columns
+    rhs = -lap[interior][:, ~interior] @ h.values[~interior]
+    dense = np.linalg.solve(lap[interior][:, interior].toarray(), rhs)
+    assert np.abs(got[interior] - dense).max() <= 1e-10 * np.abs(dense).max()
+    assert np.array_equal(got[~interior], h.values[~interior])
 
 
 def test_singular_matrix_reported():
@@ -197,3 +202,28 @@ def test_shape_validation():
         solve(sp.csc_matrix(np.ones((2, 3))), np.ones(2))
     with pytest.raises(ValueError, match="rows"):
         solve(sp.eye(3, format="csc"), np.ones(2))
+
+
+def factoring_calls(path):
+    """(line, name) of every reference to a sparse factorization routine
+    in a module's code; strings and comments do not count."""
+    names = {"splu", "spilu", "spsolve", "factorized"}
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute) and node.attr in names:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Name) and node.id in names:
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, a.name) for a in node.names if a.name in names]
+    return found
+
+
+def test_linsolve_is_the_only_module_that_factors():
+    # one factorization route: every other module goes through factorize
+    # or solve, so every solve meets the residual contract
+    src = Path(__file__).resolve().parent.parent / "src" / "authalic"
+    assert [name for _, name in factoring_calls(src / "linsolve.py")] == ["splu"]
+    elsewhere = {p.name: calls for p in sorted(src.glob("*.py"))
+                 if p.name != "linsolve.py" and (calls := factoring_calls(p))}
+    assert not elsewhere
