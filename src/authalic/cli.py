@@ -53,11 +53,18 @@ def _write_manifest(out_dir, command, inputs, params, seconds):
         "version": _VERSION,
         "seconds": round(seconds, 3),
     }
-    path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w") as fh:
+    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
+
+
+def _check_out_dir(out_dir):
+    # made only once the maps exist: a directory under a file fails now
+    path = os.path.abspath(out_dir)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise click.BadParameter(f"{path!r} is not a directory.", param_hint="'--out'")
 
 
 @click.group(context_settings={"auto_envvar_prefix": "AUTHALIC"})
@@ -91,6 +98,7 @@ _MAX_HELP = ("Descent iterations (default: "
 def param(mesh, method, max_iters, noise_sigma, seed, log_path, out_dir):
     """Compute the spherical parameterization of MESH."""
     out_dir = out_dir or os.path.splitext(mesh)[0] + "_param"
+    _check_out_dir(out_dir)
     # the log is written last: a missing directory for it (other than the
     # output directory, made once the map is found) fails now, before any work
     if log_path:
@@ -149,6 +157,7 @@ def param(mesh, method, max_iters, noise_sigma, seed, log_path, out_dir):
 def register(mesh0, mesh1, landmarks, lam, align_iters, method, max_iters, seed, out_dir):
     """Landmark-aligned registration of MESH0 onto MESH1."""
     out_dir = out_dir or os.path.splitext(mesh0)[0] + "_register"
+    _check_out_dir(out_dir)
     start = time.perf_counter()
     try:
         m0 = load_mesh(mesh0)

@@ -6,7 +6,7 @@ SD/Mean distortion score and every energy are read off
 value here.  The module adds the noise-stability error on the authalic
 energy, a finite-difference harness certifying the analytic gradient,
 and a sparse probe for the eigenvalue of the stretch-energy Hessian
-closest to zero.
+closest to zero off the rigid translations.
 """
 
 from __future__ import annotations
@@ -80,25 +80,31 @@ class HessianProbeResult:
     residual: float
 
 
-def probe_smallest_eigenvalue(matrix) -> HessianProbeResult:
-    """The eigenvalue of a symmetric sparse matrix closest to zero.
+def probe_smallest_eigenvalue(matrix, null_basis: np.ndarray) -> HessianProbeResult:
+    """The eigenvalue of a symmetric sparse matrix closest to zero, off
+    the span of the orthonormal columns `null_basis` (n x m, m >= 0),
+    which the matrix annihilates (so their zero eigenvalues are skipped).
 
-    Shift-invert at a tiny nonzero shift finds the
-    :data:`PROBE_EIGENPAIRS` eigenpairs nearest it (the stretch Hessian
-    annihilates rigid translations, so zero itself is an eigenvalue and
-    cannot be factored at); each shift-invert solve is one of
-    :func:`~authalic.linsolve.factorize`'s, under its residual contract.
-    The returned pair is certified against
+    Shift-invert at a tiny nonzero shift finds the :data:`PROBE_EIGENPAIRS`
+    eigenpairs nearest it; each solve is one of
+    :func:`~authalic.linsolve.factorize`'s, under its residual contract,
+    and the start vector, right-hand sides and solutions are projected
+    off `null_basis`.  The returned pair is certified against
     ||H v - t v|| <= :data:`PROBE_RESIDUAL_RTOL` ||H||_F.
     """
     matrix = sp.csc_matrix(matrix)
     n = matrix.shape[0]
+
+    def deflate(v):
+        return v - null_basis @ (null_basis.T @ v)
+
     scale = float(spla.norm(matrix, "fro"))
     sigma = 1e-9 * scale if scale > 0 else 1e-12
-    opinv = spla.LinearOperator(matrix.shape, matvec=factorize(matrix - sigma * sp.eye(n)),
+    solve = factorize(matrix - sigma * sp.eye(n))
+    opinv = spla.LinearOperator(matrix.shape, matvec=lambda v: deflate(solve(deflate(v))),
                                 dtype=np.float64)
     vals, vecs = spla.eigsh(matrix, k=min(PROBE_EIGENPAIRS, n - 1), sigma=sigma, which="LM",
-                            v0=np.full(n, 1.0 / np.sqrt(n)), OPinv=opinv)
+                            v0=deflate(np.linspace(1.0, 2.0, n)), OPinv=opinv)
     pick = int(np.argmin(np.abs(vals)))
     lam = float(vals[pick])
     vec = vecs[:, pick]
@@ -111,8 +117,11 @@ def probe_smallest_eigenvalue(matrix) -> HessianProbeResult:
 
 def smallest_hessian_eigenvalue(surface, f: np.ndarray) -> HessianProbeResult:
     """Probe the stretch-energy Hessian of a mapping (desk-scale meshes)
-    for its eigenvalue closest to zero, the Hessian ordered vertex-major
-    in the surface's dissection order to be factored: rows 3r, 3r + 1 and
+    for its eigenvalue closest to zero off the three rigid translations,
+    which it always annihilates.  The Hessian is ordered vertex-major in
+    the surface's dissection order to be factored: rows 3r, 3r + 1 and
     3r + 2 hold the coordinates of vertex ``dissection_order[r]``."""
-    perm = (np.arange(3) * surface.n_vertices + surface.dissection_order[:, None]).ravel()
-    return probe_smallest_eigenvalue(en.assemble_global_hessian(surface, f)[perm][:, perm])
+    n = surface.n_vertices
+    perm = (np.arange(3) * n + surface.dissection_order[:, None]).ravel()
+    return probe_smallest_eigenvalue(en.assemble_global_hessian(surface, f)[perm][:, perm],
+                                     np.tile(np.eye(3), (n, 1)) / np.sqrt(n))

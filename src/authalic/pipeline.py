@@ -6,8 +6,11 @@ descent, fold correction again.  The start is the first fold-free one
 of the conformal start (:func:`~authalic.fpi.conformal_initial_map`) and
 the radial start (:func:`~authalic.fpi.radial_initial_map`), tried in
 the method's order (:data:`START_ORDER`), and the conformal one when
-both fold.  Two methods share that order
-(:attr:`ParameterizeConfig.method`):
+both fold.  This module is the one that states each method
+(:attr:`ParameterizeConfig.method`): its start order, its caps
+(:data:`METHOD_ITERS`; only the descent cap can be overridden, as the
+run's budget), and the objective and direction it hands
+:func:`~authalic.rgd.minimize`:
 
 - ``"lbfgs"``, the default: the radial start first, no FPI iterations,
   and 20 iterations of the preconditioned Riemannian L-BFGS direction
@@ -18,14 +21,10 @@ both fold.  Two methods share that order
   of the paper's steepest descent on the chordal normalized stretch
   energy; ``ParameterizeConfig(method="paper")`` is the paper's run.
 
-The method picks the start order, the iteration caps
-(:data:`METHOD_ITERS`), the objective and the direction together; only
-the descent cap can be overridden, as the run's budget.  The radial
-start follows the input's frame: under ``"lbfgs"`` a rotated input gives
-a rotated output map, of the same quality.  The conformal start depends
-only on lengths and areas, so it does not rotate with the input.
-
-One reference cotangent Laplacian is assembled per run, for the
+The radial start follows the input's frame: under ``"lbfgs"`` a rotated
+input gives a rotated output map, of the same quality.  The conformal
+start depends only on lengths and areas, so it does not rotate with the
+input.  One reference cotangent Laplacian is assembled per run, for the
 conformal start and the L-BFGS preconditioner.  The input's face list
 must be consistently oriented, in either sense
 (:func:`~authalic.mesh.check_orientation`).  The input mesh is
@@ -46,7 +45,8 @@ from . import energy as en
 from .fpi import (conformal_initial_map, fpi_minimize, radial_initial_map,
                   reference_laplacian)
 from .mesh import SimplicialSurface, check_orientation, normalize_area
-from .rgd import IterationRecord, MinimizeResult, minimize
+from .rgd import (IterationRecord, MinimizeResult, NormalizedStretchObjective, minimize,
+                  preconditioner)
 from .sphere import count_folds
 from .unfold import CorrectionResult, correct_bijectivity
 
@@ -174,9 +174,13 @@ def parameterize(surface: SimplicialSurface,
         after_fpi = CorrectionResult(mapping=fpi.mapping, folds_before=0, folds_after=0,
                                      sweeps=0)
 
+    lbfgs = config.method == "lbfgs"
+    precondition = preconditioner(surface, lap) if lbfgs else None
+    # the descent's clock starts after K's factor, so the offset counts it
     began = time.perf_counter() - start
-    rgd = minimize(surface, after_fpi.mapping, max_iters=config.max_iters,
-                   laplacian=lap if config.method == "lbfgs" else None)
+    rgd = minimize(NormalizedStretchObjective(surface, spherical=lbfgs), after_fpi.mapping,
+                   max_iters=config.max_iters, precondition=precondition)
+    del precondition  # K's factor lives no longer than the descent
     append(rgd.records, began)
     after_rgd = correct_bijectivity(surface, rgd.mapping)
 

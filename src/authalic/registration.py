@@ -26,7 +26,7 @@ from scipy.spatial import cKDTree
 from . import energy as en
 from .fpi import reference_laplacian
 from .mesh import build_surface
-from .rgd import GeometryMemo, MinimizeResult, minimize
+from .rgd import GeometryMemo, MinimizeResult, minimize, preconditioner
 from .sphere import project_to_manifold
 
 # the landmark weight and the iteration cap of each alignment, for the
@@ -130,15 +130,15 @@ def solve_alignment(sphere_surface, f_param: np.ndarray, landmark_rows,
     Preconditioned Riemannian L-BFGS on the registration energy
     (:class:`RegistrationObjective`) over the power manifold, starting
     from the rotation of the parameterization that minimizes the
-    lambda-weighted landmark pull (:func:`landmark_rotation`), with the
-    descent's one line search (:func:`~authalic.linesearch.search`).  The rotation changes no face area, so
-    the stretch term starts where the parameterization's is, and the
-    descent only has to warp, not to turn the map into the targets'
-    frame.  The preconditioner's Laplacian is half the Hessian of the
+    lambda-weighted landmark pull (:func:`landmark_rotation`).  The
+    rotation changes no face area, so the stretch term starts where the
+    parameterization's is, and the descent only has to warp, not to turn
+    the map into the targets' frame.  The preconditioner's Laplacian
+    (:func:`~authalic.rgd.preconditioner`) is half the Hessian of the
     energy's quadratic parts, K_L = L + diag(sum of lambda per landmark
     row): the stretch energy's is about 2 L, L the sphere mesh's
-    cotangent Laplacian, and each landmark pull's 2 lambda.
-    It stops by the rules every descent stops by
+    cotangent Laplacian, and each landmark pull's 2 lambda.  It stops by
+    the rules every descent stops by
     (:func:`~authalic.rgd.minimize`), often by the gradient test
     relative to the first gradient; `iters` is a safety cap.  Returns
     the descent's result, its stop `message` included.
@@ -146,11 +146,12 @@ def solve_alignment(sphere_surface, f_param: np.ndarray, landmark_rows,
     objective = RegistrationObjective(sphere_surface, landmark_rows, targets, lambdas)
     pull = np.bincount(objective.rows, weights=objective.lambdas,
                        minlength=sphere_surface.n_vertices)
-    laplacian = reference_laplacian(sphere_surface) + sp.diags(pull)
+    precondition = preconditioner(sphere_surface,
+                                  reference_laplacian(sphere_surface) + sp.diags(pull))
     rotation = landmark_rotation(objective.targets, f_param[objective.rows],
                                  objective.lambdas)
-    return minimize(sphere_surface, f_param @ rotation.T, objective=objective,
-                    max_iters=iters, laplacian=laplacian)
+    return minimize(objective, f_param @ rotation.T, max_iters=iters,
+                    precondition=precondition)
 
 
 # ---------------------------------------------------------------------------

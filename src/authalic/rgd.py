@@ -2,23 +2,15 @@
 
 Each iteration projects the ambient gradient of the objective to the
 tangent space, takes a descent direction, picks a step size by line
-search, and retracts.  The direction is the anti-gradient (the paper's
-method) or, given a Laplacian L, a preconditioned Riemannian L-BFGS
-direction (Huang, Gallivan and Absil, SIAM J. Optim. 2015), which the
-default parameterization and the landmark alignment take: the two-loop
-recursion over a bounded deque of the last :data:`LBFGS_MEMORY`
-curvature pairs, re-projected onto the current tangent space, with the
-initial inverse Hessian P K^-1 P for
-K = L + :data:`PRECONDITIONER_SHIFT` (|M| / n) I.  K is factored once
-per :func:`minimize` call and released when it returns.
-
-The default objective is the normalized stretch energy, with chordal
-or spherical image areas (:class:`NormalizedStretchObjective`);
-alternative objectives (e.g. the landmark registration energy) plug in
-through the same interface, and every objective stops by the same
-rules (see :func:`minimize`): the gradient test, the iteration cap or a
-failed line search.  The records always carry the chordal energies of
-the geometry.
+search, and retracts.  :func:`minimize` runs the objective, the cap and
+the direction its caller hands it: the anti-gradient (the paper's
+method) or, given the checked solve :func:`preconditioner` returns, a
+preconditioned Riemannian L-BFGS direction (:class:`LBFGS`; Huang,
+Gallivan and Absil, SIAM J. Optim. 2015).  The objectives are the
+normalized stretch energy with chordal or spherical image areas
+(:class:`NormalizedStretchObjective`) and others through the same
+interface, such as the landmark registration energy; the records
+always carry the chordal energies of the geometry.
 
 Each accepted iterate gets one per-face geometry pass: the objectives
 keep the :class:`~authalic.energy.FaceGeometry` of the last mapping they
@@ -261,20 +253,17 @@ def make_record(geom: en.FaceGeometry, iteration: int, grad_norm: float | None,
     )
 
 
-def minimize(surface, f0: np.ndarray, *, objective=None, max_iters: int = 100,
-             laplacian=None) -> MinimizeResult:
-    """Run gradient descent from `f0` until one of its three stops fires.
+def minimize(objective, f0: np.ndarray, *, max_iters: int,
+             precondition=None) -> MinimizeResult:
+    """Descend `objective` from `f0` until one of three stops fires.
 
-    The direction is the anti-gradient (the paper's method) or, when a
-    Laplacian `laplacian` is given (the reference cotangent Laplacian,
-    to which the alignment adds its landmark pull), the
-    preconditioned L-BFGS direction (:class:`LBFGS`, with
-    :func:`preconditioner` factored once for this call and released when
-    it returns).  Once the L-BFGS memory holds a pair, the first trial
-    step is :data:`~authalic.linesearch.ALPHA_MAX`.  `laplacian` also
-    picks the default objective, so one argument selects each of the
-    pipeline's methods: the chordal normalized stretch energy without
-    it, the spherical one with it.
+    `objective` is a :class:`GeometryMemo` with `value(f)` and
+    `value_and_gradient(f)` -> (value, ambient gradient); the records
+    reuse the geometry it measured for the accepted trial.  Given
+    `precondition`, the checked solve of :func:`preconditioner`, the
+    direction is :class:`LBFGS`'s, and once its memory holds a pair the
+    first trial step is :data:`~authalic.linesearch.ALPHA_MAX`; without
+    it, the anti-gradient.
 
     The stops are the same for every objective, and each reads values the
     loop already holds: the Riemannian gradient norm falls to
@@ -282,24 +271,11 @@ def minimize(surface, f0: np.ndarray, *, objective=None, max_iters: int = 100,
     first iterate's gradient (`grad_converged`); `max_iters` steps are
     taken (`max_iters`); the line search finds no step
     (`line_search_failed`).  On line-search failure the best (last
-    accepted) iterate is returned, not an exception.
-
-    Every accepted iteration is logged at DEBUG level on this module's
-    logger.
-
-    Parameters
-    ----------
-    objective : GeometryMemo, optional
-        A :class:`GeometryMemo` with `value(f)` and
-        `value_and_gradient(f)` -> (value, ambient gradient); defaults to
-        the normalized stretch energy on `surface`, with spherical image
-        areas when `laplacian` is given.  The records reuse the geometry
-        it measured for the accepted trial.
+    accepted) iterate is returned, not an exception.  Every accepted
+    iteration is logged at DEBUG level on this module's logger.
     """
-    objective = objective or NormalizedStretchObjective(surface,
-                                                        spherical=laplacian is not None)
     f = np.asarray(f0, dtype=np.float64).copy()
-    lbfgs = None if laplacian is None else LBFGS(preconditioner(surface, laplacian))
+    lbfgs = None if precondition is None else LBFGS(precondition)
     grad_tol = GRAD_TOL * np.sqrt(f.shape[0])
 
     records: list[IterationRecord] = []

@@ -19,7 +19,7 @@ from authalic.linesearch import cubic_fit, quadratic_backtrack_step
 from authalic.mesh import build_surface, load_mesh, make_icosphere, normalize_area
 from authalic.pipeline import ParameterizeConfig, parameterize
 from authalic.registration import compose_registration, homotopy_frame, register
-from authalic.rgd import minimize
+from authalic.rgd import NormalizedStretchObjective, minimize
 from authalic.sphere import (PlanarPoints, inverse_stereographic, invert_plane,
                              project_tangent, project_to_manifold, retract,
                              stereographic)
@@ -120,7 +120,7 @@ def test_criterion_5_descent_contract():
     surf = normalize_area(make_icosphere(3, (1.0, 0.8, 0.6)))
     f0 = project_to_manifold(surf.vertices)
     rep0 = face_geometry(surf, f0)
-    result = minimize(surf, f0, max_iters=100)
+    result = minimize(NormalizedStretchObjective(surf), f0, max_iters=100)
     elapsed = time.perf_counter() - start
 
     values = [rep0.normalized] + [r.normalized for r in result.records]
@@ -193,7 +193,7 @@ def test_criterion_8_fpi_monitor_and_pipeline():
         for f in (f0, monitored.mapping, fpi_only.mapping))
 
     warm = fpi_minimize(surf, f0, max_iters=10, stop_on_increase=True)
-    refined = minimize(surf, warm.mapping, max_iters=100)
+    refined = minimize(NormalizedStretchObjective(surf), warm.mapping, max_iters=100)
     final = face_geometry(surf, refined.mapping).authalic
     ok = increase_found and boundary_ok and final <= fpi_min
     report("criterion 8 (FPI behavior)", ok,

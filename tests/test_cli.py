@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import authalic.cli as cli
 import authalic.energy as en
 from authalic import registration
 from authalic.cli import main
@@ -126,6 +127,23 @@ def test_param_log_into_a_missing_directory_is_usage_error(tmp_path, mesh_file):
     assert (out / "conv.csv").exists()
 
 
+def loads_no_mesh(monkeypatch):
+    def load_mesh(path):
+        raise AssertionError(f"loaded {path}")
+
+    monkeypatch.setattr(cli, "load_mesh", load_mesh)
+
+
+def test_param_out_under_a_file_is_usage_error(tmp_path, mesh_file, monkeypatch):
+    # this used to compute the map, then end in a NotADirectoryError
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    loads_no_mesh(monkeypatch)
+    result = CliRunner().invoke(main, ["param", mesh_file, "--out", str(blocker / "run")])
+    assert result.exit_code == 2
+    assert "--out" in result.output and "is not a directory" in result.output
+
+
 def test_param_missing_mesh_is_usage_error(tmp_path):
     result = CliRunner().invoke(main, ["param", str(tmp_path / "absent.off")])
     assert result.exit_code == 2
@@ -224,6 +242,18 @@ def test_register_makes_no_output_directory_for_a_rejected_mesh(tmp_path, sphere
     assert result.exit_code == 1
     assert "error: inconsistently oriented faces: faces 0 and" in result.output
     assert not out.exists()
+
+
+def test_register_out_under_a_file_is_usage_error(tmp_path, sphere_file, monkeypatch):
+    marks = tmp_path / "marks.txt"
+    marks.write_text("4 4\n")
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    loads_no_mesh(monkeypatch)
+    result = CliRunner().invoke(main, ["register", sphere_file, sphere_file, str(marks),
+                                       "--out", str(blocker / "deeper" / "run")])
+    assert result.exit_code == 2
+    assert "--out" in result.output and "is not a directory" in result.output
 
 
 def test_morph_makes_no_output_directory_for_a_rejected_mesh(tmp_path):

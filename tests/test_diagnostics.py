@@ -99,50 +99,58 @@ def test_fd_harness_degenerate_mapping_errors(icosphere1):
 
 
 def test_probe_identity_matrix():
-    result = probe_smallest_eigenvalue(sp.eye(40, format="csc"))
+    result = probe_smallest_eigenvalue(sp.eye(40, format="csc"), np.zeros((40, 0)))
     assert result.smallest_eigenvalue == pytest.approx(1.0, rel=1e-10)
 
 
 def test_probe_diagonal_modes():
     d = sp.diags([-2.0, 1.0, 3.0, 5.0, -0.5]).tocsc()
-    mag = probe_smallest_eigenvalue(d)
+    mag = probe_smallest_eigenvalue(d, np.zeros((5, 0)))
     assert mag.smallest_eigenvalue == pytest.approx(-0.5, rel=1e-8)
 
 
+def deflated_reference(hessian):
+    """Reference probe: the eigenvalue nearest zero of the dense Hessian
+    (coordinate-major) off its three rigid translations T, from
+    P H P + ||H||_F T T^T, P the projector off T, which moves their zero
+    eigenvalues to ||H||_F and keeps every other one."""
+    h = hessian.toarray()
+    n = h.shape[0] // 3
+    t = np.kron(np.eye(3), np.ones((n, 1))) / np.sqrt(n)
+    p = np.eye(3 * n) - t @ t.T
+    scale = np.linalg.norm(h)
+    vals = np.linalg.eigvalsh(p @ h @ p + scale * t @ t.T)
+    return float(vals[np.argmin(np.abs(vals))]), scale
+
+
 def test_hessian_probe_certified_residual(icosphere1):
+    # on a map that is not a radial one, the probe skips the translations'
+    # zero eigenvalues and meets the dense reference
     rng = np.random.default_rng(1)
     f = project_to_manifold(icosphere1.vertices + 0.02 * rng.normal(size=(42, 3)))
+    reference, scale = deflated_reference(assemble_global_hessian(icosphere1, f))
     result = smallest_hessian_eigenvalue(icosphere1, f)
-    # the stretch Hessian annihilates rigid translations: something
-    # numerically indistinguishable from zero is always nearest
-    assert abs(result.smallest_eigenvalue) <= 1e-8
-    assert result.residual >= 0.0
+    assert abs(result.smallest_eigenvalue) > 1e-6 * scale
+    assert abs(result.smallest_eigenvalue - reference) <= 1e-10 * scale
+    assert 0.0 <= result.residual <= PROBE_RESIDUAL_RTOL * scale
 
 
-def colamd_probe(matrix):
-    """Reference probe: the shifted matrix factored by SuperLU under its
-    own COLAMD order, solves unchecked, the eigenvalue nearest zero."""
-    matrix = sp.csc_matrix(matrix)
-    n = matrix.shape[0]
-    scale = spla.norm(matrix, "fro")
-    sigma = 1e-9 * scale
-    lu = spla.splu((matrix - sigma * sp.eye(n)).tocsc())
-    opinv = spla.LinearOperator(matrix.shape, matvec=lu.solve, dtype=np.float64)
-    vals = spla.eigsh(matrix, k=PROBE_EIGENPAIRS, sigma=sigma, which="LM",
-                      v0=np.full(n, 1.0 / np.sqrt(n)), OPinv=opinv, return_eigenvectors=False)
-    return float(vals[np.argmin(np.abs(vals))]), scale
+# the deflated eigenvalue on the radial map of each mesh, to five places
+RADIAL_EIGENVALUES = {1: -2.4582e-2, 2: 9.1070e-3, 3: 3.2946e-4}
 
 
 @pytest.mark.parametrize("subdivisions", [1, 2, 3])
 def test_hessian_probe_factors_once_through_linsolve(monkeypatch, subdivisions):
     surface = make_icosphere(subdivisions, (1.0, 0.8, 0.6))
     f = radial_initial_map(surface)
-    reference, scale = colamd_probe(assemble_global_hessian(surface, f))
+    reference, scale = deflated_reference(assemble_global_hessian(surface, f))
     calls = count_factorizations(monkeypatch)
     result = smallest_hessian_eigenvalue(surface, f)
     assert len(calls) == 1
     assert result.residual <= PROBE_RESIDUAL_RTOL * scale
     assert abs(result.smallest_eigenvalue - reference) <= 1e-10 * scale
+    assert result.smallest_eigenvalue == pytest.approx(RADIAL_EIGENVALUES[subdivisions],
+                                                       rel=1e-4)
 
 
 def test_hessian_probe_solves_meet_the_residual_contract(monkeypatch, icosphere1):

@@ -7,7 +7,7 @@ from authalic.errors import SolveError
 from authalic.fpi import (_PIN, conformal_initial_map, dirichlet_solve, disk_interior,
                           fpi_minimize)
 from authalic.mesh import normalize_area
-from authalic.rgd import minimize
+from authalic.rgd import NormalizedStretchObjective, minimize
 from authalic.sphere import PlanarPoints, count_folds, invert_plane, stereographic
 
 from helpers import bumpy_sphere
@@ -138,7 +138,7 @@ def test_warm_start_then_descent_beats_fpi_alone():
     fpi_best = min(r.authalic for r in fpi_only.records)
 
     warm = fpi_minimize(surf, f0, max_iters=10, stop_on_increase=True)
-    refined = minimize(surf, warm.mapping, max_iters=100)
+    refined = minimize(NormalizedStretchObjective(surf), warm.mapping, max_iters=100)
     final = face_geometry(surf, refined.mapping).authalic
     assert final <= fpi_best
 

@@ -182,7 +182,8 @@ def test_one_face_geometry_pass_per_accepted_iterate(ellipsoid3, monkeypatch):
         monkeypatch.setattr(en.FaceGeometry, name, counted_energy(name))
     monkeypatch.setattr(rgd, "search", counted_search)
     monkeypatch.setattr(rgd, "GRAD_TOL", 0.0)
-    result = minimize(ellipsoid3, spherical_start(ellipsoid3), max_iters=10)
+    result = minimize(NormalizedStretchObjective(ellipsoid3), spherical_start(ellipsoid3),
+                      max_iters=10)
     assert len(result.records) == 10
     assert calls["face_geometry"] <= sum(evals) + 1
     for geoms in summed.values():
@@ -205,7 +206,7 @@ def test_records_count_folds_without_a_second_gather(ellipsoid3, monkeypatch):
         monkeypatch.setattr(module, "count_folds", counted_folds)
     f0 = fpi.conformal_initial_map(ellipsoid3)
     calls[0] = 0
-    result = minimize(ellipsoid3, f0, max_iters=5)
+    result = minimize(NormalizedStretchObjective(ellipsoid3), f0, max_iters=5)
     warm = fpi.fpi_minimize(ellipsoid3, f0, max_iters=3)
     assert len(result.records) == 5 and len(warm.records) >= 1
     assert calls[0] == 0
@@ -224,7 +225,7 @@ def test_record_folds_match_count_folds(icosphere2, monkeypatch):
 
     monkeypatch.setattr(NormalizedStretchObjective, "value_and_gradient", recorded)
     monkeypatch.setattr(rgd, "GRAD_TOL", 0.0)
-    result = minimize(icosphere2, f0, max_iters=15)
+    result = minimize(NormalizedStretchObjective(icosphere2), f0, max_iters=15)
     # the gradient is taken at the start and then at each accepted iterate
     # but the last
     seen = [(r.folds, count_folds(icosphere2, f))
@@ -236,7 +237,7 @@ def test_record_folds_match_count_folds(icosphere2, monkeypatch):
 
 def test_log_every_goes_through_logging(ellipsoid3, caplog, capsys):
     with caplog.at_level(logging.DEBUG, logger="authalic.rgd"):
-        minimize(ellipsoid3, spherical_start(ellipsoid3), max_iters=4)
+        minimize(NormalizedStretchObjective(ellipsoid3), spherical_start(ellipsoid3), max_iters=4)
     records = [r for r in caplog.records if r.name == "authalic.rgd"]
     # one DEBUG line per iteration, nothing at INFO or above
     assert [r.levelno for r in records] == [logging.DEBUG] * 4
@@ -248,7 +249,7 @@ def test_log_every_goes_through_logging(ellipsoid3, caplog, capsys):
 def test_one_face_geometry_pass_per_iterate_under_lbfgs(ellipsoid3, monkeypatch):
     # the L-BFGS direction reads the gradient the objective returned and
     # measures no mapping of its own
-    lap = fpi.reference_laplacian(ellipsoid3)
+    precondition = rgd.preconditioner(ellipsoid3, fpi.reference_laplacian(ellipsoid3))
     calls, evals = [], []
     face_geometry_, search = en.face_geometry, rgd.search
     monkeypatch.setattr(en, "face_geometry",
@@ -260,8 +261,7 @@ def test_one_face_geometry_pass_per_iterate_under_lbfgs(ellipsoid3, monkeypatch)
         return result
 
     monkeypatch.setattr(rgd, "search", counted_search)
-    result = minimize(ellipsoid3, spherical_start(ellipsoid3), max_iters=10,
-                      objective=NormalizedStretchObjective(ellipsoid3, spherical=True),
-                      laplacian=lap)
+    result = minimize(NormalizedStretchObjective(ellipsoid3, spherical=True),
+                      spherical_start(ellipsoid3), max_iters=10, precondition=precondition)
     assert len(result.records) == 10
     assert len(calls) <= sum(evals) + 1

@@ -1,6 +1,7 @@
 """Validation of the pipeline settings, and the records of a run."""
 
 import dataclasses
+import time
 import warnings
 
 import numpy as np
@@ -55,6 +56,46 @@ def test_record_clock_runs_from_the_start_of_the_run(ellipsoid3):
     elapsed = [r.elapsed_s for r in result.records]
     assert all(b >= a for a, b in zip(elapsed, elapsed[1:])), elapsed
     assert elapsed[-1] <= result.seconds
+
+
+def test_the_descent_records_count_the_preconditioner_factor(ellipsoid3, monkeypatch):
+    # K is factored before the descent's own clock starts; every descent
+    # row must still count that time, as `seconds` does
+    factorize = rgd.factorize
+
+    def slow(*args, **kwargs):
+        time.sleep(0.3)
+        return factorize(*args, **kwargs)
+
+    monkeypatch.setattr(rgd, "factorize", slow)
+    result = parameterize(ellipsoid3, ParameterizeConfig(max_iters=3))
+    assert result.fpi.records == [] and len(result.rgd.records) == 3
+    assert result.records[0].elapsed_s >= 0.3
+    assert result.records[-1].elapsed_s <= result.seconds
+
+
+@pytest.mark.parametrize("method, spherical", [("lbfgs", True), ("paper", False)])
+def test_the_method_hands_the_descent_its_objective_and_direction(ellipsoid3, monkeypatch,
+                                                                   method, spherical):
+    # the L-BFGS method descends the spherical energy with K^-1, the
+    # paper's the chordal one along the anti-gradient
+    handed = []
+    minimize = pipeline.minimize
+
+    def captured(objective, f0, **kwargs):
+        handed.append((objective, kwargs))
+        return minimize(objective, f0, **kwargs)
+
+    monkeypatch.setattr(pipeline, "minimize", captured)
+    result = parameterize(ellipsoid3, ParameterizeConfig(method=method, max_iters=2))
+    [(objective, kwargs)] = handed
+    assert type(objective) is rgd.NormalizedStretchObjective
+    assert objective.spherical is spherical and objective.surface is result.surface
+    assert kwargs["max_iters"] == 2
+    if spherical:
+        assert callable(kwargs["precondition"])
+    else:
+        assert kwargs["precondition"] is None
 
 
 def test_both_fold_corrections_are_reported(ellipsoid3):

@@ -1,4 +1,8 @@
 
+import ast
+import inspect
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -55,7 +59,7 @@ def test_immediate_convergence_at_critical_point(icosphere2, monkeypatch):
             return 1.0, 2.0 * f
 
     monkeypatch.setattr(rgd, "GRAD_TOL", 1e-8 / np.sqrt(icosphere2.n_vertices))
-    result = minimize(icosphere2, icosphere2.vertices, objective=Flat(icosphere2))
+    result = minimize(Flat(icosphere2), icosphere2.vertices, max_iters=100)
     assert result.status == "grad_converged"
     assert result.records == []
     assert np.array_equal(result.mapping, icosphere2.vertices)
@@ -70,15 +74,14 @@ def test_line_search_failure_returns_best_iterate(icosphere2):
             g = project_tangent(f, np.roll(f, 1, axis=1))
             return 1.0, g + f
 
-    result = minimize(icosphere2, icosphere2.vertices, objective=Stubborn(icosphere2),
-                      max_iters=5)
+    result = minimize(Stubborn(icosphere2), icosphere2.vertices, max_iters=5)
     assert result.status == "line_search_failed"
     assert np.array_equal(result.mapping, icosphere2.vertices)
 
 
 def test_descent_run_on_ellipsoid(ellipsoid3):
     f0 = project_to_manifold(ellipsoid3.vertices)
-    result = minimize(ellipsoid3, f0, max_iters=50)
+    result = minimize(NormalizedStretchObjective(ellipsoid3), f0, max_iters=50)
     assert result.status in ("max_iters", "grad_converged")
     values = [r.normalized for r in result.records]
     assert len(values) >= 10
@@ -97,7 +100,7 @@ def test_descent_run_on_ellipsoid(ellipsoid3):
 
 def test_alpha_and_grad_norm_recorded(ellipsoid3):
     f0 = project_to_manifold(ellipsoid3.vertices)
-    result = minimize(ellipsoid3, f0, max_iters=5)
+    result = minimize(NormalizedStretchObjective(ellipsoid3), f0, max_iters=5)
     for r in result.records:
         assert r.alpha is not None and 0 < r.alpha <= 1.0
         assert r.grad_norm is not None and r.grad_norm > 0
@@ -110,7 +113,8 @@ def test_descent_without_gradient_tests_ends_in_a_failed_search(icosphere2, monk
     # finds no decrease left, well inside the cap
     monkeypatch.setattr(rgd, "GRAD_TOL", 0.0)
     monkeypatch.setattr(rgd, "GRAD_RTOL", 0.0)
-    result = minimize(icosphere2, icosphere2.vertices, max_iters=4000)
+    result = minimize(NormalizedStretchObjective(icosphere2), icosphere2.vertices,
+                      max_iters=4000)
     assert result.status == "line_search_failed"
     assert len(result.records) < 4000
 
@@ -122,7 +126,7 @@ def test_gradient_falls_with_generous_budget(monkeypatch):
     f0 = project_to_manifold(surf.vertices)
     monkeypatch.setattr(rgd, "GRAD_TOL", 1e-4 / np.sqrt(surf.n_vertices))
     monkeypatch.setattr(rgd, "GRAD_RTOL", 0.0)
-    result = minimize(surf, f0, max_iters=5000)
+    result = minimize(NormalizedStretchObjective(surf), f0, max_iters=5000)
     assert result.status == "grad_converged"
     assert np.linalg.norm(riemannian_gradient(surf, result.mapping)) <= 1e-4
 
@@ -247,8 +251,9 @@ def test_lbfgs_descent_decreases_the_spherical_energy(ellipsoid3, monkeypatch):
     f0 = project_to_manifold(ellipsoid3.vertices)
     objective = NormalizedStretchObjective(ellipsoid3, spherical=True)
     start = objective.value(f0)
-    result = minimize(ellipsoid3, f0, objective=objective, max_iters=20,
-                      laplacian=reference_laplacian(ellipsoid3))
+    result = minimize(objective, f0, max_iters=20,
+                      precondition=rgd.preconditioner(ellipsoid3,
+                                                      reference_laplacian(ellipsoid3)))
     assert len(result.records) == 20 and result.status == "max_iters"
     assert objective.value(result.mapping) < start
     assert result.records[-1].sd_over_mean < 0.01 * result.records[0].sd_over_mean
@@ -257,16 +262,20 @@ def test_lbfgs_descent_decreases_the_spherical_energy(ellipsoid3, monkeypatch):
     assert trials[1:] == [ALPHA_MAX] * 19
 
 
-def test_the_laplacian_picks_the_spherical_objective(ellipsoid3):
-    # the L-BFGS direction comes with the spherical energy unless another
-    # objective is given, so no caller pairs it with the chordal one by
-    # leaving the objective out
-    f0 = project_to_manifold(ellipsoid3.vertices)
-    lap = reference_laplacian(ellipsoid3)
-    default = minimize(ellipsoid3, f0, max_iters=3, laplacian=lap)
-    spherical = minimize(ellipsoid3, f0, max_iters=3, laplacian=lap,
-                         objective=NormalizedStretchObjective(ellipsoid3, spherical=True))
-    assert np.array_equal(default.mapping, spherical.mapping)
-    chordal = minimize(ellipsoid3, f0, max_iters=3, laplacian=lap,
-                       objective=NormalizedStretchObjective(ellipsoid3))
-    assert not np.array_equal(default.mapping, chordal.mapping)
+def test_minimize_runs_what_its_caller_hands_it():
+    # the caller picks the objective and factors K, so one module states
+    # each method: minimize takes no surface and no default objective or
+    # cap, and names no objective class and no factorization
+    params = inspect.signature(minimize).parameters.values()
+    assert [(p.name, p.kind, p.default) for p in params] == [
+        ("objective", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty),
+        ("f0", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty),
+        ("max_iters", inspect.Parameter.KEYWORD_ONLY, inspect.Parameter.empty),
+        ("precondition", inspect.Parameter.KEYWORD_ONLY, None),
+    ]
+    tree = ast.parse(Path(rgd.__file__).read_text())
+    [body] = [node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == "minimize"]
+    named = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(body) if isinstance(node, ast.Attribute)}
+    assert not named & {"NormalizedStretchObjective", "preconditioner", "factorize"}
