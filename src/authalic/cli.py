@@ -236,6 +236,7 @@ def morph(regdir, frames, out_dir):
     if frames < 2:
         raise click.UsageError("--frames must be at least 2")
     out_dir = out_dir or os.path.join(regdir, "morph")
+    _check_out_dir(out_dir)
     manifest_path = os.path.join(regdir, "manifest.json")
     composed_path = os.path.join(regdir, "composed_map.txt")
     start = time.perf_counter()

@@ -75,7 +75,10 @@ def factorize(matrix: sp.spmatrix):
         b2 = rhs.reshape(n, -1)
         x2 = lu.solve(b2)
 
-        residual = np.linalg.norm(matrix @ x2 - b2, axis=0)
+        # SuperLU returns x coordinate-major; a product with the whole
+        # block would copy it to rows first, so each column goes alone
+        ax = np.stack([matrix @ column for column in x2.T]).T
+        residual = np.linalg.norm(ax - b2, axis=0)
         bound = RESIDUAL_RTOL * (a_norm * np.linalg.norm(x2, axis=0)
                                  + np.linalg.norm(b2, axis=0))
         if not np.isfinite(x2).all() or (residual > np.maximum(bound, 1e-300)).any():

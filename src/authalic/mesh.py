@@ -462,10 +462,11 @@ def scatter_corners(surface: SimplicialSurface, values: np.ndarray) -> np.ndarra
     :attr:`SimplicialSurface.corner_index`: column c m + t holds the value
     at corner c of face t.  Row v of the (n, 3) result adds them over
     every corner that is vertex v.  The sums run corner by corner, in
-    face order.
+    face order.  The result is coordinate-major (Fortran order), as the
+    descent keeps its arrays (:mod:`authalic.rgd`).
     """
     index, n = surface.corner_index, surface.n_vertices
-    return np.stack([np.bincount(index, row, minlength=n) for row in values], axis=1)
+    return np.stack([np.bincount(index, row, minlength=n) for row in values]).T
 
 
 def side_laplacian(n: int, faces: np.ndarray, weights: np.ndarray) -> sp.csr_matrix:

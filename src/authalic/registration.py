@@ -117,9 +117,11 @@ class RegistrationObjective(GeometryMemo):
 
 
 def geodesic_mismatch(points_a: np.ndarray, points_b: np.ndarray) -> float:
-    """Mean great-circle distance between paired unit vectors."""
-    dots = np.clip(np.sum(points_a * points_b, axis=1), -1.0, 1.0)
-    return float(np.mean(np.arccos(dots)))
+    """Mean great-circle distance between paired unit vectors, each
+    atan2(|a x b|, a . b): exact to roundoff at every angle, where the
+    arccos of the dot rounds an angle below about 1e-8 rad to 0 or 1e-8."""
+    sines = np.linalg.norm(np.cross(points_a, points_b), axis=1)
+    return float(np.mean(np.arctan2(sines, np.einsum("ij,ij->i", points_a, points_b))))
 
 
 def solve_alignment(sphere_surface, f_param: np.ndarray, landmark_rows,

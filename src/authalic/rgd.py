@@ -17,6 +17,16 @@ keep the :class:`~authalic.energy.FaceGeometry` of the last mapping they
 evaluated, and the energies, SD/Mean and fold count are read off it
 (each summed once), so the pass made for the accepted line-search trial
 also gives the iteration record and the next value and gradient.
+
+The power manifold makes every step row-wise work on (n, 3) arrays, and
+:func:`minimize` keeps them all coordinate-major (Fortran order).  It
+copies `f0` once with ``order="F"``; numpy's elementwise operations
+carry that layout through the retraction, the projections, the line
+search and the objectives; :func:`~authalic.mesh.scatter_corners`
+returns it; and the preconditioner permutes through the transpose.  A
+row dot then runs on three contiguous coordinates, and SuperLU reads and
+returns coordinate-major blocks.  There is one layout and no per-call
+conversion.
 """
 
 from __future__ import annotations
@@ -79,7 +89,8 @@ class MinimizeResult:
     ``"max_iters"`` or ``"line_search_failed"``; FPI has its own stops
     (:func:`~authalic.fpi.fpi_minimize`).  On ``"authalic_increased"`` and
     ``"stretch_increased"`` the last record is the rejected iterate and
-    `mapping` the one before it."""
+    `mapping` the one before it.  `mapping` is (n, 3) in either memory
+    order: a descent returns it coordinate-major."""
 
     mapping: np.ndarray
     records: list[IterationRecord]
@@ -153,10 +164,14 @@ def preconditioner(surface, laplacian: sp.spmatrix):
     shift = PRECONDITIONER_SHIFT * surface.total_area / n
     k = sp.csr_matrix(laplacian + shift * sp.eye(n, format="csr"))[order][:, order]
     solve_k = factorize(k)
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(n)
 
     def apply(g: np.ndarray) -> np.ndarray:
-        x = np.empty_like(g)
-        x[order] = solve_k(g[order])
+        # permuted through the transpose: each coordinate of a
+        # coordinate-major g is one contiguous take, and SuperLU reads and
+        # returns coordinate-major blocks
+        x = np.take(solve_k(np.take(g.T, order, axis=1).T).T, inverse, axis=1).T
         curvature = _inner(g, x)
         if not curvature > 0:
             raise SolveError(f"preconditioner is not positive definite "
@@ -210,7 +225,7 @@ class LBFGS:
         for s, y, _ in self.pairs:
             _project_in_place(f, s)
             _project_in_place(f, y)
-        q = g.copy()
+        q = g.copy(order="K")
         alphas = []
         for s, y, rho in reversed(self.pairs):
             alphas.append(rho * _inner(s, q))
@@ -274,7 +289,7 @@ def minimize(objective, f0: np.ndarray, *, max_iters: int,
     accepted) iterate is returned, not an exception.  Every accepted
     iteration is logged at DEBUG level on this module's logger.
     """
-    f = np.asarray(f0, dtype=np.float64).copy()
+    f = np.array(f0, dtype=np.float64, order="F")
     lbfgs = None if precondition is None else LBFGS(precondition)
     grad_tol = GRAD_TOL * np.sqrt(f.shape[0])
 

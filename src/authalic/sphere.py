@@ -2,9 +2,12 @@
 
 A spherical mapping is an (n, 3) array whose rows are unit vectors (one
 image point per mesh vertex); a tangent field is an (n, 3) array whose
-rows are orthogonal to the corresponding mapping rows.  Planar images
-live on the extended complex plane and carry an explicit point-at-
-infinity mask rather than overflowing floats.
+rows are orthogonal to the corresponding mapping rows.  Either may be
+in either memory order: :func:`project_tangent`, :func:`retract` and
+:func:`project_to_manifold` keep the order they are given, and the
+descent's arrays are coordinate-major (:mod:`authalic.rgd`).  Planar
+images live on the extended complex plane and carry an explicit
+point-at-infinity mask rather than overflowing floats.
 """
 
 from __future__ import annotations

@@ -226,7 +226,11 @@ def test_criterion_9_bijectivity_correction():
 def test_criterion_10_registration():
     from helpers import rotation_matrix
     m0 = make_icosphere(2)
-    m1 = build_surface(m0.vertices @ rotation_matrix([1, 2, 3], 0.5).T, m0.faces)
+    # a perturbed, turned copy: its landmarks differ from m0's after the
+    # best rotation, which those of a rigidly turned copy do not
+    noise = 0.05 * np.random.default_rng(4).normal(size=m0.vertices.shape)
+    m1 = build_surface(project_to_manifold(m0.vertices + noise)
+                       @ rotation_matrix([1, 2, 3], 0.5).T, m0.faces)
     pairs = np.array([[3, 3], [40, 40], [77, 77], [120, 120], [150, 150]])
     f0, f1 = m0.vertices.copy(), m1.vertices.copy()
     reg = register(m0, m1, f0, f1, pairs, lam=10.0, iters=200)

@@ -256,6 +256,17 @@ def test_register_out_under_a_file_is_usage_error(tmp_path, sphere_file, monkeyp
     assert "--out" in result.output and "is not a directory" in result.output
 
 
+def test_morph_out_under_a_file_is_usage_error(tmp_path, registration_dir, monkeypatch):
+    # this used to load both meshes and the composed map, then exit 1
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    loads_no_mesh(monkeypatch)
+    result = CliRunner().invoke(main, ["morph", str(registration_dir),
+                                       "--out", str(blocker / "frames")])
+    assert result.exit_code == 2
+    assert "--out" in result.output and "is not a directory" in result.output
+
+
 def test_morph_makes_no_output_directory_for_a_rejected_mesh(tmp_path):
     regdir = tmp_path / "reg"
     regdir.mkdir()

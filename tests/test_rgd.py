@@ -8,12 +8,14 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import authalic.energy as en
 from authalic.energy import euclidean_gradient, face_geometry
 from authalic.errors import SolveError
 from authalic.fpi import reference_laplacian
 from authalic.linesearch import ALPHA_MAX, phi_derivative_at_zero, search
 from authalic.linsolve import RESIDUAL_RTOL
 from authalic.mesh import make_icosphere, normalize_area
+from authalic.registration import RegistrationObjective
 import authalic.rgd as rgd
 from authalic.rgd import LBFGS, GeometryMemo, NormalizedStretchObjective, minimize
 from authalic.sphere import project_tangent, project_to_manifold, retract, row_dots
@@ -279,3 +281,63 @@ def test_minimize_runs_what_its_caller_hands_it():
     named = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
     named |= {node.attr for node in ast.walk(body) if isinstance(node, ast.Attribute)}
     assert not named & {"NormalizedStretchObjective", "preconditioner", "factorize"}
+
+
+class SpiedLU:
+    """A SuperLU factor that keeps every right-hand side it is given."""
+
+    def __init__(self, lu, seen):
+        self.lu, self.seen = lu, seen
+
+    def solve(self, rhs, trans="N"):
+        self.seen.append(rhs)
+        return self.lu.solve(rhs, trans)
+
+
+@pytest.mark.parametrize("registration", [False, True], ids=["stretch", "registration"])
+def test_the_descent_keeps_its_arrays_coordinate_major(ellipsoid3, monkeypatch, registration):
+    # minimize copies a row-major f0 to coordinate-major memory once, and
+    # every (n, 3) array of the loop keeps that layout: the row dots and
+    # the preconditioner's permutations then run on contiguous coordinates
+    seen = {key: [] for key in ("iterate", "gradient", "direction", "scatter",
+                                "preconditioner", "rhs")}
+
+    def spy(owner, name, keep):
+        original = getattr(owner, name)
+
+        def wrapped(*args, **kwargs):
+            out = original(*args, **kwargs)
+            for key, array in keep(args, out):
+                seen[key].append(array)
+            return out
+
+        monkeypatch.setattr(owner, name, wrapped)
+
+    f0 = project_to_manifold(ellipsoid3.vertices)
+    assert f0.flags.c_contiguous
+    if registration:
+        rows = np.array([0, 200, 400])
+        objective = RegistrationObjective(ellipsoid3, rows,
+                                          project_to_manifold(f0[rows] + 0.1), 10.0)
+    else:
+        objective = NormalizedStretchObjective(ellipsoid3, spherical=True)
+    spy(type(objective), "value", lambda args, out: [("iterate", args[1])])
+    spy(type(objective), "value_and_gradient",
+        lambda args, out: [("iterate", args[1]), ("gradient", out[1])])
+    spy(LBFGS, "direction", lambda args, out: [("direction", out)])
+    spy(en, "scatter_corners", lambda args, out: [("scatter", out)])
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda *a, **k: SpiedLU(splu(*a, **k), seen["rhs"]))
+    solve_k = rgd.preconditioner(ellipsoid3, reference_laplacian(ellipsoid3))
+
+    def precondition(g):
+        x = solve_k(g)
+        seen["preconditioner"] += [g, x]
+        return x
+
+    result = minimize(objective, f0, max_iters=5, precondition=precondition)
+    assert len(result.records) == 5
+    for key, arrays in seen.items():
+        assert arrays, key
+        assert all(a.shape == f0.shape and a.flags.f_contiguous for a in arrays), key
+    assert result.mapping.flags.f_contiguous
