@@ -12,6 +12,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from importlib.metadata import PackageNotFoundError, version
 
 import click
@@ -21,8 +22,8 @@ from . import diagnostics as diag
 from . import energy as en
 from . import registration
 from .errors import AuthalicError
-from .mesh import (build_surface, check_orientation, load_mesh, normalize_area,
-                   parse_landmarks, perturb_vertices, save_mesh)
+from .mesh import (load_mesh, normalize_area, parse_landmarks, perturb_vertices,
+                   save_mesh)
 from .pipeline import (METHOD_ITERS, METHODS, ParameterizeConfig, parameterize,
                        write_records_csv)
 from .rgd import NormalizedStretchObjective
@@ -136,6 +137,8 @@ def param(mesh, method, max_iters, noise_sigma, seed, log_path, out_dir):
                     result.seconds)
     click.echo(f"SD/Mean {s['sd_over_mean']:.4f}, E_A {s['authalic']:.3e}, "
                f"time {s['seconds']:.2f} s, folds {s['folds']}, degree {s['degree']}")
+    if s["folds"] or s["degree"] != 1:
+        click.echo(f"warning: {s['folds']} folded faces, degree {s['degree']}", err=True)
 
 
 @main.command()
@@ -304,9 +307,10 @@ def _check_lines(surface, probe_eigen: bool):
     rt = np.abs(back - f).max()
     yield "stereographic round trip", rt < 1e-12, f"max abs err {rt:.2e}"
 
+    # constructed directly: build_surface rejects the inconsistent list
     flipped = surface.faces.copy()
     flipped[0] = flipped[0, [0, 2, 1]]
-    flipped_surface = build_surface(surface.vertices, flipped)
+    flipped_surface = replace(surface, faces=flipped)
     base = count_folds(surface, f)
     got = count_folds(flipped_surface, f)
     yield "fold detector counts a flipped face", got == base + 1, f"{base} -> {got}"
@@ -327,7 +331,6 @@ def check(mesh, probe_eigen):
     """Run the verification suite on MESH; nonzero exit on any failure."""
     try:
         surface = normalize_area(load_mesh(mesh))
-        check_orientation(surface)
         results = list(_check_lines(surface, probe_eigen))
     except AuthalicError as exc:
         click.echo(f"error: {exc}", err=True)

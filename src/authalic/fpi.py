@@ -119,9 +119,10 @@ def dirichlet_solve(surface, lap, h: PlanarPoints, interior: np.ndarray):
     dissection order, which is the order the system is factored in: the
     rows and columns of `lap` at those vertices, with the boundary columns
     moved to the right-hand side, whose real and imaginary parts are two
-    columns of one solve.  A vertex at infinity may only be boundary, and
-    only where no interior row couples to it.  Returns the new points;
-    only the interior entries are written.
+    coordinate-major columns of one solve, as SuperLU stores them.  A
+    vertex at infinity may only be boundary, and only where no interior
+    row couples to it.  Returns the new points; only the interior entries
+    are written.
     """
     if not interior.any():
         raise SolveError("empty interior vertex set")
@@ -133,7 +134,7 @@ def dirichlet_solve(surface, lap, h: PlanarPoints, interior: np.ndarray):
         raise SolveError("vertex at infinity is coupled to the interior system")
     rhs = -rows[:, boundary] @ np.where(h.at_infinity[boundary], 0.0, h.values[boundary])
     values = h.values.copy()
-    x = solve(rows[:, idx], np.column_stack([rhs.real, rhs.imag]))
+    x = solve(rows[:, idx], np.stack([rhs.real, rhs.imag]).T)
     values[idx] = x[:, 0] + 1j * x[:, 1]
     return PlanarPoints(values=values, at_infinity=h.at_infinity.copy())
 

@@ -2,9 +2,9 @@
 
 A mesh is stored as a :class:`SimplicialSurface`: an immutable bundle of
 vertex coordinates, oriented triangular faces (0-based indices), and the
-derived edge set and face areas.  Construction validates that the surface
-is a closed 2-manifold of genus zero, which every algorithm downstream
-assumes.
+derived edge set and face areas.  :func:`build_surface`, the one check
+of a face list, validates that the surface is a consistently oriented,
+closed 2-manifold of genus zero, which every algorithm downstream assumes.
 """
 
 from __future__ import annotations
@@ -42,9 +42,9 @@ class SimplicialSurface:
     edges: np.ndarray
     face_areas: np.ndarray
     total_area: float
-    # data computed on first use that does not change under uniform
-    # scaling, shared with the rescaled copies :func:`normalize_area` makes
-    _scale_free: dict = field(default_factory=dict, repr=False, compare=False)
+    # data of the face list computed on first use, shared by every
+    # surface :func:`with_vertices` makes from this one or its source
+    _shared: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n_vertices(self) -> int:
@@ -70,17 +70,16 @@ class SimplicialSurface:
         """Geometric nested-dissection order of the vertices.
 
         A fill-reducing elimination order for every sparse system on the
-        mesh graph; computed on first use and kept for the surface's life.
-        The split points scale with the mesh, so the order is shared with
-        every rescaled copy made by :func:`normalize_area`.  A separator
-        of the mesh graph stays a separator of every induced subgraph, so
-        the order restricted to a vertex subset still orders that
-        subsystem well.
+        mesh graph, shared by every surface made from one face list (see
+        :func:`with_vertices`) and computed on the vertices of whichever
+        of them asks first.  A separator of the mesh graph stays a
+        separator of every induced subgraph, so the order restricted to a
+        vertex subset still orders that subsystem well.
         """
-        order = self._scale_free.get("dissection_order")
+        order = self._shared.get("dissection_order")
         if order is None:
             order = _freeze(nested_dissection(self.vertices, self.edges))
-            self._scale_free["dissection_order"] = order
+            self._shared["dissection_order"] = order
         return order
 
 
@@ -117,8 +116,10 @@ def triangle_areas(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
 def build_surface(vertices, faces) -> SimplicialSurface:
     """Validate arrays and derive edges/areas.
 
-    A non-zero genus, more than one connected component, a non-manifold
-    edge and a boundary edge each raise
+    A non-manifold or boundary edge, a non-zero genus, more than one
+    connected component, a zero-area face and, checked last, two faces
+    holding the same directed side (inconsistent orientation; a wholly
+    reversed list is valid) each raise
     :class:`~authalic.errors.MeshTopologyError`.
     """
     vertices = np.asarray(vertices, dtype=np.float64)
@@ -132,15 +133,12 @@ def build_surface(vertices, faces) -> SimplicialSurface:
     n = vertices.shape[0]
     if faces.size and (faces.min() < 0 or faces.max() >= n):
         raise MeshFormatError("face index out of range")
-    degenerate = (
-        (faces[:, 0] == faces[:, 1])
-        | (faces[:, 1] == faces[:, 2])
-        | (faces[:, 0] == faces[:, 2])
-    )
+    degenerate = ((faces[:, 0] == faces[:, 1]) | (faces[:, 1] == faces[:, 2])
+                  | (faces[:, 0] == faces[:, 2]))
     if degenerate.any():
         raise MeshTopologyError(f"degenerate face (repeated vertex) at index {int(np.flatnonzero(degenerate)[0])}")
 
-    edges, counts = edge_table(faces)
+    edges, counts, sides = _side_table(faces, n)
     if (counts > 2).any():
         e = edges[np.flatnonzero(counts > 2)[0]]
         raise MeshTopologyError(f"non-manifold edge {tuple(int(v) for v in e)} shared by >2 faces")
@@ -151,33 +149,60 @@ def build_surface(vertices, faces) -> SimplicialSurface:
     _check_genus(n - edges.shape[0] + faces.shape[0])
     _check_connected(n, edges)
     areas = _checked_areas(vertices, faces)
-    return SimplicialSurface(
-        vertices=_freeze(vertices),
-        faces=_freeze(faces),
-        edges=_freeze(edges),
-        face_areas=_freeze(areas),
-        total_area=float(areas.sum()),
-    )
+    # last, so an input also rejected otherwise keeps that message: the
+    # error names the smallest repeated directed side (a, b), by a * n + b,
+    # and the first two faces that hold it
+    repeated = sides[1:][sides[1:] == sides[:-1]]
+    if repeated.size:
+        i, j = np.divmod(repeated >> 1, n)
+        a, b = np.where(repeated & 1, j, i), np.where(repeated & 1, i, j)
+        k = np.argmin(a * n + b)
+        held = (faces.ravel() == a[k]) & (faces[:, [1, 2, 0]].ravel() == b[k])
+        first, second = np.flatnonzero(held)[:2] // 3
+        raise MeshTopologyError(f"inconsistently oriented faces: faces {first} and {second} "
+                                f"both hold the directed side ({a[k]}, {b[k]})")
+    return SimplicialSurface(vertices=_freeze(vertices), faces=_freeze(faces),
+                             edges=_freeze(edges), face_areas=_freeze(areas),
+                             total_area=float(areas.sum()))
+
+
+def with_vertices(surface: SimplicialSurface, vertices) -> SimplicialSurface:
+    """`surface`'s face list on new (n, 3) `vertices`, not validated again:
+    the faces, edges and :attr:`~SimplicialSurface.dissection_order` are
+    shared.  The genus and face-area checks of :func:`build_surface` still
+    run, as a :class:`SimplicialSurface` constructed directly skips them.
+    """
+    vertices = np.asarray(vertices, dtype=np.float64)
+    if vertices.shape != surface.vertices.shape:
+        raise MeshFormatError(f"vertices must be {surface.vertices.shape}, got {vertices.shape}")
+    _check_genus(surface.n_vertices - surface.n_edges + surface.n_faces)
+    areas = _checked_areas(vertices, surface.faces)
+    return replace(surface, vertices=_freeze(vertices), face_areas=_freeze(areas),
+                   total_area=float(areas.sum()))
 
 
 def edge_table(faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Undirected edges of the faces and how many faces share each.
+    """Undirected edges of the faces, as lexicographically ordered (e, 2)
+    sorted pairs, and how many faces share each."""
+    return _side_table(faces, int(faces.max()) + 1 if faces.size else 1)[:2]
 
-    Each face side (a, b) is keyed by the scalar ``i * n + j`` of its
-    sorted pair i = min(a, b), j = max(a, b) (`n` exceeds every index), so
-    one 1-D ``np.unique`` orders the edges lexicographically and counts
-    them.  Returns the (e, 2) sorted pairs and the (e,) counts.
+
+def _side_table(faces: np.ndarray, n: int):
+    """Edges, face counts and orientation keys of the faces, from one sort.
+
+    Each face side (a, b) is keyed ``2 * (min(a, b) * n + max(a, b)) +
+    (a > b)`` (`n` exceeds every index), and the keys are sorted: halved,
+    they run edge by edge in lexicographic order, and two equal keys are
+    two faces holding the same directed side.  Returns the (e, 2) sorted
+    pairs, the (e,) counts and the sorted keys.
     """
-    n = int(faces.max()) + 1 if faces.size else 1
-    keys, counts = np.unique(_side_keys(faces, n), return_counts=True)
-    return np.stack([keys // n, keys % n], axis=1), counts
-
-
-def _side_keys(faces: np.ndarray, n: int) -> np.ndarray:
-    """Key ``min(a, b) * n + max(a, b)`` of every face side (a, b), face
-    by face in the order (i, j), (j, k), (k, i); `n` exceeds every index."""
     a, b = faces.ravel(), faces[:, [1, 2, 0]].ravel()
-    return np.minimum(a, b) * n + np.maximum(a, b)
+    sides = np.sort(2 * (np.minimum(a, b) * n + np.maximum(a, b)) + (a > b))
+    keys = sides >> 1
+    first = np.ones(keys.shape, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return np.stack(np.divmod(keys[starts], n), axis=1), np.diff(starts, append=keys.size), sides
 
 
 def _check_genus(euler: int) -> None:
@@ -198,26 +223,6 @@ def _check_connected(n: int, edges: np.ndarray) -> None:
     components = connected_components(graph, directed=False)[0]
     if components != 1:
         raise MeshTopologyError(f"surface is not connected ({components} components)")
-
-
-def check_orientation(surface: SimplicialSurface) -> None:
-    """Reject a face list whose neighbouring faces run their shared side
-    the same way.
-
-    Every side of a valid surface lies in exactly two faces, so the list
-    is consistently oriented exactly when each directed side (a, b),
-    keyed ``a * n + b``, occurs once; one sort finds a repeat.  A wholly
-    reversed list passes.  :func:`build_surface` does not run this check.
-    """
-    faces, n = surface.faces, surface.n_vertices
-    keys = faces.ravel() * n + faces[:, [1, 2, 0]].ravel()
-    ordered = np.sort(keys)
-    repeated = np.flatnonzero(np.diff(ordered) == 0)
-    if repeated.size:
-        key = ordered[repeated[0]]
-        first, second = np.flatnonzero(keys == key)[:2] // 3
-        raise MeshTopologyError(f"inconsistently oriented faces: faces {first} and {second} "
-                                f"both hold the directed side ({key // n}, {key % n})")
 
 
 def _checked_areas(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
@@ -435,8 +440,9 @@ def make_icosphere(subdivisions: int, radii=(1.0, 1.0, 1.0)) -> SimplicialSurfac
     faces = _ICO_FACES
     for _ in range(subdivisions):
         n = verts.shape[0]
-        keys, first, side_edge = np.unique(_side_keys(faces, n), return_index=True,
-                                           return_inverse=True)
+        a, b = faces.ravel(), faces[:, [1, 2, 0]].ravel()
+        keys, first, side_edge = np.unique(np.minimum(a, b) * n + np.maximum(a, b),
+                                           return_index=True, return_inverse=True)
         # number each edge's midpoint by the first side that meets it
         visit = np.argsort(first)
         rank = np.empty_like(visit)
@@ -515,18 +521,9 @@ def normalize_area(surface: SimplicialSurface) -> SimplicialSurface:
     :data:`SPHERE_AREA`, the area of the unit sphere.
 
     The result equals ``build_surface(surface.vertices * scale,
-    surface.faces)`` field by field, without rebuilding: the faces and
-    edges carry over, only the face areas are recomputed.  The genus and
-    face-area checks of :func:`build_surface` still run (a
-    :class:`SimplicialSurface` constructed directly skips them), and the
-    result shares the source's :attr:`~SimplicialSurface.dissection_order`.
+    surface.faces)`` field by field, made by :func:`with_vertices`.
     """
-    scale = np.sqrt(SPHERE_AREA / surface.total_area)
-    vertices = surface.vertices * scale
-    _check_genus(surface.n_vertices - surface.n_edges + surface.n_faces)
-    areas = _checked_areas(vertices, surface.faces)
-    return replace(surface, vertices=_freeze(vertices), face_areas=_freeze(areas),
-                   total_area=float(areas.sum()))
+    return with_vertices(surface, surface.vertices * np.sqrt(SPHERE_AREA / surface.total_area))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from scipy.spatial import cKDTree
 
 from . import energy as en
 from .fpi import reference_laplacian
-from .mesh import build_surface
+from .mesh import with_vertices
 from .rgd import GeometryMemo, MinimizeResult, minimize, preconditioner
 from .sphere import project_to_manifold
 
@@ -303,14 +303,15 @@ def register(m0, m1, f0: np.ndarray, f1: np.ndarray, pairs: np.ndarray,
     located in the aligned target map (:func:`compose_registration`).
     The rotation R of f1's landmarks onto f0's is recorded, and
     `mismatch_before` is measured after it, so that it holds no frame
-    difference.
+    difference.  Each map is aligned on its mesh's face list, reused by
+    :func:`~authalic.mesh.with_vertices` with its validation and order.
     """
     a, b = f0[pairs[:, 0]], f1[pairs[:, 1]]
     rotation = landmark_rotation(a, b, 1.0)
     targets = midpoint_targets(f0, f1, pairs)
-    h0 = solve_alignment(build_surface(f0, m0.faces), f0, pairs[:, 0], targets,
+    h0 = solve_alignment(with_vertices(m0, f0), f0, pairs[:, 0], targets,
                          lambdas=lam, iters=iters)
-    h1 = solve_alignment(build_surface(f1, m1.faces), f1, pairs[:, 1], targets,
+    h1 = solve_alignment(with_vertices(m1, f1), f1, pairs[:, 1], targets,
                          lambdas=lam, iters=iters)
     composed = compose_registration(m0, m1, f0, f1, h0.mapping, h1.mapping)
     return Registration(

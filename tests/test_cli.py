@@ -14,7 +14,7 @@ from authalic.mesh import load_mesh, make_icosphere, save_mesh
 from authalic.pipeline import parameterize
 from authalic.sphere import count_folds
 
-from helpers import rotation_matrix
+from helpers import inverted_vertex_map, rotation_matrix
 
 
 @pytest.fixture(scope="module")
@@ -200,6 +200,24 @@ def test_param_collapsed_map_is_numerical_failure(tmp_path, sphere_file, monkeyp
     assert "error: " in result.output
     for name in ("sphere.obj", "vertex_ids.txt", "convergence.csv", "manifest.json"):
         assert not (out / name).exists()
+
+
+def test_param_warns_when_its_map_is_folded(tmp_path, sphere_file, monkeypatch):
+    # a folded map is still written, with the same exit code; stderr says so
+    def folded(surface, config):
+        result = parameterize(surface, dataclasses.replace(config, max_iters=1))
+        return dataclasses.replace(result, mapping=inverted_vertex_map(result.surface))
+
+    result = run("param", sphere_file, "--out", str(tmp_path / "clean"))
+    assert result.exit_code == 0 and result.stderr == ""
+    monkeypatch.setattr("authalic.cli.parameterize", folded)
+    out = tmp_path / "run"
+    result = run("param", sphere_file, "--out", str(out))
+    assert result.exit_code == 0
+    assert (out / "sphere.obj").exists()
+    folds, degree = (int(word.rstrip(",")) for word in result.stdout.split()[-3::2])
+    assert folds > 0
+    assert result.stderr == f"warning: {folds} folded faces, degree {degree}\n"
 
 
 def rejected_mesh(tmp_path, kind):

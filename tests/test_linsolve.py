@@ -174,6 +174,34 @@ def test_dirichlet_solve_factors_the_dissection_ordered_system(monkeypatch, elli
     assert np.array_equal(got[~interior], h.values[~interior])
 
 
+def test_dirichlet_solve_hands_superlu_a_coordinate_major_block(monkeypatch, ellipsoid3):
+    # the plane's real and imaginary columns reach SuperLU as the columns
+    # it works in, and solve as a row-major block would
+    f = conformal_initial_map(ellipsoid3)
+    lap = assemble_laplacian(ellipsoid3, face_geometry(ellipsoid3, f)).tocsr()
+    h = invert_plane(stereographic(f))
+    interior = disk_interior(h)
+    blocks = []
+    splu = spla.splu
+
+    class Factor:
+        def __init__(self, matrix, **kwargs):
+            self.lu = splu(matrix, **kwargs)
+
+        def solve(self, rhs, *args, **kwargs):
+            blocks.append(rhs)
+            return self.lu.solve(rhs, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", Factor)
+    got = dirichlet_solve(ellipsoid3, lap, h, interior).values
+    block, = blocks
+    assert block.shape[1] == 2 and block.flags.f_contiguous
+    order = ellipsoid3.dissection_order
+    idx = order[interior[order]]
+    x = solve(lap[idx][:, idx], np.ascontiguousarray(block))
+    assert np.array_equal(got[idx], x[:, 0] + 1j * x[:, 1])
+
+
 def test_singular_matrix_reported():
     a = sp.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(SolveError):

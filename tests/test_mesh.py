@@ -336,6 +336,70 @@ def test_disconnected_mesh_rejected():
                       np.vstack([ico.faces, faces + ico.n_vertices]))
 
 
+def directed_side_repeat(faces: np.ndarray, n: int):
+    """The reference orientation check, one sort of the directed side keys
+    a * n + b: the error message for the smallest key held twice, naming
+    the first two faces that hold it, or None."""
+    keys = faces.ravel() * n + faces[:, [1, 2, 0]].ravel()
+    ordered = np.sort(keys)
+    repeated = np.flatnonzero(np.diff(ordered) == 0)
+    if not repeated.size:
+        return None
+    key = ordered[repeated[0]]
+    first, second = np.flatnonzero(keys == key)[:2] // 3
+    return (f"inconsistently oriented faces: faces {first} and {second} "
+            f"both hold the directed side ({key // n}, {key % n})")
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_orientation_errors_name_the_smallest_repeated_directed_side(seed):
+    # up to five reversed faces on a relabelled icosphere: the sort orders
+    # sides by edge, so the first repeat it meets is often not the side
+    # the error names
+    rng = np.random.default_rng(seed)
+    base = make_icosphere(2)
+    perm = rng.permutation(base.n_vertices)
+    vertices = np.empty_like(base.vertices)
+    vertices[perm] = base.vertices
+    faces = perm[base.faces]
+    flip = rng.choice(base.n_faces, size=rng.integers(1, 6), replace=False)
+    faces[flip] = faces[flip][:, ::-1]
+    with pytest.raises(MeshTopologyError) as info:
+        build_surface(vertices, faces)
+    assert str(info.value) == directed_side_repeat(faces, base.n_vertices)
+
+
+@pytest.mark.parametrize("faces", [
+    *(make_icosphere(s).faces for s in range(5)),
+    ConvexHull(unit_hull(300, seed=2).vertices).simplices,
+    torus(12, 8, offset=0.0)[1],
+], ids=[*(f"icosphere-{s}" for s in range(5)), "hull-300", "torus"])
+def test_edge_table_equals_the_unique_sorted_pairs(faces):
+    pairs = np.sort(np.stack([faces.ravel(), faces[:, [1, 2, 0]].ravel()], axis=1), axis=1)
+    want, counts = np.unique(pairs, axis=0, return_counts=True)
+    edges, got = mesh.edge_table(faces)
+    assert edges.dtype == want.dtype and np.array_equal(edges, want)
+    assert np.array_equal(got, counts)
+
+
+def test_with_vertices_reuses_the_validated_face_list():
+    source = make_icosphere(2, (1.0, 0.8, 0.6))
+    moved = source.vertices @ rotation_matrix([1.0, 2.0, 3.0], 0.4).T * 2.0
+    rebuilt = build_surface(moved, source.faces.copy())
+    derived = mesh.with_vertices(source, moved)
+    assert derived.faces is source.faces and derived.edges is source.edges
+    assert np.array_equal(derived.face_areas, rebuilt.face_areas)
+    assert derived.total_area == rebuilt.total_area
+    # one dissection order, computed by whichever surface asks first
+    assert derived.dissection_order is source.dissection_order
+    with pytest.raises(MeshFormatError, match="vertices must be"):
+        mesh.with_vertices(source, moved[:-1])
+    flat = moved.copy()
+    flat[source.faces[0]] = flat[source.faces[0, 0]]
+    with pytest.raises(MeshTopologyError, match="zero-area face at index 0"):
+        mesh.with_vertices(source, flat)
+
+
 def test_out_of_range_and_degenerate_faces():
     t = regular_tetrahedron()
     bad = t.faces.copy()
@@ -390,8 +454,8 @@ def test_dissection_order_is_a_cached_permutation():
 
 
 def test_nested_dissection_leaves_nothing_for_the_collector():
-    # every alignment orders a new sphere mesh; a call that left a
-    # reference cycle would hold its adjacency until a full collection
+    # every new face list is ordered once; a call that left a reference
+    # cycle would hold its adjacency until a full collection
     surface = make_icosphere(3)
     gc.collect()
     enabled = gc.isenabled()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from authalic import registration
+from authalic import mesh, registration
 from authalic.energy import face_geometry, spherical_gradient
 from authalic.mesh import build_surface, make_icosphere, normalize_area
 from authalic.pipeline import parameterize
@@ -394,6 +394,29 @@ def test_alignments_stop_by_the_relative_gradient_test():
 def test_many_landmarks_align_within_the_default_cap():
     m0, m1, f0, f1, pairs = ellipsoid_pair(3, 64)
     assert_aligned(m0, m1, register(m0, m1, f0, f1, pairs))
+
+
+def test_register_aligns_on_its_meshes_face_lists(monkeypatch):
+    # each alignment's sphere mesh is its mesh's face list on the map:
+    # the list is neither validated nor ordered again
+    m0, m1, f0, f1, pairs = ellipsoid_pair(3, 8)
+    calls, surfaces = [], []
+    for name in ("build_surface", "nested_dissection"):
+        original = getattr(mesh, name)
+        monkeypatch.setattr(mesh, name, lambda *args, _name=name, _original=original:
+                            calls.append(_name) or _original(*args))
+    align = registration.solve_alignment
+
+    def spy(surface, *args, **kwargs):
+        surfaces.append(surface)
+        return align(surface, *args, **kwargs)
+
+    monkeypatch.setattr(registration, "solve_alignment", spy)
+    register(m0, m1, f0, f1, pairs, iters=5)
+    assert calls == []
+    for surface, m, f in zip(surfaces, (m0, m1), (f0, f1)):
+        assert surface.edges is m.edges and np.array_equal(surface.vertices, f)
+        assert surface.dissection_order is m.dissection_order
 
 
 def test_the_alignment_starts_from_the_best_rotation(monkeypatch):

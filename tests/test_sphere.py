@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from authalic.errors import MeshTopologyError
 from authalic.mesh import build_surface
 from authalic.sphere import (PlanarPoints, count_folds, inverse_stereographic,
                              invert_plane, project_tangent, project_to_manifold,
@@ -135,7 +138,10 @@ def test_count_folds(icosphere2):
     assert count_folds(icosphere2, f) == 0
     flipped = icosphere2.faces.copy()
     flipped[5] = flipped[5, [0, 2, 1]]
-    surf = build_surface(icosphere2.vertices, flipped)
+    # build_surface rejects the inconsistently oriented list
+    with pytest.raises(MeshTopologyError, match="inconsistently oriented"):
+        build_surface(icosphere2.vertices, flipped)
+    surf = dataclasses.replace(icosphere2, faces=flipped)
     assert count_folds(surf, f) == 1
 
 
