@@ -42,9 +42,12 @@ class SimplicialSurface:
     edges: np.ndarray
     face_areas: np.ndarray
     total_area: float
-    # data of the face list computed on first use, shared by every
-    # surface :func:`with_vertices` makes from this one or its source
+    # the vertices a face list was built with and data computed on them on first
+    # use, shared by every surface :func:`with_vertices` makes from this one
     _shared: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._shared.setdefault("vertices", self.vertices)
 
     @property
     def n_vertices(self) -> int:
@@ -71,14 +74,14 @@ class SimplicialSurface:
 
         A fill-reducing elimination order for every sparse system on the
         mesh graph, shared by every surface made from one face list (see
-        :func:`with_vertices`) and computed on the vertices of whichever
-        of them asks first.  A separator of the mesh graph stays a
-        separator of every induced subgraph, so the order restricted to a
-        vertex subset still orders that subsystem well.
+        :func:`with_vertices`) and computed on the vertices the list was
+        built with, whichever surface asks first.  A separator of the
+        mesh graph stays a separator of every induced subgraph, so the
+        order restricted to a vertex subset still orders that subsystem well.
         """
         order = self._shared.get("dissection_order")
         if order is None:
-            order = _freeze(nested_dissection(self.vertices, self.edges))
+            order = _freeze(nested_dissection(self._shared["vertices"], self.edges))
             self._shared["dissection_order"] = order
         return order
 
@@ -161,7 +164,8 @@ def build_surface(vertices, faces) -> SimplicialSurface:
         first, second = np.flatnonzero(held)[:2] // 3
         raise MeshTopologyError(f"inconsistently oriented faces: faces {first} and {second} "
                                 f"both hold the directed side ({a[k]}, {b[k]})")
-    return SimplicialSurface(vertices=_freeze(vertices), faces=_freeze(faces),
+    # frozen copies, made last into memory the checks freed: the caller's arrays stay writeable
+    return SimplicialSurface(vertices=_freeze(vertices.copy()), faces=_freeze(faces.copy()),
                              edges=_freeze(edges), face_areas=_freeze(areas),
                              total_area=float(areas.sum()))
 
@@ -177,7 +181,7 @@ def with_vertices(surface: SimplicialSurface, vertices) -> SimplicialSurface:
         raise MeshFormatError(f"vertices must be {surface.vertices.shape}, got {vertices.shape}")
     _check_genus(surface.n_vertices - surface.n_edges + surface.n_faces)
     areas = _checked_areas(vertices, surface.faces)
-    return replace(surface, vertices=_freeze(vertices), face_areas=_freeze(areas),
+    return replace(surface, vertices=_freeze(vertices.copy()), face_areas=_freeze(areas),
                    total_area=float(areas.sum()))
 
 

@@ -171,11 +171,30 @@ class ComposedMap:
 
 
 LOCATE_SYSTEMS = 4096 * 8
-"""Most (query, candidate) 3x3 systems in one stacked solve of
-:func:`locate_on_sphere`, about 2.4 MB of them."""
+"""Most (query, candidate face) pairs weighed in one batch of :func:`locate_on_sphere`."""
 LOCATE_TOL = 1e-12
-"""A candidate face contains a query when its least normalized
-barycentric weight is at least ``-LOCATE_TOL``."""
+"""A face contains a query when its least normalized weight is at least ``-LOCATE_TOL``."""
+
+
+def gnomonic_weights(points, a, b, c):
+    """Weights of `points` in the triangles a b c, (3, ...) like the inputs
+    (coordinate-major), and whether each triangle is usable, (...).
+
+    By Cramer's rule, w = (det[p b c], det[a p c], det[a b p]) over their
+    sum S weigh p's central projection onto the triangle's plane.  Each det
+    is p . (b' x c') of the corners relative to p, b' = b - p and so on, as
+    b x c cancels for nearby unit vectors.  A triangle is usable when
+    sum([a b c]^-1 p) = S / det[a b c] > 0, det[a b c] = det[a' b' c'] + S.
+    """
+    def triple(u, v, x):
+        return (u[0] * (v[1] * x[2] - v[2] * x[1]) + u[1] * (v[2] * x[0] - v[0] * x[2])
+                + u[2] * (v[0] * x[1] - v[1] * x[0]))
+
+    a, b, c = a - points, b - points, c - points
+    w = np.stack([triple(points, b, c), triple(points, c, a), triple(points, a, b)])
+    s = w[0] + w[1] + w[2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return w / s, np.sign(triple(a, b, c) + s) * s > 0
 
 
 def locate_on_sphere(points: np.ndarray, sphere_vertices: np.ndarray,
@@ -183,20 +202,17 @@ def locate_on_sphere(points: np.ndarray, sphere_vertices: np.ndarray,
     """Find, for each query unit vector, a containing spherical triangle.
 
     Candidate faces come in nearest-centroid order, in rounds that widen
-    fourfold: round r tries each still-unplaced query's candidates
-    [seen, k) for k = 8, 32, 128, ... up to all faces, with one tree
-    query and one stacked 3x3 solve of the gnomonic barycentric systems
-    [a b c] w = point per batch.  A query takes its first candidate whose
-    normalized weights are all >= -:data:`LOCATE_TOL`; a singular system or a
-    nonpositive weight sum skips the candidate.  Queries no face contains
-    fall back to the least-negative candidate (the first of equals) and
-    are counted.  Weights are clipped at zero and renormalized.  Returns
-    (face_indices, weights, fallback_count).
+    fourfold: round r weighs each still-unplaced query's candidates
+    [seen, k), k = 8, 32, 128, ... up to all faces, by
+    :func:`gnomonic_weights`, in batches of at most :data:`LOCATE_SYSTEMS`
+    pairs.  A query takes its first usable candidate whose weights are all
+    >= -:data:`LOCATE_TOL`; one that no face contains falls back to the
+    first least-negative usable candidate and is counted.  Weights are
+    clipped at zero and renormalized.  Returns (face_indices, weights,
+    fallback_count).
     """
-    centroids = project_to_manifold(sphere_vertices[faces].mean(axis=1))
-    tree = cKDTree(centroids)
-    m = faces.shape[0]
-    n = points.shape[0]
+    tree = cKDTree(project_to_manifold(sphere_vertices[faces].mean(axis=1)))
+    m, n = faces.shape[0], points.shape[0]
     face_out = np.full(n, -1, dtype=np.int64)
     weights_out = np.zeros((n, 3))
     # least weight of each query's pick so far: >= -LOCATE_TOL once it is inside
@@ -210,20 +226,9 @@ def locate_on_sphere(points: np.ndarray, sphere_vertices: np.ndarray,
             idx = todo[lo:lo + batch]
             p = points[idx]
             cand = tree.query(p, k=k)[1].reshape(len(p), k)[:, seen:]
-            systems = sphere_vertices[faces[cand]].swapaxes(-1, -2)
-            # slogdet's sign is 0 exactly when LU meets a zero pivot, the
-            # one case in which gesv raises (det can also underflow to 0);
-            # such a candidate is skipped instead of failing the stack
-            singular = np.linalg.slogdet(systems)[0] == 0
-            systems[singular] = np.eye(3)
-            rhs = np.broadcast_to(p[:, None, :, None], (*cand.shape, 3, 1))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                w = np.linalg.solve(systems, rhs)[..., 0]
-                s = w.sum(axis=-1)
-                w /= s[..., None]
-                worst = w.min(axis=-1)
-            # skipped candidates, and NaN weights, never become a pick
-            worst[singular | ~(s > 0) | np.isnan(worst)] = -np.inf
+            w, usable = gnomonic_weights(p.T[:, :, None], *(sphere_vertices.T[:, corner[cand]]
+                                                            for corner in faces.T))
+            worst = np.where(usable, w.min(axis=0), -np.inf)   # never a pick if unusable
             inside = worst >= -LOCATE_TOL
             # the first candidate inside, else the first least-negative one;
             # it replaces the pick of an earlier round only if it is better
@@ -232,7 +237,7 @@ def locate_on_sphere(points: np.ndarray, sphere_vertices: np.ndarray,
             take = worst[rows, pick] > best[idx]
             idx, rows, pick = idx[take], rows[take], pick[take]
             face_out[idx] = cand[rows, pick]
-            weights_out[idx] = w[rows, pick]
+            weights_out[idx] = w[:, rows, pick].T
             best[idx] = worst[rows, pick]
         todo = todo[best[todo] < -LOCATE_TOL]
         seen, k = k, min(4 * k, m)
@@ -263,10 +268,8 @@ def compose_registration(m0, m1, f0: np.ndarray, f1: np.ndarray,
     h0 and h1 are read: m0, f0 and f1 stay in the signature because the
     benchmark calls it positionally with all six.
     """
-    faces, weights, fallbacks = locate_on_sphere(np.asarray(h0, dtype=np.float64),
-                                                 np.asarray(h1, dtype=np.float64),
-                                                 m1.faces)
-    return composed_map(m1, faces, weights, fallbacks)
+    return composed_map(m1, *locate_on_sphere(np.asarray(h0, dtype=np.float64),
+                                              np.asarray(h1, dtype=np.float64), m1.faces))
 
 
 @dataclass(frozen=True)

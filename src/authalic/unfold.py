@@ -27,15 +27,6 @@ from .sphere import (PlanarPoints, count_folds, inverse_stereographic,
 MAX_SWEEPS = 3
 
 
-def _corner_angles(u: np.ndarray, v: np.ndarray):
-    """Angle between complex edge vectors u, v in (0, pi), plus the data
-    needed for a stable tan(angle/2)."""
-    cross = np.abs(np.imag(np.conj(u) * v))
-    dot = np.real(np.conj(u) * v)
-    lengths = np.abs(u) * np.abs(v)
-    return cross, dot, lengths
-
-
 def assemble_mean_value(surface, h: PlanarPoints) -> sp.csr_matrix:
     """Mean-value-weighted Laplacian of a planar mapping.
 
@@ -56,7 +47,9 @@ def assemble_mean_value(surface, h: PlanarPoints) -> sp.csr_matrix:
     for c in range(3):
         u = tri[:, (c + 1) % 3] - tri[:, c]
         v = tri[:, (c + 2) % 3] - tri[:, c]
-        cross, dot, lengths = _corner_angles(u, v)
+        # |u x v|, u . v and |u| |v|, for the angle and a stable tan(angle / 2)
+        uv = np.conj(u) * v
+        cross, dot, lengths = np.abs(uv.imag), uv.real, np.abs(u) * np.abs(v)
         if (lengths < 1e-14).any():
             bad = int(np.flatnonzero(lengths < 1e-14)[0])
             raise DegenerateFaceError("coincident planar points on a face",

@@ -12,6 +12,7 @@ from scipy.spatial import ConvexHull, cKDTree
 from authalic import mesh
 from authalic.energy import _corner_weights, assemble_laplacian, check_geometry, face_geometry
 from authalic.mesh import build_surface, make_icosphere
+from authalic.registration import gnomonic_weights
 from authalic.sphere import project_to_manifold
 
 
@@ -188,12 +189,14 @@ def icosphere_by_midpoint_dict(subdivisions, radii=(1.0, 1.0, 1.0)):
 
 def locate_one_by_one(points, sphere_vertices, faces, tol=1e-12):
     """Spherical point location query by query: the reference for the
-    batched `locate_on_sphere`.  Each query tries its 8, 32, 128, ...
-    nearest-centroid faces in order, skipping singular systems and
-    nonpositive weight sums, and takes the first triangle whose
-    normalized weights are all >= -tol, else the least-negative one; a
-    query with no usable candidate raises ``ValueError``, as the library
-    does.  Returns (faces, weights, fallback_count)."""
+    search order of the batched `locate_on_sphere`, weighing each
+    candidate with the same kernel, `registration.gnomonic_weights`, so
+    that the two agree bitwise.  Each query tries its 8, 32, 128, ...
+    nearest-centroid faces in order, skipping unusable candidates
+    (singular or back-facing triangles), and takes the first triangle
+    whose normalized weights are all >= -tol, else the least-negative
+    one; a query with no usable candidate raises ``ValueError``, as the
+    library does.  Returns (faces, weights, fallback_count)."""
     tree = cKDTree(project_to_manifold(sphere_vertices[faces].mean(axis=1)))
     m = faces.shape[0]
     face_out = np.full(len(points), -1, dtype=np.int64)
@@ -204,15 +207,12 @@ def locate_one_by_one(points, sphere_vertices, faces, tol=1e-12):
         k, seen = 8, 0
         while face_out[idx] < 0 and seen < m:
             k = min(k, m)
-            for fi in np.atleast_1d(tree.query(p, k=k)[1])[seen:]:
-                try:
-                    w = np.linalg.solve(sphere_vertices[faces[fi]].T, p)
-                except np.linalg.LinAlgError:
+            cand = np.atleast_1d(tree.query(p, k=k)[1])[seen:]
+            corners = sphere_vertices[faces[cand]]
+            weights, usable = gnomonic_weights(p[:, None], *corners.transpose(1, 2, 0))
+            for fi, w, ok in zip(cand, weights.T, usable):
+                if not ok:
                     continue
-                s = w.sum()
-                if s <= 0:
-                    continue
-                w = w / s
                 if w.min() >= -tol:
                     face_out[idx], best = fi, (w.min(), fi, w)
                     break

@@ -12,6 +12,8 @@ from authalic.mesh import (build_surface, load_mesh, make_icosphere, normalize_a
                            parse_landmarks, perturb_vertices, save_mesh,
                            side_laplacian, vertex_normals)
 from authalic.pipeline import ParameterizeConfig, parameterize
+from authalic.registration import register
+from authalic.sphere import project_to_manifold
 
 from helpers import (icosphere_by_midpoint_dict, regular_tetrahedron, rotation_matrix,
                      unit_hull)
@@ -390,7 +392,7 @@ def test_with_vertices_reuses_the_validated_face_list():
     assert derived.faces is source.faces and derived.edges is source.edges
     assert np.array_equal(derived.face_areas, rebuilt.face_areas)
     assert derived.total_area == rebuilt.total_area
-    # one dissection order, computed by whichever surface asks first
+    # one dissection order, computed on the vertices the list was built with
     assert derived.dissection_order is source.dissection_order
     with pytest.raises(MeshFormatError, match="vertices must be"):
         mesh.with_vertices(source, moved[:-1])
@@ -398,6 +400,33 @@ def test_with_vertices_reuses_the_validated_face_list():
     flat[source.faces[0]] = flat[source.faces[0, 0]]
     with pytest.raises(MeshTopologyError, match="zero-area face at index 0"):
         mesh.with_vertices(source, flat)
+
+
+def test_building_leaves_the_callers_arrays_writeable():
+    source = make_icosphere(1)
+    v, f = source.vertices.copy(), source.faces.copy()
+    surface = build_surface(v, f)
+    moved = mesh.with_vertices(surface, v)
+    assert v.flags.writeable and f.flags.writeable
+    v[0], f[0] = 0.0, 0
+    assert np.array_equal(surface.vertices, source.vertices)
+    assert np.array_equal(moved.vertices, source.vertices)
+    assert np.array_equal(surface.faces, source.faces)
+
+
+def test_the_dissection_order_does_not_depend_on_call_history():
+    # a registration asks for the shared order first, on its sphere mesh;
+    # a later run on the mesh must still equal one on a fresh copy
+    def ellipsoid():
+        return normalize_area(make_icosphere(4, (1.0, 0.8, 0.6)))
+
+    registered = ellipsoid()
+    f = project_to_manifold(registered.vertices)
+    pairs = np.array([[3, 3], [40, 40], [77, 77], [120, 120], [150, 150]])
+    register(registered, registered, f, f, pairs, iters=1)
+    config = ParameterizeConfig(method="paper", max_iters=5)
+    assert np.array_equal(parameterize(registered, config).mapping,
+                          parameterize(ellipsoid(), config).mapping)
 
 
 def test_out_of_range_and_degenerate_faces():

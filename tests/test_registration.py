@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from authalic import mesh, registration
@@ -10,7 +12,7 @@ from authalic.registration import (RegistrationObjective, compose_registration,
                                    geodesic_mismatch, homotopy_frame, landmark_rotation,
                                    locate_on_sphere, midpoint_targets, register,
                                    solve_alignment)
-from authalic.sphere import count_folds, project_to_manifold
+from authalic.sphere import count_folds, project_tangent, project_to_manifold
 
 from helpers import (central_difference_gradient, inverted_vertex_map, locate_one_by_one,
                      regular_tetrahedron, rotation_matrix)
@@ -368,6 +370,26 @@ def test_locate_skips_a_singular_candidate(icosphere2):
     assert (faces != top).all()
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.floats(0.0, 0.45), st.integers(0, 2**32 - 1))
+def test_locate_in_a_fold_free_triangulation(subdivisions, jitter, seed):
+    # a turned sphere mesh with its vertices moved along the sphere by up
+    # to about `jitter` edge lengths; queries are random directions and
+    # the vertices themselves, each on the boundary of several faces
+    sphere = make_icosphere(subdivisions)
+    rng = np.random.default_rng(seed)
+    v = sphere.vertices @ rotation_matrix(rng.normal(size=3), rng.uniform(0, 2 * np.pi)).T
+    edge = np.linalg.norm(v[sphere.edges[:, 0]] - v[sphere.edges[:, 1]], axis=1).min()
+    f = project_to_manifold(v + project_tangent(v, jitter * edge * rng.uniform(-1, 1, v.shape)))
+    assume(count_folds(sphere, f) == 0)
+    points = np.vstack([random_unit_vectors(500, seed), f])
+    faces, weights, fallbacks = locate_on_sphere(points, f, sphere.faces)
+    assert fallbacks == 0
+    assert (weights >= 0).all() and np.abs(weights.sum(axis=1) - 1.0).max() <= 1e-12
+    image = np.einsum("nk,nkd->nd", weights, f[sphere.faces[faces]])
+    assert np.abs(project_to_manifold(image) - points).max() <= 1e-12
+
+
 def ellipsoid_pair(subdivisions, landmarks):
     """The benchmark's register-pair shapes, unrotated, their default
     parameterizations, and `landmarks` pairs of one vertex id on both."""
@@ -382,13 +404,38 @@ def assert_aligned(m0, m1, reg):
     assert reg.mismatch_after <= 0.1 * reg.mismatch_before
 
 
-def test_alignments_stop_by_the_relative_gradient_test():
+@pytest.fixture(scope="module")
+def registered_ellipsoids():
     m0, m1, f0, f1, pairs = ellipsoid_pair(4, 8)
-    reg = register(m0, m1, f0, f1, pairs, iters=200)
+    return m0, m1, register(m0, m1, f0, f1, pairs, iters=200)
+
+
+def test_alignments_stop_by_the_relative_gradient_test(registered_ellipsoids):
+    m0, m1, reg = registered_ellipsoids
     for aligned in (reg.h0, reg.h1):
         assert aligned.status == "grad_converged"
         assert len(aligned.records) < registration.DEFAULT_ALIGN_ITERS
     assert_aligned(m0, m1, reg)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="np.longdouble is no wider than float64 here")
+def test_located_weights_match_an_extended_precision_evaluation(registered_ellipsoids):
+    # Cramer's rule on the raw corners in 80-bit arithmetic, clipped and
+    # renormalized as the library does: its 11 extra bits absorb the
+    # cancellation of b x c.  Stacked LU solves of [a b c] w = p read
+    # 9.9e-16 off it on this pair; the triple products of the corners
+    # relative to p read 1.8e-16, and those of the raw corners 1.3e-14
+    _, m1, reg = registered_ellipsoids
+    composed = reg.composed
+    p = reg.h0.mapping.astype(np.longdouble)
+    a, b, c = reg.h1.mapping.astype(np.longdouble)[m1.faces[composed.face_indices]].swapaxes(0, 1)
+    det = lambda x, y, z: np.sum(x * np.cross(y, z), axis=1)
+    w = np.stack([det(p, b, c), det(a, p, c), det(a, b, p)], axis=1)
+    w = np.clip(w / w.sum(axis=1, keepdims=True), 0, None)
+    w /= w.sum(axis=1, keepdims=True)
+    assert composed.fallback_count == 0
+    assert np.abs(composed.weights - w).max() <= 4e-16
 
 
 def test_many_landmarks_align_within_the_default_cap():
