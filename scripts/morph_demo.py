@@ -24,9 +24,17 @@ def main():
     ap.add_argument("--landmarks", type=int, default=5)
     ap.add_argument("--lam", type=float, default=DEFAULT_LAMBDA)
     args = ap.parse_args()
+    if args.frames < 2:
+        ap.error(f"argument --frames: must be >= 2, got {args.frames}")
+    if args.subdivisions < 0:
+        ap.error(f"argument --subdivisions: must be >= 0, got {args.subdivisions}")
+    if not 0 < args.lam < float("inf"):
+        ap.error(f"argument --lam: must be > 0 and finite, got {args.lam}")
 
     m0 = normalize_area(make_icosphere(args.subdivisions, (1.0, 0.75, 0.9)))
     m1 = normalize_area(make_icosphere(args.subdivisions, (0.7, 1.0, 0.8)))
+    if not 1 <= args.landmarks <= m0.n_vertices:
+        ap.error(f"argument --landmarks: must be in [1, {m0.n_vertices}], got {args.landmarks}")
     rng = np.random.default_rng(0)
     idx = rng.choice(m0.n_vertices, size=args.landmarks, replace=False)
     pairs = np.stack([idx, idx], axis=1)

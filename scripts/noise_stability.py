@@ -29,6 +29,14 @@ def main():
     args = ap.parse_args()
     if args.max_iters is not None and args.max_iters < 0:
         ap.error(f"argument --max-iters: must be >= 0, got {args.max_iters}")
+    if args.subdivisions < 0:
+        ap.error(f"argument --subdivisions: must be >= 0, got {args.subdivisions}")
+    if args.seed < 0:
+        ap.error(f"argument --seed: must be >= 0, got {args.seed}")
+    for sigma in args.sigmas:
+        # a zero sigma moves no vertex, so the relative error divides by zero
+        if not 0 < sigma < float("inf"):
+            ap.error(f"argument --sigmas: must be > 0 and finite, got {sigma}")
 
     raw = load_mesh(args.mesh) if args.mesh else make_icosphere(
         args.subdivisions, (1.0, 0.8, 0.6))

@@ -22,6 +22,8 @@ def main():
     args = ap.parse_args()
     if args.max_iters is not None and args.max_iters < 0:
         ap.error(f"argument --max-iters: must be >= 0, got {args.max_iters}")
+    if args.subdivisions < 0:
+        ap.error(f"argument --subdivisions: must be >= 0, got {args.subdivisions}")
 
     if args.mesh:
         surface = load_mesh(args.mesh)

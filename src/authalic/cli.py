@@ -89,8 +89,8 @@ _MAX_HELP = ("Descent iterations (default: "
 @click.option("--method", type=_METHOD, default=ParameterizeConfig.method,
               show_default=True, help=_METHOD_HELP)
 @click.option("--max-iters", type=_COUNT, default=None, help=_MAX_HELP)
-@click.option("--noise-sigma", type=click.FloatRange(min=0), default=0.0, show_default=True,
-              help="Gaussian vertex-normal noise applied to the raw input mesh.")
+@click.option("--noise-sigma", type=click.FloatRange(min=0), callback=_finite, default=0.0,
+              show_default=True, help="Gaussian vertex-normal noise on the raw input mesh.")
 @click.option("--seed", default=0, show_default=True)
 @click.option("--log", "log_path", type=click.Path(dir_okay=False), default=None,
               help="Convergence CSV path (default: <out>/convergence.csv).")

@@ -4,13 +4,13 @@ Produces the initial spherical mapping for gradient descent: the two
 start maps, radial (each vertex's direction from the centroid) and
 conformal (harmonic flattening of the once-punctured mesh, lifted to the
 sphere, from the reference cotangent Laplacian), of which the pipeline
-takes the first fold-free one in its method's order, then alternating
-hemisphere solves of the image-weighted Laplacian in the stereographic
-plane with median rescaling.  The iteration is cheap but not monotone;
-the caller can stop as soon as the authalic energy first increases and
-roll back one step.  The conformal start, these solves and fold correction
-(:mod:`authalic.unfold`) share one restricted planar solve,
-:func:`dirichlet_solve`.
+takes the first fold-free one in its method's order, then hemisphere
+solves of the image-weighted Laplacian in the stereographic plane of
+alternating poles, with median rescaling.  The iteration is cheap but
+not monotone; the caller can stop as soon as the authalic energy first
+increases and roll back one step.  The conformal start, these solves and
+fold correction (:mod:`authalic.unfold`) share one restricted planar
+solve, :func:`dirichlet_solve`.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from . import energy as en
 from .errors import DegenerateFaceError, SolveError
 from .linsolve import solve
 from .rgd import IterationRecord, MinimizeResult, make_record
-from .sphere import (PlanarPoints, count_folds, inverse_stereographic,
-                     invert_plane, row_dots, stereographic)
+from .sphere import (PlanarPoints, count_folds, inverse_stereographic, row_dots,
+                     stereographic)
 
 # disk radius of the hemisphere solves: each re-solves the finite points
 # with |h| < RADIUS, so the two hemispheres' disks overlap
@@ -143,11 +143,12 @@ def fpi_minimize(surface, f0: np.ndarray, max_iters: int,
                  stop_on_increase: bool = True) -> MinimizeResult:
     """Alternating hemisphere fixed-point iteration from `f0`.
 
-    Each iteration: rebuild the image-weighted Laplacian from the face
-    geometry of the current mapping (the one its record holds), invert the
-    plane (swapping hemispheres), re-solve the interior {|h| < RADIUS},
-    rescale to unit median magnitude, and lift back to the sphere.  Stops at
-    the first authalic-energy increase when `stop_on_increase`
+    Iteration k rebuilds the image-weighted Laplacian from the face geometry
+    of the current mapping (the one its record holds), projects that mapping
+    from the pole (0, 0, (-1)^k) (south first, so the re-solved hemisphere
+    alternates), re-solves the interior {|h| < RADIUS}, rescales to unit
+    median magnitude and lifts back through the same pole.  Stops at the
+    first authalic-energy increase when `stop_on_increase`
     (``"authalic_increased"``), at the first stretch-energy increase
     (``"stretch_increased"``), once the stretch-energy decrease drops to
     :data:`STRETCH_DECREASE_TOL` (``"delta_converged"``), or after `max_iters`
@@ -160,12 +161,6 @@ def fpi_minimize(surface, f0: np.ndarray, max_iters: int,
     current = np.asarray(f0, dtype=np.float64).copy()
     if max_iters == 0:
         return MinimizeResult(current, [], "max_iters")
-    # the working plane accumulates one inversion per iteration (that is
-    # what alternates the hemispheres); an inversion is a reflection on
-    # the sphere, so lifts at odd parity are inverted once more to keep
-    # every reported mapping in the input orientation
-    h = stereographic(current)
-    flipped = False
     geom = en.face_geometry(surface, current)
     geom.stretch  # the start's energies; raises on a degenerate total area
     records: list[IterationRecord] = []
@@ -173,16 +168,16 @@ def fpi_minimize(surface, f0: np.ndarray, max_iters: int,
 
     for k in range(1, max_iters + 1):
         lap = en.assemble_laplacian(surface, geom)
-        h = invert_plane(h)
-        flipped = not flipped
+        pole = (-1.0) ** k
+        h = stereographic(current, pole)
         h = dirichlet_solve(surface, lap, h, disk_interior(h))
         with np.errstate(over="ignore"):
             mags = np.where(h.at_infinity, np.inf, np.abs(h.values))
         scale = np.median(mags)
         if not (np.isfinite(scale) and scale > 0):
             raise DegenerateFaceError(f"FPI iteration {k}: median planar magnitude {scale}")
-        h = PlanarPoints(values=h.values / scale, at_infinity=h.at_infinity)
-        f_new = inverse_stereographic(invert_plane(h) if flipped else h)
+        f_new = inverse_stereographic(
+            PlanarPoints(values=h.values / scale, at_infinity=h.at_infinity), pole)
         geom_new = en.face_geometry(surface, f_new)
         records.append(make_record(geom_new, k, None, None, time.perf_counter() - start))
         if stop_on_increase and geom_new.authalic > geom.authalic:

@@ -512,8 +512,8 @@ def vertex_normals(surface: SimplicialSurface) -> np.ndarray:
 
 def perturb_vertices(surface: SimplicialSurface, sigma_noise: float, seed: int) -> SimplicialSurface:
     """Displace each vertex along its normal by N(0, sigma_noise^2) noise."""
-    if sigma_noise < 0:
-        raise ValueError("sigma_noise must be >= 0")
+    if not (np.isfinite(sigma_noise) and sigma_noise >= 0):
+        raise ValueError(f"sigma_noise must be finite and >= 0, got {sigma_noise}")
     rng = np.random.default_rng(seed)
     amplitude = rng.normal(0.0, sigma_noise, surface.n_vertices)
     moved = surface.vertices + amplitude[:, None] * vertex_normals(surface)

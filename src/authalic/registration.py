@@ -309,6 +309,8 @@ def register(m0, m1, f0: np.ndarray, f1: np.ndarray, pairs: np.ndarray,
     difference.  Each map is aligned on its mesh's face list, reused by
     :func:`~authalic.mesh.with_vertices` with its validation and order.
     """
+    if pairs.ndim != 2 or pairs.shape[0] < 1 or pairs.shape[1] != 2:
+        raise ValueError(f"landmark pairs must have shape (k, 2), k >= 1; got {pairs.shape}")
     a, b = f0[pairs[:, 0]], f1[pairs[:, 1]]
     rotation = landmark_rotation(a, b, 1.0)
     targets = midpoint_targets(f0, f1, pairs)

@@ -6,7 +6,8 @@ rows are orthogonal to the corresponding mapping rows.  Either may be
 in either memory order: :func:`project_tangent`, :func:`retract` and
 :func:`project_to_manifold` keep the order they are given, and the
 descent's arrays are coordinate-major (:mod:`authalic.rgd`).  Planar
-images live on the extended complex plane and carry an explicit
+images are stereographic projections from the north or the south pole;
+they live on the extended complex plane and carry an explicit
 point-at-infinity mask rather than overflowing floats.
 """
 
@@ -27,8 +28,8 @@ class PlanarPoints:
     """Points on the extended complex plane.
 
     `values[i]` is meaningful only where `at_infinity[i]` is False; at
-    most a handful of vertices (typically the north-pole image) are
-    flagged.
+    most a handful of vertices (typically the image of the projection's
+    pole) are flagged.
     """
 
     values: np.ndarray
@@ -87,22 +88,25 @@ def project_to_manifold(g: np.ndarray) -> np.ndarray:
     return g / norms
 
 
-def stereographic(f: np.ndarray) -> PlanarPoints:
-    """North-pole stereographic projection (x, y, z) -> (x + iy)/(1 - z)."""
+def stereographic(f: np.ndarray, pole: float = 1.0) -> PlanarPoints:
+    """Projection from the pole (0, 0, `pole`), `pole` = +-1: (x, y, z) ->
+    (x + iy)/(1 - pole z), a row within 1e-15 of the pole flagged at
+    infinity.  The south-pole plane is 1/conj of the north-pole plane."""
     f = np.asarray(f, dtype=np.float64)
-    one_minus_z = 1.0 - f[:, 2]
-    at_inf = one_minus_z < 1e-15
+    denominator = 1.0 - pole * f[:, 2]
+    at_inf = denominator < 1e-15
     values = np.zeros(f.shape[0], dtype=np.complex128)
     safe = ~at_inf
-    values[safe] = (f[safe, 0] + 1j * f[safe, 1]) / one_minus_z[safe]
+    values[safe] = (f[safe, 0] + 1j * f[safe, 1]) / denominator[safe]
     return PlanarPoints(values=values, at_infinity=at_inf)
 
 
-def inverse_stereographic(h: PlanarPoints) -> np.ndarray:
-    """Lift extended-plane points back to the unit sphere.
+def inverse_stereographic(h: PlanarPoints, pole: float = 1.0) -> np.ndarray:
+    """Lift extended-plane points back to the unit sphere through the pole
+    (0, 0, `pole`); infinity-flagged and non-finite points map to the pole.
 
-    Infinity-flagged points map to the north pole.  The z coordinate is
-    evaluated as 1 - 2/(|h|^2 + 1), which stays finite for huge |h|.
+    The z coordinate is evaluated as pole (1 - 2/(|h|^2 + 1)), which stays
+    finite for huge |h|.
     """
     u, v = h.values.real, h.values.imag
     with np.errstate(over="ignore"):
@@ -110,24 +114,9 @@ def inverse_stereographic(h: PlanarPoints) -> np.ndarray:
         out = np.empty((h.n, 3), dtype=np.float64)
         out[:, 0] = 2.0 * u / t1
         out[:, 1] = 2.0 * v / t1
-        out[:, 2] = 1.0 - 2.0 / t1
-    out[~np.isfinite(out).all(axis=1)] = (0.0, 0.0, 1.0)
-    out[h.at_infinity] = (0.0, 0.0, 1.0)
+        out[:, 2] = pole * (1.0 - 2.0 / t1)
+    out[~np.isfinite(out).all(axis=1) | h.at_infinity] = (0.0, 0.0, pole)
     return out
-
-
-def invert_plane(h: PlanarPoints) -> PlanarPoints:
-    """Inversion z -> 1/conj(z), swapping 0 and the point at infinity.
-
-    Magnitudes below 1e-300 would overflow the quotient, so they are
-    treated as the origin and sent to the infinity flag.
-    """
-    zero = (np.abs(h.values) <= 1e-300) & ~h.at_infinity
-    values = np.zeros_like(h.values)
-    safe = ~zero & ~h.at_infinity
-    values[safe] = 1.0 / np.conj(h.values[safe])
-    # previous infinities land at the origin, previous origins at infinity
-    return PlanarPoints(values=values, at_infinity=zero)
 
 
 def count_folds(surface, f: np.ndarray) -> int:

@@ -1,11 +1,10 @@
 """Fold removal by mean-value-weighted re-solves in the plane.
 
 A spherical mapping with inverted faces is projected to the extended
-complex plane, the disk-side vertices {|h| < fpi.RADIUS} are recomputed
-from a mean-value-weighted Laplacian (whose weights stay positive even
-on flipped triangles, unlike cotangents), the plane is inverted to swap
-hemispheres, and the solve is repeated; the plane is inverted back
-before lifting so the original orientation is preserved.
+complex plane from the north pole, its disk {|h| < fpi.RADIUS} is
+re-solved from a mean-value-weighted Laplacian (whose weights stay
+positive even on flipped triangles, unlike cotangents) and lifted back,
+and the pass is repeated from the south pole; other rows keep their value.
 """
 
 from __future__ import annotations
@@ -21,8 +20,7 @@ from .fpi import dirichlet_solve, disk_interior
 # because perfbench/spans.py wraps it under this name
 from .linsolve import solve  # noqa: F401
 from .mesh import side_laplacian
-from .sphere import (PlanarPoints, count_folds, inverse_stereographic,
-                     invert_plane, stereographic)
+from .sphere import PlanarPoints, count_folds, inverse_stereographic, stereographic
 
 MAX_SWEEPS = 3
 
@@ -73,19 +71,26 @@ class CorrectionResult:
     sweeps: int
 
 
-def _solve_pass(surface, h: PlanarPoints) -> PlanarPoints:
-    return dirichlet_solve(surface, assemble_mean_value(surface, h), h, disk_interior(h))
+def _solve_pass(surface, f: np.ndarray, pole: float) -> np.ndarray:
+    # the disk of f's projection from the pole, re-solved; other rows copied
+    h = stereographic(f, pole)
+    interior = disk_interior(h)
+    h = dirichlet_solve(surface, assemble_mean_value(surface, h), h, interior)
+    out = f.copy()
+    out[interior] = inverse_stereographic(h, pole)[interior]
+    return out
 
 
 def correct_bijectivity(surface, f: np.ndarray) -> CorrectionResult:
     """Unfold inverted faces of a spherical mapping.
 
-    Runs southern+northern pass pairs while folds remain, at most
-    :data:`MAX_SWEEPS` of them; each pass re-solves the disk
-    {|h| < :data:`~authalic.fpi.RADIUS`} of its hemisphere and holds every
-    other vertex.  Folds are counted by :func:`~authalic.sphere.count_folds`,
-    the face-geometry fold rule.  A fold-free mapping is returned as
-    given, with no sweep: embedded configurations are fixed points of the
+    Runs sweeps while folds remain, at most :data:`MAX_SWEEPS` of them; a
+    sweep is a pass projected from the north pole, then one from the south
+    pole.  Each pass re-solves the disk {|h| < :data:`~authalic.fpi.RADIUS`}
+    of the opposite hemisphere and returns every other row unchanged.
+    Folds are counted by :func:`~authalic.sphere.count_folds`, the
+    face-geometry fold rule.  A fold-free mapping is returned as given,
+    with no sweep: embedded configurations are fixed points of the
     mean-value solve, so a sweep could only add solver roundoff.  Folds
     may survive on hard inputs; the counts are reported rather than
     asserted away.  A mapping with a non-finite row raises
@@ -100,10 +105,7 @@ def correct_bijectivity(surface, f: np.ndarray) -> CorrectionResult:
     sweeps = 0
     folds_after = folds_before
     while folds_after > 0 and sweeps < MAX_SWEEPS:
-        h = _solve_pass(surface, stereographic(mapping))
-        h = _solve_pass(surface, invert_plane(h))
-        # invert back so the lift restores the original hemispheres
-        mapping = inverse_stereographic(invert_plane(h))
+        mapping = _solve_pass(surface, _solve_pass(surface, mapping, 1.0), -1.0)
         sweeps += 1
         folds_after = count_folds(surface, mapping)
     return CorrectionResult(mapping=mapping, folds_before=folds_before,

@@ -20,9 +20,8 @@ from authalic.mesh import build_surface, load_mesh, make_icosphere, normalize_ar
 from authalic.pipeline import ParameterizeConfig, parameterize
 from authalic.registration import compose_registration, homotopy_frame, register
 from authalic.rgd import NormalizedStretchObjective, minimize
-from authalic.sphere import (PlanarPoints, inverse_stereographic, invert_plane,
-                             project_tangent, project_to_manifold, retract,
-                             stereographic)
+from authalic.sphere import (inverse_stereographic, project_tangent, project_to_manifold,
+                             retract, stereographic)
 from authalic.unfold import assemble_mean_value, correct_bijectivity
 
 from helpers import (bumpy_sphere, central_difference_gradient,
@@ -161,8 +160,10 @@ def test_criterion_7_geometry_round_trips():
     g = rng.normal(size=f.shape)
     once = project_tangent(f, g)
     idem = np.abs(project_tangent(f, once) - once).max()
-    z = PlanarPoints.finite(rng.normal(size=50) + 1j * rng.normal(size=50))
-    invol = np.abs(invert_plane(invert_plane(z)).values - z.values).max()
+    # the south-pole plane is the inverted north-pole plane: relative error
+    # of stereographic(f, -1) = 1 / conj(stereographic(f))
+    north = stereographic(f).values
+    invol = np.abs(stereographic(f, -1.0).values * np.conj(north) - 1.0).max()
     ok = round_trip <= 1e-12 and unit_err <= 1e-12 and idem <= 1e-12 and invol <= 1e-12
     report("criterion 7 (geometry round trips)", ok,
            f"stereo {round_trip:.1e}, retract {unit_err:.1e}, projector {idem:.1e}, "
@@ -186,10 +187,10 @@ def test_criterion_8_fpi_monitor_and_pipeline():
 
     monitored = fpi_minimize(surf, f0, max_iters=60, stop_on_increase=True)
     increase_found = monitored.status == "authalic_increased"
-    # FPI's solve on the inverted plane of the start and of the result
+    # FPI's first solve, on the south-pole plane of the start and of the results
     boundary_ok = all(
         boundary_held(surf, assemble_laplacian(surf, face_geometry(surf, f)),
-                      invert_plane(stereographic(f)))[1]
+                      stereographic(f, -1.0))[1]
         for f in (f0, monitored.mapping, fpi_only.mapping))
 
     warm = fpi_minimize(surf, f0, max_iters=10, stop_on_increase=True)
@@ -210,11 +211,13 @@ def test_criterion_9_bijectivity_correction():
     f[vertex] = 2.0 * surf.vertices[neighbors[0]] - f[vertex]
     f = project_to_manifold(f)
     result = correct_bijectivity(surf, f)
-    # the correction's first sweep, solved directly: a southern and a
-    # northern pass
+    # the correction's first sweep, solved directly: a southern pass in the
+    # north-pole plane, its disk lifted, then a northern one in the south-pole
+    # plane
     h = stereographic(f)
-    h, south_ok = boundary_held(surf, assemble_mean_value(surf, h), h)
-    h = invert_plane(h)
+    out, south_ok = boundary_held(surf, assemble_mean_value(surf, h), h)
+    f = np.where(disk_interior(h)[:, None], inverse_stereographic(out), f)
+    h = stereographic(f, -1.0)
     _, north_ok = boundary_held(surf, assemble_mean_value(surf, h), h)
     boundary_ok = south_ok and north_ok
     ok = result.folds_before >= 1 and result.folds_after == 0 and boundary_ok

@@ -6,10 +6,10 @@ import pytest
 
 from authalic.energy import euclidean_gradient, face_geometry
 from authalic.errors import DegenerateFaceError
-from authalic.sphere import (PlanarPoints, count_folds, inverse_stereographic, invert_plane,
+from authalic.sphere import (PlanarPoints, count_folds, inverse_stereographic,
                              project_to_manifold, stereographic)
 from authalic.fpi import dirichlet_solve, disk_interior
-from authalic.unfold import assemble_mean_value, correct_bijectivity
+from authalic.unfold import _solve_pass, assemble_mean_value, correct_bijectivity
 
 from helpers import dense_mean_value_laplacian, inverted_vertex_map, regular_tetrahedron
 
@@ -80,16 +80,18 @@ def test_mean_value_straight_angle_rejected():
 
 
 def sweep_holding_boundary(surface, f):
-    """One southern+northern sweep of mean-value solves, run directly;
-    each pass must return every vertex outside its disk bitwise unchanged."""
-    h = stereographic(f)
-    for _ in ("south", "north"):
+    """One sweep of mean-value solves, run directly: a pass projected from
+    the north pole, then one from the south pole, each lifting only its
+    disk; each solve must return every vertex outside its disk bitwise
+    unchanged."""
+    for pole in (1.0, -1.0):
+        h = stereographic(f, pole)
         interior = disk_interior(h)
         out = dirichlet_solve(surface, assemble_mean_value(surface, h), h, interior)
         assert np.array_equal(out.values[~interior], h.values[~interior])
         assert np.array_equal(out.at_infinity, h.at_infinity)
-        h = invert_plane(out)
-    return inverse_stereographic(h)
+        f = np.where(interior[:, None], inverse_stereographic(out, pole), f)
+    return f
 
 
 def test_fold_free_mapping_is_fixed_point(icosphere2):
@@ -144,6 +146,17 @@ def test_constructed_fold_removed(icosphere2):
     # that sweep, run directly, holds each pass's boundary
     assert np.array_equal(sweep_holding_boundary(icosphere2, f), result.mapping)
     assert np.abs(np.linalg.norm(result.mapping, axis=1) - 1.0).max() <= 1e-12
+
+
+@pytest.mark.parametrize("pole", [1.0, -1.0])
+def test_a_pass_returns_the_rows_outside_its_disk_unchanged(icosphere2, pole):
+    f = inverted_vertex_map(icosphere2)
+    interior = disk_interior(stereographic(f, pole))
+    out = _solve_pass(icosphere2, f, pole)
+    assert interior.any() and not interior.all()
+    # bitwise on the sphere: those rows are never projected and lifted back
+    assert np.array_equal(out[~interior], f[~interior])
+    assert not np.array_equal(out[interior], f[interior])
 
 
 def test_correction_preserves_quality_when_clean(ellipsoid3):

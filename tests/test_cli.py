@@ -169,6 +169,20 @@ def test_param_negative_noise_is_usage_error(tmp_path, mesh_file):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sigma", ["nan", "inf"])
+def test_param_nonfinite_noise_is_usage_error(tmp_path, mesh_file, monkeypatch, sigma):
+    # NaN passed the range test, ran without noise and wrote a NaN into
+    # manifest.json; infinity failed only once the mesh was loaded
+    loaded = []
+    monkeypatch.setattr(cli, "load_mesh", loaded.append)
+    out = tmp_path / "run"
+    result = CliRunner().invoke(main, ["param", mesh_file, "--noise-sigma", sigma,
+                                       "--out", str(out)])
+    assert result.exit_code == 2
+    assert f"{sigma} is not a finite number" in result.output
+    assert not loaded and not out.exists()
+
+
 @pytest.mark.parametrize("flag, lam", [("--lam", "-10"), ("--lam", "0"), ("--lambda", "0"),
                                        ("--lam", "nan"), ("--lam", "inf")])
 def test_nonpositive_lambda_is_usage_error(tmp_path, sphere_file, flag, lam):

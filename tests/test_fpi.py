@@ -8,7 +8,7 @@ from authalic.fpi import (_PIN, conformal_initial_map, dirichlet_solve, disk_int
                           fpi_minimize)
 from authalic.mesh import normalize_area
 from authalic.rgd import NormalizedStretchObjective, minimize
-from authalic.sphere import PlanarPoints, count_folds, invert_plane, stereographic
+from authalic.sphere import PlanarPoints, count_folds, stereographic
 
 from helpers import bumpy_sphere
 
@@ -65,11 +65,11 @@ def test_fpi_boundary_rows_fixed(ellipsoid3):
     out = dirichlet_solve(ellipsoid3, lap, h, interior)
     assert np.array_equal(out.values[~interior], h.values[~interior])
 
-    # one FPI plane: the inverted stereographic image of the start, with
+    # the first FPI plane: the start projected from the south pole, with
     # the Laplacian of the start's face geometry
     f0 = conformal_initial_map(ellipsoid3)
     lap = assemble_laplacian(ellipsoid3, face_geometry(ellipsoid3, f0))
-    h = invert_plane(stereographic(f0))
+    h = stereographic(f0, -1.0)
     interior = disk_interior(h)
     assert interior.any() and not interior.all()
     out = dirichlet_solve(ellipsoid3, lap, h, interior)

@@ -12,7 +12,7 @@ from authalic.fpi import conformal_initial_map, dirichlet_solve, disk_interior
 import authalic.linsolve as linsolve
 from authalic.linsolve import _condition_estimate, factorize, solve
 from authalic.mesh import make_icosphere, normalize_area
-from authalic.sphere import invert_plane, stereographic
+from authalic.sphere import stereographic
 
 from helpers import count_factorizations
 
@@ -31,7 +31,7 @@ def test_two_by_two_hand_check():
 def test_restricted_laplacian_matches_dense_oracle(icosphere1):
     f = icosphere1.vertices
     lap = assemble_laplacian(icosphere1, face_geometry(icosphere1, f)).tocsr()
-    h = invert_plane(stereographic(f))
+    h = stereographic(f, -1.0)
     interior = np.abs(h.values) < 1.2
     boundary = ~interior
     assert interior.any() and boundary.any()
@@ -111,7 +111,7 @@ def restricted_fpi_system(surface):
     their dissection ranks."""
     f = conformal_initial_map(surface)
     lap = assemble_laplacian(surface, face_geometry(surface, f)).tocsr()
-    h = invert_plane(stereographic(f))
+    h = stereographic(f, -1.0)
     interior = disk_interior(h)
     rhs = -lap[interior][:, ~interior] @ h.values[~interior]
     return lap[interior][:, interior], rhs, dissection_ranks(surface, interior)
@@ -151,7 +151,7 @@ def test_dissection_order_fills_less_than_colamd(monkeypatch):
 def test_dirichlet_solve_factors_the_dissection_ordered_system(monkeypatch, ellipsoid3):
     f = conformal_initial_map(ellipsoid3)
     lap = assemble_laplacian(ellipsoid3, face_geometry(ellipsoid3, f)).tocsr()
-    h = invert_plane(stereographic(f))
+    h = stereographic(f, -1.0)
     interior = disk_interior(h)
     seen = []
     splu = spla.splu
@@ -179,7 +179,7 @@ def test_dirichlet_solve_hands_superlu_a_coordinate_major_block(monkeypatch, ell
     # it works in, and solve as a row-major block would
     f = conformal_initial_map(ellipsoid3)
     lap = assemble_laplacian(ellipsoid3, face_geometry(ellipsoid3, f)).tocsr()
-    h = invert_plane(stereographic(f))
+    h = stereographic(f, -1.0)
     interior = disk_interior(h)
     blocks = []
     splu = spla.splu

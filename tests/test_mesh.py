@@ -154,6 +154,14 @@ def test_perturb_zero_noise_is_identity(icosphere1):
     assert np.array_equal(out.vertices, icosphere1.vertices)
 
 
+@pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf])
+def test_perturb_rejects_a_nonfinite_sigma(icosphere1, sigma):
+    # NaN used to surface as a non-finite vertex coordinate, and infinity
+    # as an invalid multiplication, after the noise was drawn
+    with pytest.raises(ValueError, match="sigma_noise must be finite and >= 0"):
+        perturb_vertices(icosphere1, sigma, seed=0)
+
+
 def test_perturb_deterministic(icosphere1):
     a = perturb_vertices(icosphere1, 5e-3, seed=11)
     b = perturb_vertices(icosphere1, 5e-3, seed=11)

@@ -438,6 +438,19 @@ def test_located_weights_match_an_extended_precision_evaluation(registered_ellip
     assert np.abs(composed.weights - w).max() <= 4e-16
 
 
+@pytest.mark.parametrize("shape", [(0, 2), (3,), (2, 3)])
+def test_register_needs_landmark_pairs(monkeypatch, icosphere1, shape):
+    # zero pairs used to run two pull-free alignments and report NaN
+    # mismatches; the check comes before any work
+    def aligned(*args, **kwargs):
+        raise AssertionError("an alignment ran")
+
+    monkeypatch.setattr(registration, "solve_alignment", aligned)
+    f = icosphere1.vertices
+    with pytest.raises(ValueError, match=r"must have shape \(k, 2\), k >= 1"):
+        registration.register(icosphere1, icosphere1, f, f, np.zeros(shape, dtype=int))
+
+
 def test_many_landmarks_align_within_the_default_cap():
     m0, m1, f0, f1, pairs = ellipsoid_pair(3, 64)
     assert_aligned(m0, m1, register(m0, m1, f0, f1, pairs))

@@ -36,10 +36,38 @@ def test_script_runs(tmp_path, name, args, row, files):
         assert (tmp_path / path).is_file(), path
 
 
-@pytest.mark.parametrize("name", ["run_ellipsoid.py", "noise_stability.py"])
-def test_negative_descent_cap_is_usage_error(tmp_path, name):
-    # argparse's usage exit, before any mesh is built or any table printed
-    result = run_script(tmp_path, name, ["--subdivisions", "1", "--max-iters", "-2"])
+def usage_case(name, args, message):
+    return pytest.param(name, args, message, id=f"{name}-{'-'.join(args).lstrip('-')}")
+
+
+@pytest.mark.parametrize("name, args, message", [
+    # the first two cases keep their ids from when the test had no others
+    pytest.param("run_ellipsoid.py", ["--max-iters", "-2"], "--max-iters: must be >= 0, got -2",
+                 id="run_ellipsoid.py"),
+    pytest.param("noise_stability.py", ["--max-iters", "-2"], "--max-iters: must be >= 0, got -2",
+                 id="noise_stability.py"),
+    usage_case("morph_demo.py", ["--frames", "1"], "--frames: must be >= 2, got 1"),
+    usage_case("morph_demo.py", ["--frames", "0"], "--frames: must be >= 2, got 0"),
+    usage_case("morph_demo.py", ["--landmarks", "100"],
+               "--landmarks: must be in [1, 42], got 100"),
+    usage_case("noise_stability.py", ["--sigmas", "0"],
+               "--sigmas: must be > 0 and finite, got 0.0"),
+    usage_case("noise_stability.py", ["--sigmas=-1e-3"],
+               "--sigmas: must be > 0 and finite, got -0.001"),
+    usage_case("run_ellipsoid.py", ["--subdivisions", "-1"],
+               "--subdivisions: must be >= 0, got -1"),
+    usage_case("noise_stability.py", ["--subdivisions", "-1"],
+               "--subdivisions: must be >= 0, got -1"),
+    usage_case("morph_demo.py", ["--subdivisions", "-1"], "--subdivisions: must be >= 0, got -1"),
+    usage_case("morph_demo.py", ["--lam", "0"], "--lam: must be > 0 and finite, got 0.0"),
+    usage_case("noise_stability.py", ["--seed", "-1"], "--seed: must be >= 0, got -1"),
+])
+def test_negative_descent_cap_is_usage_error(tmp_path, name, args, message):
+    # argparse's usage exit, before any mesh is parameterized or any table
+    # printed: a negative cap, and every other bad argument of the scripts,
+    # which used to end in a traceback or an empty run after that work
+    result = run_script(tmp_path, name, ["--subdivisions", "1", *args])
     assert result.returncode == 2, result.stdout
-    assert "--max-iters: must be >= 0, got -2" in result.stderr
+    assert message in result.stderr
     assert result.stdout == ""
+    assert not (tmp_path / "morph_out").exists()
