@@ -68,6 +68,28 @@ class SimplicialSurface:
         per-face gather and of :func:`scatter_corners`."""
         return _freeze(self.faces.T.ravel())
 
+    def corner_blocks(self, size: int) -> tuple[tuple[slice, np.ndarray], ...]:
+        """The faces in consecutive blocks of at most `size`, each as its
+        slice of the face list and its corner index, laid out as
+        :attr:`corner_index` is over the block's faces.  A face list of one
+        block has :attr:`corner_index` itself.  Computed once per size and
+        kept, as :attr:`corner_index` is."""
+        blocks = self._blocks_by_size.get(size)
+        if blocks is None:
+            m = self.n_faces
+            if m <= size:
+                blocks = ((slice(0, m), self.corner_index),)
+            else:
+                blocks = tuple((slice(lo, min(lo + size, m)),
+                                _freeze(self.faces[lo:lo + size].T.ravel()))
+                               for lo in range(0, m, size))
+            self._blocks_by_size[size] = blocks
+        return blocks
+
+    @cached_property
+    def _blocks_by_size(self) -> dict:
+        return {}
+
     @property
     def dissection_order(self) -> np.ndarray:
         """Geometric nested-dissection order of the vertices.
@@ -465,7 +487,8 @@ def make_icosphere(subdivisions: int, radii=(1.0, 1.0, 1.0)) -> SimplicialSurfac
     return build_surface(verts * radii, faces)
 
 
-def scatter_corners(surface: SimplicialSurface, values: np.ndarray) -> np.ndarray:
+def scatter_corners(surface: SimplicialSurface, values: np.ndarray,
+                    index: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """Sum per-corner face values onto the vertices.
 
     `values` is (3, 3m), one row per coordinate, its columns laid out as
@@ -474,9 +497,20 @@ def scatter_corners(surface: SimplicialSurface, values: np.ndarray) -> np.ndarra
     every corner that is vertex v.  The sums run corner by corner, in
     face order.  The result is coordinate-major (Fortran order), as the
     descent keeps its arrays (:mod:`authalic.rgd`).
+
+    For one block of faces (:meth:`SimplicialSurface.corner_blocks`),
+    `values` covers the block's faces and `index` is its corner index;
+    given `out`, the result of the blocks before it, the block's sums are
+    added to `out`, which is returned.
     """
-    index, n = surface.corner_index, surface.n_vertices
-    return np.stack([np.bincount(index, row, minlength=n) for row in values]).T
+    if index is None:
+        index = surface.corner_index
+    n = surface.n_vertices
+    if out is None:
+        return np.stack([np.bincount(index, row, minlength=n) for row in values]).T
+    for s, row in enumerate(values):
+        out[:, s] += np.bincount(index, row, minlength=n)
+    return out
 
 
 def side_laplacian(n: int, faces: np.ndarray, weights: np.ndarray) -> sp.csr_matrix:

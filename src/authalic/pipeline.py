@@ -172,6 +172,7 @@ def parameterize(surface: SimplicialSurface,
 
     lbfgs = config.method == "lbfgs"
     precondition = preconditioner(surface, lap) if lbfgs else None
+    del lap, starts  # K is factored: the reference Laplacian is not needed again
     # the descent's clock starts after K's factor, so the offset counts it
     began = time.perf_counter() - start
     rgd = minimize(NormalizedStretchObjective(surface, spherical=lbfgs), after_fpi.mapping,

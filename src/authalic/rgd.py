@@ -16,7 +16,13 @@ Each accepted iterate gets one per-face geometry pass: the objectives
 keep the :class:`~authalic.energy.FaceGeometry` of the last mapping they
 evaluated, and the energies, SD/Mean and fold count are read off it
 (each summed once), so the pass made for the accepted line-search trial
-also gives the iteration record and the next value and gradient.
+also gives the iteration record and the next value and gradient.  One
+geometry is alive at a time: the memo releases the last one before it
+measures the next.  A geometry keeps only per-face scalars, and its
+kernels work through fixed-size face blocks
+(:data:`~authalic.energy.FACE_BLOCK`), so past K's factor the descent
+holds the L-BFGS pairs, a few (n, 3) arrays, one geometry's (m,) rows
+and one block's temporaries.
 
 The power manifold makes every step row-wise work on (n, 3) arrays, and
 :func:`minimize` keeps them all coordinate-major (Fortran order).  It
@@ -103,8 +109,9 @@ class GeometryMemo:
 
     One entry, keyed by the array object: a mapping must not be changed
     in place between evaluations (the descent driver and the line search
-    only ever make new arrays).  The geometry may be degenerate;
-    callers that need a nondegenerate image run
+    only ever make new arrays).  The old geometry is released before the
+    next one is measured, so the memo never holds two.  The geometry may
+    be degenerate; callers that need a nondegenerate image run
     :func:`~authalic.energy.check_geometry` on it.
     """
 
@@ -115,6 +122,7 @@ class GeometryMemo:
 
     def geometry(self, f: np.ndarray) -> en.FaceGeometry:
         if f is not self._mapping:
+            self._mapping = self._geometry = None
             self._geometry = en.face_geometry(self.surface, f)
             self._mapping = f
         return self._geometry

@@ -27,3 +27,9 @@ def icosphere3():
 def ellipsoid3():
     """The (1, 0.8, 0.6) ellipsoid at 642 vertices, area-normalized."""
     return normalize_area(make_icosphere(3, (1.0, 0.8, 0.6)))
+
+
+@pytest.fixture(scope="session")
+def ellipsoid4():
+    """The (1, 0.8, 0.6) ellipsoid at 2,562 vertices, area-normalized."""
+    return normalize_area(make_icosphere(4, (1.0, 0.8, 0.6)))

@@ -1,9 +1,13 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from authalic.energy import (area_gradient, assemble_global_hessian, assemble_laplacian,
-                             euclidean_gradient, face_geometry, image_area_gradient,
-                             spherical_gradient, _corner_weights)
+from authalic import energy as en
+from authalic.energy import (FaceGeometry, area_gradient, assemble_global_hessian,
+                             assemble_laplacian, euclidean_gradient, face_geometry,
+                             image_area_gradient, normalized_gradient, spherical_gradient,
+                             _corner_blocks, _corner_weights, _edges)
 from authalic.errors import DegenerateFaceError
 from authalic.mesh import build_surface, make_icosphere
 from authalic.sphere import (PlanarPoints, count_folds, inverse_stereographic, project_tangent,
@@ -67,7 +71,8 @@ def test_laplacian_invariant_under_face_relabeling(icosphere1):
 
 
 def test_face_geometry_bitwise_matches_row_gather(icosphere2):
-    # the flat corner gather returns the same bits as gathering f[faces]
+    # the flat corner gather returns the same bits as gathering f[faces],
+    # and so do the edges the kernels regather from the geometry's mapping
     f = perturbed_mapping(icosphere2, seed=5, amplitude=0.3)
     geom = face_geometry(icosphere2, f)
     p = f[icosphere2.faces]
@@ -75,14 +80,21 @@ def test_face_geometry_bitwise_matches_row_gather(icosphere2):
     a12 = e_ij[:, 0] * e_ik[:, 1] - e_ij[:, 1] * e_ik[:, 0]
     a13 = e_ij[:, 0] * e_ik[:, 2] - e_ij[:, 2] * e_ik[:, 0]
     a23 = e_ij[:, 1] * e_ik[:, 2] - e_ij[:, 2] * e_ik[:, 1]
+    squared = [e[:, 0] * e[:, 0] + e[:, 1] * e[:, 1] + e[:, 2] * e[:, 2]
+               for e in (e_ij, e_ik, e_jk)]
     reference = {
-        "e_ij": e_ij, "e_ik": e_ik, "e_jk": e_jk, "a12": a12, "a13": a13, "a23": a23,
+        "a12": a12, "a13": a13, "a23": a23,
         "image_areas": 0.5 * np.sqrt(a12 * a12 + a13 * a13 + a23 * a23),
         "ref_areas": icosphere2.face_areas,
         "orientation": p[:, 0, 0] * a23 - p[:, 0, 1] * a13 + p[:, 0, 2] * a12,
+        "spherical_d": 4.0 - 0.5 * (squared[0] + squared[1] + squared[2]),
     }
     for name, want in reference.items():
         assert np.array_equal(getattr(geom, name), want), name
+    assert geom.mapping is f
+    (_, _, corners), = _corner_blocks(icosphere2, geom.mapping)
+    for got, want in zip(_edges(corners), (e_ij, e_ik, e_jk)):
+        assert np.array_equal(got.T, want)
 
 
 def test_corner_weights_bitwise_match_row_gather(icosphere2):
@@ -252,6 +264,75 @@ def test_spherical_gradient_matches_finite_differences(icosphere2):
     mask = np.abs(grad) > 1e-8
     rel = np.abs(fd - grad)[mask] / np.abs(grad)[mask]
     assert rel.max() < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# Face blocks
+# ---------------------------------------------------------------------------
+
+BLOCK = 300
+"""A block size that splits the sub-3 and sub-4 meshes into several blocks,
+the last one partial: every tier-1 mesh fits one block of the default size."""
+
+
+@pytest.fixture(params=["ellipsoid3", "ellipsoid4"])
+def blocked(request):
+    surface = request.getfixturevalue(request.param)
+    assert surface.n_faces % BLOCK and surface.n_faces > 2 * BLOCK
+    return surface
+
+
+def test_face_blocks_cover_every_corner_once(blocked):
+    blocks = blocked.corner_blocks(BLOCK)
+    m = blocked.n_faces
+    assert [(b.start, b.stop) for b, _ in blocks] == [(lo, min(lo + BLOCK, m))
+                                                      for lo in range(0, m, BLOCK)]
+    # stitched block by block, the corner indices give corner c of face t
+    # once each, as the whole list's corner index does
+    stitched = np.concatenate([index.reshape(3, -1) for _, index in blocks], axis=1)
+    assert np.array_equal(stitched, blocked.corner_index.reshape(3, m))
+    assert blocked.corner_blocks(BLOCK) is blocks
+    (whole, index), = blocked.corner_blocks(m)
+    assert (whole.start, whole.stop) == (0, m) and index is blocked.corner_index
+
+
+def test_face_blocks_keep_geometry_and_laplacian_bitwise(blocked, monkeypatch):
+    f = perturbed_mapping(blocked, seed=7, amplitude=0.3)
+
+    def measure():
+        geom = face_geometry(blocked, f)
+        return geom, assemble_laplacian(blocked, geom)
+
+    one, lap_one = measure()
+    monkeypatch.setattr(en, "FACE_BLOCK", BLOCK)
+    many, lap_many = measure()
+    for field in fields(FaceGeometry):
+        assert np.array_equal(getattr(one, field.name), getattr(many, field.name)), field.name
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(lap_one, part), getattr(lap_many, part)), part
+
+
+def test_face_blocks_keep_gradients_to_roundoff(blocked, monkeypatch):
+    # the blocks' scatters add the vertex sums in another order
+    f = perturbed_mapping(blocked, seed=8, amplitude=0.1)
+
+    def gradients():
+        geom = face_geometry(blocked, f)
+        return spherical_gradient(blocked, geom, f), normalized_gradient(blocked, geom)
+
+    one = gradients()
+    monkeypatch.setattr(en, "FACE_BLOCK", BLOCK)
+    for want, got in zip(one, gradients()):
+        assert got.shape == want.shape and got.flags.f_contiguous
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_finite_difference_checks_hold_on_face_blocks(icosphere1, icosphere2, monkeypatch):
+    monkeypatch.setattr(en, "FACE_BLOCK", 32)
+    assert len(icosphere1.corner_blocks(32)) > 1
+    test_area_gradient_matches_finite_differences(icosphere1)
+    test_euclidean_gradient_matches_finite_differences(icosphere2)
+    test_spherical_gradient_matches_finite_differences(icosphere2)
 
 
 def test_spherical_areas_sum_to_four_pi_at_the_identity(icosphere2):

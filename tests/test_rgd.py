@@ -1,6 +1,7 @@
 
 import ast
 import inspect
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import scipy.sparse.linalg as spla
 import authalic.energy as en
 from authalic.energy import euclidean_gradient, face_geometry
 from authalic.errors import SolveError
-from authalic.fpi import reference_laplacian
+from authalic.fpi import radial_initial_map, reference_laplacian
 from authalic.linesearch import ALPHA_MAX, phi_derivative_at_zero, search
 from authalic.linsolve import RESIDUAL_RTOL
 from authalic.mesh import make_icosphere, normalize_area
@@ -341,3 +342,26 @@ def test_the_descent_keeps_its_arrays_coordinate_major(ellipsoid3, monkeypatch, 
         assert arrays, key
         assert all(a.shape == f0.shape and a.flags.f_contiguous for a in arrays), key
     assert result.mapping.flags.f_contiguous
+
+
+def test_descent_memory_peak_stays_under_a_per_vertex_bound(monkeypatch):
+    # the descent holds the iterate, gradient, direction and trial, five
+    # curvature pairs (240 bytes a vertex) and one face geometry, whose
+    # kernels gather and scatter block by block: about 550 bytes a vertex
+    # traced at 2,048 faces a block.  Whole-mesh corner and edge arrays
+    # with two geometries alive take 969, over the bound
+    monkeypatch.setattr(en, "FACE_BLOCK", 2048)
+    surface = normalize_area(make_icosphere(5, (1.0, 0.8, 0.6)))
+    assert surface.n_faces > 4 * en.FACE_BLOCK
+    precondition = rgd.preconditioner(surface, reference_laplacian(surface))
+    objective = NormalizedStretchObjective(surface, spherical=True)
+    f0 = radial_initial_map(surface)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = minimize(objective, f0, max_iters=5, precondition=precondition)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result.records) == 5
+    assert (peak - start) / surface.n_vertices < 750

@@ -36,6 +36,14 @@ def test_script_runs(tmp_path, name, args, row, files):
         assert (tmp_path / path).is_file(), path
 
 
+def test_run_ellipsoid_prints_its_peak_resident_set(tmp_path):
+    # the memory figure of a run, after the table
+    result = run_script(tmp_path, "run_ellipsoid.py", ["--subdivisions", "1", "--max-iters", "2"])
+    assert result.returncode == 0, result.stderr
+    label, value = result.stdout.splitlines()[-1].rsplit(" ", 2)[:2]
+    assert label == "peak resident set:" and float(value) > 0, result.stdout
+
+
 def usage_case(name, args, message):
     return pytest.param(name, args, message, id=f"{name}-{'-'.join(args).lstrip('-')}")
 
