@@ -27,6 +27,9 @@ def main():
         ap.error(f"argument --max-iters: must be >= 0, got {args.max_iters}")
     if args.subdivisions < 0:
         ap.error(f"argument --subdivisions: must be >= 0, got {args.subdivisions}")
+    for radius in args.radii:
+        if not 0 < radius < float("inf"):
+            ap.error(f"argument --radii: must be > 0 and finite, got {radius}")
 
     if args.mesh:
         surface = load_mesh(args.mesh)

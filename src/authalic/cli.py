@@ -132,6 +132,11 @@ def param(mesh, method, max_iters, noise_sigma, seed, log_path, out_dir):
     params = {
         "method": method, "max_iters": config.max_iters, "noise_sigma": noise_sigma,
         "seed": seed, "fpi_iterations_run": len(result.fpi.records), "start": result.start,
+        "descent": {"status": result.rgd.status, "message": result.rgd.message},
+        "corrections": {name: {"folds_before": int(c.folds_before),
+                               "folds_after": int(c.folds_after), "sweeps": int(c.sweeps)}
+                        for name, c in result.corrections.items()},
+        "degree": int(s["degree"]),
     }
     _write_manifest(out_dir, "param", {"mesh": os.path.abspath(mesh)}, params,
                     result.seconds)

@@ -236,6 +236,13 @@ def _squared_length(e: np.ndarray) -> np.ndarray:
     return e[0] * e[0] + e[1] * e[1] + e[2] * e[2]
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-face dot product of two (3, B) coordinate-row edge arrays,
+    summed (x + z) + y: the order in which ``np.einsum("ij,ij->i")``
+    sums a contiguous row of three, so the weights keep their bits."""
+    return (a[0] * b[0] + a[2] * b[2]) + a[1] * b[1]
+
+
 def face_geometry(surface, f: np.ndarray) -> FaceGeometry:
     """Measure the image of every face under `f`; degenerate images are
     measured too (:func:`check_geometry` rejects them).  Each block's
@@ -280,16 +287,14 @@ def _corner_weights(surface, geom: FaceGeometry):
     inv4a = 1.0 / (4.0 * surface.face_areas)
     weights = np.empty((3, surface.n_faces))
     for block, _, p in _corner_blocks(surface, geom.mapping):
-        # einsum sums a row in a different order when the rows are
-        # strided, so the dots run on face-major copies of the edges
-        e_ij, e_ik, e_jk = (np.ascontiguousarray(e.T) for e in _edges(p))
+        e_ij, e_ik, e_jk = _edges(p)
         w_i, w_j, w_k = weights[:, block]
         # corner i sees edges to j and k: (f_j - f_i).(f_k - f_i) = e_ij . e_ik
-        np.multiply(np.einsum("ij,ij->i", e_ij, e_ik), inv4a[block], out=w_i)
+        np.multiply(_dot(e_ij, e_ik), inv4a[block], out=w_i)
         # corner j: (f_i - f_j).(f_k - f_j) = e_ij . (-e_jk)
-        np.multiply(np.einsum("ij,ij->i", e_ij, -e_jk), inv4a[block], out=w_j)
+        np.multiply(_dot(e_ij, -e_jk), inv4a[block], out=w_j)
         # corner k: (f_i - f_k).(f_j - f_k) = e_ik . e_jk
-        np.multiply(np.einsum("ij,ij->i", e_ik, e_jk), inv4a[block], out=w_k)
+        np.multiply(_dot(e_ik, e_jk), inv4a[block], out=w_k)
     return weights
 
 

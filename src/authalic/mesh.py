@@ -258,53 +258,80 @@ def _checked_areas(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
     return areas
 
 
-DISSECTION_LEAF = 64
+DISSECTION_LEAF = 8
 
 
 def nested_dissection(points: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Geometric nested dissection of a graph with vertex coordinates.
 
     A vertex set larger than :data:`DISSECTION_LEAF` is split at the
-    median of the coordinate with the widest spread; the lower-half
-    vertices adjacent to the upper half form the separator.  Both halves
-    are ordered first, recursively, and the separator last, so eliminating
-    the halves creates no fill between them.  Every vertex must have a
-    neighbour, as in a mesh :func:`build_surface` accepts.
+    median of the coordinate with the widest spread: its vertices are
+    ranked by that coordinate (ties keep their order in the set), the
+    first half is lower and the rest upper, and the lower vertices
+    adjacent to the upper half form the separator.  Both halves are
+    ordered first, recursively, and the separator last, so eliminating
+    the halves creates no fill between them.
+
+    The recursion runs by levels, the vertex sets of one depth being a
+    level's pieces: one pass splits every piece of a level at once, with
+    per-piece spreads by ``reduceat``, one stable sort by
+    (piece, coordinate rank) and the separator test over all the edges
+    left inside a piece.  Each piece holds its final slice of the order
+    from the start, laid out as lower half, upper half, separator, so a
+    split only rearranges that slice.  An edge is dropped once its ends
+    are in different pieces or either is final.
     """
     n = points.shape[0]
-    ends = np.concatenate([edges, edges[:, ::-1]])
-    # the graph as CSR: the neighbours of v are indices[indptr[v]:indptr[v + 1]]
-    indices = ends[np.argsort(ends[:, 0], kind="stable"), 1]
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(ends[:, 0], minlength=n))])
-    upper_mask = np.zeros(n, dtype=bool)
-    pieces: list[np.ndarray] = []
-    # a stack of (vertices, is_separator): a set to dissect, or a
-    # separator to place once both halves before it are ordered; a loop,
-    # not a recursive closure, which would hold itself (and the graph)
-    # in a reference cycle until the next garbage collection
-    stack = [(np.arange(n), False)]
-    while stack:
-        vertices, is_separator = stack.pop()
-        if is_separator or vertices.size <= DISSECTION_LEAF:
-            pieces.append(vertices)
-            continue
-        p = points[vertices]
-        axis = int(np.argmax(p.max(axis=0) - p.min(axis=0)))
-        ranked = vertices[np.argsort(p[:, axis], kind="stable")]
-        lower, upper = ranked[:ranked.size // 2], ranked[ranked.size // 2:]
-        upper_mask[upper] = True
-        # a lower vertex is on the separator if any neighbour is upper:
-        # gather the neighbours' flags, one run per lower vertex, and OR
-        # each run (no run is empty, as every vertex has a neighbour)
-        first, degree = indptr[lower], indptr[lower + 1] - indptr[lower]
-        runs = np.cumsum(degree) - degree
-        gather = np.arange(degree.sum()) + np.repeat(first - runs, degree)
-        on_separator = np.logical_or.reduceat(upper_mask[indices[gather]], runs)
-        upper_mask[upper] = False
-        # popped in the reverse order: the lower half, the upper, the separator
-        stack += [(lower[on_separator], True), (upper, False), (lower[~on_separator], False)]
-
-    return np.concatenate(pieces)
+    coords = np.ascontiguousarray(points.T)
+    # dense ranks, row s for coordinate s: equal coordinates share a rank,
+    # so a stable sort by rank keeps their order as a sort by value does
+    ranks = np.concatenate([np.unique(c, return_inverse=True)[1] for c in coords])
+    ends = np.ascontiguousarray(edges.T)
+    order = np.arange(n)
+    half_of = np.zeros(n, dtype=np.int64)
+    on_separator = np.zeros(n, dtype=bool)
+    unfinished = np.zeros(n, dtype=bool)
+    # the pieces of a level, each as the start and size of its slice of order
+    starts, sizes = np.array([0]), np.array([n])
+    while True:
+        big = sizes > DISSECTION_LEAF
+        starts, sizes = starts[big], sizes[big]
+        if not starts.size:
+            return order
+        piece = np.repeat(np.arange(starts.size), sizes)
+        first = np.cumsum(sizes) - sizes
+        local = np.arange(piece.size) - first[piece]
+        vertices = order[starts[piece] + local]
+        p = np.take(coords, vertices, axis=1)
+        axis = np.argmax(np.maximum.reduceat(p, first, axis=1)
+                         - np.minimum.reduceat(p, first, axis=1), axis=0)
+        key = piece * n + np.take(ranks, axis[piece] * n + vertices)
+        ranked = vertices[np.argsort(key, kind="stable")]
+        half = sizes // 2
+        upper = local >= half[piece]
+        # label the halves 2 piece (lower) and 2 piece + 1 (upper): an edge
+        # left inside a piece crosses its split where its ends' labels
+        # differ, and its lower end is the one with the smaller label
+        half_of[ranked] = 2 * piece + upper
+        label = np.take(half_of, ends)
+        crossing = label[0] != label[1]
+        on_separator[ranked] = False
+        on_separator[np.compress(crossing, np.where(label[0] < label[1], ends[0], ends[1]))] = True
+        on = on_separator[ranked]
+        # within a piece, every other vertex moves forward by the number
+        # of separator vertices ranked before it (an upper one by all `cut`
+        # of them), and the separator goes to the end of the slice in rank
+        # order
+        before = np.cumsum(on) - on
+        before -= before[first][piece]
+        cut = np.add.reduceat(on, first)
+        order[np.where(on, (starts + sizes - cut)[piece] + before,
+                       starts[piece] + local - before)] = ranked
+        starts = np.stack([starts, starts + half - cut], axis=1).ravel()
+        sizes = np.stack([half - cut, sizes - half], axis=1).ravel()
+        unfinished[ranked] = ~on & (sizes > DISSECTION_LEAF)[2 * piece + upper]
+        kept = np.take(unfinished, ends)
+        ends = np.compress(~crossing & kept[0] & kept[1], ends, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +486,7 @@ def make_icosphere(subdivisions: int, radii=(1.0, 1.0, 1.0)) -> SimplicialSurfac
     if subdivisions < 0:
         raise ValueError("subdivisions must be >= 0")
     radii = np.asarray(radii, dtype=np.float64)
-    if radii.shape != (3,) or (radii <= 0).any():
+    if radii.shape != (3,) or not (np.isfinite(radii) & (radii > 0)).all():
         raise ValueError("radii must be three positive scales")
 
     verts = _ICO_VERTS

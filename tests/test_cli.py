@@ -11,7 +11,7 @@ import authalic.energy as en
 from authalic import registration
 from authalic.cli import main
 from authalic.mesh import load_mesh, make_icosphere, save_mesh
-from authalic.pipeline import parameterize
+from authalic.pipeline import ParameterizeConfig, parameterize
 from authalic.sphere import count_folds
 
 from helpers import inverted_vertex_map, rotation_matrix
@@ -63,6 +63,18 @@ def test_param_outputs(tmp_path, mesh_file):
     sphere = load_mesh(out / "sphere.obj")
     assert np.abs(np.linalg.norm(sphere.vertices, axis=1) - 1.0).max() <= 1e-12
 
+    # the run's outcome: the descent's stop, each fold correction and the
+    # map's degree, as the library reports them for the same mesh
+    library = parameterize(load_mesh(mesh_file), ParameterizeConfig(max_iters=20))
+    params = manifest["params"]
+    assert params["descent"] == {"status": "grad_converged", "message": library.rgd.message}
+    assert library.rgd.message.startswith("|grad| = ")
+    assert params["corrections"] == {
+        name: {"folds_before": c.folds_before, "folds_after": c.folds_after, "sweeps": c.sweeps}
+        for name, c in library.corrections.items()}
+    assert set(params["corrections"]) == {"after_fpi", "after_rgd"}
+    assert params["degree"] == 1
+
 
 def test_param_deterministic_rerun(tmp_path, mesh_file):
     a, b = tmp_path / "a", tmp_path / "b"
@@ -91,6 +103,9 @@ def test_param_method_is_run_and_recorded(tmp_path, mesh_file):
         assert manifest["params"]["max_iters"] == 3
         # each method's first start is fold-free on this ellipsoid
         assert manifest["params"]["start"] == {"lbfgs": "radial", "paper": "conformal"}[method]
+        if method == "paper":
+            # the paper's descent has no gradient test: it stops at the cap
+            assert manifest["params"]["descent"] == {"status": "max_iters", "message": ""}
         runs[method] = (out / "sphere.obj").read_text()
     assert runs["lbfgs"] != runs["paper"]
     result = CliRunner().invoke(main, ["param", mesh_file, "--method", "newton",
@@ -232,6 +247,7 @@ def test_param_warns_when_its_map_is_folded(tmp_path, sphere_file, monkeypatch):
     folds, degree = (int(word.rstrip(",")) for word in result.stdout.split()[-3::2])
     assert folds > 0
     assert result.stderr == f"warning: {folds} folded faces, degree {degree}\n"
+    assert json.loads((out / "manifest.json").read_text())["params"]["degree"] == degree
 
 
 def rejected_mesh(tmp_path, kind):

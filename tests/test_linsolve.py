@@ -1,4 +1,6 @@
 import ast
+import logging
+import re
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,7 @@ from authalic.fpi import conformal_initial_map, dirichlet_solve, disk_interior
 import authalic.linsolve as linsolve
 from authalic.linsolve import _condition_estimate, factorize, solve
 from authalic.mesh import make_icosphere, normalize_area
+from authalic.rgd import PRECONDITIONER_SHIFT
 from authalic.sphere import stereographic
 
 from helpers import count_factorizations
@@ -200,6 +203,53 @@ def test_dirichlet_solve_hands_superlu_a_coordinate_major_block(monkeypatch, ell
     idx = order[interior[order]]
     x = solve(lap[idx][:, idx], np.ascontiguousarray(block))
     assert np.array_equal(got[idx], x[:, 0] + 1j * x[:, 1])
+
+
+def test_every_factor_logs_its_size_fill_and_time(caplog):
+    a = sp.csc_matrix(np.array([[4.0, 1.0, 0.0], [1.0, 3.0, -1.0], [0.0, 2.0, 5.0]]))
+    stored = spla.splu(a, permc_spec="NATURAL").nnz
+    with caplog.at_level(logging.DEBUG, logger="authalic.linsolve"):
+        factorize(a)
+        solve(a, np.ones(3))
+    lines = [r.getMessage() for r in caplog.records if r.name == "authalic.linsolve"]
+    assert len(lines) == 2
+    for line in lines:
+        assert re.fullmatch(rf"factor: 3 unknowns, nnz\(A\) 7, factor nnz {stored}, "
+                            rf"fill {stored / 7:.2f}x, \d+\.\d{{3}} s", line), line
+
+
+def test_residual_contract_error_names_the_fill(monkeypatch):
+    rng = np.random.default_rng(1)
+    a = sp.csc_matrix(sp.random(30, 30, density=0.2, random_state=rng) + sp.eye(30) * 10.0)
+    fill = spla.splu(a, permc_spec="NATURAL").nnz / a.nnz
+    solve_a = factorize(a)
+    monkeypatch.setattr(linsolve, "RESIDUAL_RTOL", 0.0)
+    with pytest.raises(SolveError, match=rf"residual contract .*, factor fill {fill:.2f}x\)"):
+        solve_a(rng.normal(size=30))
+
+
+def preconditioner_fill(radii):
+    """Stored factor entries (``SuperLU.nnz``) per nonzero of K = L + 3
+    (|M| / n) I, the descent's preconditioner on the sub-4 ellipsoid of
+    `radii`, factored in its dissection order."""
+    surface = make_icosphere(4, radii)
+    n = surface.n_vertices
+    lap = assemble_laplacian(surface, face_geometry(surface, surface.vertices))
+    k = (lap + PRECONDITIONER_SHIFT * surface.total_area / n * sp.eye(n)).tocsr()
+    order = surface.dissection_order
+    k = sp.csc_matrix(k[order][:, order])
+    return spla.splu(k, permc_spec="NATURAL").nnz / k.nnz
+
+
+@pytest.mark.parametrize("radii, bound", [
+    # 9.49 at leaf 8; the stack loop's order at leaf 64 filled 11.07
+    ((1.0, 0.8, 0.6), 10.0),
+    # 21.43 at leaf 8, 22.46 at leaf 64: splits along the long axis cut
+    # full rings, whatever the leaf
+    ((10.0, 1.0, 1.0), 22.0),
+])
+def test_the_dissection_order_bounds_the_preconditioners_fill(radii, bound):
+    assert preconditioner_fill(radii) < bound
 
 
 def test_singular_matrix_reported():

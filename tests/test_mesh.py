@@ -149,6 +149,14 @@ def test_icosphere_validates_inputs():
         make_icosphere(1, (1.0, 0.0, 1.0))
 
 
+@pytest.mark.parametrize("radius", [np.nan, np.inf])
+def test_icosphere_rejects_a_nonfinite_radius(radius):
+    # both passed the positivity check and surfaced from build_surface as
+    # a non-finite vertex coordinate (infinity times a zero coordinate)
+    with pytest.raises(ValueError, match="radii must be three positive scales"):
+        make_icosphere(1, (1.0, radius, 1.0))
+
+
 def test_perturb_zero_noise_is_identity(icosphere1):
     out = perturb_vertices(icosphere1, 0.0, seed=3)
     assert np.array_equal(out.vertices, icosphere1.vertices)
@@ -507,10 +515,12 @@ def test_nested_dissection_leaves_nothing_for_the_collector():
 
 
 def dissection_by_adjacency_product(points, edges):
-    """Nested dissection with the separator test as a sparse product: a
-    lower vertex is on the separator when its adjacency row times the
-    upper half's indicator is positive.  The cross-check of the CSR
-    gather in :func:`authalic.mesh.nested_dissection`."""
+    """Nested dissection one vertex set at a time, from a stack, with the
+    separator test as a sparse product: a lower vertex is on the
+    separator when its adjacency row times the upper half's indicator is
+    positive.  The cross-check of the level form of
+    :func:`authalic.mesh.nested_dissection`, which splits every piece of
+    a level at once."""
     n = points.shape[0]
     ends = np.concatenate([edges, edges[:, ::-1]])
     adjacency = sp.csr_matrix((np.ones(len(ends)), (ends[:, 0], ends[:, 1])), shape=(n, n))
@@ -542,11 +552,32 @@ def hull_graph(n_points, seed):
     return points, mesh.edge_table(ConvexHull(points).simplices)[0]
 
 
-@pytest.mark.parametrize("graph", [
+DISSECTION_GRAPHS = pytest.mark.parametrize("graph", [
     *(graph_of(make_icosphere(s, (1.0, 0.8, 0.6))) for s in range(5)),
     hull_graph(700, 3),
 ], ids=[*(f"icosphere-{s}" for s in range(5)), "hull-700"])
+
+
+@DISSECTION_GRAPHS
 def test_nested_dissection_matches_the_adjacency_product(graph):
     points, edges = graph
+    order = mesh.nested_dissection(points, edges)
+    assert np.array_equal(order, dissection_by_adjacency_product(points, edges))
+
+
+@DISSECTION_GRAPHS
+def test_nested_dissection_matches_the_adjacency_product_at_leaf_64(graph, monkeypatch):
+    # the leaf the stack loop used: a larger leaf ends the levels
+    # earlier, and leaves pieces of many more sizes unsplit
+    monkeypatch.setattr(mesh, "DISSECTION_LEAF", 64)
+    points, edges = graph
+    order = mesh.nested_dissection(points, edges)
+    assert np.array_equal(order, dissection_by_adjacency_product(points, edges))
+
+
+def test_nested_dissection_matches_the_adjacency_product_on_a_stretched_mesh():
+    # a 10:1:1 ellipsoid splits along x for several levels in a row, where
+    # each piece is already in rank order, and has many equal coordinates
+    points, edges = graph_of(make_icosphere(4, (10.0, 1.0, 1.0)))
     order = mesh.nested_dissection(points, edges)
     assert np.array_equal(order, dissection_by_adjacency_product(points, edges))

@@ -69,6 +69,14 @@ def usage_case(name, args, message):
     usage_case("morph_demo.py", ["--subdivisions", "-1"], "--subdivisions: must be >= 0, got -1"),
     usage_case("morph_demo.py", ["--lam", "0"], "--lam: must be > 0 and finite, got 0.0"),
     usage_case("noise_stability.py", ["--seed", "-1"], "--seed: must be >= 0, got -1"),
+    usage_case("run_ellipsoid.py", ["--radii", "1", "0", "1"],
+               "--radii: must be > 0 and finite, got 0.0"),
+    usage_case("run_ellipsoid.py", ["--radii", "1", "1", "-2"],
+               "--radii: must be > 0 and finite, got -2.0"),
+    usage_case("run_ellipsoid.py", ["--radii", "1", "nan", "1"],
+               "--radii: must be > 0 and finite, got nan"),
+    usage_case("run_ellipsoid.py", ["--radii", "inf", "1", "1"],
+               "--radii: must be > 0 and finite, got inf"),
 ])
 def test_negative_descent_cap_is_usage_error(tmp_path, name, args, message):
     # argparse's usage exit, before any mesh is parameterized or any table
