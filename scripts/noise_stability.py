@@ -12,8 +12,10 @@ before area normalization.
 """
 
 import argparse
+import sys
 
 from authalic.diagnostics import authalic_error
+from authalic.errors import AuthalicError
 from authalic.mesh import load_mesh, make_icosphere, normalize_area, perturb_vertices
 from authalic.pipeline import ParameterizeConfig, parameterize
 
@@ -38,8 +40,13 @@ def main():
         if not 0 < sigma < float("inf"):
             ap.error(f"argument --sigmas: must be > 0 and finite, got {sigma}")
 
-    raw = load_mesh(args.mesh) if args.mesh else make_icosphere(
-        args.subdivisions, (1.0, 0.8, 0.6))
+    if args.mesh:
+        try:
+            raw = load_mesh(args.mesh)
+        except (AuthalicError, OSError) as exc:
+            sys.exit(f"error: {exc}")
+    else:
+        raw = make_icosphere(args.subdivisions, (1.0, 0.8, 0.6))
     config = ParameterizeConfig(max_iters=args.max_iters, seed=args.seed)
 
     clean = parameterize(normalize_area(raw), config).summary

@@ -10,7 +10,9 @@ of brain-scale meshes (``--subdivisions 7`` is 163,842 vertices).
 
 import argparse
 import resource
+import sys
 
+from authalic.errors import AuthalicError
 from authalic.mesh import load_mesh, make_icosphere, normalize_area
 from authalic.pipeline import METHODS, ParameterizeConfig, parameterize
 
@@ -32,7 +34,10 @@ def main():
             ap.error(f"argument --radii: must be > 0 and finite, got {radius}")
 
     if args.mesh:
-        surface = load_mesh(args.mesh)
+        try:
+            surface = load_mesh(args.mesh)
+        except (AuthalicError, OSError) as exc:
+            sys.exit(f"error: {exc}")
         name = args.mesh
     else:
         surface = make_icosphere(args.subdivisions, args.radii)

@@ -25,8 +25,8 @@ from .pipeline import ParameterizeConfig, ParameterizeResult, parameterize
 from .registration import (Registration, compose_registration, homotopy_frame,
                            midpoint_targets, register, solve_alignment)
 from .rgd import IterationRecord, MinimizeResult, minimize
-from .sphere import (PlanarPoints, count_folds, inverse_stereographic, project_tangent,
-                     project_to_manifold, retract, stereographic)
+from .sphere import (count_folds, inverse_stereographic, project_tangent, project_to_manifold,
+                     retract, stereographic)
 from .unfold import assemble_mean_value, correct_bijectivity
 
 __version__ = "0.1.0"

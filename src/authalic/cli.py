@@ -91,7 +91,7 @@ _MAX_HELP = ("Descent iterations (default: "
 @click.option("--max-iters", type=_COUNT, default=None, help=_MAX_HELP)
 @click.option("--noise-sigma", type=click.FloatRange(min=0), callback=_finite, default=0.0,
               show_default=True, help="Gaussian vertex-normal noise on the raw input mesh.")
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", type=_COUNT, default=0, show_default=True)
 @click.option("--log", "log_path", type=click.Path(dir_okay=False), default=None,
               help="Convergence CSV path (default: <out>/convergence.csv).")
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), default=None,
@@ -160,7 +160,7 @@ def param(mesh, method, max_iters, noise_sigma, seed, log_path, out_dir):
 @click.option("--method", type=_METHOD, default=ParameterizeConfig.method,
               show_default=True, help=_METHOD_HELP)
 @click.option("--max-iters", type=_COUNT, default=None, help=_MAX_HELP)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", type=_COUNT, default=0, show_default=True)
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), default=None)
 def register(mesh0, mesh1, landmarks, lam, align_iters, method, max_iters, seed, out_dir):
     """Landmark-aligned registration of MESH0 onto MESH1."""
@@ -337,7 +337,7 @@ def check(mesh, probe_eigen):
     try:
         surface = normalize_area(load_mesh(mesh))
         results = list(_check_lines(surface, probe_eigen))
-    except AuthalicError as exc:
+    except (AuthalicError, ValueError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
     failed = 0

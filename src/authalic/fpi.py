@@ -23,11 +23,10 @@ from . import energy as en
 from .errors import DegenerateFaceError, SolveError
 from .linsolve import solve
 from .rgd import IterationRecord, MinimizeResult, make_record
-from .sphere import (PlanarPoints, count_folds, inverse_stereographic, row_dots,
-                     stereographic)
+from .sphere import count_folds, inverse_stereographic, row_dots, stereographic
 
-# disk radius of the hemisphere solves: each re-solves the finite points
-# with |h| < RADIUS, so the two hemispheres' disks overlap
+# disk radius of the hemisphere solves: each re-solves the points with
+# |h| < RADIUS, never the pole's inf, and the two hemispheres' disks overlap
 RADIUS = 1.2
 # FPI stops once an iteration lowers the stretch energy by no more than this
 STRETCH_DECREASE_TOL = 1e-6
@@ -62,7 +61,7 @@ def conformal_initial_map(surface, rng=None, laplacian=None) -> np.ndarray:
     interior[pinned] = False
     h = np.zeros(n, dtype=np.complex128)
     h[pinned] = _PIN
-    h = dirichlet_solve(surface, lap, PlanarPoints.finite(h), interior).values
+    h = dirichlet_solve(surface, lap, h, interior)
 
     h -= h.mean()
     mags = np.abs(h)
@@ -72,7 +71,7 @@ def conformal_initial_map(surface, rng=None, laplacian=None) -> np.ndarray:
         mags = np.abs(h)
     h /= np.median(mags)
 
-    return _oriented(surface, inverse_stereographic(PlanarPoints.finite(h)))
+    return _oriented(surface, inverse_stereographic(h))
 
 
 def _oriented(surface, f: np.ndarray) -> np.ndarray:
@@ -102,16 +101,15 @@ def radial_initial_map(surface) -> np.ndarray:
     return _oriented(surface, f)
 
 
-def disk_interior(h: PlanarPoints) -> np.ndarray:
-    """The vertices a hemisphere solve re-solves: the finite points of the
-    disk |h| < :data:`RADIUS` (FPI and fold correction alike)."""
+def disk_interior(h: np.ndarray) -> np.ndarray:
+    """The vertices a hemisphere solve re-solves: the points of the plane
+    `h` in the disk |h| < :data:`RADIUS`, never an ``inf`` (FPI and fold
+    correction alike)."""
     with np.errstate(over="ignore"):
-        mags = np.abs(h.values)
-    mask = (mags < RADIUS) & ~h.at_infinity
-    return mask
+        return np.abs(h) < RADIUS
 
 
-def dirichlet_solve(surface, lap, h: PlanarPoints, interior: np.ndarray):
+def dirichlet_solve(surface, lap, h: np.ndarray, interior: np.ndarray) -> np.ndarray:
     """Re-solve the `interior` vertices of the plane from `lap`, holding
     every other vertex at its current value.
 
@@ -120,9 +118,9 @@ def dirichlet_solve(surface, lap, h: PlanarPoints, interior: np.ndarray):
     rows and columns of `lap` at those vertices, with the boundary columns
     moved to the right-hand side, whose real and imaginary parts are two
     coordinate-major columns of one solve, as SuperLU stores them.  A
-    vertex at infinity may only be boundary, and only where no interior
-    row couples to it.  Returns the new points; only the interior entries
-    are written.
+    vertex at infinity (``inf`` in `h`) may only be boundary, and only
+    where no interior row couples to it.  Returns the new plane, a copy of
+    `h` with only the interior entries written.
     """
     if not interior.any():
         raise SolveError("empty interior vertex set")
@@ -130,13 +128,14 @@ def dirichlet_solve(surface, lap, h: PlanarPoints, interior: np.ndarray):
     order = surface.dissection_order
     idx = order[interior[order]]
     rows = lap[idx]
-    if h.at_infinity.any() and rows[:, h.at_infinity].nnz:
+    if rows[:, np.isinf(h)].nnz:
         raise SolveError("vertex at infinity is coupled to the interior system")
-    rhs = -rows[:, boundary] @ np.where(h.at_infinity[boundary], 0.0, h.values[boundary])
-    values = h.values.copy()
+    # no stored entry of the rows lies in an inf column, so none reads an inf
+    rhs = -rows[:, boundary] @ h[boundary]
+    out = h.copy()
     x = solve(rows[:, idx], np.stack([rhs.real, rhs.imag]).T)
-    values[idx] = x[:, 0] + 1j * x[:, 1]
-    return PlanarPoints(values=values, at_infinity=h.at_infinity.copy())
+    out[idx] = x[:, 0] + 1j * x[:, 1]
+    return out
 
 
 def fpi_minimize(surface, f0: np.ndarray, max_iters: int,
@@ -171,13 +170,11 @@ def fpi_minimize(surface, f0: np.ndarray, max_iters: int,
         pole = (-1.0) ** k
         h = stereographic(current, pole)
         h = dirichlet_solve(surface, lap, h, disk_interior(h))
-        with np.errstate(over="ignore"):
-            mags = np.where(h.at_infinity, np.inf, np.abs(h.values))
-        scale = np.median(mags)
+        scale = np.median(np.abs(h))
         if not (np.isfinite(scale) and scale > 0):
             raise DegenerateFaceError(f"FPI iteration {k}: median planar magnitude {scale}")
-        f_new = inverse_stereographic(
-            PlanarPoints(values=h.values / scale, at_infinity=h.at_infinity), pole)
+        with np.errstate(invalid="ignore"):  # inf / scale is inf + nan j
+            f_new = inverse_stereographic(h / scale, pole)
         geom_new = en.face_geometry(surface, f_new)
         records.append(make_record(geom_new, k, None, None, time.perf_counter() - start))
         if stop_on_increase and geom_new.authalic > geom.authalic:

@@ -64,8 +64,8 @@ class ParameterizeConfig:
     :mod:`authalic.pipeline`), the descent iteration cap (unset, the
     method's own, :data:`METHOD_ITERS`; it reads resolved after
     construction) and the seed of the conformal start's puncture.  An
-    unknown `method` or a negative `max_iters` raises ``ValueError`` here,
-    before any work is done.
+    unknown `method`, a negative `max_iters` or a negative `seed` raises
+    ``ValueError`` here, before any work is done.
     The method's fixed steps and numbers are not settings: fold
     correction always runs after FPI (a fold-free start that FPI left
     unchanged counts as corrected) and after the descent, and the FPI cap
@@ -86,6 +86,8 @@ class ParameterizeConfig:
             object.__setattr__(self, "max_iters", METHOD_ITERS[self.method][1])
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

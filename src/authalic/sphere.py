@@ -6,14 +6,12 @@ rows are orthogonal to the corresponding mapping rows.  Either may be
 in either memory order: :func:`project_tangent`, :func:`retract` and
 :func:`project_to_manifold` keep the order they are given, and the
 descent's arrays are coordinate-major (:mod:`authalic.rgd`).  Planar
-images are stereographic projections from the north or the south pole;
-they live on the extended complex plane and carry an explicit
-point-at-infinity mask rather than overflowing floats.
+images are stereographic projections from the north or the south pole:
+(n,) complex arrays on the extended plane, in which complex ``inf`` is the
+point at infinity, the image of a row on the projection's pole.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,28 +19,6 @@ from . import energy as en
 
 UNIT_TOL = 1e-12
 _MIN_NORM = 1e-14
-
-
-@dataclass(frozen=True)
-class PlanarPoints:
-    """Points on the extended complex plane.
-
-    `values[i]` is meaningful only where `at_infinity[i]` is False; at
-    most a handful of vertices (typically the image of the projection's
-    pole) are flagged.
-    """
-
-    values: np.ndarray
-    at_infinity: np.ndarray
-
-    @classmethod
-    def finite(cls, values) -> "PlanarPoints":
-        values = np.asarray(values, dtype=np.complex128)
-        return cls(values=values, at_infinity=np.zeros(values.shape, dtype=bool))
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
 
 
 def assert_on_sphere(f: np.ndarray) -> None:
@@ -88,34 +64,33 @@ def project_to_manifold(g: np.ndarray) -> np.ndarray:
     return g / norms
 
 
-def stereographic(f: np.ndarray, pole: float = 1.0) -> PlanarPoints:
+def stereographic(f: np.ndarray, pole: float = 1.0) -> np.ndarray:
     """Projection from the pole (0, 0, `pole`), `pole` = +-1: (x, y, z) ->
-    (x + iy)/(1 - pole z), a row within 1e-15 of the pole flagged at
-    infinity.  The south-pole plane is 1/conj of the north-pole plane."""
+    (x + iy)/(1 - pole z), ``inf`` on a row within 1e-15 of the pole.  The
+    south-pole plane is 1/conj of the north-pole plane."""
     f = np.asarray(f, dtype=np.float64)
     denominator = 1.0 - pole * f[:, 2]
-    at_inf = denominator < 1e-15
-    values = np.zeros(f.shape[0], dtype=np.complex128)
-    safe = ~at_inf
-    values[safe] = (f[safe, 0] + 1j * f[safe, 1]) / denominator[safe]
-    return PlanarPoints(values=values, at_infinity=at_inf)
+    finite = ~(denominator < 1e-15)
+    h = np.full(f.shape[0], np.inf, dtype=np.complex128)
+    h[finite] = (f[finite, 0] + 1j * f[finite, 1]) / denominator[finite]
+    return h
 
 
-def inverse_stereographic(h: PlanarPoints, pole: float = 1.0) -> np.ndarray:
+def inverse_stereographic(h: np.ndarray, pole: float = 1.0) -> np.ndarray:
     """Lift extended-plane points back to the unit sphere through the pole
-    (0, 0, `pole`); infinity-flagged and non-finite points map to the pole.
+    (0, 0, `pole`); ``inf`` and other non-finite points map to the pole.
 
     The z coordinate is evaluated as pole (1 - 2/(|h|^2 + 1)), which stays
     finite for huge |h|.
     """
-    u, v = h.values.real, h.values.imag
-    with np.errstate(over="ignore"):
+    u, v = h.real, h.imag
+    with np.errstate(over="ignore", invalid="ignore"):
         t1 = u * u + v * v + 1.0
-        out = np.empty((h.n, 3), dtype=np.float64)
+        out = np.empty((h.shape[0], 3), dtype=np.float64)
         out[:, 0] = 2.0 * u / t1
         out[:, 1] = 2.0 * v / t1
         out[:, 2] = pole * (1.0 - 2.0 / t1)
-    out[~np.isfinite(out).all(axis=1) | h.at_infinity] = (0.0, 0.0, pole)
+    out[~np.isfinite(out).all(axis=1)] = (0.0, 0.0, pole)
     return out
 
 

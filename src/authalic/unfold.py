@@ -20,25 +20,25 @@ from .fpi import dirichlet_solve, disk_interior
 # because perfbench/spans.py wraps it under this name
 from .linsolve import solve  # noqa: F401
 from .mesh import side_laplacian
-from .sphere import PlanarPoints, count_folds, inverse_stereographic, stereographic
+from .sphere import count_folds, inverse_stereographic, stereographic
 
 MAX_SWEEPS = 3
 
 
-def assemble_mean_value(surface, h: PlanarPoints) -> sp.csr_matrix:
+def assemble_mean_value(surface, h: np.ndarray) -> sp.csr_matrix:
     """Mean-value-weighted Laplacian of a planar mapping.
 
     The weight of directed edge (i, j) accumulates tan(angle at h_i / 2)
     divided by |h_i - h_j| over the faces containing the edge, so the
     matrix is generally unsymmetric; rows sum to zero.  The weights go to
     :func:`~authalic.mesh.side_laplacian` for the finite faces only: a
-    face touching an infinity-flagged vertex contributes nothing, and an
-    edge with no finite face stores no entry.  Raises on coincident
-    adjacent points and on angles degenerating to pi.
+    face with an ``inf`` corner contributes nothing, and an edge with no
+    finite face stores no entry.  Raises on coincident adjacent points and
+    on angles degenerating to pi.
     """
-    finite_faces = ~h.at_infinity[surface.faces].any(axis=1)
+    finite_faces = ~np.isinf(h)[surface.faces].any(axis=1)
     fidx = surface.faces[finite_faces]
-    tri = h.values[fidx]
+    tri = h[fidx]
     weights = np.empty((3, 2, fidx.shape[0]))
     # corner c: angle between edges to the other two corners, feeding the
     # two directed edges that leave c
@@ -77,7 +77,7 @@ def _solve_pass(surface, f: np.ndarray, pole: float) -> np.ndarray:
     interior = disk_interior(h)
     h = dirichlet_solve(surface, assemble_mean_value(surface, h), h, interior)
     out = f.copy()
-    out[interior] = inverse_stereographic(h, pole)[interior]
+    out[interior] = inverse_stereographic(h[interior], pole)
     return out
 
 

@@ -162,8 +162,8 @@ def test_criterion_7_geometry_round_trips():
     idem = np.abs(project_tangent(f, once) - once).max()
     # the south-pole plane is the inverted north-pole plane: relative error
     # of stereographic(f, -1) = 1 / conj(stereographic(f))
-    north = stereographic(f).values
-    invol = np.abs(stereographic(f, -1.0).values * np.conj(north) - 1.0).max()
+    north = stereographic(f)
+    invol = np.abs(stereographic(f, -1.0) * np.conj(north) - 1.0).max()
     ok = round_trip <= 1e-12 and unit_err <= 1e-12 and idem <= 1e-12 and invol <= 1e-12
     report("criterion 7 (geometry round trips)", ok,
            f"stereo {round_trip:.1e}, retract {unit_err:.1e}, projector {idem:.1e}, "
@@ -175,7 +175,7 @@ def boundary_held(surface, lap, h):
     vertex outside the disk bitwise unchanged."""
     interior = disk_interior(h)
     out = dirichlet_solve(surface, lap, h, interior)
-    return out, bool(np.array_equal(out.values[~interior], h.values[~interior]))
+    return out, bool(np.array_equal(out[~interior], h[~interior]))
 
 
 def test_criterion_8_fpi_monitor_and_pipeline():

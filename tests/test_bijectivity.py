@@ -6,8 +6,8 @@ import pytest
 
 from authalic.energy import euclidean_gradient, face_geometry
 from authalic.errors import DegenerateFaceError
-from authalic.sphere import (PlanarPoints, count_folds, inverse_stereographic,
-                             project_to_manifold, stereographic)
+from authalic.sphere import (count_folds, inverse_stereographic, project_to_manifold,
+                             stereographic)
 from authalic.fpi import dirichlet_solve, disk_interior
 from authalic.unfold import _solve_pass, assemble_mean_value, correct_bijectivity
 
@@ -17,8 +17,9 @@ from helpers import dense_mean_value_laplacian, inverted_vertex_map, regular_tet
 def planar_layout(surface, seed=0):
     """A generic planar image of the mesh for assembly tests."""
     h = stereographic(project_to_manifold(surface.vertices))
+    h[np.isinf(h)] = 0.0  # the north-pole vertex, laid out at the origin
     rng = np.random.default_rng(seed)
-    return h.values + 0.01 * (rng.normal(size=h.n) + 1j * rng.normal(size=h.n))
+    return h + 0.01 * (rng.normal(size=h.size) + 1j * rng.normal(size=h.size))
 
 
 def test_equilateral_mean_value_weight_hand_value():
@@ -32,17 +33,17 @@ def test_equilateral_mean_value_weight_hand_value():
 
 def test_mean_value_matches_dense_oracle(icosphere1):
     h = planar_layout(icosphere1)
-    ours = assemble_mean_value(icosphere1, PlanarPoints.finite(h)).toarray()
+    ours = assemble_mean_value(icosphere1, h).toarray()
     oracle = dense_mean_value_laplacian(icosphere1, h)
     assert np.abs(ours - oracle).max() <= 1e-10 * np.abs(oracle).max()
 
 
 def test_mean_value_leaves_a_vertex_at_infinity_out(icosphere1):
     h = planar_layout(icosphere1, seed=3)
-    at_infinity = np.zeros(h.size, dtype=bool)
     v = int(np.argmax(np.abs(h)))
-    at_infinity[v] = True
-    lap = assemble_mean_value(icosphere1, PlanarPoints(values=h, at_infinity=at_infinity))
+    plane = h.copy()
+    plane[v] = np.inf
+    lap = assemble_mean_value(icosphere1, plane)
     # no stored entry couples the vertex at infinity, not even a zero
     assert lap[v].nnz == 0 and lap[:, v].nnz == 0
     finite = SimpleNamespace(faces=icosphere1.faces[(icosphere1.faces != v).all(axis=1)])
@@ -52,13 +53,13 @@ def test_mean_value_leaves_a_vertex_at_infinity_out(icosphere1):
 
 def test_mean_value_rows_sum_to_zero(icosphere1):
     h = planar_layout(icosphere1, seed=1)
-    lap = assemble_mean_value(icosphere1, PlanarPoints.finite(h))
+    lap = assemble_mean_value(icosphere1, h)
     assert np.abs(np.asarray(lap.sum(axis=1))).max() <= 1e-10 * np.abs(lap.data).max()
 
 
 def test_mean_value_unsymmetric_with_negative_offdiagonals(icosphere1):
     h = planar_layout(icosphere1, seed=2)
-    lap = assemble_mean_value(icosphere1, PlanarPoints.finite(h)).toarray()
+    lap = assemble_mean_value(icosphere1, h).toarray()
     assert np.abs(lap - lap.T).max() > 1e-8 * np.abs(lap).max()
     off = lap[~np.eye(lap.shape[0], dtype=bool)]
     # fold-free planar configurations have convex angles: weights positive
@@ -69,14 +70,14 @@ def test_mean_value_coincident_points_rejected():
     tetra = regular_tetrahedron()
     h = np.array([0.0, 1.0, 1.0, 2.0 + 1j])  # two adjacent vertices coincide
     with pytest.raises(DegenerateFaceError, match="coincident"):
-        assemble_mean_value(tetra, PlanarPoints.finite(h))
+        assemble_mean_value(tetra, h)
 
 
 def test_mean_value_straight_angle_rejected():
     tetra = regular_tetrahedron()
     h = np.array([0.0, 1.0, 0.5 + 0j, 1.0 + 2j])  # vertex 2 sits on edge (0,1)
     with pytest.raises(DegenerateFaceError, match="degenerate"):
-        assemble_mean_value(tetra, PlanarPoints.finite(h))
+        assemble_mean_value(tetra, h)
 
 
 def sweep_holding_boundary(surface, f):
@@ -88,8 +89,8 @@ def sweep_holding_boundary(surface, f):
         h = stereographic(f, pole)
         interior = disk_interior(h)
         out = dirichlet_solve(surface, assemble_mean_value(surface, h), h, interior)
-        assert np.array_equal(out.values[~interior], h.values[~interior])
-        assert np.array_equal(out.at_infinity, h.at_infinity)
+        assert np.array_equal(out[~interior], h[~interior])
+        assert np.array_equal(np.isinf(out), np.isinf(h))
         f = np.where(interior[:, None], inverse_stereographic(out, pole), f)
     return f
 

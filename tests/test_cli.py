@@ -176,6 +176,20 @@ def test_negative_iteration_count_is_usage_error(tmp_path, mesh_file, command, f
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["param", "register"])
+def test_negative_seed_is_usage_error(tmp_path, mesh_file, command):
+    # this used to load and normalize the mesh, then exit 1 with numpy's error
+    marks = tmp_path / "marks.txt"
+    marks.write_text("4 4\n")
+    inputs = [mesh_file, mesh_file, str(marks)] if command == "register" else [mesh_file]
+    out = tmp_path / "run"
+    result = CliRunner().invoke(main, [command, *inputs, "--seed", "-1", "--out", str(out)])
+    assert result.exit_code == 2
+    assert "'--seed': -1 is not in the range x>=0" in result.stderr
+    assert result.stdout == ""
+    assert not out.exists()
+
+
 def test_param_negative_noise_is_usage_error(tmp_path, mesh_file):
     out = tmp_path / "run"
     result = CliRunner().invoke(main, ["param", mesh_file, "--noise-sigma", "-1",
@@ -334,6 +348,23 @@ def test_check_rejects_an_inconsistently_oriented_mesh(tmp_path):
     assert result.exit_code == 1
     assert "error: inconsistently oriented faces: faces 0 and" in result.output
     assert "FAIL" not in result.output
+
+
+def test_check_reports_a_value_error_as_numerical_failure(tmp_path):
+    # a closed octahedron whose +z vertex is moved to the vertex centroid:
+    # the check's radial map has no direction for it, while param, which
+    # takes the conformal start when the radial one folds, maps the mesh
+    vertices = np.array([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, -0.2),
+                         (0, 0, -1)], dtype=np.float64)
+    faces = np.array([(0, 2, 4), (2, 1, 4), (1, 3, 4), (3, 0, 4),
+                      (2, 0, 5), (1, 2, 5), (3, 1, 5), (0, 3, 5)])
+    path = tmp_path / "octahedron.obj"
+    save_mesh(vertices, faces, path)
+    result = run("check", str(path))
+    assert result.exit_code == 1
+    assert "error: cannot project zero row 4 onto the sphere" in result.stderr
+    assert result.stdout == ""
+    assert run("param", str(path), "--out", str(tmp_path / "run")).exit_code == 0
 
 
 @pytest.fixture(scope="module")

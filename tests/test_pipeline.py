@@ -39,6 +39,14 @@ def test_negative_descent_cap_rejected_on_construction(method):
     assert ParameterizeConfig(method=method, max_iters=0).max_iters == 0
 
 
+def test_negative_seed_rejected_on_construction():
+    # numpy's generator rejected it only once the mesh was loaded and the
+    # start tried
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        ParameterizeConfig(seed=-1)
+    assert ParameterizeConfig(seed=0).seed == 0
+
+
 def test_the_method_picks_the_iteration_caps():
     # one setting selects a method: its descent cap comes with it unless
     # set, and reads resolved from then on

@@ -44,6 +44,21 @@ def test_run_ellipsoid_prints_its_peak_resident_set(tmp_path):
     assert label == "peak resident set:" and float(value) > 0, result.stdout
 
 
+@pytest.mark.parametrize("name", ["run_ellipsoid.py", "noise_stability.py"])
+@pytest.mark.parametrize("mesh, message", [
+    ("triangle.obj", "error: open surface: boundary edge (0, 1)"),
+    ("absent.obj", "error: [Errno 2] No such file or directory: 'absent.obj'"),
+], ids=["open", "missing"])
+def test_a_rejected_mesh_is_an_error_line(tmp_path, name, mesh, message):
+    # one line and exit 1, as the command-line tool reports it, where a
+    # traceback used to end the script
+    (tmp_path / "triangle.obj").write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")
+    result = run_script(tmp_path, name, [mesh])
+    assert result.returncode == 1
+    assert result.stderr == message + "\n"
+    assert result.stdout == ""
+
+
 def usage_case(name, args, message):
     return pytest.param(name, args, message, id=f"{name}-{'-'.join(args).lstrip('-')}")
 

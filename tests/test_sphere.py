@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -7,9 +8,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from authalic.errors import MeshTopologyError
+from authalic.fpi import disk_interior
 from authalic.mesh import build_surface
-from authalic.sphere import (PlanarPoints, count_folds, inverse_stereographic,
-                             project_tangent, project_to_manifold, retract, stereographic)
+from authalic.sphere import (count_folds, inverse_stereographic, project_tangent,
+                             project_to_manifold, retract, stereographic)
 
 finite_rows = arrays(np.float64, (6, 3),
                      elements=st.floats(-5, 5, allow_nan=False, allow_infinity=False))
@@ -82,18 +84,18 @@ def test_project_to_manifold_examples():
 def test_stereographic_examples():
     f = np.array([[0.0, 0.0, -1.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     h = stereographic(f)
-    assert h.values[0] == 0
-    assert h.values[1] == 1
-    assert h.at_infinity.tolist() == [False, False, True]
+    assert h[0] == 0
+    assert h[1] == 1
+    assert np.isinf(h).tolist() == [False, False, True]
 
 
 def test_inverse_stereographic_examples():
-    out = inverse_stereographic(PlanarPoints.finite(np.array([0.0, 1.0])))
+    out = inverse_stereographic(np.array([0.0, 1.0], dtype=np.complex128))
     assert np.allclose(out, [[0, 0, -1], [1, 0, 0]], atol=1e-15)
-    flagged = PlanarPoints(values=np.array([0j]), at_infinity=np.array([True]))
-    assert np.array_equal(inverse_stereographic(flagged), [[0.0, 0.0, 1.0]])
+    infinity = np.array([np.inf + 0j])
+    assert np.array_equal(inverse_stereographic(infinity), [[0.0, 0.0, 1.0]])
     # huge magnitudes approach the north pole without overflowing
-    out = inverse_stereographic(PlanarPoints.finite(np.array([1e200 + 0j])))
+    out = inverse_stereographic(np.array([1e200 + 0j]))
     assert np.allclose(out, [[0, 0, 1]], atol=1e-15)
 
 
@@ -112,10 +114,10 @@ def test_stereographic_round_trip(raw_f):
 def test_south_pole_stereographic_examples():
     f = np.array([[0.0, 0.0, -1.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
     h = stereographic(f, -1.0)
-    assert h.at_infinity.tolist() == [True, False, False, False]
-    assert h.values[1] == 0
+    assert np.isinf(h).tolist() == [True, False, False, False]
+    assert h[1] == 0
     # the equator stays on the unit circle
-    assert h.values[2] == 1 and h.values[3] == -1j
+    assert h[2] == 1 and h[3] == -1j
     out = inverse_stereographic(h, -1.0)
     assert np.array_equal(out[0], [0.0, 0.0, -1.0])
     assert np.allclose(out[1:], f[1:], atol=1e-15)
@@ -130,7 +132,7 @@ def test_south_pole_plane_is_the_inverted_north_plane(raw_f):
     f = f[np.abs(f[:, 2]) <= 1.0 - 1e-6]
     if not f.size:
         return
-    north, south = stereographic(f).values, stereographic(f, -1.0).values
+    north, south = stereographic(f), stereographic(f, -1.0)
     inverted = 1.0 / np.conj(north)
     # a row is unit only to rounding, and the identity amplifies its norm
     # error by 1 / (1 - z^2), which reaches 5e5 at the rows' limit
@@ -139,6 +141,31 @@ def test_south_pole_plane_is_the_inverted_north_plane(raw_f):
     for pole in (1.0, -1.0):
         back = inverse_stereographic(stereographic(f, pole), pole)
         assert np.abs(back - f).max() <= 1e-12
+
+
+near_pole = st.tuples(st.floats(-1e-7, 1e-7), st.floats(-1e-7, 1e-7), st.floats(0.0, 3e-15))
+
+
+@settings(max_examples=50)
+@given(finite_rows, st.lists(near_pole, min_size=1, max_size=6), st.sampled_from([1.0, -1.0]))
+def test_pole_rows_go_to_infinity_and_back(raw_f, near, pole):
+    # the rows on both poles, rows within a few 1e-15 of the projection's
+    # pole, on either side of the threshold, and generic rows
+    f = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]
+    f += [[x, y, pole * (1.0 - d)] for x, y, d in near]
+    if unit_rows(raw_f):
+        f += project_to_manifold(raw_f).tolist()
+    f = np.array(f)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h = stereographic(f, pole)
+        interior = disk_interior(h)
+        back = inverse_stereographic(h, pole)
+    at_pole = 1.0 - pole * f[:, 2] < 1e-15
+    assert np.array_equal(np.isinf(h), at_pole)
+    assert np.isfinite(h[~at_pole]).all()
+    assert not interior[at_pole].any()
+    assert (back[at_pole] == (0.0, 0.0, pole)).all()
 
 
 def test_count_folds(icosphere2):
