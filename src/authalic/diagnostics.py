@@ -34,8 +34,8 @@ def authalic_error(surface_noisy, surface_clean, ea_noisy: float, ea_clean: floa
     return surface_clean.n_vertices * abs(ea_noisy - ea_clean) / displacement
 
 
-def fd_gradient_norm_error(objective, f: np.ndarray, step: float = 1e-6,
-                           max_coords: int | None = None) -> float:
+def fd_gradient_norm_error(objective, f: np.ndarray, step: float = 1e-6, *,
+                           max_coords: int) -> float:
     """Normwise error of an objective's analytic ambient gradient: max
     absolute deviation from central finite differences over the
     gradient's max magnitude.
@@ -44,11 +44,11 @@ def fd_gradient_norm_error(objective, f: np.ndarray, step: float = 1e-6,
     -> (value, ambient gradient), as the descent runs it: a
     :class:`~authalic.rgd.NormalizedStretchObjective` (chordal or
     spherical) or a :class:`~authalic.registration.RegistrationObjective`.
-    Every coordinate is probed, or an even stride of at most `max_coords`
-    of them to keep large meshes affordable.  The error is normwise, not
-    entrywise, because an entrywise comparison is dominated by the
-    finite-difference roundoff floor (about eps * E / step) on entries
-    much smaller than the gradient scale.
+    Every coordinate is probed, or, past `max_coords` of them, an even
+    stride of at most that many, to keep large meshes affordable.  The
+    error is normwise, not entrywise, because an entrywise comparison is
+    dominated by the finite-difference roundoff floor (about
+    eps * E / step) on entries much smaller than the gradient scale.
     """
     if not 1e-8 <= step <= 1e-4:
         raise ValueError("step must lie in [1e-8, 1e-4]")
@@ -57,7 +57,7 @@ def fd_gradient_norm_error(objective, f: np.ndarray, step: float = 1e-6,
     flat = f.ravel()
     total = flat.size
     idx = np.arange(total)
-    if max_coords is not None and total > max_coords:
+    if total > max_coords:
         idx = idx[:: int(np.ceil(total / max_coords))]
     fd = np.empty(idx.size)
     for k, i in enumerate(idx):

@@ -327,8 +327,8 @@ def _cross(a, b, out: np.ndarray, scratch: np.ndarray) -> None:
         out[s] -= scratch
 
 
-def area_gradient(surface, geom: FaceGeometry, weights: np.ndarray | None = None) -> np.ndarray:
-    """sum_tau weights_tau * grad |f(tau)| (unit weights when None).
+def area_gradient(surface, geom: FaceGeometry, weights: np.ndarray) -> np.ndarray:
+    """sum_tau weights_tau * grad |f(tau)|, one weight per face.
 
     Differentiating 2|f(tau)| = sqrt(a12^2 + a13^2 + a23^2) through the
     projected areas gives, per face, the opposite image edge crossed with
@@ -337,9 +337,7 @@ def area_gradient(surface, geom: FaceGeometry, weights: np.ndarray | None = None
     block, the crosses overwrite the corner gather the edges were taken
     from, and one scatter per block sums it onto the vertices.
     """
-    scale = 1.0 / (4.0 * geom.image_areas)
-    if weights is not None:
-        scale = weights * scale
+    scale = weights * (1.0 / (4.0 * geom.image_areas))
     grad = None
     for block, index, corners in _corner_blocks(surface, geom.mapping):
         s = scale[block]
@@ -409,7 +407,7 @@ def image_area_gradient(surface, f: np.ndarray) -> np.ndarray:
     """Gradient of the total image area, accumulated per face."""
     geom = face_geometry(surface, f)
     check_geometry(geom)
-    return area_gradient(surface, geom)
+    return area_gradient(surface, geom, np.ones(surface.n_faces))
 
 
 def stretch_gradient(surface, geom: FaceGeometry) -> np.ndarray:

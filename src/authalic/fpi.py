@@ -35,33 +35,25 @@ STRETCH_DECREASE_TOL = 1e-6
 _PIN = np.exp(1j * np.array([np.pi / 2, np.pi / 2 + 2 * np.pi / 3, np.pi / 2 + 4 * np.pi / 3]))
 
 
-def conformal_initial_map(surface, rng=None, laplacian=None) -> np.ndarray:
+def conformal_initial_map(surface, rng, laplacian) -> np.ndarray:
     """Spherical conformal-ish starting map via harmonic flattening.
 
-    One face is punctured and its three vertices pinned to an equilateral
-    triangle; the cotangent-weighted Laplacian of the reference mesh is
+    One face, drawn by the generator `rng`, is punctured and its three
+    vertices pinned to an equilateral triangle; `laplacian`, the
+    reference cotangent Laplacian (:func:`reference_laplacian`), is
     solved for all remaining planar positions, the plane is recentered
     (barycenter to origin, median magnitude to one), and the result is
     lifted through the inverse stereographic projection and mirrored
     (y -> -y) when more than half its faces fold, so meshes of either
-    orientation get a mostly fold-free start.  The punctured face is
-    drawn by `rng` when one is given, else it is the largest face.
-    `laplacian` is the reference cotangent Laplacian, assembled here when
-    not given.
+    orientation get a mostly fold-free start.
     """
-    if rng is not None:
-        face_index = int(rng.integers(surface.n_faces))
-    else:
-        face_index = int(np.argmax(surface.face_areas))
-    pinned = surface.faces[face_index]
-
-    lap = reference_laplacian(surface) if laplacian is None else laplacian
+    pinned = surface.faces[int(rng.integers(surface.n_faces))]
     n = surface.n_vertices
     interior = np.ones(n, dtype=bool)
     interior[pinned] = False
     h = np.zeros(n, dtype=np.complex128)
     h[pinned] = _PIN
-    h = dirichlet_solve(surface, lap, h, interior)
+    h = dirichlet_solve(surface, laplacian, h, interior)
 
     h -= h.mean()
     mags = np.abs(h)

@@ -145,7 +145,8 @@ def build_surface(vertices, faces) -> SimplicialSurface:
     connected component, a zero-area face and, checked last, two faces
     holding the same directed side (inconsistent orientation; a wholly
     reversed list is valid) each raise
-    :class:`~authalic.errors.MeshTopologyError`.
+    :class:`~authalic.errors.MeshTopologyError`, which names instead the
+    first vertex in no face, if any, when the genus or piece count fails.
     """
     vertices = np.asarray(vertices, dtype=np.float64)
     faces = np.asarray(faces, dtype=np.int64)
@@ -171,8 +172,14 @@ def build_surface(vertices, faces) -> SimplicialSurface:
         e = edges[np.flatnonzero(counts == 1)[0]]
         raise MeshTopologyError(f"open surface: boundary edge {tuple(int(v) for v in e)}")
 
-    _check_genus(n - edges.shape[0] + faces.shape[0])
-    _check_connected(n, edges)
+    try:
+        _check_genus(n - edges.shape[0] + faces.shape[0])
+        _check_connected(n, edges)
+    except MeshTopologyError:
+        unused = np.flatnonzero(np.bincount(faces.ravel(), minlength=n) == 0)
+        if faces.size and unused.size:
+            raise MeshTopologyError(f"vertex {unused[0]} is in no face") from None
+        raise
     areas = _checked_areas(vertices, faces)
     # last, so an input also rejected otherwise keeps that message: the
     # error names the smallest repeated directed side (a, b), by a * n + b,
@@ -348,9 +355,9 @@ def _detect_format(path: str) -> str:
 
 
 def _text_lines(path):
-    """(line number, tokens) of each line of a text file that holds
-    anything besides a `#` comment, numbered from 1."""
-    with open(path) as fh:
+    """(line number, tokens) of each line of a UTF-8 file, a leading byte-order
+    mark dropped, that holds anything besides a `#` comment, numbered from 1."""
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             tokens = raw.split("#", 1)[0].split()
             if tokens:
@@ -595,10 +602,11 @@ def normalize_area(surface: SimplicialSurface) -> SimplicialSurface:
 # Landmark files
 # ---------------------------------------------------------------------------
 
-def parse_landmarks(path, n_source: int | None = None, n_target: int | None = None) -> np.ndarray:
+def parse_landmarks(path, n_source: int, n_target: int) -> np.ndarray:
     """Read landmark pairs: one 1-based `i j` pair per line, `#` comments.
 
-    Returns a (k, 2) int array of 0-based (source, target) vertex indices.
+    Returns a (k, 2) int array of 0-based (source, target) vertex indices,
+    each below its mesh's vertex count, `n_source` or `n_target`.
     """
     pairs = []
     for lineno, tok in _text_lines(path):
@@ -616,8 +624,8 @@ def parse_landmarks(path, n_source: int | None = None, n_target: int | None = No
     out = np.array(pairs, dtype=np.int64)
     if len({tuple(p) for p in pairs}) != len(pairs):
         raise MeshFormatError(f"{path}: duplicate landmark pair")
-    if n_source is not None and (out[:, 0] >= n_source).any():
+    if (out[:, 0] >= n_source).any():
         raise MeshFormatError(f"{path}: source landmark index out of range")
-    if n_target is not None and (out[:, 1] >= n_target).any():
+    if (out[:, 1] >= n_target).any():
         raise MeshFormatError(f"{path}: target landmark index out of range")
     return out

@@ -4,7 +4,7 @@ Two surfaces with spherical parameterizations are registered by warping
 each parameterization on the sphere toward shared landmark targets (the
 normalized chord midpoints of each landmark pair, after the rigid
 rotation of the second map's landmarks onto the first's), minimizing
-the spherical-area stretch energy of the warp plus weighted squared
+the spherical-area stretch energy of the warp plus lambda times squared
 landmark mismatch by preconditioned Riemannian L-BFGS from the map's
 best rigid rotation onto the targets.  The rigid steps matter because a
 spherical map may follow its input's frame (the default radial start
@@ -36,17 +36,16 @@ DEFAULT_LAMBDA = 10.0
 DEFAULT_ALIGN_ITERS = 40
 
 
-def landmark_rotation(targets: np.ndarray, points: np.ndarray, weights) -> np.ndarray:
-    """The rotation R (det R = +1) that minimizes the weighted pull
-    sum_i w_i |R points_i - targets_i|^2 (Kabsch, Acta Cryst. A32, 1976).
+def landmark_rotation(targets: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """The rotation R (det R = +1) that minimizes the pull, any multiple
+    of sum_i |R points_i - targets_i|^2 (Kabsch, Acta Cryst. A32, 1976).
 
-    R comes from the SVD of the 3 x 3 weighted cross-covariance
-    sum_i w_i targets_i points_i^T, with the sign of its last singular
+    R comes from the SVD of the 3 x 3 cross-covariance
+    sum_i targets_i points_i^T, with the sign of its last singular
     direction chosen so that R is proper.  Apply it to row vectors as
     ``points @ R.T``.
     """
-    w = np.broadcast_to(np.asarray(weights, dtype=np.float64), (len(points),))
-    u, _, vt = np.linalg.svd((w[:, None] * targets).T @ points)
+    u, _, vt = np.linalg.svd(targets.T @ points)
     d = np.sign(np.linalg.det(u @ vt))
     return (u * np.array([1.0, 1.0, d])) @ vt
 
@@ -58,12 +57,12 @@ def midpoint_targets(f0: np.ndarray, f1: np.ndarray, pairs: np.ndarray) -> np.nd
     midpoint and raises ``ValueError``.
 
     R is the rotation of f1's landmarks onto f0's
-    (:func:`landmark_rotation`, unweighted): two spherical maps may lie
+    (:func:`landmark_rotation`): two spherical maps may lie
     in different frames, and a rotation changes no face area, so the
     targets are taken in f0's frame and do not depend on f1's.
     """
     a, b = f0[pairs[:, 0]], f1[pairs[:, 1]]
-    c = 0.5 * (a + b @ landmark_rotation(a, b, 1.0).T)
+    c = 0.5 * (a + b @ landmark_rotation(a, b).T)
     norms = np.linalg.norm(c, axis=1)
     if (norms < 1e-8).any():
         raise ValueError("landmark pair is (nearly) antipodal; midpoint undefined")
@@ -72,33 +71,30 @@ def midpoint_targets(f0: np.ndarray, f1: np.ndarray, pairs: np.ndarray) -> np.nd
 
 class RegistrationObjective(GeometryMemo):
     """Normalized stretch energy of the warp, measured with spherical
-    image areas, plus weighted squared landmark mismatch, as an objective
-    of :func:`~authalic.rgd.minimize`.
+    image areas, plus the landmark pull lam * sum_i |h_i - t_i|^2, as an
+    objective of :func:`~authalic.rgd.minimize`.
 
     The stretch term is the default descent's energy
     (:attr:`~authalic.energy.FaceGeometry.spherical_normalized`), with
     the sphere mesh being warped as the reference.  A vertex may carry
-    several landmarks; each adds its own term.  Every weight must be
-    finite and positive: at lambda <= 0 the pull pushes a landmark away
-    from its target, toward the antipode.
+    several landmarks; each adds its own term.  The one weight `lam`
+    must be a finite, positive number: at lam <= 0 the pull pushes a
+    landmark away from its target, toward the antipode.
     """
 
-    def __init__(self, surface_sphere, landmark_rows, targets, lambdas):
+    def __init__(self, surface_sphere, landmark_rows, targets, lam):
         super().__init__(surface_sphere)
         self.rows = np.asarray(landmark_rows)
         if self.rows.size and (self.rows.min() < 0
                                or self.rows.max() >= surface_sphere.n_vertices):
             raise IndexError("landmark row out of range")
         self.targets = np.asarray(targets, dtype=np.float64)
-        self.lambdas = np.broadcast_to(
-            np.asarray(lambdas, dtype=np.float64), (self.rows.size,)
-        )
-        if not (np.isfinite(self.lambdas) & (self.lambdas > 0)).all():
-            raise ValueError("landmark weights must be finite and positive")
+        if np.ndim(lam) or not (np.isfinite(lam) and lam > 0):
+            raise ValueError(f"landmark weight {lam!r} is not one finite and positive number")
+        self.lam = float(lam)
 
     def _mismatch(self, h: np.ndarray) -> float:
-        resid = h[self.rows] - self.targets
-        return float(np.sum(self.lambdas * np.sum(resid**2, axis=1)))
+        return self.lam * float(np.sum((h[self.rows] - self.targets) ** 2))
 
     def value(self, h: np.ndarray) -> float:
         return self.geometry(h).spherical_normalized + self._mismatch(h)
@@ -106,13 +102,12 @@ class RegistrationObjective(GeometryMemo):
     def value_and_gradient(self, h: np.ndarray):
         """Value and ambient gradient: the spherical stretch gradient
         (:func:`~authalic.energy.spherical_gradient`) plus the landmark
-        pull 2 lambda (h - target), summed per row."""
+        pull 2 lam (h - target), summed per row."""
         geom = self.geometry(h)
         en.check_geometry(geom)
         grad = en.spherical_gradient(self.surface, geom, h)
         if self.rows.size:
-            np.add.at(grad, self.rows,
-                      2.0 * self.lambdas[:, None] * (h[self.rows] - self.targets))
+            np.add.at(grad, self.rows, 2.0 * self.lam * (h[self.rows] - self.targets))
         return geom.spherical_normalized + self._mismatch(h), grad
 
 
@@ -130,28 +125,26 @@ def solve_alignment(sphere_surface, f_param: np.ndarray, landmark_rows,
     """Warp a spherical parameterization so landmarks approach targets.
 
     Preconditioned Riemannian L-BFGS on the registration energy
-    (:class:`RegistrationObjective`) over the power manifold, starting
-    from the rotation of the parameterization that minimizes the
-    lambda-weighted landmark pull (:func:`landmark_rotation`).  The
-    rotation changes no face area, so the stretch term starts where the
+    (:class:`RegistrationObjective`, its one weight lambda passed as
+    `lambdas`, the keyword the benchmark uses) over the power manifold,
+    starting from the rotation of the parameterization that minimizes
+    the landmark pull (:func:`landmark_rotation`).  The rotation
+    changes no face area, so the stretch term starts where the
     parameterization's is, and the descent only has to warp, not to turn
     the map into the targets' frame.  The preconditioner's Laplacian
     (:func:`~authalic.rgd.preconditioner`) is half the Hessian of the
-    energy's quadratic parts, K_L = L + diag(sum of lambda per landmark
-    row): the stretch energy's is about 2 L, L the sphere mesh's
-    cotangent Laplacian, and each landmark pull's 2 lambda.  It stops by
-    the rules every descent stops by
-    (:func:`~authalic.rgd.minimize`), often by the gradient test
-    relative to the first gradient; `iters` is a safety cap.  Returns
-    the descent's result, its stop `message` included.
+    energy's quadratic parts, K_L = L + lambda diag(landmarks per row):
+    the stretch energy's is about 2 L, L the sphere mesh's cotangent
+    Laplacian, and each landmark pull's 2 lambda.  It stops by the rules
+    every descent stops by (:func:`~authalic.rgd.minimize`), often by
+    the gradient test relative to the first gradient; `iters` is a
+    safety cap.  Returns the descent's result, its stop `message` included.
     """
     objective = RegistrationObjective(sphere_surface, landmark_rows, targets, lambdas)
-    pull = np.bincount(objective.rows, weights=objective.lambdas,
-                       minlength=sphere_surface.n_vertices)
+    pull = objective.lam * np.bincount(objective.rows, minlength=sphere_surface.n_vertices)
     precondition = preconditioner(sphere_surface,
                                   reference_laplacian(sphere_surface) + sp.diags(pull))
-    rotation = landmark_rotation(objective.targets, f_param[objective.rows],
-                                 objective.lambdas)
+    rotation = landmark_rotation(objective.targets, f_param[objective.rows])
     return minimize(objective, f_param @ rotation.T, max_iters=iters,
                     precondition=precondition)
 
@@ -298,21 +291,29 @@ def register(m0, m1, f0: np.ndarray, f1: np.ndarray, pairs: np.ndarray,
     """Landmark-aligned registration of surface m0 onto m1.
 
     f0 and f1 are spherical maps of m0 and m1, in frames of their own;
-    row (p, q) of `pairs` pairs source vertex p with target vertex q.
-    Both maps are aligned to the pairs' renormalized midpoint targets
-    (:func:`midpoint_targets`, in f0's frame) by :func:`solve_alignment`
-    with weight `lam` and at most `iters` iterations, each from its own
-    best rotation onto the targets; the aligned source map is then
-    located in the aligned target map (:func:`compose_registration`).
-    The rotation R of f1's landmarks onto f0's is recorded, and
-    `mismatch_before` is measured after it, so that it holds no frame
-    difference.  Each map is aligned on its mesh's face list, reused by
-    :func:`~authalic.mesh.with_vertices` with its validation and order.
+    row (p, q) of `pairs`, a (k, 2) integer array with k >= 1, pairs
+    source vertex p with target vertex q; a bad shape, type or index
+    raises ``ValueError`` before any work.  Both maps are aligned to the
+    pairs' renormalized midpoint targets (:func:`midpoint_targets`, in
+    f0's frame) by :func:`solve_alignment` with weight `lam` and at most
+    `iters` iterations, each from its own best rotation onto the targets;
+    the aligned source map is then located in the aligned target map
+    (:func:`compose_registration`).  The rotation R of f1's landmarks
+    onto f0's is recorded, and `mismatch_before` is measured after it, so
+    that it holds no frame difference.  Each map is aligned on its mesh's
+    face list, reused by :func:`~authalic.mesh.with_vertices` with its
+    validation and order.
     """
     if pairs.ndim != 2 or pairs.shape[0] < 1 or pairs.shape[1] != 2:
         raise ValueError(f"landmark pairs must have shape (k, 2), k >= 1; got {pairs.shape}")
+    if not np.issubdtype(pairs.dtype, np.integer):
+        raise ValueError(f"landmark pairs must be integer vertex indices; got {pairs.dtype}")
+    bad = np.flatnonzero(((pairs < 0) | (pairs >= (len(f0), len(f1)))).any(axis=1))
+    if bad.size:
+        raise ValueError(f"landmark pair {bad[0]} {pairs[bad[0]].tolist()} is out of range "
+                         f"for {len(f0)} source and {len(f1)} target vertices")
     a, b = f0[pairs[:, 0]], f1[pairs[:, 1]]
-    rotation = landmark_rotation(a, b, 1.0)
+    rotation = landmark_rotation(a, b)
     targets = midpoint_targets(f0, f1, pairs)
     h0 = solve_alignment(with_vertices(m0, f0), f0, pairs[:, 0], targets,
                          lambdas=lam, iters=iters)

@@ -277,16 +277,16 @@ def make_record(geom: en.FaceGeometry, iteration: int, grad_norm: float | None,
 
 
 def minimize(objective, f0: np.ndarray, *, max_iters: int,
-             precondition=None) -> MinimizeResult:
+             precondition) -> MinimizeResult:
     """Descend `objective` from `f0` until one of three stops fires.
 
     `objective` is a :class:`GeometryMemo` with `value(f)` and
     `value_and_gradient(f)` -> (value, ambient gradient); the records
-    reuse the geometry it measured for the accepted trial.  Given
-    `precondition`, the checked solve of :func:`preconditioner`, the
+    reuse the geometry it measured for the accepted trial.  When
+    `precondition` is the checked solve of :func:`preconditioner`, the
     direction is :class:`LBFGS`'s, and once its memory holds a pair the
-    first trial step is :data:`~authalic.linesearch.ALPHA_MAX`; without
-    it, the anti-gradient.
+    first trial step is :data:`~authalic.linesearch.ALPHA_MAX`; when it
+    is None, the direction is the paper's anti-gradient.
 
     The stops are the same for every objective, and each reads values the
     loop already holds: the Riemannian gradient norm falls to

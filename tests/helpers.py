@@ -11,6 +11,7 @@ from scipy.spatial import ConvexHull, cKDTree
 
 from authalic import mesh
 from authalic.energy import _corner_weights, assemble_laplacian, check_geometry, face_geometry
+from authalic.fpi import conformal_initial_map, reference_laplacian
 from authalic.mesh import build_surface, make_icosphere
 from authalic.registration import gnomonic_weights
 from authalic.sphere import project_to_manifold
@@ -95,6 +96,12 @@ def central_difference_gradient(fun, x, eps=1e-6):
         grad[idx] = (fun((flat + bump).reshape(x.shape))
                      - fun((flat - bump).reshape(x.shape))) / (2.0 * eps)
     return grad.reshape(x.shape)
+
+
+def conformal_start(surface):
+    """The conformal start of a run at the default seed 0: the face its
+    generator draws first punctured, with the reference Laplacian."""
+    return conformal_initial_map(surface, np.random.default_rng(0), reference_laplacian(surface))
 
 
 def rotation_matrix(axis, angle):

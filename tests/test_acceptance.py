@@ -14,7 +14,7 @@ import pytest
 
 from authalic.energy import (assemble_laplacian, euclidean_gradient, face_geometry,
                              image_area_gradient, assemble_global_hessian)
-from authalic.fpi import conformal_initial_map, dirichlet_solve, disk_interior, fpi_minimize
+from authalic.fpi import dirichlet_solve, disk_interior, fpi_minimize
 from authalic.linesearch import cubic_fit, quadratic_backtrack_step
 from authalic.mesh import build_surface, load_mesh, make_icosphere, normalize_area
 from authalic.pipeline import ParameterizeConfig, parameterize
@@ -24,7 +24,7 @@ from authalic.sphere import (inverse_stereographic, project_tangent, project_to_
                              retract, stereographic)
 from authalic.unfold import assemble_mean_value, correct_bijectivity
 
-from helpers import (bumpy_sphere, central_difference_gradient,
+from helpers import (bumpy_sphere, central_difference_gradient, conformal_start,
                      image_area_gradient_via_laplacian, laplacian_stretch, random_tetrahedron)
 
 
@@ -119,7 +119,7 @@ def test_criterion_5_descent_contract():
     surf = normalize_area(make_icosphere(3, (1.0, 0.8, 0.6)))
     f0 = project_to_manifold(surf.vertices)
     rep0 = face_geometry(surf, f0)
-    result = minimize(NormalizedStretchObjective(surf), f0, max_iters=100)
+    result = minimize(NormalizedStretchObjective(surf), f0, max_iters=100, precondition=None)
     elapsed = time.perf_counter() - start
 
     values = [rep0.normalized] + [r.normalized for r in result.records]
@@ -180,7 +180,7 @@ def boundary_held(surface, lap, h):
 
 def test_criterion_8_fpi_monitor_and_pipeline():
     surf = normalize_area(bumpy_sphere())
-    f0 = conformal_initial_map(surf)
+    f0 = conformal_start(surf)
 
     fpi_only = fpi_minimize(surf, f0, max_iters=60, stop_on_increase=False)
     fpi_min = min(r.authalic for r in fpi_only.records)
@@ -194,7 +194,8 @@ def test_criterion_8_fpi_monitor_and_pipeline():
         for f in (f0, monitored.mapping, fpi_only.mapping))
 
     warm = fpi_minimize(surf, f0, max_iters=10, stop_on_increase=True)
-    refined = minimize(NormalizedStretchObjective(surf), warm.mapping, max_iters=100)
+    refined = minimize(NormalizedStretchObjective(surf), warm.mapping, max_iters=100,
+                       precondition=None)
     final = face_geometry(surf, refined.mapping).authalic
     ok = increase_found and boundary_ok and final <= fpi_min
     report("criterion 8 (FPI behavior)", ok,
@@ -273,7 +274,7 @@ def test_criterion_11_benchmark_reproduction():
     rep = face_geometry(result.surface, result.mapping)
     matched = matched_authalic(rep)
 
-    fpi_only = fpi_minimize(surf, conformal_initial_map(surf), max_iters=60,
+    fpi_only = fpi_minimize(surf, conformal_start(surf), max_iters=60,
                             stop_on_increase=True)
     sd_ok = abs(rep.sd_over_mean - 0.0156) <= 0.25 * 0.0156
     ea_ok = abs(matched - 3.04e-3) <= 0.5 * 3.04e-3

@@ -8,14 +8,16 @@ path, so this check runs with the library's own tests.
 The same list is the only excuse for an import a module never uses:
 with no linter in the toolchain, an AST pass stands guard, and another
 keeps every name one library module imports from another public (no
-leading underscore).  Three more
+leading underscore).  Four more
 AST passes keep the library to what its programs (the library itself, the
 scripts and the benchmark) run: every top-level function or class is
 named by one of them, exported or a click command; every method or
 property of a library class is read as an attribute (or named in a
-string, as `perfbench/spans.py` patches methods by name); and every
+string, as `perfbench/spans.py` patches methods by name); every
 defaulted parameter, a dataclass's public defaulted fields included, is
-set by one of their calls.  A small instrumented
+set by one of their calls; and every parameter defaulting to None is
+left unset by one of their calls, so that no None path is one that only
+tests take.  A small instrumented
 run checks that the counts the traced run reads off each stage's result
 still resolve.
 """
@@ -156,22 +158,27 @@ def test_every_library_method_is_run_by_some_program():
     assert not unreached, unreached
 
 
-def _calls(paths) -> dict[str, tuple[int, set[str]]]:
+def _calls(paths) -> dict[str, list[tuple[float, set[str]]]]:
     """Per called name (a plain or attribute name; a class for its
-    ``__init__``), the most positional arguments one call passes and the
-    keywords any call passes.  A starred argument counts as passing every
-    position."""
-    calls: dict[str, tuple[int, set[str]]] = {}
+    ``__init__``), the number of positional arguments and the keywords of
+    each call.  A starred argument counts as passing every position."""
+    calls: dict[str, list[tuple[float, set[str]]]] = {}
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
             if not isinstance(node, ast.Call):
                 continue
             name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-            most, keywords = calls.get(name, (0, set()))
             starred = any(isinstance(a, ast.Starred) for a in node.args)
-            calls[name] = (max(most, float("inf") if starred else len(node.args)),
-                           keywords | {k.arg for k in node.keywords})
+            calls.setdefault(name, []).append((float("inf") if starred else len(node.args),
+                                               {k.arg for k in node.keywords}))
     return calls
+
+
+def _sets(call, position, parameter) -> bool:
+    """Whether a call, as :func:`_calls` lists it, passes the parameter
+    at `position` (None for a keyword-only one)."""
+    positional, keywords = call
+    return parameter in keywords or (position is not None and positional > position)
 
 
 def _is_dataclass(node) -> bool:
@@ -181,11 +188,12 @@ def _is_dataclass(node) -> bool:
 
 
 def _defaulted_parameters(path: Path):
-    """(function name, called name, position, parameter) of every
-    parameter with a default; the position excludes ``self`` and is None
-    for a keyword-only parameter.  A defaulted dataclass field is a
-    parameter of its class's generated ``__init__``, at the field's
-    position; a ``_``-prefixed field is a private cache and is skipped."""
+    """(function name, called name, position, parameter, default) of
+    every parameter with a default, the default as its AST node; the
+    position excludes ``self`` and is None for a keyword-only parameter.
+    A defaulted dataclass field is a parameter of its class's generated
+    ``__init__``, at the field's position; a ``_``-prefixed field is a
+    private cache and is skipped."""
     tree = ast.parse(path.read_text())
     owner = {id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
              for f in c.body}
@@ -196,7 +204,7 @@ def _defaulted_parameters(path: Path):
                   if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
         for i, f in enumerate(fields):
             if f.value is not None and not f.target.id.startswith("_"):
-                yield cls.name, cls.name, i, f.target.id
+                yield cls.name, cls.name, i, f.target.id, f.value
     for node in ast.walk(tree):
         if not isinstance(node, ast.FunctionDef):
             continue
@@ -205,11 +213,11 @@ def _defaulted_parameters(path: Path):
         skip = 1 if positional and positional[0].arg in ("self", "cls") else 0
         called = owner[id(node)] if node.name == "__init__" else node.name
         first = len(positional) - len(args.defaults)
-        for i, arg in enumerate(positional[first:], start=first):
-            yield node.name, called, i - skip, arg.arg
+        for i, (arg, default) in enumerate(zip(positional[first:], args.defaults), start=first):
+            yield node.name, called, i - skip, arg.arg, default
         for arg, default in zip(args.kwonlyargs, args.kw_defaults):
             if default is not None:
-                yield node.name, called, None, arg.arg
+                yield node.name, called, None, arg.arg, default
 
 
 def test_every_defaulted_parameter_is_set_by_some_caller():
@@ -218,11 +226,24 @@ def test_every_defaulted_parameter_is_set_by_some_caller():
     calls = _calls(CALLERS)
     unset = set()
     for path in sorted((ROOT / "src" / "authalic").glob("*.py")):
-        for function, called, position, parameter in _defaulted_parameters(path):
-            most, keywords = calls.get(called, (0, set()))
-            if parameter not in keywords and (position is None or most <= position):
+        for function, called, position, parameter, _ in _defaulted_parameters(path):
+            if not any(_sets(call, position, parameter) for call in calls.get(called, [])):
                 unset.add((path.stem, function, parameter))
     assert not unset, sorted(unset)
+
+
+def test_every_none_default_is_left_unset_by_some_caller():
+    # a None default that every call in the library, the scripts or the
+    # benchmark overrides selects a path only tests take; the parameter
+    # belongs among the required ones
+    calls = _calls(CALLERS)
+    always_set = set()
+    for path in sorted((ROOT / "src" / "authalic").glob("*.py")):
+        for function, called, position, parameter, default in _defaulted_parameters(path):
+            if (isinstance(default, ast.Constant) and default.value is None
+                    and all(_sets(call, position, parameter) for call in calls.get(called, []))):
+                always_set.add((path.stem, function, parameter))
+    assert not always_set, sorted(always_set)
 
 
 # span name -> the counts the traced run reads off that layer's result

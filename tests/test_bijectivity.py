@@ -11,7 +11,8 @@ from authalic.sphere import (count_folds, inverse_stereographic, project_to_mani
 from authalic.fpi import dirichlet_solve, disk_interior
 from authalic.unfold import _solve_pass, assemble_mean_value, correct_bijectivity
 
-from helpers import dense_mean_value_laplacian, inverted_vertex_map, regular_tetrahedron
+from helpers import (conformal_start, dense_mean_value_laplacian, inverted_vertex_map,
+                     regular_tetrahedron)
 
 
 def planar_layout(surface, seed=0):
@@ -161,8 +162,7 @@ def test_a_pass_returns_the_rows_outside_its_disk_unchanged(icosphere2, pole):
 
 
 def test_correction_preserves_quality_when_clean(ellipsoid3):
-    from authalic.fpi import conformal_initial_map
-    f = conformal_initial_map(ellipsoid3)
+    f = conformal_start(ellipsoid3)
     before = face_geometry(ellipsoid3, f).authalic
     result = correct_bijectivity(ellipsoid3, f)
     after = face_geometry(ellipsoid3, result.mapping).authalic

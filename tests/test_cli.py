@@ -287,6 +287,16 @@ def test_param_bad_mesh_is_numerical_failure(tmp_path):
     assert not out.exists()
 
 
+def test_param_names_a_vertex_in_no_face(tmp_path):
+    path, out = tmp_path / "stray.obj", tmp_path / "run"
+    surf = make_icosphere(1)
+    save_mesh(np.vstack([surf.vertices, [[2.0, 0.0, 0.0]]]), surf.faces, path)
+    result = run("param", str(path), "--out", str(out))
+    assert result.exit_code == 1
+    assert result.stderr == f"error: vertex {surf.n_vertices} is in no face\n"
+    assert not out.exists()
+
+
 def test_param_rejects_an_inconsistently_oriented_mesh(tmp_path):
     out = tmp_path / "run"
     result = run("param", rejected_mesh(tmp_path, "flipped"), "--out", str(out))

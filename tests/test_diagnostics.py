@@ -65,22 +65,23 @@ def test_authalic_error_identical_meshes_rejected(icosphere2):
 def test_fd_harness_small_on_good_gradient(icosphere1):
     rng = np.random.default_rng(2)
     f = project_to_manifold(icosphere1.vertices + 0.05 * rng.normal(size=(42, 3)))
-    assert fd_gradient_norm_error(NormalizedStretchObjective(icosphere1), f, step=1e-6) < 1e-6
+    assert fd_gradient_norm_error(NormalizedStretchObjective(icosphere1), f, step=1e-6,
+                                  max_coords=f.size) < 1e-6
 
 
 def test_fd_harness_truncation_grows_with_step(icosphere1):
     rng = np.random.default_rng(2)
     f = project_to_manifold(icosphere1.vertices + 0.05 * rng.normal(size=(42, 3)))
     objective = NormalizedStretchObjective(icosphere1)
-    fine = fd_gradient_norm_error(objective, f, step=1e-5)
-    coarse = fd_gradient_norm_error(objective, f, step=1e-4)
+    fine = fd_gradient_norm_error(objective, f, step=1e-5, max_coords=f.size)
+    coarse = fd_gradient_norm_error(objective, f, step=1e-4, max_coords=f.size)
     assert coarse > fine
 
 
 def test_fd_harness_step_validation(icosphere1):
     with pytest.raises(ValueError, match="step"):
         fd_gradient_norm_error(NormalizedStretchObjective(icosphere1), icosphere1.vertices,
-                               step=1e-2)
+                               step=1e-2, max_coords=icosphere1.vertices.size)
 
 
 def test_fd_norm_error_robust_on_arbitrary_mappings(ellipsoid3):
@@ -95,7 +96,8 @@ def test_fd_norm_error_robust_on_arbitrary_mappings(ellipsoid3):
 def test_fd_harness_degenerate_mapping_errors(icosphere1):
     constant = np.tile([1.0, 0.0, 0.0], (icosphere1.n_vertices, 1))
     with pytest.raises(DegenerateFaceError):
-        fd_gradient_norm_error(NormalizedStretchObjective(icosphere1), constant)
+        fd_gradient_norm_error(NormalizedStretchObjective(icosphere1), constant,
+                               max_coords=constant.size)
 
 
 def test_probe_identity_matrix():

@@ -5,12 +5,12 @@ import authalic.energy as en
 from authalic.energy import assemble_laplacian, face_geometry
 from authalic.errors import SolveError
 from authalic.fpi import (_PIN, conformal_initial_map, dirichlet_solve, disk_interior,
-                          fpi_minimize)
+                          fpi_minimize, reference_laplacian)
 from authalic.mesh import normalize_area
 from authalic.rgd import NormalizedStretchObjective, minimize
 from authalic.sphere import count_folds, stereographic
 
-from helpers import bumpy_sphere
+from helpers import bumpy_sphere, conformal_start
 
 
 def test_interior_boundary_split_by_radius():
@@ -31,21 +31,22 @@ def test_median_normalization_rule():
 
 def test_conformal_map_unit_icosphere(icosphere2):
     surf = normalize_area(icosphere2)
-    f = conformal_initial_map(surf)
+    f = conformal_start(surf)
     assert count_folds(surf, f) == 0
     assert np.abs(np.linalg.norm(f, axis=1) - 1.0).max() <= 1e-12
 
 
 def test_conformal_map_ellipsoid(ellipsoid3):
-    f = conformal_initial_map(ellipsoid3)
+    f = conformal_start(ellipsoid3)
     assert count_folds(ellipsoid3, f) == 0
     assert np.isfinite(face_geometry(ellipsoid3, f).authalic)
 
 
 def test_conformal_map_seeded_face_choice(ellipsoid3):
-    a = conformal_initial_map(ellipsoid3, rng=np.random.default_rng(1))
-    b = conformal_initial_map(ellipsoid3, rng=np.random.default_rng(1))
-    c = conformal_initial_map(ellipsoid3, rng=np.random.default_rng(2))
+    lap = reference_laplacian(ellipsoid3)
+    a = conformal_initial_map(ellipsoid3, np.random.default_rng(1), lap)
+    b = conformal_initial_map(ellipsoid3, np.random.default_rng(1), lap)
+    c = conformal_initial_map(ellipsoid3, np.random.default_rng(2), lap)
     assert np.array_equal(a, b)
     # the second seed punctures another face: a different, fold-free start
     assert not np.array_equal(a, c)
@@ -53,7 +54,7 @@ def test_conformal_map_seeded_face_choice(ellipsoid3):
 
 
 def test_fpi_boundary_rows_fixed(ellipsoid3):
-    # the conformal start's plane: its pinned face is the whole boundary
+    # a conformal start's plane: its pinned face is the whole boundary
     lap = assemble_laplacian(ellipsoid3, face_geometry(ellipsoid3, ellipsoid3.vertices))
     pinned = ellipsoid3.faces[int(np.argmax(ellipsoid3.face_areas))]
     interior = np.ones(ellipsoid3.n_vertices, dtype=bool)
@@ -66,7 +67,7 @@ def test_fpi_boundary_rows_fixed(ellipsoid3):
 
     # the first FPI plane: the start projected from the south pole, with
     # the Laplacian of the start's face geometry
-    f0 = conformal_initial_map(ellipsoid3)
+    f0 = conformal_start(ellipsoid3)
     lap = assemble_laplacian(ellipsoid3, face_geometry(ellipsoid3, f0))
     h = stereographic(f0, -1.0)
     interior = disk_interior(h)
@@ -77,7 +78,7 @@ def test_fpi_boundary_rows_fixed(ellipsoid3):
 
 
 def test_fpi_iterates_on_manifold(ellipsoid3):
-    f0 = conformal_initial_map(ellipsoid3)
+    f0 = conformal_start(ellipsoid3)
     result = fpi_minimize(ellipsoid3, f0, max_iters=5, stop_on_increase=False)
     assert np.abs(np.linalg.norm(result.mapping, axis=1) - 1.0).max() <= 1e-12
     assert [r.iteration for r in result.records] == list(range(1, 6))
@@ -85,7 +86,7 @@ def test_fpi_iterates_on_manifold(ellipsoid3):
 
 def test_fpi_detects_first_increase_and_rolls_back():
     surf = normalize_area(bumpy_sphere())
-    f0 = conformal_initial_map(surf)
+    f0 = conformal_start(surf)
     result = fpi_minimize(surf, f0, max_iters=60, stop_on_increase=True)
     assert result.status == "authalic_increased"
     # the last record is the rejected iterate
@@ -102,7 +103,7 @@ def test_fpi_detects_first_increase_and_rolls_back():
 
 def test_fpi_monitor_off_runs_to_budget():
     surf = normalize_area(bumpy_sphere())
-    f0 = conformal_initial_map(surf)
+    f0 = conformal_start(surf)
     result = fpi_minimize(surf, f0, max_iters=8, stop_on_increase=False)
     # a stretch-energy rise is not convergence: the run stops on it and
     # returns the iterate before the rise, whose record is the one before last
@@ -115,7 +116,7 @@ def test_fpi_monitor_off_runs_to_budget():
 
 
 def test_a_zero_cap_does_no_work(monkeypatch, ellipsoid3):
-    f0 = conformal_initial_map(ellipsoid3)
+    f0 = conformal_start(ellipsoid3)
     calls = []
     geometry = en.face_geometry
 
@@ -132,12 +133,13 @@ def test_a_zero_cap_does_no_work(monkeypatch, ellipsoid3):
 
 def test_warm_start_then_descent_beats_fpi_alone():
     surf = normalize_area(bumpy_sphere())
-    f0 = conformal_initial_map(surf)
+    f0 = conformal_start(surf)
     fpi_only = fpi_minimize(surf, f0, max_iters=60, stop_on_increase=False)
     fpi_best = min(r.authalic for r in fpi_only.records)
 
     warm = fpi_minimize(surf, f0, max_iters=10, stop_on_increase=True)
-    refined = minimize(NormalizedStretchObjective(surf), warm.mapping, max_iters=100)
+    refined = minimize(NormalizedStretchObjective(surf), warm.mapping, max_iters=100,
+                       precondition=None)
     final = face_geometry(surf, refined.mapping).authalic
     assert final <= fpi_best
 

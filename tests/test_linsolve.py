@@ -10,14 +10,14 @@ import scipy.sparse.linalg as spla
 
 from authalic.energy import assemble_laplacian, face_geometry
 from authalic.errors import SolveError
-from authalic.fpi import conformal_initial_map, dirichlet_solve, disk_interior
+from authalic.fpi import dirichlet_solve, disk_interior
 import authalic.linsolve as linsolve
 from authalic.linsolve import _condition_estimate, factorize, solve
 from authalic.mesh import make_icosphere, normalize_area
 from authalic.rgd import PRECONDITIONER_SHIFT
 from authalic.sphere import stereographic
 
-from helpers import count_factorizations
+from helpers import conformal_start, count_factorizations
 
 
 def test_identity_system():
@@ -113,7 +113,7 @@ def dissection_ranks(surface, interior):
 def restricted_fpi_system(surface):
     """The first FPI solve's system with its unknowns in vertex order, and
     their dissection ranks."""
-    f = conformal_initial_map(surface)
+    f = conformal_start(surface)
     lap = assemble_laplacian(surface, face_geometry(surface, f)).tocsr()
     h = stereographic(f, -1.0)
     interior = disk_interior(h)
@@ -153,7 +153,7 @@ def test_dissection_order_fills_less_than_colamd(monkeypatch):
 
 
 def test_dirichlet_solve_factors_the_dissection_ordered_system(monkeypatch, ellipsoid3):
-    f = conformal_initial_map(ellipsoid3)
+    f = conformal_start(ellipsoid3)
     lap = assemble_laplacian(ellipsoid3, face_geometry(ellipsoid3, f)).tocsr()
     h = stereographic(f, -1.0)
     interior = disk_interior(h)
@@ -181,7 +181,7 @@ def test_dirichlet_solve_factors_the_dissection_ordered_system(monkeypatch, elli
 def test_dirichlet_solve_hands_superlu_a_coordinate_major_block(monkeypatch, ellipsoid3):
     # the plane's real and imaginary columns reach SuperLU as the columns
     # it works in, and solve as a row-major block would
-    f = conformal_initial_map(ellipsoid3)
+    f = conformal_start(ellipsoid3)
     lap = assemble_laplacian(ellipsoid3, face_geometry(ellipsoid3, f)).tocsr()
     h = stereographic(f, -1.0)
     interior = disk_interior(h)

@@ -41,6 +41,18 @@ def test_load_off_tetrahedron(tmp_path):
     assert surf.n_vertices - surf.n_edges + surf.n_faces == 2
 
 
+@pytest.mark.parametrize("fmt", ["obj", "off"])
+def test_a_byte_order_mark_does_not_change_a_mesh_file(tmp_path, fmt):
+    # read as text, the mark would be part of the first line's first token,
+    # hiding an OBJ file's first vertex and an OFF file's header
+    surf = make_icosphere(1)
+    plain, marked = tmp_path / f"plain.{fmt}", tmp_path / f"marked.{fmt}"
+    save_mesh(surf.vertices, surf.faces, plain)
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    a, b = load_mesh(plain), load_mesh(marked)
+    assert np.array_equal(a.vertices, b.vertices) and np.array_equal(a.faces, b.faces)
+
+
 def test_obj_quad_face_rejected(tmp_path):
     path = tmp_path / "quad.obj"
     path.write_text("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3 4\n")
@@ -354,6 +366,16 @@ def test_disconnected_mesh_rejected():
                       np.vstack([ico.faces, faces + ico.n_vertices]))
 
 
+@pytest.mark.parametrize("extra", [1, 2])
+def test_a_vertex_in_no_face_is_named(extra):
+    # one stray vertex fails the genus check (V-E+F = 3), whose
+    # fractional genus would not point at it
+    ico = make_icosphere(1)
+    verts = np.vstack([ico.vertices, np.full((extra, 3), 2.0)])
+    with pytest.raises(MeshTopologyError, match=f"^vertex {ico.n_vertices} is in no face$"):
+        build_surface(verts, ico.faces)
+
+
 def directed_side_repeat(faces: np.ndarray, n: int):
     """The reference orientation check, one sort of the directed side keys
     a * n + b: the error message for the smallest key held twice, naming
@@ -475,20 +497,30 @@ def test_parse_landmarks(tmp_path):
     assert np.array_equal(pairs, [[0, 4], [2, 1], [9, 9]])
 
 
+def test_a_byte_order_mark_does_not_change_a_landmark_file(tmp_path):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text("1 5\n3 2\n")
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert np.array_equal(parse_landmarks(marked, 10, 10), parse_landmarks(plain, 10, 10))
+
+
 def test_parse_landmarks_errors(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("1 2\n1 2\n")
     with pytest.raises(MeshFormatError, match="duplicate"):
-        parse_landmarks(path)
+        parse_landmarks(path, 10, 10)
     path.write_text("0 2\n")
     with pytest.raises(MeshFormatError, match="1-based"):
-        parse_landmarks(path)
+        parse_landmarks(path, 10, 10)
     path.write_text("4 2\n")
-    with pytest.raises(MeshFormatError, match="out of range"):
-        parse_landmarks(path, n_source=3)
+    with pytest.raises(MeshFormatError, match="source landmark index out of range"):
+        parse_landmarks(path, n_source=3, n_target=3)
+    path.write_text("2 4\n")
+    with pytest.raises(MeshFormatError, match="target landmark index out of range"):
+        parse_landmarks(path, n_source=3, n_target=3)
     path.write_text("1 2 3\n")
     with pytest.raises(MeshFormatError, match="two indices"):
-        parse_landmarks(path)
+        parse_landmarks(path, 10, 10)
 
 
 def test_dissection_order_is_a_cached_permutation():

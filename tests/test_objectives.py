@@ -20,7 +20,8 @@ from authalic.registration import RegistrationObjective
 from authalic.rgd import NormalizedStretchObjective, minimize
 from authalic.sphere import count_folds, project_to_manifold
 
-from helpers import bumpy_sphere, image_area_gradient_via_laplacian, inverted_vertex_map
+from helpers import (bumpy_sphere, conformal_start, image_area_gradient_via_laplacian,
+                     inverted_vertex_map)
 
 LANDMARK_ROWS = np.array([3, 40, 77, 120])
 
@@ -73,15 +74,15 @@ def test_registration_gradient_is_spherical_gradient_plus_pull(mesh, request):
     surface = request.getfixturevalue(mesh)
     f = spherical_start(surface)
     targets = landmark_targets(f)
-    lambdas = np.array([10.0, 1.0, 0.5, 2.0])
+    lam = 2.0
     geom = face_geometry(surface, f)
     expected = en.spherical_gradient(surface, geom, f)
-    for row, target, lam in zip(LANDMARK_ROWS, targets, lambdas):
+    for row, target in zip(LANDMARK_ROWS, targets):
         expected[row] += 2.0 * lam * (f[row] - target)
-    objective = RegistrationObjective(surface, LANDMARK_ROWS, targets, lambdas)
+    objective = RegistrationObjective(surface, LANDMARK_ROWS, targets, lam)
     value, egrad = objective.value_and_gradient(f)
     assert_close(egrad, expected)
-    mismatch = float(np.sum(lambdas * np.sum((f[LANDMARK_ROWS] - targets) ** 2, axis=1)))
+    mismatch = lam * float(np.sum((f[LANDMARK_ROWS] - targets) ** 2))
     assert value == pytest.approx(geom.spherical_normalized + mismatch, rel=1e-12)
     assert objective.value(f) == value
     # the whole gradient, pull included, against central differences
@@ -183,14 +184,14 @@ def test_one_face_geometry_pass_per_accepted_iterate(ellipsoid3, monkeypatch):
     monkeypatch.setattr(rgd, "search", counted_search)
     monkeypatch.setattr(rgd, "GRAD_TOL", 0.0)
     result = minimize(NormalizedStretchObjective(ellipsoid3), spherical_start(ellipsoid3),
-                      max_iters=10)
+                      max_iters=10, precondition=None)
     assert len(result.records) == 10
     assert calls["face_geometry"] <= sum(evals) + 1
     for geoms in summed.values():
         assert len({id(g) for g in geoms}) == len(geoms) <= sum(evals) + 1
     # FPI: the start's energies, then one set per iteration
     summed["stretch"].clear()
-    warm = fpi.fpi_minimize(ellipsoid3, fpi.conformal_initial_map(ellipsoid3),
+    warm = fpi.fpi_minimize(ellipsoid3, conformal_start(ellipsoid3),
                             max_iters=4, stop_on_increase=False)
     assert len(summed["stretch"]) == len(warm.records) + 1
 
@@ -204,9 +205,9 @@ def test_records_count_folds_without_a_second_gather(ellipsoid3, monkeypatch):
 
     for module in (sphere, rgd, fpi):
         monkeypatch.setattr(module, "count_folds", counted_folds)
-    f0 = fpi.conformal_initial_map(ellipsoid3)
+    f0 = conformal_start(ellipsoid3)
     calls[0] = 0
-    result = minimize(NormalizedStretchObjective(ellipsoid3), f0, max_iters=5)
+    result = minimize(NormalizedStretchObjective(ellipsoid3), f0, max_iters=5, precondition=None)
     warm = fpi.fpi_minimize(ellipsoid3, f0, max_iters=3)
     assert len(result.records) == 5 and len(warm.records) >= 1
     assert calls[0] == 0
@@ -225,7 +226,7 @@ def test_record_folds_match_count_folds(icosphere2, monkeypatch):
 
     monkeypatch.setattr(NormalizedStretchObjective, "value_and_gradient", recorded)
     monkeypatch.setattr(rgd, "GRAD_TOL", 0.0)
-    result = minimize(NormalizedStretchObjective(icosphere2), f0, max_iters=15)
+    result = minimize(NormalizedStretchObjective(icosphere2), f0, max_iters=15, precondition=None)
     # the gradient is taken at the start and then at each accepted iterate
     # but the last
     seen = [(r.folds, count_folds(icosphere2, f))
@@ -237,7 +238,8 @@ def test_record_folds_match_count_folds(icosphere2, monkeypatch):
 
 def test_log_every_goes_through_logging(ellipsoid3, caplog, capsys):
     with caplog.at_level(logging.DEBUG, logger="authalic.rgd"):
-        minimize(NormalizedStretchObjective(ellipsoid3), spherical_start(ellipsoid3), max_iters=4)
+        minimize(NormalizedStretchObjective(ellipsoid3), spherical_start(ellipsoid3), max_iters=4,
+                 precondition=None)
     records = [r for r in caplog.records if r.name == "authalic.rgd"]
     # one DEBUG line per iteration, nothing at INFO or above
     assert [r.levelno for r in records] == [logging.DEBUG] * 4

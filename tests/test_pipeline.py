@@ -14,12 +14,12 @@ import authalic.pipeline as pipeline
 import authalic.rgd as rgd
 from authalic.energy import IMAGE_AREA_TOL, face_geometry
 from authalic.errors import AuthalicError, DegenerateFaceError, MeshTopologyError
-from authalic.fpi import conformal_initial_map, fpi_minimize
+from authalic.fpi import fpi_minimize
 from authalic.mesh import build_surface, make_icosphere, normalize_area
 from authalic.pipeline import ParameterizeConfig, parameterize
 from authalic.sphere import count_folds
 
-from helpers import inverted_vertex_map, rotation_matrix, unit_hull
+from helpers import conformal_start, inverted_vertex_map, rotation_matrix, unit_hull
 
 
 PAPER = ParameterizeConfig(method="paper")
@@ -151,7 +151,7 @@ def test_zero_median_rescale_raises_before_dividing():
     # reaches a median planar magnitude of 0 in FPI; dividing by it used
     # to fill the plane with NaNs
     surface = normalize_area(make_icosphere(3, (10.0, 1.0, 1.0)))
-    f0 = conformal_initial_map(surface, rng=np.random.default_rng(0))
+    f0 = conformal_start(surface)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(AuthalicError, match="FPI iteration"):

@@ -41,7 +41,7 @@ def landmark_maps():
 def test_landmark_rotation_is_proper_and_recovers_a_rotation(landmark_maps):
     f0, _ = landmark_maps
     q = rotation_matrix([-2.0, 0.5, 1.0], 2.5)
-    r = landmark_rotation(f0, f0 @ q.T, 1.0)
+    r = landmark_rotation(f0, f0 @ q.T)
     assert np.abs(r @ r.T - np.eye(3)).max() <= 1e-12
     assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-12)
     assert np.abs(r - q.T).max() <= 1e-12
@@ -53,7 +53,7 @@ def test_landmark_rotation_is_proper_for_a_mirrored_set(landmark_maps):
     f0, _ = landmark_maps
     rows = PAIRS[:, 0]
     mirrored = f0[rows] * np.array([-1.0, 1.0, 1.0])
-    r = landmark_rotation(f0[rows], mirrored, 1.0)
+    r = landmark_rotation(f0[rows], mirrored)
     assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-12)
     pull = lambda m: np.sum((f0[rows] - mirrored @ m.T) ** 2)
     turns = [rotation_matrix(axis, angle) for axis in np.eye(3)
@@ -66,7 +66,7 @@ def test_midpoints_unit_and_on_minor_arc(landmark_maps):
     c = midpoint_targets(f0, f1, PAIRS)
     assert np.abs(np.linalg.norm(c, axis=1) - 1.0).max() <= 1e-12
     a, b = f0[PAIRS[:, 0]], f1[PAIRS[:, 1]]
-    b = b @ landmark_rotation(a, b, 1.0).T
+    b = b @ landmark_rotation(a, b).T
     # equidistant from f0[p] and R f1[q] and strictly inside their arc
     assert np.sum(c * a, axis=1) == pytest.approx(np.sum(c * b, axis=1), abs=1e-12)
     assert (np.sum(c * a, axis=1) > np.sum(a * b, axis=1)).all()
@@ -76,7 +76,7 @@ def test_midpoints_are_renormalized_chord_midpoints(landmark_maps):
     f0, f1 = landmark_maps
     c = midpoint_targets(f0, f1, PAIRS)
     a, b = f0[PAIRS[:, 0]], f1[PAIRS[:, 1]]
-    chord = 0.5 * (a + b @ landmark_rotation(a, b, 1.0).T)
+    chord = 0.5 * (a + b @ landmark_rotation(a, b).T)
     assert np.array_equal(c, chord / np.linalg.norm(chord, axis=1)[:, None])
 
 
@@ -100,15 +100,15 @@ def test_antipodal_midpoint_rejected():
         midpoint_targets(f0, f1, pairs)
 
 
-def registration_gradient(sphere, h, rows, targets, lambdas):
-    return RegistrationObjective(sphere, rows, targets, lambdas).value_and_gradient(h)[1]
+def registration_gradient(sphere, h, rows, targets, lam):
+    return RegistrationObjective(sphere, rows, targets, lam).value_and_gradient(h)[1]
 
 
 def test_gradient_without_landmarks_is_stretch_gradient(icosphere1):
     sphere = build_surface(icosphere1.vertices, icosphere1.faces)
     h = icosphere1.vertices
     rows = np.array([], dtype=np.int64)
-    grad = registration_gradient(sphere, h, rows, np.zeros((0, 3)), np.zeros(0))
+    grad = registration_gradient(sphere, h, rows, np.zeros((0, 3)), 1.0)
     stretch = spherical_gradient(sphere, face_geometry(sphere, h), h)
     assert np.abs(grad - stretch).max() <= 1e-14
 
@@ -118,9 +118,8 @@ def test_gradient_zero_residual_row(icosphere1):
     h = icosphere1.vertices
     rows = np.array([4])
     targets = h[rows].copy()
-    with_lm = registration_gradient(sphere, h, rows, targets, np.array([10.0]))
-    without = registration_gradient(sphere, h, np.array([], dtype=int),
-                                    np.zeros((0, 3)), np.zeros(0))
+    with_lm = registration_gradient(sphere, h, rows, targets, 10.0)
+    without = registration_gradient(sphere, h, np.array([], dtype=int), np.zeros((0, 3)), 1.0)
     assert np.abs(with_lm - without).max() <= 1e-14
 
 
@@ -130,9 +129,8 @@ def test_vanishing_weight_recovers_stretch_descent(icosphere1):
     rows = np.array([2, 9])
     targets = project_to_manifold(np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]))
     # a weight must be positive, so "vanishing" is the limit from above
-    lam0 = registration_gradient(sphere, h, rows, targets, np.array([1e-14, 1e-14]))
-    plain = registration_gradient(sphere, h, np.array([], dtype=int),
-                                  np.zeros((0, 3)), np.zeros(0))
+    lam0 = registration_gradient(sphere, h, rows, targets, 1e-14)
+    plain = registration_gradient(sphere, h, np.array([], dtype=int), np.zeros((0, 3)), 1.0)
     assert np.abs(lam0 - plain).max() <= 1e-12
 
 
@@ -158,8 +156,7 @@ def assert_gradient_matches_finite_differences(rows, targets, lam):
 
 def test_gradient_matches_finite_differences():
     targets = project_to_manifold(np.array([[0.1, 0.9, 0.2], [-0.5, 0.3, 0.8]]))
-    assert_gradient_matches_finite_differences(np.array([2, 7]), targets,
-                                               np.array([1.0, 1.0]))
+    assert_gradient_matches_finite_differences(np.array([2, 7]), targets, 1.0)
 
 
 def test_gradient_with_two_landmarks_on_one_vertex():
@@ -167,8 +164,7 @@ def test_gradient_with_two_landmarks_on_one_vertex():
     # both pulls act on that row
     targets = project_to_manifold(np.array([[0.1, 0.9, 0.2], [-0.5, 0.3, 0.8],
                                             [0.7, -0.2, 0.4]]))
-    assert_gradient_matches_finite_differences(np.array([2, 2, 7]), targets,
-                                               np.array([1.0, 2.0, 1.0]))
+    assert_gradient_matches_finite_differences(np.array([2, 2, 7]), targets, 2.0)
 
 
 def test_gradient_row_out_of_range(icosphere1):
@@ -176,7 +172,7 @@ def test_gradient_row_out_of_range(icosphere1):
     # a negative row must not wrap around to the last vertices
     for row in (999, -1):
         with pytest.raises(IndexError):
-            RegistrationObjective(sphere, np.array([row]), np.zeros((1, 3)), np.array([1.0]))
+            RegistrationObjective(sphere, np.array([row]), np.zeros((1, 3)), 1.0)
 
 
 def test_alignment_with_targets_at_landmarks_keeps_energy_nonincreasing(icosphere2):
@@ -187,8 +183,7 @@ def test_alignment_with_targets_at_landmarks_keeps_energy_nonincreasing(icospher
     f = icosphere2.vertices
     rows = PAIRS[:, 0]
     targets = f[rows].copy()
-    lam = np.full(len(rows), 10.0)
-    energy = RegistrationObjective(sphere, rows, targets, lam).value
+    energy = RegistrationObjective(sphere, rows, targets, 10.0).value
     before = energy(f)
     result = solve_alignment(sphere, f, rows, targets, lambdas=10.0, iters=20)
     after = energy(result.mapping)
@@ -449,6 +444,24 @@ def test_register_needs_landmark_pairs(monkeypatch, icosphere1, shape):
     f = icosphere1.vertices
     with pytest.raises(ValueError, match=r"must have shape \(k, 2\), k >= 1"):
         registration.register(icosphere1, icosphere1, f, f, np.zeros(shape, dtype=int))
+
+
+@pytest.mark.parametrize("bad, match", [
+    ([5, -1], r"pair 1 \[5, -1\] is out of range for 42 source and 42 target"),
+    ([42, 5], r"pair 1 \[42, 5\] is out of range"),
+    ([5, 42], r"pair 1 \[5, 42\] is out of range"),
+    ([5.0, 6.0], "integer vertex indices; got float64"),
+], ids=["negative", "past-the-source", "past-the-target", "float"])
+def test_register_rejects_a_pair_it_cannot_index(monkeypatch, icosphere1, bad, match):
+    # numpy would wrap a negative index round silently, through the
+    # rotation and the midpoints, so the check comes before any work
+    def aligned(*args, **kwargs):
+        raise AssertionError("an alignment ran")
+
+    monkeypatch.setattr(registration, "solve_alignment", aligned)
+    f = icosphere1.vertices
+    with pytest.raises(ValueError, match=match):
+        registration.register(icosphere1, icosphere1, f, f, np.array([[3, 3], bad, [7, 7]]))
 
 
 def test_many_landmarks_align_within_the_default_cap():

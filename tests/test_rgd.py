@@ -62,7 +62,7 @@ def test_immediate_convergence_at_critical_point(icosphere2, monkeypatch):
             return 1.0, 2.0 * f
 
     monkeypatch.setattr(rgd, "GRAD_TOL", 1e-8 / np.sqrt(icosphere2.n_vertices))
-    result = minimize(Flat(icosphere2), icosphere2.vertices, max_iters=100)
+    result = minimize(Flat(icosphere2), icosphere2.vertices, max_iters=100, precondition=None)
     assert result.status == "grad_converged"
     assert result.records == []
     assert np.array_equal(result.mapping, icosphere2.vertices)
@@ -77,14 +77,14 @@ def test_line_search_failure_returns_best_iterate(icosphere2):
             g = project_tangent(f, np.roll(f, 1, axis=1))
             return 1.0, g + f
 
-    result = minimize(Stubborn(icosphere2), icosphere2.vertices, max_iters=5)
+    result = minimize(Stubborn(icosphere2), icosphere2.vertices, max_iters=5, precondition=None)
     assert result.status == "line_search_failed"
     assert np.array_equal(result.mapping, icosphere2.vertices)
 
 
 def test_descent_run_on_ellipsoid(ellipsoid3):
     f0 = project_to_manifold(ellipsoid3.vertices)
-    result = minimize(NormalizedStretchObjective(ellipsoid3), f0, max_iters=50)
+    result = minimize(NormalizedStretchObjective(ellipsoid3), f0, max_iters=50, precondition=None)
     assert result.status in ("max_iters", "grad_converged")
     values = [r.normalized for r in result.records]
     assert len(values) >= 10
@@ -103,7 +103,7 @@ def test_descent_run_on_ellipsoid(ellipsoid3):
 
 def test_alpha_and_grad_norm_recorded(ellipsoid3):
     f0 = project_to_manifold(ellipsoid3.vertices)
-    result = minimize(NormalizedStretchObjective(ellipsoid3), f0, max_iters=5)
+    result = minimize(NormalizedStretchObjective(ellipsoid3), f0, max_iters=5, precondition=None)
     for r in result.records:
         assert r.alpha is not None and 0 < r.alpha <= 1.0
         assert r.grad_norm is not None and r.grad_norm > 0
@@ -117,7 +117,7 @@ def test_descent_without_gradient_tests_ends_in_a_failed_search(icosphere2, monk
     monkeypatch.setattr(rgd, "GRAD_TOL", 0.0)
     monkeypatch.setattr(rgd, "GRAD_RTOL", 0.0)
     result = minimize(NormalizedStretchObjective(icosphere2), icosphere2.vertices,
-                      max_iters=4000)
+                      max_iters=4000, precondition=None)
     assert result.status == "line_search_failed"
     assert len(result.records) < 4000
 
@@ -129,7 +129,7 @@ def test_gradient_falls_with_generous_budget(monkeypatch):
     f0 = project_to_manifold(surf.vertices)
     monkeypatch.setattr(rgd, "GRAD_TOL", 1e-4 / np.sqrt(surf.n_vertices))
     monkeypatch.setattr(rgd, "GRAD_RTOL", 0.0)
-    result = minimize(NormalizedStretchObjective(surf), f0, max_iters=5000)
+    result = minimize(NormalizedStretchObjective(surf), f0, max_iters=5000, precondition=None)
     assert result.status == "grad_converged"
     assert np.linalg.norm(riemannian_gradient(surf, result.mapping)) <= 1e-4
 
@@ -267,14 +267,15 @@ def test_lbfgs_descent_decreases_the_spherical_energy(ellipsoid3, monkeypatch):
 
 def test_minimize_runs_what_its_caller_hands_it():
     # the caller picks the objective and factors K, so one module states
-    # each method: minimize takes no surface and no default objective or
-    # cap, and names no objective class and no factorization
+    # each method: minimize takes no surface and no default objective,
+    # cap or preconditioner, and names no objective class and no
+    # factorization
     params = inspect.signature(minimize).parameters.values()
     assert [(p.name, p.kind, p.default) for p in params] == [
         ("objective", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty),
         ("f0", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty),
         ("max_iters", inspect.Parameter.KEYWORD_ONLY, inspect.Parameter.empty),
-        ("precondition", inspect.Parameter.KEYWORD_ONLY, None),
+        ("precondition", inspect.Parameter.KEYWORD_ONLY, inspect.Parameter.empty),
     ]
     tree = ast.parse(Path(rgd.__file__).read_text())
     [body] = [node for node in tree.body
