@@ -33,12 +33,12 @@ The per-face kernels -- :func:`face_geometry`, the gradients and the
 Laplacian's corner weights -- run over consecutive blocks of at most
 :data:`FACE_BLOCK` faces: each block gathers its corners, computes and
 scatters, so their temporaries are bounded by the block, not the mesh.
-A :class:`FaceGeometry` keeps only per-face scalars and a reference to
-the mapping it measured; the kernels that need the image edges regather
-them from that mapping.  A mesh of one block runs the arithmetic of a
-single whole-mesh pass; on more blocks the per-face fields and the
-Laplacian are bitwise those of one block, and the gradients differ by
-roundoff only, since the vertex sums are added block by block.
+A :class:`FaceGeometry` keeps three per-face rows and a reference to
+the mapping it measured; the kernels regather the image edges from that
+mapping and form the normals from them.  A mesh of one block runs the
+arithmetic of a single whole-mesh pass; on more blocks the per-face
+fields and the Laplacian are bitwise those of one block, and the
+gradients differ by roundoff only, as the vertex sums go block by block.
 
 There is one route to each energy: :func:`face_geometry` measures a
 mapping once, and its :class:`FaceGeometry` gives ``stretch``,
@@ -85,13 +85,11 @@ class FaceGeometry:
     """Per-face image geometry, vectorized over the m faces.
 
     mapping : the (n, 3) mapping measured, held by reference, not copied:
-        the kernels that need the image edges e_ij = f_i - f_j, e_ik and
-        e_jk regather them from it, block by block.
-    a12, a13, a23 : (m,) doubled signed areas of the coordinate-plane
-        projections of each image triangle; e_ij x e_ik = (a23, -a13, a12).
-    image_areas : (m,) unsigned image areas, 0.5 * sqrt(a12^2 + a13^2 + a23^2).
+        the kernels regather the image edges e_ij = f_i - f_j, e_ik and
+        e_jk from it, block by block, and the normal n = e_ij x e_ik.
+    image_areas : (m,) unsigned image areas |n| / 2.
     ref_areas : (m,) reference (mesh) face areas.
-    orientation : (m,) f_i . (e_ij x e_ik) = det [f_i; f_j; f_k], negative
+    orientation : (m,) f_i . n = det [f_i; f_j; f_k], negative
         where the spherical image of the face is inverted, zero where it
         is degenerate and NaN where a corner is not a number.
     spherical_d : (m,) D = 4 - (|e_ij|^2 + |e_ik|^2 + |e_jk|^2) / 2, which
@@ -100,17 +98,13 @@ class FaceGeometry:
         area S_t of the geodesic image triangle (Van Oosterom and Strackee).
     total_area : |M|, the reference surface area.
 
-    Only per-face scalars are kept, never the (m, 3) edges, so a
-    geometry costs six (m,) rows.  The energies and SD/Mean are sums over
-    these fields, each computed on first use and kept.  Each raises
-    :class:`DegenerateFaceError` when the total image area is not
-    positive (NaN included).
+    Only three (m,) rows are its own, never the edges or the normals.
+    The energies and SD/Mean are sums over these fields, each computed
+    on first use and kept.  Each raises :class:`DegenerateFaceError`
+    when the total image area is not positive (NaN included).
     """
 
     mapping: np.ndarray
-    a12: np.ndarray
-    a13: np.ndarray
-    a23: np.ndarray
     image_areas: np.ndarray
     ref_areas: np.ndarray
     orientation: np.ndarray
@@ -243,29 +237,37 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[0] * b[0] + a[2] * b[2]) + a[1] * b[1]
 
 
+def _cross(a, b, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """out[s] = (a x b)[s] for three coordinate rows, returned; the normal
+    e_ij x e_ik is bitwise (a23, -a13, a12), as fl(y - x) = -fl(x - y)."""
+    for s in range(3):
+        u, v = (s + 1) % 3, (s + 2) % 3
+        np.multiply(a[u], b[v], out=out[s])
+        np.multiply(a[v], b[u], out=scratch)
+        out[s] -= scratch
+    return out
+
+
 def face_geometry(surface, f: np.ndarray) -> FaceGeometry:
     """Measure the image of every face under `f`; degenerate images are
     measured too (:func:`check_geometry` rejects them).  Each block's
-    fields are written straight into their rows of one (6, m) array."""
+    fields are written straight into their rows of one (3, m) array."""
     f = np.asarray(f, dtype=np.float64)
-    rows = np.empty((6, surface.n_faces))
+    rows = np.empty((3, surface.n_faces))
     for block, _, p in _corner_blocks(surface, f):
-        a12, a13, a23, areas, orientation, d = rows[:, block]
+        areas, orientation, d = rows[:, block]
         e_ij, e_ik, e_jk = _edges(p)
-        np.subtract(e_ij[0] * e_ik[1], e_ij[1] * e_ik[0], out=a12)
-        np.subtract(e_ij[0] * e_ik[2], e_ij[2] * e_ik[0], out=a13)
-        np.subtract(e_ij[1] * e_ik[2], e_ij[2] * e_ik[1], out=a23)
-        np.sqrt(a12 * a12 + a13 * a13 + a23 * a23, out=areas)
+        n = _cross(e_ij, e_ik, np.empty_like(e_ij), np.empty_like(areas))
+        # |n|^2 summed xy + zx + yz, the order the pinned areas were made in
+        np.sqrt(n[2] * n[2] + n[1] * n[1] + n[0] * n[0], out=areas)
         areas *= 0.5
-        np.add(p[0, 0] * a23 - p[1, 0] * a13, p[2, 0] * a12, out=orientation)
+        np.add(p[0, 0] * n[0] + p[1, 0] * n[1], p[2, 0] * n[2], out=orientation)
         np.subtract(4.0, 0.5 * (_squared_length(e_ij) + _squared_length(e_ik)
                                 + _squared_length(e_jk)), out=d)
-    a12, a13, a23, areas, orientation, d = rows
+    areas, orientation, d = rows
     return FaceGeometry(
-        mapping=f, a12=a12, a13=a13, a23=a23,
-        image_areas=areas, ref_areas=surface.face_areas,
-        orientation=orientation, spherical_d=d,
-        total_area=surface.total_area,
+        mapping=f, image_areas=areas, ref_areas=surface.face_areas,
+        orientation=orientation, spherical_d=d, total_area=surface.total_area,
     )
 
 
@@ -318,32 +320,22 @@ def assemble_laplacian(surface, geom: FaceGeometry) -> sp.csr_matrix:
 # Image-area gradient
 # ---------------------------------------------------------------------------
 
-def _cross(a, b, out: np.ndarray, scratch: np.ndarray) -> None:
-    """out[s] = (a x b)[s] for vectors stored as three coordinate rows."""
-    for s in range(3):
-        u, v = (s + 1) % 3, (s + 2) % 3
-        np.multiply(a[u], b[v], out=out[s])
-        np.multiply(a[v], b[u], out=scratch)
-        out[s] -= scratch
-
-
 def area_gradient(surface, geom: FaceGeometry, weights: np.ndarray) -> np.ndarray:
     """sum_tau weights_tau * grad |f(tau)|, one weight per face.
 
-    Differentiating 2|f(tau)| = sqrt(a12^2 + a13^2 + a23^2) through the
-    projected areas gives, per face, the opposite image edge crossed with
-    the scaled normal n = (a23, -a13, a12) weights / (4 |f(tau)|):
-    e_jk x n at f_i, n x e_ik at f_j and e_ij x n at f_k.  Block by
-    block, the crosses overwrite the corner gather the edges were taken
-    from, and one scatter per block sums it onto the vertices.
+    Differentiating 2|f(tau)| = |n|, n = e_ij x e_ik, gives, per face,
+    the opposite image edge crossed with the scaled normal
+    n weights / (4 |f(tau)|): e_jk x n at f_i, n x e_ik at f_j and
+    e_ij x n at f_k.  Block by block, the crosses overwrite the corner
+    gather the edges were taken from, and one scatter sums it.
     """
     scale = weights * (1.0 / (4.0 * geom.image_areas))
     grad = None
     for block, index, corners in _corner_blocks(surface, geom.mapping):
-        s = scale[block]
-        normal = (geom.a23[block] * s, -geom.a13[block] * s, geom.a12[block] * s)
         e_ij, e_ik, e_jk = _edges(corners)
-        scratch = np.empty(s.size)
+        scratch = np.empty_like(e_ij[0])
+        normal = _cross(e_ij, e_ik, np.empty_like(e_ij), scratch)
+        normal *= scale[block]
         _cross(e_jk, normal, corners[:, 0], scratch)
         _cross(normal, e_ik, corners[:, 1], scratch)
         _cross(e_ij, normal, corners[:, 2], scratch)
@@ -351,10 +343,10 @@ def area_gradient(surface, geom: FaceGeometry, weights: np.ndarray) -> np.ndarra
     return grad
 
 
-def spherical_gradient(surface, geom: FaceGeometry, f: np.ndarray) -> np.ndarray:
+def spherical_gradient(surface, geom: FaceGeometry) -> np.ndarray:
     """Ambient gradient of the spherical normalized energy
-    E = (|M| / sum S) sum S_t^2 / |t| at the unit-row mapping `f` whose
-    face geometry is `geom`.
+    E = (|M| / sum S) sum S_t^2 / |t| at the unit-row mapping measured
+    by `geom`.
 
     dE = sum_t c_t dS_t with c_t = (|M| / sum S) (2 S_t / |t| - E_S / sum S),
     as for the chordal energy, and dS = 2 (D dN - N dD) / (N^2 + D^2).
@@ -362,9 +354,9 @@ def spherical_gradient(surface, geom: FaceGeometry, f: np.ndarray) -> np.ndarray
     dN/da = b x c = n - a x (b - c), with n = e_ij x e_ik the face's
     doubled area normal, and the edge form of D gives
     dD/da = b + c - 2a, whose tangent part is that of b + c.  Block by
-    block, the corner positions are gathered into one coordinate-major
-    buffer, each corner's term overwrites its own position, and one
-    scatter per block sums the buffer onto the vertices.
+    block, the corners are gathered from ``geom.mapping`` into one
+    coordinate-major buffer, each corner's term overwrites its own
+    position, and one scatter sums the buffer onto the vertices.
     """
     n_face, d_face = geom.orientation, geom.spherical_d
     area = geom.spherical_area
@@ -372,14 +364,12 @@ def spherical_gradient(surface, geom: FaceGeometry, f: np.ndarray) -> np.ndarray
                                         - geom.spherical_stretch / area)
     w = 2.0 * coeff / (n_face * n_face + d_face * d_face)
     grad = None
-    for block, index, corners in _corner_blocks(surface, f):
+    for block, index, corners in _corner_blocks(surface, geom.mapping):
         wd, wn = w[block] * d_face[block], w[block] * n_face[block]
-        normal = np.empty((3, wd.size))
-        normal[0], normal[2] = geom.a23[block], geom.a12[block]
-        np.negative(geom.a13[block], out=normal[1])
         e_ij, e_ik, e_jk = _edges(corners)
-        cross, dd = np.empty((2, 3, wd.size))
+        normal, cross, dd = np.empty((3, 3, wd.size))
         scratch = np.empty(wd.size)
+        _cross(e_ij, e_ik, normal, scratch)
 
         def term(x, u, v):
             # the cross x x (next - after) as u x v; x is read by its own

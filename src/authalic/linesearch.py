@@ -9,7 +9,8 @@ alpha * d.  The search is Armijo backtracking: each rejected trial
 sets the next step by safeguarded quadratic/cubic interpolation.  A
 trial whose image is degenerate (the objective raises
 :class:`~authalic.errors.DegenerateFaceError`) is a rejected trial with
-phi = inf, and the next trial halves the step.
+phi = inf, and the next trial halves the step.  The descent's
+objectives raise on every degenerate face, so no accepted step has one.
 """
 
 from __future__ import annotations

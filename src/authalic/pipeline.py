@@ -34,6 +34,7 @@ descent's objectives are invariant under the rescaling anyway).
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, replace
 
@@ -64,8 +65,8 @@ class ParameterizeConfig:
     :mod:`authalic.pipeline`), the descent iteration cap (unset, the
     method's own, :data:`METHOD_ITERS`; it reads resolved after
     construction) and the seed of the conformal start's puncture.  An
-    unknown `method`, a negative `max_iters` or a negative `seed` raises
-    ``ValueError`` here, before any work is done.
+    unknown `method`, or a `max_iters` or `seed` that is not an integer
+    >= 0, raises ``ValueError`` here, before any work is done.
     The method's fixed steps and numbers are not settings: fold
     correction always runs after FPI (a fold-free start that FPI left
     unchanged counts as corrected) and after the descent, and the FPI cap
@@ -84,10 +85,12 @@ class ParameterizeConfig:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
         if self.max_iters is None:
             object.__setattr__(self, "max_iters", METHOD_ITERS[self.method][1])
-        if self.max_iters < 0:
-            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name in ("max_iters", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 @dataclass(frozen=True)

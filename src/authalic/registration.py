@@ -17,6 +17,7 @@ barycentric inversion, and a linear homotopy provides morph frames.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,7 +80,8 @@ class RegistrationObjective(GeometryMemo):
     the sphere mesh being warped as the reference.  A vertex may carry
     several landmarks; each adds its own term.  The one weight `lam`
     must be a finite, positive number: at lam <= 0 the pull pushes a
-    landmark away from its target, toward the antipode.
+    landmark away from its target, toward the antipode.  Both calls raise
+    :class:`~authalic.errors.DegenerateFaceError` on a degenerate face.
     """
 
     def __init__(self, surface_sphere, landmark_rows, targets, lam):
@@ -104,8 +106,7 @@ class RegistrationObjective(GeometryMemo):
         (:func:`~authalic.energy.spherical_gradient`) plus the landmark
         pull 2 lam (h - target), summed per row."""
         geom = self.geometry(h)
-        en.check_geometry(geom)
-        grad = en.spherical_gradient(self.surface, geom, h)
+        grad = en.spherical_gradient(self.surface, geom)
         if self.rows.size:
             np.add.at(grad, self.rows, 2.0 * self.lam * (h[self.rows] - self.targets))
         return geom.spherical_normalized + self._mismatch(h), grad
@@ -292,8 +293,8 @@ def register(m0, m1, f0: np.ndarray, f1: np.ndarray, pairs: np.ndarray,
 
     f0 and f1 are spherical maps of m0 and m1, in frames of their own;
     row (p, q) of `pairs`, a (k, 2) integer array with k >= 1, pairs
-    source vertex p with target vertex q; a bad shape, type or index
-    raises ``ValueError`` before any work.  Both maps are aligned to the
+    source vertex p with target vertex q; a bad pair or `iters` raises
+    ``ValueError`` before any work.  Both maps are aligned to the
     pairs' renormalized midpoint targets (:func:`midpoint_targets`, in
     f0's frame) by :func:`solve_alignment` with weight `lam` and at most
     `iters` iterations, each from its own best rotation onto the targets;
@@ -304,6 +305,8 @@ def register(m0, m1, f0: np.ndarray, f1: np.ndarray, pairs: np.ndarray,
     face list, reused by :func:`~authalic.mesh.with_vertices` with its
     validation and order.
     """
+    if not isinstance(iters, numbers.Integral) or iters < 0:
+        raise ValueError(f"iters must be an integer >= 0, got {iters!r}")
     if pairs.ndim != 2 or pairs.shape[0] < 1 or pairs.shape[1] != 2:
         raise ValueError(f"landmark pairs must have shape (k, 2), k >= 1; got {pairs.shape}")
     if not np.issubdtype(pairs.dtype, np.integer):

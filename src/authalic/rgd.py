@@ -18,11 +18,11 @@ evaluated, and the energies, SD/Mean and fold count are read off it
 (each summed once), so the pass made for the accepted line-search trial
 also gives the iteration record and the next value and gradient.  One
 geometry is alive at a time: the memo releases the last one before it
-measures the next.  A geometry keeps only per-face scalars, and its
-kernels work through fixed-size face blocks
+measures the next, and checks each map it measures.  A geometry keeps
+three per-face rows and its kernels work through fixed-size face blocks
 (:data:`~authalic.energy.FACE_BLOCK`), so past K's factor the descent
-holds the L-BFGS pairs, a few (n, 3) arrays, one geometry's (m,) rows
-and one block's temporaries.
+holds the L-BFGS pairs, a few (n, 3) arrays, three (m,) rows and one
+block's temporaries.
 
 The power manifold makes every step row-wise work on (n, 3) arrays, and
 :func:`minimize` keeps them all coordinate-major (Fortran order).  It
@@ -110,9 +110,9 @@ class GeometryMemo:
     One entry, keyed by the array object: a mapping must not be changed
     in place between evaluations (the descent driver and the line search
     only ever make new arrays).  The old geometry is released before the
-    next one is measured, so the memo never holds two.  The geometry may
-    be degenerate; callers that need a nondegenerate image run
-    :func:`~authalic.energy.check_geometry` on it.
+    next one is measured, so the memo never holds two.  It runs
+    :func:`~authalic.energy.check_geometry` on each map it measures and
+    keeps no degenerate one, so a value and a gradient reject alike.
     """
 
     def __init__(self, surface):
@@ -123,8 +123,9 @@ class GeometryMemo:
     def geometry(self, f: np.ndarray) -> en.FaceGeometry:
         if f is not self._mapping:
             self._mapping = self._geometry = None
-            self._geometry = en.face_geometry(self.surface, f)
-            self._mapping = f
+            geom = en.face_geometry(self.surface, f)
+            en.check_geometry(geom)
+            self._mapping, self._geometry = f, geom
         return self._geometry
 
 
@@ -135,7 +136,8 @@ class NormalizedStretchObjective(GeometryMemo):
     energy, `normalized`) or, with `spherical`, its geodesic triangle's
     on the sphere (`spherical_normalized`).  Spherical areas sum to 4 pi
     for every degree-1 map, so that energy cannot fall by shrinking the
-    total image area, which the chordal one can on coarse meshes.
+    total image area, which the chordal one can on coarse meshes.  Both
+    calls raise on a degenerate face (:class:`GeometryMemo`).
     """
 
     def __init__(self, surface, spherical: bool = False):
@@ -148,9 +150,8 @@ class NormalizedStretchObjective(GeometryMemo):
 
     def value_and_gradient(self, f: np.ndarray):
         geom = self.geometry(f)
-        en.check_geometry(geom)
         if self.spherical:
-            return geom.spherical_normalized, en.spherical_gradient(self.surface, geom, f)
+            return geom.spherical_normalized, en.spherical_gradient(self.surface, geom)
         return geom.normalized, en.normalized_gradient(self.surface, geom)
 
 
@@ -294,8 +295,9 @@ def minimize(objective, f0: np.ndarray, *, max_iters: int,
     first iterate's gradient (`grad_converged`); `max_iters` steps are
     taken (`max_iters`); the line search finds no step
     (`line_search_failed`).  On line-search failure the best (last
-    accepted) iterate is returned, not an exception.  Every accepted
-    iteration is logged at DEBUG level on this module's logger.
+    accepted) iterate is returned, not an exception; a degenerate trial
+    is rejected, so only `f0` can raise ``DegenerateFaceError``.  Every
+    accepted iteration is logged at DEBUG level on this module's logger.
     """
     f = np.array(f0, dtype=np.float64, order="F")
     lbfgs = None if precondition is None else LBFGS(precondition)

@@ -7,7 +7,7 @@ from authalic import energy as en
 from authalic.energy import (FaceGeometry, area_gradient, assemble_global_hessian,
                              assemble_laplacian, euclidean_gradient, face_geometry,
                              image_area_gradient, normalized_gradient, spherical_gradient,
-                             _corner_blocks, _corner_weights, _edges)
+                             _corner_blocks, _corner_weights, _cross, _edges)
 from authalic.errors import DegenerateFaceError
 from authalic.mesh import build_surface, make_icosphere
 from authalic.sphere import (count_folds, inverse_stereographic, project_tangent,
@@ -73,6 +73,7 @@ def test_laplacian_invariant_under_face_relabeling(icosphere1):
 def test_face_geometry_bitwise_matches_row_gather(icosphere2):
     # the flat corner gather returns the same bits as gathering f[faces],
     # and so do the edges the kernels regather from the geometry's mapping
+    # and the doubled-area normal they form from those edges
     f = perturbed_mapping(icosphere2, seed=5, amplitude=0.3)
     geom = face_geometry(icosphere2, f)
     p = f[icosphere2.faces]
@@ -83,7 +84,6 @@ def test_face_geometry_bitwise_matches_row_gather(icosphere2):
     squared = [e[:, 0] * e[:, 0] + e[:, 1] * e[:, 1] + e[:, 2] * e[:, 2]
                for e in (e_ij, e_ik, e_jk)]
     reference = {
-        "a12": a12, "a13": a13, "a23": a23,
         "image_areas": 0.5 * np.sqrt(a12 * a12 + a13 * a13 + a23 * a23),
         "ref_areas": icosphere2.face_areas,
         "orientation": p[:, 0, 0] * a23 - p[:, 0, 1] * a13 + p[:, 0, 2] * a12,
@@ -93,8 +93,24 @@ def test_face_geometry_bitwise_matches_row_gather(icosphere2):
         assert np.array_equal(getattr(geom, name), want), name
     assert geom.mapping is f
     (_, _, corners), = _corner_blocks(icosphere2, geom.mapping)
-    for got, want in zip(_edges(corners), (e_ij, e_ik, e_jk)):
+    edges = _edges(corners)
+    for got, want in zip(edges, (e_ij, e_ik, e_jk)):
         assert np.array_equal(got.T, want)
+    normal = _cross(edges[0], edges[1], np.empty_like(edges[0]), np.empty_like(a12))
+    for got, want in zip(normal, (a23, -a13, a12)):
+        assert np.array_equal(got, want)
+
+
+def test_face_geometry_keeps_three_rows_of_its_own(icosphere2):
+    # the mapping and the reference areas are held by reference; what a
+    # measurement adds is three (m,) float rows, whatever the readers need
+    f = perturbed_mapping(icosphere2, seed=5, amplitude=0.3)
+    geom = face_geometry(icosphere2, f)
+    own = [getattr(geom, field.name) for field in fields(FaceGeometry)
+           if field.name not in ("mapping", "ref_areas")]
+    assert geom.ref_areas is icosphere2.face_areas
+    rows = [a for a in own if isinstance(a, np.ndarray)]
+    assert sum(a.nbytes for a in rows) == 3 * 8 * icosphere2.n_faces
 
 
 def test_corner_weights_bitwise_match_row_gather(icosphere2):
@@ -191,15 +207,18 @@ def test_authalic_identity_and_nonnegativity(icosphere2):
 
 def test_single_face_partial_hand_value():
     # face image (1,0,0), (0,1,0), (0,0,1): projected doubled areas are
-    # a12 = 1, a13 = -1, a23 = 1, area sqrt(3)/2, and dA/df_i^1 = 1/sqrt(3)
+    # a12 = 1, a13 = -1, a23 = 1, read off the edge cross product
+    # e_ij x e_ik = (a23, -a13, a12) the kernels form; area sqrt(3)/2, and
+    # dA/df_i^1 = 1/sqrt(3)
     tetra = regular_tetrahedron()
     f = tetra.vertices.copy()
     i, j, k = tetra.faces[0]
     f[i], f[j], f[k] = np.eye(3)
     geom = face_geometry(tetra, f)
-    assert geom.a12[0] == pytest.approx(1.0)
-    assert geom.a13[0] == pytest.approx(-1.0)
-    assert geom.a23[0] == pytest.approx(1.0)
+    (_, _, corners), = _corner_blocks(tetra, geom.mapping)
+    e_ij, e_ik, _ = _edges(corners)
+    a23, minus_a13, a12 = _cross(e_ij, e_ik, np.empty_like(e_ij), np.empty_like(e_ij[0]))[:, 0]
+    assert (a12, -minus_a13, a23) == pytest.approx((1.0, -1.0, 1.0))
     assert geom.image_areas[0] == pytest.approx(np.sqrt(3.0) / 2.0)
     # image_area_gradient sums every face at f_i; weighting face 0 alone
     # leaves its own partial, and unit weights give image_area_gradient
@@ -258,7 +277,7 @@ def test_spherical_gradient_matches_finite_differences(icosphere2):
     # 1e-6 of the smallest entries checked (2e-4); the gradient agrees
     # with the 1e-5 quotient to 6e-8
     f = perturbed_mapping(icosphere2, 12)
-    grad = spherical_gradient(icosphere2, face_geometry(icosphere2, f), f)
+    grad = spherical_gradient(icosphere2, face_geometry(icosphere2, f))
     fd = central_difference_gradient(
         lambda g: face_geometry(icosphere2, g).spherical_normalized, f, eps=1e-5)
     mask = np.abs(grad) > 1e-8
@@ -318,7 +337,7 @@ def test_face_blocks_keep_gradients_to_roundoff(blocked, monkeypatch):
 
     def gradients():
         geom = face_geometry(blocked, f)
-        return spherical_gradient(blocked, geom, f), normalized_gradient(blocked, geom)
+        return spherical_gradient(blocked, geom), normalized_gradient(blocked, geom)
 
     one = gradients()
     monkeypatch.setattr(en, "FACE_BLOCK", BLOCK)

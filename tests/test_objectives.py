@@ -15,6 +15,7 @@ import authalic.sphere as sphere
 from authalic.diagnostics import fd_gradient_norm_error
 from authalic.energy import assemble_laplacian, face_geometry
 from authalic.errors import DegenerateFaceError
+from authalic.linesearch import phi_derivative_at_zero, search
 from authalic.mesh import normalize_area
 from authalic.registration import RegistrationObjective
 from authalic.rgd import NormalizedStretchObjective, minimize
@@ -76,7 +77,7 @@ def test_registration_gradient_is_spherical_gradient_plus_pull(mesh, request):
     targets = landmark_targets(f)
     lam = 2.0
     geom = face_geometry(surface, f)
-    expected = en.spherical_gradient(surface, geom, f)
+    expected = en.spherical_gradient(surface, geom)
     for row, target in zip(LANDMARK_ROWS, targets):
         expected[row] += 2.0 * lam * (f[row] - target)
     objective = RegistrationObjective(surface, LANDMARK_ROWS, targets, lam)
@@ -103,39 +104,100 @@ def objectives(surface):
             NormalizedStretchObjective(surface, spherical=True)]
 
 
+def assert_names_a_degenerate_face(surface, f, err):
+    assert err.face_index is not None
+    assert not face_geometry(surface, f).image_areas[err.face_index] > en.IMAGE_AREA_TOL
+
+
 @pytest.mark.parametrize("which", [0, 1, 2])
 @pytest.mark.parametrize("value_first", [False, True])
 def test_value_and_gradient_rejects_collapsed_face(ellipsoid3, which, value_first):
-    # the value alone does not check, so a trial geometry stored by value()
-    # must still be checked when it is reused for the gradient
+    # the memo checks each map it measures, so the value rejects the
+    # collapsed face as the gradient does, in either order: a line-search
+    # trial that the value accepts is never refused by the next gradient
     objective = objectives(ellipsoid3)[which]
     f = collapsed_mapping(ellipsoid3)
-    if value_first:
-        assert np.isfinite(objective.value(f))
-    with pytest.raises(DegenerateFaceError) as err:
-        objective.value_and_gradient(f)
-    assert err.value.face_index is not None
-    assert en.face_geometry(ellipsoid3, f).image_areas[
-        err.value.face_index] <= en.IMAGE_AREA_TOL
+    calls = [objective.value_and_gradient, objective.value]
+    for call in calls[::-1] if value_first else calls:
+        with pytest.raises(DegenerateFaceError) as err:
+            call(f)
+        assert_names_a_degenerate_face(ellipsoid3, f, err.value)
 
 
 @pytest.mark.parametrize("which", [0, 1])
 def test_value_rejects_a_non_finite_total_image_area(ellipsoid3, which):
-    # the value reads the stretch energy, which checks the total image
-    # area: the chordal one, and the registration energy's spherical one
+    # a NaN corner makes the total image area NaN; the memo's check
+    # names a face of that corner before any energy is summed, for the
+    # chordal value and the registration energy's spherical one alike
     f = spherical_start(ellipsoid3)
     f[5] = np.nan
-    area = ("total image area", "total spherical image area")[which]
-    with pytest.raises(DegenerateFaceError, match=f"{area} nan is not positive"):
+    with pytest.raises(DegenerateFaceError, match=r"image of face \d+ is degenerate "
+                                                  r"\(area nan\)") as err:
         objectives(ellipsoid3)[which].value(f)
+    assert 5 in ellipsoid3.faces[err.value.face_index]
 
 
 def test_spherical_value_rejects_a_non_finite_total_area(ellipsoid3):
     f = spherical_start(ellipsoid3)
     f[5] = np.nan
-    with pytest.raises(DegenerateFaceError,
-                       match="total spherical image area nan is not positive"):
+    with pytest.raises(DegenerateFaceError, match=r"image of face \d+ is degenerate "
+                                                  r"\(area nan\)") as err:
         objectives(ellipsoid3)[2].value(f)
+    assert 5 in ellipsoid3.faces[err.value.face_index]
+
+
+@pytest.mark.parametrize("which", [0, 1, 2])
+def test_each_measured_map_is_checked_once_where_the_memo_measures_it(ellipsoid3, which,
+                                                                       monkeypatch):
+    # the value and the gradient of one map share one measurement and one
+    # check; a collapsed map raises from the value and is not kept, so
+    # the next call measures and checks it again
+    calls = {"face_geometry": 0, "check_geometry": 0}
+    for name in calls:
+        def counted(*args, name=name, fn=getattr(en, name)):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(en, name, counted)
+    objective = objectives(ellipsoid3)[which]
+    f = spherical_start(ellipsoid3)
+    objective.value(f)
+    objective.value_and_gradient(f)
+    assert calls == {"face_geometry": 1, "check_geometry": 1}
+    collapsed = collapsed_mapping(ellipsoid3)
+    for count in (2, 3):
+        with pytest.raises(DegenerateFaceError) as err:
+            objective.value(collapsed)
+        assert_names_a_degenerate_face(ellipsoid3, collapsed, err.value)
+        assert calls == {"face_geometry": count, "check_geometry": count}
+
+
+@pytest.mark.parametrize("which", [0, 1, 2])
+def test_a_first_trial_that_collapses_a_face_gives_a_shorter_step(ellipsoid3, which):
+    # the unit step carries corner k of face 7 onto corner j: the value
+    # rejects that trial as degenerate, and the search halves the step
+    # and accepts a shorter one whose faces are all nondegenerate
+    objective = objectives(ellipsoid3)[which]
+    f = spherical_start(ellipsoid3)
+    _, j, k = ellipsoid3.faces[7]
+    d = np.zeros_like(f)
+    d[k] = f[j] / (f[k] @ f[j]) - f[k]
+    value, egrad = objective.value_and_gradient(f)
+    dphi0 = phi_derivative_at_zero(f, d, egrad)
+    assert dphi0 < 0
+    degenerate = []
+
+    def energy(g):
+        try:
+            return objective.value(g)
+        except DegenerateFaceError:
+            degenerate.append(g)
+            raise
+
+    result = search(f, d, energy=energy, phi0=value, dphi0=dphi0)
+    assert len(degenerate) == 1
+    assert face_geometry(ellipsoid3, degenerate[0]).image_areas[7] <= en.IMAGE_AREA_TOL
+    assert result.ok and 0 < result.alpha <= 0.5
+    en.check_geometry(face_geometry(ellipsoid3, result.mapping))
 
 
 def test_geometry_memo_recomputes_for_a_new_array(ellipsoid3):

@@ -109,7 +109,7 @@ def test_gradient_without_landmarks_is_stretch_gradient(icosphere1):
     h = icosphere1.vertices
     rows = np.array([], dtype=np.int64)
     grad = registration_gradient(sphere, h, rows, np.zeros((0, 3)), 1.0)
-    stretch = spherical_gradient(sphere, face_geometry(sphere, h), h)
+    stretch = spherical_gradient(sphere, face_geometry(sphere, h))
     assert np.abs(grad - stretch).max() <= 1e-14
 
 
@@ -462,6 +462,20 @@ def test_register_rejects_a_pair_it_cannot_index(monkeypatch, icosphere1, bad, m
     f = icosphere1.vertices
     with pytest.raises(ValueError, match=match):
         registration.register(icosphere1, icosphere1, f, f, np.array([[3, 3], bad, [7, 7]]))
+
+
+@pytest.mark.parametrize("iters", [-1, 2.5])
+def test_register_rejects_a_bad_iteration_cap(monkeypatch, icosphere1, iters):
+    # a negative cap returned both maps unaligned, each "max_iters" with
+    # no records, and a float one failed in mid-run
+    def aligned(*args, **kwargs):
+        raise AssertionError("an alignment ran")
+
+    monkeypatch.setattr(registration, "solve_alignment", aligned)
+    f = icosphere1.vertices
+    with pytest.raises(ValueError, match=f"iters must be an integer >= 0, got {iters}"):
+        registration.register(icosphere1, icosphere1, f, f, np.array([[3, 3], [7, 7]]),
+                              iters=iters)
 
 
 def test_many_landmarks_align_within_the_default_cap():
