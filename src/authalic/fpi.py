@@ -42,26 +42,21 @@ def conformal_initial_map(surface, rng, laplacian) -> np.ndarray:
     vertices pinned to an equilateral triangle; `laplacian`, the
     reference cotangent Laplacian (:func:`reference_laplacian`), is
     solved for all remaining planar positions, the plane is recentered
-    (barycenter to origin, median magnitude to one), and the result is
-    lifted through the inverse stereographic projection and mirrored
-    (y -> -y) when more than half its faces fold, so meshes of either
-    orientation get a mostly fold-free start.
+    (barycenter to origin, median magnitude to one; a point at the origin
+    lifts to the opposite pole), and the result is lifted through the
+    inverse stereographic projection and mirrored (y -> -y) when more than
+    half its faces fold, so meshes of either orientation get a mostly
+    fold-free start.
     """
     pinned = surface.faces[int(rng.integers(surface.n_faces))]
-    n = surface.n_vertices
-    interior = np.ones(n, dtype=bool)
+    interior = np.ones(surface.n_vertices, dtype=bool)
     interior[pinned] = False
-    h = np.zeros(n, dtype=np.complex128)
+    h = np.zeros(surface.n_vertices, dtype=np.complex128)
     h[pinned] = _PIN
     h = dirichlet_solve(surface, laplacian, h, interior)
 
     h -= h.mean()
-    mags = np.abs(h)
-    if (mags < 1e-14).any():
-        # nudge off an exact origin hit so the magnitudes stay positive
-        h[mags < 1e-14] = 1e-12
-        mags = np.abs(h)
-    h /= np.median(mags)
+    h /= np.median(np.abs(h))
 
     return _oriented(surface, inverse_stereographic(h))
 
@@ -110,20 +105,18 @@ def dirichlet_solve(surface, lap, h: np.ndarray, interior: np.ndarray) -> np.nda
     rows and columns of `lap` at those vertices, with the boundary columns
     moved to the right-hand side, whose real and imaginary parts are two
     coordinate-major columns of one solve, as SuperLU stores them.  A
-    vertex at infinity (``inf`` in `h`) may only be boundary, and only
-    where no interior row couples to it.  Returns the new plane, a copy of
-    `h` with only the interior entries written.
+    vertex at infinity (``inf`` in `h`) must be boundary: an entry of the
+    rows in its column, even a zero, makes the right-hand side non-finite,
+    which raises.  Returns a copy of `h` with the interior entries solved.
     """
     if not interior.any():
         raise SolveError("empty interior vertex set")
-    boundary = ~interior
     order = surface.dissection_order
     idx = order[interior[order]]
     rows = lap[idx]
-    if rows[:, np.isinf(h)].nnz:
+    rhs = -(rows @ np.where(interior, 0, h))
+    if not np.isfinite(rhs).all():
         raise SolveError("vertex at infinity is coupled to the interior system")
-    # no stored entry of the rows lies in an inf column, so none reads an inf
-    rhs = -rows[:, boundary] @ h[boundary]
     out = h.copy()
     x = solve(rows[:, idx], np.stack([rhs.real, rhs.imag]).T)
     out[idx] = x[:, 0] + 1j * x[:, 1]

@@ -38,6 +38,7 @@ conversion.
 from __future__ import annotations
 
 import logging
+import numbers
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -296,9 +297,12 @@ def minimize(objective, f0: np.ndarray, *, max_iters: int,
     taken (`max_iters`); the line search finds no step
     (`line_search_failed`).  On line-search failure the best (last
     accepted) iterate is returned, not an exception; a degenerate trial
-    is rejected, so only `f0` can raise ``DegenerateFaceError``.  Every
-    accepted iteration is logged at DEBUG level on this module's logger.
+    is rejected, so only `f0` can raise ``DegenerateFaceError``; a
+    `max_iters` that is not an integer >= 0 raises ``ValueError`` first.
+    Every accepted iteration is logged at DEBUG level on this module's logger.
     """
+    if not isinstance(max_iters, numbers.Integral) or max_iters < 0:
+        raise ValueError(f"max_iters must be an integer >= 0, got {max_iters!r}")
     f = np.array(f0, dtype=np.float64, order="F")
     lbfgs = None if precondition is None else LBFGS(precondition)
     grad_tol = GRAD_TOL * np.sqrt(f.shape[0])
@@ -318,8 +322,7 @@ def minimize(objective, f0: np.ndarray, *, max_iters: int,
                                   f"|grad| = {grad_norm:.3e} <= {grad_tol:.3e}")
         d = -rgrad if lbfgs is None else lbfgs.direction(f, rgrad)
         dphi0 = phi_derivative_at_zero(f, d, egrad)
-        if (prev_value is None or not np.isfinite(dphi0) or dphi0 >= 0
-                or (lbfgs is not None and lbfgs.pairs)):
+        if prev_value is None or dphi0 >= 0 or (lbfgs is not None and lbfgs.pairs):
             alpha0 = ALPHA_MAX
         else:
             alpha0 = min(ALPHA_MAX, 2.0 * (value - prev_value) / dphi0)

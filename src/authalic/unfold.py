@@ -5,6 +5,7 @@ complex plane from the north pole, its disk {|h| < fpi.RADIUS} is
 re-solved from a mean-value-weighted Laplacian (whose weights stay
 positive even on flipped triangles, unlike cotangents) and lifted back,
 and the pass is repeated from the south pole; other rows keep their value.
+A degenerate planar corner raises by :func:`assemble_mean_value`'s divisor rule.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from .mesh import side_laplacian
 from .sphere import count_folds, inverse_stereographic, stereographic
 
 MAX_SWEEPS = 3
+# least divisor ratio on a fold-free run: 4.5e-13 (sub-4 tube, k = 2; 1e-12 rejects it)
+STRAIGHT_TOL = 1e-14
 
 
 def assemble_mean_value(surface, h: np.ndarray) -> sp.csr_matrix:
@@ -33,8 +36,10 @@ def assemble_mean_value(surface, h: np.ndarray) -> sp.csr_matrix:
     matrix is generally unsymmetric; rows sum to zero.  The weights go to
     :func:`~authalic.mesh.side_laplacian` for the finite faces only: a
     face with an ``inf`` corner contributes nothing, and an edge with no
-    finite face stores no entry.  Raises on coincident adjacent points and
-    on angles degenerating to pi.
+    finite face stores no entry.  A corner whose tan(angle / 2) =
+    |u x v| / (|u||v| + u.v) has a divisor not above :data:`STRAIGHT_TOL`
+    |u||v| (straight within about 1.4e-7, coincident, or NaN), or a weight
+    that overflows, raises :class:`DegenerateFaceError` naming it and its face.
     """
     finite_faces = ~np.isinf(h)[surface.faces].any(axis=1)
     fidx = surface.faces[finite_faces]
@@ -45,21 +50,19 @@ def assemble_mean_value(surface, h: np.ndarray) -> sp.csr_matrix:
     for c in range(3):
         u = tri[:, (c + 1) % 3] - tri[:, c]
         v = tri[:, (c + 2) % 3] - tri[:, c]
-        # |u x v|, u . v and |u| |v|, for the angle and a stable tan(angle / 2)
         uv = np.conj(u) * v
-        cross, dot, lengths = np.abs(uv.imag), uv.real, np.abs(u) * np.abs(v)
-        if (lengths < 1e-14).any():
-            bad = int(np.flatnonzero(lengths < 1e-14)[0])
-            raise DegenerateFaceError("coincident planar points on a face",
-                                      face_index=int(np.flatnonzero(finite_faces)[bad]))
-        angle = np.arctan2(cross, dot)
-        if (np.abs(angle - np.pi) < 1e-10).any():
-            bad = int(np.flatnonzero(np.abs(angle - np.pi) < 1e-10)[0])
-            raise DegenerateFaceError("degenerate (straight) planar angle",
-                                      face_index=int(np.flatnonzero(finite_faces)[bad]))
-        half_tan = cross / (lengths + dot)
-        weights[c, 0] = half_tan / np.abs(u)
-        weights[c, 1] = half_tan / np.abs(v)
+        abs_u, abs_v = np.abs(u), np.abs(v)
+        lengths = abs_u * abs_v
+        divisor = lengths + uv.real
+        with np.errstate(all="ignore"):
+            half_tan = np.abs(uv.imag) / divisor
+            weights[c] = half_tan / abs_u, half_tan / abs_v
+        # a weight past a passing divisor overflows only on edges below ~1e-294
+        ok = (divisor > STRAIGHT_TOL * lengths) & np.isfinite(weights[c]).all(axis=0)
+        if not ok.all():
+            face = int(np.flatnonzero(finite_faces)[np.argmin(ok)])
+            raise DegenerateFaceError(f"degenerate planar corner {c} of face {face}: "
+                                      "straight or coincident", face_index=face)
     return side_laplacian(surface.n_vertices, fidx, weights)
 
 

@@ -170,6 +170,18 @@ def inverted_vertex_map(surface, vertex=17):
     return project_to_manifold(f)
 
 
+def straight_corner_icosphere():
+    """The sub-3 icosphere with corner 0 of face 0 moved to its opposite
+    edge's midpoint plus 1e-9 in each coordinate: its fold correction
+    meets a planar corner within about 1e-8 of a straight angle, where
+    |u||v| + u.v rounds to zero."""
+    s = make_icosphere(3)
+    v = s.vertices.copy()
+    a, b, c = s.faces[0]
+    v[a] = (v[b] + v[c]) / 2 + 1e-9
+    return build_surface(v, s.faces)
+
+
 def icosphere_by_midpoint_dict(subdivisions, radii=(1.0, 1.0, 1.0)):
     """The icosphere subdivided face by face with a midpoint dictionary:
     the reference for the numbering and rounding of `make_icosphere`."""

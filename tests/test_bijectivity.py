@@ -1,8 +1,11 @@
+import re
 import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from authalic.energy import euclidean_gradient, face_geometry
 from authalic.errors import DegenerateFaceError
@@ -79,6 +82,38 @@ def test_mean_value_straight_angle_rejected():
     h = np.array([0.0, 1.0, 0.5 + 0j, 1.0 + 2j])  # vertex 2 sits on edge (0,1)
     with pytest.raises(DegenerateFaceError, match="degenerate"):
         assemble_mean_value(tetra, h)
+
+
+coordinate = st.floats(-1.0, 1.0)
+# the moved corner's remaining distance, as a share of its first: 0 (on
+# the opposite edge, or on a neighbour) or 1e-18 to 1
+gap = st.just(0.0) | st.floats(1.0, 18.0).map(lambda e: 10.0 ** -e)
+# where on the opposite edge it goes: 0 and 1 are the neighbours
+edge_point = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(coordinate, min_size=6, max_size=6), edge_point, gap,
+       st.integers(0, 2))
+# an edge of 2.2e-309 at a 45-degree corner: the divisor passes, the weight overflows
+@example([0.0, 0.0, 0.0, 1.0, 1.0, 2.225073858507203e-309], 1.0, 0.0, 0)
+def test_a_corner_moved_toward_its_opposite_edge_is_finite_or_named(xy, s, share, corner):
+    a, b, c = (complex(x, y) for x, y in zip(xy[::2], xy[1::2]))
+    target = b + s * (c - b)
+    moved = target + share * (a - target)
+    # face 0 is a healthy triangle; face 1 holds the moved corner at `corner`
+    surface = SimpleNamespace(n_vertices=6, faces=np.array(
+        [[3, 4, 5], np.roll([0, 1, 2], corner)]))
+    h = np.array([moved, b, c, 5.0, 6.0, 5.0 + 1j])
+    try:
+        lap = assemble_mean_value(surface, h)
+    except DegenerateFaceError as exc:
+        assert exc.face_index == 1
+        assert re.fullmatch(r"degenerate planar corner [0-2] of face 1: straight or coincident",
+                            str(exc))
+    else:
+        assert np.isfinite(lap.data).all()
+        assert moved not in (b, c)
 
 
 def sweep_holding_boundary(surface, f):

@@ -14,7 +14,7 @@ from authalic.mesh import load_mesh, make_icosphere, save_mesh
 from authalic.pipeline import ParameterizeConfig, parameterize
 from authalic.sphere import count_folds
 
-from helpers import inverted_vertex_map, rotation_matrix
+from helpers import inverted_vertex_map, rotation_matrix, straight_corner_icosphere
 
 
 @pytest.fixture(scope="module")
@@ -295,6 +295,17 @@ def test_param_names_a_vertex_in_no_face(tmp_path):
     assert result.exit_code == 1
     assert result.stderr == f"error: vertex {surf.n_vertices} is in no face\n"
     assert not out.exists()
+
+
+def test_param_names_a_straight_planar_corner(tmp_path):
+    path, out = tmp_path / "straight.obj", tmp_path / "run"
+    surf = straight_corner_icosphere()
+    save_mesh(surf.vertices, surf.faces, path)
+    result = run("param", str(path), "--out", str(out))
+    assert result.exit_code == 1
+    assert result.stderr == ("error: degenerate planar corner 0 of face 0: "
+                             "straight or coincident\n")
+    assert not (out / "manifest.json").exists()
 
 
 def test_param_rejects_an_inconsistently_oriented_mesh(tmp_path):

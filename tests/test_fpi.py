@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import authalic.energy as en
 from authalic.energy import assemble_laplacian, face_geometry
@@ -168,6 +169,39 @@ def test_vertex_at_infinity_coupled_to_interior_raises(icosphere1):
     interior[pole] = False
     with pytest.raises(SolveError, match="vertex at infinity is coupled"):
         dirichlet_solve(icosphere1, lap, h, interior)
+
+
+def test_the_right_hand_side_rule_fires_where_a_stored_entry_reads_an_inf(icosphere1):
+    # the rule fires exactly where an interior row stores an entry in an
+    # inf column, an explicit zero included
+    lap, h = pole_plane(icosphere1)
+    pole = int(np.flatnonzero(np.isinf(h))[0])
+    disk = disk_interior(h)
+    far = int(np.flatnonzero(disk)[0])
+    assert lap[far, pole] == 0
+    coo = lap.tocoo()
+    padded = sp.csr_matrix((np.append(coo.data, 0.0), (np.append(coo.row, far),
+                                                       np.append(coo.col, pole))),
+                           shape=lap.shape)
+    assert padded.nnz == lap.nnz + 1
+    ring = icosphere1.edges[(icosphere1.edges == pole).any(axis=1)].ravel()
+    cases = [(lap, disk), (padded, disk)]
+    for v in ring[ring != pole]:
+        interior = disk.copy()
+        interior[v] = True
+        cases.append((lap, interior))
+    fired = []
+    for matrix, interior in cases:
+        stored = matrix[np.flatnonzero(interior)][:, np.isinf(h)].nnz > 0
+        try:
+            dirichlet_solve(icosphere1, matrix, h, interior)
+        except SolveError as exc:
+            assert "vertex at infinity is coupled" in str(exc)
+            fired.append(True)
+        else:
+            fired.append(False)
+        assert fired[-1] == stored
+    assert fired[:2] == [False, True] and all(fired[2:])
 
 
 def test_vertex_at_infinity_among_boundary_is_kept(icosphere1):

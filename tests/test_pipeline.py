@@ -20,7 +20,8 @@ from authalic.mesh import build_surface, make_icosphere, normalize_area
 from authalic.pipeline import ParameterizeConfig, parameterize
 from authalic.sphere import count_folds
 
-from helpers import conformal_start, inverted_vertex_map, rotation_matrix, unit_hull
+from helpers import (conformal_start, inverted_vertex_map, rotation_matrix,
+                     straight_corner_icosphere, unit_hull)
 
 
 PAPER = ParameterizeConfig(method="paper")
@@ -295,6 +296,25 @@ def test_a_bent_tube_takes_the_conformal_start_and_ends_fold_free(k):
     result = parameterize(surface)
     assert result.start == "conformal"
     assert result.summary["folds"] == 0 and result.summary["degree"] == 1
+
+
+def test_the_least_straight_corner_seen_ends_fold_free():
+    # the sub-4 tube bent by 2 meets a mean-value corner whose divisor is
+    # 4.5e-13 |u||v|, the least on the tests' meshes: unfold.STRAIGHT_TOL
+    # must stay below it (1e-12 makes this run raise)
+    summary = parameterize(bent_tube(2.0, subdivisions=4)).summary
+    assert summary["folds"] == 0 and summary["degree"] == 1
+
+
+def test_a_straight_planar_corner_is_named_not_divided_by():
+    # the correction after FPI meets a corner within about 1e-8 of pi;
+    # the error names it, and no division by zero warns or reaches the LU
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateFaceError,
+                           match=r"^degenerate planar corner 0 of face 0: ") as caught:
+            parameterize(straight_corner_icosphere())
+    assert caught.value.face_index == 0
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,

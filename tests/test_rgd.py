@@ -16,7 +16,7 @@ from authalic.fpi import radial_initial_map, reference_laplacian
 from authalic.linesearch import ALPHA_MAX, phi_derivative_at_zero, search
 from authalic.linsolve import RESIDUAL_RTOL
 from authalic.mesh import make_icosphere, normalize_area
-from authalic.registration import RegistrationObjective
+from authalic.registration import RegistrationObjective, solve_alignment
 import authalic.rgd as rgd
 from authalic.rgd import LBFGS, GeometryMemo, NormalizedStretchObjective, minimize
 from authalic.sphere import project_tangent, project_to_manifold, retract, row_dots
@@ -263,6 +263,46 @@ def test_lbfgs_descent_decreases_the_spherical_energy(ellipsoid3, monkeypatch):
     # once the memory holds a pair (from the second iteration on, here),
     # the first trial is the full step, not the interpolated one
     assert trials[1:] == [ALPHA_MAX] * 19
+
+
+class Counting(GeometryMemo):
+    """The normalized stretch energy, counting its evaluations."""
+
+    calls = 0
+
+    def value(self, f):
+        self.calls += 1
+        return self.geometry(f).normalized
+
+    def value_and_gradient(self, f):
+        self.calls += 1
+        return self.geometry(f).normalized, en.normalized_gradient(self.surface,
+                                                                   self.geometry(f))
+
+
+@pytest.mark.parametrize("cap", [-1, 2.5, np.float64(3.0), "3", None])
+def test_a_cap_that_is_no_count_is_rejected_before_any_evaluation(icosphere2, cap):
+    objective = Counting(icosphere2)
+    with pytest.raises(ValueError, match=r"max_iters must be an integer >= 0, got "):
+        minimize(objective, icosphere2.vertices, max_iters=cap, precondition=None)
+    assert objective.calls == 0
+
+
+def test_an_integral_cap_of_any_type_is_taken(ellipsoid3):
+    f0 = radial_initial_map(ellipsoid3)
+    objective = Counting(ellipsoid3)
+    result = minimize(objective, f0, max_iters=0, precondition=None)
+    assert objective.calls == 0 and result.records == [] and result.status == "max_iters"
+    assert np.array_equal(result.mapping, f0)
+    result = minimize(objective, f0, max_iters=np.int64(2), precondition=None)
+    assert len(result.records) == 2 and objective.calls > 2
+
+
+def test_an_alignment_cap_below_zero_is_rejected(icosphere2):
+    rows = np.array([0, 5])
+    with pytest.raises(ValueError, match="max_iters must be an integer >= 0, got -1"):
+        solve_alignment(icosphere2, icosphere2.vertices, rows, icosphere2.vertices[rows],
+                        iters=-1)
 
 
 def test_minimize_runs_what_its_caller_hands_it():
