@@ -13,15 +13,16 @@ import os
 import sys
 import time
 from dataclasses import replace
-from importlib.metadata import PackageNotFoundError, version
 
 import click
 import numpy as np
 
+import authalic
 from . import diagnostics as diag
 from . import energy as en
 from . import registration
 from .errors import AuthalicError
+from .fpi import oriented
 from .mesh import (load_mesh, normalize_area, parse_landmarks, perturb_vertices,
                    save_mesh)
 from .pipeline import (METHOD_ITERS, METHODS, ParameterizeConfig, parameterize,
@@ -29,11 +30,6 @@ from .pipeline import (METHOD_ITERS, METHODS, ParameterizeConfig, parameterize,
 from .rgd import NormalizedStretchObjective
 from .sphere import (count_folds, inverse_stereographic, project_to_manifold,
                      stereographic)
-
-try:
-    _VERSION = version("authalic")
-except PackageNotFoundError:  # running from a source tree
-    _VERSION = "0.1.0"
 
 _COUNT = click.IntRange(min=0)
 
@@ -51,7 +47,7 @@ def _write_manifest(out_dir, command, inputs, params, seconds):
         "inputs": inputs,
         "params": params,
         "seed": params.get("seed"),
-        "version": _VERSION,
+        "version": authalic.__version__,
         "seconds": round(seconds, 3),
     }
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
@@ -69,7 +65,7 @@ def _check_out_dir(out_dir):
 
 
 @click.group(context_settings={"auto_envvar_prefix": "AUTHALIC"})
-@click.version_option(_VERSION)
+@click.version_option(authalic.__version__)
 def main():
     """Spherical area-preserving parameterization of closed triangle meshes."""
 
@@ -277,7 +273,9 @@ def morph(regdir, frames, out_dir):
 
 def _check_lines(surface, probe_eigen: bool):
     """Yield (name, passed, detail) tuples for the verification suite."""
-    f = project_to_manifold(surface.vertices - surface.vertices.mean(axis=0))
+    # the radial map, mirrored as the starts are, so a wholly reversed
+    # face list, which build_surface accepts, is checked too
+    f = oriented(surface, project_to_manifold(surface.vertices - surface.vertices.mean(axis=0)))
 
     areas = en.face_geometry(surface, surface.vertices).image_areas
     err = np.abs(areas - surface.face_areas).max() / surface.face_areas.max()

@@ -58,10 +58,10 @@ def conformal_initial_map(surface, rng, laplacian) -> np.ndarray:
     h -= h.mean()
     h /= np.median(np.abs(h))
 
-    return _oriented(surface, inverse_stereographic(h))
+    return oriented(surface, inverse_stereographic(h))
 
 
-def _oriented(surface, f: np.ndarray) -> np.ndarray:
+def oriented(surface, f: np.ndarray) -> np.ndarray:
     """`f`, mirrored in place (y -> -y) when more than half its faces
     fold: the orientation rule of both starts."""
     if count_folds(surface, f) > surface.n_faces // 2:
@@ -85,7 +85,7 @@ def radial_initial_map(surface) -> np.ndarray:
     d = surface.vertices - surface.vertices.mean(axis=0)
     with np.errstate(invalid="ignore", divide="ignore"):
         f = d / np.sqrt(row_dots(d, d))[:, None]
-    return _oriented(surface, f)
+    return oriented(surface, f)
 
 
 def disk_interior(h: np.ndarray) -> np.ndarray:

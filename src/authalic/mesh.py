@@ -9,9 +9,9 @@ closed 2-manifold of genus zero, which every algorithm downstream assumes.
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,6 +35,12 @@ class SimplicialSurface:
         Undirected edges as sorted pairs, lexicographically ordered.
     face_areas : (m,) float array
     total_area : float
+
+    What is derived from the face list alone, its corner blocks and its
+    dissection order, is computed on first use and kept in one store
+    with the list and the vertices it was built with.  The surfaces
+    :func:`with_vertices` makes share that store; a surface given any
+    other face list, as by ``dataclasses.replace``, starts its own.
     """
 
     vertices: np.ndarray
@@ -42,12 +48,13 @@ class SimplicialSurface:
     edges: np.ndarray
     face_areas: np.ndarray
     total_area: float
-    # the vertices a face list was built with and data computed on them on first
-    # use, shared by every surface :func:`with_vertices` makes from this one
-    _shared: dict = field(default_factory=dict, repr=False, compare=False)
+    # the face list's store: the list, its first vertices and the facts
+    # derived from it, keyed by name
+    _store: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        self._shared.setdefault("vertices", self.vertices)
+        if self._store.get("faces") is not self.faces:
+            object.__setattr__(self, "_store", {"faces": self.faces, "vertices": self.vertices})
 
     @property
     def n_vertices(self) -> int:
@@ -61,51 +68,34 @@ class SimplicialSurface:
     def n_edges(self) -> int:
         return self.edges.shape[0]
 
-    @cached_property
-    def corner_index(self) -> np.ndarray:
-        """Vertex of every face corner, corner-major: entry c m + t is
-        corner c of face t (``faces.T.ravel()``).  The flat index of the
-        per-face gather and of :func:`scatter_corners`."""
-        return _freeze(self.faces.T.ravel())
-
     def corner_blocks(self, size: int) -> tuple[tuple[slice, np.ndarray], ...]:
         """The faces in consecutive blocks of at most `size`, each as its
-        slice of the face list and its corner index, laid out as
-        :attr:`corner_index` is over the block's faces.  A face list of one
-        block has :attr:`corner_index` itself.  Computed once per size and
-        kept, as :attr:`corner_index` is."""
-        blocks = self._blocks_by_size.get(size)
-        if blocks is None:
+        slice of the face list and its corner index, the vertex of every
+        corner of the block's faces, corner-major: entry c B + t is corner
+        c of the block's face t (``faces[block].T.ravel()``).  The index
+        of the per-face gather and of :func:`scatter_corners`."""
+        key = ("corner_blocks", size)
+        if key not in self._store:
             m = self.n_faces
-            if m <= size:
-                blocks = ((slice(0, m), self.corner_index),)
-            else:
-                blocks = tuple((slice(lo, min(lo + size, m)),
-                                _freeze(self.faces[lo:lo + size].T.ravel()))
-                               for lo in range(0, m, size))
-            self._blocks_by_size[size] = blocks
-        return blocks
-
-    @cached_property
-    def _blocks_by_size(self) -> dict:
-        return {}
+            self._store[key] = tuple((slice(lo, min(lo + size, m)),
+                                      _freeze(self.faces[lo:lo + size].T.ravel()))
+                                     for lo in range(0, m, size))
+        return self._store[key]
 
     @property
     def dissection_order(self) -> np.ndarray:
         """Geometric nested-dissection order of the vertices.
 
         A fill-reducing elimination order for every sparse system on the
-        mesh graph, shared by every surface made from one face list (see
-        :func:`with_vertices`) and computed on the vertices the list was
-        built with, whichever surface asks first.  A separator of the
+        mesh graph, computed on the vertices the face list was built with,
+        whichever surface sharing it asks first.  A separator of the
         mesh graph stays a separator of every induced subgraph, so the
         order restricted to a vertex subset still orders that subsystem well.
         """
-        order = self._shared.get("dissection_order")
-        if order is None:
-            order = _freeze(nested_dissection(self._shared["vertices"], self.edges))
-            self._shared["dissection_order"] = order
-        return order
+        if "dissection_order" not in self._store:
+            self._store["dissection_order"] = _freeze(
+                nested_dissection(self._store["vertices"], self.edges))
+        return self._store["dissection_order"]
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -201,9 +191,10 @@ def build_surface(vertices, faces) -> SimplicialSurface:
 
 def with_vertices(surface: SimplicialSurface, vertices) -> SimplicialSurface:
     """`surface`'s face list on new (n, 3) `vertices`, not validated again:
-    the faces, edges and :attr:`~SimplicialSurface.dissection_order` are
-    shared.  The genus and face-area checks of :func:`build_surface` still
-    run, as a :class:`SimplicialSurface` constructed directly skips them.
+    the faces, edges and the face list's store (its corner blocks and
+    :attr:`~SimplicialSurface.dissection_order`) are shared.  The genus
+    and face-area checks of :func:`build_surface` still run, as a
+    :class:`SimplicialSurface` constructed directly skips them.
     """
     vertices = np.asarray(vertices, dtype=np.float64)
     if vertices.shape != surface.vertices.shape:
@@ -490,8 +481,8 @@ def make_icosphere(subdivisions: int, radii=(1.0, 1.0, 1.0)) -> SimplicialSurfac
     becomes faces 4t..4t+3 of the next: (i, ij, ki), (j, jk, ij),
     (k, ki, jk), (ij, jk, ki).
     """
-    if subdivisions < 0:
-        raise ValueError("subdivisions must be >= 0")
+    if not isinstance(subdivisions, numbers.Integral) or subdivisions < 0:
+        raise ValueError(f"subdivisions must be an integer >= 0, got {subdivisions!r}")
     radii = np.asarray(radii, dtype=np.float64)
     if radii.shape != (3,) or not (np.isfinite(radii) & (radii > 0)).all():
         raise ValueError("radii must be three positive scales")
@@ -521,24 +512,20 @@ def make_icosphere(subdivisions: int, radii=(1.0, 1.0, 1.0)) -> SimplicialSurfac
     return build_surface(verts * radii, faces)
 
 
-def scatter_corners(surface: SimplicialSurface, values: np.ndarray,
-                    index: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
-    """Sum per-corner face values onto the vertices.
+def scatter_corners(surface: SimplicialSurface, values: np.ndarray, index: np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """Sum the per-corner values of one block of faces onto the vertices.
 
-    `values` is (3, 3m), one row per coordinate, its columns laid out as
-    :attr:`SimplicialSurface.corner_index`: column c m + t holds the value
-    at corner c of face t.  Row v of the (n, 3) result adds them over
-    every corner that is vertex v.  The sums run corner by corner, in
-    face order.  The result is coordinate-major (Fortran order), as the
-    descent keeps its arrays (:mod:`authalic.rgd`).
-
-    For one block of faces (:meth:`SimplicialSurface.corner_blocks`),
-    `values` covers the block's faces and `index` is its corner index;
-    given `out`, the result of the blocks before it, the block's sums are
-    added to `out`, which is returned.
+    `index` is the block's corner index
+    (:meth:`SimplicialSurface.corner_blocks`) and `values` is (3, 3B),
+    one row per coordinate, its columns laid out as `index`: column
+    c B + t holds the value at corner c of the block's face t.  Row v of
+    the (n, 3) result adds them over every corner that is vertex v.  The
+    sums run corner by corner, in face order.  The result is
+    coordinate-major (Fortran order), as the descent keeps its arrays
+    (:mod:`authalic.rgd`).  Given `out`, the result of the blocks before
+    this one, the block's sums are added to `out`, which is returned.
     """
-    if index is None:
-        index = surface.corner_index
     n = surface.n_vertices
     if out is None:
         return np.stack([np.bincount(index, row, minlength=n) for row in values]).T
@@ -571,7 +558,8 @@ def vertex_normals(surface: SimplicialSurface) -> np.ndarray:
     """Unit vertex normals: unweighted mean of incident face unit normals,
     each face's doubled-area normal over its length."""
     cross, length = _face_cross(surface.vertices, surface.faces)
-    acc = scatter_corners(surface, np.tile(np.stack(cross) / length, 3))
+    (_, index), = surface.corner_blocks(surface.n_faces)
+    acc = scatter_corners(surface, np.tile(np.stack(cross) / length, 3), index)
     norms = np.linalg.norm(acc, axis=1, keepdims=True)
     if (norms < 1e-14).any():
         raise MeshTopologyError("vertex with vanishing normal")

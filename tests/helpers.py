@@ -40,7 +40,8 @@ def image_area_gradient_via_laplacian(surface, f):
     lk = -w_j[:, None] * p[:, 0] - w_i[:, None] * p[:, 1] + (w_i + w_j)[:, None] * p[:, 2]
     scale = (surface.face_areas / geom.image_areas)[:, None]
     return mesh.scatter_corners(surface,
-                                np.concatenate([scale * li, scale * lj, scale * lk]).T)
+                                np.concatenate([scale * li, scale * lj, scale * lk]).T,
+                                surface.faces.T.ravel())
 
 
 def dense_stretch_laplacian(surface, f):

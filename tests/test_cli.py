@@ -1,11 +1,14 @@
 import dataclasses
 import json
 import os
+import tomllib
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import authalic
 import authalic.cli as cli
 import authalic.energy as en
 from authalic import registration
@@ -369,6 +372,30 @@ def test_check_rejects_an_inconsistently_oriented_mesh(tmp_path):
     assert result.exit_code == 1
     assert "error: inconsistently oriented faces: faces 0 and" in result.output
     assert "FAIL" not in result.output
+
+
+def test_check_passes_a_wholly_reversed_face_list(tmp_path):
+    # build_surface accepts a reversed list and param maps it with degree
+    # 1; the check's radial map is mirrored as the starts are
+    surf = make_icosphere(2, (1.0, 0.8, 0.6))
+    path = tmp_path / "reversed.off"
+    save_mesh(surf.vertices, surf.faces[:, ::-1], path)
+    result = run("check", str(path))
+    assert result.exit_code == 0, result.output
+    assert "fold detector counts a flipped face: 0 -> 1" in result.output
+    assert "all checks passed" in result.output
+    result = run("param", str(path), "--out", str(tmp_path / "run"))
+    assert result.exit_code == 0, result.output
+    assert result.output.rstrip().endswith("folds 0, degree 1")
+
+
+def test_the_version_is_read_from_one_place(tmp_path, mesh_file):
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == authalic.__version__
+    assert run("--version").output.rstrip().endswith(f"version {authalic.__version__}")
+    out = tmp_path / "run"
+    assert run("param", mesh_file, "--max-iters", "1", "--out", str(out)).exit_code == 0
+    assert json.loads((out / "manifest.json").read_text())["version"] == authalic.__version__
 
 
 def test_check_reports_a_value_error_as_numerical_failure(tmp_path):

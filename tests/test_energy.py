@@ -307,12 +307,12 @@ def test_face_blocks_cover_every_corner_once(blocked):
     assert [(b.start, b.stop) for b, _ in blocks] == [(lo, min(lo + BLOCK, m))
                                                       for lo in range(0, m, BLOCK)]
     # stitched block by block, the corner indices give corner c of face t
-    # once each, as the whole list's corner index does
+    # once each
     stitched = np.concatenate([index.reshape(3, -1) for _, index in blocks], axis=1)
-    assert np.array_equal(stitched, blocked.corner_index.reshape(3, m))
+    assert np.array_equal(stitched, blocked.faces.T)
     assert blocked.corner_blocks(BLOCK) is blocks
     (whole, index), = blocked.corner_blocks(m)
-    assert (whole.start, whole.stop) == (0, m) and index is blocked.corner_index
+    assert (whole.start, whole.stop) == (0, m) and np.array_equal(index, blocked.faces.T.ravel())
 
 
 def test_face_blocks_keep_geometry_and_laplacian_bitwise(blocked, monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 
 import numpy as np
@@ -6,7 +7,7 @@ import scipy.sparse as sp
 from scipy.spatial import ConvexHull
 
 import authalic.mesh as mesh
-from authalic.energy import face_geometry
+from authalic.energy import FACE_BLOCK, face_geometry
 from authalic.errors import MeshFormatError, MeshTopologyError
 from authalic.mesh import (build_surface, load_mesh, make_icosphere, normalize_area,
                            parse_landmarks, perturb_vertices, save_mesh,
@@ -161,6 +162,17 @@ def test_icosphere_validates_inputs():
         make_icosphere(1, (1.0, 0.0, 1.0))
 
 
+@pytest.mark.parametrize("level", [-1, 2.5, np.float64(2.0), "2", None])
+def test_icosphere_rejects_a_level_that_is_no_count(level):
+    with pytest.raises(ValueError, match=r"subdivisions must be an integer >= 0, got "):
+        make_icosphere(level)
+
+
+def test_icosphere_takes_a_numpy_integer_level():
+    ico = make_icosphere(np.int64(1))
+    assert np.array_equal(ico.faces, make_icosphere(1).faces)
+
+
 @pytest.mark.parametrize("radius", [np.nan, np.inf])
 def test_icosphere_rejects_a_nonfinite_radius(radius):
     # both passed the positivity check and surfaced from build_surface as
@@ -225,7 +237,8 @@ def test_face_kernels_equal_the_cross_product_formulas(surface):
     length = np.linalg.norm(cross, axis=1)
     assert np.array_equal(mesh.triangle_areas(surface.vertices, surface.faces), 0.5 * length)
     assert np.array_equal(surface.face_areas, 0.5 * length)
-    acc = mesh.scatter_corners(surface, np.tile((cross / length[:, None]).T, 3))
+    acc = mesh.scatter_corners(surface, np.tile((cross / length[:, None]).T, 3),
+                               surface.faces.T.ravel())
     assert np.array_equal(vertex_normals(surface),
                           acc / np.linalg.norm(acc, axis=1, keepdims=True))
     scaled = normalize_area(surface)
@@ -299,6 +312,10 @@ def test_repeated_parameterize_neither_rebuilds_nor_redissects(monkeypatch):
     second = parameterize(surface, config)
     assert calls == {"nested_dissection": 1, "build_surface": 0}
     assert second.surface.dissection_order is first.surface.dissection_order
+    # and one set of corner blocks, which the input's store holds
+    blocks = surface.corner_blocks(FACE_BLOCK)
+    assert first.surface.corner_blocks(FACE_BLOCK) is blocks
+    assert second.surface.corner_blocks(FACE_BLOCK) is blocks
     assert np.array_equal(first.mapping, second.mapping)
 
 
@@ -438,6 +455,30 @@ def test_with_vertices_reuses_the_validated_face_list():
     flat[source.faces[0]] = flat[source.faces[0, 0]]
     with pytest.raises(MeshTopologyError, match="zero-area face at index 0"):
         mesh.with_vertices(source, flat)
+
+
+def test_with_vertices_copies_share_the_face_lists_corner_blocks():
+    source = make_icosphere(2, (1.0, 0.8, 0.6))
+    derived = mesh.with_vertices(source, 2.0 * source.vertices)
+    for size in (100, FACE_BLOCK):
+        blocks = derived.corner_blocks(size)
+        assert source.corner_blocks(size) is blocks
+        assert mesh.with_vertices(derived, source.vertices).corner_blocks(size) is blocks
+
+
+def test_another_face_list_starts_its_own_store():
+    source = make_icosphere(2, (1.0, 0.8, 0.6))
+    order, blocks = source.dissection_order, source.corner_blocks(FACE_BLOCK)
+    reversed_faces = np.ascontiguousarray(source.faces[:, ::-1])
+    other = dataclasses.replace(source, faces=reversed_faces)
+    assert other.dissection_order is not order
+    assert np.array_equal(other.dissection_order, order)  # the same edges and vertices
+    (_, index), = other.corner_blocks(FACE_BLOCK)
+    assert index is not blocks[0][1]
+    assert np.array_equal(index, reversed_faces.T.ravel())
+    # and the source keeps its own
+    assert source.dissection_order is order and source.corner_blocks(FACE_BLOCK) is blocks
+    assert mesh.with_vertices(other, source.vertices).corner_blocks(FACE_BLOCK)[0][1] is index
 
 
 def test_building_leaves_the_callers_arrays_writeable():
